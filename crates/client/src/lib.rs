@@ -157,11 +157,22 @@ impl Conn {
         })
     }
 
-    fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
-        let stream = self.reader.get_mut();
-        stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
+    /// Send request lines as one write: the socket has Nagle off, so
+    /// each write is its own segment, and a line split from its
+    /// newline (or a batch split per line) costs the server a wakeup
+    /// per piece.
+    fn send_lines<'a>(
+        &mut self,
+        lines: impl IntoIterator<Item = &'a str>,
+    ) -> Result<(), ClientError> {
+        let mut frame = String::new();
+        for line in lines {
+            frame.push_str(line);
+            frame.push('\n');
+        }
+        self.reader
+            .get_mut()
+            .write_all(frame.as_bytes())
             .map_err(|e| ClientError::Io(e.to_string()))
     }
 
@@ -228,7 +239,7 @@ impl Client {
     pub fn call_once(&self, line: &str) -> Result<Response, ClientError> {
         let mut conn = self.checkout()?;
         let out = conn
-            .send_line(line)
+            .send_lines([line])
             .and_then(|()| conn.read_line())
             .and_then(|resp| parse_response(&resp));
         if out.is_ok() {
@@ -274,9 +285,7 @@ impl Client {
         let mut conn = self.checkout()?;
         let mut rounds = 0u32;
         while !remaining.is_empty() {
-            for &i in &remaining {
-                conn.send_line(&lines[i])?;
-            }
+            conn.send_lines(remaining.iter().map(|&i| lines[i].as_str()))?;
             let mut retry = Vec::new();
             let mut max_wait = 1u64;
             for &i in &remaining {

@@ -44,9 +44,12 @@ pub enum SvcPhase {
     CacheProbe = 1,
     /// Simulation work: capture (on a miss) plus replay/execute.
     Execute = 2,
-    /// Result handoff to the response channel.
+    /// Worker hands the finished line over → it is delivered: flushed
+    /// to the connection, or received by an in-process submitter.
+    /// Recorded by the receiving side, from the handoff instant the
+    /// reply carries.
     Respond = 3,
-    /// Enqueue → response sent.
+    /// Enqueue → worker hands the finished line over.
     Total = 4,
 }
 

@@ -60,7 +60,7 @@ fn usage() -> ! {
             quoted(
                 "sctmd (--stdin | --listen ADDR) [--cache-mb N] [--queue N] \
                  [--timeout-ms N] [--log-dir DIR] [--workers N] \
-                 [--sched steal|batch] [--read-timeout-ms N] \
+                 [--sched steal|batch] \
                  [--peers A,B,...] [--shard-self ADDR]",
             ),
         )],
@@ -78,12 +78,6 @@ fn main() {
     let mut peers: Vec<String> = Vec::new();
     let mut shard_self: Option<String> = None;
     let mut cfg = ServerConfig::default();
-    if let Some(ms) = std::env::var("SCTM_READ_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        cfg.read_timeout_ms = ms;
-    }
 
     let mut i = 0;
     let num = |args: &[String], i: &mut usize| -> u64 {
@@ -102,7 +96,6 @@ fn main() {
             "--cache-mb" => cfg.cache_bytes = (num(&args, &mut i) as usize) << 20,
             "--queue" => cfg.queue_cap = num(&args, &mut i) as usize,
             "--timeout-ms" => cfg.default_timeout_ms = num(&args, &mut i),
-            "--read-timeout-ms" => cfg.read_timeout_ms = num(&args, &mut i),
             "--workers" => cfg.workers = num(&args, &mut i) as usize,
             "--sched" => {
                 i += 1;
@@ -194,9 +187,9 @@ fn main() {
 
     let server = Server::start_sharded(cfg, shard, log);
     if stdin_mode {
-        let stdin = std::io::stdin();
-        let mut stdout = std::io::stdout().lock();
-        let res = serve_lines(stdin.lock(), &mut stdout, &server);
+        // The writer half runs on its own thread, so the sink must be
+        // `Send`: the `Stdout` handle, not its `!Send` lock guard.
+        let res = serve_lines(std::io::stdin().lock(), &mut std::io::stdout(), &server);
         server.drain();
         if let Err(e) = res {
             log_stderr("error", &[("message", quoted(&e.to_string()))]);

@@ -38,5 +38,5 @@ pub use cache::{CacheStats, CaptureCache, CaptureKey};
 pub use proto::{
     parse_fwd_response, parse_request, result_json, CacheOutcome, FwdRequest, Request, RunRequest,
 };
-pub use server::{serve_lines, serve_tcp, SchedMode, Server, ServerConfig};
+pub use server::{serve_lines, serve_tcp, Reply, SchedMode, Server, ServerConfig};
 pub use shard::{Shard, ShardRing};

@@ -98,10 +98,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Scheduler mode; [`SchedMode::WorkSteal`] unless pinned.
     pub sched: SchedMode,
-    /// Idle-flush read timeout for [`serve_tcp`] connections, in
-    /// milliseconds: how often an idle connection wakes to flush
-    /// completed responses to lockstep clients.
-    pub read_timeout_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -113,8 +109,35 @@ impl Default for ServerConfig {
             retry_after_ms: 50,
             workers: 0,
             sched: SchedMode::WorkSteal,
-            read_timeout_ms: 25,
         }
+    }
+}
+
+/// One finished request as its submitter receives it.
+#[derive(Debug)]
+pub struct Reply {
+    /// The response line (no trailing newline).
+    pub line: String,
+    /// When the worker handed the line over. Whoever delivers it
+    /// records [`SvcPhase::Respond`] as the time from here to delivery.
+    pub done: Instant,
+}
+
+impl Reply {
+    fn now(line: String) -> Reply {
+        Reply {
+            line,
+            done: Instant::now(),
+        }
+    }
+
+    /// What a submitter gets when the scheduler dropped its request
+    /// without answering (a worker panicked mid-request).
+    fn dropped() -> Reply {
+        Reply::now(
+            r#"{"status":"error","kind":"internal","message":"scheduler dropped the request"}"#
+                .into(),
+        )
     }
 }
 
@@ -125,7 +148,7 @@ struct Job {
     enqueued: Instant,
     /// `None` never times out (deadline arithmetic overflowed).
     deadline: Option<Instant>,
-    reply: mpsc::Sender<String>,
+    reply: mpsc::Sender<Reply>,
 }
 
 #[derive(Default)]
@@ -306,7 +329,7 @@ impl Server {
     /// Enqueue a run. Returns the response channel, or the ready-made
     /// `busy`/`error` line when the queue is full or draining. Never
     /// blocks.
-    pub fn submit(&self, req: RunRequest) -> Result<mpsc::Receiver<String>, String> {
+    pub fn submit(&self, req: RunRequest) -> Result<mpsc::Receiver<Reply>, String> {
         let cfg = self.shared.cfg;
         let now = Instant::now();
         let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
@@ -381,8 +404,8 @@ impl Server {
     }
 
     /// Answer a peer's `fwd` request from this instance's own cache —
-    /// the owner end of the forward hop. Runs on the connection thread
-    /// (never a scheduler worker) and goes through the normal
+    /// the owner end of the forward hop. Runs on the connection's
+    /// writer half (never a scheduler worker) and goes through the normal
     /// single-flight `get_or_capture`, so racing forwards from several
     /// peers and local requests for the same key collapse onto one
     /// capture. The owner never re-forwards: it is the end of the
@@ -414,9 +437,13 @@ impl Server {
     /// Submit and wait for the response line.
     pub fn submit_blocking(&self, req: RunRequest) -> String {
         match self.submit(req) {
-            Ok(rx) => rx
-                .recv()
-                .unwrap_or_else(|_| r#"{"status":"error","kind":"internal","message":"scheduler dropped the request"}"#.into()),
+            Ok(rx) => {
+                let reply = rx.recv().unwrap_or_else(|_| Reply::dropped());
+                self.shared
+                    .svc
+                    .record_us(SvcPhase::Respond, us(reply.done.elapsed()));
+                reply.line
+            }
             Err(line) => line,
         }
     }
@@ -626,9 +653,10 @@ fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
             ("total_us", us(waited).to_string()),
         ],
     );
-    let _ = job
-        .reply
-        .send(timeout_response(&job.req.id, waited.as_millis()));
+    let _ = job.reply.send(Reply::now(timeout_response(
+        &job.req.id,
+        waited.as_millis(),
+    )));
     note_answered(shared);
 }
 
@@ -661,44 +689,46 @@ fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
         *conv.runs.entry(v).or_insert(0) += 1;
         conv.iterations.record(done.conv_iterations);
     }
-    let respond0 = Instant::now();
-    let _ = job.reply.send(done.line);
-    let respond_us = us(respond0.elapsed());
     let total_us = us(job.enqueued.elapsed());
+    // The log line, like the counters, lands before the reply: a
+    // client holding its answer can already find its line, and lines
+    // of requests sent one after another stay in that order.
+    if shared.log.is_some() {
+        let mut fields: Vec<(&str, String)> = vec![
+            ("id", quoted(&job.req.id)),
+            ("verb", quoted("run")),
+            (
+                "outcome",
+                quoted(if done.error_kind.is_some() {
+                    "error"
+                } else {
+                    "ok"
+                }),
+            ),
+            ("cache", quoted(done.cache.label())),
+        ];
+        if let Some(key) = &done.key_prefix {
+            fields.push(("key", quoted(key)));
+        }
+        if let Some(kind) = done.error_kind {
+            fields.push(("error_kind", quoted(kind)));
+        }
+        if let Some(v) = done.verdict {
+            fields.push(("verdict", quoted(v)));
+        }
+        fields.push(("queue_us", queue_us.to_string()));
+        fields.push(("probe_us", done.probe_us.to_string()));
+        fields.push(("execute_us", done.execute_us.to_string()));
+        fields.push(("total_us", total_us.to_string()));
+        shared.log_event(job.seq, &fields);
+    }
+    // The respond phase starts here and ends where the line is
+    // delivered, so whoever holds the receiver records it.
+    let _ = job.reply.send(Reply::now(done.line));
     svc.record_us(SvcPhase::Queue, queue_us);
     svc.record_us(SvcPhase::CacheProbe, done.probe_us);
     svc.record_us(SvcPhase::Execute, done.execute_us);
-    svc.record_us(SvcPhase::Respond, respond_us);
     svc.record_us(SvcPhase::Total, total_us);
-
-    let mut fields: Vec<(&str, String)> = vec![
-        ("id", quoted(&job.req.id)),
-        ("verb", quoted("run")),
-        (
-            "outcome",
-            quoted(if done.error_kind.is_some() {
-                "error"
-            } else {
-                "ok"
-            }),
-        ),
-        ("cache", quoted(done.cache.label())),
-    ];
-    if let Some(key) = done.key_prefix {
-        fields.push(("key", quoted(&key)));
-    }
-    if let Some(kind) = done.error_kind {
-        fields.push(("error_kind", quoted(kind)));
-    }
-    if let Some(v) = done.verdict {
-        fields.push(("verdict", quoted(v)));
-    }
-    fields.push(("queue_us", queue_us.to_string()));
-    fields.push(("probe_us", done.probe_us.to_string()));
-    fields.push(("execute_us", done.execute_us.to_string()));
-    fields.push(("respond_us", respond_us.to_string()));
-    fields.push(("total_us", total_us.to_string()));
-    shared.log_event(job.seq, &fields);
     note_answered(shared);
 }
 
@@ -1067,16 +1097,20 @@ fn stage_render(shared: &Arc<Shared>, ctx: StageCtx) {
     finish_job(shared, job, queue_us, done);
 }
 
-/// A response owed to the client, in request order.
-enum Pending {
+/// What a connection owes its client, queued in request order by the
+/// reader half of [`serve_lines`] and turned into bytes by the writer
+/// half when its turn comes.
+enum Owed {
+    /// Answered at parse/submit time: a typed parse error, `busy`, or
+    /// the draining refusal.
     Ready(String),
-    Waiting(mpsc::Receiver<String>),
-}
-
-fn recv_line(rx: &mpsc::Receiver<String>) -> String {
-    rx.recv().unwrap_or_else(|_| {
-        r#"{"status":"error","kind":"internal","message":"scheduler dropped the request"}"#.into()
-    })
+    /// An accepted run; its worker sends the reply when it finishes.
+    Run(mpsc::Receiver<Reply>),
+    /// A control verb, evaluated by the writer half at its turn. Never
+    /// `Request::Run`: the reader half submits those itself.
+    Verb(Request),
+    /// The request line of a one-shot HTTP GET.
+    HttpGet(String),
 }
 
 /// The `stats` verb's response line: versioned envelope around the
@@ -1093,155 +1127,197 @@ fn stats_line(server: &Server) -> String {
 /// line per request to `writer` **in request order**. Returns `true`
 /// when the stream asked for shutdown.
 ///
-/// Run responses are buffered so consecutive `run` lines schedule as
-/// one parallel batch; completed head-of-line responses stream out as
-/// soon as they are ready, and control verbs (`ping`, `stats`,
-/// `metrics`, `shutdown`) flush everything still owed first, so their
+/// The connection is split in two. The **reader half** (the calling
+/// thread) parses each line, submits `run` requests to the scheduler at
+/// once — so consecutive `run` lines overlap on the workers — and
+/// queues what the connection now owes its client. The **writer half**
+/// (a scoped thread that owns `writer` behind a `BufWriter`) pops the
+/// queue in order and blocks on each run's completion channel, so a
+/// finished response leaves the moment its worker hands it over; it
+/// flushes whenever the next owed bytes are not already available, and
+/// never otherwise. Neither half waits on a timer, and a client that
+/// stalls mid-line delays nothing it is already owed.
+///
+/// The queue between the halves is bounded (a few entries per scheduler
+/// queue slot, so `busy` refusals fit beside the accepted runs): a
+/// client that keeps sending without reading what it is owed fills it,
+/// the reader half stops reading, and TCP pushes back on the sender
+/// instead of the daemon buffering its answers without limit.
+///
+/// Control verbs (`ping`, `stats`, `metrics`, `fwd`, `shutdown`) travel
+/// through the same queue and are evaluated by the writer at their
+/// turn, after it has received every earlier run's reply — so their
 /// answers observe all preceding runs. The `metrics` response is the
 /// one multi-line answer: Prometheus text terminated by a `# EOF` line.
-///
-/// A reader that times out (`WouldBlock`/`TimedOut`, e.g. a `TcpStream`
-/// with a read timeout) is treated as *idle*, not dead: completed
-/// responses are flushed and the read retried, so a lockstep client —
-/// one request, wait for the answer — gets its response without having
-/// to send another byte. Bytes of a partially received line survive
-/// the retry.
 ///
 /// A line starting with `GET ` switches the connection to one-shot
 /// HTTP: `GET /metrics` and `GET /stats` answer with an `HTTP/1.0`
 /// response and close, so standard Prometheus scrapers can poll the
 /// same TCP port the line protocol lives on.
-pub fn serve_lines<R: BufRead, W: Write>(
+///
+/// The reader half ends at EOF, a read error, `shutdown` or `GET`; the
+/// writer then finishes everything still owed. The writer half ends on
+/// a write error (the client hung up); runs still in flight complete
+/// and are counted, their replies are discarded, and the reader ends at
+/// its next line or the peer's EOF. A read error is returned in
+/// preference to a write error.
+pub fn serve_lines<R: BufRead, W: Write + Send>(
     reader: R,
     writer: &mut W,
     server: &Server,
 ) -> std::io::Result<bool> {
-    let mut pending: VecDeque<Pending> = VecDeque::new();
+    let owed_cap = server.shared.cfg.queue_cap.saturating_mul(4).max(256);
+    let (owed, owed_rx) = mpsc::sync_channel(owed_cap);
+    std::thread::scope(|s| {
+        let writer_half = std::thread::Builder::new()
+            .name("sctmd-conn-writer".into())
+            .spawn_scoped(s, move || write_owed(owed_rx, writer, server))?;
+        let read = read_requests(reader, owed, server);
+        let wrote = writer_half
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        read.and(wrote)
+    })
+}
 
-    let flush_all = |pending: &mut VecDeque<Pending>, writer: &mut W| -> std::io::Result<()> {
-        while let Some(p) = pending.pop_front() {
-            let line = match p {
-                Pending::Ready(line) => line,
-                Pending::Waiting(rx) => recv_line(&rx),
-            };
-            writeln!(writer, "{line}")?;
-        }
-        writer.flush()
-    };
-    let flush_ready = |pending: &mut VecDeque<Pending>, writer: &mut W| -> std::io::Result<()> {
-        let mut wrote = false;
-        loop {
-            match pending.front() {
-                Some(Pending::Ready(_)) => {
-                    if let Some(Pending::Ready(line)) = pending.pop_front() {
-                        writeln!(writer, "{line}")?;
-                        wrote = true;
-                    }
-                }
-                Some(Pending::Waiting(rx)) => match rx.try_recv() {
-                    Ok(line) => {
-                        pending.pop_front();
-                        writeln!(writer, "{line}")?;
-                        wrote = true;
-                    }
-                    Err(_) => break,
-                },
-                None => break,
-            }
-        }
-        if wrote {
-            writer.flush()?;
-        }
-        Ok(())
-    };
-
-    let idle = |e: &std::io::Error| {
-        matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        )
-    };
-    let mut reader = reader;
+/// Reader half of [`serve_lines`]: consumes `owed`, so the writer sees
+/// the queue close when this returns.
+fn read_requests<R: BufRead>(
+    mut reader: R,
+    owed: mpsc::SyncSender<Owed>,
+    server: &Server,
+) -> std::io::Result<()> {
     let mut buf = String::new();
     loop {
-        // `read_line` appends whatever arrived before a timeout, so a
-        // half-received request accumulates in `buf` across retries.
-        match reader.read_line(&mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(e) if idle(&e) => {
-                flush_ready(&mut pending, writer)?;
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            return Ok(()); // EOF
         }
-        let owned = std::mem::take(&mut buf);
-        let line = owned.trim_end_matches(['\r', '\n']);
+        let line = buf.trim_end_matches(['\r', '\n']);
         if line.trim().is_empty() {
             continue;
         }
-        if line.starts_with("GET ") {
+        let item = if line.starts_with("GET ") {
             // One-shot HTTP scrape; drain the request headers first.
             let mut hdr = String::new();
-            loop {
-                match reader.read_line(&mut hdr) {
-                    Ok(0) => break,
-                    Ok(_) if hdr.trim().is_empty() => break,
-                    Ok(_) => hdr.clear(),
-                    Err(e) if idle(&e) || e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
+            while reader.read_line(&mut hdr)? != 0 && !hdr.trim().is_empty() {
+                hdr.clear();
             }
-            flush_all(&mut pending, writer)?;
-            return serve_http_get(line, writer, server).map(|()| false);
+            Owed::HttpGet(line.to_string())
+        } else {
+            match parse_request(line) {
+                Err(err) => Owed::Ready(error_response("", &err)),
+                Ok(Request::Run(req)) => match server.submit(*req) {
+                    Ok(rx) => Owed::Run(rx),
+                    Err(line) => Owed::Ready(line),
+                },
+                Ok(verb) => Owed::Verb(verb),
+            }
+        };
+        let last = matches!(item, Owed::Verb(Request::Shutdown) | Owed::HttpGet(_));
+        // A failed send means the writer half is gone: nobody is left
+        // to answer, so stop accepting work from this connection.
+        if owed.send(item).is_err() || last {
+            return Ok(());
         }
-        match parse_request(line) {
-            Err(err) => pending.push_back(Pending::Ready(error_response("", &err))),
-            Ok(Request::Run(req)) => match server.submit(*req) {
-                Ok(rx) => pending.push_back(Pending::Waiting(rx)),
-                Err(line) => pending.push_back(Pending::Ready(line)),
-            },
-            Ok(Request::Fwd(freq)) => {
-                // Peer capture fetch: answered inline on this
-                // connection thread (it may block in the owner's
-                // single-flight, never on a scheduler worker).
-                flush_all(&mut pending, writer)?;
-                writeln!(writer, "{}", server.handle_fwd(&freq))?;
-                writer.flush()?;
+    }
+}
+
+/// The connection's sink as the writer half sees it: buffered, and
+/// remembering which run replies are written but not yet flushed so
+/// [`SvcPhase::Respond`] ends where the bytes actually leave.
+struct Sink<'a, W: Write> {
+    out: std::io::BufWriter<&'a mut W>,
+    unflushed: Vec<Instant>,
+    svc: &'a SvcStats,
+}
+
+impl<W: Write> Sink<'_, W> {
+    fn line(&mut self, line: &str) -> std::io::Result<()> {
+        self.out.write_all(line.as_bytes())?;
+        self.out.write_all(b"\n")
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()?;
+        for done in self.unflushed.drain(..) {
+            self.svc.record_us(SvcPhase::Respond, us(done.elapsed()));
+        }
+        Ok(())
+    }
+
+    /// The next value from `rx`, blocking for it; what is already
+    /// written is flushed first unless the value is there to follow it
+    /// out in the same write. `None` once the sender is gone.
+    fn wait_for<T>(&mut self, rx: &mpsc::Receiver<T>) -> std::io::Result<Option<T>> {
+        if let Ok(v) = rx.try_recv() {
+            return Ok(Some(v));
+        }
+        self.flush()?;
+        Ok(rx.recv().ok())
+    }
+}
+
+/// Writer half of [`serve_lines`]. Returns `Ok(true)` after
+/// acknowledging `shutdown`.
+fn write_owed<W: Write>(
+    owed: mpsc::Receiver<Owed>,
+    writer: &mut W,
+    server: &Server,
+) -> std::io::Result<bool> {
+    let svc = &server.shared.svc;
+    let mut sink = Sink {
+        // One write per response for everything but multi-megabyte
+        // `fwd` frames (run responses are a few KiB, `stats` ~20 KiB).
+        out: std::io::BufWriter::with_capacity(64 << 10, writer),
+        unflushed: Vec::new(),
+        svc,
+    };
+    while let Some(item) = sink.wait_for(&owed)? {
+        // These take time to evaluate (`fwd` may wait out a whole
+        // capture), so what is already written leaves first.
+        if matches!(
+            item,
+            Owed::Verb(Request::Fwd(_) | Request::Stats | Request::Metrics) | Owed::HttpGet(_)
+        ) {
+            sink.flush()?;
+        }
+        match item {
+            Owed::Ready(line) => sink.line(&line)?,
+            Owed::Run(rx) => {
+                let reply = sink.wait_for(&rx)?.unwrap_or_else(Reply::dropped);
+                sink.line(&reply.line)?;
+                sink.unflushed.push(reply.done);
             }
-            Ok(Request::Ping) => {
-                flush_all(&mut pending, writer)?;
-                writeln!(writer, r#"{{"status":"ok","pong":true}}"#)?;
-                writer.flush()?;
-            }
-            Ok(Request::Stats) => {
-                flush_all(&mut pending, writer)?;
-                server.shared.svc.incr(SvcCounter::StatsServed);
-                writeln!(writer, "{}", stats_line(server))?;
-                writer.flush()?;
-            }
-            Ok(Request::Metrics) => {
-                flush_all(&mut pending, writer)?;
-                server.shared.svc.incr(SvcCounter::MetricsServed);
-                writer.write_all(server.prometheus_text().as_bytes())?;
-                writeln!(writer, "# EOF")?;
-                writer.flush()?;
-            }
-            Ok(Request::Shutdown) => {
-                flush_all(&mut pending, writer)?;
-                writeln!(writer, r#"{{"status":"ok","shutting_down":true}}"#)?;
-                writer.flush()?;
+            Owed::Verb(Request::Run(_)) => unreachable!("the reader half submits runs"),
+            Owed::Verb(Request::Ping) => sink.line(r#"{"status":"ok","pong":true}"#)?,
+            Owed::Verb(Request::Shutdown) => {
+                sink.line(r#"{"status":"ok","shutting_down":true}"#)?;
+                sink.flush()?;
                 return Ok(true);
             }
+            Owed::Verb(Request::Fwd(freq)) => sink.line(&server.handle_fwd(&freq))?,
+            Owed::Verb(Request::Stats) => {
+                svc.incr(SvcCounter::StatsServed);
+                sink.line(&stats_line(server))?;
+            }
+            Owed::Verb(Request::Metrics) => {
+                svc.incr(SvcCounter::MetricsServed);
+                sink.out.write_all(server.prometheus_text().as_bytes())?;
+                sink.line("# EOF")?;
+            }
+            Owed::HttpGet(request_line) => {
+                serve_http_get(&request_line, &mut sink.out, server)?;
+                sink.flush()?;
+                return Ok(false);
+            }
         }
-        flush_ready(&mut pending, writer)?;
     }
-    flush_all(&mut pending, writer)?;
+    // `wait_for` flushed before it found the queue closed.
     Ok(false)
 }
 
-/// Answer one HTTP GET (`/metrics`, `/stats`) and close. HTTP/1.0 +
+/// Answer one HTTP GET (`/metrics`, `/stats`). HTTP/1.0 +
 /// `Connection: close` keeps this a strict one-shot: no keep-alive, no
 /// chunking, nothing for a scraper to misread.
 fn serve_http_get<W: Write>(
@@ -1282,34 +1358,32 @@ fn serve_http_get<W: Write>(
         writer,
         "HTTP/1.0 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    writer.flush()
+    )
 }
 
 /// Serve the line protocol over TCP until a connection sends
-/// `shutdown`. One thread per connection; the accept loop polls so it
-/// can notice the shutdown flag. Returns after the graceful drain.
+/// `shutdown`. One [`serve_lines`] thread pair per connection; the
+/// accept loop polls so it can notice the shutdown flag. Returns after
+/// the graceful drain.
 pub fn serve_tcp(listener: std::net::TcpListener, server: Server) -> std::io::Result<()> {
     use std::sync::atomic::AtomicBool;
     listener.set_nonblocking(true)?;
-    // The receive timeout makes `serve_lines` wake up and flush
-    // completed responses to lockstep clients while the connection is
-    // otherwise idle. Configurable (`--read-timeout-ms` /
-    // `SCTM_READ_TIMEOUT_MS`): slower wakeups trade response latency
-    // for idle wakeup rate; 0 is clamped to 1 ms because a `None`
-    // timeout would never flush.
-    let read_timeout = Duration::from_millis(server.config().read_timeout_ms.max(1));
     let server = Arc::new(server);
     let stop = Arc::new(AtomicBool::new(false));
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Reap connections that have ended, or every one-shot
+                // scrape would grow `conns` for the daemon's lifetime.
+                conns.retain(|c| !c.is_finished());
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&stop);
                 conns.push(std::thread::spawn(move || {
                     stream.set_nonblocking(false).ok();
-                    stream.set_read_timeout(Some(read_timeout)).ok();
+                    // Responses are written whole and flushed once;
+                    // Nagle would only hold them for the client's ACK.
+                    stream.set_nodelay(true).ok();
                     let Ok(read_half) = stream.try_clone() else {
                         return;
                     };

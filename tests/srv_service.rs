@@ -1,7 +1,8 @@
 //! End-to-end contract of the `sctmd` batch service: the cache makes a
 //! sweep cost one capture, caching never changes an answer, results
 //! from the service are byte-identical to direct `execute` calls, the
-//! bounded queue pushes back, and deadlines drop stale requests.
+//! bounded queue pushes back, deadlines drop stale requests, and each
+//! connection's reader and writer halves fail independently.
 //!
 //! CI runs this suite under `SCTM_THREADS=1` and `=4`; every
 //! byte-identity assertion therefore also pins thread-count
@@ -161,9 +162,9 @@ fn full_queue_pushes_back_with_retry_after() {
         assert!(line.contains(r#""retry_after_ms":7"#), "{line}");
     }
     // Everything that *was* accepted still completes and answers.
-    assert_status(&heavy_rx.recv().unwrap(), "ok");
+    assert_status(&heavy_rx.recv().unwrap().line, "ok");
     for rx in receivers {
-        assert_status(&rx.recv().unwrap(), "ok");
+        assert_status(&rx.recv().unwrap().line, "ok");
     }
 }
 
@@ -179,7 +180,7 @@ fn expired_deadlines_drop_requests_without_running_them() {
     let line = server.submit_blocking(doomed);
     assert_status(&line, "timeout");
     assert!(line.contains(r#""id":"d""#), "{line}");
-    assert_status(&heavy_rx.recv().unwrap(), "ok");
+    assert_status(&heavy_rx.recv().unwrap().line, "ok");
     // The dropped request never executed: no completion counted for it.
     let stats = server.stats_manifest().to_json_compact();
     assert!(
@@ -266,7 +267,7 @@ fn drain_finishes_queued_work_then_refuses_new() {
     }
     server.drain();
     for rx in rxs {
-        assert_status(&rx.recv().unwrap(), "ok");
+        assert_status(&rx.recv().unwrap().line, "ok");
     }
     let refused = server.submit_blocking(run_req("run kernel=fft id=late"));
     assert_status(&refused, "error");
@@ -292,4 +293,218 @@ fn tcp_front_end_serves_the_same_protocol() {
     reader.read_line(&mut line).expect("read shutdown ack");
     assert!(line.contains(r#""shutting_down":true"#), "{line}");
     daemon.join().expect("daemon thread").expect("daemon io");
+}
+
+/// Boot a TCP daemon on an OS-assigned port.
+fn boot_tcp(cfg: ServerConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = Server::start(cfg);
+    (
+        addr,
+        std::thread::spawn(move || sctm_srv::serve_tcp(listener, server)),
+    )
+}
+
+/// A raw connection whose reads fail after a minute instead of hanging
+/// the suite when the daemon withholds a response.
+fn dial(addr: &str) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    let conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    let reader = std::io::BufReader::new(conn.try_clone().expect("clone"));
+    (conn, reader)
+}
+
+/// Wait for the daemon thread, failing instead of hanging if it never
+/// finishes its drain.
+fn join_daemon(daemon: std::thread::JoinHandle<std::io::Result<()>>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(daemon.join()));
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .expect("daemon did not drain")
+        .expect("daemon thread")
+        .expect("daemon io");
+}
+
+#[test]
+fn a_client_stalled_mid_line_still_gets_what_it_is_owed() {
+    use std::io::{BufRead, Write};
+    let (addr, daemon) = boot_tcp(ServerConfig::default());
+    let (mut conn, mut reader) = dial(&addr);
+    // One whole request, then half of the next, then silence: the
+    // reader half sits in `read_line` holding the fragment while the
+    // writer half delivers the finished response.
+    conn.write_all(
+        b"run kernel=fft net=omesh side=2 ops=150 mode=classic-trace id=h1\nrun kernel=fft net=ox",
+    )
+    .expect("send");
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("response to the whole request");
+    assert_status(&line, "ok");
+    assert!(line.contains(r#""id":"h1""#), "{line}");
+    // The fragment survived the wait: completing it is a valid request.
+    conn.write_all(b"bar side=2 ops=150 mode=classic-trace id=h2\nshutdown\n")
+        .expect("send rest");
+    line.clear();
+    reader
+        .read_line(&mut line)
+        .expect("response to the split request");
+    assert_status(&line, "ok");
+    assert!(line.contains(r#""id":"h2""#), "{line}");
+    assert!(line.contains(r#""cache":"hit""#), "{line}");
+    line.clear();
+    reader.read_line(&mut line).expect("shutdown ack");
+    assert!(line.contains(r#""shutting_down":true"#), "{line}");
+    join_daemon(daemon);
+}
+
+#[test]
+fn slow_then_fast_requests_answer_in_request_order_and_stats_counts_both() {
+    // Two workers, so the quick request finishes while the slow one is
+    // still running; the writer half must hold it back until the slow
+    // response has gone out, and `stats` must wait for both.
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let script = "\
+run kernel=fft net=omesh side=4 ops=500 mode=sctm iters=4 id=slow
+run kernel=fft net=omesh side=2 ops=100 mode=exec-driven id=fast
+stats
+";
+    let mut out = Vec::new();
+    serve_lines(script.as_bytes(), &mut out, &server).expect("serve");
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "{lines:#?}");
+    assert_status(lines[0], "ok");
+    assert!(lines[0].contains(r#""id":"slow""#), "{}", lines[0]);
+    assert_status(lines[1], "ok");
+    assert!(lines[1].contains(r#""id":"fast""#), "{}", lines[1]);
+    assert!(
+        lines[2].contains(r#""srv.completed": {"kind": "counter", "value": 2}"#),
+        "{}",
+        lines[2]
+    );
+}
+
+#[test]
+fn a_client_that_hangs_up_mid_response_costs_only_its_own_connection() {
+    use std::io::Write;
+    let (addr, daemon) = boot_tcp(ServerConfig::default());
+    {
+        let (mut conn, _reader) = dial(&addr);
+        conn.write_all(
+            b"run kernel=fft net=omesh side=2 ops=100 mode=exec-driven id=q1\n\
+              run kernel=fft net=omesh side=4 ops=500 mode=sctm iters=4 id=heavy\n\
+              run kernel=fft net=omesh side=2 ops=100 mode=exec-driven id=q2\n",
+        )
+        .expect("send");
+        // Wait until q1's response has started to arrive, then hang up
+        // without reading it: closing on unread data resets the
+        // connection, so the writer half — by now blocked on `heavy`,
+        // with two responses still owed — fails on its next write.
+        assert_eq!(conn.peek(&mut [0u8; 1]).expect("peek"), 1);
+    }
+    // The daemon keeps serving, and the abandoned runs still complete
+    // and are counted (3 of theirs + 1 of ours).
+    let client = sctm_client::Client::connect(&addr).expect("dial");
+    let line = client
+        .call("run kernel=fft net=omesh side=2 ops=100 mode=exec-driven id=after")
+        .expect("daemon still serves");
+    assert!(line.contains(r#""id":"after""#), "{line}");
+    let completed = |stats: &str| {
+        sctm_client::wire::json_u64_field(
+            &stats[stats.find(r#""srv.completed""#).expect("srv.completed")..],
+            "value",
+        )
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while completed(&client.stats().expect("stats")) != Some(4) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "abandoned runs never completed"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    // `shutdown` drains only once nothing is outstanding, and
+    // `serve_tcp` returns only once every connection thread — reader
+    // and writer half of the abandoned one included — has ended.
+    client.shutdown().expect("shutdown");
+    join_daemon(daemon);
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_its_own_reader_half() {
+    use std::io::{BufReader, Read, Write};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
+
+    const PINGS: usize = 50_000;
+    /// Hands out one `ping` line per `read`, counting them, so the
+    /// count is how far the reader half has got.
+    struct Pings(Arc<AtomicUsize>);
+    impl Read for Pings {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.load(Ordering::SeqCst) == PINGS {
+                return Ok(0);
+            }
+            self.0.fetch_add(1, Ordering::SeqCst);
+            buf[..5].copy_from_slice(b"ping\n");
+            Ok(5)
+        }
+    }
+    /// A sink that accepts nothing until the gate opens — a client that
+    /// sends but does not read, once the socket buffers are full.
+    struct Gated(Arc<(Mutex<bool>, Condvar)>, Vec<u8>);
+    impl Write for Gated {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let (open, opened) = &*self.0;
+            drop(opened.wait_while(open.lock().unwrap(), |o| !*o).unwrap());
+            self.1.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let server = Server::start(ServerConfig::default());
+    let read = Arc::new(AtomicUsize::new(0));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut sink = Gated(Arc::clone(&gate), Vec::new());
+    let ahead = std::thread::scope(|s| {
+        let conn =
+            s.spawn(|| serve_lines(BufReader::new(Pings(Arc::clone(&read))), &mut sink, &server));
+        // The writer half blocks in its first write; wait until the
+        // reader half has stopped moving (or give up after a minute).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let (mut last, mut quiet) = (0, 0);
+        while quiet < 10 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let now = read.load(Ordering::SeqCst);
+            quiet = if now == last && now > 0 { quiet + 1 } else { 0 };
+            last = now;
+        }
+        // Let the connection finish before judging it, so a failure
+        // cannot leave the scope waiting on a gated thread.
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        assert!(!conn.join().expect("connection thread").expect("serve"));
+        last
+    });
+    // It must have stopped within the bounded queue, not swallowed the
+    // stream: one 64 KiB write buffer of pongs (~2 400) plus the queue
+    // (4 x queue_cap = 256), with room to spare.
+    assert!(
+        ahead < 5_000,
+        "reader half ran {ahead} lines ahead of a blocked writer"
+    );
+    // Once the client reads again nothing was lost or reordered.
+    assert_eq!(read.load(Ordering::SeqCst), PINGS);
+    let text = String::from_utf8(sink.1).unwrap();
+    assert_eq!(text.lines().count(), PINGS);
+    assert!(text.lines().all(|l| l.contains(r#""pong":true"#)));
 }

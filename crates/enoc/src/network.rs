@@ -16,6 +16,18 @@
 //! The simulator skips idle time: with no flit in flight it jumps
 //! straight to the next scheduled injection, so lightly loaded
 //! full-system phases cost nothing.
+//!
+//! A busy cycle costs in proportion to the flits that can act in it,
+//! not to the buffers that exist. Each router summarises its input VCs
+//! in request masks, one bit per `port * V + vc` slot — `nonempty`,
+//! `want[out_port]`, `needs_va` — and the simulator keeps a set of
+//! routers holding flits and a set of NIs with queued flits; the phases
+//! walk set bits only. The masks are redundant state, updated where a
+//! flit enters or leaves a VC (`push_flit`, `pop_flit`) and where RC/VA
+//! decide, and `check_masks` re-derives every one of them after each
+//! cycle in debug builds. Visit order is part of the model: RC/VA takes
+//! slots in ascending order, SA takes an output port's requesters from
+//! its round-robin pointer upward, then wrapped (DESIGN.md §7).
 
 use crate::packet::{Flit, PacketizeConfig, Reassembly};
 use crate::topology::{Port, Routing, Topology, DIRS, NUM_PORTS};
@@ -80,17 +92,41 @@ impl NocConfig {
 /// State of one input virtual channel.
 #[derive(Clone, Debug, Default)]
 struct InVc {
-    buf: VecDeque<Flit>,
+    /// The VC's buffer is a ring over its `buf_depth` slots of
+    /// `Router::bufs`: `len` flits, the front one at `head`.
+    head: usize,
+    len: usize,
     /// Route of the packet currently occupying this VC.
     out_port: Option<Port>,
     /// Downstream VC granted to that packet (None for Local routes).
     out_vc: Option<usize>,
 }
 
+/// One bit per input-VC slot `port * V + vc` of a router.
+type SlotMask = u64;
+
+/// Largest `vcs_per_vnet` whose `NUM_PORTS * total_vcs()` slots fit a
+/// [`SlotMask`].
+const MAX_VCS_PER_VNET: usize = SlotMask::BITS as usize / (2 * NUM_PORTS);
+
+/// Set bits of `m`, ascending.
+fn slots(mut m: SlotMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let pv = m.trailing_zeros() as usize;
+            m &= m - 1;
+            pv
+        })
+    })
+}
+
 #[derive(Clone, Debug)]
 struct Router {
     /// Input VCs, indexed `port * V + vc`.
     invc: Vec<InVc>,
+    /// Flit storage of all input VCs, `depth` slots each.
+    bufs: Vec<Flit>,
+    depth: usize,
     /// Free downstream buffer slots, indexed `out_port * V + vc`.
     credits: Vec<usize>,
     /// Whether the downstream VC is currently held by a packet.
@@ -99,6 +135,67 @@ struct Router {
     sa_rr: [usize; NUM_PORTS],
     /// Flits resident in this router's input buffers.
     occupancy: usize,
+    /// Input VCs holding at least one flit.
+    nonempty: SlotMask,
+    /// Input VCs routed to each output port: set by RC, cleared when
+    /// the packet's tail leaves.
+    want: [SlotMask; NUM_PORTS],
+    /// Input VCs whose front flit is a head still lacking a route, or
+    /// a downstream VC on a direction route.
+    needs_va: SlotMask,
+}
+
+impl Router {
+    /// Front flit of input VC `pv`.
+    #[inline]
+    fn front(&self, pv: usize) -> Option<&Flit> {
+        let ivc = &self.invc[pv];
+        (ivc.len > 0).then(|| &self.bufs[pv * self.depth + ivc.head])
+    }
+}
+
+/// A set of node indices, walked in ascending order.
+#[derive(Clone, Debug)]
+struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    fn new(nodes: usize) -> Self {
+        NodeSet {
+            words: vec![0; nodes.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Smallest member `>= from`. The phases call this once per visit
+    /// rather than iterating a copy: traversal pushes flits into
+    /// neighbouring routers, and one that joins the set above the
+    /// cursor is part of this cycle's walk.
+    #[inline]
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.words.get(w)? & (!0 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
 }
 
 /// Per-node network interface: packet source queue and reassembly sink.
@@ -114,7 +211,11 @@ struct Ni {
 pub struct NocSim {
     cfg: NocConfig,
     routers: Vec<Router>,
+    /// Routers with `occupancy > 0`.
+    active: NodeSet,
     nis: Vec<Ni>,
+    /// NIs with a non-empty source queue.
+    ni_nonempty: NodeSet,
     sink: Vec<Reassembly>,
     /// Future injections not yet due, ordered by time then id.
     pending: BinaryHeap<Reverse<(SimTime, u64)>>,
@@ -138,6 +239,14 @@ const DEADLOCK_CYCLES: u64 = 100_000;
 impl NocSim {
     pub fn new(cfg: NocConfig) -> Self {
         assert!(cfg.vcs_per_vnet >= 1);
+        assert!(
+            cfg.vcs_per_vnet <= MAX_VCS_PER_VNET,
+            "vcs_per_vnet {} exceeds the limit of {MAX_VCS_PER_VNET}: a router's \
+             {NUM_PORTS} ports × 2 vnets × vcs_per_vnet input VCs must fit one \
+             {}-bit request mask",
+            cfg.vcs_per_vnet,
+            SlotMask::BITS
+        );
         assert!(
             !cfg.topology.torus || cfg.vcs_per_vnet >= 2,
             "torus needs ≥2 VCs per vnet for dateline deadlock avoidance"
@@ -164,18 +273,25 @@ impl NocSim {
                     credits[Port::Local.idx() * v + vc] = usize::MAX / 2;
                 }
                 Router {
-                    invc: (0..NUM_PORTS * v).map(|_| InVc::default()).collect(),
+                    invc: vec![InVc::default(); NUM_PORTS * v],
+                    bufs: vec![Flit::EMPTY_SLOT; NUM_PORTS * v * cfg.buf_depth],
+                    depth: cfg.buf_depth,
                     credits,
                     out_alloc: vec![false; NUM_PORTS * v],
                     sa_rr: [0; NUM_PORTS],
                     occupancy: 0,
+                    nonempty: 0,
+                    want: [0; NUM_PORTS],
+                    needs_va: 0,
                 }
             })
             .collect();
         NocSim {
             cfg,
             routers,
+            active: NodeSet::new(n),
             nis: (0..n).map(|_| Ni::default()).collect(),
+            ni_nonempty: NodeSet::new(n),
             sink: (0..n).map(|_| Reassembly::new()).collect(),
             pending: BinaryHeap::new(),
             pending_msgs: MsgTable::new(),
@@ -238,9 +354,67 @@ impl NocSim {
             let flits = self.cfg.pkt.packetize(&msg);
             self.active_flits += flits.len();
             self.sink[msg.dst.idx()].begin(msg, t);
-            let ni = &mut self.nis[msg.src.idx()];
-            ni.q.extend(flits);
+            self.nis[msg.src.idx()].q.extend(flits);
+            self.ni_nonempty.insert(msg.src.idx());
         }
+    }
+
+    /// A flit enters input VC `pv` of router `node`.
+    #[inline]
+    fn push_flit(&mut self, node: usize, pv: usize, f: Flit) {
+        let r = &mut self.routers[node];
+        let ivc = &mut r.invc[pv];
+        assert!(ivc.len < r.depth, "input VC overflow: credits out of step");
+        if ivc.len == 0 {
+            r.nonempty |= 1 << pv;
+            if f.kind.is_head() {
+                r.needs_va |= 1 << pv;
+            }
+        }
+        let mut at = ivc.head + ivc.len;
+        if at >= r.depth {
+            at -= r.depth;
+        }
+        r.bufs[pv * r.depth + at] = f;
+        ivc.len += 1;
+        r.occupancy += 1;
+        if r.occupancy == 1 {
+            self.active.insert(node);
+        }
+    }
+
+    /// The front flit of input VC `pv` of router `node` leaves; a tail
+    /// releases the VC's route. Returns the flit and the downstream VC
+    /// its packet held.
+    #[inline]
+    fn pop_flit(&mut self, node: usize, pv: usize) -> (Flit, Option<usize>) {
+        let r = &mut self.routers[node];
+        let ivc = &mut r.invc[pv];
+        assert!(ivc.len > 0, "granted an empty VC");
+        let f = r.bufs[pv * r.depth + ivc.head];
+        ivc.head += 1;
+        if ivc.head == r.depth {
+            ivc.head = 0;
+        }
+        ivc.len -= 1;
+        let ovc = ivc.out_vc;
+        if f.kind.is_tail() {
+            let out = ivc.out_port.take().expect("tail left an unrouted VC");
+            ivc.out_vc = None;
+            r.want[out.idx()] &= !(1 << pv);
+            if ivc.len > 0 {
+                // The next packet's head queued up behind this tail.
+                r.needs_va |= 1 << pv;
+            }
+        }
+        if ivc.len == 0 {
+            r.nonempty &= !(1 << pv);
+        }
+        r.occupancy -= 1;
+        if r.occupancy == 0 {
+            self.active.remove(node);
+        }
+        (f, ovc)
     }
 
     /// Phase A: each NI tries to place one flit into the router's local
@@ -248,12 +422,12 @@ impl NocSim {
     fn phase_inject(&mut self) {
         let v = self.cfg.total_vcs();
         let k = self.cfg.vcs_per_vnet;
-        for node in 0..self.nis.len() {
-            let Some(&front) = self.nis[node].q.front() else {
-                continue;
-            };
-            let router = &mut self.routers[node];
-            let lp = Port::Local.idx();
+        let lp = Port::Local.idx();
+        let mut next = 0;
+        while let Some(node) = self.ni_nonempty.next_from(next) {
+            next = node + 1;
+            let front = *self.nis[node].q.front().expect("empty NI in ni_nonempty");
+            let router = &self.routers[node];
             let chosen = if front.kind.is_head() {
                 // Head claims a fully idle local VC in its vnet
                 // (dateline class 0 on torus — source is pre-dateline).
@@ -265,67 +439,69 @@ impl NocSim {
                 };
                 (base..end).find(|&vc| {
                     let ivc = &router.invc[lp * v + vc];
-                    ivc.buf.is_empty() && ivc.out_port.is_none()
+                    ivc.len == 0 && ivc.out_port.is_none()
                 })
             } else {
                 // Body/tail follow the head's VC if there is space.
                 self.nis[node]
                     .cur_vc
-                    .filter(|&vc| router.invc[lp * v + vc].buf.len() < self.cfg.buf_depth)
+                    .filter(|&vc| router.invc[lp * v + vc].len < self.cfg.buf_depth)
             };
             if let Some(vc) = chosen {
-                let mut f = self.nis[node].q.pop_front().unwrap();
+                let ni = &mut self.nis[node];
+                let mut f = ni.q.pop_front().unwrap();
+                ni.cur_vc = if f.kind.is_tail() { None } else { Some(vc) };
+                if ni.q.is_empty() {
+                    self.ni_nonempty.remove(node);
+                }
                 f.ready_cycle = self.cycle + self.cfg.router_stages;
-                router.invc[lp * v + vc].buf.push_back(f);
-                router.occupancy += 1;
-                self.nis[node].cur_vc = if f.kind.is_tail() { None } else { Some(vc) };
+                self.push_flit(node, lp * v + vc, f);
                 self.stall_cycles = 0;
             }
         }
     }
 
-    /// Phase B: route computation + VC allocation for head flits.
+    /// Phase B: route computation + VC allocation for head flits, in
+    /// ascending slot order so the lower slot gets first pick of a free
+    /// output VC.
     fn phase_rc_va(&mut self) {
         let v = self.cfg.total_vcs();
         let topo = self.cfg.topology;
-        for node in 0..self.routers.len() {
-            if self.routers[node].occupancy == 0 {
-                continue;
-            }
+        let mut next = 0;
+        while let Some(node) = self.active.next_from(next) {
+            next = node + 1;
             let here = sctm_engine::net::NodeId(node as u32);
-            for pv in 0..NUM_PORTS * v {
-                // RC: head flit at front, not yet routed.
-                let (needs_rc, needs_va, head) = {
-                    let ivc = &self.routers[node].invc[pv];
-                    match ivc.buf.front() {
-                        Some(f) if f.ready_cycle <= self.cycle && f.kind.is_head() => {
-                            (ivc.out_port.is_none(), ivc.out_vc.is_none(), *f)
-                        }
-                        _ => continue,
+            for pv in slots(self.routers[node].needs_va) {
+                let r = &self.routers[node];
+                let head = *r.front(pv).expect("needs_va on an empty VC");
+                if head.ready_cycle > self.cycle {
+                    continue;
+                }
+                let out = match r.invc[pv].out_port {
+                    Some(out) => out,
+                    None => {
+                        let out = self.compute_route(here, &head, pv / v);
+                        let r = &mut self.routers[node];
+                        r.invc[pv].out_port = Some(out);
+                        r.want[out.idx()] |= 1 << pv;
+                        out
                     }
                 };
-                if needs_rc {
-                    let out = self.compute_route(here, &head, pv / v);
-                    self.routers[node].invc[pv].out_port = Some(out);
-                }
-                let out = self.routers[node].invc[pv].out_port.unwrap();
                 if out == Port::Local {
-                    continue; // ejection needs no VC
+                    self.routers[node].needs_va &= !(1 << pv); // ejection needs no VC
+                    continue;
                 }
-                if needs_va {
-                    // Allocate a free VC on this router's output side
-                    // (mirrors the downstream input VC).
-                    let crossing = topo.dateline_crossed(here, out);
-                    let dl = head.dateline || crossing;
-                    let range = self.allowed_vcs(head.vnet as usize, dl);
-                    let router = &mut self.routers[node];
-                    let grant = range
-                        .clone()
-                        .find(|&vc| !router.out_alloc[out.idx() * v + vc]);
-                    if let Some(vc) = grant {
-                        router.out_alloc[out.idx() * v + vc] = true;
-                        router.invc[pv].out_vc = Some(vc);
-                    }
+                // Allocate a free VC on this router's output side
+                // (mirrors the downstream input VC).
+                let crossing = topo.dateline_crossed(here, out);
+                let dl = head.dateline || crossing;
+                let mut range = self.allowed_vcs(head.vnet as usize, dl);
+                let router = &mut self.routers[node];
+                let grant = range.find(|&vc| !router.out_alloc[out.idx() * v + vc]);
+                if let Some(vc) = grant {
+                    router.out_alloc[out.idx() * v + vc] = true;
+                    router.invc[pv].out_vc = Some(vc);
+                    router.needs_va &= !(1 << pv);
                 }
             }
         }
@@ -362,16 +538,19 @@ impl NocSim {
     }
 
     /// Phase C: switch allocation + traversal. At most one grant per
-    /// output port and one read per input port per cycle.
+    /// output port and one read per input port per cycle; each output
+    /// port serves its requesters round-robin from `sa_rr`.
     fn phase_sa_st(&mut self, out: &mut Vec<Delivery>) {
         let v = self.cfg.total_vcs();
+        let total = NUM_PORTS * v;
+        let port_slots: SlotMask = (1 << v) - 1;
         let topo = self.cfg.topology;
-        for node in 0..self.routers.len() {
-            if self.routers[node].occupancy == 0 {
-                continue;
-            }
+        let mut next = 0;
+        while let Some(node) = self.active.next_from(next) {
+            next = node + 1;
             let here = sctm_engine::net::NodeId(node as u32);
-            let mut input_port_used = [false; NUM_PORTS];
+            // Slots of input ports not yet read this cycle.
+            let mut unread: SlotMask = !0;
             for out_port in [
                 Port::Local,
                 Port::North,
@@ -380,54 +559,35 @@ impl NocSim {
                 Port::West,
             ] {
                 let op = out_port.idx();
-                // Round-robin over all input VCs for this output port.
-                let start = self.routers[node].sa_rr[op];
-                let total = NUM_PORTS * v;
-                let mut grant: Option<usize> = None;
-                for off in 0..total {
-                    let pv = (start + off) % total;
-                    let in_port = pv / v;
-                    if input_port_used[in_port] {
-                        continue;
-                    }
-                    let r = &self.routers[node];
-                    let ivc = &r.invc[pv];
-                    if ivc.out_port != Some(out_port) {
-                        continue;
-                    }
-                    let Some(f) = ivc.buf.front() else { continue };
-                    if f.ready_cycle > self.cycle {
-                        continue;
-                    }
-                    if out_port != Port::Local {
-                        let Some(ovc) = ivc.out_vc else { continue };
-                        if r.credits[op * v + ovc] == 0 {
-                            continue;
-                        }
-                    }
-                    grant = Some(pv);
-                    break;
+                let r = &self.routers[node];
+                let requests = r.want[op] & r.nonempty & unread;
+                if requests == 0 {
+                    continue;
                 }
-                let Some(pv) = grant else { continue };
+                let grantable = |&pv: &usize| {
+                    let f = r.front(pv).expect("nonempty bit on an empty VC");
+                    f.ready_cycle <= self.cycle
+                        && (out_port == Port::Local
+                            || r.invc[pv]
+                                .out_vc
+                                .is_some_and(|ovc| r.credits[op * v + ovc] > 0))
+                };
+                // From the round-robin pointer upward, then wrapped.
+                let below_rr: SlotMask = (1 << r.sa_rr[op]) - 1;
+                let Some(pv) = slots(requests & !below_rr)
+                    .chain(slots(requests & below_rr))
+                    .find(grantable)
+                else {
+                    continue;
+                };
                 let in_port = pv / v;
-                input_port_used[in_port] = true;
+                unread &= !(port_slots << (in_port * v));
                 self.routers[node].sa_rr[op] = (pv + 1) % total;
                 self.stall_cycles = 0;
                 obs::sim_event("emesh", "arbitrate", node as u32, self.time_of(self.cycle));
 
                 // Traversal: pop the flit and move it.
-                let (mut flit, freed_tail, ovc) = {
-                    let ivc = &mut self.routers[node].invc[pv];
-                    let f = ivc.buf.pop_front().unwrap();
-                    let tail = f.kind.is_tail();
-                    let ovc = ivc.out_vc;
-                    if tail {
-                        ivc.out_port = None;
-                        ivc.out_vc = None;
-                    }
-                    (f, tail, ovc)
-                };
-                self.routers[node].occupancy -= 1;
+                let (mut flit, ovc) = self.pop_flit(node, pv);
 
                 // Return a credit to whoever feeds this input VC.
                 if in_port != Port::Local.idx() {
@@ -469,7 +629,7 @@ impl NocSim {
                 } else {
                     let ovc = ovc.expect("direction route without VC");
                     self.routers[node].credits[op * v + ovc] -= 1;
-                    if freed_tail {
+                    if flit.kind.is_tail() {
                         self.routers[node].out_alloc[op * v + ovc] = false;
                     }
                     if topo.dateline_crossed(here, out_port) {
@@ -478,11 +638,44 @@ impl NocSim {
                     flit.ready_cycle = self.cycle + self.cfg.link_cycles + self.cfg.router_stages;
                     self.link_busy_cycles[node] += self.cfg.link_cycles;
                     let down = topo.neighbor(here, out_port).expect("route into a wall");
-                    let dpv = out_port.opposite().idx() * v + ovc;
-                    self.routers[down.idx()].invc[dpv].buf.push_back(flit);
-                    self.routers[down.idx()].occupancy += 1;
+                    self.push_flit(down.idx(), out_port.opposite().idx() * v + ovc, flit);
                 }
             }
+        }
+    }
+
+    /// The request masks, the active sets and the occupancy counts are
+    /// redundant with the buffers and routes they summarise; check that
+    /// every one of them says what the underlying state says.
+    #[cfg(debug_assertions)]
+    fn check_masks(&self) {
+        for (node, r) in self.routers.iter().enumerate() {
+            let mut held = 0;
+            for (pv, ivc) in r.invc.iter().enumerate() {
+                let bit = |m: SlotMask| m & (1 << pv) != 0;
+                held += ivc.len;
+                assert_eq!(bit(r.nonempty), ivc.len > 0, "nonempty {node}/{pv}");
+                for (op, &want) in r.want.iter().enumerate() {
+                    let routed = ivc.out_port.map(Port::idx) == Some(op);
+                    assert_eq!(bit(want), routed, "want[{op}] {node}/{pv}");
+                }
+                let awaiting = r.front(pv).is_some_and(|f| f.kind.is_head())
+                    && match ivc.out_port {
+                        None => true,
+                        Some(Port::Local) => false,
+                        Some(_) => ivc.out_vc.is_none(),
+                    };
+                assert_eq!(bit(r.needs_va), awaiting, "needs_va {node}/{pv}");
+            }
+            assert_eq!(r.occupancy, held, "occupancy {node}");
+            assert_eq!(self.active.contains(node), held > 0, "active {node}");
+        }
+        for (node, ni) in self.nis.iter().enumerate() {
+            assert_eq!(
+                self.ni_nonempty.contains(node),
+                !ni.q.is_empty(),
+                "ni_nonempty {node}"
+            );
         }
     }
 
@@ -491,6 +684,8 @@ impl NocSim {
         self.phase_inject();
         self.phase_rc_va();
         self.phase_sa_st(out);
+        #[cfg(debug_assertions)]
+        self.check_masks();
         assert!(
             self.stall_cycles < DEADLOCK_CYCLES,
             "NoC deadlock: {} flits frozen for {} cycles at cycle {} ({:?} routing)",
@@ -753,6 +948,33 @@ mod tests {
         }
         let out = drain_all(&mut sim);
         assert_eq!(out.len(), 256);
+    }
+
+    #[test]
+    fn all_pairs_deliver_at_the_widest_mask() {
+        let cfg = NocConfig {
+            topology: Topology::torus(4, 4),
+            vcs_per_vnet: MAX_VCS_PER_VNET,
+            ..NocConfig::default()
+        };
+        let mut sim = NocSim::new(cfg);
+        let mut id = 0;
+        for s in 0..16 {
+            for d in 0..16 {
+                id += 1;
+                sim.inject(SimTime::ZERO, msg(id, s, d, MsgClass::Data, 64));
+            }
+        }
+        assert_eq!(drain_all(&mut sim).len(), 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the limit of 6")]
+    fn more_vcs_than_the_mask_holds_are_rejected() {
+        NocSim::new(NocConfig {
+            vcs_per_vnet: MAX_VCS_PER_VNET + 1,
+            ..cfg4()
+        });
     }
 
     #[test]

@@ -55,6 +55,19 @@ pub struct Flit {
     pub ready_cycle: u64,
 }
 
+impl Flit {
+    /// Filler for a buffer slot that holds no flit.
+    pub(crate) const EMPTY_SLOT: Flit = Flit {
+        kind: FlitKind::HeadTail,
+        pkt: MsgId(0),
+        dst: NodeId(0),
+        src_hint: NodeId(0),
+        vnet: 0,
+        dateline: false,
+        ready_cycle: 0,
+    };
+}
+
 /// Packetisation parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PacketizeConfig {
@@ -78,32 +91,31 @@ impl PacketizeConfig {
         }
     }
 
-    /// Build the flit sequence for `msg`.
-    pub fn packetize(&self, msg: &Message) -> Vec<Flit> {
+    /// The flit sequence for `msg`, head first.
+    pub fn packetize(&self, msg: &Message) -> impl ExactSizeIterator<Item = Flit> {
         let n = self.flit_count(msg.bytes);
         let vnet = match msg.class {
             sctm_engine::net::MsgClass::Control => 0,
             sctm_engine::net::MsgClass::Data => 1,
         };
-        (0..n)
-            .map(|i| {
-                let kind = match (i, n) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (i, n) if i + 1 == n => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit {
-                    kind,
-                    pkt: msg.id,
-                    dst: msg.dst,
-                    src_hint: msg.src,
-                    vnet,
-                    dateline: false,
-                    ready_cycle: 0,
-                }
-            })
-            .collect()
+        let (pkt, dst, src_hint) = (msg.id, msg.dst, msg.src);
+        (0..n).map(move |i| {
+            let kind = match (i, n) {
+                (0, 1) => FlitKind::HeadTail,
+                (0, _) => FlitKind::Head,
+                (i, n) if i + 1 == n => FlitKind::Tail,
+                _ => FlitKind::Body,
+            };
+            Flit {
+                kind,
+                pkt,
+                dst,
+                src_hint,
+                vnet,
+                dateline: false,
+                ready_cycle: 0,
+            }
+        })
     }
 }
 
@@ -182,7 +194,7 @@ mod tests {
         let c = PacketizeConfig::default();
         assert_eq!(c.flit_count(0), 1);
         assert_eq!(c.flit_count(8), 1);
-        let flits = c.packetize(&msg(8));
+        let flits: Vec<Flit> = c.packetize(&msg(8)).collect();
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
     }
@@ -192,7 +204,7 @@ mod tests {
         let c = PacketizeConfig::default();
         // 64B line: 8B in head + 56B / 16B = 4 (3.5 rounded up) body flits
         assert_eq!(c.flit_count(64), 5);
-        let flits = c.packetize(&msg(64));
+        let flits: Vec<Flit> = c.packetize(&msg(64)).collect();
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert!(flits[1..4].iter().all(|f| f.kind == FlitKind::Body));
         assert_eq!(flits[4].kind, FlitKind::Tail);
@@ -210,7 +222,7 @@ mod tests {
     fn reassembly_completes_on_tail() {
         let c = PacketizeConfig::default();
         let m = msg(64);
-        let flits = c.packetize(&m);
+        let flits: Vec<Flit> = c.packetize(&m).collect();
         let mut r = Reassembly::new();
         r.begin(m, SimTime::from_ps(5));
         for f in &flits[..4] {
@@ -233,8 +245,8 @@ mod tests {
         r.begin(m1, SimTime::ZERO);
         r.begin(m2, SimTime::ZERO);
         assert_eq!(r.open_count(), 2);
-        let f2 = &c.packetize(&m2)[0];
-        assert_eq!(r.eject(f2).unwrap().0.id, MsgId(2));
+        let f2 = c.packetize(&m2).next().unwrap();
+        assert_eq!(r.eject(&f2).unwrap().0.id, MsgId(2));
         assert_eq!(r.open_count(), 1);
     }
 }

@@ -57,6 +57,12 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Serialises the unit tests that flip [`set_enabled`] or call the
+/// global [`tracer::drain`]: both are process-wide, and the test harness
+/// runs this binary's tests on parallel threads.
+#[cfg(test)]
+pub(crate) static GLOBAL_STATE_TESTS: Mutex<()> = Mutex::new(());
+
 /// The one global switch. Relaxed ordering is deliberate: the flag
 /// gates *recording*, never correctness, so a stale read at worst loses
 /// or gains a few events around the transition.

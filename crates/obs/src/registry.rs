@@ -296,6 +296,7 @@ mod tests {
 
     #[test]
     fn iteration_telemetry_gated_and_mirrored() {
+        let _serial = lock_unpoisoned(&crate::GLOBAL_STATE_TESTS);
         crate::set_enabled(false);
         record_iteration(IterTelemetry {
             network: "none",

@@ -217,10 +217,11 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing_enabled_records() {
+        let _serial = lock_unpoisoned(&crate::GLOBAL_STATE_TESTS);
         set_enabled(false);
         drop(span("t", "off"));
         sim_event("t", "off", 0, SimTime::from_ps(1));
-        // Other tests in this binary may be recording concurrently, so
+        // Tests outside the lock may be recording concurrently, so
         // assert on *our* distinctive events only.
         let mine = |evs: &[TraceEvent]| {
             evs.iter()
@@ -254,6 +255,7 @@ mod tests {
 
     #[test]
     fn worker_thread_events_survive_join() {
+        let _serial = lock_unpoisoned(&crate::GLOBAL_STATE_TESTS);
         set_enabled(true);
         std::thread::spawn(|| {
             sim_event("tj", "worker", 7, SimTime::from_ps(42));
@@ -275,6 +277,7 @@ mod tests {
 
     #[test]
     fn drain_survives_a_panicking_traced_thread() {
+        let _serial = lock_unpoisoned(&crate::GLOBAL_STATE_TESTS);
         set_enabled(true);
         // A worker records an event, then panics *while holding its
         // ring lock* — the worst case, poisoning the very mutex drain

@@ -19,7 +19,7 @@ fn capture(side: usize, ops: usize) -> TraceLog {
 
 fn bench_cold_load(c: &mut Criterion) {
     // 64 cores (side 8): the acceptance workload for the ≥5× cold-load
-    // speedup and ≤0.5× residency contract.
+    // speedup.
     let log64 = capture(8, 300);
     let csv64 = log64.to_csv_string();
     let sctf64 = to_sctf_bytes(&log64);

@@ -225,7 +225,7 @@ mod tests {
     }
 
     impl TraceHook for RecHook {
-        fn on_inject(&mut self, rec: InjectRecord) {
+        fn on_inject(&mut self, rec: InjectRecord<'_>) {
             self.injects.push(format!("{rec:?}"));
         }
         fn on_deliver(&mut self, id: MsgId, at: SimTime) {

@@ -209,14 +209,16 @@ pub trait Workload: Send {
 }
 
 /// Injection-side trace record handed to the capture hook.
-#[derive(Clone, Debug)]
-pub struct InjectRecord {
+#[derive(Clone, Copy, Debug)]
+pub struct InjectRecord<'a> {
     pub msg: Message,
     /// When the message enters the source NI.
     pub at: SimTime,
     /// Deliveries whose completion enabled this injection (full causal
-    /// knowledge; may be empty for spontaneous first messages).
-    pub deps: Vec<MsgId>,
+    /// knowledge; may be empty for spontaneous first messages). Borrowed
+    /// from the simulator for the duration of the call: a hook that
+    /// keeps them copies them into storage of its own.
+    pub deps: &'a [MsgId],
     /// Previous message injected by the same node, if any (per-endpoint
     /// program order — the *partial* knowledge the paper's trace model
     /// relies on).
@@ -227,7 +229,7 @@ pub struct InjectRecord {
 
 /// Capture interface implemented by `sctm-trace`.
 pub trait TraceHook {
-    fn on_inject(&mut self, rec: InjectRecord);
+    fn on_inject(&mut self, rec: InjectRecord<'_>);
     fn on_deliver(&mut self, id: MsgId, at: SimTime);
 }
 
@@ -237,7 +239,7 @@ pub struct NullHook;
 
 impl TraceHook for NullHook {
     #[inline]
-    fn on_inject(&mut self, _rec: InjectRecord) {}
+    fn on_inject(&mut self, _rec: InjectRecord<'_>) {}
     #[inline]
     fn on_deliver(&mut self, _id: MsgId, _at: SimTime) {}
 }

@@ -227,6 +227,8 @@ pub struct CmpSim {
     busy: FxHashMap<u64, Txn>,
     queued: FxHashMap<u64, VecDeque<QueuedReq>>,
     last_unblock: FxHashMap<u64, MsgId>,
+    /// Node ids hosting memory controllers ([`CmpConfig::mem_ctrl_nodes`]).
+    mem_ctrl: Vec<usize>,
     mem_free: Vec<SimTime>,
     /// In-flight protocol payloads by message id.
     in_flight: MsgTable<ProtocolMsg>,
@@ -266,6 +268,7 @@ impl CmpSim {
             "workload size must match core count"
         );
         assert!(n <= crate::protocol::MAX_CORES);
+        let mem_ctrl = cfg.mem_ctrl_nodes();
         CmpSim {
             l1: (0..n).map(|_| Cache::new(cfg.l1)).collect(),
             l2: (0..n).map(|_| Cache::new(cfg.l2_slice)).collect(),
@@ -284,7 +287,8 @@ impl CmpSim {
                     deferred: Vec::new(),
                 })
                 .collect(),
-            mem_free: vec![SimTime::ZERO; cfg.mem_ctrl_nodes().len()],
+            mem_free: vec![SimTime::ZERO; mem_ctrl.len()],
+            mem_ctrl,
             dir: FxHashMap::default(),
             busy: FxHashMap::default(),
             queued: FxHashMap::default(),
@@ -336,9 +340,8 @@ impl CmpSim {
 
     #[inline]
     fn mem_ctrl_of(&self, line: LineAddr) -> (usize, usize) {
-        let ctrls = self.cfg.mem_ctrl_nodes();
-        let idx = ((line.0 / self.cfg.num_cores() as u64) as usize) % ctrls.len();
-        (idx, ctrls[idx])
+        let idx = ((line.0 / self.cfg.num_cores() as u64) as usize) % self.mem_ctrl.len();
+        (idx, self.mem_ctrl[idx])
     }
 
     #[inline]
@@ -354,7 +357,7 @@ impl CmpSim {
         src: usize,
         dst: usize,
         proto: ProtocolMsg,
-        deps: Vec<MsgId>,
+        deps: &[MsgId],
     ) -> MsgId {
         let n = self.cfg.num_cores() as u64;
         let seq = self.next_seq[src];
@@ -775,14 +778,14 @@ impl CmpSim {
                 Op::Barrier(id) => {
                     self.cores[c].status = CoreStatus::WaitBarrier(id);
                     self.cores[c].barrier_start = t;
-                    let deps = self.cores[c].last_enabler.into_iter().collect();
+                    let enabler = self.cores[c].last_enabler;
                     self.send(
                         hook,
                         t + self.cyc(1),
                         c,
                         0,
                         ProtocolMsg::BarArrive { id, core: c as u16 },
-                        deps,
+                        enabler.as_slice(),
                     );
                     return;
                 }
@@ -806,7 +809,7 @@ impl CmpSim {
         self.cores[c].status = CoreStatus::WaitFill { line, store };
         self.cores[c].miss_start = t;
         let home = self.home(line);
-        let deps = self.cores[c].last_enabler.into_iter().collect();
+        let enabler = self.cores[c].last_enabler;
         let proto = if store {
             ProtocolMsg::GetX {
                 line,
@@ -818,7 +821,7 @@ impl CmpSim {
                 requester: c as u16,
             }
         };
-        self.send(hook, t, c, home, proto, deps);
+        self.send(hook, t, c, home, proto, enabler.as_slice());
     }
 
     fn handle_delivery(&mut self, hook: &mut dyn TraceHook, d: Delivery) {
@@ -832,10 +835,10 @@ impl CmpSim {
             .expect("delivery of unknown message");
         match proto {
             ProtocolMsg::GetS { line, requester } => {
-                self.dir_request(hook, at, id, line, requester, false, Vec::new());
+                self.dir_request(hook, at, id, line, requester, false, None);
             }
             ProtocolMsg::GetX { line, requester } => {
-                self.dir_request(hook, at, id, line, requester, true, Vec::new());
+                self.dir_request(hook, at, id, line, requester, true, None);
             }
             ProtocolMsg::Data { line, to, grant_m } => {
                 self.core_fill(hook, at, id, to as usize, line, grant_m);
@@ -854,10 +857,10 @@ impl CmpSim {
                 let t = at + self.cyc(self.cfg.l1_hit_cycles);
                 let home = self.home(line);
                 if self.l1[o].invalidate(line).is_some() {
-                    self.send(hook, t, o, home, ProtocolMsg::WbData { line }, vec![id]);
+                    self.send(hook, t, o, home, ProtocolMsg::WbData { line }, &[id]);
                 } else {
                     // Already evicted: our WbData is in flight.
-                    self.send(hook, t, o, home, ProtocolMsg::FetchMiss { line }, vec![id]);
+                    self.send(hook, t, o, home, ProtocolMsg::FetchMiss { line }, &[id]);
                 }
             }
             ProtocolMsg::FetchMiss { line } => {
@@ -887,7 +890,7 @@ impl CmpSim {
                 self.l1[tgt].invalidate(line);
                 let t = at + self.cyc(self.cfg.l1_hit_cycles);
                 let home = self.home(line);
-                self.send(hook, t, tgt, home, ProtocolMsg::InvAck { line }, vec![id]);
+                self.send(hook, t, tgt, home, ProtocolMsg::InvAck { line }, &[id]);
             }
             ProtocolMsg::InvAck { line } => {
                 self.handle_inv_ack(hook, at, id, line);
@@ -907,7 +910,7 @@ impl CmpSim {
                     mc_node,
                     home,
                     ProtocolMsg::MemResp { line },
-                    vec![id],
+                    &[id],
                 );
             }
             ProtocolMsg::MemResp { line } => {
@@ -923,18 +926,13 @@ impl CmpSim {
                 entry.0 += 1;
                 entry.1.push(id);
                 if entry.0 == n {
-                    let deps = entry.1.clone();
-                    self.barrier_counts.remove(&bid);
+                    let (_, deps) = self
+                        .barrier_counts
+                        .remove(&bid)
+                        .expect("barrier entry counted just above");
                     let t = at + self.cyc(self.cfg.dir_cycles);
                     for c in 0..self.cfg.num_cores() {
-                        self.send(
-                            hook,
-                            t,
-                            0,
-                            c,
-                            ProtocolMsg::BarRelease { id: bid },
-                            deps.clone(),
-                        );
+                        self.send(hook, t, 0, c, ProtocolMsg::BarRelease { id: bid }, &deps);
                     }
                 }
             }
@@ -990,7 +988,7 @@ impl CmpSim {
                     c,
                     home,
                     ProtocolMsg::WbData { line: victim.line },
-                    vec![id],
+                    &[id],
                 );
             }
             // Clean victims drop silently; the directory keeps them as
@@ -1013,7 +1011,7 @@ impl CmpSim {
                         c,
                         home,
                         ProtocolMsg::WbData { line: l },
-                        vec![ext_id, id],
+                        &[ext_id, id],
                     );
                 }
                 ProtocolMsg::Inv { line: l, .. } => {
@@ -1026,7 +1024,7 @@ impl CmpSim {
                         c,
                         home,
                         ProtocolMsg::InvAck { line: l },
-                        vec![ext_id, id],
+                        &[ext_id, id],
                     );
                 }
                 other => unreachable!("deferred {other:?}"),
@@ -1045,7 +1043,7 @@ impl CmpSim {
         line: LineAddr,
         requester: u16,
         is_x: bool,
-        mut extra_deps: Vec<MsgId>,
+        unblock: Option<MsgId>,
     ) {
         if self.busy.contains_key(&line.0) {
             self.queued.entry(line.0).or_default().push_back(QueuedReq {
@@ -1058,8 +1056,10 @@ impl CmpSim {
         let home = self.home(line);
         let t = at + self.cyc(self.cfg.dir_cycles);
         let r = requester as usize;
-        let mut deps = vec![req_id];
-        deps.append(&mut extra_deps);
+        // The request itself, then the delivery that released the line
+        // when this request had to queue behind another transaction.
+        let both = [req_id, unblock.unwrap_or(req_id)];
+        let deps = &both[..1 + usize::from(unblock.is_some())];
         let state = *self.dir.get(&line.0).unwrap_or(&DirState::Uncached);
         match state {
             DirState::Modified(owner) if owner == requester => {
@@ -1072,7 +1072,7 @@ impl CmpSim {
                         requester,
                         is_x,
                         kind: TxnKind::WaitWb,
-                        deps,
+                        deps: deps.to_vec(),
                     },
                 );
             }
@@ -1083,7 +1083,7 @@ impl CmpSim {
                         requester,
                         is_x,
                         kind: TxnKind::WaitFetch,
-                        deps,
+                        deps: deps.to_vec(),
                     },
                 );
                 self.send(
@@ -1092,7 +1092,7 @@ impl CmpSim {
                     home,
                     owner as usize,
                     ProtocolMsg::Fetch { line, owner },
-                    vec![req_id],
+                    &[req_id],
                 );
             }
             DirState::Shared(sharers) if is_x => {
@@ -1131,7 +1131,7 @@ impl CmpSim {
                                 line,
                                 target: s as u16,
                             },
-                            vec![req_id],
+                            &[req_id],
                         );
                     }
                     self.busy.insert(
@@ -1140,7 +1140,7 @@ impl CmpSim {
                             requester,
                             is_x,
                             kind: TxnKind::WaitAcks { pending },
-                            deps,
+                            deps: deps.to_vec(),
                         },
                     );
                 }
@@ -1162,7 +1162,7 @@ impl CmpSim {
         line: LineAddr,
         requester: u16,
         is_x: bool,
-        deps: Vec<MsgId>,
+        deps: &[MsgId],
     ) {
         let home = self.home(line);
         let r = requester as usize;
@@ -1190,7 +1190,7 @@ impl CmpSim {
                     requester,
                     is_x,
                     kind: TxnKind::WaitMem,
-                    deps,
+                    deps: deps.to_vec(),
                 },
             );
             self.send(
@@ -1199,7 +1199,7 @@ impl CmpSim {
                 home,
                 mc_node,
                 ProtocolMsg::MemReq { line },
-                vec![req_id],
+                &[req_id],
             );
         }
     }
@@ -1240,7 +1240,7 @@ impl CmpSim {
                     home,
                     mc_node,
                     ProtocolMsg::WbMem { line: victim.line },
-                    vec![dep],
+                    &[dep],
                 );
             }
         }
@@ -1262,7 +1262,7 @@ impl CmpSim {
             .expect("WaitAcks txn vanished while counting acks");
         // All sharers gone. Grant ownership — via L2 if data is needed.
         let t = at + self.cyc(self.cfg.dir_cycles);
-        self.reply_with_data(hook, t, id, line, txn.requester, txn.is_x, txn.deps);
+        self.reply_with_data(hook, t, id, line, txn.requester, txn.is_x, &txn.deps);
         // reply_with_data either completed (and drained the queue) or
         // re-inserted a WaitMem txn; nothing more to do here.
     }
@@ -1289,7 +1289,7 @@ impl CmpSim {
                         to: txn.requester,
                         grant_m: txn.is_x,
                     },
-                    txn.deps,
+                    &txn.deps,
                 );
                 self.complete_txn(hook, t + self.cyc(self.cfg.l2_cycles), line, id);
             }
@@ -1330,7 +1330,7 @@ impl CmpSim {
                 to: txn.requester,
                 grant_m: txn.is_x,
             },
-            txn.deps,
+            &txn.deps,
         );
         self.complete_txn(hook, t, line, id);
     }
@@ -1362,7 +1362,7 @@ impl CmpSim {
             line,
             req.requester,
             req.is_x,
-            vec![unblock],
+            Some(unblock),
         );
     }
 }

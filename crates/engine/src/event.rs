@@ -98,6 +98,17 @@ struct Wheel<E> {
     /// exactly when `count > 0`, kept correct by every mutation — so
     /// peeking is a read-only O(1) lookup.
     cached_min: Option<(SimTime, u64, u64, usize)>,
+    /// Population at the last resize and pushes seen since. A resize
+    /// costs O(population), so one is allowed only after at least that
+    /// many pushes: amortised O(1) per push whatever the schedule. The
+    /// crowding tests alone are not geometric once the bucket count is
+    /// clamped or the schedule keeps outrunning the horizon — a
+    /// monotone far-future schedule then rebuilt the wheel every few
+    /// dozen pushes.
+    resized_len: usize,
+    since_resize: usize,
+    #[cfg(test)]
+    resizes: usize,
 }
 
 const WHEEL_MIN_BUCKETS: usize = 16;
@@ -114,6 +125,10 @@ impl<E> Wheel<E> {
             count: 0,
             overflow: BinaryHeap::new(),
             cached_min: None,
+            resized_len: 0,
+            since_resize: 0,
+            #[cfg(test)]
+            resizes: 0,
         }
     }
 
@@ -174,11 +189,12 @@ impl<E> Wheel<E> {
     }
 
     fn push(&mut self, ev: QueuedEvent<E>, now: SimTime) {
-        if self.count > self.buckets.len() * 2
-            || (self.overflow.len() > 64 && self.overflow.len() > self.count)
-        {
+        let crowded = self.count > self.buckets.len() * 2
+            || (self.overflow.len() > 64 && self.overflow.len() > self.count);
+        if crowded && self.since_resize >= self.resized_len {
             self.resize(now);
         }
+        self.since_resize += 1;
         let ab = ev.at.as_ps() >> self.shift;
         debug_assert!(ab >= self.cursor_ab, "wheel push into the past");
         if ab >= self.horizon_ab() {
@@ -310,6 +326,12 @@ impl<E> Wheel<E> {
         all.extend(std::mem::take(&mut self.overflow).into_vec());
         self.count = 0;
         self.cached_min = None;
+        self.resized_len = all.len();
+        self.since_resize = 0;
+        #[cfg(test)]
+        {
+            self.resizes += 1;
+        }
         let n = all.len().max(1);
         let hi = all.iter().map(|e| e.at).max().unwrap_or(now).max(now);
         let span = hi.as_ps().saturating_sub(now.as_ps()).max(1);
@@ -348,6 +370,7 @@ impl<E> Wheel<E> {
         self.count = 0;
         self.cursor_ab = 0;
         self.cached_min = None;
+        self.resized_len = 0;
     }
 }
 
@@ -609,6 +632,29 @@ mod tests {
         q.schedule(SimTime::from_ps(10), ());
         q.pop();
         q.schedule(SimTime::from_ps(5), ());
+    }
+
+    /// A monotone schedule far past the horizon — every message of a
+    /// trace queued up front — used to rebuild the wheel every few
+    /// dozen pushes (100 000 schedules took over a minute). Resizes
+    /// must be geometric in the population, and the drain must still
+    /// come out in `(at, seq)` order.
+    #[test]
+    fn monotone_far_future_schedule_resizes_geometrically() {
+        const N: u64 = 200_000;
+        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        for i in 0..N {
+            q.schedule(SimTime::from_ps(1_000_000 + i * 3_700), i);
+        }
+        let Backend::Calendar(w) = &q.backend else {
+            unreachable!("calendar backend requested")
+        };
+        assert!(w.resizes <= 20, "{} resizes for {N} pushes", w.resizes);
+        for i in 0..N {
+            let e = q.pop().expect("scheduled event lost");
+            assert_eq!((e.seq, e.payload), (i, i));
+        }
+        assert!(q.pop().is_none());
     }
 
     /// Drive both backends through an identical randomized schedule of

@@ -114,8 +114,8 @@ pub fn critical_path(log: &TraceLog, lifecycles: &[MsgLifecycle]) -> CriticalPat
         let l = lc[i].unwrap();
         let inj = l.injected_at;
         let mut via: Option<(u64, usize)> = None;
-        for d in &log.records[i].deps {
-            let j = d.0 as usize;
+        for &d in log.deps(i) {
+            let j = d as usize;
             let Some(dep) = (j < n).then(|| lc[j]).flatten() else {
                 continue;
             };
@@ -183,10 +183,8 @@ pub fn dirty_frontier(log: &TraceLog, seeds: &[u32]) -> Vec<u32> {
     // Forward adjacency: dep -> dependants (CSR), plus the per-source
     // successor chain derived from `prev_same_src`.
     let mut cnt = vec![0u32; n];
-    for r in &log.records {
-        for d in &r.deps {
-            cnt[d.0 as usize] += 1;
-        }
+    for &d in log.dep_csr().1 {
+        cnt[d as usize] += 1;
     }
     let mut off = vec![0u32; n + 1];
     for i in 0..n {
@@ -195,13 +193,13 @@ pub fn dirty_frontier(log: &TraceLog, seeds: &[u32]) -> Vec<u32> {
     let mut adj = vec![0u32; off[n] as usize];
     cnt.fill(0);
     let mut next_same_src = vec![u32::MAX; n];
-    for (i, r) in log.records.iter().enumerate() {
-        for d in &r.deps {
-            let d = d.0 as usize;
+    for i in 0..n {
+        for &d in log.deps(i) {
+            let d = d as usize;
             adj[(off[d] + cnt[d]) as usize] = i as u32;
             cnt[d] += 1;
         }
-        if let Some(p) = r.prev_same_src {
+        if let Some(p) = log.prev_same_src(i) {
             next_same_src[p.0 as usize] = i as u32;
         }
     }
@@ -343,8 +341,10 @@ mod tests {
         }
     }
 
-    fn rec(id: u64, deps: Vec<u64>) -> TraceRecord {
-        TraceRecord {
+    type Row = (TraceRecord, Vec<MsgId>, Option<MsgId>);
+
+    fn rec(id: u64, deps: Vec<u64>) -> Row {
+        let rec = TraceRecord {
             msg: Message {
                 id: MsgId(id),
                 src: NodeId(0),
@@ -354,28 +354,27 @@ mod tests {
             },
             t_inject: SimTime::from_ps(id * 10),
             t_deliver: SimTime::from_ps(id * 10 + 5),
-            deps: deps.into_iter().map(MsgId).collect(),
-            prev_same_src: None,
-            kind: "test",
-        }
+        };
+        (rec, deps.into_iter().map(MsgId).collect(), None)
+    }
+
+    fn rows3() -> Vec<Row> {
+        vec![rec(0, vec![]), rec(1, vec![0]), rec(2, vec![1])]
     }
 
     fn log3() -> TraceLog {
-        TraceLog {
-            records: vec![rec(0, vec![]), rec(1, vec![0]), rec(2, vec![1])],
-            capture_net: "test",
-            capture_exec_time: SimTime::from_ps(500),
-        }
+        TraceLog::from_rows("test", SimTime::from_ps(500), rows3())
     }
 
     #[test]
     fn dirty_frontier_walks_deps_and_source_chains() {
         // 0 → 1 → 2 via deps; 3 independent; 4 follows 3 on its source.
-        let mut log = log3();
-        log.records.push(rec(3, vec![]));
+        let mut rows = rows3();
+        rows.push(rec(3, vec![]));
         let mut r4 = rec(4, vec![]);
-        r4.prev_same_src = Some(MsgId(3));
-        log.records.push(r4);
+        r4.2 = Some(MsgId(3));
+        rows.push(r4);
+        let log = TraceLog::from_rows("test", SimTime::from_ps(500), rows);
 
         assert_eq!(dirty_frontier(&log, &[0]), vec![0, 1, 2]);
         assert_eq!(dirty_frontier(&log, &[1]), vec![1, 2]);
@@ -455,11 +454,11 @@ mod tests {
             lc(0, 0, 100, MsgClass::Control),
             lc(1, 150, 250, MsgClass::Data),
         ];
-        let log = TraceLog {
-            records: vec![rec(0, vec![]), rec(1, vec![0])],
-            capture_net: "test",
-            capture_exec_time: SimTime::from_ps(300),
-        };
+        let log = TraceLog::from_rows(
+            "test",
+            SimTime::from_ps(300),
+            [rec(0, vec![]), rec(1, vec![0])],
+        );
         let r = analyze("omesh", "fft", &log, &lcs);
         let json = r.to_json();
         assert!(json.contains("\"network\": \"omesh\""));

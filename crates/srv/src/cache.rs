@@ -15,10 +15,9 @@
 //!   `Condvar` while the first one captures, so a cold sweep performs
 //!   exactly one capture per distinct workload — never N racing ones.
 //! - **LRU byte budget**: entries hold the *sctf container itself*
-//!   (the binary columnar form, several× smaller than the parsed
-//!   row-struct log) and are charged exactly those bytes, so the
-//!   budget measures true resident memory and the same budget keeps
-//!   several× more workloads warm than caching parsed logs did. A hit
+//!   (the binary columnar form, about two thirds the size of the
+//!   parsed log — DESIGN.md §14.5) and are charged exactly those
+//!   bytes, so the budget measures true resident memory. A hit
 //!   decodes the container — microseconds-to-milliseconds work, orders
 //!   of magnitude cheaper than the capture it replaces. Entries are
 //!   evicted least-recently-used first when the budget is exceeded;

@@ -50,8 +50,8 @@ use std::cmp::Reverse;
 use sctm_engine::net::{MsgClass, NetworkModel};
 use sctm_engine::time::SimTime;
 
-use crate::log::TraceLog;
-use crate::replay::{prepare_gated, ReplayResult, ReplayScratch, NONE};
+use crate::log::{TraceLog, NONE};
+use crate::replay::{prepare_gated, ReplayResult, ReplayScratch};
 
 /// The per-message identity the gated pass actually consumes from a
 /// record. Two traces whose keys, deltas, gates and predecessors all
@@ -87,15 +87,10 @@ impl Inputs {
                 bytes: r.msg.bytes,
             })
             .collect();
-        let gate = scratch
-            .gates
-            .iter()
-            .map(|g| g.map_or(NONE, |m| m.0 as u32))
-            .collect();
         Inputs {
             key,
             delta: scratch.delta.clone(),
-            gate,
+            gate: scratch.gates.clone(),
             prev: scratch.prev_in_order.clone(),
         }
     }
@@ -539,7 +534,7 @@ impl IncrReplayer {
                             scratch.prev_done[nx] = true;
                             scratch.prev_time[nx] = t;
                             if scratch.gate_done[nx] && !scratch.scheduled[nx] {
-                                let base = if scratch.gates[nx].is_some() {
+                                let base = if scratch.gates[nx] != NONE {
                                     scratch.gate_time[nx]
                                 } else {
                                     scratch.prev_time[nx]
@@ -673,36 +668,52 @@ mod tests {
         SimTime::from_ps(ns * PS_PER_NS)
     }
 
+    type Row = (TraceRecord, Vec<MsgId>, Option<MsgId>);
+
+    #[allow(clippy::too_many_arguments)]
+    fn row(
+        i: u64,
+        src: u32,
+        dst: u32,
+        class: MsgClass,
+        inj: u64,
+        del: u64,
+        deps: Vec<u64>,
+        prev: Option<u64>,
+    ) -> Row {
+        let rec = TraceRecord {
+            msg: Message {
+                id: MsgId(i),
+                src: NodeId(src),
+                dst: NodeId(dst),
+                class,
+                bytes: if class == MsgClass::Data { 64 } else { 8 },
+            },
+            t_inject: t(inj),
+            t_deliver: t(del),
+        };
+        (rec, deps.into_iter().map(MsgId).collect(), prev.map(MsgId))
+    }
+
     /// A small hand-built trace: node 0 sends to 1, 1 replies, then a
     /// tail of independent messages late in the timeline.
+    fn toy_rows(tail_delta_ns: u64) -> Vec<Row> {
+        let c = MsgClass::Control;
+        vec![
+            row(0, 0, 1, c, 0, 50, vec![], None),
+            row(1, 1, 0, c, 60, 110, vec![0], None),
+            row(2, 0, 1, c, 120, 170, vec![1], Some(0)),
+            row(3, 2, 3, c, 500, 560, vec![], None),
+            row(4, 3, 2, c, 500 + tail_delta_ns, 640, vec![3], None),
+        ]
+    }
+
+    fn log_of(rows: Vec<Row>) -> TraceLog {
+        TraceLog::from_rows("toy", t(700), rows)
+    }
+
     fn toy_log(tail_delta_ns: u64) -> TraceLog {
-        let mut records = Vec::new();
-        let mut push = |i: u64, src, dst, inj: u64, del: u64, deps: Vec<u64>, prev| {
-            records.push(TraceRecord {
-                msg: Message {
-                    id: MsgId(i),
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    class: MsgClass::Control,
-                    bytes: 8,
-                },
-                t_inject: t(inj),
-                t_deliver: t(del),
-                deps: deps.into_iter().map(MsgId).collect(),
-                prev_same_src: prev,
-                kind: "toy",
-            });
-        };
-        push(0, 0, 1, 0, 50, vec![], None);
-        push(1, 1, 0, 60, 110, vec![0], None);
-        push(2, 0, 1, 120, 170, vec![1], Some(MsgId(0)));
-        push(3, 2, 3, 500, 560, vec![], None);
-        push(4, 3, 2, 500 + tail_delta_ns, 640, vec![3], None);
-        TraceLog {
-            records,
-            capture_net: "toy",
-            capture_exec_time: t(700),
-        }
+        log_of(toy_rows(tail_delta_ns))
     }
 
     fn fresh_net() -> Box<dyn NetworkModel> {
@@ -793,8 +804,9 @@ mod tests {
         incr.replay(&toy_log(45), &mut net1, &mut scratch);
 
         // Move the very first message's timing: nothing can be reused.
-        let mut early = toy_log(45);
-        early.records[1].t_inject = t(70);
+        let mut early = toy_rows(45);
+        early[1].0.t_inject = t(70);
+        let early = log_of(early);
         let mut net2 = fresh_net();
         let (r, s) = incr.replay(&early, &mut net2, &mut scratch);
         assert_eq!(s.kind, PassKind::Full);
@@ -808,21 +820,9 @@ mod tests {
     #[test]
     fn length_change_falls_back_and_recovers() {
         let log5 = toy_log(40);
-        let mut log6 = toy_log(40);
-        log6.records.push(TraceRecord {
-            msg: Message {
-                id: MsgId(5),
-                src: NodeId(1),
-                dst: NodeId(2),
-                class: MsgClass::Data,
-                bytes: 64,
-            },
-            t_inject: t(650),
-            t_deliver: t(700),
-            deps: vec![],
-            prev_same_src: Some(MsgId(1)),
-            kind: "toy",
-        });
+        let mut log6 = toy_rows(40);
+        log6.push(row(5, 1, 2, MsgClass::Data, 650, 700, vec![], Some(1)));
+        let log6 = log_of(log6);
         let mut incr = IncrReplayer::new().with_epochs(2);
         let mut scratch = ReplayScratch::default();
         let mut net = fresh_net();

@@ -15,37 +15,188 @@
 //! comparison (experiment E3) apples-to-apples.
 
 use sctm_cmp::protocol::{InjectRecord, TraceHook};
-use sctm_engine::net::{Message, MsgClass, MsgId, NodeId};
+use sctm_engine::net::{Message, MsgId};
 use sctm_engine::time::SimTime;
 
-/// One message in the trace.
-#[derive(Clone, Debug)]
+/// "No message" in every `u32` id column of this crate: a record's
+/// previous same-source message, its arrival gate, a chain end.
+pub const NONE: u32 = u32::MAX;
+
+/// One message in the trace: what a replay pass reads of it, and no
+/// more. Everything else the capture knows about a message lives in
+/// the columns of its [`TraceLog`] (dependency lists, per-endpoint
+/// decision order, protocol kind), so that a pass visiting records in
+/// *replay* order — scattered tens of thousands of records from capture
+/// order at fft-64 scale — misses the cache on 40 bytes, not 96.
+#[derive(Clone, Copy, Debug)]
 pub struct TraceRecord {
     pub msg: Message,
     /// Capture-time injection instant.
     pub t_inject: SimTime,
     /// Capture-time delivery instant.
     pub t_deliver: SimTime,
-    /// Deliveries whose completion enabled this injection.
-    pub deps: Vec<MsgId>,
-    /// Previous message injected by the same source node.
-    pub prev_same_src: Option<MsgId>,
-    /// Protocol kind label (diagnostics only).
-    pub kind: &'static str,
+}
+
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 40);
+
+/// The rows of a [`TraceLog`], readable as a slice. There is no way to
+/// change a row from outside this module: the log's columns and its
+/// arrival order are derived from the rows when the log is built.
+#[derive(Clone, Debug)]
+pub struct Rows(Vec<TraceRecord>);
+
+impl std::ops::Deref for Rows {
+    type Target = [TraceRecord];
+    #[inline]
+    fn deref(&self) -> &[TraceRecord] {
+        &self.0
+    }
+}
+
+/// The rows and the per-record facts beside them, as a constructor
+/// takes them.
+#[derive(Debug)]
+pub(crate) struct Columns {
+    pub records: Vec<TraceRecord>,
+    /// `dep_ids[dep_off[i]..dep_off[i + 1]]` are record `i`'s
+    /// dependencies; `n + 1` entries.
+    pub dep_off: Vec<u32>,
+    pub dep_ids: Vec<u32>,
+    /// Previous message decided by the same source ([`NONE`] = first).
+    pub prev: Vec<u32>,
+    /// Protocol kind tag (see [`crate::sctf::kind_label`]).
+    pub kind: Vec<u8>,
+}
+
+impl Columns {
+    /// No rows yet, with room for `rows` of them and `edges`
+    /// dependencies.
+    pub fn with_capacity(rows: usize, edges: usize) -> Self {
+        let mut dep_off = Vec::with_capacity(rows + 1);
+        dep_off.push(0);
+        Columns {
+            records: Vec::with_capacity(rows),
+            dep_off,
+            dep_ids: Vec::with_capacity(edges),
+            prev: Vec::with_capacity(rows),
+            kind: Vec::with_capacity(rows),
+        }
+    }
 }
 
 /// A complete captured trace.
-#[derive(Clone, Debug, Default)]
+///
+/// Rows in dense id order (`MsgId(i)` ↔ `records[i]`) plus flat
+/// columns for what replay does not read. Two orders over the rows are
+/// part of the log, derived once when it is built and true for its
+/// whole life: the **arrival order** (ids by `(t_deliver, id)`), which
+/// every gated pass walks to pair departures with arrivals, and the
+/// **departure order** (ids by `(t_inject, id)`), which for a captured
+/// log is the id order itself.
+#[derive(Clone, Debug)]
 pub struct TraceLog {
     /// Indexed by dense message id (`MsgId(i)` ↔ `records[i]`).
-    pub records: Vec<TraceRecord>,
+    pub records: Rows,
     /// Label of the network the capture ran on.
     pub capture_net: &'static str,
     /// Execution time of the capture run (set by the caller).
     pub capture_exec_time: SimTime,
+    dep_off: Vec<u32>,
+    dep_ids: Vec<u32>,
+    prev: Vec<u32>,
+    kind: Vec<u8>,
+    /// Ids sorted by `(t_deliver, id)`.
+    arrival: Vec<u32>,
+    /// Ids sorted by `(t_inject, id)`; empty when that is `0..n`, as
+    /// it is for every log out of [`Capture::finish`].
+    departure: Vec<u32>,
+    /// One past the largest node id any record names.
+    nodes: usize,
+}
+
+impl Default for TraceLog {
+    fn default() -> Self {
+        TraceLog::from_rows("", SimTime::ZERO, [])
+    }
 }
 
 impl TraceLog {
+    /// Build a log from hand-written rows: each record with its
+    /// dependencies (original order) and the previous message its
+    /// source decided, if any. Row `i` must carry `MsgId(i)`; that and
+    /// the causality rules are [`TraceLog::validate`]'s to check, so
+    /// tests can build a broken log and watch it be rejected. Protocol
+    /// kind is `other` throughout.
+    pub fn from_rows(
+        capture_net: &'static str,
+        capture_exec_time: SimTime,
+        rows: impl IntoIterator<Item = (TraceRecord, Vec<MsgId>, Option<MsgId>)>,
+    ) -> TraceLog {
+        let mut cols = Columns::with_capacity(0, 0);
+        for (rec, deps, prev) in rows {
+            cols.records.push(rec);
+            cols.dep_ids.extend(deps.iter().map(|&d| col_id(d)));
+            cols.dep_off.push(cols.dep_ids.len() as u32);
+            cols.prev.push(prev.map_or(NONE, col_id));
+            cols.kind.push(crate::sctf::KIND_OTHER);
+        }
+        TraceLog::from_columns(cols, capture_net, capture_exec_time, None)
+    }
+
+    /// The one place a log is assembled. `arrival` is the arrival order
+    /// when the caller already has it (the capture hook saw deliveries
+    /// happen); otherwise it is derived here, once.
+    pub(crate) fn from_columns(
+        cols: Columns,
+        capture_net: &'static str,
+        capture_exec_time: SimTime,
+        arrival: Option<Vec<u32>>,
+    ) -> TraceLog {
+        let Columns {
+            records,
+            dep_off,
+            dep_ids,
+            prev,
+            kind,
+        } = cols;
+        let n = records.len();
+        assert!(n < NONE as usize, "trace too large for u32 ids");
+        assert!(
+            dep_off.len() == n + 1 && prev.len() == n && kind.len() == n,
+            "trace columns do not cover the rows"
+        );
+        assert!(
+            dep_off[0] == 0 && dep_off[n] as usize == dep_ids.len(),
+            "dependency offsets do not cover the arena"
+        );
+        let mut nodes = 0usize;
+        let mut canonical = true;
+        let mut last = SimTime::ZERO;
+        for r in &records {
+            nodes = nodes.max(r.msg.src.idx() + 1).max(r.msg.dst.idx() + 1);
+            canonical &= last <= r.t_inject;
+            last = r.t_inject;
+        }
+        let arrival = arrival.unwrap_or_else(|| ids_by_time(&records, |r| r.t_deliver));
+        let departure = if canonical {
+            Vec::new()
+        } else {
+            ids_by_time(&records, |r| r.t_inject)
+        };
+        TraceLog {
+            records: Rows(records),
+            capture_net,
+            capture_exec_time,
+            dep_off,
+            dep_ids,
+            prev,
+            kind,
+            arrival,
+            departure,
+            nodes,
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -59,61 +210,145 @@ impl TraceLog {
         &self.records[id.0 as usize]
     }
 
-    /// Heap-resident size of this log: the row structs plus every
-    /// per-record dependency allocation. This is what holding the
-    /// parsed form in memory actually costs — the baseline the sctf
-    /// container's ≤0.5× cold-load residency is measured against.
+    /// Deliveries whose completion enabled record `i`'s injection, in
+    /// the order the capture saw them.
+    #[inline]
+    pub fn deps(&self, i: usize) -> &[u32] {
+        &self.dep_ids[self.dep_off[i] as usize..self.dep_off[i + 1] as usize]
+    }
+
+    /// Every dependency list at once: `(offsets, ids)`, record `i`'s
+    /// list being `ids[offsets[i]..offsets[i + 1]]`.
+    pub fn dep_csr(&self) -> (&[u32], &[u32]) {
+        (&self.dep_off, &self.dep_ids)
+    }
+
+    /// Previous message *decided* by record `i`'s source node. This is
+    /// decision order, not timestamp order — a node can commit to a
+    /// far-future send (a memory response) before deciding a nearer
+    /// one — so replay engines use the time-sorted per-source chains
+    /// instead.
+    #[inline]
+    pub fn prev_same_src(&self, i: usize) -> Option<MsgId> {
+        match self.prev[i] {
+            NONE => None,
+            p => Some(MsgId(p as u64)),
+        }
+    }
+
+    /// The [`TraceLog::prev_same_src`] column ([`NONE`] = none).
+    pub fn prev_column(&self) -> &[u32] {
+        &self.prev
+    }
+
+    /// Protocol kind label of record `i` (diagnostics only).
+    #[inline]
+    pub fn kind(&self, i: usize) -> &'static str {
+        crate::sctf::kind_label(self.kind[i])
+    }
+
+    /// The kind-tag column behind [`TraceLog::kind`].
+    pub fn kind_tags(&self) -> &[u8] {
+        &self.kind
+    }
+
+    /// Ids sorted by `(t_deliver, id)`.
+    pub fn arrival_order(&self) -> &[u32] {
+        &self.arrival
+    }
+
+    /// One past the largest node id any record names.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Heap-resident size of this log: rows, columns and the two
+    /// orders. This is what holding the parsed form in memory costs —
+    /// the baseline the sctf container's residency is measured against.
     pub fn resident_bytes(&self) -> usize {
-        self.records.capacity() * std::mem::size_of::<TraceRecord>()
-            + self
-                .records
-                .iter()
-                .map(|r| r.deps.capacity() * std::mem::size_of::<MsgId>())
-                .sum::<usize>()
+        use std::mem::size_of;
+        self.records.0.capacity() * size_of::<TraceRecord>()
+            + size_of::<u32>()
+                * (self.dep_off.capacity()
+                    + self.dep_ids.capacity()
+                    + self.prev.capacity()
+                    + self.arrival.capacity()
+                    + self.departure.capacity())
+            + self.kind.capacity()
     }
 
     /// Latest capture delivery instant (used to translate replay
     /// deliveries into an execution-time estimate).
     pub fn last_delivery(&self) -> SimTime {
-        self.records
-            .iter()
-            .map(|r| r.t_deliver)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.arrival
+            .last()
+            .map_or(SimTime::ZERO, |&i| self.records[i as usize].t_deliver)
     }
 
     /// Sanity-check structural invariants; returns a human-readable
     /// error instead of panicking so property tests can assert on it.
     pub fn validate(&self) -> Result<(), String> {
+        let n = self.records.len();
+        if self.dep_off.len() != n + 1 || self.prev.len() != n || self.kind.len() != n {
+            return Err("columns do not cover the rows".into());
+        }
+        if self.dep_off[0] != 0 || self.dep_off[n] as usize != self.dep_ids.len() {
+            return Err("dependency offsets do not cover the arena".into());
+        }
+        if self.dep_off.windows(2).any(|w| w[0] > w[1]) {
+            return Err("dependency offsets not monotone".into());
+        }
+        let sorted_permutation = |order: &[u32], time: fn(&TraceRecord) -> SimTime| {
+            // n distinct in-range ids in strictly ascending key order
+            // are exactly the sorted permutation.
+            order.len() == n
+                && order.iter().all(|&i| (i as usize) < n)
+                && order.windows(2).all(|w| {
+                    (time(&self.records[w[0] as usize]), w[0])
+                        < (time(&self.records[w[1] as usize]), w[1])
+                })
+        };
+        if !sorted_permutation(&self.arrival, |r| r.t_deliver) {
+            return Err("arrival order is not the ids sorted by (t_deliver, id)".into());
+        }
+        let in_id_order = self
+            .records
+            .windows(2)
+            .all(|w| w[0].t_inject <= w[1].t_inject);
+        if in_id_order != self.departure.is_empty()
+            || !(in_id_order || sorted_permutation(&self.departure, |r| r.t_inject))
+        {
+            return Err("departure order is not the ids sorted by (t_inject, id)".into());
+        }
         for (i, r) in self.records.iter().enumerate() {
             if r.msg.id.0 as usize != i {
                 return Err(format!("record {i} has id {:?}", r.msg.id));
             }
+            if r.msg.src.idx() >= self.nodes || r.msg.dst.idx() >= self.nodes {
+                return Err(format!("msg {i} names a node past the node bound"));
+            }
             if r.t_deliver < r.t_inject {
                 return Err(format!("msg {i} delivered before injection"));
             }
-            for d in &r.deps {
-                if d.0 as usize >= self.records.len() {
-                    return Err(format!("msg {i} depends on unknown {d:?}"));
+            for &d in self.deps(i) {
+                if d as usize >= n {
+                    return Err(format!("msg {i} depends on unknown {d}"));
                 }
-                let dep = self.rec(*d);
+                let dep = &self.records[d as usize];
                 if dep.t_deliver > r.t_inject {
                     return Err(format!(
-                        "msg {i} injected at {:?} before its dep {d:?} delivered at {:?}",
+                        "msg {i} injected at {:?} before its dep {d} delivered at {:?}",
                         r.t_inject, dep.t_deliver
                     ));
                 }
             }
-            if let Some(p) = r.prev_same_src {
-                let prev = self.rec(p);
-                if prev.msg.src != r.msg.src {
+            if let Some(p) = self.prev_same_src(i) {
+                if p.0 as usize >= n {
+                    return Err(format!("msg {i} prev_same_src is unknown {p:?}"));
+                }
+                if self.rec(p).msg.src != r.msg.src {
                     return Err(format!("msg {i} prev_same_src from a different node"));
                 }
-                // Note: prev_same_src is *decision* order, not timestamp
-                // order — a node can commit to a far-future send (e.g. a
-                // memory response) before deciding a nearer-term one, so
-                // no t_inject monotonicity is required here. Replay
-                // engines use the time-sorted `per_source_order`.
             }
         }
         Ok(())
@@ -129,140 +364,140 @@ impl TraceLog {
     /// node before it transmitted, but not *which* arrival caused what.
     pub fn arrival_gates(&self) -> Vec<Option<MsgId>> {
         let mut gates = Vec::new();
-        let (nodes, canonical) = self.scan_bounds();
-        self.arrival_gates_into(
-            &mut gates,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            nodes,
-            canonical,
-        );
+        self.arrival_gates_into(&mut gates, &mut Vec::new());
         gates
+            .into_iter()
+            .map(|g| (g != NONE).then_some(MsgId(g as u64)))
+            .collect()
     }
 
-    /// One fused pass over the records computing the two facts every
-    /// replay pass needs: the node-id bound and whether the log is in
-    /// canonical `(t_inject, id)` order with dense ids. The record
-    /// array is ~100 bytes/entry, so each separate scan of it is a
-    /// strided walk over tens of MB at fft-64 scale — callers should
-    /// scan once and hand both results to [`TraceLog::arrival_gates_into`]
-    /// and the replay chain builder rather than letting each recompute.
-    pub fn scan_bounds(&self) -> (usize, bool) {
-        let mut nodes = 0usize;
-        let mut canonical = true;
-        let mut prev = (SimTime::ZERO, 0u64);
-        for (i, r) in self.records.iter().enumerate() {
-            nodes = nodes.max(r.msg.src.idx() + 1).max(r.msg.dst.idx() + 1);
-            let key = (r.t_inject, r.msg.id.0);
-            canonical &= prev <= key && r.msg.id.0 as usize == i;
-            prev = key;
-        }
-        (nodes, canonical)
-    }
-
-    /// [`TraceLog::arrival_gates`] writing into caller-owned buffers, so
-    /// a replay loop can recompute the gating every pass without
-    /// reallocating its arrival list each time. `arrivals` and
-    /// `last_arrival` are pure scratch; all three buffers are cleared
-    /// and resized here.
+    /// [`TraceLog::arrival_gates`] as a `u32` column ([`NONE`] =
+    /// ungated) written into caller-owned buffers, so a replay loop can
+    /// recompute the gating every pass without allocating.
+    /// `last_arrival` is pure scratch; both buffers are cleared and
+    /// resized here.
     ///
     /// The conceptual event order is `(time, arrivals-before-departures,
-    /// id)`. Departures in that order are exactly the records in
-    /// canonical trace order (`finish` sorts by `(t_inject, id)`), so
-    /// only the arrivals need sorting — half the data the naive
-    /// sort-everything formulation pays for — and the two streams merge
-    /// in one pass. Non-canonical logs (hand-built in tests) fall back
-    /// to sorting a departure index.
-    pub fn arrival_gates_into(
-        &self,
-        gates: &mut Vec<Option<MsgId>>,
-        arrivals: &mut Vec<(SimTime, u32)>,
-        last_arrival: &mut Vec<Option<MsgId>>,
-        nodes: usize,
-        canonical: bool,
-    ) {
-        arrivals.clear();
-        arrivals.reserve(self.records.len());
-        for r in &self.records {
-            arrivals.push((r.t_deliver, r.msg.id.0 as u32));
-        }
-        arrivals.sort_unstable();
+    /// id)`: one merge of the log's arrival order with its departure
+    /// order, both of which the log already carries.
+    pub fn arrival_gates_into(&self, gates: &mut Vec<u32>, last_arrival: &mut Vec<u32>) {
+        let recs = &self.records[..];
         last_arrival.clear();
-        last_arrival.resize(nodes, None);
+        last_arrival.resize(self.nodes, NONE);
         gates.clear();
-        gates.resize(self.records.len(), None);
-        let dep_order: Vec<u32> = if canonical {
-            Vec::new()
-        } else {
-            let mut idx: Vec<u32> = (0..self.records.len() as u32).collect();
-            idx.sort_unstable_by_key(|&i| {
-                let r = &self.records[i as usize];
-                (r.t_inject, r.msg.id.0)
-            });
-            idx
-        };
-        let mut ai = 0usize;
+        gates.resize(recs.len(), NONE);
+        let mut pending = self.arrival.iter().peekable();
         let mut gate = |di: usize| {
-            let r = &self.records[di];
+            let r = &recs[di];
             // An arrival at the departure's instant is seen by it.
-            while ai < arrivals.len() && arrivals[ai].0 <= r.t_inject {
-                let (_, id) = arrivals[ai];
-                let dst = self.records[id as usize].msg.dst.idx();
-                last_arrival[dst] = Some(MsgId(id as u64));
-                ai += 1;
+            while let Some(&a) = pending.next_if(|&&a| recs[a as usize].t_deliver <= r.t_inject) {
+                last_arrival[recs[a as usize].msg.dst.idx()] = a;
             }
-            gates[r.msg.id.0 as usize] = last_arrival[r.msg.src.idx()];
+            gates[di] = last_arrival[r.msg.src.idx()];
         };
-        if canonical {
-            (0..self.records.len()).for_each(&mut gate);
+        self.for_each_departure(&mut gate);
+    }
+
+    /// Visit every record index in `(t_inject, id)` order.
+    pub(crate) fn for_each_departure(&self, f: &mut impl FnMut(usize)) {
+        if self.departure.is_empty() {
+            (0..self.records.len()).for_each(f);
         } else {
-            dep_order.iter().for_each(|&di| gate(di as usize));
+            self.departure.iter().for_each(|&i| f(i as usize));
         }
     }
 
     /// Message ids grouped by source node, in injection order.
     pub fn per_source_order(&self) -> Vec<Vec<MsgId>> {
-        let mut nodes: usize = 0;
-        for r in &self.records {
-            nodes = nodes.max(r.msg.src.idx() + 1);
-        }
-        let mut order: Vec<Vec<MsgId>> = vec![Vec::new(); nodes];
-        let mut idx: Vec<_> = (0..self.records.len()).collect();
-        // (t_inject, i) is unique per record → unstable sort is exact.
-        idx.sort_unstable_by_key(|&i| (self.records[i].t_inject, i));
-        for i in idx {
+        let mut order: Vec<Vec<MsgId>> = vec![Vec::new(); self.nodes];
+        self.for_each_departure(&mut |i| {
             order[self.records[i].msg.src.idx()].push(MsgId(i as u64));
-        }
+        });
         order
+    }
+}
+
+/// Row indices sorted by `(time, index)`. Sorts the keys themselves
+/// rather than indices through the rows: an index sort pays a cache
+/// miss per comparison at fft-64 scale.
+fn ids_by_time(records: &[TraceRecord], time: impl Fn(&TraceRecord) -> SimTime) -> Vec<u32> {
+    let mut keyed: Vec<(SimTime, u32)> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (time(r), i as u32))
+        .collect();
+    // (time, index) is unique per record → unstable sort is exact.
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// A message id as the `u32` the id columns hold.
+fn col_id(id: MsgId) -> u32 {
+    let v = u32::try_from(id.0).expect("message id exceeds the u32 id space");
+    assert_ne!(v, NONE, "message id collides with the NONE sentinel");
+    v
+}
+
+/// Sort `items` by `(time, id)`, given that a sequential capture hands
+/// them over in time order already: then only runs of equal instants
+/// (distinct interleaved ids) are out of place, and one streaming pass
+/// that sorts each tie-run by id replaces the O(n log n) sort. Anything
+/// else — sharded parts concatenated by [`Capture::merge`] — takes the
+/// full sort.
+fn sort_by_time_then_id<T>(items: &mut [T], time: impl Fn(&T) -> SimTime, id: impl Fn(&T) -> u32) {
+    let n = items.len();
+    if items.windows(2).any(|w| time(&w[1]) < time(&w[0])) {
+        items.sort_unstable_by_key(|x| (time(x), id(x)));
+        return;
+    }
+    let mut run = 0usize;
+    for i in 1..=n {
+        if i == n || time(&items[i]) != time(&items[run]) {
+            if i - run > 1 {
+                items[run..i].sort_unstable_by_key(&id);
+            }
+            run = i;
+        }
     }
 }
 
 /// Capture hook: plugs into `CmpSim::run` and builds a [`TraceLog`].
 ///
 /// The hook records raw injections and deliveries exactly as it sees
-/// them; [`Capture::finish`] canonicalizes afterwards. This split is
-/// what makes parallel capture possible: in an epoch-parallel run each
-/// shard owns its own `Capture`, sees injections for messages *sourced*
-/// at its nodes and deliveries for messages *destined* to them, and the
-/// per-shard parts are concatenated with [`Capture::merge`] before the
-/// single canonicalizing `finish`. Because the simulator assigns every
-/// message the same id and timestamps regardless of sharding, the
-/// canonical form — records sorted by `(t_inject, capture id)`, densely
-/// renumbered, deps/prev remapped — is byte-identical at any thread
-/// count.
-#[derive(Debug, Default)]
+/// them, already in the shape the log keeps — 40-byte rows, one
+/// dependency arena, flat columns — so a capture makes no allocation
+/// per message. [`Capture::finish`] canonicalizes afterwards. This
+/// split is what makes parallel capture possible: in an epoch-parallel
+/// run each shard owns its own `Capture`, sees injections for messages
+/// *sourced* at its nodes and deliveries for messages *destined* to
+/// them, and the per-shard parts are concatenated with
+/// [`Capture::merge`] before the single canonicalizing `finish`.
+/// Because the simulator assigns every message the same id and
+/// timestamps regardless of sharding, the canonical form — records
+/// sorted by `(t_inject, capture id)`, densely renumbered, deps/prev
+/// remapped — is byte-identical at any thread count.
+#[derive(Debug)]
 pub struct Capture {
-    /// Raw injection records, in the order this hook observed them.
-    recs: Vec<InjectRecord>,
-    /// Raw `(capture message id, delivery instant)` pairs.
-    delivers: Vec<(u64, SimTime)>,
-    /// Compact `(at, id)` sort keys, parallel to `recs`. The records
-    /// are ~100 bytes each, so `finish`'s ordering passes walk this
-    /// 16-byte-stride array instead of striding through the records.
-    keys: Vec<(SimTime, u64)>,
-    /// Largest capture-time id seen, tracked here so `finish` can size
-    /// its direct-index tables without rescanning every record.
-    max_id: u64,
+    /// What the hook has seen injected, in the order it saw it and in
+    /// capture-time ids; every row's `t_deliver` is still
+    /// [`UNDELIVERED`].
+    raw: Columns,
+    /// Raw `(delivery instant, capture message id)` pairs in the order
+    /// this hook observed the deliveries.
+    delivers: Vec<(SimTime, u32)>,
+    /// Largest capture-time id seen, so `finish` can size its
+    /// direct-index table without rescanning every row.
+    max_id: u32,
+}
+
+/// Placeholder `t_deliver` of a row whose delivery `finish` has not
+/// joined yet.
+const UNDELIVERED: SimTime = SimTime::from_ps(u64::MAX);
+
+impl Default for Capture {
+    fn default() -> Self {
+        Capture::with_capacity(0)
+    }
 }
 
 impl Capture {
@@ -271,15 +506,16 @@ impl Capture {
     }
 
     /// A capture with its buffers pre-sized for roughly `msgs`
-    /// messages. Captures at fft-64 scale retain ~30MB of records, and
-    /// growing there by doubling re-copies the lot — callers that can
-    /// estimate the message count (from the workload size, or from the
-    /// previous self-correction iteration's trace) should.
+    /// messages. Captures at fft-64 scale retain ~15MB, and growing
+    /// there by doubling re-copies the lot — callers that can estimate
+    /// the message count (from the workload size, or from the previous
+    /// self-correction iteration's trace) should.
     pub fn with_capacity(msgs: usize) -> Self {
         Capture {
-            recs: Vec::with_capacity(msgs),
+            // Coherence traffic carries between one and two
+            // dependencies per message.
+            raw: Columns::with_capacity(msgs, msgs * 2),
             delivers: Vec::with_capacity(msgs),
-            keys: Vec::with_capacity(msgs),
             max_id: 0,
         }
     }
@@ -289,63 +525,55 @@ impl Capture {
     pub fn merge(parts: impl IntoIterator<Item = Capture>) -> Capture {
         let mut out = Capture::new();
         for p in parts {
-            out.recs.extend(p.recs);
+            let base = out.raw.dep_ids.len() as u32;
+            out.raw.records.extend(p.raw.records);
+            out.raw
+                .dep_off
+                .extend(p.raw.dep_off[1..].iter().map(|o| base + o));
+            out.raw.dep_ids.extend(p.raw.dep_ids);
+            out.raw.prev.extend(p.raw.prev);
+            out.raw.kind.extend(p.raw.kind);
             out.delivers.extend(p.delivers);
-            out.keys.extend(p.keys);
             out.max_id = out.max_id.max(p.max_id);
         }
         out
     }
 
-    /// Finish capture: join injections with deliveries, sort into the
-    /// canonical `(t_inject, capture id)` order, renumber densely, and
-    /// remap all cross-references. `net_label` and `exec_time` come from
-    /// the run.
+    /// Finish capture: sort into the canonical `(t_inject, capture id)`
+    /// order, renumber densely, remap all cross-references, join
+    /// injections with deliveries, and hand the log its arrival order.
+    /// `net_label` and `exec_time` come from the run.
     pub fn finish(self, net_label: &'static str, exec_time: SimTime) -> TraceLog {
         let Capture {
-            recs,
-            delivers,
-            keys,
+            raw:
+                Columns {
+                    records: rows,
+                    dep_off,
+                    dep_ids,
+                    prev,
+                    kind,
+                },
+            mut delivers,
             max_id,
         } = self;
+        let n = rows.len();
         assert_eq!(
-            recs.len(),
+            n,
             delivers.len(),
             "capture ended with undelivered (or doubly-delivered) messages"
         );
         assert!(
-            recs.len() < u32::MAX as usize,
+            n < NONE as usize && dep_ids.len() < NONE as usize,
             "trace too large to renumber"
         );
-        // Canonical order is (t_inject, capture id). Sort a u32 index
-        // array rather than the ~100-byte records themselves: the hook
-        // pushed records in injection-time order, so the keys are nearly
-        // sorted and the single gather pass below does all the moving.
-        let mut idx: Vec<u32> = (0..recs.len() as u32).collect();
-        // A sequential capture observes injections in time order
-        // already — only ties (equal `at`, distinct interleaved ids)
-        // are out of place — so one streaming pass over the compact
-        // keys that sorts each tie-run by id replaces the full
-        // O(n log n) sort. Sharded parts concatenated by `merge` fail
-        // the in-order scan and take the full sort.
-        let n = recs.len();
-        let mut in_order = true;
-        let mut run = 0usize;
-        for i in 1..=n {
-            if i < n && keys[i].0 < keys[i - 1].0 {
-                in_order = false;
-                break;
-            }
-            if i == n || keys[i].0 != keys[run].0 {
-                if i - run > 1 {
-                    idx[run..i].sort_unstable_by_key(|&k| keys[k as usize].1);
-                }
-                run = i;
-            }
-        }
-        if !in_order {
-            idx.sort_unstable_by_key(|&i| keys[i as usize]);
-        }
+        // Canonical order is (t_inject, capture id). Order a u32 index
+        // array; the single gather pass below does all the moving.
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        sort_by_time_then_id(
+            &mut idx,
+            |&k| rows[k as usize].t_inject,
+            |&k| rows[k as usize].msg.id.0 as u32,
+        );
         // Map capture-time ids (unique but sparse — the simulator
         // interleaves them per source, `seq × sources + src`) to
         // canonical dense ids. Sparsity is bounded — the largest id is
@@ -353,82 +581,66 @@ impl Capture {
         // index table is affordable and turns every dep/deliver lookup
         // into one O(1) probe instead of a cache-hostile binary search
         // (which dominated capture wall time at ~300k messages).
-        const UNSET: u32 = u32::MAX;
-        let max_id = max_id as usize;
-        let mut renum_tbl = vec![UNSET; max_id + 1];
+        let mut renum_tbl = vec![NONE; max_id as usize + 1];
         for (new, &i) in idx.iter().enumerate() {
-            renum_tbl[keys[i as usize].1 as usize] = new as u32;
+            renum_tbl[rows[i as usize].msg.id.0 as usize] = new as u32;
         }
-        let renum = |old: MsgId| -> MsgId {
-            let new = renum_tbl[old.0 as usize];
-            assert_ne!(new, UNSET, "trace references an uncaptured message");
-            MsgId(new as u64)
+        let renum = |old: u32| -> u32 {
+            let new = renum_tbl.get(old as usize).copied().unwrap_or(NONE);
+            assert_ne!(new, NONE, "trace references an uncaptured message");
+            new
         };
-        // Join deliveries the same way: delivery time by capture id.
-        let t_unset = SimTime::from_ps(u64::MAX);
-        let mut deliver_tbl = vec![t_unset; max_id + 1];
-        for &(id, at) in &delivers {
-            deliver_tbl[id as usize] = at;
+        // Single gather: each row and its column entries move to their
+        // canonical slot, ids and cross-references renumbered on the way.
+        let mut cols = Columns::with_capacity(n, dep_ids.len());
+        for (new, &i) in idx.iter().enumerate() {
+            let i = i as usize;
+            let mut r = rows[i];
+            r.msg.id = MsgId(new as u64);
+            cols.records.push(r);
+            let deps = &dep_ids[dep_off[i] as usize..dep_off[i + 1] as usize];
+            cols.dep_ids.extend(deps.iter().map(|&d| renum(d)));
+            cols.dep_off.push(cols.dep_ids.len() as u32);
+            cols.prev.push(match prev[i] {
+                NONE => NONE,
+                p => renum(p),
+            });
+            cols.kind.push(kind[i]);
         }
-        // Single gather: move each record to its canonical slot while
-        // renumbering its id and cross-references in place. Each source
-        // slot is visited exactly once (the index array is a
-        // permutation), so swapping a cheap placeholder in is enough —
-        // no second buffer, no per-record clone.
-        let mut recs = recs;
-        let placeholder = || InjectRecord {
-            msg: Message {
-                id: MsgId(u64::MAX),
-                src: NodeId(0),
-                dst: NodeId(0),
-                class: MsgClass::Control,
-                bytes: 0,
-            },
-            at: SimTime::ZERO,
-            deps: Vec::new(),
-            prev_same_src: None,
-            kind: "",
-        };
-        let records: Vec<TraceRecord> = idx
-            .iter()
-            .enumerate()
-            .map(|(new, &i)| {
-                let r = std::mem::replace(&mut recs[i as usize], placeholder());
-                let t_deliver = deliver_tbl[r.msg.id.0 as usize];
-                assert_ne!(t_deliver, t_unset, "message captured but never delivered");
-                let mut msg = r.msg;
-                msg.id = MsgId(new as u64);
-                let mut deps = r.deps;
-                for d in deps.iter_mut() {
-                    *d = renum(*d);
-                }
-                TraceRecord {
-                    msg,
-                    t_inject: r.at,
-                    t_deliver,
-                    deps,
-                    prev_same_src: r.prev_same_src.map(renum),
-                    kind: r.kind,
-                }
-            })
-            .collect();
-        TraceLog {
-            records,
-            capture_net: net_label,
-            capture_exec_time: exec_time,
+        // Join deliveries, renumbering them in place. n deliveries each
+        // landing on a row still undelivered leave none without one.
+        for d in delivers.iter_mut() {
+            d.1 = renum(d.1);
+            let slot = &mut cols.records[d.1 as usize].t_deliver;
+            assert_eq!(*slot, UNDELIVERED, "message delivered twice");
+            *slot = d.0;
         }
+        // The hook saw the deliveries happen, so the arrival order is
+        // theirs — up to ties, and to parts merged out of time order.
+        sort_by_time_then_id(&mut delivers, |d| d.0, |d| d.1);
+        let arrival = delivers.iter().map(|d| d.1).collect();
+        TraceLog::from_columns(cols, net_label, exec_time, Some(arrival))
     }
 }
 
 impl TraceHook for Capture {
-    fn on_inject(&mut self, rec: InjectRecord) {
-        self.max_id = self.max_id.max(rec.msg.id.0);
-        self.keys.push((rec.at, rec.msg.id.0));
-        self.recs.push(rec);
+    fn on_inject(&mut self, rec: InjectRecord<'_>) {
+        let id = col_id(rec.msg.id);
+        self.max_id = self.max_id.max(id);
+        let raw = &mut self.raw;
+        raw.records.push(TraceRecord {
+            msg: rec.msg,
+            t_inject: rec.at,
+            t_deliver: UNDELIVERED,
+        });
+        raw.dep_ids.extend(rec.deps.iter().map(|&d| col_id(d)));
+        raw.dep_off.push(raw.dep_ids.len() as u32);
+        raw.prev.push(rec.prev_same_src.map_or(NONE, col_id));
+        raw.kind.push(crate::sctf::kind_tag(rec.kind));
     }
 
     fn on_deliver(&mut self, id: MsgId, at: SimTime) {
-        self.delivers.push((id.0, at));
+        self.delivers.push((at, col_id(id)));
     }
 }
 
@@ -437,8 +649,10 @@ mod tests {
     use super::*;
     use sctm_engine::net::{MsgClass, NodeId};
 
-    fn mk_rec(id: u64, src: u32, dst: u32, inj: u64, del: u64, deps: Vec<u64>) -> TraceRecord {
-        TraceRecord {
+    type Row = (TraceRecord, Vec<MsgId>, Option<MsgId>);
+
+    fn mk_rec(id: u64, src: u32, dst: u32, inj: u64, del: u64, deps: Vec<u64>) -> Row {
+        let rec = TraceRecord {
             msg: Message {
                 id: MsgId(id),
                 src: NodeId(src),
@@ -448,43 +662,92 @@ mod tests {
             },
             t_inject: SimTime::from_ps(inj),
             t_deliver: SimTime::from_ps(del),
-            deps: deps.into_iter().map(MsgId).collect(),
-            prev_same_src: None,
-            kind: "test",
-        }
+        };
+        (rec, deps.into_iter().map(MsgId).collect(), None)
+    }
+
+    fn log_of(exec: u64, rows: Vec<Row>) -> TraceLog {
+        TraceLog::from_rows("test", SimTime::from_ps(exec), rows)
+    }
+
+    fn tiny_rows() -> Vec<Row> {
+        // 0: n0→n1 at 0..100; 1: n1→n0 at 150..250 (dep 0); 2: n0→n1 at
+        // 300..400 (dep 1).
+        vec![
+            mk_rec(0, 0, 1, 0, 100, vec![]),
+            mk_rec(1, 1, 0, 150, 250, vec![0]),
+            mk_rec(2, 0, 1, 300, 400, vec![1]),
+        ]
     }
 
     fn tiny_log() -> TraceLog {
-        // 0: n0→n1 at 0..100; 1: n1→n0 at 150..250 (dep 0); 2: n0→n1 at
-        // 300..400 (dep 1).
-        TraceLog {
-            records: vec![
-                mk_rec(0, 0, 1, 0, 100, vec![]),
-                mk_rec(1, 1, 0, 150, 250, vec![0]),
-                mk_rec(2, 0, 1, 300, 400, vec![1]),
-            ],
-            capture_net: "test",
-            capture_exec_time: SimTime::from_ps(500),
-        }
+        log_of(500, tiny_rows())
     }
 
     #[test]
     fn validate_accepts_wellformed() {
         assert_eq!(tiny_log().validate(), Ok(()));
+        assert_eq!(TraceLog::default().validate(), Ok(()));
     }
 
     #[test]
     fn validate_rejects_causality_violation() {
-        let mut log = tiny_log();
-        log.records[2].t_inject = SimTime::from_ps(200); // before dep 1 delivers at 250
-        assert!(log.validate().is_err());
+        let mut rows = tiny_rows();
+        rows[2].0.t_inject = SimTime::from_ps(200); // before dep 1 delivers at 250
+        assert!(log_of(500, rows).validate().is_err());
     }
 
     #[test]
     fn validate_rejects_delivery_before_injection() {
-        let mut log = tiny_log();
-        log.records[0].t_deliver = SimTime::from_ps(0);
-        log.records[0].t_inject = SimTime::from_ps(10);
+        let mut rows = tiny_rows();
+        rows[0].0.t_deliver = SimTime::from_ps(0);
+        rows[0].0.t_inject = SimTime::from_ps(10);
+        assert!(log_of(500, rows).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_unknown_cross_references() {
+        let mut rows = tiny_rows();
+        rows[1].1 = vec![MsgId(7)];
+        assert!(log_of(500, rows).validate().is_err());
+        let mut rows = tiny_rows();
+        rows[1].2 = Some(MsgId(7));
+        assert!(log_of(500, rows).validate().is_err());
+    }
+
+    /// No constructor can produce these, so break a built log in place:
+    /// the derived orders and the dependency arena are part of what
+    /// `validate` vouches for.
+    #[test]
+    fn validate_rejects_broken_orders_and_offsets() {
+        let broken = |f: fn(&mut TraceLog)| {
+            let mut log = tiny_log();
+            f(&mut log);
+            log.validate()
+        };
+        assert!(broken(|l| l.arrival.swap(0, 2)).is_err(), "unsorted");
+        assert!(broken(|l| l.arrival[1] = 0).is_err(), "not a permutation");
+        assert!(broken(|l| l.arrival[1] = 9).is_err(), "out of range");
+        assert!(broken(|l| l.arrival.truncate(2)).is_err(), "short");
+        assert!(
+            broken(|l| l.departure = vec![0, 1, 2]).is_err(),
+            "redundant"
+        );
+        assert!(broken(|l| l.dep_off[1] = 2).is_err(), "not monotone");
+        assert!(broken(|l| l.dep_off[3] = 1).is_err(), "not covering");
+        assert!(broken(|l| l.prev.truncate(2)).is_err(), "short column");
+        assert!(broken(|l| l.nodes = 1).is_err(), "node bound");
+        // A log out of id order must carry its departure order.
+        let mut log = log_of(
+            600,
+            vec![
+                mk_rec(0, 0, 1, 500, 600, vec![]),
+                mk_rec(1, 0, 1, 100, 200, vec![]),
+            ],
+        );
+        assert_eq!(log.validate(), Ok(()));
+        assert_eq!(log.departure, vec![1, 0]);
+        log.departure.clear();
         assert!(log.validate().is_err());
     }
 
@@ -500,56 +763,80 @@ mod tests {
     #[test]
     fn arrival_gates_tie_arrival_first() {
         // Arrival and departure at the same instant: departure sees it.
-        let log = TraceLog {
-            records: vec![
+        let log = log_of(
+            200,
+            vec![
                 mk_rec(0, 0, 1, 0, 100, vec![]),
                 mk_rec(1, 1, 0, 100, 200, vec![0]),
             ],
-            capture_net: "test",
-            capture_exec_time: SimTime::from_ps(200),
-        };
+        );
         assert_eq!(log.arrival_gates()[1], Some(MsgId(0)));
     }
 
     #[test]
     fn per_source_order_sorted_by_injection() {
-        let log = TraceLog {
-            records: vec![
+        let log = log_of(
+            600,
+            vec![
                 mk_rec(0, 0, 1, 500, 600, vec![]),
                 mk_rec(1, 0, 1, 100, 200, vec![]),
                 mk_rec(2, 1, 0, 50, 80, vec![]),
             ],
-            capture_net: "test",
-            capture_exec_time: SimTime::from_ps(600),
-        };
+        );
         let order = log.per_source_order();
         assert_eq!(order[0], vec![MsgId(1), MsgId(0)]);
         assert_eq!(order[1], vec![MsgId(2)]);
+        // Out of id order, so the gating walks the stored departure
+        // order: msg 1 leaves n0 at 100 having seen msg 2 arrive at 80.
+        assert_eq!(log.arrival_order(), &[2, 1, 0]);
+        assert_eq!(
+            log.arrival_gates(),
+            vec![Some(MsgId(2)), Some(MsgId(2)), None]
+        );
+    }
+
+    fn msg(id: u64, src: u32, dst: u32, class: MsgClass) -> Message {
+        Message {
+            id: MsgId(id),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            class,
+            bytes: 8,
+        }
+    }
+
+    fn inj(m: Message, at: u64, deps: &[MsgId], prev: Option<u64>) -> InjectRecord<'_> {
+        InjectRecord {
+            msg: m,
+            at: SimTime::from_ps(at),
+            deps,
+            prev_same_src: prev.map(MsgId),
+            kind: "GetS",
+        }
     }
 
     #[test]
     fn capture_hook_roundtrip() {
         let mut cap = Capture::new();
-        let msg = Message {
-            id: MsgId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            class: MsgClass::Data,
-            bytes: 72,
-        };
-        cap.on_inject(InjectRecord {
-            msg,
-            at: SimTime::from_ps(10),
-            deps: vec![],
-            prev_same_src: None,
-            kind: "GetS",
-        });
+        cap.on_inject(inj(msg(0, 0, 1, MsgClass::Data), 10, &[], None));
         cap.on_deliver(MsgId(0), SimTime::from_ps(90));
         let log = cap.finish("emesh", SimTime::from_ps(100));
         assert_eq!(log.len(), 1);
         assert_eq!(log.rec(MsgId(0)).t_deliver, SimTime::from_ps(90));
         assert_eq!(log.capture_net, "emesh");
+        assert_eq!(log.kind(0), "GetS");
         assert_eq!(log.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "delivered twice")]
+    fn capture_rejects_a_double_delivery() {
+        let mut cap = Capture::new();
+        cap.on_inject(inj(msg(0, 0, 1, MsgClass::Control), 10, &[], None));
+        cap.on_inject(inj(msg(1, 1, 0, MsgClass::Control), 20, &[], None));
+        cap.on_deliver(MsgId(0), SimTime::from_ps(90));
+        cap.on_deliver(MsgId(0), SimTime::from_ps(95));
+        cap.finish("test", SimTime::from_ps(100));
     }
 
     #[test]
@@ -557,26 +844,13 @@ mod tests {
         // Two shard-style parts with sparse interleaved ids (seq·n + src,
         // n = 2): each part sees injections sourced at its node and
         // deliveries destined to it, exactly as in a sharded capture.
-        let msg = |id, src, dst| Message {
-            id: MsgId(id),
-            src: NodeId(src),
-            dst: NodeId(dst),
-            class: MsgClass::Control,
-            bytes: 8,
-        };
-        let inj = |m, at, deps: Vec<u64>, prev: Option<u64>| InjectRecord {
-            msg: m,
-            at: SimTime::from_ps(at),
-            deps: deps.into_iter().map(MsgId).collect(),
-            prev_same_src: prev.map(MsgId),
-            kind: "t",
-        };
+        let c = MsgClass::Control;
         let mut a = Capture::new();
-        a.on_inject(inj(msg(0, 0, 1), 10, vec![], None));
-        a.on_inject(inj(msg(2, 0, 1), 300, vec![1], Some(0)));
+        a.on_inject(inj(msg(0, 0, 1, c), 10, &[], None));
+        a.on_inject(inj(msg(2, 0, 1, c), 300, &[MsgId(1)], Some(0)));
         a.on_deliver(MsgId(1), SimTime::from_ps(250));
         let mut b = Capture::new();
-        b.on_inject(inj(msg(1, 1, 0), 150, vec![0], None));
+        b.on_inject(inj(msg(1, 1, 0, c), 150, &[MsgId(0)], None));
         b.on_deliver(MsgId(0), SimTime::from_ps(100));
         b.on_deliver(MsgId(2), SimTime::from_ps(400));
         let log = Capture::merge([a, b]).finish("test", SimTime::from_ps(500));
@@ -585,42 +859,51 @@ mod tests {
         // Canonical (t_inject, id) order here maps old ids 0,1,2 → 0,1,2.
         assert_eq!(log.rec(MsgId(1)).msg.src, NodeId(1));
         assert_eq!(log.rec(MsgId(1)).t_deliver, SimTime::from_ps(250));
-        assert_eq!(log.rec(MsgId(2)).deps, vec![MsgId(1)]);
-        assert_eq!(log.rec(MsgId(2)).prev_same_src, Some(MsgId(0)));
+        assert_eq!(log.deps(1), &[0]);
+        assert_eq!(log.deps(2), &[1]);
+        assert_eq!(log.prev_same_src(2), Some(MsgId(0)));
+        assert_eq!(log.arrival_order(), &[0, 1, 2]);
     }
 
     #[test]
     fn capture_merge_is_order_invariant() {
         let build = |swap: bool| {
-            let msg = |id, src, dst| Message {
-                id: MsgId(id),
-                src: NodeId(src),
-                dst: NodeId(dst),
-                class: MsgClass::Data,
-                bytes: 72,
-            };
+            let d = MsgClass::Data;
             let mut a = Capture::new();
-            a.on_inject(InjectRecord {
-                msg: msg(0, 0, 1),
-                at: SimTime::from_ps(5),
-                deps: vec![],
-                prev_same_src: None,
-                kind: "t",
-            });
+            a.on_inject(inj(msg(0, 0, 1, d), 5, &[], None));
             a.on_deliver(MsgId(1), SimTime::from_ps(90));
             let mut b = Capture::new();
-            b.on_inject(InjectRecord {
-                msg: msg(1, 1, 0),
-                at: SimTime::from_ps(7),
-                deps: vec![],
-                prev_same_src: None,
-                kind: "t",
-            });
+            b.on_inject(inj(msg(1, 1, 0, d), 7, &[], None));
             b.on_deliver(MsgId(0), SimTime::from_ps(80));
             let parts = if swap { vec![b, a] } else { vec![a, b] };
             Capture::merge(parts).finish("test", SimTime::from_ps(100))
         };
         assert_eq!(format!("{:?}", build(false)), format!("{:?}", build(true)));
+    }
+
+    /// Deliveries the hook sees at one instant arrive in capture-id
+    /// order, which is not canonical-id order: the tie-run sort has to
+    /// put them right, and an out-of-time-order hook sequence (merged
+    /// parts) has to take the full sort to the same answer.
+    #[test]
+    fn finish_orders_arrivals_by_time_then_canonical_id() {
+        let c = MsgClass::Control;
+        let build = |deliveries: [(u64, u64); 3]| {
+            let mut cap = Capture::new();
+            // Capture ids 5, 3, 4 inject at 10, 10, 20 → canonical 1, 0, 2.
+            cap.on_inject(inj(msg(5, 1, 0, c), 10, &[], None));
+            cap.on_inject(inj(msg(3, 0, 1, c), 10, &[], None));
+            cap.on_inject(inj(msg(4, 0, 1, c), 20, &[], None));
+            for (id, at) in deliveries {
+                cap.on_deliver(MsgId(id), SimTime::from_ps(at));
+            }
+            cap.finish("test", SimTime::from_ps(100))
+        };
+        let in_time_order = build([(4, 50), (5, 60), (3, 60)]);
+        assert_eq!(in_time_order.arrival_order(), &[2, 0, 1]);
+        assert_eq!(in_time_order.validate(), Ok(()));
+        let shuffled = build([(3, 60), (4, 50), (5, 60)]);
+        assert_eq!(shuffled.arrival_order(), &[2, 0, 1]);
     }
 
     #[test]

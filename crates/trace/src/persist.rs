@@ -21,7 +21,7 @@
 //! autodetects by magic bytes, so either format round-trips through
 //! the same two calls.
 
-use crate::log::{TraceLog, TraceRecord};
+use crate::log::{Columns, TraceLog, TraceRecord, NONE};
 use crate::sctf;
 use sctm_engine::net::{Message, MsgClass, MsgId, NodeId};
 use sctm_engine::time::SimTime;
@@ -202,16 +202,19 @@ impl TraceLog {
             self.capture_exec_time.as_ps()
         ));
         out.push_str("id,src,dst,class,bytes,t_inject_ps,t_deliver_ps,prev,deps,kind\n");
-        for r in &self.records {
+        for (i, r) in self.records.iter().enumerate() {
             let class = match r.msg.class {
                 MsgClass::Control => "C",
                 MsgClass::Data => "D",
             };
-            let prev = r.prev_same_src.map(|p| p.0.to_string()).unwrap_or_default();
-            let deps = r
-                .deps
+            let prev = self
+                .prev_same_src(i)
+                .map(|p| p.0.to_string())
+                .unwrap_or_default();
+            let deps = self
+                .deps(i)
                 .iter()
-                .map(|d| d.0.to_string())
+                .map(|d| d.to_string())
                 .collect::<Vec<_>>()
                 .join(";");
             out.push_str(&format!(
@@ -225,7 +228,7 @@ impl TraceLog {
                 r.t_deliver.as_ps(),
                 prev,
                 deps,
-                r.kind,
+                self.kind(i),
             ));
         }
         out
@@ -265,7 +268,7 @@ impl TraceLog {
         if !header.starts_with("id,") {
             return Err(TraceError::Truncated { line: 2 });
         }
-        let mut records = Vec::new();
+        let mut cols = Columns::with_capacity(0, 0);
         for (ln, line) in lines.enumerate() {
             if line.is_empty() {
                 continue;
@@ -293,37 +296,36 @@ impl TraceLog {
                 "D" => MsgClass::Data,
                 _ => return Err(TraceError::BadClass { line: lineno }),
             };
-            let prev = if f[7].is_empty() {
-                None
+            // Message ids live in u32 columns; `u32::MAX` is the
+            // columns' "none", so no record can be referred to by it.
+            let parse_id = |s: &str, field: &'static str| -> Result<u32, TraceError> {
+                match parse_u32(s, field)? {
+                    NONE => Err(TraceError::OutOfRange {
+                        line: lineno,
+                        field,
+                    }),
+                    id => Ok(id),
+                }
+            };
+            cols.prev.push(if f[7].is_empty() {
+                NONE
             } else {
-                Some(MsgId(parse_u64(f[7], "prev")?))
-            };
-            let deps = if f[8].is_empty() {
-                Vec::new()
-            } else {
-                f[8].split(';')
-                    .map(|d| parse_u64(d, "dep").map(MsgId))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            // `kind` is diagnostic only; intern the common ones.
-            let kind: &'static str = match f[9] {
-                "GetS" => "GetS",
-                "GetX" => "GetX",
-                "Data" => "Data",
-                "UpgAck" => "UpgAck",
-                "Fetch" => "Fetch",
-                "FetchMiss" => "FetchMiss",
-                "Inv" => "Inv",
-                "InvAck" => "InvAck",
-                "WbData" => "WbData",
-                "MemReq" => "MemReq",
-                "MemResp" => "MemResp",
-                "WbMem" => "WbMem",
-                "BarArrive" => "BarArrive",
-                "BarRelease" => "BarRelease",
-                _ => "other",
-            };
-            records.push(TraceRecord {
+                parse_id(f[7], "prev")?
+            });
+            if !f[8].is_empty() {
+                for d in f[8].split(';') {
+                    cols.dep_ids.push(parse_id(d, "dep")?);
+                }
+            }
+            let edges = u32::try_from(cols.dep_ids.len()).map_err(|_| TraceError::OutOfRange {
+                line: lineno,
+                field: "dep",
+            })?;
+            cols.dep_off.push(edges);
+            // `kind` is diagnostic only: labels outside the tag table
+            // load as `other`.
+            cols.kind.push(sctf::kind_tag(f[9]));
+            cols.records.push(TraceRecord {
                 msg: Message {
                     id: MsgId(parse_u64(f[0], "id")?),
                     src: NodeId(parse_u32(f[1], "src")?),
@@ -333,16 +335,15 @@ impl TraceLog {
                 },
                 t_inject: SimTime::from_ps(parse_u64(f[5], "t_inject")?),
                 t_deliver: SimTime::from_ps(parse_u64(f[6], "t_deliver")?),
-                deps,
-                prev_same_src: prev,
-                kind,
             });
         }
-        let log = TraceLog {
-            records,
-            capture_net,
-            capture_exec_time: SimTime::from_ps(exec_ps),
-        };
+        if cols.records.len() >= NONE as usize {
+            return Err(TraceError::Invalid(format!(
+                "csv: record count {} exceeds the u32 id space",
+                cols.records.len()
+            )));
+        }
+        let log = TraceLog::from_columns(cols, capture_net, SimTime::from_ps(exec_ps), None);
         log.validate().map_err(TraceError::Invalid)?;
         Ok(log)
     }
@@ -386,7 +387,7 @@ mod tests {
         cap.on_inject(InjectRecord {
             msg: mk(0, 0, 3, MsgClass::Control),
             at: SimTime::from_ps(100),
-            deps: vec![],
+            deps: &[],
             prev_same_src: None,
             kind: "GetS",
         });
@@ -394,7 +395,7 @@ mod tests {
         cap.on_inject(InjectRecord {
             msg: mk(1, 3, 0, MsgClass::Data),
             at: SimTime::from_ps(1100),
-            deps: vec![MsgId(0)],
+            deps: &[MsgId(0)],
             prev_same_src: None,
             kind: "Data",
         });
@@ -410,7 +411,7 @@ mod tests {
         assert_eq!(back.len(), log.len());
         assert_eq!(back.capture_net, "analytic");
         assert_eq!(back.capture_exec_time, log.capture_exec_time);
-        for (a, b) in log.records.iter().zip(&back.records) {
+        for (a, b) in log.records.iter().zip(back.records.iter()) {
             assert_eq!(a.msg.id, b.msg.id);
             assert_eq!(a.msg.src, b.msg.src);
             assert_eq!(a.msg.dst, b.msg.dst);
@@ -418,10 +419,11 @@ mod tests {
             assert_eq!(a.msg.bytes, b.msg.bytes);
             assert_eq!(a.t_inject, b.t_inject);
             assert_eq!(a.t_deliver, b.t_deliver);
-            assert_eq!(a.deps, b.deps);
-            assert_eq!(a.prev_same_src, b.prev_same_src);
-            assert_eq!(a.kind, b.kind);
         }
+        assert_eq!(log.dep_csr(), back.dep_csr());
+        assert_eq!(log.prev_column(), back.prev_column());
+        assert_eq!(log.kind_tags(), back.kind_tags());
+        assert_eq!(log.arrival_order(), back.arrival_order());
     }
 
     #[test]

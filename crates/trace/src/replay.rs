@@ -26,15 +26,12 @@
 //! self-correction loop replays the same-sized trace once per
 //! iteration, so one arena paid for up front serves every pass.
 
-use crate::log::TraceLog;
-use sctm_engine::net::{Delivery, MsgClass, MsgId, NetworkModel};
+use crate::log::{TraceLog, NONE};
+use sctm_engine::net::{Delivery, MsgClass, NetworkModel};
 use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Sentinel for "no predecessor/successor" in the dense index chains.
-pub(crate) const NONE: u32 = u32::MAX;
 
 /// Outcome of one replay pass.
 #[derive(Clone, Debug)]
@@ -103,8 +100,6 @@ pub struct ReplayScratch {
     adj_cnt: Vec<u32>,
     pub(crate) adj_off: Vec<u32>,
     pub(crate) adj: Vec<u32>,
-    /// Record indices sorted by `(t_inject, i)` (per-source chain build).
-    idx: Vec<u32>,
     /// Most recent message per source node during the chain build.
     src_last: Vec<u32>,
     /// Per-source predecessor / successor chains ([`NONE`]-terminated).
@@ -120,10 +115,10 @@ pub struct ReplayScratch {
     pub(crate) heap: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Delivery drain buffer.
     pub(crate) buf: Vec<Delivery>,
-    // Arrival-gating scratch (see `TraceLog::arrival_gates_into`).
-    pub(crate) gates: Vec<Option<MsgId>>,
-    events: Vec<(SimTime, u32)>,
-    last_arrival: Vec<Option<MsgId>>,
+    /// Arrival gate per message ([`NONE`] = ungated), and the scratch
+    /// of [`TraceLog::arrival_gates_into`].
+    pub(crate) gates: Vec<u32>,
+    last_arrival: Vec<u32>,
 }
 
 impl ReplayScratch {
@@ -182,34 +177,23 @@ impl ReplayScratch {
     /// its source node's time-sorted departure sequence (the chain
     /// `TraceLog::per_source_order` returns as nested vectors, built
     /// here without the per-node allocations).
-    fn build_source_chains(&mut self, log: &TraceLog, nodes: usize, canonical: bool) {
+    fn build_source_chains(&mut self, log: &TraceLog) {
         let n = log.len();
-        let mut idx = std::mem::take(&mut self.idx);
-        idx.clear();
-        idx.extend(0..n as u32);
-        // Captured logs come out of `Capture::finish` already sorted by
-        // (t_inject, id) = (t_inject, index), so the identity order is
-        // usually the sorted order; only sort hand-built logs.
-        if !canonical {
-            // (t_inject, i) is unique per record, so unstable is safe.
-            idx.sort_unstable_by_key(|&i| (log.records[i as usize].t_inject, i));
-        }
         self.src_last.clear();
-        self.src_last.resize(nodes, NONE);
+        self.src_last.resize(log.nodes(), NONE);
         self.prev_in_order.clear();
         self.prev_in_order.resize(n, NONE);
         self.next_in_order.clear();
         self.next_in_order.resize(n, NONE);
-        for &i in &idx {
-            let s = log.records[i as usize].msg.src.idx();
+        log.for_each_departure(&mut |i| {
+            let s = log.records[i].msg.src.idx();
             let p = self.src_last[s];
             if p != NONE {
-                self.prev_in_order[i as usize] = p;
-                self.next_in_order[p as usize] = i;
+                self.prev_in_order[i] = p;
+                self.next_in_order[p as usize] = i as u32;
             }
-            self.src_last[s] = i;
-        }
-        self.idx = idx;
+            self.src_last[s] = i as u32;
+        });
     }
 }
 
@@ -348,16 +332,14 @@ pub fn replay_oracle_with(
     net: &mut dyn NetworkModel,
     scratch: &mut ReplayScratch,
 ) -> ReplayResult {
-    scratch.build_csr(log.len(), |i| {
-        log.records[i].deps.iter().map(|d| d.0 as u32)
-    });
+    scratch.build_csr(log.len(), |i| log.deps(i).iter().copied());
     oracle_run(log, net, scratch)
 }
 
 /// [`replay_oracle_with`] consuming a dependency CSR already resident
 /// in `scratch` — e.g. installed straight from an sctf container's
 /// dependency section ([`crate::sctf::SctfReader::install_children_csr`])
-/// — instead of rebuilding it from the per-record dep vectors.
+/// — instead of rebuilding it from the log's dependency lists.
 pub fn replay_oracle_preloaded(
     log: &TraceLog,
     net: &mut dyn NetworkModel,
@@ -385,12 +367,17 @@ fn oracle_run(
     scratch.remaining.clear();
     scratch.remaining.resize(n, 0);
     for (i, r) in log.records.iter().enumerate() {
-        if r.deps.is_empty() {
-            scratch.delta[i] = r.t_inject;
-        } else {
-            let enable = r.deps.iter().map(|d| log.rec(*d).t_deliver).max().unwrap();
-            scratch.delta[i] = r.t_inject.saturating_since(enable);
-            scratch.remaining[i] = r.deps.len() as u32;
+        let deps = log.deps(i);
+        match deps
+            .iter()
+            .map(|&d| log.records[d as usize].t_deliver)
+            .max()
+        {
+            None => scratch.delta[i] = r.t_inject,
+            Some(enable) => {
+                scratch.delta[i] = r.t_inject.saturating_since(enable);
+                scratch.remaining[i] = deps.len() as u32;
+            }
         }
     }
     let mut inject = vec![SimTime::MAX; n];
@@ -398,8 +385,8 @@ fn oracle_run(
     scratch.ready_at.resize(n, SimTime::ZERO); // max dep delivery so far
                                                // Pending injections we already know the time of, not yet injected.
     scratch.heap.clear();
-    for (i, r) in log.records.iter().enumerate() {
-        if r.deps.is_empty() {
+    for i in 0..n {
+        if log.deps(i).is_empty() {
             scratch.heap.push(Reverse((scratch.delta[i], i as u32)));
         }
     }
@@ -514,18 +501,10 @@ pub(crate) fn prepare_gated(
     // Arrival gating, into the scratch buffers (temporarily moved out so
     // the rest of the scratch stays borrowable).
     let mut gates = std::mem::take(&mut scratch.gates);
-    let mut events = std::mem::take(&mut scratch.events);
-    let mut last_arrival = std::mem::take(&mut scratch.last_arrival);
-    // One fused record scan feeds both the gating and the chain build —
-    // four separate walks over the ~100-byte records measurably slow
-    // the pass down at fft-64 scale.
-    let (nodes, canonical) = log.scan_bounds();
-    log.arrival_gates_into(&mut gates, &mut events, &mut last_arrival, nodes, canonical);
-    scratch.events = events;
-    scratch.last_arrival = last_arrival;
+    log.arrival_gates_into(&mut gates, &mut scratch.last_arrival);
 
     // Per-source predecessor/successor chains and capture injection gaps.
-    scratch.build_source_chains(log, nodes, canonical);
+    scratch.build_source_chains(log);
     // Capture-anchored deltas: local time between the gating delivery
     // (or the previous departure, for gate-less messages) and this
     // departure, measured on the capture timeline.
@@ -533,11 +512,11 @@ pub(crate) fn prepare_gated(
     scratch.delta.resize(n, SimTime::ZERO);
     for (i, r) in log.records.iter().enumerate() {
         let anchor = match gates[i] {
-            Some(g) => log.rec(g).t_deliver,
-            None => match scratch.prev_in_order[i] {
+            NONE => match scratch.prev_in_order[i] {
                 NONE => SimTime::ZERO,
                 p => log.records[p as usize].t_inject,
             },
+            g => log.records[g as usize].t_deliver,
         };
         scratch.delta[i] = r.t_inject.saturating_since(anchor);
     }
@@ -553,9 +532,9 @@ pub(crate) fn prepare_gated(
     scratch.prev_time.clear();
     scratch.prev_time.resize(n, SimTime::ZERO);
     // Reverse index: gate -> dependants.
-    scratch.build_csr(n, |i| gates[i].iter().map(|g| g.0 as u32));
-    for (i, g) in gates.iter().enumerate() {
-        if g.is_none() {
+    scratch.build_csr(n, |i| Some(gates[i]).filter(|&g| g != NONE).into_iter());
+    for (i, &g) in gates.iter().enumerate() {
+        if g == NONE {
             scratch.gate_done[i] = true;
         }
     }
@@ -615,7 +594,7 @@ fn gated_pass_with(
                         scratch.prev_done[nx] = true;
                         scratch.prev_time[nx] = t;
                         if scratch.gate_done[nx] && !scratch.scheduled[nx] {
-                            let base = if scratch.gates[nx].is_some() {
+                            let base = if scratch.gates[nx] != NONE {
                                 scratch.gate_time[nx]
                             } else {
                                 scratch.prev_time[nx]
@@ -679,10 +658,7 @@ pub fn pair_corrections(
     result: &ReplayResult,
     mut base_latency: impl FnMut(&sctm_engine::net::Message) -> SimTime,
 ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
-    let mut nodes = 0usize;
-    for r in &log.records {
-        nodes = nodes.max(r.msg.src.idx() + 1).max(r.msg.dst.idx() + 1);
-    }
+    let nodes = log.nodes();
     // (replay latency sum, base-model latency sum, message count) per
     // (src, dst, class) cell.
     let mut acc: Vec<(f64, f64, u64)> = vec![(0.0, 0.0, 0); nodes * nodes * 2];
@@ -826,9 +802,12 @@ mod tests {
         let r = replay_oracle(&log, net.as_mut());
         for (i, rec) in log.records.iter().enumerate() {
             assert_eq!(
-                r.deliver[i], rec.t_deliver,
+                r.deliver[i],
+                rec.t_deliver,
                 "msg {i} ({}) diverged: {:?} vs {:?}",
-                rec.kind, r.deliver[i], rec.t_deliver
+                log.kind(i),
+                r.deliver[i],
+                rec.t_deliver
             );
         }
     }
@@ -843,9 +822,10 @@ mod tests {
         let got = replay_sctm_pass(&log, net.as_mut());
         for (i, rec) in log.records.iter().enumerate() {
             assert_eq!(
-                got.deliver[i], rec.t_deliver,
+                got.deliver[i],
+                rec.t_deliver,
                 "msg {i} ({}) diverged",
-                rec.kind
+                log.kind(i)
             );
         }
     }

@@ -50,7 +50,7 @@
 //! classic), which is what lets `SctfReader::open` stay cheap enough
 //! for the cache and wire fast paths.
 
-use crate::log::{TraceLog, TraceRecord};
+use crate::log::{Columns, TraceLog, TraceRecord, NONE};
 use crate::persist::TraceError;
 use crate::replay::ReplayScratch;
 use sctm_engine::net::{Message, MsgClass, MsgId, NodeId};
@@ -103,13 +103,16 @@ const SECTION_NAMES: [&str; SECTION_COUNT] = [
 /// Header flag: the children-CSR sections are present.
 const FLAG_CSR: u8 = 1;
 
-/// `prev` column sentinel for "no previous same-source message".
+/// `prev` column sentinel for "no previous same-source message". The
+/// in-memory column uses the same value, so the section is the column.
 const PREV_NONE: u32 = u32::MAX;
+const _: () = assert!(PREV_NONE == NONE);
 
 /// Network labels by tag byte; must stay append-only across versions.
 const NET_LABELS: [&str; 6] = ["analytic", "emesh", "omesh", "oxbar", "hybrid", "unknown"];
 
-/// Protocol-kind labels by tag byte; append-only, `other` last.
+/// Protocol-kind labels by tag byte; append-only, `other` last. The
+/// tag is also what a [`TraceLog`] holds per record in memory.
 const KIND_LABELS: [&str; 15] = [
     "GetS",
     "GetX",
@@ -139,15 +142,18 @@ fn net_label(tag: u8) -> &'static str {
     NET_LABELS.get(tag as usize).copied().unwrap_or("unknown")
 }
 
-fn kind_tag(label: &str) -> u8 {
+/// Tag of the catch-all `other` kind.
+pub(crate) const KIND_OTHER: u8 = (KIND_LABELS.len() - 1) as u8;
+
+pub(crate) fn kind_tag(label: &str) -> u8 {
     KIND_LABELS
         .iter()
         .position(|&l| l == label)
-        .unwrap_or(KIND_LABELS.len() - 1) as u8
+        .map_or(KIND_OTHER, |t| t as u8)
 }
 
-fn kind_label(tag: u8) -> &'static str {
-    KIND_LABELS.get(tag as usize).copied().unwrap_or("other")
+pub(crate) fn kind_label(tag: u8) -> &'static str {
+    KIND_LABELS[tag.min(KIND_OTHER) as usize]
 }
 
 // ---------------------------------------------------------------------
@@ -276,6 +282,17 @@ fn pad8(out: &mut Vec<u8>) {
     }
 }
 
+/// Append one 8-aligned little-endian `u32` section; returns its
+/// `(offset, length)` table entry.
+fn push_u32_column(out: &mut Vec<u8>, values: impl Iterator<Item = u32>) -> (u64, u64) {
+    pad8(out);
+    let off = out.len();
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    (off as u64, (out.len() - off) as u64)
+}
+
 /// Serialise a trace into an `sctf` v1 container.
 pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     let n = log.records.len();
@@ -290,24 +307,11 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     };
 
     // Fixed-width u32 columns.
-    for (sec, field) in [
-        (SEC_SRC, 0usize),
-        (SEC_DST, 1),
-        (SEC_BYTES, 2),
-        (SEC_PREV, 3),
-    ] {
-        let off = begin(&mut out);
-        for r in &log.records {
-            let v = match field {
-                0 => r.msg.src.0,
-                1 => r.msg.dst.0,
-                2 => r.msg.bytes,
-                _ => r.prev_same_src.map_or(PREV_NONE, |p| p.0 as u32),
-            };
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        sections[sec] = (off, out.len() as u64 - off);
-    }
+    let rows = log.records.iter();
+    sections[SEC_SRC] = push_u32_column(&mut out, rows.clone().map(|r| r.msg.src.0));
+    sections[SEC_DST] = push_u32_column(&mut out, rows.clone().map(|r| r.msg.dst.0));
+    sections[SEC_BYTES] = push_u32_column(&mut out, rows.map(|r| r.msg.bytes));
+    sections[SEC_PREV] = push_u32_column(&mut out, log.prev_column().iter().copied());
 
     // Class bitmap (bit i set = Data).
     {
@@ -331,7 +335,7 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     // Kind tags.
     {
         let off = begin(&mut out);
-        out.extend(log.records.iter().map(|r| kind_tag(r.kind)));
+        out.extend_from_slice(log.kind_tags());
         sections[SEC_KIND] = (off, out.len() as u64 - off);
     }
 
@@ -340,13 +344,13 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     {
         let off = begin(&mut out);
         let mut prev = 0u64;
-        for r in &log.records {
+        for r in log.records.iter() {
             varint_push(&mut out, zz_delta(prev, r.t_inject.as_ps()));
             prev = r.t_inject.as_ps();
         }
         sections[SEC_TINJ] = (off, out.len() as u64 - off);
         let off = begin(&mut out);
-        for r in &log.records {
+        for r in log.records.iter() {
             varint_push(&mut out, zz_delta(r.t_inject.as_ps(), r.t_deliver.as_ps()));
         }
         sections[SEC_TDEL] = (off, out.len() as u64 - off);
@@ -355,8 +359,8 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     // Dependencies, record order (exact round-trip), as zigzag varints
     // of `i − dep` — dependencies point backward to recent ids, so most
     // edges cost one byte. Unlike the children CSR below, this section
-    // is never consumed zero-copy (`to_log` materializes per-record
-    // vectors anyway), so it trades a fixed-width slice for far fewer
+    // is never consumed zero-copy (`to_log` rebuilds the arena with
+    // absolute ids anyway), so it trades a fixed-width slice for far fewer
     // bytes where barrier fan-in makes edges outnumber records. The
     // offsets are byte positions into the stream, one per record plus
     // the terminator.
@@ -364,17 +368,17 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
         let off = begin(&mut out);
         let mut acc = 0u32;
         out.extend_from_slice(&acc.to_le_bytes());
-        for (i, r) in log.records.iter().enumerate() {
-            for d in &r.deps {
-                acc += varint_len(zz_delta(d.0, i as u64)) as u32;
+        for i in 0..n {
+            for &d in log.deps(i) {
+                acc += varint_len(zz_delta(d as u64, i as u64)) as u32;
             }
             out.extend_from_slice(&acc.to_le_bytes());
         }
         sections[SEC_DEPS_OFF] = (off, out.len() as u64 - off);
         let off = begin(&mut out);
-        for (i, r) in log.records.iter().enumerate() {
-            for d in &r.deps {
-                varint_push(&mut out, zz_delta(d.0, i as u64));
+        for i in 0..n {
+            for &d in log.deps(i) {
+                varint_push(&mut out, zz_delta(d as u64, i as u64));
             }
         }
         sections[SEC_DEPS] = (off, out.len() as u64 - off);
@@ -383,11 +387,10 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     // Children CSR: for each message, the messages its delivery
     // unblocks — exactly `ReplayScratch::{adj_off, adj}` for the oracle.
     {
+        let (_, dep_ids) = log.dep_csr();
         let mut cnt = vec![0u32; n];
-        for r in &log.records {
-            for d in &r.deps {
-                cnt[d.0 as usize] += 1;
-            }
+        for &d in dep_ids {
+            cnt[d as usize] += 1;
         }
         let off = begin(&mut out);
         let mut acc = 0u32;
@@ -409,9 +412,9 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
             row_off[i] = a;
             a += cnt[i];
         }
-        for (i, r) in log.records.iter().enumerate() {
-            for d in &r.deps {
-                let d = d.0 as usize;
+        for i in 0..n {
+            for &d in log.deps(i) {
+                let d = d as usize;
                 let slot = base + (row_off[d] + fill[d]) as usize * 4;
                 out[slot..slot + 4].copy_from_slice(&(i as u32).to_le_bytes());
                 fill[d] += 1;
@@ -445,15 +448,14 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
 pub fn encoded_size(log: &TraceLog) -> usize {
     let n = log.records.len();
     let pad = |x: usize| x.div_ceil(8) * 8;
-    let mut edges = 0usize;
+    let edges = log.dep_csr().1.len();
     let mut deps = 0usize;
     let mut tinj = 0usize;
     let mut tdel = 0usize;
     let mut prev = 0u64;
     for (i, r) in log.records.iter().enumerate() {
-        edges += r.deps.len();
-        for d in &r.deps {
-            deps += varint_len(zz_delta(d.0, i as u64));
+        for &d in log.deps(i) {
+            deps += varint_len(zz_delta(d as u64, i as u64));
         }
         tinj += varint_len(zz_delta(prev, r.t_inject.as_ps()));
         prev = r.t_inject.as_ps();
@@ -844,8 +846,8 @@ impl SctfReader {
         Ok((tinj, tdel))
     }
 
-    /// Materialize a full [`TraceLog`] (row structs, per-record dep
-    /// vectors) for the engines that consume one. The result passes
+    /// Materialize a full [`TraceLog`] (rows, dependency arena, flat
+    /// columns) for the engines that consume one. The result passes
     /// [`TraceLog::validate`] or the load fails typed.
     pub fn to_log(&self) -> Result<TraceLog, TraceError> {
         let n = self.n;
@@ -855,12 +857,15 @@ impl SctfReader {
         let dst = self.dst();
         let bytes = self.msg_bytes();
         let prev = self.prev();
-        let kinds = self.kind_tags();
         let bad_id = |field: &'static str, i: usize| {
             TraceError::Invalid(format!("sctf: record {i} has out-of-range {field}"))
         };
         let bad = |i: usize, what: String| TraceError::Invalid(format!("sctf: record {i} {what}"));
-        let mut records = Vec::with_capacity(n);
+        // Every edge takes at least one stream byte.
+        let mut cols = Columns::with_capacity(n, deps.len());
+        cols.prev.extend_from_slice(prev);
+        cols.kind
+            .extend(self.kind_tags().iter().map(|&t| t.min(KIND_OTHER)));
         for i in 0..n {
             // Semantic invariants check inline against the column
             // slices — the same predicates [`TraceLog::validate`]
@@ -868,18 +873,16 @@ impl SctfReader {
             if tdel[i] < tinj[i] {
                 return Err(bad(i, "delivered before injection".into()));
             }
-            let p = match prev[i] {
-                PREV_NONE => None,
+            match prev[i] {
+                PREV_NONE => {}
                 p if (p as usize) < n => {
                     if src[p as usize] != src[i] {
                         return Err(bad(i, "prev_same_src from a different node".into()));
                     }
-                    Some(MsgId(p as u64))
                 }
                 _ => return Err(bad_id("prev", i)),
-            };
+            }
             let row = &deps[doff[i] as usize..doff[i + 1] as usize];
-            let mut dv = Vec::new();
             let mut pos = 0usize;
             while pos < row.len() {
                 let zz = varint_read(row, &mut pos).ok_or(TraceError::TruncatedSection {
@@ -894,9 +897,10 @@ impl SctfReader {
                 if tdel[d as usize] > tinj[i] {
                     return Err(bad(i, format!("injected before its dep {d} delivered")));
                 }
-                dv.push(MsgId(d));
+                cols.dep_ids.push(d as u32);
             }
-            records.push(TraceRecord {
+            cols.dep_off.push(cols.dep_ids.len() as u32);
+            cols.records.push(TraceRecord {
                 msg: Message {
                     id: MsgId(i as u64),
                     src: NodeId(src[i]),
@@ -906,16 +910,9 @@ impl SctfReader {
                 },
                 t_inject: tinj[i],
                 t_deliver: tdel[i],
-                deps: dv,
-                prev_same_src: p,
-                kind: kind_label(kinds[i]),
             });
         }
-        let log = TraceLog {
-            records,
-            capture_net: self.net,
-            capture_exec_time: self.exec,
-        };
+        let log = TraceLog::from_columns(cols, self.net, self.exec, None);
         // Ids are dense by construction and every validate() predicate
         // ran inline above; keep the full walk as a debug-build
         // cross-check only so release loads stay one pass.
@@ -950,7 +947,7 @@ mod tests {
         cap.on_inject(InjectRecord {
             msg: mk(0, 0, 3, MsgClass::Control),
             at: SimTime::from_ps(100),
-            deps: vec![],
+            deps: &[],
             prev_same_src: None,
             kind: "GetS",
         });
@@ -958,7 +955,7 @@ mod tests {
         cap.on_inject(InjectRecord {
             msg: mk(1, 3, 0, MsgClass::Data),
             at: SimTime::from_ps(1100),
-            deps: vec![MsgId(0)],
+            deps: &[MsgId(0)],
             prev_same_src: None,
             kind: "Data",
         });
@@ -970,7 +967,7 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.capture_net, b.capture_net);
         assert_eq!(a.capture_exec_time, b.capture_exec_time);
-        for (x, y) in a.records.iter().zip(&b.records) {
+        for (x, y) in a.records.iter().zip(b.records.iter()) {
             assert_eq!(x.msg.id, y.msg.id);
             assert_eq!(x.msg.src, y.msg.src);
             assert_eq!(x.msg.dst, y.msg.dst);
@@ -978,10 +975,11 @@ mod tests {
             assert_eq!(x.msg.bytes, y.msg.bytes);
             assert_eq!(x.t_inject, y.t_inject);
             assert_eq!(x.t_deliver, y.t_deliver);
-            assert_eq!(x.deps, y.deps);
-            assert_eq!(x.prev_same_src, y.prev_same_src);
-            assert_eq!(x.kind, y.kind);
         }
+        assert_eq!(a.dep_csr(), b.dep_csr());
+        assert_eq!(a.prev_column(), b.prev_column());
+        assert_eq!(a.kind_tags(), b.kind_tags());
+        assert_eq!(a.arrival_order(), b.arrival_order());
     }
 
     #[test]
@@ -1081,25 +1079,25 @@ mod tests {
     fn timestamps_survive_non_monotone_logs() {
         // Hand-built, non-canonical order: deltas go backwards; zigzag
         // wrapping must still round-trip exactly.
-        let mk = |id: u64, inj: u64, del: u64| TraceRecord {
-            msg: Message {
-                id: MsgId(id),
-                src: NodeId(0),
-                dst: NodeId(1),
-                class: MsgClass::Control,
-                bytes: 8,
-            },
-            t_inject: SimTime::from_ps(inj),
-            t_deliver: SimTime::from_ps(del),
-            deps: vec![],
-            prev_same_src: None,
-            kind: "other",
+        let mk = |id: u64, inj: u64, del: u64| {
+            let rec = TraceRecord {
+                msg: Message {
+                    id: MsgId(id),
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    class: MsgClass::Control,
+                    bytes: 8,
+                },
+                t_inject: SimTime::from_ps(inj),
+                t_deliver: SimTime::from_ps(del),
+            };
+            (rec, vec![], None)
         };
-        let log = TraceLog {
-            records: vec![mk(0, 5000, 6000), mk(1, 10, 20), mk(2, 7000, 7001)],
-            capture_net: "unknown",
-            capture_exec_time: SimTime::from_ps(9000),
-        };
+        let log = TraceLog::from_rows(
+            "unknown",
+            SimTime::from_ps(9000),
+            [mk(0, 5000, 6000), mk(1, 10, 20), mk(2, 7000, 7001)],
+        );
         let back = from_sctf_bytes(&to_sctf_bytes(&log)).unwrap();
         assert_logs_equal(&log, &back);
     }

@@ -109,13 +109,14 @@ proptest! {
 
 /// Footprint guarantees on a 64-core fft capture. Two ratios matter:
 /// the container is smaller than the CSV text it replaces on disk and
-/// on the wire, and — the cold-load residency contract — the
-/// zero-copy reader's resident bytes are at most half what the parsed
-/// row-struct log costs in memory. The latter is why the capture
-/// cache's byte budget holds several× more workloads when entries
-/// freeze to sctf.
+/// on the wire, and the zero-copy reader's resident bytes stay below
+/// what the parsed log costs in memory — which is why the capture
+/// cache freezes entries to sctf. The parsed form is itself columnar
+/// since the 40-byte trace rows (58 B/record against the container's
+/// 38), so the second ratio is 0.66 here; it was 0.35 against 96-byte
+/// rows with a heap `Vec` of dependencies each.
 #[test]
-fn sctf_resident_bytes_are_at_most_half_the_parsed_log_at_64_cores() {
+fn sctf_is_smaller_than_csv_and_at_most_three_quarters_of_the_parsed_log_at_64_cores() {
     let log = capture(8, Kernel::Fft, 300, 1, 1);
     let csv = log.to_csv_string().len();
     let sctf = encoded_size(&log);
@@ -125,7 +126,7 @@ fn sctf_resident_bytes_are_at_most_half_the_parsed_log_at_64_cores() {
     );
     let resident = log.resident_bytes();
     assert!(
-        sctf * 2 <= resident,
+        sctf * 4 <= resident * 3,
         "sctf {sctf} B vs parsed-log {resident} B resident: ratio {:.2}",
         sctf as f64 / resident as f64
     );

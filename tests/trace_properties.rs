@@ -92,7 +92,7 @@ proptest! {
             for (i, rec) in log.records.iter().enumerate() {
                 prop_assert_eq!(
                     r.deliver[i], rec.t_deliver,
-                    "msg {} ({}) diverged on identity replay", i, rec.kind
+                    "msg {} ({}) diverged on identity replay", i, log.kind(i)
                 );
             }
         }
@@ -126,6 +126,28 @@ proptest! {
             "sctm {:.1}% vs classic {:.1}% (target hop {})",
             err_s * 100.0, err_c * 100.0, tgt_hop
         );
+    }
+
+    /// `Capture::finish` takes a log's arrival order from the sequence
+    /// in which its hook saw the deliveries — sorting only runs of equal
+    /// instants when that sequence is in time order, everything when
+    /// sharded parts were merged. Either way it must come out as the
+    /// plain sort by `(t_deliver, id)`.
+    #[test]
+    fn captured_arrival_order_is_the_plain_sort(
+        kernel in kernel_strategy(),
+        seed in 1u64..1000,
+        threads in prop_oneof![Just(1usize), Just(2), Just(4)],
+    ) {
+        let log = Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), kernel)
+            .with_ops(200)
+            .with_seed(seed)
+            .with_capture_threads(threads)
+            .capture();
+        let mut want: Vec<u32> = (0..log.len() as u32).collect();
+        want.sort_by_key(|&i| (log.records[i as usize].t_deliver, i));
+        prop_assert_eq!(log.arrival_order(), &want[..]);
+        prop_assert_eq!(log.validate(), Ok(()));
     }
 
     /// Arrival gates are causal: the gate of every departure delivered

@@ -7,7 +7,6 @@
 //! tables --csv              # machine-readable tables as well
 //! tables --json             # run manifest JSON on stdout
 //! tables --obs-dir out/     # write trace/manifest/blame/flamegraph to out/
-//! tables --bench-json f.json # per-phase wall times as sctm-bench-v1
 //! tables --trace-out t.sctf  # save the flagship capture (format by extension)
 //! SCTM_OBS=1 tables         # enable tracing without flags
 //! ```
@@ -43,11 +42,6 @@ fn main() {
     let obs_dir: Option<std::path::PathBuf> = args
         .iter()
         .position(|a| a == "--obs-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(|p| p.into());
-    let bench_json: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--bench-json")
         .and_then(|i| args.get(i + 1))
         .map(|p| p.into());
     let trace_out: Option<std::path::PathBuf> = args
@@ -116,16 +110,6 @@ fn main() {
         log.save(path)
             .unwrap_or_else(|e| panic!("write --trace-out {}: {e}", path.display()));
         eprintln!("# trace: wrote {} records to {}", log.len(), path.display());
-    }
-
-    if let Some(path) = &bench_json {
-        let mut bf = prof::BenchFile::new();
-        for &(id, wall_ms) in &phases {
-            bf.benches.push(phase_record(id, wall_ms));
-        }
-        bf.benches.push(phase_record("total", total_ms));
-        std::fs::write(path, bf.to_json()).expect("write --bench-json");
-        eprintln!("# bench: wrote {}", path.display());
     }
 
     if !obs::enabled() {
@@ -220,19 +204,5 @@ fn main() {
             "# obs: wrote trace.json, manifest.json, convergence.json, blame.json, critpath.folded to {} — open trace.json at https://ui.perfetto.dev",
             dir.display()
         );
-    }
-}
-
-/// A single-sample bench record from one phase's wall time.
-fn phase_record(id: &str, wall_ms: f64) -> prof::BenchRecord {
-    let ns = wall_ms * 1e6;
-    prof::BenchRecord {
-        id: format!("tables/{id}"),
-        samples: 1,
-        min_ns: ns,
-        p25_ns: ns,
-        median_ns: ns,
-        p75_ns: ns,
-        max_ns: ns,
     }
 }

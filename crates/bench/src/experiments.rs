@@ -6,10 +6,8 @@ use sctm_core::{accuracy, Experiment, NetworkKind, RunReport, RunSpec, SystemCon
 use sctm_engine::net::AnalyticNetwork;
 use sctm_engine::table::{fnum, Table};
 use sctm_engine::time::SimTime;
-use sctm_enoc::{NocConfig, NocSim, Pattern, Routing, Topology, TrafficConfig, TrafficRunner};
-use sctm_onoc::{
-    HybridConfig, HybridSim, ObusConfig, ObusSim, OmeshConfig, OmeshSim, OxbarConfig, OxbarSim,
-};
+use sctm_enoc::{Pattern, TrafficConfig, TrafficRunner};
+use sctm_onoc::{ObusConfig, OmeshConfig, OxbarConfig};
 use sctm_workloads::Kernel;
 
 fn ms(d: std::time::Duration) -> String {
@@ -21,8 +19,7 @@ fn go(e: &Experiment, spec: &RunSpec) -> RunReport {
 }
 
 /// Replay `log` once in the given mode; with `wall0`, fold the shared
-/// capture's wall time into the report (the old `run_with_trace`
-/// contract the tables were written against).
+/// capture's wall time into the report.
 fn replay(
     e: &Experiment,
     log: &TraceLog,
@@ -771,22 +768,6 @@ pub fn parse_pct(cell: &str) -> f64 {
         .trim()
         .parse()
         .unwrap_or(f64::NAN)
-}
-
-/// Build a standalone network simulator for micro-benchmarks.
-pub fn bench_network(kind: NetworkKind, side: usize) -> Box<dyn sctm_engine::net::NetworkModel> {
-    match kind {
-        NetworkKind::Emesh => Box::new(NocSim::new(NocConfig {
-            topology: Topology::mesh(side, side),
-            routing: Routing::XY,
-            ..NocConfig::default()
-        })),
-        NetworkKind::Omesh => Box::new(OmeshSim::new(OmeshConfig::new(side))),
-        NetworkKind::Oxbar => Box::new(OxbarSim::new(OxbarConfig::new(side))),
-        NetworkKind::Hybrid => Box::new(HybridSim::new(HybridConfig::new(side))),
-        NetworkKind::Obus => Box::new(ObusSim::new(ObusConfig::new(side))),
-        NetworkKind::Analytic => Box::new(SystemConfig::analytic(side * side)),
-    }
 }
 
 #[cfg(test)]

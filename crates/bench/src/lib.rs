@@ -2,8 +2,8 @@
 //!
 //! One function per experiment (E1–E9, see DESIGN.md §4), each
 //! returning a renderable [`Table`]. The `tables` binary prints them;
-//! integration tests assert their qualitative shape; the Criterion
-//! benches measure the simulator throughputs behind E2/E5.
+//! the unit tests assert their qualitative shape. Timing lives in the
+//! repo benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 //!
 //! Experiments run at two scales: [`Scale::Quick`] (CI-sized, seconds)
 //! and [`Scale::Full`] (paper-sized, minutes). Shapes — who wins, by

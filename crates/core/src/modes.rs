@@ -242,8 +242,7 @@ impl Experiment {
 
     /// Run one simulation request. This is the single entry point the
     /// examples, the bench harness and the `sctmd` batch service all
-    /// use; the old `run_*` fan remains as deprecated wrappers around
-    /// it. The spec is validated up front, so a malformed request
+    /// use. The spec is validated up front, so a malformed request
     /// surfaces as a typed [`SctmError`] instead of a panic.
     pub fn execute(&self, spec: &RunSpec) -> Result<RunOutcome, SctmError> {
         self.execute_seeded(spec, None)
@@ -283,8 +282,7 @@ impl Experiment {
                 let r = exp.self_correction_report(max_iters, seed);
                 if spec.profile {
                     // The loop consumed its traces; profile on a fresh
-                    // (equivalent) uncorrected capture, exactly as the
-                    // old profiled entry point did.
+                    // (equivalent) uncorrected capture.
                     profile_log = Some(match seed {
                         Some(l) => l.clone(),
                         None => exp.capture(),
@@ -311,106 +309,6 @@ impl Experiment {
         report.wall = wall0.elapsed();
         let profile = profile_log.map(|l| exp.profile_replay(&l, spec.mode));
         Ok(RunOutcome { report, profile })
-    }
-
-    /// Run in the given mode. Trace modes capture internally.
-    #[deprecated(since = "0.1.0", note = "use Experiment::execute(&RunSpec::new(mode))")]
-    pub fn run(&self, mode: Mode) -> RunReport {
-        self.execute(&RunSpec::new(mode))
-            .expect("invalid mode parameters")
-            .report
-    }
-
-    /// The full self-correction loop.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Experiment::execute(&RunSpec::self_correction(max_iters))"
-    )]
-    pub fn run_self_correction(&self, max_iters: usize) -> RunReport {
-        self.execute(&RunSpec::self_correction(max_iters))
-            .expect("invalid iteration cap")
-            .report
-    }
-
-    /// The full self-correction loop plus profiling artefacts.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Experiment::execute(&RunSpec::self_correction(max_iters).profiled())"
-    )]
-    pub fn run_self_correction_profiled(&self, max_iters: usize) -> (RunReport, ProfileCapture) {
-        let out = self
-            .execute(&RunSpec::self_correction(max_iters).profiled())
-            .expect("invalid iteration cap");
-        (
-            out.report,
-            out.profile.expect("profiled run yields a profile"),
-        )
-    }
-
-    /// Replay a previously captured trace in a trace mode, with
-    /// profiling artefacts.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Experiment::execute_seeded(&RunSpec::new(mode).replay_only().profiled(), Some(log))"
-    )]
-    pub fn run_with_trace_profiled(
-        &self,
-        log: &TraceLog,
-        mode: Mode,
-    ) -> (RunReport, ProfileCapture) {
-        let out = self
-            .execute_seeded(&RunSpec::new(mode).replay_only().profiled(), Some(log))
-            .expect("run_with_trace_profiled needs a trace mode");
-        (
-            out.report,
-            out.profile.expect("profiled run yields a profile"),
-        )
-    }
-
-    /// Execution-driven co-simulation on the configured network.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Experiment::execute(&RunSpec::exec_driven())"
-    )]
-    pub fn run_execution_driven(&self) -> RunReport {
-        self.execute(&RunSpec::exec_driven())
-            .expect("exec-driven specs are always valid")
-            .report
-    }
-
-    /// Replay a previously captured trace in a trace mode (for
-    /// [`Mode::SelfCorrection`], a *single* self-correcting pass).
-    /// `wall_start`, when given, folds the capture cost into the
-    /// reported wall time.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Experiment::execute_seeded(&RunSpec::new(mode).replay_only(), Some(log))"
-    )]
-    pub fn run_with_trace(
-        &self,
-        log: &TraceLog,
-        mode: Mode,
-        wall_start: Option<Instant>,
-    ) -> RunReport {
-        let mut report = self
-            .execute_seeded(&RunSpec::new(mode).replay_only(), Some(log))
-            .expect("run_with_trace needs a trace mode")
-            .report;
-        if let Some(wall0) = wall_start {
-            report.wall = wall0.elapsed();
-        }
-        report
-    }
-
-    /// Execution-driven on the online-corrected analytic model.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Experiment::execute(&RunSpec::online(epoch))"
-    )]
-    pub fn run_online(&self, epoch: SimTime) -> RunReport {
-        self.execute(&RunSpec::online(epoch))
-            .expect("invalid epoch")
-            .report
     }
 
     /// The full self-correction loop (the paper's simulation flow):
@@ -735,7 +633,7 @@ impl Experiment {
                 (Mode::ClassicTrace, None) => replay_fixed(log, net.as_mut()),
                 (Mode::OracleTrace, _) => replay_oracle(log, net.as_mut()),
                 (Mode::SelfCorrection { .. }, _) => replay_sctm_pass(log, net.as_mut()),
-                _ => panic!("run_with_trace called with non-trace mode {mode:?}"),
+                _ => panic!("replay_report called with non-trace mode {mode:?}"),
             }
         };
         if obs::enabled() {
@@ -1011,23 +909,5 @@ mod tests {
             .unwrap()
             .report;
         assert_eq!(ok.exec_time, free.exec_time);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_execute() {
-        let e = exp(NetworkKind::Omesh);
-        let old = e.run(Mode::SelfCorrection { max_iters: 3 });
-        let new = go(&e, &RunSpec::self_correction(3));
-        assert_eq!(old.exec_time, new.exec_time);
-        assert_eq!(old.messages, new.messages);
-
-        let log = e.capture();
-        let old = e.run_with_trace(&log, Mode::ClassicTrace, None);
-        let new = e
-            .execute_seeded(&RunSpec::classic().replay_only(), Some(&log))
-            .unwrap()
-            .report;
-        assert_eq!(old.exec_time, new.exec_time);
     }
 }

@@ -7,22 +7,13 @@
 //! depending on internal shape, and any RNG draw or stats update
 //! downstream of that order would diverge between runs.
 //!
-//! Two backends implement the same contract:
-//!
-//! * a binary heap (`BinaryHeap<QueuedEvent>`), O(log n) push/pop — the
-//!   original implementation, still available for comparison;
-//! * a calendar queue (time wheel), O(1) amortised push/pop on the
-//!   dense, near-monotone schedules discrete-event network models
-//!   produce. Buckets self-resize (count and width) as the schedule
-//!   density changes, and events beyond the wheel horizon spill to a
-//!   fallback overflow heap, so pathological schedules degrade to heap
-//!   behaviour instead of breaking.
-//!
-//! The calendar queue is the default: on the workspace benches
-//! (`bench --bench engine`, capture-shaped and replay-shaped schedules)
-//! it matches the heap on tiny queues and wins on dense ones. Both
-//! backends pop in exactly the same order — property-tested in this
-//! module — so the choice is invisible to every model.
+//! The pending set is a calendar queue (time wheel): O(1) amortised
+//! push/pop on the dense, near-monotone schedules discrete-event
+//! network models produce. Buckets self-resize (count and width) as the
+//! schedule density changes, and events beyond the wheel horizon spill
+//! to an overflow heap, so pathological schedules degrade to heap
+//! behaviour instead of breaking. The unit tests in this module drive
+//! it against a plain `BinaryHeap` model of the `(at, seq)` contract.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -56,16 +47,6 @@ impl<E> PartialOrd for QueuedEvent<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Which pending-set implementation an [`EventQueue`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueueBackend {
-    /// Binary min-heap: O(log n), fully general.
-    Heap,
-    /// Calendar queue (time wheel) with overflow heap: O(1) amortised
-    /// on dense schedules.
-    Calendar,
 }
 
 /// The calendar-queue wheel: `buckets.len()` (a power of two) buckets of
@@ -374,12 +355,6 @@ impl<E> Wheel<E> {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Backend<E> {
-    Heap(BinaryHeap<QueuedEvent<E>>),
-    Calendar(Wheel<E>),
-}
-
 /// Min-queue of timestamped events with FIFO tiebreak.
 ///
 /// Also tracks the current simulation time (`now`), which advances
@@ -389,7 +364,7 @@ enum Backend<E> {
 /// cold error path).
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Wheel<E>,
     next_seq: u64,
     now: SimTime,
 }
@@ -401,35 +376,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Default backend: the calendar queue (see module docs).
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::Calendar)
-    }
-
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
-                QueueBackend::Calendar => Backend::Calendar(Wheel::new()),
-            },
+            wheel: Wheel::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-        }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        if let Backend::Heap(h) = &mut q.backend {
-            h.reserve(cap);
-        }
-        q
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Calendar(_) => QueueBackend::Calendar,
         }
     }
 
@@ -442,10 +393,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(w) => w.len(),
-        }
+        self.wheel.len()
     }
 
     #[inline]
@@ -464,11 +412,7 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = QueuedEvent { at, seq, payload };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(ev),
-            Backend::Calendar(w) => w.push(ev, self.now),
-        }
+        self.wheel.push(QueuedEvent { at, seq, payload }, self.now);
     }
 
     /// Schedule `payload` at `now + delay`.
@@ -481,19 +425,13 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.at),
-            Backend::Calendar(w) => w.peek(),
-        }
+        self.wheel.peek()
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<QueuedEvent<E>> {
-        let ev = match &mut self.backend {
-            Backend::Heap(h) => h.pop()?,
-            Backend::Calendar(w) => w.pop()?,
-        };
+        let ev = self.wheel.pop()?;
         debug_assert!(ev.at >= self.now, "event queue time went backwards");
         self.now = ev.at;
         Some(ev)
@@ -521,10 +459,7 @@ impl<E> EventQueue<E> {
     /// Drop all pending events and reset the clock. Sequence numbers are
     /// *not* reset, so replaying after a drain still has unique seqs.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Calendar(w) => w.clear(),
-        }
+        self.wheel.clear();
         self.now = SimTime::ZERO;
     }
 }
@@ -533,95 +468,140 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::StreamRng;
+    use std::cmp::Reverse;
 
-    fn both() -> [EventQueue<u64>; 2] {
-        [
-            EventQueue::with_backend(QueueBackend::Heap),
-            EventQueue::with_backend(QueueBackend::Calendar),
-        ]
+    /// The `(at, seq)` contract as a plain heap. Events are scheduled
+    /// into a fresh queue with `payload == seq`, so the pair is all the
+    /// model has to carry.
+    #[derive(Default)]
+    struct Model {
+        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+        next_seq: u64,
+        now: SimTime,
+    }
+
+    /// A wheel and its model driven through the same calls; every call
+    /// that returns something asserts the two agree.
+    #[derive(Default)]
+    struct Pair {
+        q: EventQueue<u64>,
+        m: Model,
+    }
+
+    impl Pair {
+        fn schedule(&mut self, at: SimTime) {
+            self.q.schedule(at, self.m.next_seq);
+            self.m.heap.push(Reverse((at, self.m.next_seq)));
+            self.m.next_seq += 1;
+        }
+
+        fn pop_before(&mut self, deadline: SimTime) -> bool {
+            let want = match self.m.heap.peek() {
+                Some(&Reverse((at, seq))) if at <= deadline => {
+                    self.m.heap.pop();
+                    self.m.now = at;
+                    Some((at, seq, seq))
+                }
+                _ => None,
+            };
+            let got = self
+                .q
+                .pop_before(deadline)
+                .map(|e| (e.at, e.seq, e.payload));
+            assert_eq!(got, want);
+            self.check();
+            got.is_some()
+        }
+
+        fn pop(&mut self) -> bool {
+            self.pop_before(SimTime::MAX)
+        }
+
+        fn advance_to(&mut self, t: SimTime) {
+            self.q.advance_to(t);
+            self.m.now = self.m.now.max(t);
+            self.check();
+        }
+
+        fn check(&self) {
+            assert_eq!(self.q.now(), self.m.now);
+            assert_eq!(self.q.len(), self.m.heap.len());
+            let next = self.m.heap.peek().map(|&Reverse((at, _))| at);
+            assert_eq!(self.q.peek_time(), next);
+        }
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [
-            EventQueue::with_backend(QueueBackend::Heap),
-            EventQueue::with_backend(QueueBackend::Calendar),
-        ] {
-            q.schedule(SimTime::from_ps(30), "c");
-            q.schedule(SimTime::from_ps(10), "a");
-            q.schedule(SimTime::from_ps(20), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, vec!["a", "b", "c"]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ps(30), "c");
+        q.schedule(SimTime::from_ps(10), "a");
+        q.schedule(SimTime::from_ps(20), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for mut q in both() {
-            for i in 0..100 {
-                q.schedule(SimTime::from_ps(5), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(SimTime::from_ps(5), i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn now_tracks_last_pop() {
-        for mut q in both() {
-            q.schedule(SimTime::from_ps(42), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_ps(42));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ps(42), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_ps(42));
     }
 
     #[test]
     fn schedule_in_is_relative() {
-        for mut q in both() {
-            q.schedule(SimTime::from_ps(10), 1);
-            q.pop();
-            q.schedule_in(SimTime::from_ps(5), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ps(15)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ps(10), 1);
+        q.pop();
+        q.schedule_in(SimTime::from_ps(5), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ps(15)));
     }
 
     #[test]
     fn pop_before_respects_deadline() {
-        for mut q in both() {
-            q.schedule(SimTime::from_ps(10), 1);
-            q.schedule(SimTime::from_ps(20), 2);
-            assert_eq!(
-                q.pop_before(SimTime::from_ps(15)).map(|e| e.payload),
-                Some(1)
-            );
-            assert!(q.pop_before(SimTime::from_ps(15)).is_none());
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ps(10), 1);
+        q.schedule(SimTime::from_ps(20), 2);
+        assert_eq!(
+            q.pop_before(SimTime::from_ps(15)).map(|e| e.payload),
+            Some(1)
+        );
+        assert!(q.pop_before(SimTime::from_ps(15)).is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn advance_to_is_monotone() {
-        for mut q in both() {
-            q.advance_to(SimTime::from_ps(100));
-            assert_eq!(q.now(), SimTime::from_ps(100));
-            q.advance_to(SimTime::from_ps(50));
-            assert_eq!(q.now(), SimTime::from_ps(100));
-        }
+        let mut q = EventQueue::<()>::new();
+        q.advance_to(SimTime::from_ps(100));
+        assert_eq!(q.now(), SimTime::from_ps(100));
+        q.advance_to(SimTime::from_ps(50));
+        assert_eq!(q.now(), SimTime::from_ps(100));
     }
 
     #[test]
     fn clear_resets_clock_but_not_seq() {
-        for mut q in both() {
-            q.schedule(SimTime::from_ps(10), 1);
-            q.pop();
-            q.clear();
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert!(q.is_empty());
-            q.schedule(SimTime::from_ps(1), 2);
-            let e = q.pop().unwrap();
-            assert!(e.seq >= 1, "sequence numbers must stay unique across clear");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ps(10), 1);
+        q.pop();
+        q.clear();
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert!(q.is_empty());
+        q.schedule(SimTime::from_ps(1), 2);
+        let e = q.pop().unwrap();
+        assert!(e.seq >= 1, "sequence numbers must stay unique across clear");
     }
 
     #[test]
@@ -638,96 +618,67 @@ mod tests {
     /// trace queued up front — used to rebuild the wheel every few
     /// dozen pushes (100 000 schedules took over a minute). Resizes
     /// must be geometric in the population, and the drain must still
-    /// come out in `(at, seq)` order.
+    /// come out in the model's `(at, seq)` order.
     #[test]
     fn monotone_far_future_schedule_resizes_geometrically() {
         const N: u64 = 200_000;
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut p = Pair::default();
         for i in 0..N {
-            q.schedule(SimTime::from_ps(1_000_000 + i * 3_700), i);
+            p.schedule(SimTime::from_ps(1_000_000 + i * 3_700));
         }
-        let Backend::Calendar(w) = &q.backend else {
-            unreachable!("calendar backend requested")
-        };
-        assert!(w.resizes <= 20, "{} resizes for {N} pushes", w.resizes);
-        for i in 0..N {
-            let e = q.pop().expect("scheduled event lost");
-            assert_eq!((e.seq, e.payload), (i, i));
-        }
-        assert!(q.pop().is_none());
+        let resizes = p.q.wheel.resizes;
+        assert!(resizes <= 20, "{resizes} resizes for {N} pushes");
+        while p.pop() {}
+        assert_eq!(p.m.next_seq, N);
     }
 
-    /// Drive both backends through an identical randomized schedule of
-    /// interleaved pushes and pops and require byte-identical pop
-    /// sequences — including `(at, seq)` of every event. Heavy bursts of
-    /// same-timestamp events exercise the FIFO tiebreak; occasional
-    /// far-future times exercise the overflow heap; tight loops around
-    /// `now` exercise cursor advancement.
+    /// Drive the wheel and the heap model through an identical
+    /// randomized schedule of interleaved pushes, pops, bounded pops and
+    /// clock advances and require identical pop sequences — `(at, seq)`
+    /// and payload of every event. Heavy bursts of same-timestamp
+    /// events exercise the FIFO tiebreak; occasional far-future times
+    /// exercise the overflow heap; tight loops around `now` exercise
+    /// cursor advancement.
     #[test]
-    fn calendar_matches_heap_order_under_random_bursts() {
+    fn wheel_matches_heap_model_under_random_bursts() {
         for round in 0..20u64 {
             let mut rng = StreamRng::new(0xE7E_u64 ^ round);
-            let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-            let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-            let mut payload = 0u64;
+            let mut p = Pair::default();
             for _ in 0..400 {
-                match rng.next_u64() % 4 {
+                let now = p.m.now.as_ps();
+                match rng.next_u64() % 6 {
                     // Burst of same-timestamp events.
                     0 => {
-                        let t = heap.now().as_ps() + rng.next_u64() % 5_000;
-                        let burst = 1 + rng.next_u64() % 12;
-                        for _ in 0..burst {
-                            let at = SimTime::from_ps(t);
-                            heap.schedule(at, payload);
-                            cal.schedule(at, payload);
-                            payload += 1;
+                        let at = SimTime::from_ps(now + rng.next_u64() % 5_000);
+                        for _ in 0..(1 + rng.next_u64() % 12) {
+                            p.schedule(at);
                         }
                     }
                     // Far-future event (overflow path).
-                    1 => {
-                        let at = SimTime::from_ps(
-                            heap.now().as_ps() + 1_000_000 + rng.next_u64() % 1_000_000,
-                        );
-                        heap.schedule(at, payload);
-                        cal.schedule(at, payload);
-                        payload += 1;
-                    }
+                    1 => p.schedule(SimTime::from_ps(
+                        now + 1_000_000 + rng.next_u64() % 1_000_000,
+                    )),
                     // Near-term event.
-                    2 => {
-                        let at = SimTime::from_ps(heap.now().as_ps() + rng.next_u64() % 200);
-                        heap.schedule(at, payload);
-                        cal.schedule(at, payload);
-                        payload += 1;
-                    }
+                    2 => p.schedule(SimTime::from_ps(now + rng.next_u64() % 200)),
                     // Pop a few.
-                    _ => {
+                    3 => {
                         for _ in 0..(1 + rng.next_u64() % 6) {
-                            let a = heap.pop();
-                            let b = cal.pop();
-                            match (a, b) {
-                                (None, None) => {}
-                                (Some(x), Some(y)) => {
-                                    assert_eq!((x.at, x.seq, x.payload), (y.at, y.seq, y.payload));
-                                    assert_eq!(heap.now(), cal.now());
-                                }
-                                (x, y) => panic!("backends disagree on emptiness: {x:?} vs {y:?}"),
-                            }
+                            p.pop();
                         }
                     }
-                }
-                assert_eq!(heap.len(), cal.len());
-                assert_eq!(heap.peek_time(), cal.peek_time());
-            }
-            // Drain fully: remaining order must match exactly.
-            loop {
-                match (heap.pop(), cal.pop()) {
-                    (None, None) => break,
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.at, x.seq, x.payload), (y.at, y.seq, y.payload))
+                    // Pop what is due within an epoch, then step the
+                    // clock to its boundary (the online loop's shape).
+                    4 => {
+                        let deadline = SimTime::from_ps(now + rng.next_u64() % 3_000);
+                        while p.pop_before(deadline) {}
+                        p.advance_to(deadline);
                     }
-                    (x, y) => panic!("drain length mismatch: {x:?} vs {y:?}"),
+                    // Advance to a time at or before `now`: a no-op.
+                    _ => p.advance_to(SimTime::from_ps(now - now.min(rng.next_u64() % 500))),
                 }
+                p.check();
             }
+            while p.pop() {}
         }
     }
 }

@@ -7,8 +7,8 @@
 //! The design constraint is the paper's own headline: the simulator must
 //! stay fast. Tracing is therefore **off by default** and every
 //! instrumentation site compiles to a single relaxed [`AtomicBool`] load
-//! plus a branch when disabled (the overhead bench in `sctm-bench`
-//! holds this to <2% on the omesh drain microbench). When enabled,
+//! plus a branch when disabled (EXPERIMENTS.md §P2 measured that path
+//! within 0.8% of a build without the sites). When enabled,
 //! events go to per-thread ring buffers that are only merged at
 //! [`drain`] time, so recording never synchronises threads against each
 //! other beyond one uncontended lock.

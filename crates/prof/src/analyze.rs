@@ -17,8 +17,8 @@
 //! latency and at most the replay makespan; `tests/prof_properties.rs`
 //! asserts both on real runs.
 
-use crate::json::escape;
 use sctm_engine::net::{LatencyBreakdown, MsgClass, MsgLifecycle};
+use sctm_obs::json_escape;
 use sctm_trace::TraceLog;
 use std::fmt::Write as _;
 
@@ -271,14 +271,14 @@ impl BlameReport {
         out
     }
 
-    /// Hand-rolled JSON document (see crate docs for why no serde).
+    /// Hand-rolled JSON document (the workspace builds offline: no serde).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = write!(
             out,
             "  \"network\": \"{}\",\n  \"workload\": \"{}\",\n  \"messages\": {},\n",
-            escape(&self.network),
-            escape(&self.workload),
+            json_escape(&self.network),
+            json_escape(&self.workload),
             self.messages
         );
         out.push_str("  \"classes\": [");

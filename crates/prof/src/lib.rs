@@ -1,29 +1,16 @@
 //! # sctm-prof — causal profiling for SCTM runs
 //!
-//! Three pillars on top of the observability layer:
-//!
-//! 1. **Blame analysis** ([`analyze`]): aggregate per-message
-//!    [`MsgLifecycle`] records (harvested from any network model with
-//!    lifecycle capture on) into per-class component totals, and walk
-//!    the captured dependency DAG to extract the sim-time **critical
-//!    path** — the chain of messages and dependency gaps that bounds
-//!    execution time — with per-component blame along it, exportable as
-//!    a folded-stack flamegraph.
-//! 2. **Bench JSON** ([`benchjson`]): the schema-versioned format the
-//!    vendored criterion shim and the `tables` binary emit with
-//!    `--bench-json`, plus merge/compare operations.
-//! 3. **`benchcmp`** (binary): diff two bench JSON files and exit
-//!    non-zero past a regression threshold — the CI perf gate.
-//!
-//! Everything is hand-serialised/parsed ([`json`]): the workspace
-//! builds offline with no registry access.
+//! Blame analysis on top of the observability layer ([`analyze`]):
+//! aggregate per-message [`MsgLifecycle`] records (harvested from any
+//! network model with lifecycle capture on) into per-class component
+//! totals, and walk the captured dependency DAG to extract the sim-time
+//! **critical path** — the chain of messages and dependency gaps that
+//! bounds execution time — with per-component blame along it,
+//! exportable as a folded-stack flamegraph.
 //!
 //! [`MsgLifecycle`]: sctm_engine::net::MsgLifecycle
 //! [`analyze`]: analyze::analyze
 
 pub mod analyze;
-pub mod benchjson;
-pub mod json;
 
 pub use analyze::{analyze, critical_path, BlameReport, ClassBlame, CriticalPath};
-pub use benchjson::{compare, BenchFile, BenchRecord, Comparison, Machine, SCHEMA};

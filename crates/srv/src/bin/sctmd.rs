@@ -5,15 +5,14 @@
 //! sctmd --listen 127.0.0.1:4710     # serve the line protocol over TCP
 //! sctmd --stdin --cache-mb 64 --queue 32 --timeout-ms 10000
 //! sctmd --listen 127.0.0.1:4710 --log-dir /var/log/sctmd
-//! sctmd --listen 127.0.0.1:4710 --workers 8 --sched steal
+//! sctmd --listen 127.0.0.1:4710 --workers 8
 //! sctmd --listen 127.0.0.1:4711 \
 //!       --peers 127.0.0.1:4710,127.0.0.1:4711   # shard the capture cache
 //! ```
 //!
-//! Scheduling: `--sched steal` (default) pipelines each request's
-//! probe → capture → replay → render stages across a work-stealing
-//! pool of `--workers` threads (default `SCTM_THREADS`, else all
-//! cores); `--sched batch` restores the original serial batch cycle.
+//! Scheduling: each request's probe → capture → replay → render
+//! stages are pipelined across a work-stealing pool of `--workers`
+//! threads (default `SCTM_THREADS`, else all cores).
 //! Shard mode: `--peers` lists every instance's *listen* address
 //! (comma-separated, including this one — matched against `--listen`,
 //! or set explicitly with `--shard-self`); capture misses on keys
@@ -31,7 +30,7 @@
 use sctm_obs::json_escape;
 use sctm_obs::reqlog::{json_line, RequestLog};
 use sctm_srv::shard::ShardRing;
-use sctm_srv::{serve_lines, serve_tcp, SchedMode, Server, ServerConfig, Shard};
+use sctm_srv::{serve_lines, serve_tcp, Server, ServerConfig, Shard};
 use std::sync::Arc;
 
 /// One structured daemon event on stderr: `{"ts_ms":…,"event":"…",…}`.
@@ -60,7 +59,6 @@ fn usage() -> ! {
             quoted(
                 "sctmd (--stdin | --listen ADDR) [--cache-mb N] [--queue N] \
                  [--timeout-ms N] [--log-dir DIR] [--workers N] \
-                 [--sched steal|batch] \
                  [--peers A,B,...] [--shard-self ADDR]",
             ),
         )],
@@ -97,14 +95,6 @@ fn main() {
             "--queue" => cfg.queue_cap = num(&args, &mut i) as usize,
             "--timeout-ms" => cfg.default_timeout_ms = num(&args, &mut i),
             "--workers" => cfg.workers = num(&args, &mut i) as usize,
-            "--sched" => {
-                i += 1;
-                cfg.sched = match args.get(i).map(String::as_str) {
-                    Some("steal") => SchedMode::WorkSteal,
-                    Some("batch") => SchedMode::Batch,
-                    _ => usage(),
-                };
-            }
             "--peers" => {
                 i += 1;
                 peers = args

@@ -192,9 +192,8 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
             counter(doc, "srv.shard.fwd_errors"),
         ));
         out.push_str(&format!(
-            "           fwd frames   sctf {:>6}   csv {:>6}\n",
+            "           fwd frames   sctf {:>6}\n",
             counter(doc, "srv.shard.fwd_sctf"),
-            counter(doc, "srv.shard.fwd_csv"),
         ));
     }
     out.push('\n');

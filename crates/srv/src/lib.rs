@@ -14,12 +14,13 @@
 //! configurations over one workload therefore costs one capture plus
 //! fifty replays, and the cache counters in every response prove it.
 //!
-//! Scheduling rides the workspace's deterministic worker pool
-//! (`sctm_engine::par::par_map`): a batch of queued requests runs in
-//! parallel yet answers bit-identically to serial execution. The
-//! request queue is bounded with explicit backpressure (`busy` +
-//! `retry_after_ms`), each request has a queue deadline, and shutdown
-//! drains gracefully.
+//! Scheduling rides the workspace's work-stealing pool
+//! (`sctm_engine::par::WorkStealPool`): each request's probe → capture
+//! → replay → render stages run as separate tasks, so queued requests
+//! overlap on every worker yet answer bit-identically to a direct
+//! `Experiment::execute`. The request queue is bounded with explicit
+//! backpressure (`busy` + `retry_after_ms`), each request has a queue
+//! deadline, and shutdown drains gracefully.
 //!
 //! ```text
 //! $ printf 'run kernel=fft net=omesh ops=300 id=a\nstats\n' | sctmd --stdin
@@ -38,5 +39,5 @@ pub use cache::{CacheStats, CaptureCache, CaptureKey};
 pub use proto::{
     parse_fwd_response, parse_request, result_json, CacheOutcome, FwdRequest, Request, RunRequest,
 };
-pub use server::{serve_lines, serve_tcp, Reply, SchedMode, Server, ServerConfig};
+pub use server::{serve_lines, serve_tcp, Reply, Server, ServerConfig};
 pub use shard::{Shard, ShardRing};

@@ -19,7 +19,7 @@
 //! byte-identical between a cold and a warm run, between the service
 //! and a direct [`Experiment::execute`], and at any `SCTM_THREADS`.
 
-use sctm_core::trace::{TraceFormat, TraceLog, TraceStore};
+use sctm_core::trace::{TraceLog, TraceStore};
 use sctm_core::{
     kernel_from_label, Experiment, Mode, NetworkKind, RunReport, RunSpec, SctmError, SystemConfig,
 };
@@ -49,9 +49,6 @@ pub struct FwdRequest {
     /// Workload side of the capture. The network field is irrelevant
     /// (captures run on the analytic model) and fixed to the default.
     pub experiment: Experiment,
-    /// Wire encoding the requester wants the trace back in (`fmt=` key;
-    /// CSV when absent, so a version-skewed older peer still works).
-    pub format: TraceFormat,
 }
 
 /// Any protocol line.
@@ -174,17 +171,18 @@ pub fn parse_request(line: &str) -> Result<Request, SctmError> {
 }
 
 /// Parse the tokens after a `fwd` verb:
-/// `fwd kernel=<label> side=N ops=N seed=N id=<id> [fmt=csv|sctf]`.
+/// `fwd kernel=<label> side=N ops=N seed=N id=<id> [fmt=sctf]`.
 /// Same defaults as `run` for the workload fields; only the
-/// capture-identity keys (plus the wire format) are accepted — a `fwd`
-/// can never smuggle replay knobs.
+/// capture-identity keys are accepted — a `fwd` can never smuggle
+/// replay knobs — and the reply is always an sctf frame, so any other
+/// `fmt` is refused rather than answered in a format the peer did not
+/// ask for.
 fn parse_fwd(toks: std::str::SplitWhitespace<'_>) -> Result<Request, SctmError> {
     let mut kernel = None;
     let mut side = 4usize;
     let mut ops = 600usize;
     let mut seed = 1u64;
     let mut id = String::new();
-    let mut format = TraceFormat::Csv;
     for tok in toks {
         let (k, v) = tok
             .split_once('=')
@@ -195,13 +193,8 @@ fn parse_fwd(toks: std::str::SplitWhitespace<'_>) -> Result<Request, SctmError> 
             "ops" => ops = parse_num(k, v)?,
             "seed" => seed = parse_num(k, v)?,
             "id" => id = v.to_string(),
-            "fmt" => {
-                format = match v {
-                    "csv" => TraceFormat::Csv,
-                    "sctf" => TraceFormat::Sctf,
-                    other => return Err(invalid(format!("unknown trace format '{other}'"))),
-                }
-            }
+            "fmt" if v == "sctf" => {}
+            "fmt" => return Err(invalid(format!("fwd replies are sctf frames, not '{v}'"))),
             other => return Err(invalid(format!("unknown fwd key '{other}'"))),
         }
     }
@@ -210,55 +203,40 @@ fn parse_fwd(toks: std::str::SplitWhitespace<'_>) -> Result<Request, SctmError> 
     let experiment = Experiment::new(SystemConfig::try_new(side, NetworkKind::Omesh)?, kernel)
         .with_ops(ops)
         .with_seed(seed);
-    Ok(Request::Fwd(Box::new(FwdRequest {
-        id,
-        experiment,
-        format,
-    })))
+    Ok(Request::Fwd(Box::new(FwdRequest { id, experiment })))
 }
 
-/// Render the `fwd` request line for a capture owned by a peer, asking
-/// for the trace back in `format`.
-pub fn fwd_line(exp: &Experiment, id: &str, format: TraceFormat) -> String {
+/// Render the `fwd` request line for a capture owned by a peer.
+pub fn fwd_line(exp: &Experiment, id: &str) -> String {
     format!(
-        "fwd kernel={} side={} ops={} seed={} fmt={} id={}",
+        "fwd kernel={} side={} ops={} seed={} fmt=sctf id={}",
         exp.kernel.label(),
         exp.system.side,
         exp.ops_per_core,
         exp.seed,
-        format.label(),
         // Ids are client-controlled and may contain anything; strip
         // whitespace so the line stays one line of clean tokens.
         id.replace(char::is_whitespace, "_"),
     )
 }
 
-/// Success reply to a `fwd`: the capture in the requested wire format —
-/// `trace_csv` carries JSON-escaped trace CSV, `trace_sctf` carries the
-/// base64 of the binary sctf container — plus whether the owner's cache
-/// already had it. Both ends share the on-disk codecs, so a forwarded
-/// trace is byte-identical to a saved one.
-pub fn fwd_response(id: &str, cache: CacheOutcome, log: &TraceLog, format: TraceFormat) -> String {
-    match format {
-        TraceFormat::Csv => format!(
-            r#"{{"status":"ok","id":"{}","cache":"{}","trace_csv":"{}"}}"#,
-            json_escape(id),
-            cache.label(),
-            json_escape(&log.to_csv_string())
-        ),
-        TraceFormat::Sctf => format!(
-            r#"{{"status":"ok","id":"{}","cache":"{}","trace_sctf":"{}"}}"#,
-            json_escape(id),
-            cache.label(),
-            // Base64 needs no JSON escaping: its alphabet is disjoint
-            // from every character JSON strings escape.
-            sctm_client::wire::b64_encode(&sctm_core::trace::sctf::to_sctf_bytes(log))
-        ),
-    }
+/// Success reply to a `fwd`: `trace_sctf` carries the base64 of the
+/// binary sctf container, plus whether the owner's cache already had
+/// it. Both ends share the on-disk codec, so a forwarded trace is
+/// byte-identical to a saved one.
+pub fn fwd_response(id: &str, cache: CacheOutcome, log: &TraceLog) -> String {
+    format!(
+        r#"{{"status":"ok","id":"{}","cache":"{}","trace_sctf":"{}"}}"#,
+        json_escape(id),
+        cache.label(),
+        // Base64 needs no JSON escaping: its alphabet is disjoint from
+        // every character JSON strings escape.
+        sctm_client::wire::b64_encode(&sctm_core::trace::sctf::to_sctf_bytes(log))
+    )
 }
 
-/// Decode a peer's `fwd` reply, whichever wire format it used. Total:
-/// any malformed, truncated, or error frame becomes a typed
+/// Decode a peer's `fwd` reply. Total: any malformed, truncated, or
+/// error frame — or one without a `trace_sctf` payload — becomes a typed
 /// [`SctmError`] — the capture cache's pending slot is released by the
 /// caller's error path, never poisoned.
 pub fn parse_fwd_response(line: &str) -> Result<(TraceLog, CacheOutcome), SctmError> {
@@ -284,15 +262,10 @@ pub fn parse_fwd_response(line: &str) -> Result<(TraceLog, CacheOutcome), SctmEr
             )))
         }
     };
-    let log = if let Some(b64) = json_str_field(line, "trace_sctf") {
-        let bytes =
-            b64_decode(&b64).ok_or_else(|| peer_err("peer fwd reply has bad base64".into()))?;
-        TraceStore::decode(&bytes).map_err(SctmError::Trace)?
-    } else {
-        let csv = json_str_field(line, "trace_csv")
-            .ok_or_else(|| peer_err("peer fwd reply has no trace payload".into()))?;
-        TraceLog::from_csv_str(&csv).map_err(SctmError::Trace)?
-    };
+    let b64 = json_str_field(line, "trace_sctf")
+        .ok_or_else(|| peer_err("peer fwd reply has no trace_sctf payload".into()))?;
+    let bytes = b64_decode(&b64).ok_or_else(|| peer_err("peer fwd reply has bad base64".into()))?;
+    let log = TraceStore::decode(&bytes).map_err(SctmError::Trace)?;
     Ok((log, cache))
 }
 

@@ -1,29 +1,21 @@
 //! The request scheduler and its front-ends.
 //!
-//! Two scheduler modes share every queue, cache, and telemetry
-//! mechanism (selected by [`ServerConfig::sched`]):
+//! A fixed pool of `SCTM_THREADS` workers pulls per-request *stage*
+//! tasks — probe → capture → replay → render — from per-worker deques
+//! with stealing ([`WorkStealPool`]). A worker finishing one stage
+//! pushes the request's next stage onto its own deque; idle workers
+//! steal the oldest queued stage from a peer. So the capture of request
+//! N overlaps the replay of request M and the response rendering of
+//! request K, and a sweep saturates every worker.
 //!
-//! - **[`SchedMode::WorkSteal`]** (default): a fixed pool of
-//!   `SCTM_THREADS` workers pulls per-request *stage* tasks — probe →
-//!   capture → replay → render — from per-worker deques with stealing
-//!   ([`WorkStealPool`]). A worker finishing one stage pushes the
-//!   request's next stage onto its own deque; idle workers steal the
-//!   oldest queued stage from a peer. So the capture of request N
-//!   overlaps the replay of request M and the response rendering of
-//!   request K, and a sweep saturates every worker instead of
-//!   serializing behind whole-batch barriers.
-//! - **[`SchedMode::Batch`]**: the original serial batch cycle — one
-//!   scheduler thread drains the queue and runs each batch on the
-//!   deterministic pool ([`par_map`]). Kept as the byte-identity
-//!   reference: `tests/srv_sched.rs` pins that both modes produce
-//!   identical `"result"` bytes at any worker count.
-//!
-//! Determinism does not depend on the mode: each request's result
+//! Determinism does not depend on the schedule: each request's result
 //! manifest is computed from simulated quantities only, and the
 //! [`CaptureCache`] single-flight pending slots are the only
 //! cross-request synchronization — whichever request performs a capture
 //! produces the same bytes. Scheduling changes *when* work runs, never
-//! *what* it computes.
+//! *what* it computes; `tests/srv_sched.rs` pins every `"result"` to
+//! the bytes a direct `Experiment::execute` renders, at any worker
+//! count.
 //!
 //! In **shard mode** ([`Server::start_sharded`]) several `sctmd`
 //! processes partition the capture cache by consistent hashing over the
@@ -58,7 +50,7 @@ use crate::proto::{
 use crate::shard::Shard;
 use sctm_core::trace::TraceLog;
 use sctm_core::{Mode, SctmError};
-use sctm_engine::par::{par_map, service_threads, WorkStealPool, WorkerHandle};
+use sctm_engine::par::{service_threads, WorkStealPool, WorkerHandle};
 use sctm_engine::stats::Histogram;
 use sctm_obs::reqlog::{json_line, RequestLog};
 use sctm_obs::svc::{SvcCounter, SvcPhase, SvcStats, SVC_STATS_VERSION};
@@ -68,18 +60,6 @@ use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
-
-/// How the server turns queued requests into running work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// One scheduler thread drains the queue and runs whole batches on
-    /// the deterministic pool. The original cycle; capture, replay, and
-    /// response I/O of different batches serialize.
-    Batch,
-    /// Stage-pipelined work-stealing pool: per-request probe → capture
-    /// → replay → render tasks on per-worker deques with stealing.
-    WorkSteal,
-}
 
 /// Service knobs. All bounds are hard: the queue never exceeds
 /// `queue_cap` and the cache evicts past `cache_bytes`.
@@ -96,8 +76,6 @@ pub struct ServerConfig {
     /// Scheduler worker count; `0` resolves via
     /// [`service_threads`] (`SCTM_THREADS`, else all cores).
     pub workers: usize,
-    /// Scheduler mode; [`SchedMode::WorkSteal`] unless pinned.
-    pub sched: SchedMode,
 }
 
 impl Default for ServerConfig {
@@ -108,7 +86,6 @@ impl Default for ServerConfig {
             default_timeout_ms: 300_000,
             retry_after_ms: 50,
             workers: 0,
-            sched: SchedMode::WorkSteal,
         }
     }
 }
@@ -156,12 +133,12 @@ struct QueueState {
     jobs: VecDeque<Job>,
     draining: bool,
     /// Accepted requests not yet answered (queued + in flight). Drain
-    /// in work-steal mode waits for this to hit zero so every accepted
-    /// request is answered before the pool stops.
+    /// waits for this to hit zero so every accepted request is answered
+    /// before the pool stops.
     outstanding: usize,
 }
 
-/// The four work-steal pipeline stages, in flow order. Indices key the
+/// The four pipeline stages, in flow order. Indices key the
 /// `srv.sched.queue.<stage>` depth gauges.
 const STAGE_NAMES: [&str; 4] = ["probe", "capture", "replay", "render"];
 const STAGE_PROBE: usize = 0;
@@ -183,18 +160,16 @@ struct ShardCounters {
     /// Forwards that failed (peer down, malformed reply); the request
     /// got a typed error and the pending slot was released.
     fwd_errors: AtomicU64,
-    /// Format mix of served `fwd` replies: binary sctf frames vs CSV
-    /// frames (a CSV frame means the requesting peer is version-skewed
-    /// or pinned to the interchange codec).
+    /// `fwd` replies rendered as sctf frames.
     fwd_sctf: AtomicU64,
-    fwd_csv: AtomicU64,
 }
 
 struct Shared {
     cfg: ServerConfig,
     cache: CaptureCache,
     queue: Mutex<QueueState>,
-    jobs_ready: Condvar,
+    /// Signalled after every reply; a drain waits on it.
+    answered: Condvar,
     svc: SvcStats,
     log: Option<Arc<RequestLog>>,
     next_seq: AtomicU64,
@@ -259,9 +234,7 @@ fn quoted(s: &str) -> String {
 /// A running batch-simulation service. Dropping it drains gracefully.
 pub struct Server {
     shared: Arc<Shared>,
-    /// Batch mode: the scheduler thread. `None` in work-steal mode.
-    scheduler: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Work-steal mode: the stage pool. `None` in batch mode.
+    /// The stage pool; `None` once drained.
     pool: Mutex<Option<WorkStealPool>>,
 }
 
@@ -288,7 +261,7 @@ impl Server {
             cache: CaptureCache::new(cfg.cache_bytes),
             cfg,
             queue: Mutex::new(QueueState::default()),
-            jobs_ready: Condvar::new(),
+            answered: Condvar::new(),
             svc: SvcStats::new(),
             log,
             next_seq: AtomicU64::new(1),
@@ -297,28 +270,14 @@ impl Server {
             shard_counters: ShardCounters::default(),
             stage_depth: Default::default(),
         });
-        let (scheduler, pool) = match cfg.sched {
-            SchedMode::Batch => {
-                let worker = Arc::clone(&shared);
-                let scheduler = std::thread::Builder::new()
-                    .name("sctmd-scheduler".into())
-                    .spawn(move || scheduler_loop(&worker))
-                    .expect("spawn scheduler thread");
-                (Some(scheduler), None)
-            }
-            SchedMode::WorkSteal => {
-                let workers = if cfg.workers > 0 {
-                    cfg.workers
-                } else {
-                    service_threads()
-                };
-                (None, Some(WorkStealPool::new(workers)))
-            }
+        let workers = if cfg.workers > 0 {
+            cfg.workers
+        } else {
+            service_threads()
         };
         Server {
             shared,
-            scheduler: Mutex::new(scheduler),
-            pool: Mutex::new(pool),
+            pool: Mutex::new(Some(WorkStealPool::new(workers))),
         }
     }
 
@@ -373,22 +332,19 @@ impl Server {
         });
         q.outstanding += 1;
         let depth = q.jobs.len() as u64;
-        // Work-steal mode: hand the pool one probe task per accepted
-        // job, while still holding the queue lock so a concurrent
-        // drain cannot stop the pool between accept and dispatch.
-        if self.shared.cfg.sched == SchedMode::WorkSteal {
-            self.dispatch_probe();
-        }
+        // Hand the pool one probe task per accepted job, while still
+        // holding the queue lock so a concurrent drain cannot stop the
+        // pool between accept and dispatch.
+        self.dispatch_probe();
         drop(q);
         self.shared.svc.incr(SvcCounter::Accepted);
         self.shared.svc.note_queue_depth(depth);
-        self.shared.jobs_ready.notify_all();
         Ok(rx)
     }
 
-    /// Submit one probe-stage task to the work-steal pool. The task
-    /// pops the oldest queued job (FIFO fairness for the probe stage;
-    /// later stages ride the deques) and starts its pipeline.
+    /// Submit one probe-stage task to the pool. The task pops the
+    /// oldest queued job (FIFO fairness for the probe stage; later
+    /// stages ride the deques) and starts its pipeline.
     fn dispatch_probe(&self) {
         let pool = lock(&self.pool);
         let Some(pool) = pool.as_ref() else { return };
@@ -426,12 +382,11 @@ impl Server {
         } else {
             CacheOutcome::Miss
         };
-        let mix = match f.format {
-            sctm_core::trace::TraceFormat::Sctf => &self.shared.shard_counters.fwd_sctf,
-            sctm_core::trace::TraceFormat::Csv => &self.shared.shard_counters.fwd_csv,
-        };
-        mix.fetch_add(1, Ordering::Relaxed);
-        proto::fwd_response(&f.id, outcome, &log, f.format)
+        self.shared
+            .shard_counters
+            .fwd_sctf
+            .fetch_add(1, Ordering::Relaxed);
+        proto::fwd_response(&f.id, outcome, &log)
     }
 
     /// Submit and wait for the response line.
@@ -506,8 +461,7 @@ impl Server {
             m.metrics
                 .hist_merge("srv.conv.iterations", &conv.iterations);
         }
-        // Scheduler occupancy: live pool counters in work-steal mode,
-        // zeros in batch mode — the schema never depends on the mode.
+        // Scheduler occupancy: live pool counters, zeros once drained.
         let ps = lock(&self.pool)
             .as_ref()
             .map(|p| p.stats())
@@ -544,8 +498,6 @@ impl Server {
         );
         m.metrics
             .counter_add("srv.shard.fwd_sctf", sc.fwd_sctf.load(Ordering::Relaxed));
-        m.metrics
-            .counter_add("srv.shard.fwd_csv", sc.fwd_csv.load(Ordering::Relaxed));
         self.shared.svc.snapshot().publish(&mut m.metrics);
         m
     }
@@ -556,28 +508,19 @@ impl Server {
     }
 
     /// Graceful drain: refuse new submissions, finish everything
-    /// queued, then stop the scheduler. Idempotent.
+    /// queued, then stop the pool. Idempotent.
     pub fn drain(&self) {
-        {
-            let mut q = lock(&self.shared.queue);
-            q.draining = true;
-        }
-        self.shared.jobs_ready.notify_all();
-        // Batch mode: the scheduler thread drains the queue then exits.
-        let handle = lock(&self.scheduler).take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-        // Work-steal mode: every accepted request holds an
-        // `outstanding` tick until its reply is sent; wait for zero,
-        // then stop the pool (its Drop finishes queued tasks first).
+        lock(&self.shared.queue).draining = true;
+        // Every accepted request holds an `outstanding` tick until its
+        // reply is sent; wait for zero, then stop the pool (its Drop
+        // finishes queued tasks first).
         let pool = lock(&self.pool).take();
         if let Some(pool) = pool {
             let mut q = lock(&self.shared.queue);
             while q.outstanding > 0 {
                 q = self
                     .shared
-                    .jobs_ready
+                    .answered
                     .wait(q)
                     .unwrap_or_else(|e| e.into_inner());
             }
@@ -593,51 +536,8 @@ impl Drop for Server {
     }
 }
 
-fn scheduler_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut q = lock(&shared.queue);
-            while q.jobs.is_empty() && !q.draining {
-                q = shared.jobs_ready.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-            if q.jobs.is_empty() {
-                return; // draining and empty: done
-            }
-            q.jobs.drain(..).collect()
-        };
-
-        let now = Instant::now();
-        let mut live = Vec::with_capacity(batch.len());
-        for job in batch {
-            match job.deadline {
-                Some(d) if d <= now => finish_timeout(shared, job, now),
-                _ => live.push(job),
-            }
-        }
-
-        // The batch runs on the deterministic pool: results land in
-        // input order and are bit-identical to serial execution, so
-        // concurrency never changes an answer.
-        let jobs: Vec<_> = live
-            .into_iter()
-            .map(|job| {
-                let shared = Arc::clone(shared);
-                move || {
-                    let start = Instant::now();
-                    let queue_us = us(start.duration_since(job.enqueued));
-                    shared.svc.enter();
-                    let done = run_job(&shared, &job.req);
-                    shared.svc.exit();
-                    finish_job(&shared, job, queue_us, done);
-                }
-            })
-            .collect();
-        par_map(jobs);
-    }
-}
-
 /// Answer a request whose queue deadline expired before it ran, with
-/// full telemetry. Shared by both scheduler modes.
+/// full telemetry.
 fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
     let waited = now.duration_since(job.enqueued);
     shared.svc.incr(SvcCounter::TimedOut);
@@ -661,9 +561,9 @@ fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
 }
 
 /// Fold one finished request into counters, conv rollup, phase
-/// histograms, and the request log, and send its reply. Shared by both
-/// scheduler modes; the counter-before-reply ordering is the `stats`
-/// read-your-writes contract.
+/// histograms, and the request log, and send its reply. The
+/// counter-before-reply ordering is the `stats` read-your-writes
+/// contract.
 fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
     // Counters land before the reply: a client that polls `stats`
     // after receiving its answer always sees itself counted (the
@@ -738,7 +638,7 @@ fn note_answered(shared: &Shared) {
     let mut q = lock(&shared.queue);
     q.outstanding = q.outstanding.saturating_sub(1);
     drop(q);
-    shared.jobs_ready.notify_all();
+    shared.answered.notify_all();
 }
 
 /// What one executed request produced, response line plus the
@@ -800,111 +700,13 @@ fn produce_capture(
     Ok(e.capture())
 }
 
-/// Execute one request, satisfying trace-mode captures from the cache.
-fn run_job(shared: &Shared, req: &RunRequest) -> JobDone {
-    let wall0 = Instant::now();
-    let e = &req.experiment;
-    let traceless = matches!(req.spec.mode, Mode::ExecutionDriven | Mode::Online { .. });
-    let (outcome, cache, key_prefix, probe_us, mut execute_us) = if traceless {
-        let _g = span("svc", "execute");
-        let x0 = Instant::now();
-        let outcome = e.execute(&req.spec);
-        (outcome, CacheOutcome::Bypass, None, 0, us(x0.elapsed()))
-    } else {
-        let key = CaptureKey::new(e.kernel.label(), e.system.side, e.ops_per_core, e.seed);
-        let key_prefix = Some(format!("{:08x}", key.0 >> 32));
-        let mut capture = Duration::ZERO;
-        let probe0 = Instant::now();
-        let fetched = {
-            let _g = span("svc", "cache_probe");
-            shared.cache.try_get_or_capture(key, || {
-                let c0 = Instant::now();
-                let t = produce_capture(shared, e, &req.id, key);
-                capture = c0.elapsed();
-                t
-            })
-        };
-        let (log, hit) = match fetched {
-            Ok(x) => x,
-            Err(err) => {
-                // A failed capture (in practice: a failed forward) is a
-                // typed error for this request; the pending slot was
-                // released so the next request retries.
-                return JobDone {
-                    line: error_response(&req.id, &err),
-                    cache: CacheOutcome::Miss,
-                    key_prefix,
-                    error_kind: Some(error_kind(&err)),
-                    probe_us: us(probe0.elapsed().saturating_sub(capture)),
-                    execute_us: us(capture),
-                    verdict: None,
-                    conv_iterations: 0,
-                };
-            }
-        };
-        // Probe time is cache resolution only; the capture a miss
-        // triggers is execution work and accounted there.
-        let probe = probe0.elapsed().saturating_sub(capture);
-        let cache = if hit {
-            CacheOutcome::Hit
-        } else {
-            CacheOutcome::Miss
-        };
-        let x0 = Instant::now();
-        let outcome = {
-            let _g = span("svc", "execute");
-            e.execute_seeded(&req.spec, Some(&log))
-        };
-        (
-            outcome,
-            cache,
-            key_prefix,
-            us(probe),
-            us(capture + x0.elapsed()),
-        )
-    };
-    match outcome {
-        Ok(out) => {
-            let line = ok_response(
-                &req.id,
-                wall0.elapsed().as_nanos(),
-                cache,
-                &result_json(&out.report, e),
-            );
-            // Rendering the manifest is execution work too.
-            execute_us = us(wall0.elapsed());
-            JobDone {
-                line,
-                cache,
-                key_prefix,
-                error_kind: None,
-                probe_us,
-                execute_us,
-                verdict: out.report.verdict.map(|v| v.label()),
-                conv_iterations: out.report.iterations.as_ref().map_or(0, |v| v.len() as u64),
-            }
-        }
-        Err(err) => JobDone {
-            line: error_response(&req.id, &err),
-            cache,
-            key_prefix,
-            error_kind: Some(error_kind(&err)),
-            probe_us,
-            execute_us,
-            verdict: None,
-            conv_iterations: 0,
-        },
-    }
-}
-
-/// Per-request state threaded through the work-steal stage pipeline.
+/// Per-request state threaded through the stage pipeline.
 /// Built at probe, completed at render; each stage hands it to the
 /// next via the worker's own deque.
 struct StageCtx {
     job: Job,
     queue_us: u64,
-    /// When the probe stage began — the staged analogue of batch
-    /// `run_job`'s wall clock zero.
+    /// When the probe stage began: the request's wall clock zero.
     started: Instant,
     probe_us: u64,
     /// Accumulated simulation work so far (capture/forward, replay).
@@ -1010,8 +812,7 @@ fn stage_capture(shared: &Arc<Shared>, h: &WorkerHandle<'_>, mut ctx: StageCtx) 
         })
     };
     // Resolution (including any single-flight wait) counts as probe
-    // time; the production itself is execution work — same accounting
-    // as the batch path.
+    // time; the production itself is execution work.
     ctx.probe_us += us(c0.elapsed().saturating_sub(produce_time));
     ctx.execute_us += us(produce_time);
     match fetched {
@@ -1076,7 +877,7 @@ fn stage_render(shared: &Arc<Shared>, ctx: StageCtx) {
             cache,
             key_prefix,
             error_kind: None,
-            // Rendering counts as execution work, as in the batch path.
+            // Rendering counts as execution work.
             probe_us,
             execute_us: us(started.elapsed()),
             verdict: out.report.verdict.map(|v| v.label()),

@@ -168,9 +168,7 @@ impl Shard {
         Ok(c)
     }
 
-    /// Fetch the capture for `exp` from its owning peer, asking for the
-    /// binary sctf wire format (several× smaller frames than CSV; the
-    /// reply decoder accepts either, so a CSV-pinned peer still works).
+    /// Fetch the capture for `exp` from its owning peer as an sctf frame.
     /// Called from a non-owner's capture stage as the single-flight
     /// producer, so at most one forward per key is in flight per
     /// instance. Any failure — dial, transport, malformed reply,
@@ -183,7 +181,7 @@ impl Shard {
         id: &str,
     ) -> Result<(TraceLog, CacheOutcome), SctmError> {
         let client = self.client_for(owner)?;
-        let line = fwd_line(exp, id, sctm_core::trace::TraceFormat::Sctf);
+        let line = fwd_line(exp, id);
         let reply = client
             .call(&line)
             .map_err(|e| SctmError::Io(format!("fwd to {owner}: {e}")))?;

@@ -34,8 +34,8 @@ pub use log::{Capture, TraceLog, TraceRecord};
 pub use online::{OnlineCorrected, ShadowFactory};
 pub use persist::{TraceError, TraceFormat, TraceStore};
 pub use replay::{
-    pair_corrections, replay_fixed, replay_fixed_budgeted, replay_fixed_with, replay_oracle,
-    replay_oracle_preloaded, replay_oracle_with, replay_sctm_pass, replay_sctm_pass_ordered,
-    replay_sctm_pass_ordered_with, replay_sctm_pass_with, ReplayResult, ReplayScratch,
+    pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_oracle_preloaded,
+    replay_oracle_with, replay_sctm_pass, replay_sctm_pass_ordered, replay_sctm_pass_with,
+    ReplayResult, ReplayScratch,
 };
 pub use sctf::SctfReader;

@@ -136,13 +136,6 @@ impl TraceFormat {
             None
         }
     }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceFormat::Csv => "csv",
-            TraceFormat::Sctf => "sctf",
-        }
-    }
 }
 
 /// The unified trace I/O facade: one save path, one load path, one

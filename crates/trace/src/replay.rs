@@ -252,17 +252,8 @@ fn simulate(
 
 /// Classic trace-driven replay: capture timestamps, verbatim.
 pub fn replay_fixed(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    replay_fixed_with(log, net, &mut ReplayScratch::new())
-}
-
-/// [`replay_fixed`] borrowing a reusable [`ReplayScratch`].
-pub fn replay_fixed_with(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    scratch: &mut ReplayScratch,
-) -> ReplayResult {
     let inject: Vec<SimTime> = log.records.iter().map(|r| r.t_inject).collect();
-    let deliver = simulate(log, net, &inject, scratch);
+    let deliver = simulate(log, net, &inject, &mut ReplayScratch::new());
     ReplayResult::from_times(log, inject, deliver)
 }
 
@@ -474,16 +465,7 @@ pub fn replay_sctm_pass_with(
 /// ordering constraint inflates the timeline. Kept for the ablation
 /// bench (A1).
 pub fn replay_sctm_pass_ordered(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    replay_sctm_pass_ordered_with(log, net, &mut ReplayScratch::new())
-}
-
-/// [`replay_sctm_pass_ordered`] borrowing a reusable [`ReplayScratch`].
-pub fn replay_sctm_pass_ordered_with(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    scratch: &mut ReplayScratch,
-) -> ReplayResult {
-    gated_pass_with(log, net, true, scratch)
+    gated_pass_with(log, net, true, &mut ReplayScratch::new())
 }
 
 /// Build the complete gated-pass working set for `log` into `scratch`:
@@ -842,15 +824,12 @@ mod tests {
             fn(&TraceLog, &mut dyn NetworkModel) -> ReplayResult,
             fn(&TraceLog, &mut dyn NetworkModel, &mut ReplayScratch) -> ReplayResult,
         );
-        let engines: [Engine; 4] = [
-            ("fixed", replay_fixed, replay_fixed_with),
+        let engines: [Engine; 3] = [
+            ("fixed", replay_fixed, |log, net, scratch| {
+                replay_fixed_budgeted(log, net, scratch, u64::MAX).expect("unbounded budget")
+            }),
             ("oracle", replay_oracle, replay_oracle_with),
             ("sctm", replay_sctm_pass, replay_sctm_pass_with),
-            (
-                "ordered",
-                replay_sctm_pass_ordered,
-                replay_sctm_pass_ordered_with,
-            ),
         ];
         for (name, fresh, with) in engines {
             let mut net = analytic(16, 6);

@@ -175,18 +175,3 @@ fn profiled_run_samples_series_without_perturbing_results() {
     assert!(!profile.series.is_empty(), "no counter series captured");
     assert!(profile.series.num_points() > 0);
 }
-
-/// The committed bench baseline must round-trip through the comparator
-/// with zero regressions against itself (satellite for the perf gate).
-#[test]
-fn committed_bench_baseline_is_self_consistent() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_PR3.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_PR3.json missing at repo root");
-    let f = prof::BenchFile::from_json(&text).expect("BENCH_PR3.json does not parse");
-    assert!(!f.benches.is_empty());
-    let cmp = prof::compare(&f, &f, 0.10);
-    assert_eq!(cmp.common, f.benches.len());
-    assert!(cmp.regressions.is_empty());
-    assert!(cmp.improvements.is_empty());
-    assert!(!cmp.machine_mismatch);
-}

@@ -153,14 +153,15 @@ fn wide_fan_invalidation_storm_terminates() {
 
 mod wire_fuzz {
     use proptest::prelude::*;
+    use sctm_core::SctmError;
     use sctm_srv::cache::{CaptureCache, CaptureKey};
-    use sctm_srv::proto::{fwd_response, CacheOutcome};
+    use sctm_srv::proto::{error_kind, fwd_response, CacheOutcome};
     use sctm_srv::{parse_fwd_response, parse_request, Request};
-    use sctm_trace::{TraceFormat, TraceLog};
+    use sctm_trace::TraceLog;
 
-    /// A real capture rendered into a valid peer reply in `format`, for
+    /// A real capture rendered into a valid peer reply, for
     /// truncation/mutation fuzzing around the happy path.
-    fn valid_reply_in(format: TraceFormat) -> (TraceLog, String) {
+    fn valid_reply() -> (TraceLog, String) {
         let req =
             match parse_request("run kernel=fft net=omesh side=2 ops=100 mode=classic-trace id=f")
                 .expect("parse")
@@ -169,22 +170,33 @@ mod wire_fuzz {
                 other => panic!("expected run, got {other:?}"),
             };
         let log = req.experiment.capture();
-        let reply = fwd_response("f", CacheOutcome::Miss, &log, format);
+        let reply = fwd_response("f", CacheOutcome::Miss, &log);
         (log, reply)
     }
 
-    fn valid_reply() -> (TraceLog, String) {
-        valid_reply_in(TraceFormat::Csv)
-    }
-
+    /// One wire encoding: an sctf frame round-trips; asking for CSV is
+    /// `invalid-spec` and a CSV reply is `io`, never a decoded trace.
     #[test]
-    fn valid_fwd_reply_round_trips_in_both_formats() {
-        for fmt in [TraceFormat::Csv, TraceFormat::Sctf] {
-            let (log, reply) = valid_reply_in(fmt);
-            let (decoded, outcome) = parse_fwd_response(&reply).expect("decode");
-            assert!(matches!(outcome, CacheOutcome::Miss));
-            assert_eq!(decoded.to_csv_string(), log.to_csv_string());
+    fn fwd_frames_are_sctf_only_and_csv_is_a_typed_error() {
+        let (log, reply) = valid_reply();
+        let (decoded, outcome) = parse_fwd_response(&reply).expect("decode");
+        assert!(matches!(outcome, CacheOutcome::Miss));
+        assert_eq!(decoded.to_csv_string(), log.to_csv_string());
+
+        for line in ["fwd kernel=fft id=f", "fwd kernel=fft fmt=sctf id=f"] {
+            assert!(matches!(parse_request(line), Ok(Request::Fwd(_))), "{line}");
         }
+        let err = parse_request("fwd kernel=fft fmt=csv id=f").unwrap_err();
+        assert!(matches!(err, SctmError::InvalidSpec(_)), "{err}");
+        assert_eq!(error_kind(&err), "invalid-spec");
+
+        let csv_reply = format!(
+            r#"{{"status":"ok","id":"f","cache":"miss","trace_csv":"{}"}}"#,
+            sctm_obs::json_escape(&log.to_csv_string())
+        );
+        let err = parse_fwd_response(&csv_reply).unwrap_err();
+        assert!(matches!(err, SctmError::Io(_)), "{err}");
+        assert_eq!(error_kind(&err), "io");
     }
 
     /// Strategy: a string drawn from `charset` with a length in `len`

@@ -1,7 +1,7 @@
 //! Determinism contract of the work-stealing scheduler and the sharded
 //! multi-instance cache: the staged steal pipeline must answer
-//! byte-identically to the serial batch cycle at any worker count, a
-//! two-instance shard must answer byte-identically to a single instance
+//! byte-identically to a direct `Experiment::execute` at any worker
+//! count, a two-instance shard must answer byte-identically to a single instance
 //! while capturing each workload exactly once *cluster-wide*, and a
 //! lockstep client must get each response as soon as it is finished.
 //!
@@ -11,9 +11,11 @@
 //! won the single-flight race and so carries the `"cache":"miss"` label.
 
 use sctm_client::Client;
+use sctm_core::Mode;
+use sctm_srv::proto::{error_response, ok_response};
 use sctm_srv::{
-    parse_request, serve_tcp, Request, RunRequest, SchedMode, Server, ServerConfig, Shard,
-    ShardRing,
+    parse_request, result_json, serve_tcp, CacheOutcome, Request, RunRequest, Server, ServerConfig,
+    Shard, ShardRing,
 };
 
 fn run_req(line: &str) -> RunRequest {
@@ -70,6 +72,34 @@ fn script() -> Vec<&'static str> {
     ]
 }
 
+fn masked(line: &str) -> String {
+    mask_cache_label(mask_wall(line))
+}
+
+/// What the daemon owes for `line`, computed without a scheduler, a
+/// cache or a seed trace: the run executed directly and rendered by the
+/// protocol's own response builders.
+fn direct_answer(line: &str) -> String {
+    let req = match parse_request(line) {
+        Ok(Request::Run(req)) => *req,
+        Ok(other) => panic!("script line is not a run: {other:?}"),
+        Err(err) => return error_response("", &err),
+    };
+    let cache = match req.spec.mode {
+        Mode::ExecutionDriven | Mode::Online { .. } => CacheOutcome::Bypass,
+        _ => CacheOutcome::Hit,
+    };
+    match req.experiment.execute(&req.spec) {
+        Ok(out) => ok_response(
+            &req.id,
+            0,
+            cache,
+            &result_json(&out.report, &req.experiment),
+        ),
+        Err(err) => error_response(&req.id, &err),
+    }
+}
+
 fn answers(server: &Server) -> Vec<String> {
     // Drive the production front-end (`serve_lines`) so the comparison
     // also pins response *ordering* under the steal scheduler.
@@ -86,17 +116,16 @@ fn answers(server: &Server) -> Vec<String> {
     String::from_utf8(out)
         .unwrap()
         .lines()
-        .map(mask_wall)
-        .map(mask_cache_label)
+        .map(masked)
         .collect()
 }
 
 #[test]
-fn steal_answers_byte_identical_to_batch_at_1_4_8_workers() {
-    let reference = answers(&Server::start(ServerConfig {
-        sched: SchedMode::Batch,
-        ..ServerConfig::default()
-    }));
+fn steal_answers_byte_identical_to_direct_execute_at_1_4_8_workers() {
+    let reference: Vec<String> = script()
+        .into_iter()
+        .map(|line| masked(&direct_answer(line)))
+        .collect();
     assert!(
         reference.iter().any(|l| l.contains(r#""cache":"bypass""#)),
         "script never bypasses the cache — weak test"
@@ -107,13 +136,12 @@ fn steal_answers_byte_identical_to_batch_at_1_4_8_workers() {
     );
     for workers in [1usize, 4, 8] {
         let got = answers(&Server::start(ServerConfig {
-            sched: SchedMode::WorkSteal,
             workers,
             ..ServerConfig::default()
         }));
         assert_eq!(
             got, reference,
-            "steal scheduler with {workers} workers diverged from batch"
+            "steal scheduler with {workers} workers diverged from direct execution"
         );
     }
 }
@@ -121,10 +149,8 @@ fn steal_answers_byte_identical_to_batch_at_1_4_8_workers() {
 #[test]
 fn steal_keeps_the_one_capture_per_sweep_economics() {
     // The §P5 invariant under the staged pipeline: 50 configs over one
-    // workload still cost exactly one capture, with the same counter
-    // trail the batch path produces.
+    // workload cost exactly one capture.
     let server = Server::start(ServerConfig {
-        sched: SchedMode::WorkSteal,
         workers: 4,
         ..ServerConfig::default()
     });

@@ -25,8 +25,8 @@
 //! counter series ride along as Perfetto counter tracks in
 //! `trace.json` and as a `series` section in the manifest, joined by
 //! `conv.*` tracks from every self-correction loop. The per-iteration
-//! drift ledger itself lands in `convergence.json` — verdicts, top
-//! movers, and incremental-replay decisions per run.
+//! drift ledger itself lands in `convergence.json` — verdicts and top
+//! movers per run.
 
 use sctm_bench::{num_threads, run_experiment, Scale, EXPERIMENT_IDS};
 use sctm_core::{Experiment, NetworkKind, RunSpec, SystemConfig};

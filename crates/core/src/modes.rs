@@ -18,7 +18,7 @@ use sctm_trace::replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
     replay_sctm_pass_with, ReplayScratch,
 };
-use sctm_trace::{Capture, IncrReplayer, OnlineCorrected, PassKind, TraceLog};
+use sctm_trace::{Capture, OnlineCorrected, TraceLog};
 use sctm_workloads::{build, Kernel, WorkloadParams};
 use std::time::Instant;
 
@@ -96,12 +96,6 @@ pub struct Experiment {
     /// count keeps rare flapping pairs from masking convergence. `0`
     /// disables.
     pub factor_epsilon: f64,
-    /// Reuse replay work across self-correction iterations via
-    /// dirty-frontier checkpoints ([`sctm_trace::IncrReplayer`]).
-    /// Bit-identical to from-scratch replay at every iteration — the
-    /// switch exists for A/B measurement and as an escape hatch, not
-    /// because the results differ. Default on.
-    pub incremental: bool,
 }
 
 impl Experiment {
@@ -114,7 +108,6 @@ impl Experiment {
             capture_threads: 0,
             damping: 1.0,
             factor_epsilon: 0.10,
-            incremental: true,
         }
     }
 
@@ -149,13 +142,6 @@ impl Experiment {
     pub fn with_factor_epsilon(mut self, eps: f64) -> Self {
         assert!(eps >= 0.0);
         self.factor_epsilon = eps;
-        self
-    }
-
-    /// Enable or disable incremental self-correction replay (see
-    /// [`Experiment::incremental`]).
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
         self
     }
 
@@ -233,9 +219,6 @@ impl Experiment {
         }
         if let Some(eps) = spec.factor_epsilon {
             e.factor_epsilon = eps;
-        }
-        if let Some(inc) = spec.incremental {
-            e.incremental = inc;
         }
         e
     }
@@ -334,9 +317,6 @@ impl Experiment {
         // One replay arena for the whole loop: every iteration replays a
         // same-shaped trace, so the buffers are paid for once.
         let mut scratch = ReplayScratch::new();
-        // Incremental engine, alive across iterations so its
-        // checkpoints and previous-pass inputs carry over.
-        let mut incr = self.incremental.then(IncrReplayer::new);
         // Convergence observability: the drift ledger exists only while
         // recording is on; the verdict inputs (drift/signed-movement
         // history) are a handful of scalar pushes and always tracked,
@@ -361,46 +341,9 @@ impl Experiment {
                 prev_est = log.capture_exec_time;
             }
             let mut net = SystemConfig::make_network_kind(side, kind);
-            let mut incr_decision: Option<obs::IncrDecision> = None;
             let result = {
                 let _span = obs::span("sctm", "replay");
-                match &mut incr {
-                    Some(engine) => {
-                        let (result, pass) = engine.replay(&log, &mut net, &mut scratch);
-                        if conv.is_some() {
-                            incr_decision = Some(obs::IncrDecision {
-                                kind: pass.kind_label(),
-                                cause: pass.cause(),
-                                dirty: pass.dirty,
-                                trace_len: pass.trace_len,
-                                prev_len: pass.prev_len,
-                                epochs_restored: pass.epochs_restored,
-                                epochs_replayed: pass.epochs_replayed,
-                            });
-                        }
-                        if obs::enabled() {
-                            obs::with_global(|reg| {
-                                reg.counter_add(
-                                    match pass.kind {
-                                        PassKind::Full => "sctm.incr.passes_full",
-                                        PassKind::Spliced => "sctm.incr.passes_spliced",
-                                        PassKind::Resumed { .. } => "sctm.incr.passes_resumed",
-                                    },
-                                    1,
-                                );
-                                reg.counter_add("sctm.incr.dirty_messages", pass.dirty);
-                                reg.counter_add("sctm.incr.epochs_restored", pass.epochs_restored);
-                                reg.counter_add("sctm.incr.epochs_replayed", pass.epochs_replayed);
-                                reg.gauge_set(
-                                    "sctm.incr.checkpoint_bytes",
-                                    pass.checkpoint_bytes as f64,
-                                );
-                            });
-                        }
-                        result
-                    }
-                    None => replay_sctm_pass_with(&log, net.as_mut(), &mut scratch),
-                }
+                replay_sctm_pass_with(&log, net.as_mut(), &mut scratch)
             };
             if obs::enabled() {
                 obs::with_global(|reg| {
@@ -493,7 +436,6 @@ impl Experiment {
                     factor_move,
                     signed_move,
                     &pair_moves,
-                    incr_decision,
                 );
             }
             drift_hist.push(drift.as_ps());
@@ -860,31 +802,6 @@ mod tests {
             e.execute(&RunSpec::exec_driven().profiled()),
             Err(SctmError::InvalidSpec(_))
         ));
-    }
-
-    #[test]
-    fn incremental_toggle_is_bit_identical() {
-        let e = exp(NetworkKind::Omesh);
-        for spec in [
-            RunSpec::self_correction(4),
-            RunSpec::self_correction(4)
-                .with_damping(0.0)
-                .with_factor_epsilon(0.0),
-        ] {
-            let on = go(&e, &spec.clone().with_incremental(true));
-            let off = go(&e, &spec.with_incremental(false));
-            assert_eq!(on.exec_time, off.exec_time);
-            assert_eq!(on.messages, off.messages);
-            assert_eq!(
-                on.mean_lat_ctrl_ns.to_bits(),
-                off.mean_lat_ctrl_ns.to_bits()
-            );
-            assert_eq!(
-                on.mean_lat_data_ns.to_bits(),
-                off.mean_lat_data_ns.to_bits()
-            );
-            assert_eq!(on.iterations, off.iterations);
-        }
     }
 
     #[test]

@@ -35,11 +35,6 @@ pub struct RunSpec {
     /// gated pass; for the other trace modes a single replay is all
     /// there ever is, so the flag is implied.
     pub replay_only: bool,
-    /// Override of [`crate::Experiment::incremental`] for this run:
-    /// whether [`Mode::SelfCorrection`] reuses replay work across
-    /// iterations via dirty-frontier checkpoints (bit-identical to the
-    /// full pass either way; see DESIGN.md §11).
-    pub incremental: Option<bool>,
     /// Classic-trace replay only: abort with
     /// [`SctmError::BudgetExhausted`] once the replay has advanced this
     /// many network batches without delivering every message. Open-loop
@@ -57,7 +52,6 @@ impl RunSpec {
             factor_epsilon: None,
             profile: false,
             replay_only: false,
-            incremental: None,
             replay_batch_budget: None,
         }
     }
@@ -108,13 +102,6 @@ impl RunSpec {
     /// Replay once instead of running the full self-correction loop.
     pub fn replay_only(mut self) -> Self {
         self.replay_only = true;
-        self
-    }
-
-    /// Enable or disable incremental (checkpointed) self-correction
-    /// replay for this run.
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = Some(on);
         self
     }
 
@@ -173,12 +160,6 @@ impl RunSpec {
                 ));
             }
             _ => {}
-        }
-        if self.incremental.is_some() && !matches!(self.mode, Mode::SelfCorrection { .. }) {
-            return invalid(format!(
-                "incremental replay applies to self-correction, not {}",
-                self.mode.label()
-            ));
         }
         Ok(())
     }
@@ -258,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_misapplied_budget_and_incremental() {
+    fn rejects_misapplied_budget() {
         let err = RunSpec::classic().with_replay_budget(0).validate();
         assert!(matches!(err, Err(SctmError::InvalidSpec(_))), "{err:?}");
         assert_eq!(
@@ -266,14 +247,6 @@ mod tests {
             Ok(())
         );
         let err = RunSpec::oracle().with_replay_budget(500).validate();
-        assert!(matches!(err, Err(SctmError::InvalidSpec(_))), "{err:?}");
-        assert_eq!(
-            RunSpec::self_correction(3)
-                .with_incremental(false)
-                .validate(),
-            Ok(())
-        );
-        let err = RunSpec::classic().with_incremental(true).validate();
         assert!(matches!(err, Err(SctmError::InvalidSpec(_))), "{err:?}");
     }
 

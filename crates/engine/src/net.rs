@@ -299,15 +299,6 @@ pub trait NetworkModel: Send {
         }
     }
 
-    /// Clone the model's complete state behind a fresh box, or `None`
-    /// if the model does not support checkpointing. Used by incremental
-    /// replay to record epoch checkpoints; a snapshot must behave
-    /// exactly like the original from this point on (same event order,
-    /// same tiebreaks, same statistics).
-    fn snapshot(&self) -> Option<Box<dyn NetworkModel>> {
-        None
-    }
-
     /// Aggregate statistics since construction (or the last reset).
     fn stats(&self) -> &NetStats;
 
@@ -538,10 +529,6 @@ impl AnalyticNetwork {
 }
 
 impl NetworkModel for AnalyticNetwork {
-    fn snapshot(&self) -> Option<Box<dyn NetworkModel>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn num_nodes(&self) -> usize {
         self.nodes
     }

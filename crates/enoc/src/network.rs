@@ -747,10 +747,6 @@ impl NocSim {
 }
 
 impl NetworkModel for NocSim {
-    fn snapshot(&self) -> Option<Box<dyn NetworkModel>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn num_nodes(&self) -> usize {
         self.cfg.topology.num_nodes()
     }

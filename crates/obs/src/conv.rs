@@ -1,9 +1,8 @@
 //! Convergence observability for the self-correction loop.
 //!
 //! The loop's only first-class convergence signal used to be a scalar
-//! `drift` per iteration: when a run oscillated, stalled, or silently
-//! fell back to full replay every pass (the §P6 flagship), nothing in
-//! the telemetry explained *why*. This module holds the three pieces
+//! `drift` per iteration: when a run oscillated or stalled, nothing in
+//! the telemetry explained *why*. This module holds the two pieces
 //! that change that:
 //!
 //! 1. a per-iteration **drift ledger** ([`IterLedger`]) decomposing the
@@ -13,10 +12,7 @@
 //!    drift/factor-movement history into a typed
 //!    [`ConvergenceVerdict`] — oscillation (sign-alternating factor
 //!    deltas), stall (sub-epsilon movement without an exit), blow-up
-//!    (monotone drift growth);
-//! 3. **incremental-replay decision telemetry** ([`IncrDecision`])
-//!    recording why each pass chose splice/resume/full, so trace-length
-//!    churn is a measured quantity instead of a hypothesis.
+//!    (monotone drift growth).
 //!
 //! The verdict itself is *always* computed — it rides on arithmetic
 //! the loop already does — while the ledger is recorded only when
@@ -174,26 +170,6 @@ pub struct LedgerEntry {
     pub drift_contrib_ps: f64,
 }
 
-/// Why one incremental pass ran the way it did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IncrDecision {
-    /// `"full"`, `"spliced"` or `"resumed"`.
-    pub kind: &'static str,
-    /// Canonical full-replay fallback cause (`"length_churn"`,
-    /// `"first_pass"`, ...), `None` when nothing fell back.
-    pub cause: Option<&'static str>,
-    /// Messages whose pass inputs moved since the previous pass.
-    pub dirty: u64,
-    /// This pass's trace length.
-    pub trace_len: u64,
-    /// The previous pass's trace length (0 on the first pass) — the
-    /// churn the §P6 flagship fallback is about is `trace_len !=
-    /// prev_len`.
-    pub prev_len: u64,
-    pub epochs_restored: u64,
-    pub epochs_replayed: u64,
-}
-
 /// Movers kept per iteration; everything else folds into
 /// [`IterLedger::other_drift_ps`].
 pub const TOP_K_MOVERS: usize = 8;
@@ -225,8 +201,6 @@ pub struct IterLedger {
     pub other_drift_ps: f64,
     /// Attributed drift per source node, ascending node id.
     pub node_err_ps: Vec<(u32, f64)>,
-    /// Incremental-replay decision, when the run used the engine.
-    pub incr: Option<IncrDecision>,
 }
 
 /// The full convergence record of one self-correction run.
@@ -264,7 +238,6 @@ impl ConvTracker {
     }
 
     /// Fold one iteration into the ledger and publish its counters.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_iteration(
         &mut self,
         iteration: u32,
@@ -273,7 +246,6 @@ impl ConvTracker {
         factor_move: f64,
         signed_move: f64,
         pairs: &[PairMove],
-        incr: Option<IncrDecision>,
     ) {
         // Attribution weights: message-weighted relative movement, the
         // same quantity `factor_move` averages. A pair that did not
@@ -348,7 +320,6 @@ impl ConvTracker {
             movers: entries,
             other_drift_ps,
             node_err_ps: node_err.into_iter().collect(),
-            incr,
         });
     }
 
@@ -359,19 +330,11 @@ impl ConvTracker {
     /// registry side (the `conv_overhead` gate measures that).
     pub fn finish(self, verdict: ConvergenceVerdict) {
         if enabled() {
-            let mut decisions: BTreeMap<&'static str, u64> = BTreeMap::new();
-            let mut causes: BTreeMap<&'static str, u64> = BTreeMap::new();
             let mut pairs_moved = 0u64;
             let mut sign_flips = 0u64;
             for it in &self.iterations {
                 pairs_moved += it.pairs_moved;
                 sign_flips += it.sign_flips;
-                if let Some(d) = &it.incr {
-                    *decisions.entry(d.kind).or_insert(0) += 1;
-                    if let Some(cause) = d.cause {
-                        *causes.entry(cause).or_insert(0) += 1;
-                    }
-                }
             }
             with_global(|reg| {
                 reg.counter_add("sctm.conv.iterations", self.iterations.len() as u64);
@@ -379,12 +342,6 @@ impl ConvTracker {
                 reg.counter_add("sctm.conv.sign_flips", sign_flips);
                 if let Some(last) = self.iterations.last() {
                     reg.gauge_set("sctm.conv.last_drift_ps", last.drift_ps as f64);
-                }
-                for (kind, n) in &decisions {
-                    reg.counter_add(format!("sctm.conv.decision.{kind}"), *n);
-                }
-                for (cause, n) in &causes {
-                    reg.counter_add(format!("sctm.conv.cause.{cause}"), *n);
                 }
                 reg.counter_add(format!("sctm.conv.verdict.{}", verdict.label()), 1);
             });
@@ -531,29 +488,7 @@ pub fn conv_report_json(runs: &[ConvRun]) -> String {
                 }
                 let _ = write!(out, "[{}, {}]", node, json_f64(*err));
             }
-            out.push(']');
-            match &it.incr {
-                Some(d) => {
-                    let _ = write!(
-                        out,
-                        ", \"incr\": {{\"kind\": \"{}\", \"cause\": {}, \"dirty\": {}, \
-                         \"trace_len\": {}, \"prev_len\": {}, \"epochs_restored\": {}, \
-                         \"epochs_replayed\": {}}}",
-                        d.kind,
-                        match d.cause {
-                            Some(c) => format!("\"{c}\""),
-                            None => "null".into(),
-                        },
-                        d.dirty,
-                        d.trace_len,
-                        d.prev_len,
-                        d.epochs_restored,
-                        d.epochs_replayed,
-                    );
-                }
-                None => out.push_str(", \"incr\": null"),
-            }
-            out.push('}');
+            out.push_str("]}");
         }
         out.push_str("\n    ]}");
     }
@@ -581,7 +516,7 @@ mod tests {
     /// Drive a tracker without touching the global store/registry.
     fn ledger_for(pairs: &[PairMove], drift_ps: u64) -> IterLedger {
         let mut t = ConvTracker::new("omesh", "fft", 1.0);
-        t.record_iteration(1, 10 * drift_ps.max(1), drift_ps, 0.1, 0.1, pairs, None);
+        t.record_iteration(1, 10 * drift_ps.max(1), drift_ps, 0.1, 0.1, pairs);
         t.iterations.pop().expect("one iteration recorded")
     }
 
@@ -611,9 +546,9 @@ mod tests {
     #[test]
     fn sign_flips_count_alternating_pairs_across_iterations() {
         let mut t = ConvTracker::new("omesh", "fft", 1.0);
-        t.record_iteration(1, 100, 50, 0.1, 0.1, &[pm(0, 1, 1.0, 1.2, 10)], None);
-        t.record_iteration(2, 100, 50, 0.1, -0.1, &[pm(0, 1, 1.2, 0.9, 10)], None);
-        t.record_iteration(3, 100, 50, 0.1, 0.1, &[pm(0, 1, 0.9, 1.1, 10)], None);
+        t.record_iteration(1, 100, 50, 0.1, 0.1, &[pm(0, 1, 1.0, 1.2, 10)]);
+        t.record_iteration(2, 100, 50, 0.1, -0.1, &[pm(0, 1, 1.2, 0.9, 10)]);
+        t.record_iteration(3, 100, 50, 0.1, 0.1, &[pm(0, 1, 0.9, 1.1, 10)]);
         assert_eq!(
             t.iterations
                 .iter()
@@ -680,8 +615,8 @@ mod tests {
     #[test]
     fn series_and_report_cover_every_iteration() {
         let mut t = ConvTracker::new("oxbar", "lu", 0.5);
-        t.record_iteration(1, 100, 50, 0.1, 0.1, &[pm(0, 1, 1.0, 1.5, 10)], None);
-        t.record_iteration(2, 100, 10, 0.05, -0.05, &[pm(0, 1, 1.5, 1.4, 10)], None);
+        t.record_iteration(1, 100, 50, 0.1, 0.1, &[pm(0, 1, 1.0, 1.5, 10)]);
+        t.record_iteration(2, 100, 10, 0.05, -0.05, &[pm(0, 1, 1.5, 1.4, 10)]);
         let run = ConvRun {
             network: "oxbar",
             workload: "lu",
@@ -704,7 +639,7 @@ mod tests {
         let json = conv_report_json(std::slice::from_ref(&run));
         assert!(json.contains("\"verdict\": \"converged-drift\""));
         assert!(json.contains("\"iteration\": 2"));
-        assert!(json.contains("\"incr\": null"));
+        assert!(json.contains("\"node_err_ps\": [[0, "));
         crate::export::check_json(&json);
     }
 

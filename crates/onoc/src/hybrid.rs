@@ -120,10 +120,6 @@ impl HybridSim {
 }
 
 impl NetworkModel for HybridSim {
-    fn snapshot(&self) -> Option<Box<dyn NetworkModel>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn num_nodes(&self) -> usize {
         self.cfg.side * self.cfg.side
     }

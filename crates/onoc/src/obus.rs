@@ -235,10 +235,6 @@ impl ObusSim {
 }
 
 impl NetworkModel for ObusSim {
-    fn snapshot(&self) -> Option<Box<dyn NetworkModel>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn num_nodes(&self) -> usize {
         self.cfg.floorplan.num_nodes()
     }

@@ -468,10 +468,6 @@ impl OmeshSim {
 }
 
 impl NetworkModel for OmeshSim {
-    fn snapshot(&self) -> Option<Box<dyn NetworkModel>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn num_nodes(&self) -> usize {
         self.cfg.floorplan.num_nodes()
     }

@@ -298,10 +298,6 @@ impl OxbarSim {
 }
 
 impl NetworkModel for OxbarSim {
-    fn snapshot(&self) -> Option<Box<dyn NetworkModel>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn num_nodes(&self) -> usize {
         self.nodes as usize
     }

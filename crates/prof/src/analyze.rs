@@ -165,68 +165,6 @@ pub fn critical_path(log: &TraceLog, lifecycles: &[MsgLifecycle]) -> CriticalPat
     cp
 }
 
-/// Transitive dirty frontier: every message whose replay timing a
-/// change to the `seeds` messages can reach, walking the forward
-/// dependency edges (a dep's delivery gates its dependants' injection)
-/// and the per-source departure chains (a source's next message waits
-/// on this one locally). Returns the closure — seeds included — in
-/// ascending id order.
-///
-/// This is the *diagnostic* counterpart of the incremental replay
-/// engine's checkpoint-validity test (`sctm-trace::incr`): the engine
-/// only needs the direct input diff (everything downstream re-simulates
-/// anyway), while this closure answers "how much of the trace can a
-/// change at these points touch at all" — the right number for judging
-/// whether incremental replay can pay off on a workload.
-pub fn dirty_frontier(log: &TraceLog, seeds: &[u32]) -> Vec<u32> {
-    let n = log.len();
-    // Forward adjacency: dep -> dependants (CSR), plus the per-source
-    // successor chain derived from `prev_same_src`.
-    let mut cnt = vec![0u32; n];
-    for &d in log.dep_csr().1 {
-        cnt[d as usize] += 1;
-    }
-    let mut off = vec![0u32; n + 1];
-    for i in 0..n {
-        off[i + 1] = off[i] + cnt[i];
-    }
-    let mut adj = vec![0u32; off[n] as usize];
-    cnt.fill(0);
-    let mut next_same_src = vec![u32::MAX; n];
-    for i in 0..n {
-        for &d in log.deps(i) {
-            let d = d as usize;
-            adj[(off[d] + cnt[d]) as usize] = i as u32;
-            cnt[d] += 1;
-        }
-        if let Some(p) = log.prev_same_src(i) {
-            next_same_src[p.0 as usize] = i as u32;
-        }
-    }
-    let mut dirty = vec![false; n];
-    let mut stack: Vec<u32> = seeds
-        .iter()
-        .copied()
-        .filter(|&s| (s as usize) < n)
-        .collect();
-    while let Some(i) = stack.pop() {
-        let iu = i as usize;
-        if std::mem::replace(&mut dirty[iu], true) {
-            continue;
-        }
-        for e in off[iu]..off[iu + 1] {
-            if !dirty[adj[e as usize] as usize] {
-                stack.push(adj[e as usize]);
-            }
-        }
-        let nx = next_same_src[iu];
-        if nx != u32::MAX && !dirty[nx as usize] {
-            stack.push(nx);
-        }
-    }
-    (0..n as u32).filter(|&i| dirty[i as usize]).collect()
-}
-
 /// One-call profile: per-class blame plus the critical path.
 pub fn analyze(
     network: impl Into<String>,
@@ -358,31 +296,9 @@ mod tests {
         (rec, deps.into_iter().map(MsgId).collect(), None)
     }
 
-    fn rows3() -> Vec<Row> {
-        vec![rec(0, vec![]), rec(1, vec![0]), rec(2, vec![1])]
-    }
-
     fn log3() -> TraceLog {
-        TraceLog::from_rows("test", SimTime::from_ps(500), rows3())
-    }
-
-    #[test]
-    fn dirty_frontier_walks_deps_and_source_chains() {
-        // 0 → 1 → 2 via deps; 3 independent; 4 follows 3 on its source.
-        let mut rows = rows3();
-        rows.push(rec(3, vec![]));
-        let mut r4 = rec(4, vec![]);
-        r4.2 = Some(MsgId(3));
-        rows.push(r4);
-        let log = TraceLog::from_rows("test", SimTime::from_ps(500), rows);
-
-        assert_eq!(dirty_frontier(&log, &[0]), vec![0, 1, 2]);
-        assert_eq!(dirty_frontier(&log, &[1]), vec![1, 2]);
-        assert_eq!(dirty_frontier(&log, &[3]), vec![3, 4]);
-        assert_eq!(dirty_frontier(&log, &[2, 4]), vec![2, 4]);
-        // Out-of-range seeds are ignored; empty seeds reach nothing.
-        assert_eq!(dirty_frontier(&log, &[99]), Vec::<u32>::new());
-        assert_eq!(dirty_frontier(&log, &[]), Vec::<u32>::new());
+        let rows = vec![rec(0, vec![]), rec(1, vec![0]), rec(2, vec![1])];
+        TraceLog::from_rows("test", SimTime::from_ps(500), rows)
     }
 
     #[test]

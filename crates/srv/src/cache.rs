@@ -185,15 +185,12 @@ impl CaptureCache {
         }
     }
 
-    /// [`Self::get_or_capture`] with a fallible producer — the shape the
-    /// shard-forwarding path needs, where "produce" may be a network
-    /// fetch from the owning peer that can fail with a typed error.
+    /// [`Self::get_or_capture`] with a fallible producer.
     ///
     /// On `Err` the `Pending` slot is released (same drop-guard that
     /// covers panics) and every waiter is woken: one of them becomes
     /// the new producer and retries. The error never poisons the key —
-    /// a failed forward followed by a successful local capture is the
-    /// normal degraded sequence, covered in `tests/protocol_fuzz.rs`.
+    /// covered in `tests/protocol_fuzz.rs`.
     pub fn try_get_or_capture<F, E>(
         &self,
         key: CaptureKey,

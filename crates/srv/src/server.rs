@@ -157,8 +157,8 @@ struct ShardCounters {
     forwarded: AtomicU64,
     /// `fwd` requests served on behalf of peers.
     fwd_served: AtomicU64,
-    /// Forwards that failed (peer down, malformed reply); the request
-    /// got a typed error and the pending slot was released.
+    /// Forwards that failed (peer down, malformed reply); the capture
+    /// was taken locally instead.
     fwd_errors: AtomicU64,
     /// `fwd` replies rendered as sctf frames.
     fwd_sctf: AtomicU64,
@@ -664,40 +664,43 @@ struct JobDone {
 /// Produce the capture for `key`: locally when this instance owns the
 /// key (or runs single-instance), otherwise by forwarding to the
 /// owning peer. Runs as the single-flight producer, so per instance at
-/// most one capture/forward per key is in flight; an `Err` releases
-/// the pending slot (drop guard) and surfaces a typed error.
+/// most one capture/forward per key is in flight. A forward that fails
+/// (peer down, transport error, undecodable reply) is counted and the
+/// capture is taken here instead: captures are deterministic, so the
+/// answer is the same bytes and only "one capture cluster-wide"
+/// degrades.
 fn produce_capture(
     shared: &Shared,
     e: &sctm_core::Experiment,
     id: &str,
     key: CaptureKey,
-) -> Result<TraceLog, SctmError> {
+) -> TraceLog {
     if let Some(shard) = &shared.shard {
         let owner = shard.ring().owner(key);
-        if owner != shard.ring().self_addr() {
+        if owner == shard.ring().self_addr() {
+            shared.shard_counters.owned.fetch_add(1, Ordering::Relaxed);
+        } else {
             let owner = owner.to_string();
             let _g = span("svc", "fwd");
-            return match shard.fetch_from_owner(&owner, e, id) {
+            match shard.fetch_from_owner(&owner, e, id) {
                 Ok((log, _peer_outcome)) => {
                     shared
                         .shard_counters
                         .forwarded
                         .fetch_add(1, Ordering::Relaxed);
-                    Ok(log)
+                    return log;
                 }
-                Err(err) => {
+                Err(_) => {
                     shared
                         .shard_counters
                         .fwd_errors
                         .fetch_add(1, Ordering::Relaxed);
-                    Err(err)
                 }
-            };
+            }
         }
-        shared.shard_counters.owned.fetch_add(1, Ordering::Relaxed);
     }
     let _g = span("svc", "capture");
-    Ok(e.capture())
+    e.capture()
 }
 
 /// Per-request state threaded through the stage pipeline.
@@ -800,11 +803,11 @@ fn stage_capture(shared: &Arc<Shared>, h: &WorkerHandle<'_>, mut ctx: StageCtx) 
     let key = ctx.key.expect("capture stage requires a key");
     let c0 = Instant::now();
     let mut produce_time = Duration::ZERO;
-    let fetched = {
+    let (log, hit) = {
         let _g = span("svc", "cache_probe");
         let e = &ctx.job.req.experiment;
         let id = &ctx.job.req.id;
-        shared.cache.try_get_or_capture(key, || {
+        shared.cache.get_or_capture(key, || {
             let p0 = Instant::now();
             let t = produce_capture(shared, e, id, key);
             produce_time = p0.elapsed();
@@ -815,22 +818,13 @@ fn stage_capture(shared: &Arc<Shared>, h: &WorkerHandle<'_>, mut ctx: StageCtx) 
     // time; the production itself is execution work.
     ctx.probe_us += us(c0.elapsed().saturating_sub(produce_time));
     ctx.execute_us += us(produce_time);
-    match fetched {
-        Ok((log, hit)) => {
-            ctx.cache = if hit {
-                CacheOutcome::Hit
-            } else {
-                CacheOutcome::Miss
-            };
-            ctx.log = Some(log);
-            spawn_stage(shared, h, STAGE_REPLAY, ctx);
-        }
-        Err(err) => {
-            ctx.cache = CacheOutcome::Miss;
-            ctx.outcome = Some(Err(err));
-            spawn_stage(shared, h, STAGE_RENDER, ctx);
-        }
-    }
+    ctx.cache = if hit {
+        CacheOutcome::Hit
+    } else {
+        CacheOutcome::Miss
+    };
+    ctx.log = Some(log);
+    spawn_stage(shared, h, STAGE_REPLAY, ctx);
 }
 
 /// Stage 3 — run the simulation (replay against the capture, or direct

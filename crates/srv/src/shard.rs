@@ -14,9 +14,11 @@
 //!   `get_or_capture`, so racing forwards from several peers collapse
 //!   onto one production there.
 //!
-//! A forward that fails (peer down, malformed reply) surfaces a typed
-//! error to that request and releases the local pending slot; the next
-//! request for the key retries. The owner never re-forwards — it is by
+//! A forward that fails (peer down, malformed reply) is counted
+//! (`srv.shard.fwd_errors`) and the non-owner captures locally instead:
+//! captures are deterministic, so the answer is the same bytes and only
+//! the one-capture-per-cluster economy degrades. The owner never
+//! re-forwards — it is by
 //! definition the end of the chain — so there are no forwarding loops
 //! and no distributed deadlock.
 //!
@@ -134,7 +136,7 @@ pub struct Shard {
     ring: ShardRing,
     clients: Mutex<HashMap<String, std::sync::Arc<Client>>>,
     /// Dial/IO options for peer links; short-ish timeout so one hung
-    /// peer degrades into typed errors instead of wedging workers.
+    /// peer degrades into local captures instead of wedging workers.
     opts: ClientOptions,
 }
 
@@ -172,8 +174,8 @@ impl Shard {
     /// Called from a non-owner's capture stage as the single-flight
     /// producer, so at most one forward per key is in flight per
     /// instance. Any failure — dial, transport, malformed reply,
-    /// undecodable payload — is a typed [`SctmError`]; the caller's
-    /// pending-slot guard releases waiters.
+    /// undecodable payload — is a typed [`SctmError`]; the caller
+    /// counts it and captures locally.
     pub fn fetch_from_owner(
         &self,
         owner: &str,

@@ -22,6 +22,7 @@
 //!   LE header, per-field column sections, delta+varint timestamps, a
 //!   replay-ready dependency CSR, and a zero-copy reader.
 
+#[doc(hidden)]
 pub mod incr;
 pub mod log;
 pub mod online;
@@ -29,13 +30,13 @@ pub mod persist;
 pub mod replay;
 pub mod sctf;
 
+#[doc(hidden)]
 pub use incr::{IncrPassStats, IncrReplayer, PassKind};
 pub use log::{Capture, TraceLog, TraceRecord};
 pub use online::{OnlineCorrected, ShadowFactory};
 pub use persist::{TraceError, TraceFormat, TraceStore};
 pub use replay::{
-    pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_oracle_preloaded,
-    replay_oracle_with, replay_sctm_pass, replay_sctm_pass_ordered, replay_sctm_pass_with,
-    ReplayResult, ReplayScratch,
+    pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
+    replay_sctm_pass_ordered, replay_sctm_pass_with, ReplayResult, ReplayScratch,
 };
 pub use sctf::SctfReader;

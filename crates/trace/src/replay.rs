@@ -21,10 +21,12 @@
 //!    trace-driven method and quantifies how much the gating heuristic
 //!    costs.
 //!
-//! Every engine has a `*_with` variant that borrows a [`ReplayScratch`]
-//! arena instead of allocating its working set: the outer
-//! self-correction loop replays the same-sized trace once per
-//! iteration, so one arena paid for up front serves every pass.
+//! The two engines a caller runs repeatedly take a borrowed
+//! [`ReplayScratch`] arena instead of allocating their working set
+//! ([`replay_sctm_pass_with`], [`replay_fixed_budgeted`]): the outer
+//! self-correction loop replays a same-sized trace once per iteration,
+//! so one arena paid for up front serves every pass. The one-shot entry
+//! points build a scratch of their own.
 
 use crate::log::{TraceLog, NONE};
 use sctm_engine::net::{Delivery, MsgClass, NetworkModel};
@@ -46,7 +48,7 @@ pub struct ReplayResult {
 }
 
 impl ReplayResult {
-    pub(crate) fn from_times(log: &TraceLog, inject: Vec<SimTime>, deliver: Vec<SimTime>) -> Self {
+    fn from_times(log: &TraceLog, inject: Vec<SimTime>, deliver: Vec<SimTime>) -> Self {
         let tail = log.capture_exec_time.saturating_since(log.last_delivery());
         let last = deliver.iter().copied().max().unwrap_or(SimTime::ZERO);
         ReplayResult {
@@ -76,19 +78,20 @@ impl ReplayResult {
 /// between passes, so a loop that replays the same trace repeatedly
 /// (the self-correction loop in `sctm-core`, the convergence sweep in
 /// `sctm-bench`) allocates once instead of once per iteration. The
-/// cached injection `order` additionally lets [`replay_fixed_with`]
-/// skip its sort entirely on every iteration after the first.
+/// cached injection `order` additionally lets [`replay_fixed_budgeted`]
+/// skip its sort entirely on every pass over the same trace after the
+/// first.
 ///
 /// A scratch is not tied to one trace: buffers are resized on entry to
 /// each pass, so one instance can serve logs of different sizes
 /// (capacity only ever grows).
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    /// Cached injection order for [`replay_fixed_with`]'s `simulate`
-    /// (a permutation of `0..n`, validated before reuse).
+    /// Cached injection order for `inject_all` (a permutation of
+    /// `0..n`, validated before reuse).
     order: Vec<u32>,
     /// Capture-anchored local think time per message.
-    pub(crate) delta: Vec<SimTime>,
+    delta: Vec<SimTime>,
     /// Oracle: max dependency delivery seen so far, per message.
     ready_at: Vec<SimTime>,
     /// Oracle: undelivered dependency count, per message.
@@ -98,26 +101,26 @@ pub struct ReplayScratch {
     // gated departures for the gated pass). Replaces a `Vec<Vec<u32>>`
     // whose n inner vectors dominated per-pass allocation.
     adj_cnt: Vec<u32>,
-    pub(crate) adj_off: Vec<u32>,
-    pub(crate) adj: Vec<u32>,
+    adj_off: Vec<u32>,
+    adj: Vec<u32>,
     /// Most recent message per source node during the chain build.
     src_last: Vec<u32>,
     /// Per-source predecessor / successor chains ([`NONE`]-terminated).
-    pub(crate) prev_in_order: Vec<u32>,
-    pub(crate) next_in_order: Vec<u32>,
+    prev_in_order: Vec<u32>,
+    next_in_order: Vec<u32>,
     // Gated-pass readiness state.
-    pub(crate) gate_done: Vec<bool>,
-    pub(crate) gate_time: Vec<SimTime>,
-    pub(crate) prev_done: Vec<bool>,
-    pub(crate) prev_time: Vec<SimTime>,
-    pub(crate) scheduled: Vec<bool>,
+    gate_done: Vec<bool>,
+    gate_time: Vec<SimTime>,
+    prev_done: Vec<bool>,
+    prev_time: Vec<SimTime>,
+    scheduled: Vec<bool>,
     /// Pending injections whose time is already known.
-    pub(crate) heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Delivery drain buffer.
-    pub(crate) buf: Vec<Delivery>,
+    buf: Vec<Delivery>,
     /// Arrival gate per message ([`NONE`] = ungated), and the scratch
     /// of [`TraceLog::arrival_gates_into`].
-    pub(crate) gates: Vec<u32>,
+    gates: Vec<u32>,
     last_arrival: Vec<u32>,
 }
 
@@ -153,24 +156,6 @@ impl ReplayScratch {
                 self.adj_cnt[e] += 1;
             }
         }
-    }
-
-    /// Install a prebuilt delivery→children CSR (the layout
-    /// [`ReplayScratch::build_csr`] produces, as stored verbatim in an
-    /// sctf container's dependency section): two slice copies in place
-    /// of the O(E) rebuild. Consumed by
-    /// [`replay_oracle_preloaded`](crate::replay::replay_oracle_preloaded).
-    pub fn install_children_csr(&mut self, off: &[u32], adj: &[u32]) {
-        assert!(!off.is_empty(), "CSR offset array must have n+1 entries");
-        assert_eq!(
-            *off.last().unwrap() as usize,
-            adj.len(),
-            "CSR offsets do not cover the adjacency array"
-        );
-        self.adj_off.clear();
-        self.adj_off.extend_from_slice(off);
-        self.adj.clear();
-        self.adj.extend_from_slice(adj);
     }
 
     /// Fill `prev_in_order`/`next_in_order`: each message's neighbour in
@@ -314,44 +299,10 @@ pub fn replay_fixed_budgeted(
 /// local processing delay. Dependency-free messages keep their capture
 /// times (their timing is network-independent by construction).
 pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    replay_oracle_with(log, net, &mut ReplayScratch::new())
-}
-
-/// [`replay_oracle`] borrowing a reusable [`ReplayScratch`].
-pub fn replay_oracle_with(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    scratch: &mut ReplayScratch,
-) -> ReplayResult {
-    scratch.build_csr(log.len(), |i| log.deps(i).iter().copied());
-    oracle_run(log, net, scratch)
-}
-
-/// [`replay_oracle_with`] consuming a dependency CSR already resident
-/// in `scratch` — e.g. installed straight from an sctf container's
-/// dependency section ([`crate::sctf::SctfReader::install_children_csr`])
-/// — instead of rebuilding it from the log's dependency lists.
-pub fn replay_oracle_preloaded(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    scratch: &mut ReplayScratch,
-) -> ReplayResult {
-    assert_eq!(
-        scratch.adj_off.len(),
-        log.len() + 1,
-        "preloaded CSR does not cover this trace"
-    );
-    oracle_run(log, net, scratch)
-}
-
-/// The oracle body: assumes `scratch.{adj_off, adj}` already hold the
-/// delivery→children adjacency for `log`.
-fn oracle_run(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    scratch: &mut ReplayScratch,
-) -> ReplayResult {
     let n = log.len();
+    let scratch = &mut ReplayScratch::new();
+    // Delivery→children adjacency: the dependency lists, inverted.
+    scratch.build_csr(n, |i| log.deps(i).iter().copied());
     // delta and dependency counts from the capture timeline
     scratch.delta.clear();
     scratch.delta.resize(n, SimTime::ZERO);
@@ -383,7 +334,7 @@ fn oracle_run(
     }
     let mut deliver = vec![SimTime::ZERO; n];
     let mut delivered = 0usize;
-    let mut buf = std::mem::take(&mut scratch.buf);
+    let mut buf = Vec::new();
     while delivered < n {
         // Inject every pending message that is due at or before the
         // network's next internal event (its network effects may precede
@@ -426,7 +377,6 @@ fn oracle_run(
             }
         }
     }
-    scratch.buf = buf;
     ReplayResult::from_times(log, inject, deliver)
 }
 
@@ -472,13 +422,8 @@ pub fn replay_sctm_pass_ordered(log: &TraceLog, net: &mut dyn NetworkModel) -> R
 /// arrival gates, per-source chains, capture-anchored deltas, the
 /// gate→dependants CSR, the readiness arrays, and the seeded injection
 /// heap. After this returns, `scratch` holds exactly the initial state
-/// of a gated pass — shared by [`gated_pass_with`] and the incremental
-/// engine in [`crate::incr`], which must agree on it bit for bit.
-pub(crate) fn prepare_gated(
-    log: &TraceLog,
-    enforce_source_order: bool,
-    scratch: &mut ReplayScratch,
-) {
+/// of a gated pass.
+fn prepare_gated(log: &TraceLog, enforce_source_order: bool, scratch: &mut ReplayScratch) {
     let n = log.len();
     // Arrival gating, into the scratch buffers (temporarily moved out so
     // the rest of the scratch stays borrowable).
@@ -589,7 +534,7 @@ fn gated_pass_with(
                 }
             }
         }
-        // See `replay_oracle_with`: batch-advance to the next delivery
+        // See `replay_oracle`: batch-advance to the next delivery
         // or pending-injection time with one trait crossing.
         let stop = scratch.heap.peek().map(|&Reverse((t, _))| t);
         buf.clear();
@@ -812,9 +757,9 @@ mod tests {
         }
     }
 
-    /// A shared scratch must be invisible in the results: run every
-    /// engine twice through one arena (dirty on the second pass) and
-    /// against the fresh-allocation wrappers.
+    /// A shared scratch must be invisible in the results: run each
+    /// engine that borrows one twice through one arena (dirty on the
+    /// second pass) and against its fresh-allocation entry point.
     #[test]
     fn scratch_reuse_is_bit_identical() {
         let log = capture_fft(16);
@@ -824,11 +769,10 @@ mod tests {
             fn(&TraceLog, &mut dyn NetworkModel) -> ReplayResult,
             fn(&TraceLog, &mut dyn NetworkModel, &mut ReplayScratch) -> ReplayResult,
         );
-        let engines: [Engine; 3] = [
+        let engines: [Engine; 2] = [
             ("fixed", replay_fixed, |log, net, scratch| {
                 replay_fixed_budgeted(log, net, scratch, u64::MAX).expect("unbounded budget")
             }),
-            ("oracle", replay_oracle, replay_oracle_with),
             ("sctm", replay_sctm_pass, replay_sctm_pass_with),
         ];
         for (name, fresh, with) in engines {

@@ -33,10 +33,9 @@
 //! ids, so barrier-heavy traces where edges outnumber records pay ~2
 //! bytes per edge instead of 4 — while `csr_off`/`csr_adj` store the
 //! *inverted* adjacency — for each message, the messages its delivery
-//! unblocks — as raw u32s in exactly the layout
-//! [`ReplayScratch`](crate::replay::ReplayScratch) builds for the
-//! oracle replay, so a loader can install it with two memcpys instead
-//! of an O(E) rebuild ([`SctfReader::install_children_csr`]).
+//! unblocks — as raw u32s in exactly the layout the oracle replay
+//! builds for itself, borrowable without decoding
+//! ([`SctfReader::children_csr`]).
 //!
 //! The checksum is a word-strided FNV variant over the whole container
 //! with the checksum field itself read as zero: little-endian u64
@@ -52,7 +51,6 @@
 
 use crate::log::{Columns, TraceLog, TraceRecord, NONE};
 use crate::persist::TraceError;
-use crate::replay::ReplayScratch;
 use sctm_engine::net::{Message, MsgClass, MsgId, NodeId};
 use sctm_engine::time::SimTime;
 use std::path::Path;
@@ -794,26 +792,12 @@ impl SctfReader {
         Ok(())
     }
 
-    /// Children CSR (messages unblocked by each delivery), borrowed —
-    /// the exact `{adj_off, adj}` layout the oracle replay consumes.
-    /// `None` when the container was written without it.
+    /// Children CSR (messages unblocked by each delivery), borrowed:
+    /// `adj[off[i]..off[i + 1]]` are the ascending ids whose dependency
+    /// lists name `i`. `None` when the container was written without it.
     pub fn children_csr(&self) -> Option<(&[u32], &[u32])> {
         (self.flags & FLAG_CSR != 0)
             .then(|| (self.u32_slice(SEC_CSR_OFF), self.u32_slice(SEC_CSR_ADJ)))
-    }
-
-    /// Install the container's children CSR into a [`ReplayScratch`],
-    /// replacing the O(E) `build_csr` pass with two slice copies.
-    /// Returns `false` (scratch untouched) if the section is absent.
-    /// Pair with [`crate::replay::replay_oracle_preloaded`].
-    pub fn install_children_csr(&self, scratch: &mut ReplayScratch) -> bool {
-        match self.children_csr() {
-            Some((off, adj)) => {
-                scratch.install_children_csr(off, adj);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Decode both timestamp streams. Exactly `n` values each, or the

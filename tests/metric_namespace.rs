@@ -1,8 +1,7 @@
 //! The metric namespace is a contract: DESIGN.md §12.4 holds the only
 //! table of names any SCTM component may publish, and this test fails
 //! the build if a SelfCorrection run or the `sctmd` service publishes
-//! a name (or kind) the table does not document — the drift that let
-//! `sctm.incr.frontier` ship as a counter of messages.
+//! a name (or kind) the table does not document.
 
 use sctm::obs::{self, MetricValue};
 use sctm::prelude::*;
@@ -101,7 +100,7 @@ fn every_published_metric_appears_in_the_design_table() {
 
     // 1. An obs-enabled SelfCorrection run: exercises publish_network
     //    (net.*), record_iteration (sctm.<net>.<wl>.iterNN.*) and the
-    //    incremental-replay counters (sctm.incr.*).
+    //    convergence counters (sctm.conv.*).
     obs::reset_global();
     obs::reset_iterations();
     obs::set_enabled(true);
@@ -153,17 +152,6 @@ fn every_published_metric_appears_in_the_design_table() {
         rest = &rest[pos + 1..];
     }
     assert!(scraped >= 4, "run response carried no metrics — dead check");
-
-    // The incremental counters really were exercised (the naming-drift
-    // fix this test guards: dirty accumulation is `dirty_messages`).
-    assert!(
-        global.get("sctm.incr.passes_full").is_some(),
-        "SelfCorrection run published no incremental telemetry"
-    );
-    assert!(
-        global.get("sctm.incr.frontier").is_none(),
-        "the misnamed sctm.incr.frontier counter is back"
-    );
 }
 
 #[test]

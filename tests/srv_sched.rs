@@ -2,8 +2,9 @@
 //! multi-instance cache: the staged steal pipeline must answer
 //! byte-identically to a direct `Experiment::execute` at any worker
 //! count, a two-instance shard must answer byte-identically to a single instance
-//! while capturing each workload exactly once *cluster-wide*, and a
-//! lockstep client must get each response as soon as it is finished.
+//! while capturing each workload exactly once *cluster-wide* (and, when
+//! the owning peer is dead, by capturing locally), and a lockstep client
+//! must get each response as soon as it is finished.
 //!
 //! Responses are compared whole, after masking the one wall-clock field
 //! (`wall_ns`) a scheduler may legitimately change — and, where requests
@@ -14,8 +15,8 @@ use sctm_client::Client;
 use sctm_core::Mode;
 use sctm_srv::proto::{error_response, ok_response};
 use sctm_srv::{
-    parse_request, result_json, serve_tcp, CacheOutcome, Request, RunRequest, Server, ServerConfig,
-    Shard, ShardRing,
+    parse_request, result_json, serve_tcp, CacheOutcome, CaptureKey, Request, RunRequest, Server,
+    ServerConfig, Shard, ShardRing,
 };
 
 fn run_req(line: &str) -> RunRequest {
@@ -292,6 +293,40 @@ fn two_instance_shard_captures_once_cluster_wide_and_matches_single() {
     cb.shutdown().expect("shutdown b");
     da.join().unwrap().expect("daemon a");
     db.join().unwrap().expect("daemon b");
+}
+
+#[test]
+fn dead_owner_degrades_to_a_local_capture_with_the_same_answer() {
+    // A ring whose second peer refuses connections: the port was bound
+    // a moment ago, so nothing listens on it now.
+    let dead = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        l.local_addr().unwrap().to_string()
+    };
+    let live = "127.0.0.1:1".to_string();
+    let ring = ShardRing::new(vec![live.clone(), dead.clone()], &live).unwrap();
+    let seed = (1u64..)
+        .find(|&seed| ring.owner(CaptureKey::new("fft", 2, 150, seed)) == dead)
+        .expect("the dead peer owns some key");
+    let line =
+        format!("run kernel=fft net=omesh side=2 ops=150 seed={seed} mode=sctm iters=2 id=d1");
+
+    let reference = {
+        let server = Server::start(ServerConfig::default());
+        let out = mask_wall(&server.submit_blocking(run_req(&line)));
+        server.drain();
+        out
+    };
+    assert!(reference.starts_with(r#"{"status":"ok""#), "{reference}");
+
+    let server = Server::start_sharded(ServerConfig::default(), Some(Shard::new(ring)), None);
+    let got = mask_wall(&server.submit_blocking(run_req(&line)));
+    assert_eq!(got, reference, "degraded answer diverged");
+    let stats = server.stats_manifest().to_json();
+    assert_eq!(stats_counter(&stats, "srv.shard.fwd_errors"), 1, "{stats}");
+    assert_eq!(stats_counter(&stats, "srv.shard.forwarded"), 0, "{stats}");
+    assert_eq!(stats_counter(&stats, "srv.cache.misses"), 1, "{stats}");
+    server.drain();
 }
 
 #[test]

@@ -2,18 +2,14 @@
 //! tentpole): round-tripping a capture through the container is
 //! lossless, replaying a decoded trace is bit-identical to replaying
 //! the original on every detailed network model at any capture thread
-//! count, and the zero-copy reader's preinstalled dependency CSR
-//! drives the oracle to the exact same timeline as the built-on-demand
-//! one.
+//! count, and the children CSR the container stores is exactly the
+//! log's dependency lists inverted.
 
 use proptest::prelude::*;
 use sctm::prelude::*;
 use sctm_engine::net::NetworkModel;
 use sctm_trace::sctf::{encoded_size, from_sctf_bytes, to_sctf_bytes};
-use sctm_trace::{
-    replay_fixed, replay_oracle, replay_oracle_preloaded, replay_oracle_with, replay_sctm_pass,
-    ReplayScratch, SctfReader, TraceLog, TraceStore,
-};
+use sctm_trace::{replay_fixed, replay_oracle, replay_sctm_pass, SctfReader, TraceLog, TraceStore};
 
 fn capture(side: usize, kernel: Kernel, ops: usize, seed: u64, threads: usize) -> TraceLog {
     Experiment::new(SystemConfig::new(side, NetworkKind::Omesh), kernel)
@@ -91,19 +87,24 @@ proptest! {
         }
     }
 
-    /// The reader's stored children CSR, memcpy-installed into the
-    /// replay scratch, drives the oracle to the same timeline as the
-    /// CSR built from the log on demand.
+    /// The children CSR the container stores equals the inversion of
+    /// `TraceLog::dep_csr()` built here on demand: message `i`'s row
+    /// lists, ascending, every record whose dependency list names `i`.
     #[test]
     fn preinstalled_csr_matches_on_demand_build(seed in 1u64..500) {
         let log = capture(2, Kernel::Lu, 150, seed, 1);
         let reader = SctfReader::from_bytes(&to_sctf_bytes(&log)).expect("reader");
-        let mut scratch = ReplayScratch::new();
-        prop_assert!(reader.install_children_csr(&mut scratch), "v1 writer always stores the CSR");
-        let pre = replay_oracle_preloaded(&log, detailed_net(2, NetworkKind::Omesh).as_mut(), &mut scratch);
-        let mut scratch2 = ReplayScratch::new();
-        let built = replay_oracle_with(&log, detailed_net(2, NetworkKind::Omesh).as_mut(), &mut scratch2);
-        prop_assert_eq!(timeline(&pre), timeline(&built));
+        let (off, adj) = reader.children_csr().expect("v1 writer always stores the CSR");
+        let mut children = vec![Vec::new(); log.len()];
+        for i in 0..log.len() {
+            for &d in log.deps(i) {
+                children[d as usize].push(i as u32);
+            }
+        }
+        prop_assert_eq!((off.len(), adj.len()), (log.len() + 1, log.dep_csr().1.len()));
+        for (i, want) in children.iter().enumerate() {
+            prop_assert_eq!(&adj[off[i] as usize..off[i + 1] as usize], &want[..], "row {}", i);
+        }
     }
 }
 

@@ -664,11 +664,11 @@ pub fn a1_ablation(scale: Scale) -> Table {
 /// §P10 — trace-container economics as the mesh scales. One row per
 /// system size: bytes per message and cold-load time for the CSV text
 /// versus the sctf binary container, plus the container's resident
-/// bytes against the parsed row-struct log (the capture cache's new
-/// budget currency). Each row then replays the *decoded* container
-/// through the full-causality oracle on the detailed mesh, so the
-/// larger configurations (256 and 1024 cores at full scale) exercise
-/// the whole capture → freeze → thaw → replay path end-to-end.
+/// bytes against the parsed log (what the capture cache holds and
+/// charges). Each row then replays the *decoded* container through the
+/// full-causality oracle on the detailed mesh, so the larger
+/// configurations (256 and 1024 cores at full scale) exercise the
+/// whole capture → encode → decode → replay path end-to-end.
 pub fn p10_trace_format(scale: Scale) -> Table {
     use sctm_trace::sctf::{from_sctf_bytes, to_sctf_bytes};
     let sides: &[usize] = match scale {

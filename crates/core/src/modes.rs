@@ -20,6 +20,7 @@ use sctm_trace::replay::{
 };
 use sctm_trace::{Capture, OnlineCorrected, TraceLog};
 use sctm_workloads::{build, Kernel, WorkloadParams};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// How to simulate.
@@ -313,7 +314,7 @@ impl Experiment {
         let mut model = SystemConfig::analytic(self.system.cores());
         let mut iters = Vec::new();
         let mut prev_est = SimTime::ZERO;
-        let mut last: Option<(TraceLog, sctm_trace::ReplayResult)> = None;
+        let mut last: Option<(Cow<'_, TraceLog>, sctm_trace::ReplayResult)> = None;
         // One replay arena for the whole loop: every iteration replays a
         // same-shaped trace, so the buffers are paid for once.
         let mut scratch = ReplayScratch::new();
@@ -332,10 +333,11 @@ impl Experiment {
             let _iter_span = obs::span("sctm", "iteration");
             let iter_wall = Instant::now();
             // Iteration 1 runs on the uncorrected model, so a cached
-            // capture of this experiment substitutes exactly.
+            // capture of this experiment substitutes exactly — read in
+            // place, never copied.
             let log = match seed {
-                Some(s) if it == 1 => s.clone(),
-                _ => self.capture_on(model.clone()),
+                Some(s) if it == 1 => Cow::Borrowed(s),
+                _ => Cow::Owned(self.capture_on(model.clone())),
             };
             if it == 1 {
                 prev_est = log.capture_exec_time;

@@ -18,6 +18,11 @@
 //! or set explicitly with `--shard-self`); capture misses on keys
 //! owned by a peer are forwarded over the `fwd` verb.
 //!
+//! `--cache-mb N` is the capture cache's budget in MiB of resident
+//! memory (parsed logs and their gate plans; default 256). `0` keeps
+//! only the capture just made: concurrent requests for one workload
+//! still share a capture, nothing stays warm.
+//!
 //! One request per line, one JSON response line per request; see
 //! `DESIGN.md` §10–12 and the README quickstart for the protocol.
 //!

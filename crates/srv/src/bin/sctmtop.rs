@@ -151,7 +151,7 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
         counter(doc, "srv.cache.bypass"),
     ));
     out.push_str(&format!(
-        "           entries {:>5}   {:>9.1} MiB   {:>7.1} KiB/entry   evictions {:>5}\n\n",
+        "           entries {:>5}   {:>9.1} MiB resident   {:>7.1} KiB/entry   evictions {:>5}\n\n",
         g("srv.cache.entries") as u64,
         mib(g("srv.cache.bytes")),
         g("srv.cache.bytes_per_entry") / 1024.0,

@@ -14,19 +14,24 @@
 //! - **Single-flight**: concurrent requests for the same key block on a
 //!   `Condvar` while the first one captures, so a cold sweep performs
 //!   exactly one capture per distinct workload — never N racing ones.
-//! - **LRU byte budget**: entries hold the *sctf container itself*
-//!   (the binary columnar form, about two thirds the size of the
-//!   parsed log — DESIGN.md §14.5) and are charged exactly those
-//!   bytes, so the budget measures true resident memory. A hit
-//!   decodes the container — microseconds-to-milliseconds work, orders
-//!   of magnitude cheaper than the capture it replaces. Entries are
-//!   evicted least-recently-used first when the budget is exceeded;
-//!   the entry just inserted is never evicted by its own insertion — a
-//!   trace larger than the whole budget still serves its requester,
-//!   then goes first.
+//! - **One resident form**: an entry is the `Arc<TraceLog>` its
+//!   producer built. A hit is a recency bump and an `Arc::clone` under
+//!   the lock, so every requester of a key replays the *same* log — and
+//!   the gate plan the log memoises on its first `replay=1` request
+//!   ([`TraceLog::gate_plan`]) serves all the later ones. sctf is the
+//!   disk and `fwd`-wire form only (DESIGN.md §14.5).
+//! - **LRU byte budget**: an entry is charged its resident bytes — the
+//!   log's rows, columns and orders plus its gate plan, whose size is a
+//!   function of the row count and is therefore charged at insert,
+//!   built or not — so the budget bounds true resident memory and
+//!   `bytes` never moves on a hit. Entries are evicted
+//!   least-recently-used first when the budget is exceeded; the entry
+//!   just inserted is never evicted by its own insertion — a trace
+//!   larger than the whole budget (any trace, under a budget of 0)
+//!   still serves its requester and any concurrent requester of the
+//!   same key, then goes first.
 
-use sctm_core::trace::sctf;
-use sctm_core::trace::TraceLog;
+use sctm_core::trace::{GatePlan, TraceLog};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -67,9 +72,9 @@ enum Slot {
     /// A capture for this key is in flight on some thread.
     Pending,
     Ready {
-        /// The capture as its sctf container — the compact resident
-        /// form. Decoded per hit; see the module docs for the tradeoff.
-        sctf: Arc<Vec<u8>>,
+        log: Arc<TraceLog>,
+        /// What the entry was charged at insert ([`entry_bytes`]).
+        bytes: usize,
         last_used: u64,
     },
 }
@@ -112,6 +117,12 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// What keeping `log` resident for replay costs: the log and its gate
+/// plan, whether or not the plan has been built yet.
+fn entry_bytes(log: &TraceLog) -> usize {
+    log.resident_bytes() + GatePlan::bytes_for(log.len())
+}
+
 impl CaptureCache {
     pub fn new(byte_budget: usize) -> Self {
         CaptureCache {
@@ -138,11 +149,18 @@ impl CaptureCache {
         }
     }
 
-    /// Decode a resident container back into a log. Infallible by
-    /// construction: every slot was encoded by this process, so a
-    /// decode failure means memory corruption, not input.
-    fn thaw(sctf: &[u8]) -> Arc<TraceLog> {
-        Arc::new(sctf::from_sctf_bytes(sctf).expect("cache slot holds a valid sctf container"))
+    /// The resident log of a `Ready` `key`, counted as a hit and made
+    /// the most recently used entry.
+    fn hit(inner: &mut Inner, key: CaptureKey) -> Option<Arc<TraceLog>> {
+        inner.clock += 1;
+        let now = inner.clock;
+        let Some(Slot::Ready { log, last_used, .. }) = inner.slots.get_mut(&key) else {
+            return None;
+        };
+        *last_used = now;
+        let log = Arc::clone(log);
+        inner.stats.hits += 1;
+        Some(log)
     }
 
     /// Non-blocking probe: the cached trace if `key` is `Ready`, else
@@ -152,23 +170,7 @@ impl CaptureCache {
     /// exactly like a hit inside `get_or_capture`, so a probe that
     /// short-circuits the capture stage leaves the same counter trail.
     pub fn try_get(&self, key: CaptureKey) -> Option<Arc<TraceLog>> {
-        let sctf = {
-            let mut inner = lock(&self.inner);
-            inner.clock += 1;
-            let now = inner.clock;
-            match inner.slots.get_mut(&key) {
-                Some(Slot::Ready { sctf, last_used }) => {
-                    let sctf = Arc::clone(sctf);
-                    *last_used = now;
-                    inner.stats.hits += 1;
-                    sctf
-                }
-                _ => return None,
-            }
-        };
-        // Decode outside the lock: a hit never serializes other
-        // lookups behind its own thaw.
-        Some(Self::thaw(&sctf))
+        Self::hit(&mut lock(&self.inner), key)
     }
 
     /// Return the cached capture for `key`, or run `produce` to create
@@ -202,25 +204,18 @@ impl CaptureCache {
         let mut inner = lock(&self.inner);
         let mut waited = false;
         loop {
-            inner.clock += 1;
-            let now = inner.clock;
-            match inner.slots.get_mut(&key) {
-                Some(Slot::Ready { sctf, last_used }) => {
-                    let sctf = Arc::clone(sctf);
-                    *last_used = now;
-                    inner.stats.hits += 1;
-                    drop(inner);
-                    return Ok((Self::thaw(&sctf), true));
-                }
-                Some(Slot::Pending) => {
-                    if !waited {
-                        waited = true;
-                        inner.stats.single_flight_waits += 1;
-                    }
-                    inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
-                }
-                None => break,
+            if let Some(log) = Self::hit(&mut inner, key) {
+                return Ok((log, true));
             }
+            if !inner.slots.contains_key(&key) {
+                break;
+            }
+            // In flight on another thread.
+            if !waited {
+                waited = true;
+                inner.stats.single_flight_waits += 1;
+            }
+            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
         inner.stats.misses += 1;
         inner.slots.insert(key, Slot::Pending);
@@ -235,10 +230,7 @@ impl CaptureCache {
         // and wakes the waiters, same as the panic path.
         let log = Arc::new(produce()?);
         guard.armed = false;
-        // Freeze the capture into its compact resident form; the
-        // producer's own caller gets the already-parsed log for free.
-        let frozen = Arc::new(sctf::to_sctf_bytes(&log));
-        let bytes = frozen.len();
+        let bytes = entry_bytes(&log);
 
         let mut inner = lock(&self.inner);
         inner.clock += 1;
@@ -246,7 +238,8 @@ impl CaptureCache {
         inner.slots.insert(
             key,
             Slot::Ready {
-                sctf: frozen,
+                log: Arc::clone(&log),
+                bytes,
                 last_used: now,
             },
         );
@@ -272,8 +265,8 @@ impl CaptureCache {
                 .min_by_key(|&(_, used)| used)
                 .map(|(k, _)| k);
             let Some(victim) = victim else { break };
-            if let Some(Slot::Ready { sctf, .. }) = inner.slots.remove(&victim) {
-                inner.bytes -= sctf.len();
+            if let Some(Slot::Ready { bytes, .. }) = inner.slots.remove(&victim) {
+                inner.bytes -= bytes;
                 inner.stats.evictions += 1;
             }
         }
@@ -321,11 +314,33 @@ mod tests {
         assert!(s.bytes > 0);
     }
 
+    /// One resident form: the producer and every later requester hold
+    /// the same allocation, and the entry was charged at insert for
+    /// everything it will ever hold — a hit moves no bytes, and neither
+    /// does the first gated pass, whose plan the log memoises.
+    #[test]
+    fn a_hit_is_the_producers_own_log_and_moves_no_bytes() {
+        let cache = CaptureCache::new(usize::MAX);
+        let key = CaptureKey::new("fft", 2, 120, 1);
+        let (produced, _) = cache.get_or_capture(key, || capture(120));
+        let at_insert = cache.stats().bytes;
+        let first = cache.try_get(key).expect("resident");
+        let second = cache.try_get(key).expect("resident");
+        assert!(Arc::ptr_eq(&produced, &first) && Arc::ptr_eq(&first, &second));
+        assert_eq!(cache.stats().bytes, at_insert);
+
+        let mut net = SystemConfig::make_network_kind(2, NetworkKind::Omesh);
+        sctm_core::trace::replay_sctm_pass(&first, net.as_mut());
+        assert_eq!(cache.stats().bytes, at_insert);
+        // The charge is the true footprint, plan included.
+        let held = first.resident_bytes() + first.gate_plan().resident_bytes();
+        assert_eq!(at_insert, held as u64);
+    }
+
     #[test]
     fn lru_eviction_honours_the_byte_budget() {
-        let one = capture(120);
-        let sz = sctf::encoded_size(&one);
-        // Room for two traces of this size, not three.
+        let sz = entry_bytes(&capture(120));
+        // Room for two resident traces of this size, not three.
         let cache = CaptureCache::new(2 * sz + sz / 2);
         for seed in 0..3u64 {
             let key = CaptureKey::new("fft", 2, 120, seed);
@@ -333,8 +348,7 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!(s.misses, 3);
-        assert!(s.evictions >= 1, "{s:?}");
-        assert!(s.bytes <= cache.byte_budget() as u64, "{s:?}");
+        assert_eq!((s.evictions, s.entries, s.bytes), (1, 2, 2 * sz as u64));
         // The oldest key was the victim; re-fetching it misses...
         let (_, hit) = cache.get_or_capture(CaptureKey::new("fft", 2, 120, 0), || capture(120));
         assert!(!hit);
@@ -345,16 +359,41 @@ mod tests {
         assert!(hit);
     }
 
+    /// A budget nothing fits in — `--cache-mb 0` included — degrades
+    /// to single-flight only: the entry just inserted stays until the
+    /// next insertion needs the room, so concurrent requests for one
+    /// key still share one capture, and every distinct key is a miss.
     #[test]
     fn oversized_entry_still_serves_its_requester() {
-        let cache = CaptureCache::new(1); // nothing fits
-        let key = CaptureKey::new("fft", 2, 120, 1);
-        let (log, hit) = cache.get_or_capture(key, || capture(120));
-        assert!(!hit);
-        assert!(!log.is_empty());
-        // It is evicted as soon as another insertion needs the room.
-        cache.get_or_capture(CaptureKey::new("fft", 2, 120, 2), || capture(120));
-        assert!(cache.stats().evictions >= 1);
+        for budget in [0, 1] {
+            let cache = CaptureCache::new(budget);
+            let one = entry_bytes(&capture(120)) as u64;
+            let captures = std::sync::atomic::AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let key = CaptureKey::new("fft", 2, 120, 1);
+                        let (log, _) = cache.get_or_capture(key, || {
+                            captures.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            capture(120)
+                        });
+                        assert!(!log.is_empty());
+                    });
+                }
+            });
+            assert_eq!(captures.load(std::sync::atomic::Ordering::SeqCst), 1);
+            let s = cache.stats();
+            assert_eq!((s.misses, s.hits, s.entries, s.bytes), (1, 3, 1, one));
+            // It is evicted as soon as another insertion needs the room.
+            for seed in 2..5 {
+                let (_, hit) =
+                    cache.get_or_capture(CaptureKey::new("fft", 2, 120, seed), || capture(120));
+                assert!(!hit);
+                let s = cache.stats();
+                assert_eq!((s.entries, s.bytes), (1, one), "budget {budget}");
+            }
+            assert_eq!(cache.stats().evictions, 3);
+        }
     }
 
     #[test]

@@ -67,7 +67,9 @@ use std::time::{Duration, Instant, SystemTime};
 pub struct ServerConfig {
     /// Bounded request queue length; submissions beyond it get `busy`.
     pub queue_cap: usize,
-    /// Capture cache byte budget (sctf-encoded trace bytes).
+    /// Capture cache byte budget, in resident bytes: each entry is
+    /// charged its parsed log plus its gate plan. `0` keeps only the
+    /// entry just inserted (single-flight still holds).
     pub cache_bytes: usize,
     /// Queue deadline for requests that do not carry `timeout_ms`.
     pub default_timeout_ms: u64,
@@ -438,7 +440,7 @@ impl Server {
             .counter_add("srv.cache.single_flight_waits", cs.single_flight_waits);
         m.metrics.gauge_set("srv.cache.entries", cs.entries as f64);
         m.metrics.gauge_set("srv.cache.bytes", cs.bytes as f64);
-        // Mean resident size per entry (sctf-encoded bytes): the
+        // Mean resident size per entry (parsed log + gate plan): the
         // at-a-glance capacity figure — budget / bytes_per_entry is how
         // many workloads stay warm. Zero while the cache is empty.
         let per_entry = if cs.entries > 0 {

@@ -37,6 +37,6 @@ pub use online::{OnlineCorrected, ShadowFactory};
 pub use persist::{TraceError, TraceFormat, TraceStore};
 pub use replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_pass_ordered, replay_sctm_pass_with, ReplayResult, ReplayScratch,
+    replay_sctm_pass_ordered, replay_sctm_pass_with, GatePlan, ReplayResult, ReplayScratch,
 };
 pub use sctf::SctfReader;

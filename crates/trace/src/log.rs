@@ -14,9 +14,11 @@
 //! down-sampling knowledge per engine is what makes the accuracy
 //! comparison (experiment E3) apples-to-apples.
 
+use crate::replay::GatePlan;
 use sctm_cmp::protocol::{InjectRecord, TraceHook};
 use sctm_engine::net::{Message, MsgId};
 use sctm_engine::time::SimTime;
+use std::sync::{Arc, OnceLock};
 
 /// "No message" in every `u32` id column of this crate: a record's
 /// previous same-source message, its arrival gate, a chain end.
@@ -92,7 +94,10 @@ impl Columns {
 /// whole life: the **arrival order** (ids by `(t_deliver, id)`), which
 /// every gated pass walks to pair departures with arrivals, and the
 /// **departure order** (ids by `(t_inject, id)`), which for a captured
-/// log is the id order itself.
+/// log is the id order itself. What the gated replay pass derives from
+/// the rows ([`GatePlan`]) is memoised beside them on first use, for the
+/// same reason the orders can be: rows never change once the log is
+/// built, so none of it can go stale.
 #[derive(Clone, Debug)]
 pub struct TraceLog {
     /// Indexed by dense message id (`MsgId(i)` ↔ `records[i]`).
@@ -112,6 +117,8 @@ pub struct TraceLog {
     departure: Vec<u32>,
     /// One past the largest node id any record names.
     nodes: usize,
+    /// See [`TraceLog::gate_plan`]. Clones of the log share it.
+    plan: OnceLock<Arc<GatePlan>>,
 }
 
 impl Default for TraceLog {
@@ -194,6 +201,7 @@ impl TraceLog {
             arrival,
             departure,
             nodes,
+            plan: OnceLock::new(),
         }
     }
 
@@ -262,9 +270,18 @@ impl TraceLog {
         self.nodes
     }
 
+    /// The gated pass's plan for this log, built by the first caller
+    /// and read by every later one — K replays of one capture prepare
+    /// once. Racing first callers block on the one that builds it.
+    pub fn gate_plan(&self) -> &GatePlan {
+        self.plan.get_or_init(|| Arc::new(GatePlan::of(self)))
+    }
+
     /// Heap-resident size of this log: rows, columns and the two
     /// orders. This is what holding the parsed form in memory costs —
     /// the baseline the sctf container's residency is measured against.
+    /// The memoised plan is not in it; a holder that replays the log
+    /// adds [`GatePlan::bytes_for`] of its length.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.records.0.capacity() * size_of::<TraceRecord>()
@@ -438,26 +455,36 @@ fn col_id(id: MsgId) -> u32 {
     v
 }
 
-/// Sort `items` by `(time, id)`, given that a sequential capture hands
-/// them over in time order already: then only runs of equal instants
-/// (distinct interleaved ids) are out of place, and one streaming pass
-/// that sorts each tie-run by id replaces the O(n log n) sort. Anything
-/// else — sharded parts concatenated by [`Capture::merge`] — takes the
-/// full sort.
-fn sort_by_time_then_id<T>(items: &mut [T], time: impl Fn(&T) -> SimTime, id: impl Fn(&T) -> u32) {
-    let n = items.len();
-    if items.windows(2).any(|w| time(&w[1]) < time(&w[0])) {
-        items.sort_unstable_by_key(|x| (time(x), id(x)));
-        return;
-    }
-    let mut run = 0usize;
-    for i in 1..=n {
-        if i == n || time(&items[i]) != time(&items[run]) {
-            if i - run > 1 {
-                items[run..i].sort_unstable_by_key(&id);
-            }
-            run = i;
+/// Sort distinct keys that are close to sorted already, which is how a
+/// sequential capture hands them over. Its injections are *not* in time
+/// order — a core fast-forwards a quantum and sends ahead of the event
+/// that issued it, so a third of all rows sit before an earlier one —
+/// but no row is far from its place (at fft-64 the worst is 288 rows
+/// out, the mean under 10), and its deliveries are in time order up to
+/// runs of equal instants. Insertion does that in one pass with a few
+/// moves per key. Anything else — sharded parts concatenated by
+/// [`Capture::merge`], where a key can be half the log from its place —
+/// runs out of allowance after at most `MAX_SHIFT` moves of one key
+/// or `MEAN_SHIFT` per key overall and takes the full sort instead,
+/// to the same answer: the keys are distinct, so there is only one.
+fn sort_nearly_sorted<K: Ord + Copy>(keys: &mut [K]) {
+    const MAX_SHIFT: usize = 4096;
+    const MEAN_SHIFT: usize = 32;
+    let mut allowance = keys.len() * MEAN_SHIFT;
+    for i in 1..keys.len() {
+        let k = keys[i];
+        let mut j = i;
+        while j > 0 && keys[j - 1] > k && i - j < MAX_SHIFT {
+            keys[j] = keys[j - 1];
+            j -= 1;
         }
+        keys[j] = k;
+        let shifted = i - j;
+        if shifted == MAX_SHIFT || shifted > allowance {
+            keys.sort_unstable();
+            return;
+        }
+        allowance -= shifted;
     }
 }
 
@@ -566,14 +593,6 @@ impl Capture {
             n < NONE as usize && dep_ids.len() < NONE as usize,
             "trace too large to renumber"
         );
-        // Canonical order is (t_inject, capture id). Order a u32 index
-        // array; the single gather pass below does all the moving.
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        sort_by_time_then_id(
-            &mut idx,
-            |&k| rows[k as usize].t_inject,
-            |&k| rows[k as usize].msg.id.0 as u32,
-        );
         // Map capture-time ids (unique but sparse — the simulator
         // interleaves them per source, `seq × sources + src`) to
         // canonical dense ids. Sparsity is bounded — the largest id is
@@ -582,8 +601,27 @@ impl Capture {
         // into one O(1) probe instead of a cache-hostile binary search
         // (which dominated capture wall time at ~300k messages).
         let mut renum_tbl = vec![NONE; max_id as usize + 1];
-        for (new, &i) in idx.iter().enumerate() {
-            renum_tbl[rows[i as usize].msg.id.0 as usize] = new as u32;
+        // Which raw row lands in each canonical slot: all the single
+        // gather pass below needs to do the moving.
+        let mut idx: Vec<u32> = Vec::with_capacity(n);
+        {
+            // Canonical order is (t_inject, capture id). Sort the keys
+            // themselves, each carrying its row — an index sort through
+            // the rows pays a cache miss per comparison at fft-64
+            // scale. The 16-byte keys are the last thing allocated and
+            // are gone before the gather allocates the canonical
+            // columns, so the sort adds nothing to a capture's peak
+            // footprint.
+            let mut keys: Vec<(SimTime, u32, u32)> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r.t_inject, r.msg.id.0 as u32, i as u32))
+                .collect();
+            sort_nearly_sorted(&mut keys);
+            for (new, &(_, id, i)) in keys.iter().enumerate() {
+                renum_tbl[id as usize] = new as u32;
+                idx.push(i);
+            }
         }
         let renum = |old: u32| -> u32 {
             let new = renum_tbl.get(old as usize).copied().unwrap_or(NONE);
@@ -617,7 +655,7 @@ impl Capture {
         }
         // The hook saw the deliveries happen, so the arrival order is
         // theirs — up to ties, and to parts merged out of time order.
-        sort_by_time_then_id(&mut delivers, |d| d.0, |d| d.1);
+        sort_nearly_sorted(&mut delivers);
         let arrival = delivers.iter().map(|d| d.1).collect();
         TraceLog::from_columns(cols, net_label, exec_time, Some(arrival))
     }
@@ -904,6 +942,51 @@ mod tests {
         assert_eq!(in_time_order.validate(), Ok(()));
         let shuffled = build([(3, 60), (4, 50), (5, 60)]);
         assert_eq!(shuffled.arrival_order(), &[2, 0, 1]);
+    }
+
+    /// The three shapes `finish` hands the sort, each against the plain
+    /// one: a sequential capture's send-ahead injections (a descent
+    /// every third key, nothing far from its place, equal instants
+    /// broken by id), merged shards (one key moves past the per-key
+    /// limit) and a shuffle (many keys move a little past the mean).
+    #[test]
+    fn nearly_sorted_insertion_matches_the_plain_sort() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rnd = move |below: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % below
+        };
+        // Key k is issued at event time 10·(k/3) — so three share every
+        // instant, in descending id order — and every third one is sent
+        // up to 20 instants ahead of the event that issued it.
+        let send_ahead: Vec<(SimTime, u32)> = (0..6000u64)
+            .map(|k| {
+                let ahead = if k % 3 == 0 { 10 * rnd(20) } else { 0 };
+                (SimTime::from_ps(10 * (k / 3) + ahead), (6000 - k) as u32)
+            })
+            .collect();
+        let descents = send_ahead.windows(2).filter(|w| w[1] < w[0]).count();
+        assert!(descents > send_ahead.len() / 4, "{descents} descents");
+        let shards: Vec<(SimTime, u32)> = (0..2 * 5000u64)
+            .map(|k| (SimTime::from_ps(7 * (k % 5000)), k as u32))
+            .collect();
+        let shuffled: Vec<(SimTime, u32)> = (0..6000u64)
+            .map(|k| (SimTime::from_ps(k + rnd(400)), k as u32))
+            .collect();
+        for (shape, keys) in [
+            ("send-ahead", send_ahead),
+            ("shards", shards),
+            ("shuffled", shuffled),
+        ] {
+            let mut want = keys.clone();
+            want.sort_unstable();
+            let mut got = keys;
+            sort_nearly_sorted(&mut got);
+            assert_eq!(got, want, "{shape}");
+        }
+        sort_nearly_sorted::<(SimTime, u32)>(&mut []);
     }
 
     #[test]

@@ -21,12 +21,26 @@
 //!    trace-driven method and quantifies how much the gating heuristic
 //!    costs.
 //!
-//! The two engines a caller runs repeatedly take a borrowed
-//! [`ReplayScratch`] arena instead of allocating their working set
-//! ([`replay_sctm_pass_with`], [`replay_fixed_budgeted`]): the outer
-//! self-correction loop replays a same-sized trace once per iteration,
-//! so one arena paid for up front serves every pass. The one-shot entry
-//! points build a scratch of their own.
+//! The gated pass is split along what it reads. Everything derived from
+//! the rows alone — the arrival-gate pairing, the capture-anchored
+//! deltas, the per-source successor chain, the gate→dependants
+//! adjacency, the initial readiness flags — is one immutable
+//! [`GatePlan`]; what a pass mutates (`PassState`: readiness flags,
+//! gate/predecessor times, the injection heap, the drain buffer) is all
+//! a pass resets. Who owns the plan follows who replays the log how
+//! often:
+//!
+//! - [`replay_sctm_pass`] reads the plan the log memoises
+//!   ([`TraceLog::gate_plan`]): K replays of one capture — K `replay=1`
+//!   requests over one cached log in `sctmd` — prepare once.
+//! - [`replay_sctm_pass_with`] rebuilds the plan into a borrowed
+//!   [`ReplayScratch`] arena: the self-correction loop in `sctm-core`
+//!   replays every log exactly once and re-captures, so a per-log plan
+//!   there would be allocated, used once and dropped; one arena paid for
+//!   up front serves every iteration instead.
+//!
+//! [`replay_fixed_budgeted`] borrows the same arena for its injection
+//! order and drain buffer.
 
 use crate::log::{TraceLog, NONE};
 use sctm_engine::net::{Delivery, MsgClass, NetworkModel};
@@ -34,6 +48,7 @@ use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 /// Outcome of one replay pass.
 #[derive(Clone, Debug)]
@@ -70,14 +85,233 @@ impl ReplayResult {
     }
 }
 
-/// Reusable working set for the replay engines.
+/// Rows of ascending `u32` ids behind one offset array — the flat
+/// replacement for a `Vec<Vec<u32>>` whose inner vectors dominated
+/// per-pass allocation.
+#[derive(Clone, Debug, Default)]
+struct Csr {
+    off: Vec<u32>,
+    adj: Vec<u32>,
+}
+
+impl Csr {
+    /// Rebuild as the inversion of `edges`: item `i < items` lands in
+    /// every row `edges(i)` names. `cursor` is scratch.
+    fn invert<I: Iterator<Item = u32>>(
+        &mut self,
+        rows: usize,
+        items: usize,
+        cursor: &mut Vec<u32>,
+        mut edges: impl FnMut(usize) -> I,
+    ) {
+        cursor.clear();
+        cursor.resize(rows, 0);
+        for i in 0..items {
+            for e in edges(i) {
+                cursor[e as usize] += 1;
+            }
+        }
+        self.off.clear();
+        self.off.reserve(rows + 1);
+        self.off.push(0);
+        let mut end = 0u32;
+        self.off.extend(cursor.iter().map(|&count| {
+            end += count;
+            end
+        }));
+        self.adj.clear();
+        self.adj.resize(end as usize, 0);
+        // `cursor` becomes the per-row fill position. Visiting items in
+        // id order keeps each row ascending.
+        cursor.fill(0);
+        for i in 0..items {
+            for e in edges(i) {
+                let e = e as usize;
+                self.adj[(self.off[e] + cursor[e]) as usize] = i as u32;
+                cursor[e] += 1;
+            }
+        }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &[u32] {
+        &self.adj[self.off[r] as usize..self.off[r + 1] as usize]
+    }
+}
+
+// Readiness flags of one message in a gated pass.
+/// Has an arrival gate (never changes during a pass).
+const GATED: u8 = 1;
+/// The gate has delivered, or there is none.
+const GATE_DONE: u8 = 2;
+/// The per-source predecessor has been injected, or does not bind.
+const PREV_DONE: u8 = 4;
+/// Its injection time is known and queued (or already injected).
+const SCHEDULED: u8 = 8;
+
+/// Everything a gated pass derives from the rows of a log and nothing
+/// else: read-only while passes run, so any number of them — on any
+/// number of threads — can share one.
 ///
-/// Every buffer a pass needs — deltas, readiness flags, the CSR
-/// dependency adjacency, the pending-injection heap, the delivery drain
-/// buffer, the arrival-gating scratch — lives here and is recycled
-/// between passes, so a loop that replays the same trace repeatedly
-/// (the self-correction loop in `sctm-core`, the convergence sweep in
-/// `sctm-bench`) allocates once instead of once per iteration. The
+/// Its size is a function of the row count alone
+/// ([`GatePlan::bytes_for`]), which is what lets the capture cache in
+/// `sctm-srv` charge an entry for its plan before anything builds it.
+#[derive(Clone, Debug, Default)]
+pub struct GatePlan {
+    /// Capture-anchored local think time per message: from the gating
+    /// delivery (or the previous departure, for gate-less messages) to
+    /// this departure, measured on the capture timeline.
+    delta: Vec<SimTime>,
+    /// Each message's successor in its source node's time-sorted
+    /// departure sequence ([`NONE`]-terminated).
+    next_in_order: Vec<u32>,
+    /// Row `g < n`: the departures `g`'s delivery unblocks. Row `n`:
+    /// the ungated departures, the seeds among them flagged
+    /// [`SCHEDULED`] in `init`. Every message is in exactly one row.
+    gated_by: Csr,
+    /// Each message's readiness flags as a pass starts.
+    init: Vec<u8>,
+}
+
+/// What [`GatePlan::build`] needs besides its output; kept so a loop
+/// that rebuilds plans does not reallocate it.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    /// Arrival gate per message ([`NONE`] = ungated), and the scratch
+    /// of [`TraceLog::arrival_gates_into`].
+    gates: Vec<u32>,
+    last_arrival: Vec<u32>,
+    /// Most recent departure per source node during the chain walk.
+    src_last: Vec<u32>,
+    cursor: Vec<u32>,
+}
+
+impl GatePlan {
+    /// The plan of `log` as [`replay_sctm_pass`] runs it, in vectors of
+    /// exactly the size they need.
+    pub(crate) fn of(log: &TraceLog) -> GatePlan {
+        let mut plan = GatePlan::default();
+        plan.build(log, false, &mut PlanScratch::default());
+        plan
+    }
+
+    /// Rebuild this plan for `log`, recycling its buffers. The one
+    /// place a plan is made.
+    fn build(&mut self, log: &TraceLog, enforce_source_order: bool, tmp: &mut PlanScratch) {
+        let n = log.len();
+        let PlanScratch {
+            gates,
+            last_arrival,
+            src_last,
+            cursor,
+        } = tmp;
+        log.arrival_gates_into(gates, last_arrival);
+        src_last.clear();
+        src_last.resize(log.nodes(), NONE);
+        self.delta.clear();
+        self.delta.resize(n, SimTime::ZERO);
+        self.next_in_order.clear();
+        self.next_in_order.resize(n, NONE);
+        self.init.clear();
+        self.init.resize(n, 0);
+        // One walk in departure order links the per-source chains and,
+        // knowing each message's gate and predecessor, settles its
+        // delta and what it starts a pass waiting on.
+        log.for_each_departure(&mut |i| {
+            let r = &log.records[i];
+            let prev = std::mem::replace(&mut src_last[r.msg.src.idx()], i as u32);
+            if prev != NONE {
+                self.next_in_order[prev as usize] = i as u32;
+            }
+            let gate = gates[i];
+            let anchor = match (gate, prev) {
+                (NONE, NONE) => SimTime::ZERO,
+                (NONE, p) => log.records[p as usize].t_inject,
+                (g, _) => log.records[g as usize].t_deliver,
+            };
+            self.delta[i] = r.t_inject.saturating_since(anchor);
+            let mut flags = if gate == NONE { GATE_DONE } else { GATED };
+            // Gated messages do not wait on their per-source
+            // predecessor: a node's departures may legitimately reorder
+            // when the target network's latency profile differs from
+            // capture (e.g. a hybrid optical design where control and
+            // data planes diverge), and forcing capture order inflates
+            // the timeline measurably.
+            if prev == NONE || (!enforce_source_order && gate != NONE) {
+                flags |= PREV_DONE;
+            }
+            // Seed: no gate and no predecessor to wait for.
+            if flags == GATE_DONE | PREV_DONE {
+                flags |= SCHEDULED;
+            }
+            self.init[i] = flags;
+        });
+        let ungated = n as u32;
+        self.gated_by.invert(n + 1, n, cursor, |i| {
+            std::iter::once(if gates[i] == NONE { ungated } else { gates[i] })
+        });
+    }
+
+    /// Heap bytes of the plan of a log with `rows` messages.
+    pub fn bytes_for(rows: usize) -> usize {
+        let (delta, init) = (rows * size_of::<SimTime>(), rows);
+        // Successor column, adjacency (every message is in one row)
+        // and its `rows + 1` rows' offsets.
+        let ids = (rows + rows + rows + 2) * size_of::<u32>();
+        delta + init + ids
+    }
+
+    /// Heap bytes this plan holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.delta.capacity() * size_of::<SimTime>()
+            + size_of::<u32>()
+                * (self.next_in_order.capacity()
+                    + self.gated_by.off.capacity()
+                    + self.gated_by.adj.capacity())
+            + self.init.capacity()
+    }
+}
+
+/// What a gated pass mutates, and all it has to reset.
+#[derive(Debug, Default)]
+struct PassState {
+    /// Readiness flags per message, a copy of [`GatePlan::init`] moved
+    /// forward by the pass.
+    flags: Vec<u8>,
+    /// Delivery time of each message's gate, once delivered.
+    gate_time: Vec<SimTime>,
+    /// Injection time of each message's predecessor, once injected.
+    prev_time: Vec<SimTime>,
+    /// Pending injections whose time is already known.
+    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Delivery drain buffer.
+    buf: Vec<Delivery>,
+}
+
+impl PassState {
+    fn reset(&mut self, plan: &GatePlan) {
+        let n = plan.init.len();
+        self.flags.clone_from(&plan.init);
+        self.gate_time.clear();
+        self.gate_time.resize(n, SimTime::ZERO);
+        self.prev_time.clear();
+        self.prev_time.resize(n, SimTime::ZERO);
+        self.heap.clear();
+        for &i in plan.gated_by.row(n) {
+            if plan.init[i as usize] & SCHEDULED != 0 {
+                self.heap.push(Reverse((plan.delta[i as usize], i)));
+            }
+        }
+    }
+}
+
+/// Reusable working set for the engines a caller runs in a loop.
+///
+/// The self-correction loop in `sctm-core` replays a fresh same-sized
+/// trace once per iteration, so it borrows one of these for the whole
+/// run ([`replay_sctm_pass_with`]): the plan is rebuilt in place and the
+/// pass state reset, so after the first pass only the result is
+/// allocated. The
 /// cached injection `order` additionally lets [`replay_fixed_budgeted`]
 /// skip its sort entirely on every pass over the same trace after the
 /// first.
@@ -90,95 +324,15 @@ pub struct ReplayScratch {
     /// Cached injection order for `inject_all` (a permutation of
     /// `0..n`, validated before reuse).
     order: Vec<u32>,
-    /// Capture-anchored local think time per message.
-    delta: Vec<SimTime>,
-    /// Oracle: max dependency delivery seen so far, per message.
-    ready_at: Vec<SimTime>,
-    /// Oracle: undelivered dependency count, per message.
-    remaining: Vec<u32>,
-    // CSR adjacency: `adj[adj_off[i]..adj_off[i + 1]]` are the messages
-    // unblocked by `i`'s delivery (dependency children for the oracle,
-    // gated departures for the gated pass). Replaces a `Vec<Vec<u32>>`
-    // whose n inner vectors dominated per-pass allocation.
-    adj_cnt: Vec<u32>,
-    adj_off: Vec<u32>,
-    adj: Vec<u32>,
-    /// Most recent message per source node during the chain build.
-    src_last: Vec<u32>,
-    /// Per-source predecessor / successor chains ([`NONE`]-terminated).
-    prev_in_order: Vec<u32>,
-    next_in_order: Vec<u32>,
-    // Gated-pass readiness state.
-    gate_done: Vec<bool>,
-    gate_time: Vec<SimTime>,
-    prev_done: Vec<bool>,
-    prev_time: Vec<SimTime>,
-    scheduled: Vec<bool>,
-    /// Pending injections whose time is already known.
-    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Delivery drain buffer.
-    buf: Vec<Delivery>,
-    /// Arrival gate per message ([`NONE`] = ungated), and the scratch
-    /// of [`TraceLog::arrival_gates_into`].
-    gates: Vec<u32>,
-    last_arrival: Vec<u32>,
+    /// The arena plan: rebuilt for whichever log is replayed next.
+    plan: GatePlan,
+    plan_scratch: PlanScratch,
+    pass: PassState,
 }
 
 impl ReplayScratch {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Build the CSR adjacency from per-record edge lists: `edges(i)`
-    /// yields the records whose delivery `i`'s entries unblock.
-    fn build_csr<I: Iterator<Item = u32>>(&mut self, n: usize, mut edges: impl FnMut(usize) -> I) {
-        self.adj_cnt.clear();
-        self.adj_cnt.resize(n, 0);
-        for i in 0..n {
-            for e in edges(i) {
-                self.adj_cnt[e as usize] += 1;
-            }
-        }
-        self.adj_off.clear();
-        self.adj_off.resize(n + 1, 0);
-        for i in 0..n {
-            self.adj_off[i + 1] = self.adj_off[i] + self.adj_cnt[i];
-        }
-        self.adj.clear();
-        self.adj.resize(self.adj_off[n] as usize, 0);
-        // Reuse adj_cnt as the per-row fill cursor. Iterating records in
-        // id order keeps each row ascending.
-        self.adj_cnt.fill(0);
-        for i in 0..n {
-            for e in edges(i) {
-                let e = e as usize;
-                self.adj[(self.adj_off[e] + self.adj_cnt[e]) as usize] = i as u32;
-                self.adj_cnt[e] += 1;
-            }
-        }
-    }
-
-    /// Fill `prev_in_order`/`next_in_order`: each message's neighbour in
-    /// its source node's time-sorted departure sequence (the chain
-    /// `TraceLog::per_source_order` returns as nested vectors, built
-    /// here without the per-node allocations).
-    fn build_source_chains(&mut self, log: &TraceLog) {
-        let n = log.len();
-        self.src_last.clear();
-        self.src_last.resize(log.nodes(), NONE);
-        self.prev_in_order.clear();
-        self.prev_in_order.resize(n, NONE);
-        self.next_in_order.clear();
-        self.next_in_order.resize(n, NONE);
-        log.for_each_departure(&mut |i| {
-            let s = log.records[i].msg.src.idx();
-            let p = self.src_last[s];
-            if p != NONE {
-                self.prev_in_order[i] = p;
-                self.next_in_order[p as usize] = i as u32;
-            }
-            self.src_last[s] = i as u32;
-        });
     }
 }
 
@@ -225,11 +379,12 @@ fn simulate(
     let n = log.len();
     inject_all(log, net, inject, scratch);
     let mut deliver = vec![SimTime::ZERO; n];
-    scratch.buf.clear();
-    scratch.buf.reserve(n);
-    net.drain(&mut scratch.buf);
-    assert_eq!(scratch.buf.len(), n, "replay lost messages");
-    for d in scratch.buf.drain(..) {
+    let buf = &mut scratch.pass.buf;
+    buf.clear();
+    buf.reserve(n);
+    net.drain(buf);
+    assert_eq!(buf.len(), n, "replay lost messages");
+    for d in buf.drain(..) {
         deliver[d.msg.id.0 as usize] = d.delivered_at;
     }
     deliver
@@ -268,7 +423,7 @@ pub fn replay_fixed_budgeted(
     let mut deliver = vec![SimTime::ZERO; n];
     let mut got = 0usize;
     let mut spent = 0u64;
-    let mut buf = std::mem::take(&mut scratch.buf);
+    let buf = &mut scratch.pass.buf;
     while got < n {
         let Some(t) = net.next_time() else {
             panic!(
@@ -277,18 +432,16 @@ pub fn replay_fixed_budgeted(
             );
         };
         if spent >= budget {
-            scratch.buf = buf;
             return Err(spent);
         }
         spent += 1;
         buf.clear();
-        net.advance_until(t, &mut buf);
+        net.advance_until(t, buf);
         for d in buf.drain(..) {
             deliver[d.msg.id.0 as usize] = d.delivered_at;
             got += 1;
         }
     }
-    scratch.buf = buf;
     Ok(ReplayResult::from_times(log, inject, deliver))
 }
 
@@ -300,14 +453,12 @@ pub fn replay_fixed_budgeted(
 /// times (their timing is network-independent by construction).
 pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
     let n = log.len();
-    let scratch = &mut ReplayScratch::new();
     // Delivery→children adjacency: the dependency lists, inverted.
-    scratch.build_csr(n, |i| log.deps(i).iter().copied());
+    let mut children = Csr::default();
+    children.invert(n, n, &mut Vec::new(), |i| log.deps(i).iter().copied());
     // delta and dependency counts from the capture timeline
-    scratch.delta.clear();
-    scratch.delta.resize(n, SimTime::ZERO);
-    scratch.remaining.clear();
-    scratch.remaining.resize(n, 0);
+    let mut delta = vec![SimTime::ZERO; n];
+    let mut remaining = vec![0u32; n];
     for (i, r) in log.records.iter().enumerate() {
         let deps = log.deps(i);
         match deps
@@ -315,23 +466,21 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
             .map(|&d| log.records[d as usize].t_deliver)
             .max()
         {
-            None => scratch.delta[i] = r.t_inject,
+            None => delta[i] = r.t_inject,
             Some(enable) => {
-                scratch.delta[i] = r.t_inject.saturating_since(enable);
-                scratch.remaining[i] = deps.len() as u32;
+                delta[i] = r.t_inject.saturating_since(enable);
+                remaining[i] = deps.len() as u32;
             }
         }
     }
     let mut inject = vec![SimTime::MAX; n];
-    scratch.ready_at.clear();
-    scratch.ready_at.resize(n, SimTime::ZERO); // max dep delivery so far
-                                               // Pending injections we already know the time of, not yet injected.
-    scratch.heap.clear();
-    for i in 0..n {
-        if log.deps(i).is_empty() {
-            scratch.heap.push(Reverse((scratch.delta[i], i as u32)));
-        }
-    }
+    // Max dependency delivery so far, per message.
+    let mut ready_at = vec![SimTime::ZERO; n];
+    // Pending injections we already know the time of, not yet injected.
+    let mut heap: BinaryHeap<Reverse<(SimTime, u32)>> = (0..n)
+        .filter(|&i| log.deps(i).is_empty())
+        .map(|i| Reverse((delta[i], i as u32)))
+        .collect();
     let mut deliver = vec![SimTime::ZERO; n];
     let mut delivered = 0usize;
     let mut buf = Vec::new();
@@ -340,11 +489,11 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
         // network's next internal event (its network effects may precede
         // that event); with an idle network, inject the earliest one to
         // re-arm it.
-        while let Some(&Reverse((t, i))) = scratch.heap.peek() {
+        while let Some(&Reverse((t, i))) = heap.peek() {
             match net.next_time() {
                 Some(h) if t > h => break,
                 _ => {
-                    scratch.heap.pop();
+                    heap.pop();
                     inject[i as usize] = t;
                     net.inject(t, log.records[i as usize].msg);
                 }
@@ -355,24 +504,22 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
         // keeps the exact per-batch semantics of the old caller-side
         // loop while crossing the trait boundary once per stop instead
         // of twice per event round.
-        let stop = scratch.heap.peek().map(|&Reverse((t, _))| t);
+        let stop = heap.peek().map(|&Reverse((t, _))| t);
         buf.clear();
         let nt = net.advance_batches(stop, &mut buf);
-        if buf.is_empty() && nt.is_none() && scratch.heap.is_empty() {
+        if buf.is_empty() && nt.is_none() && heap.is_empty() {
             panic!("replay deadlocked: messages undelivered but nothing pending");
         }
         for d in buf.drain(..) {
             let id = d.msg.id.0 as usize;
             deliver[id] = d.delivered_at;
             delivered += 1;
-            for e in scratch.adj_off[id]..scratch.adj_off[id + 1] {
-                let c = scratch.adj[e as usize] as usize;
-                scratch.ready_at[c] = scratch.ready_at[c].max(d.delivered_at);
-                scratch.remaining[c] -= 1;
-                if scratch.remaining[c] == 0 {
-                    scratch
-                        .heap
-                        .push(Reverse((scratch.ready_at[c] + scratch.delta[c], c as u32)));
+            for &c in children.row(id) {
+                let c = c as usize;
+                ready_at[c] = ready_at[c].max(d.delivered_at);
+                remaining[c] -= 1;
+                if remaining[c] == 0 {
+                    heap.push(Reverse((ready_at[c] + delta[c], c as u32)));
                 }
             }
         }
@@ -396,16 +543,19 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
 /// in `sctm-core` attacks by correcting the capture model itself and
 /// re-capturing.
 pub fn replay_sctm_pass(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    replay_sctm_pass_with(log, net, &mut ReplayScratch::new())
+    run_gated(log, net, log.gate_plan(), &mut PassState::default())
 }
 
-/// [`replay_sctm_pass`] borrowing a reusable [`ReplayScratch`].
+/// [`replay_sctm_pass`] for a caller that replays each log once and
+/// many logs in a row: the plan is rebuilt into the borrowed
+/// [`ReplayScratch`] instead of being memoised on the log.
 pub fn replay_sctm_pass_with(
     log: &TraceLog,
     net: &mut dyn NetworkModel,
     scratch: &mut ReplayScratch,
 ) -> ReplayResult {
-    gated_pass_with(log, net, false, scratch)
+    scratch.plan.build(log, false, &mut scratch.plan_scratch);
+    run_gated(log, net, &scratch.plan, &mut scratch.pass)
 }
 
 /// Ablation variant of [`replay_sctm_pass`] that *enforces per-source
@@ -415,120 +565,55 @@ pub fn replay_sctm_pass_with(
 /// ordering constraint inflates the timeline. Kept for the ablation
 /// bench (A1).
 pub fn replay_sctm_pass_ordered(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    gated_pass_with(log, net, true, &mut ReplayScratch::new())
+    let mut plan = GatePlan::default();
+    plan.build(log, true, &mut PlanScratch::default());
+    run_gated(log, net, &plan, &mut PassState::default())
 }
 
-/// Build the complete gated-pass working set for `log` into `scratch`:
-/// arrival gates, per-source chains, capture-anchored deltas, the
-/// gate→dependants CSR, the readiness arrays, and the seeded injection
-/// heap. After this returns, `scratch` holds exactly the initial state
-/// of a gated pass.
-fn prepare_gated(log: &TraceLog, enforce_source_order: bool, scratch: &mut ReplayScratch) {
-    let n = log.len();
-    // Arrival gating, into the scratch buffers (temporarily moved out so
-    // the rest of the scratch stays borrowable).
-    let mut gates = std::mem::take(&mut scratch.gates);
-    log.arrival_gates_into(&mut gates, &mut scratch.last_arrival);
-
-    // Per-source predecessor/successor chains and capture injection gaps.
-    scratch.build_source_chains(log);
-    // Capture-anchored deltas: local time between the gating delivery
-    // (or the previous departure, for gate-less messages) and this
-    // departure, measured on the capture timeline.
-    scratch.delta.clear();
-    scratch.delta.resize(n, SimTime::ZERO);
-    for (i, r) in log.records.iter().enumerate() {
-        let anchor = match gates[i] {
-            NONE => match scratch.prev_in_order[i] {
-                NONE => SimTime::ZERO,
-                p => log.records[p as usize].t_inject,
-            },
-            g => log.records[g as usize].t_deliver,
-        };
-        scratch.delta[i] = r.t_inject.saturating_since(anchor);
-    }
-
-    // Readiness: a message needs its gate delivered (if any) and its
-    // per-source predecessor injected (if any).
-    scratch.gate_done.clear();
-    scratch.gate_done.resize(n, false);
-    scratch.gate_time.clear();
-    scratch.gate_time.resize(n, SimTime::ZERO);
-    scratch.prev_done.clear();
-    scratch.prev_done.resize(n, false);
-    scratch.prev_time.clear();
-    scratch.prev_time.resize(n, SimTime::ZERO);
-    // Reverse index: gate -> dependants.
-    scratch.build_csr(n, |i| Some(gates[i]).filter(|&g| g != NONE).into_iter());
-    for (i, &g) in gates.iter().enumerate() {
-        if g == NONE {
-            scratch.gate_done[i] = true;
-        }
-    }
-    for i in 0..n {
-        // Gated messages do not wait on their per-source predecessor:
-        // a node's departures may legitimately reorder when the target
-        // network's latency profile differs from capture (e.g. a hybrid
-        // optical design where control and data planes diverge), and
-        // forcing capture order inflates the timeline measurably.
-        if scratch.prev_in_order[i] == NONE || (!enforce_source_order && !scratch.gate_done[i]) {
-            scratch.prev_done[i] = true;
-        }
-    }
-
-    scratch.scheduled.clear();
-    scratch.scheduled.resize(n, false);
-    scratch.heap.clear();
-
-    // Seed: messages with no gate and no predecessor, in id order.
-    for i in 0..n {
-        if scratch.gate_done[i] && scratch.prev_done[i] {
-            scratch.scheduled[i] = true;
-            scratch.heap.push(Reverse((scratch.delta[i], i as u32)));
-        }
-    }
-    scratch.gates = gates;
-}
-
-/// The gated event-driven pass; gates are recomputed into (and the
-/// working set borrowed from) `scratch`.
-fn gated_pass_with(
+/// The gated event-driven pass over `plan`, which must be `log`'s.
+fn run_gated(
     log: &TraceLog,
     net: &mut dyn NetworkModel,
-    enforce_source_order: bool,
-    scratch: &mut ReplayScratch,
+    plan: &GatePlan,
+    pass: &mut PassState,
 ) -> ReplayResult {
     let n = log.len();
-    prepare_gated(log, enforce_source_order, scratch);
+    debug_assert_eq!(plan.init.len(), n, "plan built for another log");
+    pass.reset(plan);
+    let PassState {
+        flags,
+        gate_time,
+        prev_time,
+        heap,
+        buf,
+    } = pass;
     let mut inject = vec![SimTime::MAX; n];
     let mut deliver = vec![SimTime::ZERO; n];
     let mut delivered = 0usize;
-    let mut buf = std::mem::take(&mut scratch.buf);
     while delivered < n {
-        while let Some(&Reverse((t, i))) = scratch.heap.peek() {
+        while let Some(&Reverse((t, i))) = heap.peek() {
             match net.next_time() {
                 Some(h) if t > h => break,
                 _ => {
-                    scratch.heap.pop();
+                    heap.pop();
                     let i = i as usize;
                     inject[i] = t;
                     net.inject(t, log.records[i].msg);
                     // Unblock the per-source successor (only gate-less
                     // successors wait on their predecessor).
-                    let nx = scratch.next_in_order[i];
+                    let nx = plan.next_in_order[i];
                     if nx != NONE {
                         let nx = nx as usize;
-                        scratch.prev_done[nx] = true;
-                        scratch.prev_time[nx] = t;
-                        if scratch.gate_done[nx] && !scratch.scheduled[nx] {
-                            let base = if scratch.gates[nx] != NONE {
-                                scratch.gate_time[nx]
+                        flags[nx] |= PREV_DONE;
+                        prev_time[nx] = t;
+                        if flags[nx] & (GATE_DONE | SCHEDULED) == GATE_DONE {
+                            let base = if flags[nx] & GATED != 0 {
+                                gate_time[nx]
                             } else {
-                                scratch.prev_time[nx]
+                                t
                             };
-                            let t = (base + scratch.delta[nx]).max(scratch.prev_time[nx]);
-                            scratch.scheduled[nx] = true;
-                            scratch.heap.push(Reverse((t, nx as u32)));
+                            flags[nx] |= SCHEDULED;
+                            heap.push(Reverse(((base + plan.delta[nx]).max(t), nx as u32)));
                         }
                     }
                 }
@@ -536,29 +621,28 @@ fn gated_pass_with(
         }
         // See `replay_oracle`: batch-advance to the next delivery
         // or pending-injection time with one trait crossing.
-        let stop = scratch.heap.peek().map(|&Reverse((t, _))| t);
+        let stop = heap.peek().map(|&Reverse((t, _))| t);
         buf.clear();
-        let nt = net.advance_batches(stop, &mut buf);
-        if buf.is_empty() && nt.is_none() && scratch.heap.is_empty() {
+        let nt = net.advance_batches(stop, buf);
+        if buf.is_empty() && nt.is_none() && heap.is_empty() {
             panic!("gated replay deadlocked: undelivered messages but nothing pending");
         }
         for d in buf.drain(..) {
             let id = d.msg.id.0 as usize;
             deliver[id] = d.delivered_at;
             delivered += 1;
-            for e in scratch.adj_off[id]..scratch.adj_off[id + 1] {
-                let g = scratch.adj[e as usize] as usize;
-                scratch.gate_done[g] = true;
-                scratch.gate_time[g] = d.delivered_at;
-                if scratch.prev_done[g] && !scratch.scheduled[g] {
-                    let t = (scratch.gate_time[g] + scratch.delta[g]).max(scratch.prev_time[g]);
-                    scratch.scheduled[g] = true;
-                    scratch.heap.push(Reverse((t, g as u32)));
+            for &g in plan.gated_by.row(id) {
+                let g = g as usize;
+                flags[g] |= GATE_DONE;
+                gate_time[g] = d.delivered_at;
+                if flags[g] & (PREV_DONE | SCHEDULED) == PREV_DONE {
+                    let t = (d.delivered_at + plan.delta[g]).max(prev_time[g]);
+                    flags[g] |= SCHEDULED;
+                    heap.push(Reverse((t, g as u32)));
                 }
             }
         }
     }
-    scratch.buf = buf;
     ReplayResult::from_times(log, inject, deliver)
 }
 

@@ -111,11 +111,10 @@ proptest! {
 /// Footprint guarantees on a 64-core fft capture. Two ratios matter:
 /// the container is smaller than the CSV text it replaces on disk and
 /// on the wire, and the zero-copy reader's resident bytes stay below
-/// what the parsed log costs in memory — which is why the capture
-/// cache freezes entries to sctf. The parsed form is itself columnar
-/// since the 40-byte trace rows (58 B/record against the container's
-/// 38), so the second ratio is 0.66 here; it was 0.35 against 96-byte
-/// rows with a heap `Vec` of dependencies each.
+/// what the parsed log costs in memory. The parsed form is itself
+/// columnar since the 40-byte trace rows (58 B/record against the
+/// container's 38), so the second ratio is 0.66 here; it was 0.35
+/// against 96-byte rows with a heap `Vec` of dependencies each.
 #[test]
 fn sctf_is_smaller_than_csv_and_at_most_three_quarters_of_the_parsed_log_at_64_cores() {
     let log = capture(8, Kernel::Fft, 300, 1, 1);

@@ -7,7 +7,10 @@ use sctm::workloads::{build, WorkloadParams};
 use sctm_cmp::{CmpConfig, CmpSim};
 use sctm_engine::net::{AnalyticNetwork, NetworkModel};
 use sctm_engine::time::SimTime;
-use sctm_trace::{replay_fixed, replay_oracle, replay_sctm_pass, Capture, TraceLog};
+use sctm_trace::{
+    replay_fixed, replay_oracle, replay_sctm_pass, replay_sctm_pass_ordered, replay_sctm_pass_with,
+    Capture, ReplayResult, ReplayScratch, TraceLog,
+};
 
 fn kernel_strategy() -> impl Strategy<Value = Kernel> {
     prop_oneof![
@@ -187,5 +190,141 @@ fn trace_survives_full_self_correction_loop_on_detailed_networks() {
         assert!(!iters.is_empty());
         assert!(iters.iter().all(|s| s.messages > 100));
         assert!(r.exec_time > SimTime::ZERO);
+    }
+}
+
+fn fnv1a(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a over a replay's whole timeline: every injection, every
+/// delivery, the estimate.
+fn timeline_hash(r: &ReplayResult) -> u64 {
+    r.inject
+        .iter()
+        .chain(&r.deliver)
+        .chain([&r.est_exec_time])
+        .fold(0xcbf2_9ce4_8422_2325, |h, t| fnv1a(h, t.as_ps()))
+}
+
+fn same_timeline(a: &ReplayResult, b: &ReplayResult, what: &str) {
+    assert_eq!(a.inject, b.inject, "{what}: inject");
+    assert_eq!(a.deliver, b.deliver, "{what}: deliver");
+    assert_eq!(a.est_exec_time, b.est_exec_time, "{what}: estimate");
+}
+
+/// Per kernel, `timeline_hash` of `replay_sctm_pass_ordered` on each of
+/// [`NetworkKind::DETAILED`], in that order, generated on commit a4a41cf — the parent of the plan/state split,
+/// where the ordered variant was a flag into `prepare_gated` — with
+/// `GOLDEN_PRINT=1 cargo test --test trace_properties gate_plan --
+/// --nocapture`. The ordered pass shares the plan builder and the event
+/// loop with the default one and differs only in which messages start
+/// out waiting on their predecessor.
+const ORDERED_GOLDEN: [(Kernel, [u64; 5]); 3] = [
+    (
+        Kernel::Fft,
+        [
+            0xf237_3173_16c4_d345,
+            0x1185_b769_7fb6_9cfb,
+            0xa93b_8a08_e350_7827,
+            0xd7ba_5014_9dc2_a278,
+            0x3709_d9e7_fb66_f2cb,
+        ],
+    ),
+    (
+        Kernel::Lu,
+        [
+            0xe5f6_09e4_2193_f90a,
+            0x78db_d18a_10e3_a333,
+            0xaaa8_2b89_2e30_3bdc,
+            0x2808_da30_8dc7_1c82,
+            0xd116_cf1b_7b40_0b6e,
+        ],
+    ),
+    (
+        Kernel::Canneal,
+        [
+            0x4df3_a911_7484_c55f,
+            0xb0c2_e7de_3f44_4986,
+            0x1749_fab3_9dee_4769,
+            0xe29b_a9d2_b7c6_a655,
+            0x94e1_fc6d_b67a_09d2,
+        ],
+    ),
+];
+
+/// One plan, however a pass comes by it: built and memoised by the
+/// first one-shot pass over a log, read back by the second, rebuilt
+/// into a dirty arena by `replay_sctm_pass_with` — same timeline.
+#[test]
+fn gate_plan_is_the_same_memoised_reread_or_rebuilt_in_an_arena() {
+    let print = std::env::var_os("GOLDEN_PRINT").is_some();
+    let mut scratch = ReplayScratch::new();
+    for (kernel, ordered_golden) in ORDERED_GOLDEN {
+        let log = Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), kernel)
+            .with_ops(160)
+            .with_capture_threads(1)
+            .capture();
+        for (kind, want) in NetworkKind::DETAILED.into_iter().zip(ordered_golden) {
+            let net = || SystemConfig::make_network_kind(4, kind);
+            let what = format!("{} on {}", kernel.label(), kind.label());
+            // A clone made before the first pass has no plan yet.
+            let fresh = log.clone();
+            let miss = replay_sctm_pass(&fresh, net().as_mut());
+            let hit = replay_sctm_pass(&fresh, net().as_mut());
+            same_timeline(&miss, &hit, &what);
+            // The arena still holds the previous network's (or
+            // kernel's) plan and pass state.
+            let arena = replay_sctm_pass_with(&log, net().as_mut(), &mut scratch);
+            same_timeline(&miss, &arena, &what);
+
+            let ordered = timeline_hash(&replay_sctm_pass_ordered(&log, net().as_mut()));
+            if print {
+                println!("{what}: {ordered:#018x},");
+            } else {
+                assert_eq!(ordered, want, "{what}: ordered pass moved");
+            }
+        }
+    }
+}
+
+/// Four threads race the first pass over one shared log, each on its
+/// own network: whoever builds the plan, every thread reads a whole
+/// one, and the answers are the serial ones.
+#[test]
+fn concurrent_first_passes_over_one_log_agree_with_serial() {
+    const KINDS: [NetworkKind; 4] = [
+        NetworkKind::Omesh,
+        NetworkKind::Oxbar,
+        NetworkKind::Hybrid,
+        NetworkKind::Emesh,
+    ];
+    let log = std::sync::Arc::new(
+        Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), Kernel::Fft)
+            .with_ops(160)
+            .capture(),
+    );
+    let serial = log.as_ref().clone();
+    let start = std::sync::Barrier::new(KINDS.len());
+    let raced: Vec<ReplayResult> = std::thread::scope(|s| {
+        let handles: Vec<_> = KINDS
+            .iter()
+            .map(|&kind| {
+                let (log, start) = (std::sync::Arc::clone(&log), &start);
+                s.spawn(move || {
+                    let mut net = SystemConfig::make_network_kind(4, kind);
+                    start.wait();
+                    replay_sctm_pass(&log, net.as_mut())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (kind, raced) in KINDS.into_iter().zip(&raced) {
+        let mut net = SystemConfig::make_network_kind(4, kind);
+        let want = replay_sctm_pass(&serial, net.as_mut());
+        same_timeline(raced, &want, kind.label());
     }
 }

@@ -13,10 +13,8 @@
 //! * [`protocol`] — coherence message vocabulary, workload API, and the
 //!   [`protocol::TraceHook`] capture interface.
 //! * [`sim`] — the event-driven simulator itself.
-//! * [`par`] — the deterministic epoch-parallel capture runner.
 
 pub mod cache;
-pub mod par;
 pub mod protocol;
 pub mod sim;
 

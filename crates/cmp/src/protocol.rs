@@ -195,8 +195,8 @@ pub enum Op {
 
 /// A multi-threaded workload: one deterministic op stream per core.
 ///
-/// `Send` so boxed workloads can move onto the shard worker threads of
-/// the parallel capture runner; every implementor is plain owned data.
+/// `Send` so a simulator that owns a boxed workload may be handed to
+/// a worker thread; every implementor is plain owned data.
 pub trait Workload: Send {
     /// Number of cores this instance was built for.
     fn num_cores(&self) -> usize;

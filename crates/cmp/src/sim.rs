@@ -35,7 +35,7 @@ use crate::protocol::{DirState, InjectRecord, Op, ProtocolMsg, Sharers, TraceHoo
 use sctm_engine::event::EventQueue;
 use sctm_engine::hash::FxHashMap;
 use sctm_engine::msgtable::MsgTable;
-use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetStats, NetworkModel, NodeId};
+use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::time::{Freq, SimTime};
 use std::collections::VecDeque;
 
@@ -172,27 +172,6 @@ enum Ev {
     CoreNext(u16),
 }
 
-/// A protocol message crossing a shard boundary in the parallel capture
-/// runner: carried to the destination shard at the next epoch barrier
-/// and injected there (backdated to its true send time) together with
-/// the destination-side bookkeeping the sequential `send` would have
-/// done in place.
-pub(crate) struct RemoteMsg {
-    pub at: SimTime,
-    pub msg: Message,
-    pub proto: ProtocolMsg,
-}
-
-/// Shard identity for parallel capture. `None` (the default) is the
-/// classic sequential simulator.
-struct ShardCtx {
-    num_shards: usize,
-    my_shard: usize,
-    /// Cross-shard messages produced this epoch, delivered by the epoch
-    /// runner at the next barrier.
-    outbox: Vec<RemoteMsg>,
-}
-
 /// Aggregate result of a full-system run.
 #[derive(Clone, Debug)]
 pub struct CmpResult {
@@ -240,22 +219,19 @@ pub struct CmpSim {
     /// Per-node last injected message (endpoint program order).
     last_out: Vec<Option<MsgId>>,
     /// Per-source message sequence counters. Ids are interleaved as
-    /// `seq × num_cores + src`: each node numbers its own messages, so a
-    /// shard of the parallel capture runner assigns exactly the ids the
-    /// sequential run would — without knowing other shards' send counts.
-    /// The sequential path uses the same scheme so the two are
-    /// bit-identical.
+    /// `seq × num_cores + src`: each node numbers its own messages. The
+    /// golden captures pin the id order among same-instant injections,
+    /// so the scheme is part of the trace format's contract.
     next_seq: Vec<u64>,
     barrier_counts: FxHashMap<u32, (u32, Vec<MsgId>)>,
-    /// Integer miss-latency accumulator. An integer sum (unlike a
-    /// streaming mean) is independent of push order, so per-shard
-    /// partial sums aggregate to exactly the sequential value.
+    /// Integer miss-latency accumulator: an exact sum, divided once in
+    /// [`Self::result`], so the reported mean does not depend on the
+    /// order fills landed in.
     miss_lat_sum_ps: u128,
     miss_lat_count: u64,
     workload: Box<dyn Workload>,
     deliveries_buf: Vec<Delivery>,
     delivered: u64,
-    shard: Option<ShardCtx>,
 }
 
 impl CmpSim {
@@ -306,30 +282,6 @@ impl CmpSim {
             cfg,
             deliveries_buf: Vec::new(),
             delivered: 0,
-            shard: None,
-        }
-    }
-
-    /// Turn this simulator into shard `my_shard` of `num_shards`: it
-    /// will only schedule and execute nodes `v` with
-    /// `v % num_shards == my_shard`, routing messages for other nodes to
-    /// the outbox. Must be called before [`Self::start`].
-    pub(crate) fn set_shard(&mut self, my_shard: usize, num_shards: usize) {
-        assert!(my_shard < num_shards, "shard index out of range");
-        self.shard = Some(ShardCtx {
-            num_shards,
-            my_shard,
-            outbox: Vec::new(),
-        });
-    }
-
-    /// Does this simulator instance own node `v`? Always true in the
-    /// sequential configuration.
-    #[inline]
-    fn owns(&self, node: usize) -> bool {
-        match &self.shard {
-            Some(sh) => node % sh.num_shards == sh.my_shard,
-            None => true,
         }
     }
 
@@ -375,12 +327,6 @@ impl CmpSim {
             class,
             bytes,
         };
-        // The source side of a send — id assignment, endpoint program
-        // order, trace record — always happens here, on the shard that
-        // owns `src`. The destination side (grant tracking, in-flight
-        // payload, network injection) happens wherever `dst` lives: in
-        // place for local messages, at the next epoch barrier (via
-        // [`Self::accept_remote`]) for cross-shard ones.
         let prev = self.last_out[src].replace(id);
         hook.on_inject(InjectRecord {
             msg,
@@ -389,21 +335,6 @@ impl CmpSim {
             prev_same_src: prev,
             kind: proto.kind(),
         });
-        if self.owns(dst) {
-            self.accept_local(at, msg, proto);
-        } else {
-            let sh = self
-                .shard
-                .as_mut()
-                .expect("remote destination without shard context");
-            sh.outbox.push(RemoteMsg { at, msg, proto });
-        }
-        id
-    }
-
-    /// Destination-side bookkeeping of a send: grant tracking for the
-    /// deferral predicate, the in-flight payload, and network injection.
-    fn accept_local(&mut self, at: SimTime, msg: Message, proto: ProtocolMsg) {
         // Track committed fills for the deferral predicate.
         match proto {
             ProtocolMsg::Data { line, to, .. } | ProtocolMsg::UpgAck { line, to } => {
@@ -415,69 +346,18 @@ impl CmpSim {
             }
             _ => {}
         }
-        self.in_flight.insert(msg.id.0, proto);
+        self.in_flight.insert(id.0, proto);
         self.net.inject(at, msg);
+        id
     }
 
-    /// Accept a cross-shard message at an epoch barrier. Performs the
-    /// destination-side bookkeeping [`Self::send`] would have done in
-    /// place, injecting backdated: `at` (the true source-side send time)
-    /// lies in the barrier's past, but the conservative lookahead
-    /// guarantees the *delivery* is still in this shard's future.
-    ///
-    /// Applying the grant here rather than at send time is
-    /// observationally equivalent: per-line directory serialization
-    /// means no Fetch/Inv for the granted (core, line) pair can be in
-    /// flight while the grant travels, so nothing can read
-    /// `granted[to]` between the true send time and this barrier.
-    pub(crate) fn accept_remote(&mut self, r: RemoteMsg) {
-        match r.proto {
-            ProtocolMsg::Data { line, to, .. } | ProtocolMsg::UpgAck { line, to } => {
-                debug_assert!(
-                    self.granted[to as usize].is_none(),
-                    "double grant to core {to}"
-                );
-                self.granted[to as usize] = Some(line);
-            }
-            _ => {}
-        }
-        self.in_flight.insert(r.msg.id.0, r.proto);
-        self.net.inject_backdated(r.at, r.msg);
-    }
-
-    /// Drain the cross-shard messages produced since the last barrier.
-    pub(crate) fn take_outbox(&mut self) -> Vec<RemoteMsg> {
-        match &mut self.shard {
-            Some(sh) => std::mem::take(&mut sh.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Schedule the initial event for every core this instance owns.
-    pub(crate) fn start(&mut self) {
+    /// Run the workload to completion. Returns aggregate results.
+    pub fn run(&mut self, hook: &mut dyn TraceHook) -> CmpResult {
+        let _span = sctm_obs::span("cmp", "run");
         for c in 0..self.cfg.num_cores() {
-            if self.owns(c) {
-                self.q.schedule(SimTime::ZERO, Ev::CoreNext(c as u16));
-            }
+            self.q.schedule(SimTime::ZERO, Ev::CoreNext(c as u16));
         }
-    }
-
-    /// Earliest pending work — core event or network delivery — or
-    /// `None` when this instance is quiescent.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        match (self.q.peek_time(), self.net.next_time()) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (Some(a), Some(b)) => Some(a.min(b)),
-        }
-    }
-
-    /// Process events strictly before `limit` (all events when `None`),
-    /// preserving the sequential tie-break: at equal times, core events
-    /// run before network deliveries. Events exactly at the limit wait —
-    /// in epoch-parallel mode they belong to the next window.
-    pub(crate) fn step_until(&mut self, hook: &mut dyn TraceHook, limit: Option<SimTime>) {
+        // At equal times, core events run before network deliveries.
         loop {
             let tq = self.q.peek_time();
             let tn = self.net.next_time();
@@ -487,12 +367,6 @@ impl CmpSim {
                 (None, Some(_)) => false,
                 (Some(a), Some(b)) => a <= b,
             };
-            if let Some(w) = limit {
-                let next = if core_first { tq } else { tn };
-                if next.expect("branch chosen from a Some") >= w {
-                    break;
-                }
-            }
             if core_first {
                 let ev = self
                     .q
@@ -505,25 +379,22 @@ impl CmpSim {
                 self.advance_net(hook, b);
             }
         }
+        self.finish_checks();
+        self.validate_coherence();
+        self.result()
     }
 
-    /// End-of-run invariants for the nodes this instance owns. Panics
-    /// with a protocol diagnostic on violation.
-    pub(crate) fn finish_checks(&self) {
-        let owned_halted = self
+    /// End-of-run invariants. Panics with a protocol diagnostic on
+    /// violation.
+    fn finish_checks(&self) {
+        let stuck: Vec<String> = self
             .cores
             .iter()
             .enumerate()
-            .filter(|(i, _)| self.owns(*i))
-            .all(|(_, c)| c.status == CoreStatus::Halted);
-        if !owned_halted {
-            let stuck: Vec<String> = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| self.owns(*i) && c.status != CoreStatus::Halted)
-                .map(|(i, c)| format!("core {i}: {:?}", c.status))
-                .collect();
+            .filter(|(_, c)| c.status != CoreStatus::Halted)
+            .map(|(i, c)| format!("core {i}: {:?}", c.status))
+            .collect();
+        if !stuck.is_empty() {
             panic!(
                 "run ended with cores not halted (protocol lost a wakeup):\n{}\nbusy: {:?}\nqueued: {:?}\nbarriers: {:?}",
                 stuck.join("\n"),
@@ -534,16 +405,6 @@ impl CmpSim {
         }
         assert!(self.in_flight.is_empty(), "messages lost in flight");
         assert!(self.busy.is_empty(), "directory transaction leaked");
-    }
-
-    /// Run the workload to completion. Returns aggregate results.
-    pub fn run(&mut self, hook: &mut dyn TraceHook) -> CmpResult {
-        let _span = sctm_obs::span("cmp", "run");
-        self.start();
-        self.step_until(hook, None);
-        self.finish_checks();
-        self.validate_coherence();
-        self.result()
     }
 
     fn result(&self) -> CmpResult {
@@ -579,7 +440,11 @@ impl CmpSim {
             },
             messages_injected: s.injected,
             messages_delivered: self.delivered,
-            avg_miss_latency_ns: Self::miss_mean_ns(self.miss_lat_sum_ps, self.miss_lat_count),
+            avg_miss_latency_ns: if self.miss_lat_count == 0 {
+                0.0
+            } else {
+                (self.miss_lat_sum_ps as f64 / self.miss_lat_count as f64) / 1000.0
+            },
             avg_net_latency_ns: s.mean_latency_ps() / 1000.0,
             network_label: self.net.label(),
         }
@@ -590,102 +455,11 @@ impl CmpSim {
         self.net.as_ref()
     }
 
-    #[inline]
-    fn miss_mean_ns(sum_ps: u128, count: u64) -> f64 {
-        if count == 0 {
-            0.0
-        } else {
-            (sum_ps as f64 / count as f64) / 1000.0
-        }
-    }
-
-    /// Aggregate per-shard results into what the sequential run reports.
-    /// Every component is order-insensitive — integer sums, maxes, and
-    /// exact histogram merges — so for a deterministic shard execution
-    /// the aggregate is byte-identical to the sequential result.
-    pub(crate) fn merged_result(shards: &[CmpSim]) -> CmpResult {
-        assert!(!shards.is_empty());
-        let n_cores = shards[0].cfg.num_cores();
-        let mut stats = NetStats::default();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let (mut ops, mut loads, mut stores, mut delivered) = (0u64, 0u64, 0u64, 0u64);
-        let (mut miss_sum, mut miss_count) = (0u128, 0u64);
-        let mut exec = SimTime::ZERO;
-        let (mut wait_fill, mut wait_barrier) = (0u64, 0u64);
-        for s in shards {
-            stats.merge(s.net.stats());
-            for c in s.l1.iter() {
-                hits += c.hits();
-                misses += c.misses();
-            }
-            for c in s.cores.iter() {
-                ops += c.ops;
-                loads += c.loads;
-                stores += c.stores;
-                exec = exec.max(c.finish);
-                wait_fill += c.wait_fill.as_ps();
-                wait_barrier += c.wait_barrier.as_ps();
-            }
-            delivered += s.delivered;
-            miss_sum += s.miss_lat_sum_ps;
-            miss_count += s.miss_lat_count;
-        }
-        let frac = |total_ps: u64| -> f64 {
-            if exec.as_ps() == 0 {
-                0.0
-            } else {
-                total_ps as f64 / (exec.as_ps() as f64 * n_cores as f64)
-            }
-        };
-        CmpResult {
-            exec_time: exec,
-            total_ops: ops,
-            total_loads: loads,
-            total_stores: stores,
-            l1_hit_rate: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            },
-            messages_injected: stats.injected,
-            messages_delivered: delivered,
-            avg_miss_latency_ns: Self::miss_mean_ns(miss_sum, miss_count),
-            avg_net_latency_ns: stats.mean_latency_ps() / 1000.0,
-            network_label: shards[0].net.label(),
-            wait_fill_frac: frac(wait_fill),
-            wait_barrier_frac: frac(wait_barrier),
-        }
-    }
-
-    /// Cross-shard end-of-run coherence check: validate every shard's L1
-    /// contents against the union of all shards' directory slices (the
-    /// directory is partitioned by home node, L1s by core).
-    pub(crate) fn validate_coherence_sharded(shards: &[CmpSim]) {
-        let mut dir: FxHashMap<u64, DirState> = FxHashMap::default();
-        for s in shards {
-            for (k, v) in &s.dir {
-                let prior = dir.insert(*k, *v);
-                debug_assert!(prior.is_none(), "directory line {k:#x} owned by two shards");
-            }
-        }
-        for s in shards {
-            s.validate_coherence_with(&dir);
-        }
-    }
-
     /// End-of-run coherence invariant: every L1 line in M state is the
     /// unique registered owner; every S line is a registered sharer.
     fn validate_coherence(&self) {
-        self.validate_coherence_with(&self.dir);
-    }
-
-    /// Coherence check against an explicit directory map — in sharded
-    /// runs the directory is partitioned by home node, so each shard's
-    /// L1 contents must be checked against the *union* of all shards'
-    /// directory slices.
-    fn validate_coherence_with(&self, dir: &FxHashMap<u64, DirState>) {
         for (core, l1) in self.l1.iter().enumerate() {
-            l1.for_each_line(|line, meta| match dir.get(&line.0) {
+            l1.for_each_line(|line, meta| match self.dir.get(&line.0) {
                 Some(DirState::Modified(o)) => {
                     assert_eq!(
                         *o as usize, core,

@@ -76,10 +76,6 @@ pub struct Experiment {
     pub kernel: Kernel,
     pub ops_per_core: usize,
     pub seed: u64,
-    /// Worker threads for the capture runs (`0` = read `SCTM_THREADS`,
-    /// default 1 = sequential). Any value produces byte-identical
-    /// results; >1 shards the full-system simulation across threads.
-    pub capture_threads: usize,
     /// Weight of the *new* correction factor in the damped warm-start
     /// update `corr ← (1−α)·corr + α·measured`. The default `1.0`
     /// (undamped) converges fastest on the shipped network models —
@@ -106,7 +102,6 @@ impl Experiment {
             kernel,
             ops_per_core: 1_500,
             seed: 1,
-            capture_threads: 0,
             damping: 1.0,
             factor_epsilon: 0.10,
         }
@@ -122,9 +117,12 @@ impl Experiment {
         self
     }
 
-    /// Pin the capture worker-thread count (bypassing `SCTM_THREADS`).
-    pub fn with_capture_threads(mut self, threads: usize) -> Self {
-        self.capture_threads = threads;
+    /// What is left of the deleted epoch-sharded capture (DESIGN.md §9):
+    /// the frozen `benchmark/` calls this to pin the one way a capture
+    /// runs. The next `[benchmark]` PR that drops those two calls
+    /// deletes this method; nothing else may use it.
+    #[doc(hidden)]
+    pub fn with_capture_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -146,18 +144,6 @@ impl Experiment {
         self
     }
 
-    /// Capture shard count actually in effect: the explicit setting, or
-    /// the `SCTM_THREADS` environment default, clamped to the core count
-    /// (an empty shard would only add barrier crossings).
-    fn resolved_capture_threads(&self) -> usize {
-        let t = if self.capture_threads == 0 {
-            sctm_engine::par::capture_threads()
-        } else {
-            self.capture_threads
-        };
-        t.clamp(1, self.system.cores())
-    }
-
     fn workload(&self) -> Box<sctm_workloads::ScriptWorkload> {
         Box::new(build(
             self.kernel,
@@ -173,41 +159,16 @@ impl Experiment {
 
     /// Capture on a specific (possibly correction-loaded) analytic
     /// model instance — the re-capture step of the self-correction loop.
-    ///
-    /// With more than one capture thread in effect this shards the
-    /// full-system simulation across workers (`sctm_cmp::par`); the
-    /// canonical trace is byte-identical to the sequential capture.
     pub fn capture_on(&self, model: AnalyticNetwork) -> TraceLog {
         let _span = obs::span("sctm", "capture");
-        let threads = self.resolved_capture_threads();
         // Coherence workloads generate ~3 messages per op; pre-sizing
         // the capture buffers avoids re-copying tens of MB of records
         // as they double at full-system scale.
         let est_msgs = self.ops_per_core * self.system.cores() * 3;
-        if threads <= 1 {
-            let mut sim = CmpSim::new(self.system.cmp.clone(), Box::new(model), self.workload());
-            let mut cap = Capture::with_capacity(est_msgs);
-            let res = sim.run(&mut cap);
-            return cap.finish("analytic", res.exec_time);
-        }
-        // Conservative lookahead: no message of either class can cross
-        // nodes faster than this under the model's current corrections.
-        let lookahead = model.min_cross_latency(&[
-            (MsgClass::Control, self.system.cmp.ctrl_bytes),
-            (MsgClass::Data, self.system.cmp.data_bytes),
-        ]);
-        let nets: Vec<Box<dyn NetworkModel>> = (0..threads)
-            .map(|_| Box::new(model.clone()) as Box<dyn NetworkModel>)
-            .collect();
-        let workloads: Vec<Box<dyn sctm_cmp::Workload>> = (0..threads)
-            .map(|_| self.workload() as Box<dyn sctm_cmp::Workload>)
-            .collect();
-        let hooks: Vec<Capture> = (0..threads)
-            .map(|_| Capture::with_capacity(est_msgs / threads + 1))
-            .collect();
-        let (res, hooks) =
-            sctm_cmp::par::run_sharded(&self.system.cmp, nets, workloads, hooks, lookahead);
-        Capture::merge(hooks).finish("analytic", res.exec_time)
+        let mut sim = CmpSim::new(self.system.cmp.clone(), Box::new(model), self.workload());
+        let mut cap = Capture::with_capacity(est_msgs);
+        let res = sim.run(&mut cap);
+        cap.finish("analytic", res.exec_time)
     }
 
     /// A copy of this experiment with the spec's per-run knob overrides
@@ -275,23 +236,19 @@ impl Experiment {
                 r
             }
             mode => {
-                let owned;
                 let log = match seed {
-                    Some(l) => l,
-                    None => {
-                        owned = exp.capture();
-                        &owned
-                    }
+                    Some(l) => Cow::Borrowed(l),
+                    None => Cow::Owned(exp.capture()),
                 };
-                let r = exp.replay_report(log, mode, spec.replay_batch_budget)?;
+                let r = exp.replay_report(&log, mode, spec.replay_batch_budget)?;
                 if spec.profile {
-                    profile_log = Some(log.clone());
+                    profile_log = Some(log.into_owned());
                 }
                 r
             }
         };
         report.wall = wall0.elapsed();
-        let profile = profile_log.map(|l| exp.profile_replay(&l, spec.mode));
+        let profile = profile_log.map(|l| exp.profile_replay(l, spec.mode));
         Ok(RunOutcome { report, profile })
     }
 
@@ -491,7 +448,7 @@ impl Experiment {
     /// The instrumented replay shared by the profiled entry points:
     /// lifecycle capture enabled on the detailed network, the whole
     /// thing wrapped in a sampling decorator for time-series gauges.
-    fn profile_replay(&self, log: &TraceLog, mode: Mode) -> ProfileCapture {
+    fn profile_replay(&self, log: TraceLog, mode: Mode) -> ProfileCapture {
         let _span = obs::span("sctm", "profile");
         let side = self.system.side;
         let kind = self.system.network;
@@ -501,13 +458,13 @@ impl Experiment {
         net.set_lifecycle_capture(true);
         match mode {
             Mode::ClassicTrace => {
-                replay_fixed(log, &mut net);
+                replay_fixed(&log, &mut net);
             }
             Mode::OracleTrace => {
-                replay_oracle(log, &mut net);
+                replay_oracle(&log, &mut net);
             }
             Mode::SelfCorrection { .. } => {
-                replay_sctm_pass(log, &mut net);
+                replay_sctm_pass(&log, &mut net);
             }
             _ => panic!("profile_replay called with non-trace mode {mode:?}"),
         }
@@ -515,7 +472,7 @@ impl Experiment {
         net.take_lifecycles(&mut lifecycles);
         let (_, series) = net.into_parts();
         ProfileCapture {
-            log: log.clone(),
+            log,
             lifecycles,
             series,
         }

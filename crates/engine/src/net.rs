@@ -128,19 +128,6 @@ impl NetStats {
     pub fn in_flight(&self) -> u64 {
         self.injected - self.delivered
     }
-
-    /// Fold another partition's statistics into this one. Exact for the
-    /// integer counters and the histograms (bucket-wise integer merge),
-    /// so statistics collected across shard-partitioned deliveries
-    /// aggregate to precisely the unpartitioned values.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.ctrl_latency_ps.merge(&other.ctrl_latency_ps);
-        self.data_latency_ps.merge(&other.data_latency_ps);
-        self.bytes_delivered += other.bytes_delivered;
-        self.energy_pj += other.energy_pj;
-    }
 }
 
 /// A point-in-time observation of one network endpoint, for external
@@ -225,9 +212,10 @@ impl MsgLifecycle {
 
 /// Pull-based co-simulation interface implemented by every interconnect.
 ///
-/// `Send` is a supertrait so boxed models can move across the shard
-/// worker threads of the parallel capture runner; every implementor is
-/// plain owned data, so this costs nothing.
+/// `Send` is a supertrait so a `Box<dyn NetworkModel>` — and a
+/// simulator that owns one — may be handed to a worker thread (a
+/// `par_map` job, an `sctmd` stage task); every implementor is plain
+/// owned data, so this costs nothing.
 pub trait NetworkModel: Send {
     /// Number of endpoints.
     fn num_nodes(&self) -> usize;
@@ -235,17 +223,6 @@ pub trait NetworkModel: Send {
     /// Hand a message to the source network interface at time `at`
     /// (must be ≥ the model's current time).
     fn inject(&mut self, at: SimTime, msg: Message);
-
-    /// Inject a message whose source-side timestamp may precede the
-    /// model's current time, *without* clamping it forward. Used by the
-    /// parallel capture runner, which hands cross-shard messages to the
-    /// destination shard's model at the epoch barrier: the injection
-    /// time is in the barrier's past, but the conservative lookahead
-    /// guarantees the *delivery* is still in the future. Models whose
-    /// `inject` does not clamp can keep this default.
-    fn inject_backdated(&mut self, at: SimTime, msg: Message) {
-        self.inject(at, msg);
-    }
 
     /// Earliest future instant at which the model has internal work
     /// (a pending injection, a flit to move, an arbitration slot...).
@@ -447,43 +424,15 @@ impl AnalyticNetwork {
     pub fn dst_service(&self, dst: NodeId) -> u64 {
         self.dst_service_ps_per_byte[dst.idx()]
     }
+}
 
-    /// Minimum corrected latency over all cross-node pairs and the given
-    /// `(class, payload bytes)` combinations — the conservative lookahead
-    /// bound for epoch-parallel simulation: no message injected at time
-    /// `t` can be delivered before `t + min_cross_latency`.
-    ///
-    /// Iterates every (src, dst) pair because correction factors are
-    /// per-pair; with n ≤ a few hundred nodes this is microseconds and is
-    /// called once per capture, not per epoch.
-    pub fn min_cross_latency(&self, classes: &[(MsgClass, u32)]) -> SimTime {
-        let mut min = SimTime::MAX;
-        for s in 0..self.nodes {
-            for d in 0..self.nodes {
-                if s == d {
-                    continue;
-                }
-                for &(class, bytes) in classes {
-                    let m = Message {
-                        id: MsgId(0),
-                        src: NodeId(s as u32),
-                        dst: NodeId(d as u32),
-                        class,
-                        bytes,
-                    };
-                    let l = self.model_latency(&m);
-                    if l < min {
-                        min = l;
-                    }
-                }
-            }
-        }
-        min
+impl NetworkModel for AnalyticNetwork {
+    fn num_nodes(&self) -> usize {
+        self.nodes
     }
 
-    /// Shared body of `inject` / `inject_backdated`: everything except
-    /// the forward clamp of `at`.
-    fn inject_at(&mut self, at: SimTime, msg: Message) {
+    fn inject(&mut self, at: SimTime, msg: Message) {
+        let at = at.max(self.now);
         self.stats.injected += 1;
         let model_lat = self.model_latency(&msg);
         let mut deliver = at + model_lat;
@@ -525,28 +474,6 @@ impl AnalyticNetwork {
         };
         self.pending
             .push(std::cmp::Reverse((deliver, msg.id.0, slot)));
-    }
-}
-
-impl NetworkModel for AnalyticNetwork {
-    fn num_nodes(&self) -> usize {
-        self.nodes
-    }
-
-    fn inject(&mut self, at: SimTime, msg: Message) {
-        let at = at.max(self.now);
-        self.inject_at(at, msg);
-    }
-
-    fn inject_backdated(&mut self, at: SimTime, msg: Message) {
-        // No forward clamp: `at` is the true source-side injection time,
-        // which at an epoch barrier may lie before `self.now`. The
-        // caller (parallel capture) guarantees delivery is still in the
-        // future, so the pending heap stays consistent. In sequential
-        // co-simulation the clamp in `inject` never fires anyway (every
-        // send carries a handler timestamp ≥ the model's time), which is
-        // why both paths compute identical delivery times.
-        self.inject_at(at, msg);
     }
 
     fn next_time(&self) -> Option<SimTime> {

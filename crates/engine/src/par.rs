@@ -10,124 +10,43 @@
 //! parallelism only changes *when* a job runs, never *what* it computes
 //! or *where* its result lands.
 //!
-//! The pool honours `RAYON_NUM_THREADS` (the conventional knob) and
-//! `SCTM_NUM_THREADS` (ours, takes precedence) so sweeps can be pinned
-//! for reproducible timing experiments; otherwise it uses every
-//! available core. Pools are scoped per call: nested `par_map` calls
-//! cannot deadlock, they just briefly oversubscribe.
+//! One environment variable per pool: `SCTM_NUM_THREADS` sizes
+//! [`par_map`] (so sweeps can be pinned for reproducible timing
+//! experiments; unset, it uses every available core) and `SCTM_THREADS`
+//! sizes the `sctmd` worker pool ([`service_threads`]). Neither reaches
+//! inside a simulation: one capture runs on the thread that asked for
+//! it. Pools are scoped per call: nested `par_map` calls cannot
+//! deadlock, they just briefly oversubscribe.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Worker-thread count for [`par_map`]: `SCTM_NUM_THREADS` or
-/// `RAYON_NUM_THREADS` if set to a positive integer, else the number of
-/// available cores.
-pub fn num_threads() -> usize {
-    let env = |k: &str| {
-        std::env::var(k)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    };
-    env("SCTM_NUM_THREADS")
-        .or_else(|| env("RAYON_NUM_THREADS"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Shard-worker count for parallel CMP capture: `SCTM_THREADS` if set to
-/// a positive integer, else 1 (sequential capture — the default keeps
-/// the classic single-threaded path untouched unless the user opts in).
-///
-/// Distinct from [`num_threads`] on purpose: sweep parallelism
-/// (`SCTM_NUM_THREADS`) fans out independent experiments, while capture
-/// parallelism shards *one* simulation and changes its execution
-/// schedule (though never its results — see `sctm-cmp`'s `par` module).
-pub fn capture_threads() -> usize {
-    std::env::var("SCTM_THREADS")
+/// A positive integer from environment variable `key`, if it holds one.
+fn env_threads(key: &str) -> Option<usize> {
+    std::env::var(key)
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
+}
+
+fn available_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// A sense-reversing spin barrier for tightly-coupled epoch loops.
-///
-/// `std::sync::Barrier` parks threads on a mutex/condvar, which costs
-/// microseconds per crossing — ruinous when a parallel capture crosses
-/// two barriers per epoch and runs tens of thousands of epochs. This
-/// barrier spins (with a `yield_now` backoff so oversubscribed hosts
-/// still make progress), reducing a crossing to a handful of atomic
-/// operations when all participants are running.
-///
-/// Memory ordering: the generation bump is a release store observed with
-/// acquire loads, so writes made by any participant before `wait()` are
-/// visible to every participant after it — the property the epoch
-/// runner's mailbox exchange relies on.
-pub struct SpinBarrier {
-    n: usize,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "barrier needs at least one participant");
-        SpinBarrier {
-            n,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    /// Block until all `n` participants have called `wait`. Returns
-    /// `true` on exactly one participant per crossing (the last to
-    /// arrive), mirroring `std::sync::Barrier`'s leader flag.
-    pub fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == self.n {
-            // Last arrival: reset the counter for the next crossing,
-            // then release the generation bump that frees the spinners.
-            self.count.store(0, Ordering::Relaxed);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            return true;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        false
-    }
+/// Worker-thread count for [`par_map`]: `SCTM_NUM_THREADS` if set to a
+/// positive integer, else the number of available cores.
+pub fn num_threads() -> usize {
+    env_threads("SCTM_NUM_THREADS").unwrap_or_else(available_cores)
 }
 
 /// Worker count for a long-lived service scheduler (`sctmd`'s
 /// work-stealing pool): `SCTM_THREADS` if set to a positive integer,
-/// else every available core.
-///
-/// Distinct from [`capture_threads`]'s default on purpose: a *daemon*
-/// exists to saturate the host, so opting out (pinning to 1) is the
-/// explicit act, whereas in-process library captures default to the
-/// classic sequential path.
+/// else every available core — a *daemon* exists to saturate the host,
+/// so opting out (pinning to 1) is the explicit act.
 pub fn service_threads() -> usize {
-    std::env::var("SCTM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    env_threads("SCTM_THREADS").unwrap_or_else(available_cores)
 }
 
 /// A task on the [`WorkStealPool`]: runs once on some worker and may
@@ -424,62 +343,6 @@ mod tests {
         for (i, inner) in got.iter().enumerate() {
             let want: Vec<u64> = (0..8).map(|j| i as u64 * 100 + j).collect();
             assert_eq!(inner, &want);
-        }
-    }
-
-    #[test]
-    fn spin_barrier_synchronises_counters() {
-        use std::sync::atomic::AtomicU64;
-        let threads = 4;
-        let rounds = 200;
-        let barrier = SpinBarrier::new(threads);
-        let counter = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    for r in 0..rounds {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
-                        // Between crossings every thread must observe the
-                        // full round's increments.
-                        let seen = counter.load(Ordering::Relaxed);
-                        assert!(seen >= (r + 1) * threads as u64, "seen={seen} round={r}");
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), rounds * threads as u64);
-    }
-
-    #[test]
-    fn spin_barrier_leader_is_unique() {
-        let threads = 3;
-        let barrier = SpinBarrier::new(threads);
-        use std::sync::atomic::AtomicU64;
-        let leaders = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(leaders.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn capture_threads_defaults_to_one() {
-        // The env var is unset in the test harness; the default must be
-        // the sequential path.
-        if std::env::var("SCTM_THREADS").is_err() {
-            assert_eq!(capture_threads(), 1);
-        } else {
-            assert!(capture_threads() >= 1);
         }
     }
 

@@ -2,12 +2,12 @@
 //!
 //! A CMP capture depends only on the workload side of the experiment —
 //! kernel, system size, ops per core, seed. It does **not** depend on
-//! the target network (captures run on the analytic model) and it does
-//! not depend on `SCTM_THREADS` (the parallel capture path is
-//! byte-identical at any thread count, see `tests/parallel_capture.rs`).
-//! The capture is therefore content-addressable: fifty network configs
-//! swept over one workload share a single capture and differ only in
-//! their replays.
+//! the target network (captures run on the analytic model), and a
+//! capture runs one way, on the worker that missed: nothing about the
+//! host or the pool size reaches it (`tests/golden_capture.rs` pins the
+//! bytes). The capture is therefore content-addressable: fifty network
+//! configs swept over one workload share a single capture and differ
+//! only in their replays.
 //!
 //! The cache is a single-flight LRU with a byte budget:
 //!

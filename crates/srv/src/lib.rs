@@ -9,8 +9,8 @@
 //! The piece that makes a *service* worth running over a CLI is the
 //! [`CaptureCache`]: CMP captures are content-addressed by
 //! (kernel, side, ops, seed) — the capture runs on the analytic model
-//! and is byte-identical at any `SCTM_THREADS`, so the target network
-//! is *not* part of the identity. A design sweep of fifty network
+//! and is deterministic, so the target network is *not* part of the
+//! identity. A design sweep of fifty network
 //! configurations over one workload therefore costs one capture plus
 //! fifty replays, and the cache counters in every response prove it.
 //!

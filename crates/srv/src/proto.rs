@@ -17,7 +17,7 @@
 //! simulated quantities**. Everything host-dependent (wall clocks,
 //! cache state) stays outside `"result"`, so the result object is
 //! byte-identical between a cold and a warm run, between the service
-//! and a direct [`Experiment::execute`], and at any `SCTM_THREADS`.
+//! and a direct [`Experiment::execute`], and at any worker count.
 
 use sctm_core::trace::{TraceLog, TraceStore};
 use sctm_core::{

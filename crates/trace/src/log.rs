@@ -462,11 +462,12 @@ fn col_id(id: MsgId) -> u32 {
 /// but no row is far from its place (at fft-64 the worst is 288 rows
 /// out, the mean under 10), and its deliveries are in time order up to
 /// runs of equal instants. Insertion does that in one pass with a few
-/// moves per key. Anything else — sharded parts concatenated by
-/// [`Capture::merge`], where a key can be half the log from its place —
+/// moves per key. Anything else — a hook fed by hand out of time
+/// order, where a key can be half the log from its place —
 /// runs out of allowance after at most `MAX_SHIFT` moves of one key
 /// or `MEAN_SHIFT` per key overall and takes the full sort instead,
 /// to the same answer: the keys are distinct, so there is only one.
+/// The fallback is what makes the insertion pass safe on any input.
 fn sort_nearly_sorted<K: Ord + Copy>(keys: &mut [K]) {
     const MAX_SHIFT: usize = 4096;
     const MEAN_SHIFT: usize = 32;
@@ -493,16 +494,10 @@ fn sort_nearly_sorted<K: Ord + Copy>(keys: &mut [K]) {
 /// The hook records raw injections and deliveries exactly as it sees
 /// them, already in the shape the log keeps — 40-byte rows, one
 /// dependency arena, flat columns — so a capture makes no allocation
-/// per message. [`Capture::finish`] canonicalizes afterwards. This
-/// split is what makes parallel capture possible: in an epoch-parallel
-/// run each shard owns its own `Capture`, sees injections for messages
-/// *sourced* at its nodes and deliveries for messages *destined* to
-/// them, and the per-shard parts are concatenated with
-/// [`Capture::merge`] before the single canonicalizing `finish`.
-/// Because the simulator assigns every message the same id and
-/// timestamps regardless of sharding, the canonical form — records
+/// per message. [`Capture::finish`] canonicalizes afterwards: records
 /// sorted by `(t_inject, capture id)`, densely renumbered, deps/prev
-/// remapped — is byte-identical at any thread count.
+/// remapped. The canonical form depends only on the ids and timestamps
+/// the simulator assigned, not on the order the hook saw the rows in.
 #[derive(Debug)]
 pub struct Capture {
     /// What the hook has seen injected, in the order it saw it and in
@@ -545,25 +540,6 @@ impl Capture {
             delivers: Vec::with_capacity(msgs),
             max_id: 0,
         }
-    }
-
-    /// Concatenate per-shard capture parts into one. Order of parts is
-    /// irrelevant: `finish` canonicalizes.
-    pub fn merge(parts: impl IntoIterator<Item = Capture>) -> Capture {
-        let mut out = Capture::new();
-        for p in parts {
-            let base = out.raw.dep_ids.len() as u32;
-            out.raw.records.extend(p.raw.records);
-            out.raw
-                .dep_off
-                .extend(p.raw.dep_off[1..].iter().map(|o| base + o));
-            out.raw.dep_ids.extend(p.raw.dep_ids);
-            out.raw.prev.extend(p.raw.prev);
-            out.raw.kind.extend(p.raw.kind);
-            out.delivers.extend(p.delivers);
-            out.max_id = out.max_id.max(p.max_id);
-        }
-        out
     }
 
     /// Finish capture: sort into the canonical `(t_inject, capture id)`
@@ -654,7 +630,7 @@ impl Capture {
             *slot = d.0;
         }
         // The hook saw the deliveries happen, so the arrival order is
-        // theirs — up to ties, and to parts merged out of time order.
+        // theirs — up to ties, which it saw in capture-id order.
         sort_nearly_sorted(&mut delivers);
         let arrival = delivers.iter().map(|d| d.1).collect();
         TraceLog::from_columns(cols, net_label, exec_time, Some(arrival))
@@ -878,20 +854,19 @@ mod tests {
     }
 
     #[test]
-    fn capture_merge_canonicalizes_sparse_interleaved_ids() {
-        // Two shard-style parts with sparse interleaved ids (seq·n + src,
-        // n = 2): each part sees injections sourced at its node and
-        // deliveries destined to it, exactly as in a sharded capture.
+    fn capture_canonicalizes_sparse_interleaved_ids() {
+        // Sparse interleaved ids (seq·n + src, n = 2), fed out of time
+        // order: node 0's two injections, then node 1's, and the
+        // deliveries grouped by destination rather than by instant.
         let c = MsgClass::Control;
-        let mut a = Capture::new();
-        a.on_inject(inj(msg(0, 0, 1, c), 10, &[], None));
-        a.on_inject(inj(msg(2, 0, 1, c), 300, &[MsgId(1)], Some(0)));
-        a.on_deliver(MsgId(1), SimTime::from_ps(250));
-        let mut b = Capture::new();
-        b.on_inject(inj(msg(1, 1, 0, c), 150, &[MsgId(0)], None));
-        b.on_deliver(MsgId(0), SimTime::from_ps(100));
-        b.on_deliver(MsgId(2), SimTime::from_ps(400));
-        let log = Capture::merge([a, b]).finish("test", SimTime::from_ps(500));
+        let mut cap = Capture::new();
+        cap.on_inject(inj(msg(0, 0, 1, c), 10, &[], None));
+        cap.on_inject(inj(msg(2, 0, 1, c), 300, &[MsgId(1)], Some(0)));
+        cap.on_deliver(MsgId(1), SimTime::from_ps(250));
+        cap.on_inject(inj(msg(1, 1, 0, c), 150, &[MsgId(0)], None));
+        cap.on_deliver(MsgId(0), SimTime::from_ps(100));
+        cap.on_deliver(MsgId(2), SimTime::from_ps(400));
+        let log = cap.finish("test", SimTime::from_ps(500));
         assert_eq!(log.validate(), Ok(()));
         assert_eq!(log.len(), 3);
         // Canonical (t_inject, id) order here maps old ids 0,1,2 → 0,1,2.
@@ -903,26 +878,10 @@ mod tests {
         assert_eq!(log.arrival_order(), &[0, 1, 2]);
     }
 
-    #[test]
-    fn capture_merge_is_order_invariant() {
-        let build = |swap: bool| {
-            let d = MsgClass::Data;
-            let mut a = Capture::new();
-            a.on_inject(inj(msg(0, 0, 1, d), 5, &[], None));
-            a.on_deliver(MsgId(1), SimTime::from_ps(90));
-            let mut b = Capture::new();
-            b.on_inject(inj(msg(1, 1, 0, d), 7, &[], None));
-            b.on_deliver(MsgId(0), SimTime::from_ps(80));
-            let parts = if swap { vec![b, a] } else { vec![a, b] };
-            Capture::merge(parts).finish("test", SimTime::from_ps(100))
-        };
-        assert_eq!(format!("{:?}", build(false)), format!("{:?}", build(true)));
-    }
-
     /// Deliveries the hook sees at one instant arrive in capture-id
     /// order, which is not canonical-id order: the tie-run sort has to
-    /// put them right, and an out-of-time-order hook sequence (merged
-    /// parts) has to take the full sort to the same answer.
+    /// put them right, and an out-of-time-order hook sequence has to
+    /// come to the same answer.
     #[test]
     fn finish_orders_arrivals_by_time_then_canonical_id() {
         let c = MsgClass::Control;
@@ -947,8 +906,9 @@ mod tests {
     /// The three shapes `finish` hands the sort, each against the plain
     /// one: a sequential capture's send-ahead injections (a descent
     /// every third key, nothing far from its place, equal instants
-    /// broken by id), merged shards (one key moves past the per-key
-    /// limit) and a shuffle (many keys move a little past the mean).
+    /// broken by id), and the two that take the fallback: two time
+    /// ranges back to back (one key moves past the per-key limit) and a
+    /// shuffle (many keys move a little past the mean).
     #[test]
     fn nearly_sorted_insertion_matches_the_plain_sort() {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -969,7 +929,7 @@ mod tests {
             .collect();
         let descents = send_ahead.windows(2).filter(|w| w[1] < w[0]).count();
         assert!(descents > send_ahead.len() / 4, "{descents} descents");
-        let shards: Vec<(SimTime, u32)> = (0..2 * 5000u64)
+        let two_ranges: Vec<(SimTime, u32)> = (0..2 * 5000u64)
             .map(|k| (SimTime::from_ps(7 * (k % 5000)), k as u32))
             .collect();
         let shuffled: Vec<(SimTime, u32)> = (0..6000u64)
@@ -977,7 +937,7 @@ mod tests {
             .collect();
         for (shape, keys) in [
             ("send-ahead", send_ahead),
-            ("shards", shards),
+            ("two-ranges", two_ranges),
             ("shuffled", shuffled),
         ] {
             let mut want = keys.clone();

@@ -29,30 +29,22 @@ const GOLDEN: [(Kernel, usize, usize, usize, u64); 4] = [
 ];
 
 #[test]
-fn captures_match_the_pinned_containers_at_1_2_4_capture_threads() {
+fn captures_match_the_pinned_containers() {
     let print = std::env::var_os("GOLDEN_PRINT").is_some();
     for (kernel, side, ops, want_len, want_hash) in GOLDEN {
-        for threads in [1, 2, 4] {
-            let log = Experiment::new(SystemConfig::new(side, NetworkKind::Omesh), kernel)
-                .with_ops(ops)
-                .with_seed(1)
-                .with_capture_threads(threads)
-                .capture();
-            let bytes = to_sctf_bytes(&log);
-            let got = (bytes.len(), fnv1a(&bytes));
-            if print {
-                println!(
-                    "    (Kernel::{kernel:?}, {side}, {ops}, {}, {:#018x}), // {threads} threads",
-                    got.0, got.1
-                );
-                continue;
-            }
-            assert_eq!(
-                got,
-                (want_len, want_hash),
-                "{} side {side} at {threads} capture threads",
-                kernel.label()
+        let log = Experiment::new(SystemConfig::new(side, NetworkKind::Omesh), kernel)
+            .with_ops(ops)
+            .with_seed(1)
+            .capture();
+        let bytes = to_sctf_bytes(&log);
+        let got = (bytes.len(), fnv1a(&bytes));
+        if print {
+            println!(
+                "    (Kernel::{kernel:?}, {side}, {ops}, {}, {:#018x}),",
+                got.0, got.1
             );
+            continue;
         }
+        assert_eq!(got, (want_len, want_hash), "{} side {side}", kernel.label());
     }
 }

@@ -4,9 +4,10 @@
 //! bounded queue pushes back, deadlines drop stale requests, and each
 //! connection's reader and writer halves fail independently.
 //!
-//! CI runs this suite under `SCTM_THREADS=1` and `=4`; every
-//! byte-identity assertion therefore also pins thread-count
-//! independence of the service's responses.
+//! CI runs this suite under `SCTM_THREADS=1` and `=4` — the worker
+//! count of every `ServerConfig::default()` pool here; every
+//! byte-identity assertion therefore also pins pool-size independence
+//! of the service's responses.
 
 use sctm_srv::{
     parse_request, result_json, serve_lines, Request, RunRequest, Server, ServerConfig,

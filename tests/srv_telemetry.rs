@@ -5,8 +5,9 @@
 //! and Prometheus text exposition 0.0.4 validated here by a real
 //! line-grammar checker.
 //!
-//! CI runs this suite under `SCTM_THREADS=1` and `=4`, so the
-//! polling-vs-not byte-identity assertions also pin thread-count
+//! CI runs this suite under `SCTM_THREADS=1` and `=4` — the worker
+//! count of every `ServerConfig::default()` pool here — so the
+//! polling-vs-not byte-identity assertions also pin pool-size
 //! independence.
 
 use sctm_obs::reqlog::RequestLog;

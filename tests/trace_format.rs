@@ -1,9 +1,8 @@
 //! The sctf binary trace container's end-to-end contract (PR10
 //! tentpole): round-tripping a capture through the container is
 //! lossless, replaying a decoded trace is bit-identical to replaying
-//! the original on every detailed network model at any capture thread
-//! count, and the children CSR the container stores is exactly the
-//! log's dependency lists inverted.
+//! the original on every detailed network model, and the children CSR
+//! the container stores is exactly the log's dependency lists inverted.
 
 use proptest::prelude::*;
 use sctm::prelude::*;
@@ -11,11 +10,10 @@ use sctm_engine::net::NetworkModel;
 use sctm_trace::sctf::{encoded_size, from_sctf_bytes, to_sctf_bytes};
 use sctm_trace::{replay_fixed, replay_oracle, replay_sctm_pass, SctfReader, TraceLog, TraceStore};
 
-fn capture(side: usize, kernel: Kernel, ops: usize, seed: u64, threads: usize) -> TraceLog {
+fn capture(side: usize, kernel: Kernel, ops: usize, seed: u64) -> TraceLog {
     Experiment::new(SystemConfig::new(side, NetworkKind::Omesh), kernel)
         .with_ops(ops)
         .with_seed(seed)
-        .with_capture_threads(threads)
         .capture()
 }
 
@@ -46,7 +44,7 @@ proptest! {
         kchoice in 0usize..5,
     ) {
         let kernel = [Kernel::Fft, Kernel::Lu, Kernel::Barnes, Kernel::Streamcluster, Kernel::Canneal][kchoice];
-        let log = capture(2, kernel, ops, seed, 1);
+        let log = capture(2, kernel, ops, seed);
         let bytes = to_sctf_bytes(&log);
         prop_assert_eq!(bytes.len(), encoded_size(&log), "encoded_size must be exact");
         let back = from_sctf_bytes(&bytes).expect("decode");
@@ -56,16 +54,14 @@ proptest! {
     }
 
     /// A decoded sctf trace replays to the *bit-identical* timeline the
-    /// original produced, on every detailed network model, whatever
-    /// thread count captured it. The container can therefore stand in
-    /// for the in-memory log anywhere in the self-correction loop.
+    /// original produced, on every detailed network model. The
+    /// container can therefore stand in for the in-memory log anywhere
+    /// in the self-correction loop.
     #[test]
     fn decoded_traces_replay_bit_identically_on_all_detailed_models(
         seed in 1u64..500,
-        threads_ix in 0usize..3,
     ) {
-        let threads = [1usize, 4, 8][threads_ix];
-        let log = capture(4, Kernel::Fft, 150, seed, threads);
+        let log = capture(4, Kernel::Fft, 150, seed);
         let back = from_sctf_bytes(&to_sctf_bytes(&log)).expect("decode");
         for kind in NetworkKind::DETAILED {
             for (name, engine) in [
@@ -78,10 +74,9 @@ proptest! {
                 prop_assert_eq!(
                     timeline(&a),
                     timeline(&b),
-                    "{} replay diverged on {} at {} capture threads",
+                    "{} replay diverged on {}",
                     name,
-                    kind.label(),
-                    threads
+                    kind.label()
                 );
             }
         }
@@ -92,7 +87,7 @@ proptest! {
     /// lists, ascending, every record whose dependency list names `i`.
     #[test]
     fn preinstalled_csr_matches_on_demand_build(seed in 1u64..500) {
-        let log = capture(2, Kernel::Lu, 150, seed, 1);
+        let log = capture(2, Kernel::Lu, 150, seed);
         let reader = SctfReader::from_bytes(&to_sctf_bytes(&log)).expect("reader");
         let (off, adj) = reader.children_csr().expect("v1 writer always stores the CSR");
         let mut children = vec![Vec::new(); log.len()];
@@ -117,7 +112,7 @@ proptest! {
 /// against 96-byte rows with a heap `Vec` of dependencies each.
 #[test]
 fn sctf_is_smaller_than_csv_and_at_most_three_quarters_of_the_parsed_log_at_64_cores() {
-    let log = capture(8, Kernel::Fft, 300, 1, 1);
+    let log = capture(8, Kernel::Fft, 300, 1);
     let csv = log.to_csv_string().len();
     let sctf = encoded_size(&log);
     assert!(
@@ -143,7 +138,7 @@ fn sctf_is_smaller_than_csv_and_at_most_three_quarters_of_the_parsed_log_at_64_c
 fn save_load_autodetects_both_formats_on_disk() {
     let dir = std::env::temp_dir().join(format!("sctm-fmt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let log = capture(2, Kernel::Fft, 120, 7, 1);
+    let log = capture(2, Kernel::Fft, 120, 7);
     let csv_path = dir.join("a.trace.csv");
     let sctf_path = dir.join("a.sctf");
     log.save(&csv_path).expect("save csv");

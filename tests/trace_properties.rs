@@ -132,20 +132,17 @@ proptest! {
     }
 
     /// `Capture::finish` takes a log's arrival order from the sequence
-    /// in which its hook saw the deliveries — sorting only runs of equal
-    /// instants when that sequence is in time order, everything when
-    /// sharded parts were merged. Either way it must come out as the
-    /// plain sort by `(t_deliver, id)`.
+    /// in which its hook saw the deliveries, sorting only runs of equal
+    /// instants. It must come out as the plain sort by
+    /// `(t_deliver, id)`.
     #[test]
     fn captured_arrival_order_is_the_plain_sort(
         kernel in kernel_strategy(),
         seed in 1u64..1000,
-        threads in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let log = Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), kernel)
             .with_ops(200)
             .with_seed(seed)
-            .with_capture_threads(threads)
             .capture();
         let mut want: Vec<u32> = (0..log.len() as u32).collect();
         want.sort_by_key(|&i| (log.records[i as usize].t_deliver, i));
@@ -265,7 +262,6 @@ fn gate_plan_is_the_same_memoised_reread_or_rebuilt_in_an_arena() {
     for (kernel, ordered_golden) in ORDERED_GOLDEN {
         let log = Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), kernel)
             .with_ops(160)
-            .with_capture_threads(1)
             .capture();
         for (kind, want) in NetworkKind::DETAILED.into_iter().zip(ordered_golden) {
             let net = || SystemConfig::make_network_kind(4, kind);

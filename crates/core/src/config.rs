@@ -109,6 +109,14 @@ impl SystemConfig {
                 side * side
             )));
         }
+        // One core has no interconnect: every detailed model needs a
+        // mesh of at least 2x2. The analytic model simulates it.
+        if side == 1 && network != NetworkKind::Analytic {
+            return Err(SctmError::InvalidConfig(format!(
+                "mesh side 1 has nothing for the {} model to connect; use net=analytic",
+                network.label()
+            )));
+        }
         Ok(SystemConfig {
             side,
             cmp: CmpConfig::tiled(side),
@@ -270,7 +278,11 @@ mod tests {
                 "side {bad}: {err}"
             );
         }
-        assert!(SystemConfig::try_new(1, NetworkKind::Emesh).is_ok());
+        for net in NetworkKind::DETAILED {
+            let err = SystemConfig::try_new(1, net).unwrap_err();
+            assert!(matches!(err, SctmError::InvalidConfig(_)), "{net:?}: {err}");
+        }
+        assert!(SystemConfig::try_new(1, NetworkKind::Analytic).is_ok());
         assert!(SystemConfig::try_new(SystemConfig::MAX_SIDE, NetworkKind::Emesh).is_ok());
     }
 

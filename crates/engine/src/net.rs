@@ -214,7 +214,7 @@ impl MsgLifecycle {
 ///
 /// `Send` is a supertrait so a `Box<dyn NetworkModel>` — and a
 /// simulator that owns one — may be handed to a worker thread (a
-/// `par_map` job, an `sctmd` stage task); every implementor is plain
+/// `par_map` job, an `sctmd` worker); every implementor is plain
 /// owned data, so this costs nothing.
 pub trait NetworkModel: Send {
     /// Number of endpoints.

@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 /// Version of the `stats` verb's JSON snapshot. Bump on any field
 /// removal or rename; additions are compatible.
-pub const SVC_STATS_VERSION: u32 = 2;
+pub const SVC_STATS_VERSION: u32 = 3;
 
 /// One phase of the request lifecycle, measured in host microseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

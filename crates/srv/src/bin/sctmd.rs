@@ -10,9 +10,8 @@
 //!       --peers 127.0.0.1:4710,127.0.0.1:4711   # shard the capture cache
 //! ```
 //!
-//! Scheduling: each request's probe → capture → replay → render
-//! stages are pipelined across a work-stealing pool of `--workers`
-//! threads (default `SCTM_THREADS`, else all cores).
+//! Scheduling: `--workers` threads (default `SCTM_THREADS`, else all
+//! cores) each take one whole request at a time off the bounded queue.
 //! Shard mode: `--peers` lists every instance's *listen* address
 //! (comma-separated, including this one — matched against `--listen`,
 //! or set explicitly with `--shard-self`); capture misses on keys

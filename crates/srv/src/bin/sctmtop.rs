@@ -61,8 +61,6 @@ struct Frame {
     timeouts: u64,
     hits: u64,
     misses: u64,
-    steals: u64,
-    tasks: u64,
 }
 
 fn rate(prev: u64, cur: u64, dt: f64) -> f64 {
@@ -101,8 +99,6 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
         timeouts: counter(doc, "srv.timeouts"),
         hits: counter(doc, "srv.cache.hits"),
         misses: counter(doc, "srv.cache.misses"),
-        steals: counter(doc, "srv.sched.steals"),
-        tasks: counter(doc, "srv.sched.tasks"),
     };
     let dt = prev
         .at
@@ -158,26 +154,14 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
         counter(doc, "srv.cache.evictions"),
     ));
     out.push_str(&format!(
-        "queue      depth {:>4}   peak {:>4}   in-flight {:>4}\n",
+        "queue      depth {:>4}   peak {:>4}\n",
         g("srv.queue.depth") as u64,
         g("srv.queue.peak") as u64,
-        g("srv.in_flight") as u64,
     ));
     out.push_str(&format!(
-        "sched      workers {:>3}   busy {:>3}   tasks {:>8} ({:>7.1}/s)   steals {:>6} ({:>6.1}/s)\n",
+        "sched      workers {:>3}   in flight {:>3}\n",
         g("srv.sched.workers") as u64,
-        g("srv.sched.busy") as u64,
-        cur.tasks,
-        rate(prev.tasks, cur.tasks, dt),
-        cur.steals,
-        rate(prev.steals, cur.steals, dt),
-    ));
-    out.push_str(&format!(
-        "           stage q   probe {:>4}   capture {:>4}   replay {:>4}   render {:>4}\n",
-        g("srv.sched.queue.probe") as u64,
-        g("srv.sched.queue.capture") as u64,
-        g("srv.sched.queue.replay") as u64,
-        g("srv.sched.queue.render") as u64,
+        g("srv.in_flight") as u64,
     ));
     // Shard rows only matter in multi-instance mode; a 0-peer ring
     // means the daemon runs unsharded, so keep the screen quiet then.

@@ -165,10 +165,9 @@ impl CaptureCache {
 
     /// Non-blocking probe: the cached trace if `key` is `Ready`, else
     /// `None` (absent *or* in flight — the caller cannot tell, and must
-    /// go through [`Self::try_get_or_capture`] to join the
+    /// go through [`Self::get_or_capture`] to join the
     /// single-flight). A `Some` counts a hit and refreshes LRU recency,
-    /// exactly like a hit inside `get_or_capture`, so a probe that
-    /// short-circuits the capture stage leaves the same counter trail.
+    /// exactly like a hit inside `get_or_capture`.
     pub fn try_get(&self, key: CaptureKey) -> Option<Arc<TraceLog>> {
         Self::hit(&mut lock(&self.inner), key)
     }
@@ -176,36 +175,18 @@ impl CaptureCache {
     /// Return the cached capture for `key`, or run `produce` to create
     /// it. Exactly one caller produces per key; concurrent callers for
     /// the same key block until the trace is ready. The bool is `true`
-    /// on a cache hit.
+    /// on a cache hit. If `produce` panics, the `Pending` slot is
+    /// released and every waiter is woken: one of them becomes the new
+    /// producer. The key is never poisoned.
     pub fn get_or_capture<F>(&self, key: CaptureKey, produce: F) -> (Arc<TraceLog>, bool)
     where
         F: FnOnce() -> TraceLog,
-    {
-        match self.try_get_or_capture(key, || Ok::<_, std::convert::Infallible>(produce())) {
-            Ok(out) => out,
-            Err(e) => match e {},
-        }
-    }
-
-    /// [`Self::get_or_capture`] with a fallible producer.
-    ///
-    /// On `Err` the `Pending` slot is released (same drop-guard that
-    /// covers panics) and every waiter is woken: one of them becomes
-    /// the new producer and retries. The error never poisons the key —
-    /// covered in `tests/protocol_fuzz.rs`.
-    pub fn try_get_or_capture<F, E>(
-        &self,
-        key: CaptureKey,
-        produce: F,
-    ) -> Result<(Arc<TraceLog>, bool), E>
-    where
-        F: FnOnce() -> Result<TraceLog, E>,
     {
         let mut inner = lock(&self.inner);
         let mut waited = false;
         loop {
             if let Some(log) = Self::hit(&mut inner, key) {
-                return Ok((log, true));
+                return (log, true);
             }
             if !inner.slots.contains_key(&key) {
                 break;
@@ -226,9 +207,7 @@ impl CaptureCache {
             key,
             armed: true,
         };
-        // `?` leaves the guard armed: its drop removes the Pending slot
-        // and wakes the waiters, same as the panic path.
-        let log = Arc::new(produce()?);
+        let log = Arc::new(produce());
         guard.armed = false;
         let bytes = entry_bytes(&log);
 
@@ -247,7 +226,7 @@ impl CaptureCache {
         self.evict_to_budget(&mut inner, key);
         drop(inner);
         self.ready.notify_all();
-        Ok((log, false))
+        (log, false)
     }
 
     /// Evict least-recently-used `Ready` entries until the byte budget
@@ -434,54 +413,6 @@ mod tests {
         assert!(cache.try_get(key).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn failed_producer_frees_the_pending_slot() {
-        let cache = CaptureCache::new(usize::MAX);
-        let key = CaptureKey::new("fft", 2, 150, 5);
-        let err = cache
-            .try_get_or_capture(key, || Err::<TraceLog, &str>("peer hung up"))
-            .unwrap_err();
-        assert_eq!(err, "peer hung up");
-        // The error did not poison the key: a fallback producer runs.
-        let (_, hit) = cache.get_or_capture(key, || capture(150));
-        assert!(!hit);
-        let s = cache.stats();
-        // Both attempts found no Ready entry, so both count as misses.
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.entries, 1);
-    }
-
-    #[test]
-    fn failed_producer_wakes_waiters_who_then_produce() {
-        let cache = std::sync::Arc::new(CaptureCache::new(usize::MAX));
-        let key = CaptureKey::new("fft", 2, 150, 7);
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
-        let (fail_tx, fail_rx) = std::sync::mpsc::channel::<()>();
-        std::thread::scope(|s| {
-            let c = std::sync::Arc::clone(&cache);
-            s.spawn(move || {
-                let _ = c.try_get_or_capture(key, || {
-                    entered_tx.send(()).unwrap();
-                    fail_rx.recv().unwrap();
-                    Err::<TraceLog, &str>("forward failed")
-                });
-            });
-            entered_rx.recv().unwrap(); // producer holds the Pending slot
-            let c = std::sync::Arc::clone(&cache);
-            let waiter = s.spawn(move || c.get_or_capture(key, || capture(150)));
-            // Give the waiter time to block on the condvar, then fail
-            // the first producer; the waiter must take over and finish.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            fail_tx.send(()).unwrap();
-            let (log, hit) = waiter.join().unwrap();
-            assert!(!hit);
-            assert!(!log.is_empty());
-        });
-        let s = cache.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.misses, 2, "{s:?}");
     }
 
     #[test]

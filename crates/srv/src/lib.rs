@@ -14,13 +14,13 @@
 //! configurations over one workload therefore costs one capture plus
 //! fifty replays, and the cache counters in every response prove it.
 //!
-//! Scheduling rides the workspace's work-stealing pool
-//! (`sctm_engine::par::WorkStealPool`): each request's probe → capture
-//! → replay → render stages run as separate tasks, so queued requests
-//! overlap on every worker yet answer bit-identically to a direct
-//! `Experiment::execute`. The request queue is bounded with explicit
-//! backpressure (`busy` + `retry_after_ms`), each request has a queue
-//! deadline, and shutdown drains gracefully.
+//! Scheduling is a fixed pool of workers popping whole requests off one
+//! bounded queue: N workers keep N requests in flight, and every
+//! request answers bit-identically to a direct `Experiment::execute`.
+//! The queue has explicit backpressure (`busy` + `retry_after_ms`),
+//! each request has a queue deadline, a panic inside the simulator
+//! costs its own request and nothing else, and shutdown drains
+//! gracefully.
 //!
 //! ```text
 //! $ printf 'run kernel=fft net=omesh ops=300 id=a\nstats\n' | sctmd --stdin

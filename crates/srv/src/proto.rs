@@ -20,6 +20,7 @@
 //! and a direct [`Experiment::execute`], and at any worker count.
 
 use sctm_core::trace::{TraceLog, TraceStore};
+use sctm_core::workloads::MIN_OPS_PER_CORE;
 use sctm_core::{
     kernel_from_label, Experiment, Mode, NetworkKind, RunReport, RunSpec, SctmError, SystemConfig,
 };
@@ -47,7 +48,7 @@ pub struct FwdRequest {
     /// Originating request id, echoed for log correlation.
     pub id: String,
     /// Workload side of the capture. The network field is irrelevant
-    /// (captures run on the analytic model) and fixed to the default.
+    /// and fixed to the analytic model captures run on.
     pub experiment: Experiment,
 }
 
@@ -73,6 +74,17 @@ fn invalid(msg: String) -> SctmError {
 fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, SctmError> {
     v.parse()
         .map_err(|_| invalid(format!("{key}={v} is not a valid number")))
+}
+
+/// `ops=N`, refused below the bound the workload builder asserts.
+fn parse_ops(v: &str) -> Result<usize, SctmError> {
+    let ops: usize = parse_num("ops", v)?;
+    if ops < MIN_OPS_PER_CORE {
+        return Err(invalid(format!(
+            "ops={ops} is below the {MIN_OPS_PER_CORE}-op minimum"
+        )));
+    }
+    Ok(ops)
 }
 
 /// Parse one request line. Every failure is a typed [`SctmError`] so
@@ -122,7 +134,7 @@ pub fn parse_request(line: &str) -> Result<Request, SctmError> {
             "kernel" => kernel = Some(v.to_string()),
             "net" => net = v,
             "side" => side = parse_num(k, v)?,
-            "ops" => ops = parse_num(k, v)?,
+            "ops" => ops = parse_ops(v)?,
             "seed" => seed = parse_num(k, v)?,
             "mode" => mode_label = v,
             "iters" => iters = parse_num(k, v)?,
@@ -190,7 +202,7 @@ fn parse_fwd(toks: std::str::SplitWhitespace<'_>) -> Result<Request, SctmError> 
         match k {
             "kernel" => kernel = Some(v.to_string()),
             "side" => side = parse_num(k, v)?,
-            "ops" => ops = parse_num(k, v)?,
+            "ops" => ops = parse_ops(v)?,
             "seed" => seed = parse_num(k, v)?,
             "id" => id = v.to_string(),
             "fmt" if v == "sctf" => {}
@@ -200,7 +212,7 @@ fn parse_fwd(toks: std::str::SplitWhitespace<'_>) -> Result<Request, SctmError> 
     }
     let kernel = kernel.ok_or_else(|| invalid("fwd needs kernel=<label>".into()))?;
     let kernel = kernel_from_label(&kernel)?;
-    let experiment = Experiment::new(SystemConfig::try_new(side, NetworkKind::Omesh)?, kernel)
+    let experiment = Experiment::new(SystemConfig::try_new(side, NetworkKind::Analytic)?, kernel)
         .with_ops(ops)
         .with_seed(seed);
     Ok(Request::Fwd(Box::new(FwdRequest { id, experiment })))
@@ -237,8 +249,8 @@ pub fn fwd_response(id: &str, cache: CacheOutcome, log: &TraceLog) -> String {
 
 /// Decode a peer's `fwd` reply. Total: any malformed, truncated, or
 /// error frame — or one without a `trace_sctf` payload — becomes a typed
-/// [`SctmError`] — the capture cache's pending slot is released by the
-/// caller's error path, never poisoned.
+/// [`SctmError`], which the caller counts and answers with a local
+/// capture.
 pub fn parse_fwd_response(line: &str) -> Result<(TraceLog, CacheOutcome), SctmError> {
     use sctm_client::wire::{b64_decode, json_str_field};
     let peer_err = |msg: String| SctmError::Io(msg);

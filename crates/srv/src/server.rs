@@ -1,12 +1,12 @@
-//! The request scheduler and its front-ends.
+//! The request workers and their front-ends.
 //!
-//! A fixed pool of `SCTM_THREADS` workers pulls per-request *stage*
-//! tasks — probe → capture → replay → render — from per-worker deques
-//! with stealing ([`WorkStealPool`]). A worker finishing one stage
-//! pushes the request's next stage onto its own deque; idle workers
-//! steal the oldest queued stage from a peer. So the capture of request
-//! N overlaps the replay of request M and the response rendering of
-//! request K, and a sweep saturates every worker.
+//! A fixed pool of `SCTM_THREADS` workers pops whole requests off one
+//! bounded FIFO queue; each worker takes its request from deadline check
+//! through cache lookup, capture (on a miss), replay and rendering to
+//! the reply (`run_job`). A request's steps are strictly sequential, so
+//! the parallelism is across requests: with N workers, N requests are in
+//! flight, and a sweep saturates every worker. (The stage-per-task
+//! work-stealing pool this replaces is DESIGN.md §13.1's post-mortem.)
 //!
 //! Determinism does not depend on the schedule: each request's result
 //! manifest is computed from simulated quantities only, and the
@@ -27,6 +27,8 @@
 //! with a `busy` response carrying `retry_after_ms`, never blocks the
 //! caller, and never grows the queue past its cap. Shutdown is a
 //! graceful drain — everything already queued still runs and answers.
+//! A panic inside the simulator costs its own request an `internal`
+//! error reply; the worker that caught it takes the next request.
 //!
 //! # Telemetry (DESIGN.md §12)
 //!
@@ -49,8 +51,7 @@ use crate::proto::{
 };
 use crate::shard::Shard;
 use sctm_core::trace::TraceLog;
-use sctm_core::{Mode, SctmError};
-use sctm_engine::par::{service_threads, WorkStealPool, WorkerHandle};
+use sctm_core::Mode;
 use sctm_engine::stats::Histogram;
 use sctm_obs::reqlog::{json_line, RequestLog};
 use sctm_obs::svc::{SvcCounter, SvcPhase, SvcStats, SVC_STATS_VERSION};
@@ -75,8 +76,9 @@ pub struct ServerConfig {
     pub default_timeout_ms: u64,
     /// Retry hint attached to `busy` responses.
     pub retry_after_ms: u64,
-    /// Scheduler worker count; `0` resolves via
-    /// [`service_threads`] (`SCTM_THREADS`, else all cores).
+    /// Worker count; `0` resolves to `SCTM_THREADS` if that holds a
+    /// positive integer, else every available core — a *daemon* exists
+    /// to saturate the host, so pinning to 1 is the explicit act.
     pub workers: usize,
 }
 
@@ -110,8 +112,8 @@ impl Reply {
         }
     }
 
-    /// What a submitter gets when the scheduler dropped its request
-    /// without answering (a worker panicked mid-request).
+    /// What a submitter gets when its request was dropped without an
+    /// answer (the simulator panicked mid-request).
     fn dropped() -> Reply {
         Reply::now(
             r#"{"status":"error","kind":"internal","message":"scheduler dropped the request"}"#
@@ -134,19 +136,7 @@ struct Job {
 struct QueueState {
     jobs: VecDeque<Job>,
     draining: bool,
-    /// Accepted requests not yet answered (queued + in flight). Drain
-    /// waits for this to hit zero so every accepted request is answered
-    /// before the pool stops.
-    outstanding: usize,
 }
-
-/// The four pipeline stages, in flow order. Indices key the
-/// `srv.sched.queue.<stage>` depth gauges.
-const STAGE_NAMES: [&str; 4] = ["probe", "capture", "replay", "render"];
-const STAGE_PROBE: usize = 0;
-const STAGE_CAPTURE: usize = 1;
-const STAGE_REPLAY: usize = 2;
-const STAGE_RENDER: usize = 3;
 
 /// Shard-mode counters (zeros outside shard mode; the schema is
 /// stable either way). Cluster-wide capture count is
@@ -170,8 +160,8 @@ struct Shared {
     cfg: ServerConfig,
     cache: CaptureCache,
     queue: Mutex<QueueState>,
-    /// Signalled after every reply; a drain waits on it.
-    answered: Condvar,
+    /// Signalled once per queued job, and to all when a drain begins.
+    work: Condvar,
     svc: SvcStats,
     log: Option<Arc<RequestLog>>,
     next_seq: AtomicU64,
@@ -182,8 +172,6 @@ struct Shared {
     /// Consistent-hash shard state; `None` runs single-instance.
     shard: Option<Shard>,
     shard_counters: ShardCounters,
-    /// Queued-but-not-started stage tasks, by stage index.
-    stage_depth: [AtomicU64; 4],
 }
 
 struct ConvRollup {
@@ -236,8 +224,8 @@ fn quoted(s: &str) -> String {
 /// A running batch-simulation service. Dropping it drains gracefully.
 pub struct Server {
     shared: Arc<Shared>,
-    /// The stage pool; `None` once drained.
-    pool: Mutex<Option<WorkStealPool>>,
+    /// The request workers; emptied (joined) by the first drain.
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Server {
@@ -263,23 +251,26 @@ impl Server {
             cache: CaptureCache::new(cfg.cache_bytes),
             cfg,
             queue: Mutex::new(QueueState::default()),
-            answered: Condvar::new(),
+            work: Condvar::new(),
             svc: SvcStats::new(),
             log,
             next_seq: AtomicU64::new(1),
             conv: Mutex::new(ConvRollup::new()),
             shard,
             shard_counters: ShardCounters::default(),
-            stage_depth: Default::default(),
         });
-        let workers = if cfg.workers > 0 {
-            cfg.workers
-        } else {
-            service_threads()
-        };
+        let workers = (0..service_threads(cfg.workers))
+            .map(|index| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("sctmd-worker-{index}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn request worker")
+            })
+            .collect();
         Server {
             shared,
-            pool: Mutex::new(Some(WorkStealPool::new(workers))),
+            workers: Mutex::new(workers),
         }
     }
 
@@ -332,38 +323,18 @@ impl Server {
             deadline,
             reply: tx,
         });
-        q.outstanding += 1;
-        let depth = q.jobs.len() as u64;
-        // Hand the pool one probe task per accepted job, while still
-        // holding the queue lock so a concurrent drain cannot stop the
-        // pool between accept and dispatch.
-        self.dispatch_probe();
-        drop(q);
+        // Counted before a worker can see the job, so `srv.completed`
+        // never runs ahead of `srv.accepted`.
         self.shared.svc.incr(SvcCounter::Accepted);
-        self.shared.svc.note_queue_depth(depth);
+        self.shared.svc.note_queue_depth(q.jobs.len() as u64);
+        drop(q);
+        self.shared.work.notify_one();
         Ok(rx)
-    }
-
-    /// Submit one probe-stage task to the pool. The task pops the
-    /// oldest queued job (FIFO fairness for the probe stage; later
-    /// stages ride the deques) and starts its pipeline.
-    fn dispatch_probe(&self) {
-        let pool = lock(&self.pool);
-        let Some(pool) = pool.as_ref() else { return };
-        let sh = Arc::clone(&self.shared);
-        sh.stage_depth[STAGE_PROBE].fetch_add(1, Ordering::Relaxed);
-        pool.submit(move |h| {
-            sh.stage_depth[STAGE_PROBE].fetch_sub(1, Ordering::Relaxed);
-            let job = lock(&sh.queue).jobs.pop_front();
-            if let Some(job) = job {
-                stage_probe(&sh, h, job);
-            }
-        });
     }
 
     /// Answer a peer's `fwd` request from this instance's own cache —
     /// the owner end of the forward hop. Runs on the connection's
-    /// writer half (never a scheduler worker) and goes through the normal
+    /// writer half (never a request worker) and goes through the normal
     /// single-flight `get_or_capture`, so racing forwards from several
     /// peers and local requests for the same key collapse onto one
     /// capture. The owner never re-forwards: it is the end of the
@@ -463,21 +434,9 @@ impl Server {
             m.metrics
                 .hist_merge("srv.conv.iterations", &conv.iterations);
         }
-        // Scheduler occupancy: live pool counters, zeros once drained.
-        let ps = lock(&self.pool)
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default();
-        m.metrics.gauge_set("srv.sched.workers", ps.workers as f64);
-        m.metrics.gauge_set("srv.sched.busy", ps.busy as f64);
-        m.metrics.counter_add("srv.sched.steals", ps.steals);
-        m.metrics.counter_add("srv.sched.tasks", ps.executed);
-        for (i, stage) in STAGE_NAMES.iter().enumerate() {
-            m.metrics.gauge_set(
-                format!("srv.sched.queue.{stage}"),
-                self.shared.stage_depth[i].load(Ordering::Relaxed) as f64,
-            );
-        }
+        // Zero once drained.
+        m.metrics
+            .gauge_set("srv.sched.workers", lock(&self.workers).len() as f64);
         // Shard counters: zeros single-instance, same schema.
         let peers = self
             .shared
@@ -510,24 +469,15 @@ impl Server {
     }
 
     /// Graceful drain: refuse new submissions, finish everything
-    /// queued, then stop the pool. Idempotent.
+    /// queued, then stop the workers. Idempotent. A worker only leaves
+    /// with the queue empty, so the join is "every accepted request
+    /// answered".
     pub fn drain(&self) {
         lock(&self.shared.queue).draining = true;
-        // Every accepted request holds an `outstanding` tick until its
-        // reply is sent; wait for zero, then stop the pool (its Drop
-        // finishes queued tasks first).
-        let pool = lock(&self.pool).take();
-        if let Some(pool) = pool {
-            let mut q = lock(&self.shared.queue);
-            while q.outstanding > 0 {
-                q = self
-                    .shared
-                    .answered
-                    .wait(q)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            drop(q);
-            drop(pool);
+        self.shared.work.notify_all();
+        let workers = std::mem::take(&mut *lock(&self.workers));
+        for w in workers {
+            let _ = w.join();
         }
     }
 }
@@ -559,7 +509,6 @@ fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
         &job.req.id,
         waited.as_millis(),
     )));
-    note_answered(shared);
 }
 
 /// Fold one finished request into counters, conv rollup, phase
@@ -631,20 +580,10 @@ fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
     svc.record_us(SvcPhase::CacheProbe, done.probe_us);
     svc.record_us(SvcPhase::Execute, done.execute_us);
     svc.record_us(SvcPhase::Total, total_us);
-    note_answered(shared);
-}
-
-/// Release one `outstanding` tick after a reply (or timeout drop) and
-/// wake a drain that may be waiting for the count to reach zero.
-fn note_answered(shared: &Shared) {
-    let mut q = lock(&shared.queue);
-    q.outstanding = q.outstanding.saturating_sub(1);
-    drop(q);
-    shared.answered.notify_all();
 }
 
 /// What one executed request produced, response line plus the
-/// telemetry the scheduler folds into [`SvcStats`] and the request log.
+/// telemetry its worker folds into [`SvcStats`] and the request log.
 struct JobDone {
     line: String,
     cache: CacheOutcome,
@@ -705,182 +644,147 @@ fn produce_capture(
     e.capture()
 }
 
-/// Per-request state threaded through the stage pipeline.
-/// Built at probe, completed at render; each stage hands it to the
-/// next via the worker's own deque.
-struct StageCtx {
-    job: Job,
-    queue_us: u64,
-    /// When the probe stage began: the request's wall clock zero.
-    started: Instant,
-    probe_us: u64,
-    /// Accumulated simulation work so far (capture/forward, replay).
-    execute_us: u64,
-    cache: CacheOutcome,
-    key: Option<CaptureKey>,
-    key_prefix: Option<String>,
-    log: Option<Arc<TraceLog>>,
-    outcome: Option<Result<sctm_core::RunOutcome, SctmError>>,
+/// Worker count for `configured` (`ServerConfig::workers`).
+fn service_threads(configured: usize) -> usize {
+    if configured > 0 {
+        return configured;
+    }
+    std::env::var("SCTM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
-/// Queue `ctx` for `stage` on this worker's own deque (LIFO keeps the
-/// request hot; an idle peer may steal it), with depth accounting and
-/// a Perfetto `sched` span around the stage body.
-fn spawn_stage(shared: &Arc<Shared>, h: &WorkerHandle<'_>, stage: usize, ctx: StageCtx) {
-    shared.stage_depth[stage].fetch_add(1, Ordering::Relaxed);
-    let sh = Arc::clone(shared);
-    h.push_local(move |h2| {
-        sh.stage_depth[stage].fetch_sub(1, Ordering::Relaxed);
-        let _g = span("sched", STAGE_NAMES[stage]);
-        match stage {
-            STAGE_CAPTURE => stage_capture(&sh, h2, ctx),
-            STAGE_REPLAY => stage_replay(&sh, h2, ctx),
-            STAGE_RENDER => stage_render(&sh, ctx),
-            other => unreachable!("stage {other} is never queued"),
+/// One request worker: pop the oldest queued job (FIFO start order) or
+/// sleep until there is one; leave when the queue is empty and a drain
+/// has begun. A job may block (on the capture cache's single-flight
+/// condvar, or a shard forward); that parks this worker only, and a
+/// `Pending` slot is only ever owned by a *running* job, so the wait is
+/// on live progress, never on queued work — no deadlock at any worker
+/// count.
+fn worker_loop(shared: &Shared) {
+    loop {
+        let job = {
+            let mut q = lock(&shared.queue);
+            loop {
+                if let Some(job) = q.jobs.pop_front() {
+                    break job;
+                }
+                if q.draining {
+                    return;
+                }
+                q = shared.work.wait(q).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        // A panic inside the simulator costs its own request, never the
+        // worker: the unwinding job drops its sender (the submitter gets
+        // `Reply::dropped`), `InFlight` releases the gauge, the cache's
+        // own guard frees the single-flight slot, and every lock here
+        // and in `obs` recovers from poison.
+        let run = std::panic::AssertUnwindSafe(|| run_job(shared, job));
+        if std::panic::catch_unwind(run).is_err() {
+            shared.svc.incr(SvcCounter::Errors);
         }
-    });
+    }
 }
 
-/// Stage 1 — deadline check and non-blocking cache probe. A hit skips
-/// straight to replay; a cold or in-flight key goes to the capture
-/// stage (which joins the single-flight there, off this fast path).
-fn stage_probe(shared: &Arc<Shared>, h: &WorkerHandle<'_>, job: Job) {
-    let _g = span("sched", STAGE_NAMES[STAGE_PROBE]);
-    let now = Instant::now();
+/// Holds one `srv.in_flight` tick for as long as a request executes.
+struct InFlight<'a>(&'a SvcStats);
+
+impl<'a> InFlight<'a> {
+    fn enter(svc: &'a SvcStats) -> Self {
+        svc.enter();
+        InFlight(svc)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.exit();
+    }
+}
+
+/// Take one request from deadline check to reply: cache lookup (and the
+/// capture or shard forward behind a miss), the simulation, rendering,
+/// telemetry. The `"result"` object is computed from simulated
+/// quantities only, so its bytes do not depend on which worker ran the
+/// request, or when.
+fn run_job(shared: &Shared, job: Job) {
+    let started = Instant::now();
     if let Some(d) = job.deadline {
-        if d <= now {
-            finish_timeout(shared, job, now);
+        if d <= started {
+            finish_timeout(shared, job, started);
             return;
         }
     }
-    let queue_us = us(now.duration_since(job.enqueued));
-    shared.svc.enter();
-    let traceless = matches!(
-        job.req.spec.mode,
-        Mode::ExecutionDriven | Mode::Online { .. }
-    );
-    let mut ctx = StageCtx {
-        job,
-        queue_us,
-        started: now,
-        probe_us: 0,
-        execute_us: 0,
-        cache: CacheOutcome::Bypass,
-        key: None,
-        key_prefix: None,
-        log: None,
-        outcome: None,
-    };
-    if traceless {
-        spawn_stage(shared, h, STAGE_REPLAY, ctx);
-        return;
-    }
-    let e = &ctx.job.req.experiment;
-    let key = CaptureKey::new(e.kernel.label(), e.system.side, e.ops_per_core, e.seed);
-    ctx.key = Some(key);
-    ctx.key_prefix = Some(format!("{:08x}", key.0 >> 32));
-    let probe0 = Instant::now();
-    let probed = {
-        let _g = span("svc", "cache_probe");
-        shared.cache.try_get(key)
-    };
-    ctx.probe_us = us(probe0.elapsed());
-    match probed {
-        Some(log) => {
-            ctx.cache = CacheOutcome::Hit;
-            ctx.log = Some(log);
-            spawn_stage(shared, h, STAGE_REPLAY, ctx);
-        }
-        None => spawn_stage(shared, h, STAGE_CAPTURE, ctx),
-    }
-}
+    let queue_us = us(started.duration_since(job.enqueued));
+    let in_flight = InFlight::enter(&shared.svc);
+    let req = &job.req;
+    let e = &req.experiment;
+    let traceless = matches!(req.spec.mode, Mode::ExecutionDriven | Mode::Online { .. });
 
-/// Stage 2 — join the single-flight and produce the capture if this
-/// request drew the short straw (locally, or via the shard forward
-/// hop). Blocking on another request's in-flight capture parks this
-/// worker only; the producer is always actively running on some
-/// worker (or a peer), so the wait is on live progress, never on
-/// queued work — no scheduling deadlock at any worker count.
-fn stage_capture(shared: &Arc<Shared>, h: &WorkerHandle<'_>, mut ctx: StageCtx) {
-    let key = ctx.key.expect("capture stage requires a key");
-    let c0 = Instant::now();
-    let mut produce_time = Duration::ZERO;
-    let (log, hit) = {
-        let _g = span("svc", "cache_probe");
-        let e = &ctx.job.req.experiment;
-        let id = &ctx.job.req.id;
-        shared.cache.get_or_capture(key, || {
-            let p0 = Instant::now();
-            let t = produce_capture(shared, e, id, key);
-            produce_time = p0.elapsed();
-            t
-        })
-    };
-    // Resolution (including any single-flight wait) counts as probe
-    // time; the production itself is execution work.
-    ctx.probe_us += us(c0.elapsed().saturating_sub(produce_time));
-    ctx.execute_us += us(produce_time);
-    ctx.cache = if hit {
-        CacheOutcome::Hit
-    } else {
-        CacheOutcome::Miss
-    };
-    ctx.log = Some(log);
-    spawn_stage(shared, h, STAGE_REPLAY, ctx);
-}
+    let mut cache = CacheOutcome::Bypass;
+    let mut key_prefix = None;
+    let mut probe_us = 0;
+    let mut execute_us = 0;
+    let mut seed_log = None;
+    if !traceless {
+        let key = CaptureKey::new(e.kernel.label(), e.system.side, e.ops_per_core, e.seed);
+        key_prefix = Some(format!("{:08x}", key.0 >> 32));
+        let c0 = Instant::now();
+        let mut produce_time = Duration::ZERO;
+        let (log, hit) = {
+            let _g = span("svc", "cache_probe");
+            shared.cache.get_or_capture(key, || {
+                let p0 = Instant::now();
+                let t = produce_capture(shared, e, &req.id, key);
+                produce_time = p0.elapsed();
+                t
+            })
+        };
+        // Resolution (including any single-flight wait) counts as probe
+        // time; the production itself is execution work.
+        probe_us = us(c0.elapsed().saturating_sub(produce_time));
+        execute_us = us(produce_time);
+        cache = if hit {
+            CacheOutcome::Hit
+        } else {
+            CacheOutcome::Miss
+        };
+        seed_log = Some(log);
+    }
 
-/// Stage 3 — run the simulation (replay against the capture, or direct
-/// execution for traceless modes).
-fn stage_replay(shared: &Arc<Shared>, h: &WorkerHandle<'_>, mut ctx: StageCtx) {
     let x0 = Instant::now();
     let outcome = {
         let _g = span("svc", "execute");
-        let req = &ctx.job.req;
-        match &ctx.log {
-            Some(log) => req.experiment.execute_seeded(&req.spec, Some(log)),
-            None => req.experiment.execute(&req.spec),
-        }
+        e.execute_seeded(&req.spec, seed_log.as_deref())
     };
-    ctx.execute_us += us(x0.elapsed());
-    ctx.outcome = Some(outcome);
-    spawn_stage(shared, h, STAGE_RENDER, ctx);
-}
+    execute_us += us(x0.elapsed());
 
-/// Stage 4 — render the response line and fold the request into
-/// telemetry. The `"result"` object is computed from simulated
-/// quantities only, so its bytes do not depend on which worker ran
-/// which stage, or in what order.
-fn stage_render(shared: &Arc<Shared>, ctx: StageCtx) {
-    let StageCtx {
-        job,
-        queue_us,
-        started,
-        probe_us,
-        execute_us,
-        cache,
-        key_prefix,
-        outcome,
-        ..
-    } = ctx;
-    let done = match outcome.expect("render stage requires an outcome") {
+    let done = match outcome {
         Ok(out) => JobDone {
             line: ok_response(
-                &job.req.id,
+                &req.id,
                 started.elapsed().as_nanos(),
                 cache,
-                &result_json(&out.report, &job.req.experiment),
+                &result_json(&out.report, e),
             ),
             cache,
             key_prefix,
             error_kind: None,
-            // Rendering counts as execution work.
             probe_us,
+            // Rendering counts as execution work.
             execute_us: us(started.elapsed()),
             verdict: out.report.verdict.map(|v| v.label()),
             conv_iterations: out.report.iterations.as_ref().map_or(0, |v| v.len() as u64),
         },
         Err(err) => JobDone {
-            line: error_response(&job.req.id, &err),
+            line: error_response(&req.id, &err),
             cache,
             key_prefix,
             error_kind: Some(error_kind(&err)),
@@ -890,7 +794,8 @@ fn stage_render(shared: &Arc<Shared>, ctx: StageCtx) {
             conv_iterations: 0,
         },
     };
-    shared.svc.exit();
+    // Released before the reply, so `stats` after an answer reads 0.
+    drop(in_flight);
     finish_job(shared, job, queue_us, done);
 }
 
@@ -925,7 +830,7 @@ fn stats_line(server: &Server) -> String {
 /// when the stream asked for shutdown.
 ///
 /// The connection is split in two. The **reader half** (the calling
-/// thread) parses each line, submits `run` requests to the scheduler at
+/// thread) parses each line, submits `run` requests to the queue at
 /// once — so consecutive `run` lines overlap on the workers — and
 /// queues what the connection now owes its client. The **writer half**
 /// (a scoped thread that owns `writer` behind a `BufWriter`) pops the
@@ -935,7 +840,7 @@ fn stats_line(server: &Server) -> String {
 /// never otherwise. Neither half waits on a timer, and a client that
 /// stalls mid-line delays nothing it is already owed.
 ///
-/// The queue between the halves is bounded (a few entries per scheduler
+/// The queue between the halves is bounded (a few entries per request
 /// queue slot, so `busy` refusals fit beside the accepted runs): a
 /// client that keeps sending without reading what it is owed fills it,
 /// the reader half stops reading, and TCP pushes back on the sender
@@ -1202,4 +1107,15 @@ pub fn serve_tcp(listener: std::net::TcpListener, server: Server) -> std::io::Re
     }
     server.drain();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn service_threads_is_positive_and_honours_the_config() {
+        assert!(service_threads(0) >= 1);
+        assert_eq!(service_threads(3), 3);
+    }
 }

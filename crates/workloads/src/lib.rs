@@ -77,6 +77,11 @@ impl Kernel {
     }
 }
 
+/// Shortest per-core script a kernel is built with: below it the
+/// phase structure is noise. [`WorkloadParams::new`] asserts it; front
+/// ends that take `ops` from outside check it first.
+pub const MIN_OPS_PER_CORE: usize = 64;
+
 /// Sizing knobs shared by all kernels.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkloadParams {
@@ -89,7 +94,10 @@ pub struct WorkloadParams {
 impl WorkloadParams {
     pub fn new(cores: usize, ops_per_core: usize, seed: u64) -> Self {
         assert!(cores.is_power_of_two(), "kernels want power-of-two cores");
-        assert!(ops_per_core >= 64, "scripts shorter than 64 ops are noise");
+        assert!(
+            ops_per_core >= MIN_OPS_PER_CORE,
+            "scripts shorter than {MIN_OPS_PER_CORE} ops are noise"
+        );
         WorkloadParams {
             cores,
             ops_per_core,

@@ -1,13 +1,15 @@
-//! Determinism contract of the work-stealing scheduler and the sharded
-//! multi-instance cache: the staged steal pipeline must answer
-//! byte-identically to a direct `Experiment::execute` at any worker
-//! count, a two-instance shard must answer byte-identically to a single instance
-//! while capturing each workload exactly once *cluster-wide* (and, when
-//! the owning peer is dead, by capturing locally), and a lockstep client
-//! must get each response as soon as it is finished.
+//! Determinism contract of the worker pool and the sharded
+//! multi-instance cache: the daemon must answer byte-identically to a
+//! direct `Experiment::execute` at any worker count, a two-instance
+//! shard must answer byte-identically to a single instance while
+//! capturing each workload exactly once *cluster-wide* (and, when the
+//! owning peer is dead, by capturing locally), a lockstep client must
+//! get each response as soon as it is finished, a long request must not
+//! stall the other workers, and a request that panics inside the
+//! simulator must cost one `internal` reply, never its worker.
 //!
 //! Responses are compared whole, after masking the one wall-clock field
-//! (`wall_ns`) a scheduler may legitimately change — and, where requests
+//! (`wall_ns`) a schedule may legitimately change — and, where requests
 //! that share a capture key are submitted as one burst, which of them
 //! won the single-flight race and so carries the `"cache":"miss"` label.
 
@@ -56,7 +58,7 @@ fn mask_cache_label(line: String) -> String {
         .replace(r#""cache":"hit""#, r#""cache":#"#)
 }
 
-/// A deterministic script exercising every stage path: cache misses,
+/// A deterministic script exercising every request path: cache misses,
 /// hits, traceless bypass, seeded replay, and typed errors.
 fn script() -> Vec<&'static str> {
     vec![
@@ -103,7 +105,7 @@ fn direct_answer(line: &str) -> String {
 
 fn answers(server: &Server) -> Vec<String> {
     // Drive the production front-end (`serve_lines`) so the comparison
-    // also pins response *ordering* under the steal scheduler.
+    // also pins response *ordering* at every worker count.
     let text = format!("{}\n", script().join("\n"));
     let mut out = Vec::new();
     sctm_srv::serve_lines(text.as_bytes(), &mut out, server).expect("serve");
@@ -122,7 +124,7 @@ fn answers(server: &Server) -> Vec<String> {
 }
 
 #[test]
-fn steal_answers_byte_identical_to_direct_execute_at_1_4_8_workers() {
+fn answers_are_byte_identical_to_direct_execute_at_1_4_8_workers() {
     let reference: Vec<String> = script()
         .into_iter()
         .map(|line| masked(&direct_answer(line)))
@@ -142,14 +144,14 @@ fn steal_answers_byte_identical_to_direct_execute_at_1_4_8_workers() {
         }));
         assert_eq!(
             got, reference,
-            "steal scheduler with {workers} workers diverged from direct execution"
+            "{workers} workers diverged from direct execution"
         );
     }
 }
 
 #[test]
-fn steal_keeps_the_one_capture_per_sweep_economics() {
-    // The §P5 invariant under the staged pipeline: 50 configs over one
+fn a_sweep_keeps_the_one_capture_economics() {
+    // The §P5 invariant across four workers: 50 configs over one
     // workload cost exactly one capture.
     let server = Server::start(ServerConfig {
         workers: 4,
@@ -171,6 +173,94 @@ fn steal_keeps_the_one_capture_per_sweep_economics() {
     }
     let stats = server.cache_stats();
     assert_eq!((stats.misses, stats.hits), (1, 49), "{stats:?}");
+}
+
+#[test]
+fn a_long_request_does_not_stall_the_other_worker() {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let heavy = server
+        .submit(run_req(
+            "run kernel=fft net=omesh side=8 ops=1500 mode=sctm iters=4 id=heavy",
+        ))
+        .expect("enqueue heavy");
+    let light: Vec<_> = (0..8)
+        .map(|n| {
+            let req = run_req(&format!(
+                "run kernel=fft net=omesh side=2 ops=150 mode=exec-driven id=q{n}"
+            ));
+            server.submit(req).expect("enqueue light")
+        })
+        .collect();
+    for rx in light {
+        let reply = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a light request starved behind the heavy one");
+        assert!(
+            reply.line.starts_with(r#"{"status":"ok""#),
+            "{}",
+            reply.line
+        );
+    }
+    // The heavy request was started first (FIFO) and is still running:
+    // the eight answers above came from the other worker.
+    assert!(heavy.try_recv().is_err(), "heavy request finished first");
+    let reply = heavy.recv().expect("heavy reply");
+    assert!(
+        reply.line.starts_with(r#"{"status":"ok""#),
+        "{}",
+        reply.line
+    );
+}
+
+#[test]
+fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
+    use sctm_core::workloads::Kernel;
+    use sctm_core::{Experiment, NetworkKind, RunSpec, SystemConfig};
+    let server = std::sync::Arc::new(Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    }));
+    // `parse_request` refuses ops below the workload builder's minimum;
+    // a hand-built request reaches the assert inside the simulator.
+    let bad = RunRequest {
+        id: "bad".into(),
+        experiment: Experiment::new(SystemConfig::new(2, NetworkKind::Omesh), Kernel::Fft)
+            .with_ops(10),
+        spec: RunSpec::new(Mode::ExecutionDriven),
+        timeout_ms: None,
+    };
+    let wait = std::time::Duration::from_secs(60);
+    let bad_rx = server.submit(bad).expect("enqueue bad");
+    let good_rx = server
+        .submit(run_req(
+            "run kernel=fft net=omesh side=2 ops=150 mode=exec-driven id=good",
+        ))
+        .expect("enqueue good");
+    // The unwinding job dropped its sender without a reply, which the
+    // front ends answer with the `internal` line.
+    assert!(matches!(
+        bad_rx.recv_timeout(wait),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+    ));
+    let good = good_rx
+        .recv_timeout(wait)
+        .expect("the only worker died with the bad request");
+    assert!(good.line.starts_with(r#"{"status":"ok""#), "{}", good.line);
+    let snap = server.svc_snapshot();
+    assert_eq!(snap.in_flight, 0);
+    let stats = server.stats_manifest().to_json();
+    assert_eq!(stats_counter(&stats, "srv.errors"), 1, "{stats}");
+    assert_eq!(stats_counter(&stats, "srv.completed"), 1, "{stats}");
+    // A drain that waits on the dead request would hang here.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.drain();
+        let _ = done_tx.send(());
+    });
+    done_rx.recv_timeout(wait).expect("drain hung");
 }
 
 /// Boot a TCP daemon on an OS-assigned port, sharded over `peers` when

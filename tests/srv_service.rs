@@ -230,30 +230,39 @@ run kernel=fft id=never
 #[test]
 fn protocol_errors_are_typed_not_fatal() {
     let server = Server::start(ServerConfig::default());
-    let script = "\
-bogus-verb
-run kernel=fft mode=warp9
-run kernel=fft net=subspace
-run kernel=fft side=9999
-run kernel=fft mode=sctm iters=0
-ping
-";
+    // The `ops` and `side=1` lines used to reach an assert inside the
+    // simulator and kill the worker that ran them.
+    let cases = [
+        ("bogus-verb", "invalid-spec"),
+        ("run kernel=fft mode=warp9", "invalid-spec"),
+        ("run kernel=fft net=subspace", "unknown-network"),
+        ("run kernel=fft side=9999", "invalid-config"),
+        ("run kernel=fft mode=sctm iters=0", "invalid-spec"),
+        ("run kernel=fft ops=10", "invalid-spec"),
+        ("run kernel=fft ops=0", "invalid-spec"),
+        ("run kernel=fft side=1 net=omesh", "invalid-config"),
+        ("run kernel=fft side=1 net=oxbar", "invalid-config"),
+        ("run kernel=fft side=1 net=obus", "invalid-config"),
+        ("run kernel=fft side=1 net=hybrid", "invalid-config"),
+        ("run kernel=fft side=1 net=emesh", "invalid-config"),
+        ("fwd kernel=fft ops=10", "invalid-spec"),
+    ];
+    let mut script: String = cases.iter().map(|(line, _)| format!("{line}\n")).collect();
+    script.push_str("ping\n");
     let mut out = Vec::new();
     serve_lines(script.as_bytes(), &mut out, &server).expect("serve");
     let text = String::from_utf8(out).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 6);
-    for (line, kind) in lines.iter().zip([
-        "invalid-spec",
-        "invalid-spec",
-        "unknown-network",
-        "invalid-config",
-        "invalid-spec",
-    ]) {
+    assert_eq!(lines.len(), cases.len() + 1);
+    for (line, (request, kind)) in lines.iter().zip(cases) {
         assert_status(line, "error");
-        assert!(line.contains(&format!(r#""kind":"{kind}""#)), "{line}");
+        assert!(
+            line.contains(&format!(r#""kind":"{kind}""#)),
+            "{request}: {line}"
+        );
     }
-    assert!(lines[5].contains("pong"), "{}", lines[5]);
+    let pong = lines[cases.len()];
+    assert!(pong.contains("pong"), "{pong}");
 }
 
 #[test]

@@ -163,7 +163,7 @@ fn stats_verb_is_versioned_and_observes_prior_runs() {
     ));
     let line = verb(&server, "stats");
     assert!(
-        line.starts_with(r#"{"status":"ok","version":2,"stats":{"#),
+        line.starts_with(r#"{"status":"ok","version":3,"stats":{"#),
         "{line}"
     );
     assert_eq!(counter(&line, "srv.accepted"), 1);
@@ -251,7 +251,7 @@ fn http_get_scrape_works_on_the_line_protocol_port() {
     serve_lines(b"GET /stats HTTP/1.0\r\n\r\n".as_slice(), &mut out, &server).expect("serve");
     let text = String::from_utf8(out).unwrap();
     assert!(text.contains("Content-Type: application/json"), "{text}");
-    assert!(text.contains(r#""version":2"#), "{text}");
+    assert!(text.contains(r#""version":3"#), "{text}");
     let mut out = Vec::new();
     serve_lines(b"GET /nope HTTP/1.0\r\n\r\n".as_slice(), &mut out, &server).expect("serve");
     assert!(

@@ -197,6 +197,10 @@ pub struct CmpResult {
 /// The full-system simulator, generic over the interconnect.
 pub struct CmpSim {
     cfg: CmpConfig,
+    /// log2 of the core count, a power of two: a line's home slice is
+    /// its low `core_bits` bits, its memory-controller index comes from
+    /// the bits above them.
+    core_bits: u32,
     net: Box<dyn NetworkModel>,
     q: EventQueue<Ev>,
     cores: Vec<CoreState>,
@@ -205,7 +209,6 @@ pub struct CmpSim {
     dir: FxHashMap<u64, DirState>,
     busy: FxHashMap<u64, Txn>,
     queued: FxHashMap<u64, VecDeque<QueuedReq>>,
-    last_unblock: FxHashMap<u64, MsgId>,
     /// Node ids hosting memory controllers ([`CmpConfig::mem_ctrl_nodes`]).
     mem_ctrl: Vec<usize>,
     mem_free: Vec<SimTime>,
@@ -244,8 +247,13 @@ impl CmpSim {
             "workload size must match core count"
         );
         assert!(n <= crate::protocol::MAX_CORES);
+        assert!(
+            n.is_power_of_two(),
+            "core count {n} is not a power of two: lines are interleaved over cores by mask"
+        );
         let mem_ctrl = cfg.mem_ctrl_nodes();
         CmpSim {
+            core_bits: n.trailing_zeros(),
             l1: (0..n).map(|_| Cache::new(cfg.l1)).collect(),
             l2: (0..n).map(|_| Cache::new(cfg.l2_slice)).collect(),
             cores: (0..n)
@@ -268,7 +276,6 @@ impl CmpSim {
             dir: FxHashMap::default(),
             busy: FxHashMap::default(),
             queued: FxHashMap::default(),
-            last_unblock: FxHashMap::default(),
             in_flight: MsgTable::new(),
             granted: vec![None; n],
             last_out: vec![None; n],
@@ -287,12 +294,12 @@ impl CmpSim {
 
     #[inline]
     fn home(&self, line: LineAddr) -> usize {
-        (line.0 as usize) % self.cfg.num_cores()
+        (line.0 & ((1u64 << self.core_bits) - 1)) as usize
     }
 
     #[inline]
     fn mem_ctrl_of(&self, line: LineAddr) -> (usize, usize) {
-        let idx = ((line.0 / self.cfg.num_cores() as u64) as usize) % self.mem_ctrl.len();
+        let idx = (line.0 >> self.core_bits) as usize % self.mem_ctrl.len();
         (idx, self.mem_ctrl[idx])
     }
 
@@ -1119,7 +1126,6 @@ impl CmpSim {
         unblock: MsgId,
     ) {
         debug_assert!(!self.busy.contains_key(&line.0));
-        self.last_unblock.insert(line.0, unblock);
         let Some(q) = self.queued.get_mut(&line.0) else {
             return;
         };

@@ -165,9 +165,11 @@ impl Experiment {
         // the capture buffers avoids re-copying tens of MB of records
         // as they double at full-system scale.
         let est_msgs = self.ops_per_core * self.system.cores() * 3;
-        let mut sim = CmpSim::new(self.system.cmp.clone(), Box::new(model), self.workload());
         let mut cap = Capture::with_capacity(est_msgs);
-        let res = sim.run(&mut cap);
+        // The simulator — cache tag arrays, directory, workload scripts
+        // — is dead once the run returns; `finish` needs only the hook.
+        let res =
+            CmpSim::new(self.system.cmp.clone(), Box::new(model), self.workload()).run(&mut cap);
         cap.finish("analytic", res.exec_time)
     }
 
@@ -289,6 +291,11 @@ impl Experiment {
         for it in 1..=max_iters {
             let _iter_span = obs::span("sctm", "iteration");
             let iter_wall = Instant::now();
+            // A loop that goes on never reads the previous iteration's
+            // trace and replay result again: free them before the next
+            // capture allocates its own, so one trace is resident at a
+            // time.
+            drop(last.take());
             // Iteration 1 runs on the uncorrected model, so a cached
             // capture of this experiment substitutes exactly — read in
             // place, never copied.

@@ -316,7 +316,9 @@ pub trait NetworkModel: Send {
 #[derive(Clone, Debug)]
 pub struct AnalyticNetwork {
     nodes: usize,
-    mesh_w: usize,
+    /// Mesh coordinates of each node, so a hop count is two
+    /// subtractions and not two divisions per message.
+    xy: Vec<(u32, u32)>,
     base: SimTime,
     per_hop: SimTime,
     per_byte_ps: u64,
@@ -352,7 +354,9 @@ impl AnalyticNetwork {
         );
         AnalyticNetwork {
             nodes,
-            mesh_w,
+            xy: (0..nodes)
+                .map(|i| ((i % mesh_w) as u32, (i / mesh_w) as u32))
+                .collect(),
             base,
             per_hop,
             per_byte_ps,
@@ -370,8 +374,7 @@ impl AnalyticNetwork {
     }
 
     fn hops(&self, a: NodeId, b: NodeId) -> u64 {
-        let (ax, ay) = (a.idx() % self.mesh_w, a.idx() / self.mesh_w);
-        let (bx, by) = (b.idx() % self.mesh_w, b.idx() / self.mesh_w);
+        let ((ax, ay), (bx, by)) = (self.xy[a.idx()], self.xy[b.idx()]);
         (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
     }
 

@@ -27,7 +27,10 @@
 //! decide, and `check_masks` re-derives every one of them after each
 //! cycle in debug builds. Visit order is part of the model: RC/VA takes
 //! slots in ascending order, SA takes an output port's requesters from
-//! its round-robin pointer upward, then wrapped (DESIGN.md §7).
+//! its round-robin pointer upward, then wrapped (DESIGN.md §7). What
+//! the phases ask of the topology per flit — which router is across
+//! this port, which way dimension order goes from here — is read from
+//! two tables `NocSim::new` builds once from [`Topology`]'s functions.
 
 use crate::packet::{Flit, PacketizeConfig, Reassembly};
 use crate::topology::{Port, Routing, Topology, DIRS, NUM_PORTS};
@@ -228,9 +231,19 @@ pub struct NocSim {
     stall_cycles: u64,
     /// Cumulative outbound-link occupancy per node, in flit-cycles.
     link_busy_cycles: Vec<u64>,
+    /// `neigh[node * 4 + dir]`: the router across direction port `dir`
+    /// ([`WALL`] where the mesh ends), as [`Topology::neighbor`] says.
+    neigh: Vec<u32>,
+    /// `dor[here * nodes + dst]`: the dimension-order output port, as
+    /// [`Topology::route_dor`] says. Empty under odd-even routing,
+    /// which decides per packet.
+    dor: Vec<Port>,
     capture: bool,
     lifecycles: Vec<MsgLifecycle>,
 }
+
+/// No router across this port: a mesh edge.
+const WALL: u32 = u32::MAX;
 
 /// A full network that has made no forward progress for this many cycles
 /// is declared deadlocked (a model bug, not a workload property).
@@ -257,12 +270,29 @@ impl NocSim {
         }
         let n = cfg.topology.num_nodes();
         let v = cfg.total_vcs();
+        // Topology is data, built once: the phases below read these two
+        // tables per flit instead of dividing node ids by the mesh
+        // width.
+        let topo = cfg.topology;
+        let node_id = |i: usize| sctm_engine::net::NodeId(i as u32);
+        let neigh: Vec<u32> = (0..n)
+            .flat_map(|i| DIRS.map(|p| topo.neighbor(node_id(i), p).map_or(WALL, |nb| nb.0)))
+            .collect();
+        let dor = match cfg.routing {
+            Routing::XY | Routing::YX => {
+                let y_first = cfg.routing == Routing::YX;
+                (0..n)
+                    .flat_map(|h| (0..n).map(move |d| (h, d)))
+                    .map(|(h, d)| topo.route_dor(node_id(h), node_id(d), y_first))
+                    .collect()
+            }
+            Routing::OddEven => Vec::new(),
+        };
         let routers = (0..n)
             .map(|i| {
-                let node = sctm_engine::net::NodeId(i as u32);
                 let mut credits = vec![0usize; NUM_PORTS * v];
                 for p in DIRS {
-                    if cfg.topology.neighbor(node, p).is_some() {
+                    if neigh[i * DIRS.len() + p.idx()] != WALL {
                         for vc in 0..v {
                             credits[p.idx() * v + vc] = cfg.buf_depth;
                         }
@@ -300,9 +330,20 @@ impl NocSim {
             stats: NetStats::default(),
             stall_cycles: 0,
             link_busy_cycles: vec![0; n],
+            neigh,
+            dor,
             capture: false,
             lifecycles: Vec::new(),
         }
+    }
+
+    /// The router across direction port `dir` of `node`; `wall` is what
+    /// to say when there is none, which the caller knows cannot be.
+    #[inline]
+    fn across(&self, node: usize, dir: usize, wall: &str) -> usize {
+        let nb = self.neigh[node * DIRS.len() + dir];
+        assert_ne!(nb, WALL, "{wall}");
+        nb as usize
     }
 
     pub fn config(&self) -> &NocConfig {
@@ -493,7 +534,7 @@ impl NocSim {
                 }
                 // Allocate a free VC on this router's output side
                 // (mirrors the downstream input VC).
-                let crossing = topo.dateline_crossed(here, out);
+                let crossing = topo.torus && topo.dateline_crossed(here, out);
                 let dl = head.dateline || crossing;
                 let mut range = self.allowed_vcs(head.vnet as usize, dl);
                 let router = &mut self.routers[node];
@@ -510,8 +551,7 @@ impl NocSim {
     fn compute_route(&self, here: sctm_engine::net::NodeId, head: &Flit, in_port: usize) -> Port {
         let topo = self.cfg.topology;
         match self.cfg.routing {
-            Routing::XY => topo.route_dor(here, head.dst, false),
-            Routing::YX => topo.route_dor(here, head.dst, true),
+            Routing::XY | Routing::YX => self.dor[here.idx() * self.routers.len() + head.dst.idx()],
             Routing::OddEven => {
                 // src approximated by the input direction: packets from
                 // Local use `here` as src, which is exact.
@@ -591,12 +631,9 @@ impl NocSim {
 
                 // Return a credit to whoever feeds this input VC.
                 if in_port != Port::Local.idx() {
-                    let in_p = Port::from_idx(in_port);
-                    let up = topo
-                        .neighbor(here, in_p)
-                        .expect("flit arrived through a dead port");
-                    let up_out = in_p.opposite().idx();
-                    self.routers[up.idx()].credits[up_out * v + (pv % v)] += 1;
+                    let up = self.across(node, in_port, "flit arrived through a dead port");
+                    let up_out = Port::from_idx(in_port).opposite().idx();
+                    self.routers[up].credits[up_out * v + (pv % v)] += 1;
                 }
 
                 if out_port == Port::Local {
@@ -632,13 +669,13 @@ impl NocSim {
                     if flit.kind.is_tail() {
                         self.routers[node].out_alloc[op * v + ovc] = false;
                     }
-                    if topo.dateline_crossed(here, out_port) {
+                    if topo.torus && topo.dateline_crossed(here, out_port) {
                         flit.dateline = true;
                     }
                     flit.ready_cycle = self.cycle + self.cfg.link_cycles + self.cfg.router_stages;
                     self.link_busy_cycles[node] += self.cfg.link_cycles;
-                    let down = topo.neighbor(here, out_port).expect("route into a wall");
-                    self.push_flit(down.idx(), out_port.opposite().idx() * v + ovc, flit);
+                    let down = self.across(node, op, "route into a wall");
+                    self.push_flit(down, out_port.opposite().idx() * v + ovc, flit);
                 }
             }
         }

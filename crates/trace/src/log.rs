@@ -546,15 +546,20 @@ impl Capture {
     /// order, renumber densely, remap all cross-references, join
     /// injections with deliveries, and hand the log its arrival order.
     /// `net_label` and `exec_time` come from the run.
+    ///
+    /// The hook's buffers become the log's: rows and the fixed-size
+    /// columns are permuted where they lie and only the dependency arena
+    /// is written a second time, so finishing never holds two copies of
+    /// a trace (DESIGN.md §7).
     pub fn finish(self, net_label: &'static str, exec_time: SimTime) -> TraceLog {
         let Capture {
             raw:
                 Columns {
-                    records: rows,
-                    dep_off,
-                    dep_ids,
-                    prev,
-                    kind,
+                    records: mut rows,
+                    dep_off: raw_off,
+                    dep_ids: raw_ids,
+                    mut prev,
+                    mut kind,
                 },
             mut delivers,
             max_id,
@@ -566,7 +571,7 @@ impl Capture {
             "capture ended with undelivered (or doubly-delivered) messages"
         );
         assert!(
-            n < NONE as usize && dep_ids.len() < NONE as usize,
+            n < NONE as usize && raw_ids.len() < NONE as usize,
             "trace too large to renumber"
         );
         // Map capture-time ids (unique but sparse — the simulator
@@ -577,17 +582,15 @@ impl Capture {
         // into one O(1) probe instead of a cache-hostile binary search
         // (which dominated capture wall time at ~300k messages).
         let mut renum_tbl = vec![NONE; max_id as usize + 1];
-        // Which raw row lands in each canonical slot: all the single
-        // gather pass below needs to do the moving.
+        // Which raw row lands in each canonical slot: the permutation
+        // everything below moves by.
         let mut idx: Vec<u32> = Vec::with_capacity(n);
         {
             // Canonical order is (t_inject, capture id). Sort the keys
             // themselves, each carrying its row — an index sort through
             // the rows pays a cache miss per comparison at fft-64
-            // scale. The 16-byte keys are the last thing allocated and
-            // are gone before the gather allocates the canonical
-            // columns, so the sort adds nothing to a capture's peak
-            // footprint.
+            // scale. The 16-byte keys are gone before anything else is
+            // allocated.
             let mut keys: Vec<(SimTime, u32, u32)> = rows
                 .iter()
                 .enumerate()
@@ -604,28 +607,51 @@ impl Capture {
             assert_ne!(new, NONE, "trace references an uncaptured message");
             new
         };
-        // Single gather: each row and its column entries move to their
-        // canonical slot, ids and cross-references renumbered on the way.
-        let mut cols = Columns::with_capacity(n, dep_ids.len());
-        for (new, &i) in idx.iter().enumerate() {
+        // The dependency lists are variable-length, so they cannot move
+        // within their own arena: a second arena is written in canonical
+        // order, renumbered on the way, and the raw one is freed.
+        let mut dep_off = Vec::with_capacity(n + 1);
+        let mut dep_ids = Vec::with_capacity(raw_ids.len());
+        dep_off.push(0);
+        for &i in &idx {
             let i = i as usize;
-            let mut r = rows[i];
+            let deps = &raw_ids[raw_off[i] as usize..raw_off[i + 1] as usize];
+            dep_ids.extend(deps.iter().map(|&d| renum(d)));
+            dep_off.push(dep_ids.len() as u32);
+        }
+        drop((raw_off, raw_ids));
+        // Everything fixed-size moves in place: each cycle of the
+        // permutation `idx[new] = old` is walked once, so every row is
+        // written once and no second set of columns ever exists.
+        // `idx[slot] == slot` marks a slot that holds its final row.
+        for start in 0..n {
+            if idx[start] as usize == start {
+                continue;
+            }
+            let held = (rows[start], prev[start], kind[start]);
+            let mut cur = start;
+            loop {
+                let from = idx[cur] as usize;
+                idx[cur] = cur as u32;
+                if from == start {
+                    (rows[cur], prev[cur], kind[cur]) = held;
+                    break;
+                }
+                (rows[cur], prev[cur], kind[cur]) = (rows[from], prev[from], kind[from]);
+                cur = from;
+            }
+        }
+        for (new, (r, p)) in rows.iter_mut().zip(prev.iter_mut()).enumerate() {
             r.msg.id = MsgId(new as u64);
-            cols.records.push(r);
-            let deps = &dep_ids[dep_off[i] as usize..dep_off[i + 1] as usize];
-            cols.dep_ids.extend(deps.iter().map(|&d| renum(d)));
-            cols.dep_off.push(cols.dep_ids.len() as u32);
-            cols.prev.push(match prev[i] {
-                NONE => NONE,
-                p => renum(p),
-            });
-            cols.kind.push(kind[i]);
+            if *p != NONE {
+                *p = renum(*p);
+            }
         }
         // Join deliveries, renumbering them in place. n deliveries each
         // landing on a row still undelivered leave none without one.
         for d in delivers.iter_mut() {
             d.1 = renum(d.1);
-            let slot = &mut cols.records[d.1 as usize].t_deliver;
+            let slot = &mut rows[d.1 as usize].t_deliver;
             assert_eq!(*slot, UNDELIVERED, "message delivered twice");
             *slot = d.0;
         }
@@ -633,6 +659,18 @@ impl Capture {
         // theirs — up to ties, which it saw in capture-id order.
         sort_nearly_sorted(&mut delivers);
         let arrival = delivers.iter().map(|d| d.1).collect();
+        // The hook sized its buffers from an estimate; the log keeps
+        // what it uses.
+        rows.shrink_to_fit();
+        prev.shrink_to_fit();
+        kind.shrink_to_fit();
+        let cols = Columns {
+            records: rows,
+            dep_off,
+            dep_ids,
+            prev,
+            kind,
+        };
         TraceLog::from_columns(cols, net_label, exec_time, Some(arrival))
     }
 }
@@ -903,14 +941,13 @@ mod tests {
         assert_eq!(shuffled.arrival_order(), &[2, 0, 1]);
     }
 
-    /// The three shapes `finish` hands the sort, each against the plain
-    /// one: a sequential capture's send-ahead injections (a descent
-    /// every third key, nothing far from its place, equal instants
-    /// broken by id), and the two that take the fallback: two time
-    /// ranges back to back (one key moves past the per-key limit) and a
-    /// shuffle (many keys move a little past the mean).
-    #[test]
-    fn nearly_sorted_insertion_matches_the_plain_sort() {
+    /// The three shapes `finish` hands the sort: a sequential capture's
+    /// send-ahead injections (a descent every third key, nothing far
+    /// from its place, equal instants broken by id), and the two that
+    /// take the fallback: two time ranges back to back (one key moves
+    /// past the per-key limit) and a shuffle (many keys move a little
+    /// past the mean).
+    fn sort_shapes() -> [(&'static str, Vec<(SimTime, u32)>); 3] {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut rnd = move |below: u64| {
             x ^= x << 13;
@@ -929,17 +966,23 @@ mod tests {
             .collect();
         let descents = send_ahead.windows(2).filter(|w| w[1] < w[0]).count();
         assert!(descents > send_ahead.len() / 4, "{descents} descents");
-        let two_ranges: Vec<(SimTime, u32)> = (0..2 * 5000u64)
+        let two_ranges = (0..2 * 5000u64)
             .map(|k| (SimTime::from_ps(7 * (k % 5000)), k as u32))
             .collect();
-        let shuffled: Vec<(SimTime, u32)> = (0..6000u64)
+        let shuffled = (0..6000u64)
             .map(|k| (SimTime::from_ps(k + rnd(400)), k as u32))
             .collect();
-        for (shape, keys) in [
+        [
             ("send-ahead", send_ahead),
             ("two-ranges", two_ranges),
             ("shuffled", shuffled),
-        ] {
+        ]
+    }
+
+    /// Each shape against the plain sort.
+    #[test]
+    fn nearly_sorted_insertion_matches_the_plain_sort() {
+        for (shape, keys) in sort_shapes() {
             let mut want = keys.clone();
             want.sort_unstable();
             let mut got = keys;
@@ -947,6 +990,144 @@ mod tests {
             assert_eq!(got, want, "{shape}");
         }
         sort_nearly_sorted::<(SimTime, u32)>(&mut []);
+    }
+
+    /// What `Capture::finish` did before it permuted in place: gather
+    /// every row and column entry into a second set of columns,
+    /// renumbering on the way. Kept as the reference the in-place
+    /// permutation is compared against.
+    fn finish_by_gather(cap: Capture, net_label: &'static str, exec_time: SimTime) -> TraceLog {
+        let Capture {
+            raw:
+                Columns {
+                    records: rows,
+                    dep_off,
+                    dep_ids,
+                    prev,
+                    kind,
+                },
+            mut delivers,
+            max_id,
+        } = cap;
+        let n = rows.len();
+        assert_eq!(n, delivers.len());
+        let mut keys: Vec<(SimTime, u32, u32)> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.t_inject, r.msg.id.0 as u32, i as u32))
+            .collect();
+        keys.sort_unstable();
+        let mut renum_tbl = vec![NONE; max_id as usize + 1];
+        for (new, &(_, id, _)) in keys.iter().enumerate() {
+            renum_tbl[id as usize] = new as u32;
+        }
+        let renum = |old: u32| renum_tbl[old as usize];
+        let mut cols = Columns::with_capacity(n, dep_ids.len());
+        for (new, &(_, _, i)) in keys.iter().enumerate() {
+            let i = i as usize;
+            let mut r = rows[i];
+            r.msg.id = MsgId(new as u64);
+            cols.records.push(r);
+            let deps = &dep_ids[dep_off[i] as usize..dep_off[i + 1] as usize];
+            cols.dep_ids.extend(deps.iter().map(|&d| renum(d)));
+            cols.dep_off.push(cols.dep_ids.len() as u32);
+            cols.prev.push(match prev[i] {
+                NONE => NONE,
+                p => renum(p),
+            });
+            cols.kind.push(kind[i]);
+        }
+        for d in delivers.iter_mut() {
+            d.1 = renum(d.1);
+            cols.records[d.1 as usize].t_deliver = d.0;
+        }
+        delivers.sort_unstable();
+        let arrival = delivers.iter().map(|d| d.1).collect();
+        TraceLog::from_columns(cols, net_label, exec_time, Some(arrival))
+    }
+
+    /// A capture whose hook saw `keys` — `(t_inject, capture id)` — in
+    /// slice order, with `room` rows pre-sized. Row k carries k % 3
+    /// dependencies and every column value differs from row to row, so
+    /// a row that lands in the wrong slot, or beside another row's
+    /// column entry, shows.
+    fn capture_of(keys: &[(SimTime, u32)], room: usize) -> Capture {
+        const KINDS: [&str; 3] = ["GetS", "Data", "Inv"];
+        let mut cap = Capture::with_capacity(room);
+        for (k, &(at, id)) in keys.iter().enumerate() {
+            let deps: Vec<MsgId> = (1..=k % 3)
+                .filter_map(|back| k.checked_sub(7 * back))
+                .map(|j| MsgId(keys[j].1 as u64))
+                .collect();
+            cap.on_inject(InjectRecord {
+                msg: msg(id as u64, id % 16, k as u32 % 16, MsgClass::Control),
+                at,
+                deps: &deps,
+                prev_same_src: k.checked_sub(1).map(|j| MsgId(keys[j].1 as u64)),
+                kind: KINDS[k % 3],
+            });
+        }
+        // Deliveries in hook order too, a varying while after injection.
+        for (k, &(at, id)) in keys.iter().enumerate() {
+            let after = SimTime::from_ps(1 + (k as u64 * 37) % 90);
+            cap.on_deliver(MsgId(id as u64), at + after);
+        }
+        cap
+    }
+
+    fn row_fields(log: &TraceLog) -> Vec<(u64, u32, u32, u32, SimTime, SimTime)> {
+        let row = |r: &TraceRecord| {
+            let m = r.msg;
+            (m.id.0, m.src.0, m.dst.0, m.bytes, r.t_inject, r.t_deliver)
+        };
+        log.records.iter().map(row).collect()
+    }
+
+    /// The in-place permutation against the gather it replaced, column
+    /// for column, over permutations with cycles of every kind: the
+    /// three sort shapes, one n-cycle family (a rotation), 2-cycles
+    /// beside fixed points (a reversed block) and fixed points only
+    /// (the identity).
+    #[test]
+    fn in_place_finish_matches_the_gather() {
+        let at = |t: u64, id: u64| (SimTime::from_ps(t), id as u32);
+        let n = 1000u64;
+        let rotation = (0..n).map(|k| at((k + 300) % n, k)).collect();
+        let reversed_block = (0..n)
+            .map(|k| at(if (200..700).contains(&k) { 899 - k } else { k }, k))
+            .collect();
+        let identity = (0..n).map(|k| at(k, k)).collect();
+        let shapes = sort_shapes().into_iter().chain([
+            ("rotation", rotation),
+            ("reversed-block", reversed_block),
+            ("identity", identity),
+        ]);
+        for (shape, keys) in shapes {
+            let exec = SimTime::from_ps(1 << 40);
+            let got = capture_of(&keys, keys.len()).finish("test", exec);
+            let want = finish_by_gather(capture_of(&keys, keys.len()), "test", exec);
+            assert_eq!(row_fields(&got), row_fields(&want), "{shape}: rows");
+            assert_eq!(got.dep_csr(), want.dep_csr(), "{shape}: dependencies");
+            assert_eq!(got.prev, want.prev, "{shape}: prev");
+            assert_eq!(got.kind, want.kind, "{shape}: kind");
+            assert_eq!(got.arrival, want.arrival, "{shape}: arrival order");
+            assert_eq!(got.departure, want.departure, "{shape}: departure order");
+            assert_eq!(got.nodes, want.nodes, "{shape}: node bound");
+        }
+    }
+
+    /// The hook sizes its buffers from an estimate; the log that comes
+    /// out of `finish` is charged (`resident_bytes`, which the capture
+    /// cache budgets by) for what it holds, not for the estimate.
+    #[test]
+    fn a_finished_capture_holds_no_slack() {
+        let [(_, keys), ..] = sort_shapes();
+        let log = capture_of(&keys, 2 * keys.len()).finish("test", SimTime::from_ps(1 << 40));
+        let n = log.len();
+        let exact =
+            n * std::mem::size_of::<TraceRecord>() + 4 * ((n + 1) + log.dep_ids.len() + n + n) + n;
+        assert!(log.departure.is_empty());
+        assert_eq!(log.resident_bytes(), exact);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use sctm_engine::net::{
     NodeObs,
 };
 use sctm_engine::time::{Freq, SimTime};
+use sctm_enoc::{Port, Topology};
 use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, PowerBreakdown};
 use std::collections::VecDeque;
@@ -73,112 +74,76 @@ impl OmeshConfig {
     }
 }
 
-/// XY route endpoints in mesh coordinates, resolved once at injection.
-///
-/// The route itself is never materialised: every node on it — and the
-/// direction of every step — is computable in O(1) from these four
-/// coordinates, so per-message state stays allocation-free and the
-/// per-event handlers never pay a div/mod to recover positions.
+/// One XY step, `step[here * nodes + dst]`, packed into a word so a
+/// 64-core table is 16 KiB: the neighbour across the step (bits 12..),
+/// the hop count from `here` to `dst` (bits 2..12) and the direction
+/// (bits 0..2: 0=N, 1=E, 2=S, 3=W, [`Port`]'s order). The segment the
+/// step reserves is `here * 4 + dir`. For `here == dst` only the hop
+/// count (zero) means anything.
 #[derive(Clone, Copy, Debug)]
-struct Route {
-    sx: u32,
-    sy: u32,
-    dx: u32,
-    dy: u32,
-}
+struct Step(u32);
 
-impl Route {
-    #[inline]
-    fn new(side: usize, src: NodeId, dst: NodeId) -> Self {
-        let side = side as u32;
-        let (s, d) = (src.idx() as u32, dst.idx() as u32);
-        Route {
-            sx: s % side,
-            sy: s / side,
-            dx: d % side,
-            dy: d / side,
-        }
+impl Step {
+    /// The widest mesh the packing holds: 2 × 511 hops fit the 10 hop
+    /// bits and 512² nodes the 20 neighbour bits. (Its table would be
+    /// 256 GiB; memory gives out long before the packing does.)
+    const MAX_SIDE: usize = 512;
+
+    fn new(nb: usize, hops: usize, dir: usize) -> Self {
+        debug_assert!(nb < 1 << 20 && hops < 1 << 10 && dir < 4);
+        Step((nb as u32) << 12 | (hops as u32) << 2 | dir as u32)
     }
 
-    /// Number of nodes on the route, inclusive of both endpoints.
     #[inline]
-    fn len(&self) -> usize {
-        (self.sx.abs_diff(self.dx) + self.sy.abs_diff(self.dy) + 1) as usize
+    fn nb(self) -> u32 {
+        self.0 >> 12
     }
 
-    /// The `k`-th node on the route (X first, then Y — identical order
-    /// to walking the route hop by hop).
     #[inline]
-    fn node(&self, side: usize, k: usize) -> NodeId {
-        let k = k as u32;
-        let xsteps = self.sx.abs_diff(self.dx);
-        if k <= xsteps {
-            let x = if self.dx >= self.sx {
-                self.sx + k
-            } else {
-                self.sx - k
-            };
-            NodeId(self.sy * side as u32 + x)
-        } else {
-            let step = k - xsteps;
-            let y = if self.dy >= self.sy {
-                self.sy + step
-            } else {
-                self.sy - step
-            };
-            NodeId(y * side as u32 + self.dx)
-        }
+    fn hops(self) -> usize {
+        (self.0 >> 2 & 0x3ff) as usize
     }
 
-    /// Direction (0=N,1=E,2=S,3=W) of the step from node `k` to `k+1`.
+    /// The directed segment this step reserves out of `here`.
     #[inline]
-    fn step_dir(&self, k: usize) -> usize {
-        let xsteps = self.sx.abs_diff(self.dx) as usize;
-        if k < xsteps {
-            if self.dx > self.sx {
-                1
-            } else {
-                3
-            }
-        } else if self.dy > self.sy {
-            2
-        } else {
-            0
-        }
-    }
-
-    /// Segment id (`node*4 + dir`) of the step from node `k` to `k+1`.
-    #[inline]
-    fn seg(&self, side: usize, k: usize) -> usize {
-        self.node(side, k).idx() * 4 + self.step_dir(k)
+    fn seg(self, here: u32) -> usize {
+        (here << 2 | self.0 & 3) as usize
     }
 }
 
+/// What a message's last setup hop and its delivery read.
 #[derive(Clone, Copy, Debug)]
 struct MsgState {
     msg: Message,
     injected_at: SimTime,
-    route: Route,
+    /// Path reserved → delivered: ACK + time of flight + burst + the
+    /// trailing NI, fixed at injection (unused on the electrical plane).
+    flight: SimTime,
+}
+
+/// Capture-only per-message state, touched only while `capture` is on.
+#[derive(Clone, Copy, Debug, Default)]
+struct Blame {
     /// When this message's setup joined a segment wait queue (valid
-    /// while parked in `seg_wait`; used only for blame accounting).
+    /// while parked in `seg_wait`).
     blocked_at: SimTime,
     bd: LatencyBreakdown,
 }
 
-/// The route position travels *in the event*, not in [`MsgState`]: the
-/// per-hop handlers are the replay hot path, and carrying `hop` in the
-/// payload means the common (non-capture) path reads the message table
-/// once per event instead of read-then-write.
+/// Every event carries where it is and where it goes, so a hop reads
+/// the route table and never the message table: only the last setup
+/// hop and the deliveries do.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// Optical path setup packet arrives at route position `hop`.
-    Setup(u64, u32),
-    /// Electrical control message arrives at route position `hop`.
-    CtrlHop(u64, u32),
-    /// Optical burst fully received; tear down and deliver.
-    OptDone(u64),
+    /// Optical path setup packet arrives at a router: `(id, here, dst)`.
+    Setup(u32, u32, u32),
+    /// Electrical control message arrives at a router: `(id, here, dst)`.
+    CtrlHop(u32, u32, u32),
+    /// Optical burst fully received; tear down `src → dst` and deliver:
+    /// `(id, src, dst)`.
+    OptDone(u32, u32, u32),
     /// Electrical delivery.
-    CtrlDone(u64),
+    CtrlDone(u32),
 }
 
 /// Circuit-switched photonic mesh simulator.
@@ -187,10 +152,24 @@ pub struct OmeshSim {
     cfg: OmeshConfig,
     q: EventQueue<Ev>,
     msgs: MsgTable<MsgState>,
+    /// Lifecycle bins per in-flight message; empty unless `capture`.
+    blame: MsgTable<Blame>,
+    /// `step[here * nodes + dst]`: the XY route as data, built once from
+    /// [`Topology::neighbor`] and [`Topology::route_dor`] — the same XY
+    /// definition `sctm-enoc`'s `dor` table reads.
+    step: Vec<Step>,
+    /// `ack_tof[h]`: reservation ACK plus time of flight of an `h`-hop
+    /// path (both functions of the hop count alone).
+    ack_tof: Vec<SimTime>,
+    /// Router service slot, one setup/control wire hop, one NI.
+    svc: SimTime,
+    hop: SimTime,
+    ni: SimTime,
+    nodes: usize,
     /// Directed segment `node*4+dir` → holder message id.
-    seg_busy: Vec<Option<u64>>,
-    /// Parked setups per segment: `(message id, route position)`.
-    seg_wait: Vec<VecDeque<(u64, u32)>>,
+    seg_busy: Vec<Option<u32>>,
+    /// Parked setups per segment: `(message id, next router, dst)`.
+    seg_wait: Vec<VecDeque<(u32, u32, u32)>>,
     /// When each busy segment was last acquired (valid while busy).
     seg_since: Vec<SimTime>,
     /// Cumulative outbound-segment busy time per node, for observability.
@@ -200,38 +179,52 @@ pub struct OmeshSim {
     stats: NetStats,
     /// Optical payload bits transmitted (for the energy report).
     optical_bits: u64,
-    side: usize,
     capture: bool,
     lifecycles: Vec<MsgLifecycle>,
 }
 
-/// Direction encoding for segments: 0=N,1=E,2=S,3=W. Reference
-/// implementation — the hot path uses [`Route::step_dir`]; tests check
-/// the two agree on every route step.
-#[cfg(test)]
-fn dir_between(side: usize, a: NodeId, b: NodeId) -> usize {
-    let (ax, ay) = (a.idx() % side, a.idx() / side);
-    let (bx, by) = (b.idx() % side, b.idx() / side);
-    if by + 1 == ay {
-        0
-    } else if bx == ax + 1 {
-        1
-    } else if by == ay + 1 {
-        2
-    } else if bx + 1 == ax {
-        3
-    } else {
-        panic!("nodes {a}/{b} are not mesh neighbours")
-    }
-}
-
 impl OmeshSim {
     pub fn new(cfg: OmeshConfig) -> Self {
+        let side = cfg.floorplan.side;
         let n = cfg.floorplan.num_nodes();
+        assert!(side <= Step::MAX_SIDE, "omesh side {side} is too wide");
+        let topo = Topology::mesh(side, side);
+        let node = |i: usize| NodeId(i as u32);
+        let step = (0..n)
+            .flat_map(|h| (0..n).map(move |d| (node(h), node(d))))
+            .map(|(h, d)| {
+                let hops = topo.hops(h, d);
+                match topo.route_dor(h, d, false) {
+                    Port::Local => Step::new(h.idx(), hops, 0),
+                    p => {
+                        let nb = topo.neighbor(h, p).expect("XY step off the mesh");
+                        Step::new(nb.idx(), hops, p.idx())
+                    }
+                }
+            })
+            .collect();
+        let ack_tof = (0..=2 * (side as u64 - 1))
+            .map(|h| {
+                let ack = if cfg.ack_required {
+                    cfg.ctrl_freq.cycles(cfg.setup_hop_cycles * h)
+                } else {
+                    SimTime::ZERO
+                };
+                let length_mm = h as f64 * cfg.floorplan.tile_pitch_mm;
+                ack + SimTime::from_ps(cfg.kit.waveguide.tof_ps(length_mm))
+            })
+            .collect();
         OmeshSim {
             cfg,
             q: EventQueue::new(),
             msgs: MsgTable::new(),
+            blame: MsgTable::new(),
+            step,
+            ack_tof,
+            svc: cfg.ctrl_freq.cycles(cfg.service_cycles),
+            hop: cfg.ctrl_freq.cycles(cfg.setup_hop_cycles),
+            ni: cfg.ctrl_freq.cycles(cfg.ni_cycles),
+            nodes: n,
             seg_busy: vec![None; n * 4],
             seg_wait: (0..n * 4).map(|_| VecDeque::new()).collect(),
             seg_since: vec![SimTime::ZERO; n * 4],
@@ -239,7 +232,6 @@ impl OmeshSim {
             router_free: vec![SimTime::ZERO; n],
             stats: NetStats::default(),
             optical_bits: 0,
-            side: cfg.floorplan.side,
             capture: false,
             lifecycles: Vec::new(),
         }
@@ -258,48 +250,71 @@ impl OmeshSim {
         budget.power(util)
     }
 
-    /// XY route, inclusive of both endpoints (test/diagnostic helper —
-    /// the hot path uses [`Route::node`] directly and never builds it).
-    #[cfg(test)]
-    fn xy_path(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        let r = Route::new(self.side, src, dst);
-        (0..r.len()).map(|k| r.node(self.side, k)).collect()
+    #[inline]
+    fn step(&self, here: u32, dst: u32) -> Step {
+        self.step[here as usize * self.nodes + dst as usize]
     }
 
-    fn cycles(&self, n: u64) -> SimTime {
-        self.cfg.ctrl_freq.cycles(n)
+    /// The capture bins of message `id`, when capture is on.
+    #[inline]
+    fn blame(&mut self, id: u32) -> Option<&mut Blame> {
+        if self.capture {
+            self.blame.get_mut(id as u64)
+        } else {
+            None
+        }
     }
 
     /// Serve an event at router `r`: returns the service-complete time
     /// and occupies the router.
-    fn serve(&mut self, r: NodeId, at: SimTime) -> SimTime {
-        let free = self.router_free[r.idx()];
-        let start = at.max(free);
-        let done = start + self.cycles(self.cfg.service_cycles);
-        self.router_free[r.idx()] = done;
+    #[inline]
+    fn serve(&mut self, r: u32, at: SimTime) -> SimTime {
+        let free = &mut self.router_free[r as usize];
+        let done = at.max(*free) + self.svc;
+        *free = done;
         done
+    }
+
+    /// Charge one router visit — queueing behind the router, then its
+    /// service slot — to a captured message.
+    fn blame_service(&mut self, id: u32, at: SimTime, svc_done: SimTime) {
+        let svc = self.svc.as_ps();
+        if let Some(b) = self.blame(id) {
+            b.bd.queue_ps += svc_done.saturating_since(at).as_ps().saturating_sub(svc);
+            b.bd.arbitration_ps += svc;
+        }
     }
 
     fn handle(&mut self, at: SimTime, ev: Ev, out: &mut Vec<Delivery>) {
         match ev {
-            Ev::Setup(id, hop) => self.handle_setup(at, id, hop),
-            Ev::CtrlHop(id, hop) => self.handle_ctrl_hop(at, id, hop),
-            Ev::OptDone(id) => self.handle_opt_done(at, id, out),
-            Ev::CtrlDone(id) => {
-                let st = self.msgs.remove(id).expect("ctrl done for unknown msg");
-                obs::sim_event("omesh", "deliver", st.msg.dst.0, at);
-                let d = Delivery {
-                    msg: st.msg,
-                    injected_at: st.injected_at,
-                    delivered_at: at,
-                };
-                self.stats.record_delivery(&d);
-                if self.capture {
-                    self.push_lifecycle(&st, at);
-                }
-                out.push(d);
+            Ev::Setup(id, here, dst) => self.handle_setup(at, id, here, dst),
+            Ev::CtrlHop(id, here, dst) => self.handle_ctrl_hop(at, id, here, dst),
+            Ev::OptDone(id, src, dst) => self.handle_opt_done(at, id, src, dst, out),
+            Ev::CtrlDone(id) => self.deliver(at, id, out),
+        }
+    }
+
+    /// Retire message `id` at `at`: stats, lifecycle, delivery.
+    fn deliver(&mut self, at: SimTime, id: u32, out: &mut Vec<Delivery>) {
+        let st = self
+            .msgs
+            .remove(id as u64)
+            .expect("delivery of unknown msg");
+        obs::sim_event("omesh", "deliver", st.msg.dst.0, at);
+        let d = Delivery {
+            msg: st.msg,
+            injected_at: st.injected_at,
+            delivered_at: at,
+        };
+        self.stats.record_delivery(&d);
+        // The index is empty unless capture ever ran, so this is one
+        // bounds check on the common path.
+        if let Some(b) = self.blame.remove(id as u64) {
+            if self.capture {
+                self.push_lifecycle(&st, b.bd, at);
             }
         }
+        out.push(d);
     }
 
     /// Close out a lifecycle: reconcile the accumulated bins against
@@ -307,8 +322,7 @@ impl OmeshSim {
     /// as queueing; overshoot (only possible through the
     /// grant-before-service clamp in [`Self::advance_setup`]) is
     /// trimmed, so the components always sum exactly to the latency.
-    fn push_lifecycle(&mut self, st: &MsgState, delivered_at: SimTime) {
-        let mut bd = st.bd;
+    fn push_lifecycle(&mut self, st: &MsgState, mut bd: LatencyBreakdown, delivered_at: SimTime) {
         let lat = delivered_at.saturating_since(st.injected_at).as_ps();
         let sum = bd.total_ps();
         if sum < lat {
@@ -338,138 +352,100 @@ impl OmeshSim {
         });
     }
 
-    fn handle_setup(&mut self, at: SimTime, id: u64, hop: u32) {
-        let hop = hop as usize;
-        let st = self.msgs.get(id).expect("setup for unknown msg");
-        let (route, msg) = (st.route, st.msg);
-        let here = route.node(self.side, hop);
-        let len = route.len();
-        let last = hop + 1 == len;
+    fn handle_setup(&mut self, at: SimTime, id: u32, here: u32, dst: u32) {
         let svc_done = self.serve(here, at);
-        if self.capture {
-            let svc = self.cycles(self.cfg.service_cycles).as_ps();
-            let bd = &mut self.msgs.get_mut(id).expect("unknown message").bd;
-            bd.queue_ps += svc_done.saturating_since(at).as_ps().saturating_sub(svc);
-            bd.arbitration_ps += svc;
-        }
-        if last {
+        self.blame_service(id, at, svc_done);
+        if here == dst {
             // Path fully reserved. ACK back to source (uncontended
             // control broadcast on the reserved path), then the optical
-            // burst: time of flight + serialisation.
-            debug_assert_eq!(here, msg.dst);
-            let hops = (len - 1) as u64;
-            let ack = if self.cfg.ack_required {
-                self.cycles(self.cfg.setup_hop_cycles * hops)
-            } else {
-                SimTime::ZERO
-            };
-            let length_mm = self.cfg.floorplan.mesh_distance_mm(msg.src, msg.dst);
-            let tof = SimTime::from_ps(self.cfg.kit.waveguide.tof_ps(length_mm));
-            let burst = self.cfg.plan.burst_time(msg.bytes);
-            let arrive = svc_done + ack + tof + burst + self.cycles(self.cfg.ni_cycles);
-            self.optical_bits += msg.bytes as u64 * 8;
-            if self.capture {
-                let ni = self.cycles(self.cfg.ni_cycles).as_ps();
-                let bd = &mut self.msgs.get_mut(id).expect("unknown message").bd;
-                bd.arbitration_ps += ack.as_ps();
-                bd.propagation_ps += tof.as_ps();
-                bd.serialization_ps += burst.as_ps();
-                bd.overhead_ps += ni;
-            }
-            self.q.schedule(arrive, Ev::OptDone(id));
+            // burst: time of flight + serialisation — all in `flight`.
+            let st = self.msgs.get(id as u64).expect("setup for unknown msg");
+            let (src, arrive) = (st.msg.src.0, svc_done + st.flight);
+            self.optical_bits += st.msg.bytes as u64 * 8;
+            self.q.schedule(arrive, Ev::OptDone(id, src, dst));
         } else {
-            let seg = route.seg(self.side, hop);
+            let step = self.step(here, dst);
+            let seg = step.seg(here);
             if self.seg_busy[seg].is_none() {
                 self.seg_busy[seg] = Some(id);
                 self.seg_since[seg] = svc_done;
-                obs::sim_event("omesh", "arbitrate", (seg / 4) as u32, svc_done);
-                self.advance_setup(id, hop as u32, svc_done);
+                obs::sim_event("omesh", "arbitrate", here, svc_done);
+                self.advance_setup(id, step.nb(), dst, svc_done);
             } else {
-                if self.capture {
-                    self.msgs.get_mut(id).expect("unknown message").blocked_at = svc_done;
+                if let Some(b) = self.blame(id) {
+                    b.blocked_at = svc_done;
                 }
-                self.seg_wait[seg].push_back((id, hop as u32));
+                self.seg_wait[seg].push_back((id, step.nb(), dst));
             }
         }
     }
 
-    /// Move the setup from route position `hop` to the next router
-    /// (segment already reserved). No table access on the common path:
-    /// the position rides in the event.
-    fn advance_setup(&mut self, id: u64, hop: u32, from_time: SimTime) {
-        let hop_time = self.cycles(self.cfg.setup_hop_cycles);
-        if self.capture {
-            let st = self.msgs.get_mut(id).unwrap();
-            st.bd.propagation_ps += hop_time.as_ps();
+    /// Move the setup across its just-reserved segment to router `next`.
+    fn advance_setup(&mut self, id: u32, next: u32, dst: u32, from_time: SimTime) {
+        let hop = self.hop;
+        if let Some(b) = self.blame(id) {
+            b.bd.propagation_ps += hop.as_ps();
         }
-        let t = from_time + hop_time;
-        self.q.schedule(t.max(self.q.now()), Ev::Setup(id, hop + 1));
+        let t = from_time + hop;
+        self.q
+            .schedule(t.max(self.q.now()), Ev::Setup(id, next, dst));
     }
 
-    fn handle_ctrl_hop(&mut self, at: SimTime, id: u64, hop: u32) {
-        let hop = hop as usize;
-        let route = self.msgs.get(id).expect("ctrl hop for unknown msg").route;
-        let here = route.node(self.side, hop);
-        let last = hop + 1 == route.len();
+    fn handle_ctrl_hop(&mut self, at: SimTime, id: u32, here: u32, dst: u32) {
         let svc_done = self.serve(here, at);
-        if self.capture {
-            let svc = self.cycles(self.cfg.service_cycles).as_ps();
-            let ni = self.cycles(self.cfg.ni_cycles).as_ps();
-            let wire = self.cycles(self.cfg.setup_hop_cycles).as_ps();
-            let bd = &mut self.msgs.get_mut(id).expect("unknown message").bd;
-            bd.queue_ps += svc_done.saturating_since(at).as_ps().saturating_sub(svc);
-            bd.arbitration_ps += svc;
+        self.blame_service(id, at, svc_done);
+        let last = here == dst;
+        let (ni, hop) = (self.ni, self.hop);
+        if let Some(b) = self.blame(id) {
             if last {
-                bd.overhead_ps += ni; // trailing NI on the electrical plane
+                b.bd.overhead_ps += ni.as_ps(); // trailing NI on the electrical plane
             } else {
-                bd.propagation_ps += wire; // wire hop to the next router
+                b.bd.propagation_ps += hop.as_ps(); // wire hop to the next router
             }
         }
         if last {
-            let t = svc_done + self.cycles(self.cfg.ni_cycles);
-            self.q.schedule(t, Ev::CtrlDone(id));
+            self.q.schedule(svc_done + ni, Ev::CtrlDone(id));
         } else {
-            let t = svc_done + self.cycles(self.cfg.setup_hop_cycles);
-            self.q.schedule(t, Ev::CtrlHop(id, hop as u32 + 1));
+            let next = self.step(here, dst).nb();
+            self.q.schedule(svc_done + hop, Ev::CtrlHop(id, next, dst));
         }
     }
 
-    fn handle_opt_done(&mut self, at: SimTime, id: u64, out: &mut Vec<Delivery>) {
-        let st = self.msgs.remove(id).expect("opt done for unknown msg");
-        // Tear down every segment and hand freed ones to waiters.
-        for k in 0..st.route.len() - 1 {
-            let seg = st.route.seg(self.side, k);
+    fn handle_opt_done(
+        &mut self,
+        at: SimTime,
+        id: u32,
+        src: u32,
+        dst: u32,
+        out: &mut Vec<Delivery>,
+    ) {
+        // Tear down every segment from `src` to `dst` and hand freed
+        // ones to waiters.
+        let mut here = src;
+        while here != dst {
+            let step = self.step(here, dst);
+            let seg = step.seg(here);
             debug_assert_eq!(self.seg_busy[seg], Some(id), "segment not held by owner");
             self.seg_busy[seg] = None;
-            self.node_busy_ps[seg / 4] += at.saturating_since(self.seg_since[seg]).as_ps();
-            if let Some((next_id, next_hop)) = self.seg_wait[seg].pop_front() {
+            self.node_busy_ps[here as usize] += at.saturating_since(self.seg_since[seg]).as_ps();
+            if let Some((next_id, next, next_dst)) = self.seg_wait[seg].pop_front() {
                 self.seg_busy[seg] = Some(next_id);
                 self.seg_since[seg] = at;
-                obs::sim_event("omesh", "arbitrate", (seg / 4) as u32, at);
-                if self.capture {
-                    let w = self.msgs.get_mut(next_id).expect("unknown waiter");
+                obs::sim_event("omesh", "arbitrate", here, at);
+                if let Some(w) = self.blame(next_id) {
                     w.bd.queue_ps += at.saturating_since(w.blocked_at).as_ps();
                 }
-                self.advance_setup(next_id, next_hop, at);
+                self.advance_setup(next_id, next, next_dst, at);
             }
+            here = step.nb();
         }
-        obs::sim_event("omesh", "deliver", st.msg.dst.0, at);
-        let d = Delivery {
-            msg: st.msg,
-            injected_at: st.injected_at,
-            delivered_at: at,
-        };
-        self.stats.record_delivery(&d);
-        if self.capture {
-            self.push_lifecycle(&st, at);
-        }
-        out.push(d);
+        self.deliver(at, id, out);
     }
 }
 
 impl NetworkModel for OmeshSim {
     fn num_nodes(&self) -> usize {
-        self.cfg.floorplan.num_nodes()
+        self.nodes
     }
 
     fn inject(&mut self, at: SimTime, msg: Message) {
@@ -480,24 +456,49 @@ impl NetworkModel for OmeshSim {
         let electrical = msg.bytes <= self.cfg.ctrl_cutoff_bytes
             || msg.class == MsgClass::Control
             || msg.src == msg.dst;
-        let mut bd = LatencyBreakdown::default();
-        if self.capture {
-            bd.overhead_ps = self.cycles(self.cfg.ni_cycles).as_ps();
-        }
-        let st = MsgState {
+        let mut st = MsgState {
             msg,
             injected_at: at,
-            route: Route::new(self.side, msg.src, msg.dst),
-            blocked_at: SimTime::ZERO,
-            bd,
+            flight: SimTime::ZERO,
         };
+        let mut bd = LatencyBreakdown {
+            overhead_ps: self.ni.as_ps(),
+            ..LatencyBreakdown::default()
+        };
+        if !electrical {
+            let hops = self.step(msg.src.0, msg.dst.0).hops();
+            let burst = self.cfg.plan.burst_time(msg.bytes);
+            st.flight = self.ack_tof[hops] + burst + self.ni;
+            if self.capture {
+                let ack = if self.cfg.ack_required {
+                    SimTime::from_ps(self.hop.as_ps() * hops as u64)
+                } else {
+                    SimTime::ZERO
+                };
+                bd.arbitration_ps += ack.as_ps();
+                bd.propagation_ps += self.ack_tof[hops].saturating_since(ack).as_ps();
+                bd.serialization_ps += burst.as_ps();
+                bd.overhead_ps += self.ni.as_ps();
+            }
+        }
         let prev = self.msgs.insert(id, st);
         debug_assert!(prev.is_none(), "duplicate message id {id}");
-        let start = at + self.cycles(self.cfg.ni_cycles);
+        if self.capture {
+            self.blame.insert(
+                id,
+                Blame {
+                    blocked_at: SimTime::ZERO,
+                    bd,
+                },
+            );
+        }
+        // `MsgTable::insert` asserted that the id fits in 32 bits.
+        let (id, src, dst) = (id as u32, msg.src.0, msg.dst.0);
+        let start = at + self.ni;
         if electrical {
-            self.q.schedule(start, Ev::CtrlHop(id, 0));
+            self.q.schedule(start, Ev::CtrlHop(id, src, dst));
         } else {
-            self.q.schedule(start, Ev::Setup(id, 0));
+            self.q.schedule(start, Ev::Setup(id, src, dst));
         }
     }
 
@@ -575,10 +576,26 @@ mod tests {
         out
     }
 
+    /// The route the tables give from `src` to `dst`: every node
+    /// (both endpoints included) and the segment reserved out of each
+    /// node but the last.
+    fn table_path(s: &OmeshSim, src: NodeId, dst: NodeId) -> (Vec<NodeId>, Vec<usize>) {
+        let (mut nodes, mut segs) = (vec![src], Vec::new());
+        let mut here = src.0;
+        while here != dst.0 {
+            let step = s.step(here, dst.0);
+            segs.push(step.seg(here));
+            here = step.nb();
+            nodes.push(NodeId(here));
+            assert!(nodes.len() <= s.nodes, "route table loops {src}->{dst}");
+        }
+        (nodes, segs)
+    }
+
     #[test]
     fn xy_path_shape() {
         let s = sim();
-        let p = s.xy_path(NodeId(0), NodeId(15));
+        let (p, _) = table_path(&s, NodeId(0), NodeId(15));
         assert_eq!(p.first(), Some(&NodeId(0)));
         assert_eq!(p.last(), Some(&NodeId(15)));
         assert_eq!(p.len(), 7); // 6 hops corner to corner in 4x4
@@ -586,36 +603,66 @@ mod tests {
         assert_eq!(p[1], NodeId(1));
     }
 
-    /// The O(1) `xy_node` formula must agree with a literal hop-by-hop
-    /// XY walk for every (src, dst) pair — it replaced a materialised
-    /// path and any disagreement silently reroutes traffic.
+    /// The table walk from every source must reach every destination
+    /// through exactly the literal X-then-Y hop sequence, reserving the
+    /// literal `node*4 + dir` segment at each step — any disagreement
+    /// silently reroutes traffic. Side 32 is `MAX_CORES`'s mesh.
     #[test]
     fn xy_node_matches_walked_route() {
-        for side in [2usize, 3, 4, 5] {
+        for side in [2usize, 3, 4, 5, 32] {
             let s = OmeshSim::new(OmeshConfig::new(side));
             let n = side * side;
             for src in 0..n as u32 {
                 for dst in 0..n as u32 {
                     let (src, dst) = (NodeId(src), NodeId(dst));
-                    let mut walked = vec![src];
+                    let (mut walked, mut segs) = (vec![src], Vec::new());
                     let (mut x, mut y) = (src.idx() % side, src.idx() / side);
                     let (dx, dy) = (dst.idx() % side, dst.idx() / side);
                     while x != dx {
+                        // East = 1, West = 3.
+                        segs.push((y * side + x) * 4 + if dx > x { 1 } else { 3 });
                         x = if dx > x { x + 1 } else { x - 1 };
                         walked.push(NodeId((y * side + x) as u32));
                     }
                     while y != dy {
+                        // South = 2, North = 0.
+                        segs.push((y * side + x) * 4 + if dy > y { 2 } else { 0 });
                         y = if dy > y { y + 1 } else { y - 1 };
                         walked.push(NodeId((y * side + x) as u32));
                     }
-                    assert_eq!(s.xy_path(src, dst), walked, "{src}->{dst} side {side}");
-                    let r = Route::new(side, src, dst);
-                    for (k, w) in walked.windows(2).enumerate() {
-                        assert_eq!(
-                            r.seg(side, k),
-                            w[0].idx() * 4 + dir_between(side, w[0], w[1]),
-                            "segment mismatch at step {k} of {src}->{dst}"
-                        );
+                    let got = table_path(&s, src, dst);
+                    assert_eq!(got, (walked, segs), "{src}->{dst} side {side}");
+                    assert_eq!(s.step(src.0, dst.0).hops(), got.1.len());
+                }
+            }
+        }
+    }
+
+    /// `ack_tof[hops]` must be the ACK (`setup_hop_cycles × hops`
+    /// control cycles) plus the time of flight over the pair's Manhattan
+    /// waveguide length, for every pair — the per-message formula the
+    /// table replaced.
+    #[test]
+    fn ack_tof_table_matches_the_per_pair_formula() {
+        for side in [2usize, 4, 8] {
+            for ack_required in [true, false] {
+                let mut cfg = OmeshConfig::new(side);
+                cfg.ack_required = ack_required;
+                let s = OmeshSim::new(cfg);
+                for src in 0..s.nodes as u32 {
+                    for dst in 0..s.nodes as u32 {
+                        let (a, b) = (NodeId(src), NodeId(dst));
+                        let hops = s.step(src, dst).hops();
+                        let ack = if ack_required {
+                            cfg.ctrl_freq.cycles(cfg.setup_hop_cycles * hops as u64)
+                        } else {
+                            SimTime::ZERO
+                        };
+                        let tof = cfg
+                            .kit
+                            .waveguide
+                            .tof_ps(cfg.floorplan.mesh_distance_mm(a, b));
+                        assert_eq!(s.ack_tof[hops], ack + SimTime::from_ps(tof), "{a}->{b}");
                     }
                 }
             }

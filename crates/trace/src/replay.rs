@@ -42,7 +42,7 @@
 //! [`replay_fixed_budgeted`] borrows the same arena for its injection
 //! order and drain buffer.
 
-use crate::log::{TraceLog, NONE};
+use crate::log::{TraceLog, TraceRecord, NONE};
 use sctm_engine::net::{Delivery, MsgClass, NetworkModel};
 use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
@@ -519,12 +519,32 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
                 ready_at[c] = ready_at[c].max(d.delivered_at);
                 remaining[c] -= 1;
                 if remaining[c] == 0 {
+                    prefetch_row(&log.records[c]);
                     heap.push(Reverse((ready_at[c] + delta[c], c as u32)));
                 }
             }
         }
     }
     ReplayResult::from_times(log, inject, deliver)
+}
+
+/// Start pulling `row` into L1 ahead of its injection. A pass pops rows
+/// in replay order, thousands of rows from the one it touched last, so
+/// the `msg` load at injection missed every cache level (10.5 % of the
+/// flagship loop); a row is scheduled one heap residence before it is
+/// injected, which is time enough for the line to arrive.
+#[inline]
+fn prefetch_row(row: &TraceRecord) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint: it never faults, even on an invalid
+    // address, and has no architectural effect — and `row` is a live
+    // reference besides.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((row as *const TraceRecord).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// The self-correcting replay pass — how the SCTM injects a trace into
@@ -613,6 +633,7 @@ fn run_gated(
                                 t
                             };
                             flags[nx] |= SCHEDULED;
+                            prefetch_row(&log.records[nx]);
                             heap.push(Reverse(((base + plan.delta[nx]).max(t), nx as u32)));
                         }
                     }
@@ -638,6 +659,7 @@ fn run_gated(
                 if flags[g] & (PREV_DONE | SCHEDULED) == PREV_DONE {
                     let t = (d.delivered_at + plan.delta[g]).max(prev_time[g]);
                     flags[g] |= SCHEDULED;
+                    prefetch_row(&log.records[g]);
                     heap.push(Reverse((t, g as u32)));
                 }
             }

@@ -30,6 +30,16 @@ pub enum NetworkKind {
 }
 
 impl NetworkKind {
+    /// Every interconnect, the detailed models first.
+    pub const ALL: [NetworkKind; 6] = [
+        NetworkKind::Emesh,
+        NetworkKind::Omesh,
+        NetworkKind::Oxbar,
+        NetworkKind::Hybrid,
+        NetworkKind::Obus,
+        NetworkKind::Analytic,
+    ];
+
     pub const DETAILED: [NetworkKind; 5] = [
         NetworkKind::Emesh,
         NetworkKind::Omesh,
@@ -236,14 +246,7 @@ mod tests {
 
     #[test]
     fn networks_instantiate_with_matching_sizes() {
-        for kind in [
-            NetworkKind::Emesh,
-            NetworkKind::Omesh,
-            NetworkKind::Oxbar,
-            NetworkKind::Hybrid,
-            NetworkKind::Obus,
-            NetworkKind::Analytic,
-        ] {
+        for kind in NetworkKind::ALL {
             let sys = SystemConfig::new(4, kind);
             let net = sys.make_network();
             assert_eq!(net.num_nodes(), 16, "{}", kind.label());
@@ -253,14 +256,7 @@ mod tests {
 
     #[test]
     fn labels_roundtrip_and_unknown_is_typed() {
-        for kind in [
-            NetworkKind::Emesh,
-            NetworkKind::Omesh,
-            NetworkKind::Oxbar,
-            NetworkKind::Hybrid,
-            NetworkKind::Obus,
-            NetworkKind::Analytic,
-        ] {
+        for kind in NetworkKind::ALL {
             assert_eq!(NetworkKind::from_label(kind.label()), Ok(kind));
         }
         assert_eq!(

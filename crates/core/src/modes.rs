@@ -281,7 +281,7 @@ impl Experiment {
         // recording is on; the verdict inputs (drift/signed-movement
         // history) are a handful of scalar pushes and always tracked,
         // so the verdict never depends on the recording state.
-        let mut conv = (obs::enabled() && obs::conv_enabled())
+        let mut conv = obs::enabled()
             .then(|| obs::ConvTracker::new(kind.label(), self.kernel.label(), self.damping));
         let mut drift_hist: Vec<u64> = Vec::with_capacity(max_iters);
         let mut signed_hist: Vec<f64> = Vec::with_capacity(max_iters);
@@ -534,10 +534,8 @@ impl Experiment {
         let result = {
             let _span = obs::span("sctm", "replay");
             match (mode, budget) {
-                (Mode::ClassicTrace, Some(b)) => {
-                    replay_fixed_budgeted(log, net.as_mut(), &mut ReplayScratch::new(), b)
-                        .map_err(|batches| SctmError::BudgetExhausted { batches })?
-                }
+                (Mode::ClassicTrace, Some(b)) => replay_fixed_budgeted(log, net.as_mut(), b)
+                    .map_err(|batches| SctmError::BudgetExhausted { batches })?,
                 (Mode::ClassicTrace, None) => replay_fixed(log, net.as_mut()),
                 (Mode::OracleTrace, _) => replay_oracle(log, net.as_mut()),
                 (Mode::SelfCorrection { .. }, _) => replay_sctm_pass(log, net.as_mut()),

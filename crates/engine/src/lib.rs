@@ -27,6 +27,7 @@
 
 pub mod event;
 pub mod hash;
+pub mod ledger;
 pub mod msgtable;
 pub mod net;
 pub mod par;
@@ -36,6 +37,7 @@ pub mod table;
 pub mod time;
 
 pub use event::{EventQueue, QueuedEvent};
+pub use ledger::Ledger;
 pub use msgtable::MsgTable;
 pub use net::{
     AnalyticNetwork, Delivery, Message, MsgClass, MsgId, NetStats, NetworkModel, NodeId,

@@ -13,6 +13,7 @@
 //! collecting completed [`Delivery`] records. This lets an owning event
 //! loop interleave network time with core/cache time without callbacks.
 
+use crate::ledger::Ledger;
 use crate::stats::Histogram;
 use crate::time::SimTime;
 
@@ -147,9 +148,10 @@ pub struct NodeObs {
 /// Where one message's end-to-end latency went, in picoseconds.
 ///
 /// Every model decomposes into the same five bins so blame totals are
-/// comparable across architectures; the invariant — checked by
-/// `tests/prof_properties.rs` — is that the five components sum
-/// *exactly* to `delivered_at - injected_at`.
+/// comparable across architectures; the invariant — checked on every
+/// model by the conformance checker in `tests/network_properties.rs` —
+/// is that the five components sum *exactly* to
+/// `delivered_at - injected_at`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     /// Waiting for a resource held by *other* traffic (source/dest
@@ -276,11 +278,8 @@ pub trait NetworkModel: Send {
         }
     }
 
-    /// Aggregate statistics since construction (or the last reset).
+    /// Aggregate statistics since construction.
     fn stats(&self) -> &NetStats;
-
-    /// Reset statistics (e.g. after warmup) without touching state.
-    fn reset_stats(&mut self);
 
     /// Short architecture label for reports ("emesh", "omesh", "oxbar"...).
     fn label(&self) -> &'static str;
@@ -294,6 +293,15 @@ pub trait NetworkModel: Send {
     /// Turn per-message lifecycle capture on or off. Off by default;
     /// models that do not implement capture ignore the call (and
     /// [`Self::lifecycle_capture`] stays `false`).
+    ///
+    /// The rule, the same in every model (each keeps its books in a
+    /// [`crate::ledger::Ledger`]): a message's lifecycle is recorded iff
+    /// it is injected while capture is on and delivered before capture
+    /// is switched off. A message already in flight when capture is
+    /// switched on is delivered but not recorded — nobody booked its
+    /// bins so far — and switching capture off drops the bins of the
+    /// messages in flight. So every recorded lifecycle's bins sum
+    /// exactly to its latency.
     fn set_lifecycle_capture(&mut self, _on: bool) {}
 
     /// Whether this model is currently recording [`MsgLifecycle`]s.
@@ -334,13 +342,14 @@ pub struct AnalyticNetwork {
     dst_service_ps_per_byte: Vec<u64>,
     /// Earliest time each destination can accept its next delivery.
     dst_free: Vec<SimTime>,
+    /// `(delivery time, message id, slot in queue)` of every message in
+    /// flight.
     pending: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, usize)>>,
-    queue: Vec<(Message, SimTime, LatencyBreakdown)>,
+    /// The messages in flight and their injection times, by slot.
+    queue: Vec<(Message, SimTime)>,
     free: Vec<usize>,
-    stats: NetStats,
+    ledger: Ledger,
     now: SimTime,
-    capture: bool,
-    lifecycles: Vec<MsgLifecycle>,
 }
 
 impl AnalyticNetwork {
@@ -366,10 +375,8 @@ impl AnalyticNetwork {
             pending: Default::default(),
             queue: Vec::new(),
             free: Vec::new(),
-            stats: NetStats::default(),
+            ledger: Ledger::new(),
             now: SimTime::ZERO,
-            capture: false,
-            lifecycles: Vec::new(),
         }
     }
 
@@ -436,11 +443,11 @@ impl NetworkModel for AnalyticNetwork {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.now);
-        self.stats.injected += 1;
         let model_lat = self.model_latency(&msg);
         let mut deliver = at + model_lat;
         let mut bd = LatencyBreakdown::default();
-        if self.capture {
+        let capture = self.ledger.capture();
+        if capture {
             // The correction factor scales the whole analytic formula;
             // scale serialization/propagation by the same factor and
             // let the flooring residue land in overhead alongside the
@@ -461,18 +468,21 @@ impl NetworkModel for AnalyticNetwork {
             // replay callers).
             let service = SimTime::from_ps(service_per_byte * msg.bytes.max(1) as u64);
             let start = deliver.max(self.dst_free[msg.dst.idx()]);
-            if self.capture {
+            if capture {
                 bd.queue_ps = start.saturating_since(deliver).as_ps();
                 bd.serialization_ps += service.as_ps();
             }
             deliver = start + service;
             self.dst_free[msg.dst.idx()] = deliver;
         }
+        if let Some(bins) = self.ledger.book_injection(msg.id.0) {
+            *bins = bd;
+        }
         let slot = if let Some(i) = self.free.pop() {
-            self.queue[i] = (msg, at, bd);
+            self.queue[i] = (msg, at);
             i
         } else {
-            self.queue.push((msg, at, bd));
+            self.queue.push((msg, at));
             self.queue.len() - 1
         };
         self.pending
@@ -489,23 +499,14 @@ impl NetworkModel for AnalyticNetwork {
                 break;
             }
             self.pending.pop();
-            let (msg, injected_at, bd) = self.queue[slot];
+            let (msg, injected_at) = self.queue[slot];
             self.free.push(slot);
             let d = Delivery {
                 msg,
                 injected_at,
                 delivered_at: dt,
             };
-            self.stats.record_delivery(&d);
-            if self.capture {
-                self.lifecycles.push(MsgLifecycle {
-                    msg,
-                    injected_at,
-                    delivered_at: dt,
-                    breakdown: bd,
-                });
-            }
-            out.push(d);
+            self.ledger.book_delivery(d, out, |_, _| {});
             self.now = dt;
         }
         if t > self.now {
@@ -514,11 +515,7 @@ impl NetworkModel for AnalyticNetwork {
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
+        self.ledger.stats()
     }
 
     fn label(&self) -> &'static str {
@@ -526,15 +523,15 @@ impl NetworkModel for AnalyticNetwork {
     }
 
     fn set_lifecycle_capture(&mut self, on: bool) {
-        self.capture = on;
+        self.ledger.set_capture(on);
     }
 
     fn lifecycle_capture(&self) -> bool {
-        self.capture
+        self.ledger.capture()
     }
 
     fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        out.append(&mut self.lifecycles);
+        self.ledger.take_lifecycles(out);
     }
 }
 
@@ -578,8 +575,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].msg.id, MsgId(2));
         assert_eq!(out[1].msg.id, MsgId(1));
-        assert_eq!(n.stats().delivered, 2);
-        assert_eq!(n.stats().in_flight(), 0);
     }
 
     #[test]
@@ -629,32 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_split_by_class() {
-        let mut n = net();
-        n.inject(SimTime::ZERO, msg(1, 0, 1, 8)); // ctrl
-        n.inject(SimTime::ZERO, msg(2, 0, 1, 64)); // data
-        let mut out = Vec::new();
-        n.drain(&mut out);
-        assert_eq!(n.stats().ctrl_latency_ps.count(), 1);
-        assert_eq!(n.stats().data_latency_ps.count(), 1);
-        assert!(n.stats().mean_latency_ps() > 0.0);
-        assert_eq!(n.stats().bytes_delivered, 72);
-    }
-
-    #[test]
-    fn reset_stats_keeps_state() {
-        let mut n = net();
-        n.inject(SimTime::ZERO, msg(1, 0, 1, 8));
-        n.reset_stats();
-        let mut out = Vec::new();
-        n.drain(&mut out);
-        // the in-flight message still delivers after reset
-        assert_eq!(out.len(), 1);
-        assert_eq!(n.stats().delivered, 1);
-        assert_eq!(n.stats().injected, 0, "injected counter was reset");
-    }
-
-    #[test]
     fn slot_reuse_does_not_corrupt() {
         let mut n = net();
         let mut out = Vec::new();
@@ -674,11 +643,13 @@ mod tests {
         assert_eq!(ids.len(), 160, "every message delivered exactly once");
     }
 
+    /// The checker in `tests/network_properties.rs` builds its analytic
+    /// model without corrections or destination service; this is where
+    /// their bins are checked.
     #[test]
     fn lifecycle_breakdown_sums_exactly() {
         let mut n = net();
         n.set_lifecycle_capture(true);
-        assert!(n.lifecycle_capture());
         n.set_dst_service(NodeId(1), 5);
         n.set_correction(NodeId(2), NodeId(15), MsgClass::Control, 1.37);
         n.inject(SimTime::ZERO, msg(1, 0, 1, 64));
@@ -695,10 +666,6 @@ mod tests {
         // The second message to the serialised destination queued
         // behind the first.
         assert!(lc.iter().any(|l| l.breakdown.queue_ps > 0));
-        // take_lifecycles drains.
-        let mut again = Vec::new();
-        n.take_lifecycles(&mut again);
-        assert!(again.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`topology`] — mesh/torus geometry, XY/YX dimension-order and
 //!   odd-even adaptive routing, torus datelines.
-//! * [`packet`] — message packetisation into flits and reassembly.
+//! * [`packet`] — message packetisation into flits.
 //! * [`network`] — the router microarchitecture and the
 //!   [`sctm_engine::net::NetworkModel`] implementation.
 //! * [`traffic`] — synthetic traffic patterns and the open-loop

@@ -32,9 +32,9 @@
 //! this port, which way dimension order goes from here — is read from
 //! two tables `NocSim::new` builds once from [`Topology`]'s functions.
 
-use crate::packet::{Flit, PacketizeConfig, Reassembly};
+use crate::packet::{Flit, PacketizeConfig};
 use crate::topology::{Port, Routing, Topology, DIRS, NUM_PORTS};
-use sctm_engine::msgtable::MsgTable;
+use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{
     Delivery, LatencyBreakdown, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs,
 };
@@ -89,6 +89,44 @@ impl NocConfig {
         let per_hop = self.router_stages + self.link_cycles;
         // +router_stages: source router pipeline; flits-1: serialization.
         per_hop * hops + self.router_stages + (flits - 1)
+    }
+
+    /// Lifecycle bins of a delivered message. The pipeline terms
+    /// (routing/arbitration stages, link traversal, serialization) are
+    /// analytic — the wormhole router is a fixed pipeline, so their
+    /// zero-load shares are exact — and everything above zero-load is
+    /// contention, booked as queueing. On the rare boundary where the
+    /// measured latency undercuts the zero-load model (injection-edge
+    /// rounding, or adaptive routes shorter than the minimal-path
+    /// estimate never happen but misalignment can shave a cycle), the
+    /// fixed terms are trimmed so the five bins always sum exactly.
+    fn lifecycle_bins(&self, d: &Delivery, bd: &mut LatencyBreakdown) {
+        let p = self.freq.period().as_ps();
+        let hops = self.topology.hops(d.msg.src, d.msg.dst) as u64;
+        let flits = self.pkt.flit_count(d.msg.bytes) as u64;
+        *bd = LatencyBreakdown {
+            propagation_ps: self.link_cycles * hops * p,
+            arbitration_ps: self.router_stages * (hops + 1) * p,
+            serialization_ps: (flits - 1) * p,
+            ..LatencyBreakdown::default()
+        };
+        let lat = d.latency().as_ps();
+        let fixed = bd.total_ps();
+        if fixed <= lat {
+            bd.queue_ps = lat - fixed;
+        } else {
+            let mut over = fixed - lat;
+            for slot in [
+                &mut bd.serialization_ps,
+                &mut bd.arbitration_ps,
+                &mut bd.propagation_ps,
+            ] {
+                let cut = over.min(*slot);
+                *slot -= cut;
+                over -= cut;
+            }
+            debug_assert_eq!(over, 0);
+        }
     }
 }
 
@@ -201,7 +239,7 @@ impl NodeSet {
     }
 }
 
-/// Per-node network interface: packet source queue and reassembly sink.
+/// Per-node network interface: the packet source queue.
 #[derive(Clone, Debug, Default)]
 struct Ni {
     q: VecDeque<Flit>,
@@ -219,14 +257,13 @@ pub struct NocSim {
     nis: Vec<Ni>,
     /// NIs with a non-empty source queue.
     ni_nonempty: NodeSet,
-    sink: Vec<Reassembly>,
     /// Future injections not yet due, ordered by time then id.
     pending: BinaryHeap<Reverse<(SimTime, u64)>>,
-    pending_msgs: MsgTable<Message>,
+    /// Every message from injection until its tail flit ejects.
+    ledger: Ledger,
     cycle: u64,
     /// Flits anywhere inside routers or NI queues.
     active_flits: usize,
-    stats: NetStats,
     /// Cycles since a flit last moved, for deadlock detection.
     stall_cycles: u64,
     /// Cumulative outbound-link occupancy per node, in flit-cycles.
@@ -238,8 +275,6 @@ pub struct NocSim {
     /// [`Topology::route_dor`] says. Empty under odd-even routing,
     /// which decides per packet.
     dor: Vec<Port>,
-    capture: bool,
-    lifecycles: Vec<MsgLifecycle>,
 }
 
 /// No router across this port: a mesh edge.
@@ -322,18 +357,14 @@ impl NocSim {
             active: NodeSet::new(n),
             nis: (0..n).map(|_| Ni::default()).collect(),
             ni_nonempty: NodeSet::new(n),
-            sink: (0..n).map(|_| Reassembly::new()).collect(),
             pending: BinaryHeap::new(),
-            pending_msgs: MsgTable::new(),
+            ledger: Ledger::new(),
             cycle: 0,
             active_flits: 0,
-            stats: NetStats::default(),
             stall_cycles: 0,
             link_busy_cycles: vec![0; n],
             neigh,
             dor,
-            capture: false,
-            lifecycles: Vec::new(),
         }
     }
 
@@ -391,10 +422,9 @@ impl NocSim {
                 break;
             }
             self.pending.pop();
-            let msg = self.pending_msgs.remove(id).expect("pending msg vanished");
+            let msg = self.ledger[id].msg;
             let flits = self.cfg.pkt.packetize(&msg);
             self.active_flits += flits.len();
-            self.sink[msg.dst.idx()].begin(msg, t);
             self.nis[msg.src.idx()].q.extend(flits);
             self.ni_nonempty.insert(msg.src.idx());
         }
@@ -643,25 +673,10 @@ impl NocSim {
                     // horizon is the next cycle edge), so stamping the
                     // start of the cycle would deliver into the past.
                     self.active_flits -= 1;
-                    if let Some((msg, injected_at)) = self.sink[node].eject(&flit) {
+                    if flit.kind.is_tail() {
                         let delivered_at = self.time_of(self.cycle + 1);
                         obs::sim_event("emesh", "deliver", node as u32, delivered_at);
-                        if self.capture {
-                            let bd = self.breakdown(&msg, injected_at, delivered_at);
-                            self.lifecycles.push(MsgLifecycle {
-                                msg,
-                                injected_at,
-                                delivered_at,
-                                breakdown: bd,
-                            });
-                        }
-                        let d = Delivery {
-                            msg,
-                            injected_at,
-                            delivered_at,
-                        };
-                        self.stats.record_delivery(&d);
-                        out.push(d);
+                        self.deliver(delivered_at, flit.pkt.0, out);
                     }
                 } else {
                     let ovc = ovc.expect("direction route without VC");
@@ -734,52 +749,17 @@ impl NocSim {
         self.cycle += 1;
     }
 
-    fn idle(&self) -> bool {
-        self.active_flits == 0
+    /// Retire the message whose tail flit ejected. Kept out of line:
+    /// inlined into the switch-traversal loop it slowed the 16-core
+    /// replay pass by 2 % on a 2-vCPU x86-64 host (EXPERIMENTS.md §P26).
+    #[inline(never)]
+    fn deliver(&mut self, at: SimTime, id: u64, out: &mut Vec<Delivery>) {
+        self.ledger
+            .deliver(at, id, out, |d, bd| self.cfg.lifecycle_bins(d, bd));
     }
 
-    /// Latency decomposition for a delivered message. The pipeline terms
-    /// (routing/arbitration stages, link traversal, serialization) are
-    /// analytic — the wormhole router is a fixed pipeline, so their
-    /// zero-load shares are exact — and everything above zero-load is
-    /// contention, booked as queueing. On the rare boundary where the
-    /// measured latency undercuts the zero-load model (injection-edge
-    /// rounding, or adaptive routes shorter than the minimal-path
-    /// estimate never happen but misalignment can shave a cycle), the
-    /// fixed terms are trimmed so the five bins always sum exactly.
-    fn breakdown(
-        &self,
-        msg: &Message,
-        injected_at: SimTime,
-        delivered_at: SimTime,
-    ) -> LatencyBreakdown {
-        let p = self.cfg.freq.period().as_ps();
-        let hops = self.cfg.topology.hops(msg.src, msg.dst) as u64;
-        let flits = self.cfg.pkt.flit_count(msg.bytes) as u64;
-        let mut bd = LatencyBreakdown {
-            propagation_ps: self.cfg.link_cycles * hops * p,
-            arbitration_ps: self.cfg.router_stages * (hops + 1) * p,
-            serialization_ps: (flits - 1) * p,
-            ..LatencyBreakdown::default()
-        };
-        let lat = delivered_at.saturating_since(injected_at).as_ps();
-        let fixed = bd.total_ps();
-        if fixed <= lat {
-            bd.queue_ps = lat - fixed;
-        } else {
-            let mut over = fixed - lat;
-            for slot in [
-                &mut bd.serialization_ps,
-                &mut bd.arbitration_ps,
-                &mut bd.propagation_ps,
-            ] {
-                let cut = over.min(*slot);
-                *slot -= cut;
-                over -= cut;
-            }
-            debug_assert_eq!(over, 0);
-        }
-        bd
+    fn idle(&self) -> bool {
+        self.active_flits == 0
     }
 }
 
@@ -791,11 +771,9 @@ impl NetworkModel for NocSim {
     fn inject(&mut self, at: SimTime, msg: Message) {
         debug_assert!(msg.dst.idx() < self.num_nodes() && msg.src.idx() < self.num_nodes());
         let at = at.max(self.time_of(self.cycle));
-        self.stats.injected += 1;
         obs::sim_event("emesh", "inject", msg.src.0, at);
         self.pending.push(Reverse((at, msg.id.0)));
-        let prev = self.pending_msgs.insert(msg.id.0, msg);
-        debug_assert!(prev.is_none(), "duplicate message id {:?}", msg.id);
+        self.ledger.inject(at, msg, ());
     }
 
     fn next_time(&self) -> Option<SimTime> {
@@ -832,11 +810,7 @@ impl NetworkModel for NocSim {
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
+        self.ledger.stats()
     }
 
     fn label(&self) -> &'static str {
@@ -844,15 +818,15 @@ impl NetworkModel for NocSim {
     }
 
     fn set_lifecycle_capture(&mut self, on: bool) {
-        self.capture = on;
+        self.ledger.set_capture(on);
     }
 
     fn lifecycle_capture(&self) -> bool {
-        self.capture
+        self.ledger.capture()
     }
 
     fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        out.append(&mut self.lifecycles);
+        self.ledger.take_lifecycles(out);
     }
 
     fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
@@ -896,18 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn single_message_delivers() {
-        let mut sim = NocSim::new(cfg4());
-        sim.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Data, 64));
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].msg.id, MsgId(1));
-        assert!(out[0].delivered_at > SimTime::ZERO);
-        assert_eq!(sim.stats().delivered, 1);
-        assert_eq!(sim.stats().in_flight(), 0);
-    }
-
-    #[test]
     fn zero_load_latency_matches_model() {
         let cfg = cfg4();
         let mut sim = NocSim::new(cfg);
@@ -948,21 +910,6 @@ mod tests {
             lb > la,
             "5-flit data ({lb}) not slower than 1-flit ctrl ({la})"
         );
-    }
-
-    #[test]
-    fn all_pairs_deliver_mesh_xy() {
-        let mut sim = NocSim::new(cfg4());
-        let mut id = 0;
-        for s in 0..16 {
-            for d in 0..16 {
-                id += 1;
-                sim.inject(SimTime::ZERO, msg(id, s, d, MsgClass::Control, 8));
-            }
-        }
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), 256);
-        assert_eq!(sim.stats().in_flight(), 0);
     }
 
     #[test]
@@ -1011,78 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_deliver_odd_even() {
-        let cfg = NocConfig {
-            routing: Routing::OddEven,
-            ..cfg4()
-        };
-        let mut sim = NocSim::new(cfg);
-        let mut id = 0;
-        for s in 0..16 {
-            for d in 0..16 {
-                id += 1;
-                sim.inject(SimTime::ZERO, msg(id, s, d, MsgClass::Control, 8));
-            }
-        }
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), 256);
-    }
-
-    #[test]
-    fn heavy_random_load_conserves_messages() {
-        use sctm_engine::rng::StreamRng;
-        let mut rng = StreamRng::new(42);
-        let mut sim = NocSim::new(cfg4());
-        let n = 2000;
-        for i in 0..n {
-            let s = rng.below(16) as u32;
-            let mut d = rng.below(16) as u32;
-            if d == s {
-                d = (d + 1) % 16;
-            }
-            let class = if rng.chance(0.5) {
-                MsgClass::Control
-            } else {
-                MsgClass::Data
-            };
-            let bytes = if class == MsgClass::Control { 8 } else { 64 };
-            sim.inject(
-                SimTime::from_ns(rng.below(2000)),
-                msg(i, s, d, class, bytes),
-            );
-        }
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), n as usize);
-        let mut ids: Vec<u64> = out.iter().map(|d| d.msg.id.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), n as usize, "duplicate or lost messages");
-    }
-
-    #[test]
-    fn determinism_same_seed_same_result() {
-        let run = || {
-            use sctm_engine::rng::StreamRng;
-            let mut rng = StreamRng::new(7);
-            let mut sim = NocSim::new(cfg4());
-            for i in 0..500 {
-                let s = rng.below(16) as u32;
-                let d = (s + 1 + rng.below(15) as u32) % 16;
-                sim.inject(
-                    SimTime::from_ns(rng.below(500)),
-                    msg(i, s, d, MsgClass::Data, 64),
-                );
-            }
-            let mut out = Vec::new();
-            sim.drain(&mut out);
-            out.iter()
-                .map(|d| (d.msg.id.0, d.delivered_at.as_ps()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn advance_until_does_not_overshoot() {
         let mut sim = NocSim::new(cfg4());
         sim.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Data, 64));
@@ -1106,75 +981,5 @@ mod tests {
         assert!(sim.cycle() >= 197_000, "cycle={}", sim.cycle());
         sim.drain(&mut out);
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn self_send_delivers() {
-        let mut sim = NocSim::new(cfg4());
-        sim.inject(SimTime::ZERO, msg(1, 3, 3, MsgClass::Control, 8));
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn next_time_none_when_quiescent() {
-        let mut sim = NocSim::new(cfg4());
-        assert!(sim.next_time().is_none());
-        sim.inject(SimTime::ZERO, msg(1, 0, 1, MsgClass::Control, 8));
-        assert!(sim.next_time().is_some());
-        let mut out = Vec::new();
-        sim.drain(&mut out);
-        assert!(sim.next_time().is_none());
-    }
-
-    #[test]
-    fn lifecycle_components_sum_exactly() {
-        use sctm_engine::rng::StreamRng;
-        let mut rng = StreamRng::new(11);
-        let mut sim = NocSim::new(cfg4());
-        sim.set_lifecycle_capture(true);
-        let n = 500u64;
-        for i in 0..n {
-            let s = rng.below(16) as u32;
-            let d = rng.below(16) as u32; // self-sends included
-            let class = if rng.chance(0.5) {
-                MsgClass::Control
-            } else {
-                MsgClass::Data
-            };
-            let bytes = if class == MsgClass::Control { 8 } else { 64 };
-            sim.inject(
-                SimTime::from_ns(rng.below(1000)),
-                msg(i, s, d, class, bytes),
-            );
-        }
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), n as usize);
-        let mut lcs = Vec::new();
-        sim.take_lifecycles(&mut lcs);
-        assert_eq!(lcs.len(), n as usize);
-        for lc in &lcs {
-            assert_eq!(
-                lc.breakdown.total_ps(),
-                lc.latency_ps(),
-                "components of {:?} do not sum to latency",
-                lc.msg.id
-            );
-        }
-        // Under contention, at least some messages see queueing.
-        assert!(lcs.iter().any(|l| l.breakdown.queue_ps > 0));
-    }
-
-    #[test]
-    fn wormhole_keeps_packets_contiguous() {
-        // Two long data packets from different sources to the same
-        // destination must both arrive complete (reassembly panics on
-        // interleaving errors).
-        let mut sim = NocSim::new(cfg4());
-        sim.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Data, 256));
-        sim.inject(SimTime::ZERO, msg(2, 3, 15, MsgClass::Data, 256));
-        sim.inject(SimTime::ZERO, msg(3, 12, 15, MsgClass::Data, 256));
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), 3);
     }
 }

@@ -1,14 +1,14 @@
-//! Packets, flits, and message ↔ packet conversion.
+//! Packets, flits, and message → packet conversion.
 //!
 //! Every [`Message`] maps to exactly one wormhole packet. The head flit
 //! carries routing state and up to [`HEAD_PAYLOAD_BYTES`] of payload
 //! (enough for a bare coherence control message, which therefore fits in
 //! a single head-tail flit); remaining payload is segmented into
 //! [`PacketizeConfig::flit_bytes`]-sized body flits, the last marked
-//! Tail.
+//! Tail. Flits carry only the message id: the message itself stays in
+//! the simulator's ledger until its tail flit ejects.
 
 use sctm_engine::net::{Message, MsgId, NodeId};
-use sctm_engine::time::SimTime;
 
 /// Payload bytes that ride inside the head flit alongside the header.
 pub const HEAD_PAYLOAD_BYTES: u32 = 8;
@@ -119,57 +119,6 @@ impl PacketizeConfig {
     }
 }
 
-/// Per-destination packet reassembly: counts ejected flits and reports
-/// completion when the tail arrives.
-///
-/// A node only ever has a handful of packets in reassembly at once
-/// (wormhole switching interleaves few packets per ejection port), so a
-/// linear-scan vector beats a hash map here: no hashing on the per-flit
-/// path, and removal is a `swap_remove`.
-#[derive(Clone, Debug, Default)]
-pub struct Reassembly {
-    open: Vec<(u64, Message, SimTime, usize)>,
-}
-
-impl Reassembly {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a packet at injection time so its metadata survives the
-    /// flits (flits carry only ids).
-    pub fn begin(&mut self, msg: Message, injected_at: SimTime) {
-        debug_assert!(
-            !self.open.iter().any(|e| e.0 == msg.id.0),
-            "duplicate packet id {:?}",
-            msg.id
-        );
-        self.open.push((msg.id.0, msg, injected_at, 0));
-    }
-
-    /// Record one ejected flit; on the tail flit, returns the completed
-    /// message and its injection time.
-    pub fn eject(&mut self, flit: &Flit) -> Option<(Message, SimTime)> {
-        let pos = self
-            .open
-            .iter()
-            .position(|e| e.0 == flit.pkt.0)
-            .expect("ejected flit for unknown packet");
-        self.open[pos].3 += 1;
-        if flit.kind.is_tail() {
-            let (_, msg, t, _) = self.open.swap_remove(pos);
-            Some((msg, t))
-        } else {
-            None
-        }
-    }
-
-    /// Packets not yet fully ejected.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,37 +165,5 @@ mod tests {
         assert_eq!(c.flit_count(9), 2); // head + 1 body
         assert_eq!(c.flit_count(24), 2); // 8 + 16 exactly
         assert_eq!(c.flit_count(25), 3);
-    }
-
-    #[test]
-    fn reassembly_completes_on_tail() {
-        let c = PacketizeConfig::default();
-        let m = msg(64);
-        let flits: Vec<Flit> = c.packetize(&m).collect();
-        let mut r = Reassembly::new();
-        r.begin(m, SimTime::from_ps(5));
-        for f in &flits[..4] {
-            assert!(r.eject(f).is_none());
-        }
-        let (done, t) = r.eject(&flits[4]).unwrap();
-        assert_eq!(done.id, m.id);
-        assert_eq!(t, SimTime::from_ps(5));
-        assert_eq!(r.open_count(), 0);
-    }
-
-    #[test]
-    fn reassembly_tracks_multiple_packets() {
-        let c = PacketizeConfig::default();
-        let mut r = Reassembly::new();
-        let mut m1 = msg(8);
-        m1.id = MsgId(1);
-        let mut m2 = msg(8);
-        m2.id = MsgId(2);
-        r.begin(m1, SimTime::ZERO);
-        r.begin(m2, SimTime::ZERO);
-        assert_eq!(r.open_count(), 2);
-        let f2 = c.packetize(&m2).next().unwrap();
-        assert_eq!(r.eject(&f2).unwrap().0.id, MsgId(2));
-        assert_eq!(r.open_count(), 1);
     }
 }

@@ -26,22 +26,7 @@ use crate::export::{json_escape, json_f64};
 use crate::series::{CounterSeries, SeriesStore};
 use crate::{enabled, lock_unpoisoned, with_global};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-/// Whether the drift ledger is recorded at all (on top of the global
-/// [`crate::enabled`] gate). On by default; the `conv_overhead` cost
-/// gate flips it off to measure the ledger's marginal cost against an
-/// otherwise-identical instrumented run.
-static CONV_ENABLED: AtomicBool = AtomicBool::new(true);
-
-pub fn conv_enabled() -> bool {
-    CONV_ENABLED.load(Ordering::Relaxed)
-}
-
-pub fn set_conv_enabled(on: bool) {
-    CONV_ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// How (or whether) one self-correction run converged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

@@ -28,8 +28,8 @@ pub mod svc;
 mod tracer;
 
 pub use conv::{
-    classify_unconverged, conv_enabled, conv_report_json, conv_series, conv_snapshot, reset_conv,
-    set_conv_enabled, ConvRun, ConvTracker, ConvergenceVerdict, IterLedger, LedgerEntry, PairMove,
+    classify_unconverged, conv_report_json, conv_series, conv_snapshot, reset_conv, ConvRun,
+    ConvTracker, ConvergenceVerdict, IterLedger, LedgerEntry, PairMove,
 };
 pub use export::{
     chrome_trace_json, chrome_trace_with_series, json_escape, json_f64, Manifest, PhaseWall,

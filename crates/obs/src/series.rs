@@ -150,10 +150,6 @@ impl NetworkModel for SampledNetwork {
         self.inner.stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
     fn label(&self) -> &'static str {
         self.inner.label()
     }
@@ -311,9 +307,6 @@ mod tests {
             }
             fn stats(&self) -> &NetStats {
                 &self.stats
-            }
-            fn reset_stats(&mut self) {
-                self.stats = NetStats::default();
             }
             fn label(&self) -> &'static str {
                 "stub"

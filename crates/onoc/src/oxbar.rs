@@ -16,10 +16,8 @@
 
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
-use sctm_engine::msgtable::MsgTable;
-use sctm_engine::net::{
-    Delivery, LatencyBreakdown, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs,
-};
+use sctm_engine::ledger::Ledger;
+use sctm_engine::net::{Delivery, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, PowerBreakdown};
@@ -57,13 +55,6 @@ impl OxbarConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct MsgState {
-    msg: Message,
-    injected_at: SimTime,
-    bd: LatencyBreakdown,
-}
-
 /// Home-channel arbitration state.
 #[derive(Clone, Debug)]
 struct Channel {
@@ -96,16 +87,13 @@ enum Ev {
 pub struct OxbarSim {
     cfg: OxbarConfig,
     q: EventQueue<Ev>,
-    msgs: MsgTable<MsgState>,
+    ledger: Ledger,
     channels: Vec<Channel>,
     /// Cumulative burst (channel-busy) time per home channel, for
     /// observability; indexed by the owning destination node.
     ch_busy_ps: Vec<u64>,
-    stats: NetStats,
     optical_bits: u64,
     nodes: u64,
-    capture: bool,
-    lifecycles: Vec<MsgLifecycle>,
 }
 
 impl OxbarSim {
@@ -114,7 +102,7 @@ impl OxbarSim {
         OxbarSim {
             cfg,
             q: EventQueue::new(),
-            msgs: MsgTable::new(),
+            ledger: Ledger::new(),
             channels: (0..n)
                 .map(|i| Channel {
                     free_at: SimTime::ZERO,
@@ -125,11 +113,8 @@ impl OxbarSim {
                 })
                 .collect(),
             ch_busy_ps: vec![0; n],
-            stats: NetStats::default(),
             optical_bits: 0,
             nodes: n as u64,
-            capture: false,
-            lifecycles: Vec::new(),
         }
     }
 
@@ -178,7 +163,7 @@ impl OxbarSim {
             .iter()
             .enumerate()
             .map(|(i, id)| {
-                let pos = self.msgs[*id].msg.src.0 as u64;
+                let pos = self.ledger[*id].msg.src.0 as u64;
                 (i, self.token_arrival(ch, pos, now))
             })
             .min_by_key(|&(i, t)| (t, i))
@@ -192,21 +177,14 @@ impl OxbarSim {
     fn handle(&mut self, at: SimTime, ev: Ev, out: &mut Vec<Delivery>) {
         match ev {
             Ev::Request(id) => {
-                let (dst, src) = {
-                    let st = &self.msgs[id];
-                    (st.msg.dst, st.msg.src)
-                };
+                let Message { src, dst, .. } = self.ledger[id].msg;
                 if dst == src {
                     // Loopback stays in the NI.
-                    if self.capture {
-                        let ni = self.ni_delay().as_ps();
-                        self.msgs
-                            .get_mut(id)
-                            .expect("unknown message")
-                            .bd
-                            .overhead_ps += ni;
+                    let ni = self.ni_delay();
+                    if let Some(bd) = self.ledger.bins(id) {
+                        bd.overhead_ps += ni.as_ps();
                     }
-                    self.q.schedule(at + self.ni_delay(), Ev::Deliver(id));
+                    self.q.schedule(at + ni, Ev::Deliver(id));
                     return;
                 }
                 let ch_idx = dst.idx();
@@ -231,24 +209,25 @@ impl OxbarSim {
             Ev::Grant(id) => {
                 // Validate against preemption: only the live pending
                 // grant commits; stale Grant events are ignored.
-                let Some(st) = self.msgs.get(id) else { return };
-                let ch_idx = st.msg.dst.idx();
+                let Some(st) = self.ledger.get(id) else {
+                    return;
+                };
+                let (msg, injected_at) = (st.msg, st.injected_at);
+                let ch_idx = msg.dst.idx();
                 if self.channels[ch_idx].pending != Some((id, at)) {
                     return;
                 }
-                let burst = self.cfg.plan.burst_time(st.msg.bytes.max(1));
-                let src_pos = st.msg.src.0 as u64;
-                self.optical_bits += st.msg.bytes.max(1) as u64 * 8;
+                let burst = self.cfg.plan.burst_time(msg.bytes.max(1));
+                let src_pos = msg.src.0 as u64;
+                self.optical_bits += msg.bytes.max(1) as u64 * 8;
                 self.ch_busy_ps[ch_idx] += burst.as_ps();
                 obs::sim_event("oxbar", "arbitrate", ch_idx as u32, at);
-                if self.capture {
-                    // Token wait: from the request hitting the channel
-                    // (NI traversal after injection) to this grant.
-                    let ni = self.ni_delay();
-                    let st = self.msgs.get_mut(id).expect("unknown message");
-                    let requested = st.injected_at + ni;
-                    st.bd.arbitration_ps += at.saturating_since(requested).as_ps();
-                    st.bd.serialization_ps += burst.as_ps();
+                // Token wait: from the request hitting the channel (NI
+                // traversal after injection) to this grant.
+                let requested = injected_at + self.ni_delay();
+                if let Some(bd) = self.ledger.bins(id) {
+                    bd.arbitration_ps += at.saturating_since(requested).as_ps();
+                    bd.serialization_ps += burst.as_ps();
                 }
                 let end = at + burst;
                 let ch = &mut self.channels[ch_idx];
@@ -258,40 +237,21 @@ impl OxbarSim {
                 self.q.schedule(end, Ev::BurstEnd(id));
             }
             Ev::BurstEnd(id) => {
-                let (src, dst) = {
-                    let st = &self.msgs[id];
-                    (st.msg.src, st.msg.dst)
-                };
+                let Message { src, dst, .. } = self.ledger[id].msg;
                 // Propagation from source to reader along the serpentine.
                 let dist_mm = self.cfg.floorplan.serpentine_distance_mm(src, dst);
                 let tof = SimTime::from_ps(self.cfg.kit.waveguide.tof_ps(dist_mm));
-                if self.capture {
-                    let ni = self.ni_delay().as_ps();
-                    let bd = &mut self.msgs.get_mut(id).expect("unknown message").bd;
+                let ni = self.ni_delay();
+                if let Some(bd) = self.ledger.bins(id) {
                     bd.propagation_ps += tof.as_ps();
-                    bd.overhead_ps += ni;
+                    bd.overhead_ps += ni.as_ps();
                 }
-                self.q.schedule(at + tof + self.ni_delay(), Ev::Deliver(id));
+                self.q.schedule(at + tof + ni, Ev::Deliver(id));
                 self.arbitrate(dst.idx(), at);
             }
             Ev::Deliver(id) => {
-                let st = self.msgs.remove(id).expect("deliver for unknown msg");
-                obs::sim_event("oxbar", "deliver", st.msg.dst.0, at);
-                let d = Delivery {
-                    msg: st.msg,
-                    injected_at: st.injected_at,
-                    delivered_at: at,
-                };
-                self.stats.record_delivery(&d);
-                if self.capture {
-                    self.lifecycles.push(MsgLifecycle {
-                        msg: st.msg,
-                        injected_at: st.injected_at,
-                        delivered_at: at,
-                        breakdown: st.bd,
-                    });
-                }
-                out.push(d);
+                let msg = self.ledger.deliver(at, id, out, |_, _| {});
+                obs::sim_event("oxbar", "deliver", msg.dst.0, at);
             }
         }
     }
@@ -304,23 +264,12 @@ impl NetworkModel for OxbarSim {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
-        self.stats.injected += 1;
         obs::sim_event("oxbar", "inject", msg.src.0, at);
-        let id = msg.id.0;
-        let mut bd = LatencyBreakdown::default();
-        if self.capture {
-            bd.overhead_ps = self.ni_delay().as_ps();
+        let ni = self.ni_delay();
+        if let Some(bd) = self.ledger.inject(at, msg, ()) {
+            bd.overhead_ps = ni.as_ps();
         }
-        let prev = self.msgs.insert(
-            id,
-            MsgState {
-                msg,
-                injected_at: at,
-                bd,
-            },
-        );
-        debug_assert!(prev.is_none(), "duplicate message id {id}");
-        self.q.schedule(at + self.ni_delay(), Ev::Request(id));
+        self.q.schedule(at + ni, Ev::Request(msg.id.0));
     }
 
     fn next_time(&self) -> Option<SimTime> {
@@ -335,11 +284,7 @@ impl NetworkModel for OxbarSim {
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
+        self.ledger.stats()
     }
 
     fn label(&self) -> &'static str {
@@ -347,15 +292,15 @@ impl NetworkModel for OxbarSim {
     }
 
     fn set_lifecycle_capture(&mut self, on: bool) {
-        self.capture = on;
+        self.ledger.set_capture(on);
     }
 
     fn lifecycle_capture(&self) -> bool {
-        self.capture
+        self.ledger.capture()
     }
 
     fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        out.append(&mut self.lifecycles);
+        self.ledger.take_lifecycles(out);
     }
 
     fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
@@ -396,30 +341,6 @@ mod tests {
         let mut out = Vec::new();
         s.drain(&mut out);
         out
-    }
-
-    #[test]
-    fn single_message_delivers() {
-        let mut s = sim();
-        s.inject(SimTime::ZERO, msg(1, 0, 5, 64));
-        let out = drain(&mut s);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].latency() > SimTime::ZERO);
-    }
-
-    #[test]
-    fn all_pairs_deliver() {
-        let mut s = sim();
-        let mut id = 0;
-        for a in 0..16 {
-            for b in 0..16 {
-                s.inject(SimTime::ZERO, msg(id, a, b, 64));
-                id += 1;
-            }
-        }
-        let out = drain(&mut s);
-        assert_eq!(out.len(), 256);
-        assert!(s.channels.iter().all(|c| c.waiting.is_empty()));
     }
 
     #[test]
@@ -539,43 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism() {
-        let run = || {
-            let mut s = sim();
-            for i in 0..300u64 {
-                s.inject(
-                    SimTime::from_ns(i % 50),
-                    msg(i, (i % 16) as u32, ((i * 11 + 1) % 16) as u32, 64),
-                );
-            }
-            drain(&mut s)
-                .iter()
-                .map(|d| (d.msg.id.0, d.delivered_at.as_ps()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn lifecycle_components_sum_exactly() {
-        let mut s = sim();
-        s.set_lifecycle_capture(true);
-        s.inject(SimTime::ZERO, msg(0, 7, 7, 64)); // loopback
-        for i in 1..16u64 {
-            // Hotspot: everyone to node 0 — long token waits.
-            s.inject(SimTime::ZERO, msg(i, i as u32, 0, 256));
-        }
-        drain(&mut s);
-        let mut lc = Vec::new();
-        s.take_lifecycles(&mut lc);
-        assert_eq!(lc.len(), 16);
-        for l in &lc {
-            assert_eq!(l.breakdown.total_ps(), l.latency_ps(), "{:?}", l.msg.id);
-        }
-        assert!(lc.iter().any(|l| l.breakdown.arbitration_ps > 0));
-    }
-
-    #[test]
     fn energy_accounting() {
         let mut s = sim();
         s.inject(SimTime::ZERO, msg(1, 0, 5, 64));
@@ -584,21 +468,5 @@ mod tests {
         assert_eq!(s.optical_bits, 512);
         let p = s.power_report(end);
         assert!(p.total_mw() > 0.0);
-    }
-
-    #[test]
-    fn conservation_under_random_load() {
-        use sctm_engine::rng::StreamRng;
-        let mut rng = StreamRng::new(11);
-        let mut s = sim();
-        let n = 1500u64;
-        for i in 0..n {
-            let src = rng.below(16) as u32;
-            let dst = rng.below(16) as u32;
-            s.inject(SimTime::from_ns(rng.below(3000)), msg(i, src, dst, 64));
-        }
-        let out = drain(&mut s);
-        assert_eq!(out.len(), n as usize);
-        assert_eq!(s.stats().in_flight(), 0);
     }
 }

@@ -685,10 +685,21 @@ fn worker_loop(shared: &Shared) {
         // worker: the unwinding job drops its sender (the submitter gets
         // `Reply::dropped`), `InFlight` releases the gauge, the cache's
         // own guard frees the single-flight slot, and every lock here
-        // and in `obs` recovers from poison.
+        // and in `obs` recovers from poison. The request still gets its
+        // log line.
+        let (seq, id) = (job.seq, job.req.id.clone());
         let run = std::panic::AssertUnwindSafe(|| run_job(shared, job));
         if std::panic::catch_unwind(run).is_err() {
             shared.svc.incr(SvcCounter::Errors);
+            shared.log_event(
+                seq,
+                &[
+                    ("id", quoted(&id)),
+                    ("verb", quoted("run")),
+                    ("outcome", quoted("error")),
+                    ("error_kind", quoted("internal")),
+                ],
+            );
         }
     }
 }

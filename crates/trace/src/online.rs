@@ -162,10 +162,6 @@ impl NetworkModel for OnlineCorrected {
         self.analytic.stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.analytic.reset_stats();
-    }
-
     fn label(&self) -> &'static str {
         "online-corrected"
     }

@@ -38,9 +38,6 @@
 //!   replays every log exactly once and re-captures, so a per-log plan
 //!   there would be allocated, used once and dropped; one arena paid for
 //!   up front serves every iteration instead.
-//!
-//! [`replay_fixed_budgeted`] borrows the same arena for its injection
-//! order and drain buffer.
 
 use crate::log::{TraceLog, TraceRecord, NONE};
 use sctm_engine::net::{Delivery, MsgClass, NetworkModel};
@@ -311,19 +308,13 @@ impl PassState {
 /// trace once per iteration, so it borrows one of these for the whole
 /// run ([`replay_sctm_pass_with`]): the plan is rebuilt in place and the
 /// pass state reset, so after the first pass only the result is
-/// allocated. The
-/// cached injection `order` additionally lets [`replay_fixed_budgeted`]
-/// skip its sort entirely on every pass over the same trace after the
-/// first.
+/// allocated.
 ///
 /// A scratch is not tied to one trace: buffers are resized on entry to
 /// each pass, so one instance can serve logs of different sizes
 /// (capacity only ever grows).
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    /// Cached injection order for `inject_all` (a permutation of
-    /// `0..n`, validated before reuse).
-    order: Vec<u32>,
     /// The arena plan: rebuilt for whichever log is replayed next.
     plan: GatePlan,
     plan_scratch: PlanScratch,
@@ -336,65 +327,9 @@ impl ReplayScratch {
     }
 }
 
-/// Inject all messages into `net` at the given times, in time order (so
-/// `inject`'s internal clamping never fires). The canonical order under
-/// the total key `(inject[i], i)` is unique, so the cached order is
-/// reusable iff it is a strictly ascending permutation under that key —
-/// an O(n) check that hits every fixed-replay iteration after the first
-/// (same trace, same times).
-fn inject_all(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    inject: &[SimTime],
-    scratch: &mut ReplayScratch,
-) {
-    let n = log.len();
-    let cached = scratch.order.len() == n
-        && scratch.order.iter().all(|&i| (i as usize) < n)
-        && scratch
-            .order
-            .windows(2)
-            .all(|w| (inject[w[0] as usize], w[0]) < (inject[w[1] as usize], w[1]));
-    if !cached {
-        scratch.order.clear();
-        scratch.order.extend(0..n as u32);
-        // Unique total key → unstable sort is order-equivalent.
-        scratch
-            .order
-            .sort_unstable_by_key(|&i| (inject[i as usize], i));
-    }
-    for &i in &scratch.order {
-        net.inject(inject[i as usize], log.records[i as usize].msg);
-    }
-}
-
-/// Run all messages through `net` at the given injection times.
-fn simulate(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    inject: &[SimTime],
-    scratch: &mut ReplayScratch,
-) -> Vec<SimTime> {
-    assert_eq!(inject.len(), log.len());
-    let n = log.len();
-    inject_all(log, net, inject, scratch);
-    let mut deliver = vec![SimTime::ZERO; n];
-    let buf = &mut scratch.pass.buf;
-    buf.clear();
-    buf.reserve(n);
-    net.drain(buf);
-    assert_eq!(buf.len(), n, "replay lost messages");
-    for d in buf.drain(..) {
-        deliver[d.msg.id.0 as usize] = d.delivered_at;
-    }
-    deliver
-}
-
 /// Classic trace-driven replay: capture timestamps, verbatim.
 pub fn replay_fixed(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    let inject: Vec<SimTime> = log.records.iter().map(|r| r.t_inject).collect();
-    let deliver = simulate(log, net, &inject, &mut ReplayScratch::new());
-    ReplayResult::from_times(log, inject, deliver)
+    replay_fixed_budgeted(log, net, u64::MAX).expect("an unbounded budget never runs out")
 }
 
 /// [`replay_fixed`] with a hard budget on network advancement steps
@@ -414,16 +349,16 @@ pub fn replay_fixed(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult 
 pub fn replay_fixed_budgeted(
     log: &TraceLog,
     net: &mut dyn NetworkModel,
-    scratch: &mut ReplayScratch,
     budget: u64,
 ) -> Result<ReplayResult, u64> {
     let n = log.len();
     let inject: Vec<SimTime> = log.records.iter().map(|r| r.t_inject).collect();
-    inject_all(log, net, &inject, scratch);
+    // In `(t_inject, id)` order, so `inject`'s clamping never fires.
+    log.for_each_departure(&mut |i| net.inject(inject[i], log.records[i].msg));
     let mut deliver = vec![SimTime::ZERO; n];
     let mut got = 0usize;
     let mut spent = 0u64;
-    let buf = &mut scratch.pass.buf;
+    let mut buf = Vec::new();
     while got < n {
         let Some(t) = net.next_time() else {
             panic!(
@@ -435,8 +370,7 @@ pub fn replay_fixed_budgeted(
             return Err(spent);
         }
         spent += 1;
-        buf.clear();
-        net.advance_until(t, buf);
+        net.advance_until(t, &mut buf);
         for d in buf.drain(..) {
             deliver[d.msg.id.0 as usize] = d.delivered_at;
             got += 1;
@@ -863,37 +797,19 @@ mod tests {
         }
     }
 
-    /// A shared scratch must be invisible in the results: run each
-    /// engine that borrows one twice through one arena (dirty on the
-    /// second pass) and against its fresh-allocation entry point.
+    /// A shared scratch must be invisible in the results: run the gated
+    /// pass twice through one arena (dirty on the second pass) and
+    /// against its memoised-plan entry point.
     #[test]
     fn scratch_reuse_is_bit_identical() {
         let log = capture_fft(16);
         let mut scratch = ReplayScratch::new();
-        type Engine = (
-            &'static str,
-            fn(&TraceLog, &mut dyn NetworkModel) -> ReplayResult,
-            fn(&TraceLog, &mut dyn NetworkModel, &mut ReplayScratch) -> ReplayResult,
-        );
-        let engines: [Engine; 2] = [
-            ("fixed", replay_fixed, |log, net, scratch| {
-                replay_fixed_budgeted(log, net, scratch, u64::MAX).expect("unbounded budget")
-            }),
-            ("sctm", replay_sctm_pass, replay_sctm_pass_with),
-        ];
-        for (name, fresh, with) in engines {
-            let mut net = analytic(16, 6);
-            let a = fresh(&log, net.as_mut());
-            for round in 0..2 {
-                let mut net = analytic(16, 6);
-                let b = with(&log, net.as_mut(), &mut scratch);
-                assert_eq!(a.inject, b.inject, "{name} inject diverged (round {round})");
-                assert_eq!(
-                    a.deliver, b.deliver,
-                    "{name} deliver diverged (round {round})"
-                );
-                assert_eq!(a.est_exec_time, b.est_exec_time, "{name} est diverged");
-            }
+        let a = replay_sctm_pass(&log, analytic(16, 6).as_mut());
+        for round in 0..2 {
+            let b = replay_sctm_pass_with(&log, analytic(16, 6).as_mut(), &mut scratch);
+            assert_eq!(a.inject, b.inject, "inject diverged (round {round})");
+            assert_eq!(a.deliver, b.deliver, "deliver diverged (round {round})");
+            assert_eq!(a.est_exec_time, b.est_exec_time, "est diverged");
         }
     }
 

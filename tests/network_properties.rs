@@ -1,12 +1,59 @@
-//! Property-based tests of the interconnect simulators: conservation,
-//! causality, determinism and routing sanity under random traffic.
+//! The conformance checker: one set of properties every interconnect
+//! owes its callers, checked on every `NetworkKind` by code that is none
+//! of the models' own.
+//!
+//! [`conform`] drives one load through fresh models of one kind five
+//! ways — capture off twice, capture on, capture switched on after half
+//! the load was injected, capture switched off halfway through the
+//! drain — and checks, on every run:
+//!
+//! 1. every message is delivered exactly once, at the time it was
+//!    injected, with positive latency (loads include self-sends);
+//! 2. `stats()` agrees with the deliveries: injected = delivered = the
+//!    load, nothing in flight, the bytes, and per class the latency
+//!    count, sum, min and max;
+//! 3. `next_time()` is `None` once drained;
+//!
+//! and across the runs:
+//!
+//! 4. the two capture-off runs are identical (determinism);
+//! 5. every run has the same timeline — lifecycle capture, however it
+//!    is switched, changes nothing;
+//! 6. a lifecycle is recorded for exactly the messages injected while
+//!    capture is on and delivered before it is switched off, each with
+//!    its delivery's endpoints and bins that sum exactly to its latency.
+//!
+//! Scopes: random traffic at 4×4 on all six kinds and on every emesh
+//! routing (property tests), and an exhaustive 2×2 scope on all six
+//! kinds — every message on its own and every ordered pair, sent
+//! together or 1 ns apart.
 
 use proptest::prelude::*;
 use sctm::{NetworkKind, SystemConfig};
-use sctm_engine::net::{Message, MsgClass, MsgId, NetworkModel, NodeId};
+use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, MsgLifecycle, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
 use sctm_engine::time::SimTime;
 use sctm_enoc::{NocConfig, NocSim, Routing, Topology};
+
+/// Messages with their injection times; message `i` has id `i`.
+type Load = [(SimTime, Message)];
+
+/// `(id, injected_at, delivered_at)` in ps, in delivery order.
+type Timeline = Vec<(u64, u64, u64)>;
+
+fn message(id: u64, src: u32, dst: u32, data: bool) -> Message {
+    Message {
+        id: MsgId(id),
+        src: NodeId(src),
+        dst: NodeId(dst),
+        class: if data {
+            MsgClass::Data
+        } else {
+            MsgClass::Control
+        },
+        bytes: if data { 72 } else { 8 },
+    }
+}
 
 fn random_traffic(nodes: usize, count: usize, seed: u64) -> Vec<(SimTime, Message)> {
     let mut rng = StreamRng::new(seed);
@@ -17,95 +64,201 @@ fn random_traffic(nodes: usize, count: usize, seed: u64) -> Vec<(SimTime, Messag
             let data = rng.chance(0.5);
             (
                 SimTime::from_ns(rng.below(2_000)),
-                Message {
-                    id: MsgId(i),
-                    src: NodeId(src),
-                    dst: NodeId(dst),
-                    class: if data {
-                        MsgClass::Data
-                    } else {
-                        MsgClass::Control
-                    },
-                    bytes: if data { 72 } else { 8 },
-                },
+                message(i, src, dst, data),
             )
         })
         .collect()
 }
 
-fn run(net: &mut dyn NetworkModel, msgs: &[(SimTime, Message)]) -> Vec<(u64, u64)> {
-    for &(t, m) in msgs {
+fn kind(kind: NetworkKind, side: usize) -> impl Fn() -> Box<dyn NetworkModel> {
+    move || SystemConfig::make_network_kind(side, kind)
+}
+
+/// Inject `load[..split]`, switch capture to `capture`, inject the rest,
+/// then drain — switching capture off once `off_at` has been reached.
+/// Checks properties 1–3 and returns the timeline and the lifecycles.
+fn run(
+    make: &dyn Fn() -> Box<dyn NetworkModel>,
+    load: &Load,
+    split: usize,
+    capture: bool,
+    off_at: Option<SimTime>,
+) -> (Timeline, Vec<MsgLifecycle>) {
+    let mut net = make();
+    let label = net.label();
+    for &(t, m) in &load[..split] {
+        net.inject(t, m);
+    }
+    net.set_lifecycle_capture(capture);
+    for &(t, m) in &load[split..] {
         net.inject(t, m);
     }
     let mut out = Vec::new();
+    if let Some(t) = off_at {
+        net.advance_until(t, &mut out);
+        net.set_lifecycle_capture(false);
+    }
     net.drain(&mut out);
-    out.iter()
-        .map(|d| (d.msg.id.0, d.delivered_at.as_ps()))
-        .collect()
+    assert!(net.next_time().is_none(), "{label}: work left once drained");
+    check_deliveries(net.as_ref(), load, &out);
+    let mut lifecycles = Vec::new();
+    net.take_lifecycles(&mut lifecycles);
+    let timeline = out
+        .iter()
+        .map(|d| {
+            let (i, t) = (d.msg.id.0, d.injected_at.as_ps());
+            (i, t, d.delivered_at.as_ps())
+        })
+        .collect();
+    (timeline, lifecycles)
+}
+
+/// Properties 1 and 2.
+fn check_deliveries(net: &dyn NetworkModel, load: &Load, out: &[Delivery]) {
+    let label = net.label();
+    assert_eq!(out.len(), load.len(), "{label}: lost or extra deliveries");
+    let mut seen = vec![false; load.len()];
+    for d in out {
+        let i = d.msg.id.0 as usize;
+        assert!(!seen[i], "{label}: message {i} delivered twice");
+        seen[i] = true;
+        let (t, m) = load[i];
+        assert_eq!(
+            (d.msg.src, d.msg.dst, d.msg.class, d.msg.bytes),
+            (m.src, m.dst, m.class, m.bytes),
+            "{label}: message {i} came out altered"
+        );
+        assert_eq!(d.injected_at, t, "{label}: message {i} injection moved");
+        assert!(
+            d.delivered_at > d.injected_at,
+            "{label}: message {i} delivered instantaneously"
+        );
+    }
+    let s = net.stats();
+    let n = load.len() as u64;
+    assert_eq!(
+        (s.injected, s.delivered, s.in_flight()),
+        (n, n, 0),
+        "{label}"
+    );
+    let bytes: u64 = load.iter().map(|(_, m)| m.bytes as u64).sum();
+    assert_eq!(s.bytes_delivered, bytes, "{label}: bytes");
+    for (class, hist) in [
+        (MsgClass::Control, &s.ctrl_latency_ps),
+        (MsgClass::Data, &s.data_latency_ps),
+    ] {
+        let lat: Vec<u64> = out
+            .iter()
+            .filter(|d| d.msg.class == class)
+            .map(|d| d.latency().as_ps())
+            .collect();
+        let got = (hist.count(), hist.sum(), hist.min(), hist.max());
+        let want = (
+            lat.len() as u64,
+            lat.iter().map(|&l| l as u128).sum(),
+            lat.iter().copied().min().unwrap_or(got.2),
+            lat.iter().copied().max().unwrap_or(got.3),
+        );
+        assert_eq!(got, want, "{label}: {class:?} latency statistics");
+    }
+}
+
+/// Property 6: `lifecycles` are those of exactly the ids `recorded`
+/// picks, each matching its delivery in `timeline` and summing exactly.
+fn check_lifecycles(
+    label: &str,
+    lifecycles: &[MsgLifecycle],
+    timeline: &Timeline,
+    recorded: impl Fn(u64) -> bool,
+) {
+    let mut want: Vec<u64> = timeline
+        .iter()
+        .map(|&(i, ..)| i)
+        .filter(|&i| recorded(i))
+        .collect();
+    want.sort_unstable();
+    let mut got: Vec<u64> = lifecycles.iter().map(|l| l.msg.id.0).collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "{label}: which messages have a lifecycle");
+    let mut ends = vec![(0, 0); timeline.len()];
+    for &(i, t, d) in timeline {
+        ends[i as usize] = (t, d);
+    }
+    for l in lifecycles {
+        let i = l.msg.id.0;
+        assert_eq!(
+            (l.injected_at.as_ps(), l.delivered_at.as_ps()),
+            ends[i as usize],
+            "{label}: lifecycle of message {i} disagrees with its delivery"
+        );
+        assert_eq!(
+            l.breakdown.total_ps(),
+            l.latency_ps(),
+            "{label}: bins of message {i} do not sum to its latency: {:?}",
+            l.breakdown
+        );
+    }
+}
+
+/// The whole checker, on one load: properties 1–6.
+fn conform(make: &dyn Fn() -> Box<dyn NetworkModel>, load: &Load) {
+    let label = make().label();
+    let n = load.len();
+    let (plain, none) = run(make, load, 0, false, None);
+    assert!(none.is_empty(), "{label}: lifecycles with capture off");
+    assert_eq!(run(make, load, 0, false, None).0, plain, "{label}: rerun");
+
+    let (timeline, all) = run(make, load, 0, true, None);
+    assert_eq!(timeline, plain, "{label}: capture changed the timeline");
+    check_lifecycles(label, &all, &plain, |_| true);
+
+    // Switched on with the first half in flight: only the second half.
+    let split = n / 2;
+    let (timeline, late) = run(make, load, split, true, None);
+    assert_eq!(timeline, plain, "{label}: capture switched on mid-flight");
+    check_lifecycles(label, &late, &plain, |i| i as usize >= split);
+
+    // Switched off halfway through the deliveries: only those before.
+    let cut = plain[(n - 1) / 2].2;
+    let (timeline, early) = run(make, load, 0, true, Some(SimTime::from_ps(cut)));
+    assert_eq!(timeline, plain, "{label}: capture switched off mid-flight");
+    let delivered_by_cut: Vec<u64> = plain
+        .iter()
+        .filter(|&&(.., d)| d <= cut)
+        .map(|&(i, ..)| i)
+        .collect();
+    check_lifecycles(label, &early, &plain, |i| delivered_by_cut.contains(&i));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
-    /// Every injected message is delivered exactly once, with positive
-    /// latency, on every interconnect.
+    /// The checker under random traffic at 4×4, on every kind.
     #[test]
     fn conservation_and_causality(
         seed in 1u64..10_000,
         count in 100usize..600,
     ) {
-        let msgs = random_traffic(16, count, seed);
-        for kind in [NetworkKind::Emesh, NetworkKind::Omesh, NetworkKind::Oxbar, NetworkKind::Analytic] {
-            let mut net = SystemConfig::make_network_kind(4, kind);
-            for &(t, m) in &msgs {
-                net.inject(t, m);
-            }
-            let mut out = Vec::new();
-            net.drain(&mut out);
-            prop_assert_eq!(out.len(), msgs.len(), "{} lost messages", kind.label());
-            let mut ids: Vec<u64> = out.iter().map(|d| d.msg.id.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            prop_assert_eq!(ids.len(), msgs.len(), "{} duplicated messages", kind.label());
-            for d in &out {
-                prop_assert!(
-                    d.delivered_at > d.injected_at,
-                    "{}: msg {:?} delivered instantaneously",
-                    kind.label(), d.msg.id
-                );
-            }
-            prop_assert_eq!(net.stats().in_flight(), 0);
+        let load = random_traffic(16, count, seed);
+        for k in NetworkKind::ALL {
+            conform(&kind(k, 4), &load);
         }
     }
 
-    /// Bit-identical behaviour across repeated runs (the determinism
-    /// contract that makes A/B simulator comparisons meaningful).
-    #[test]
-    fn networks_are_deterministic(seed in 1u64..10_000) {
-        let msgs = random_traffic(16, 300, seed);
-        for kind in [NetworkKind::Emesh, NetworkKind::Omesh, NetworkKind::Oxbar] {
-            let mut a = SystemConfig::make_network_kind(4, kind);
-            let mut b = SystemConfig::make_network_kind(4, kind);
-            prop_assert_eq!(run(a.as_mut(), &msgs), run(b.as_mut(), &msgs), "{}", kind.label());
-        }
-    }
-
-    /// On the electrical mesh, every routing algorithm delivers all
-    /// traffic (deadlock freedom smoke) and XY is deterministic-minimal:
-    /// zero-load latency grows with hop distance.
+    /// The checker on the electrical mesh under every routing algorithm
+    /// (deadlock freedom among the rest).
     #[test]
     fn emesh_routing_algorithms_deliver(
         seed in 1u64..10_000,
         routing in prop_oneof![Just(Routing::XY), Just(Routing::YX), Just(Routing::OddEven)],
     ) {
-        let msgs = random_traffic(16, 300, seed);
-        let mut net = NocSim::new(NocConfig {
+        let load = random_traffic(16, 300, seed);
+        let cfg = NocConfig {
             topology: Topology::mesh(4, 4),
             routing,
             ..NocConfig::default()
-        });
-        let delivered = run(&mut net, &msgs);
-        prop_assert_eq!(delivered.len(), msgs.len(), "{:?} lost traffic", routing);
+        };
+        conform(&|| -> Box<dyn NetworkModel> { Box::new(NocSim::new(cfg)) }, &load);
     }
 
     /// Torus wraparound must never be slower than the mesh for
@@ -114,13 +267,7 @@ proptest! {
     fn torus_not_slower_than_mesh_for_ring_traffic(seed in 1u64..1000) {
         let mut rng = StreamRng::new(seed);
         let row = rng.below(4) as u32 * 4;
-        let msg = Message {
-            id: MsgId(0),
-            src: NodeId(row),
-            dst: NodeId(row + 3),
-            class: MsgClass::Control,
-            bytes: 8,
-        };
+        let msg = message(0, row, row + 3, false);
         let lat = |topology: Topology| {
             let mut net = NocSim::new(NocConfig { topology, ..NocConfig::default() });
             net.inject(SimTime::ZERO, msg);
@@ -134,37 +281,55 @@ proptest! {
     }
 }
 
+/// The checker on every kind at 2×2, exhaustively: every message shape
+/// `(src, dst, class)` on its own, and every ordered pair of shapes
+/// injected together or 1 ns apart.
+#[test]
+fn every_kind_conforms_exhaustively_at_2x2() {
+    let shapes: Vec<(u32, u32, bool)> = (0..4)
+        .flat_map(|s| (0..4).flat_map(move |d| [(s, d, false), (s, d, true)]))
+        .collect();
+    let mut loads: Vec<Vec<(SimTime, Message)>> = shapes
+        .iter()
+        .map(|&(s, d, data)| vec![(SimTime::ZERO, message(0, s, d, data))])
+        .collect();
+    for &(s0, d0, data0) in &shapes {
+        for &(s1, d1, data1) in &shapes {
+            for gap in [SimTime::ZERO, SimTime::from_ns(1)] {
+                loads.push(vec![
+                    (SimTime::ZERO, message(0, s0, d0, data0)),
+                    (gap, message(1, s1, d1, data1)),
+                ]);
+            }
+        }
+    }
+    assert_eq!(loads.len(), 32 + 32 * 32 * 2);
+    for k in NetworkKind::ALL {
+        let make = kind(k, 2);
+        for load in &loads {
+            conform(&make, load);
+        }
+    }
+}
+
 #[test]
 fn saturation_behaviour_is_sane_on_all_networks() {
     // Slam each network with far more traffic than it can drain at
     // once; nothing may be lost, and the makespan must exceed the
     // serialisation bound.
-    for kind in NetworkKind::DETAILED {
-        let msgs: Vec<(SimTime, Message)> = (0..1000u64)
-            .map(|i| {
-                (
-                    SimTime::ZERO,
-                    Message {
-                        id: MsgId(i),
-                        src: NodeId((i % 15 + 1) as u32),
-                        dst: NodeId(0), // hotspot
-                        class: MsgClass::Data,
-                        bytes: 72,
-                    },
-                )
-            })
-            .collect();
-        let mut net = SystemConfig::make_network_kind(4, kind);
-        let delivered = run(net.as_mut(), &msgs);
-        assert_eq!(delivered.len(), 1000, "{}", kind.label());
-        let makespan = delivered.iter().map(|&(_, t)| t).max().unwrap();
+    let load: Vec<(SimTime, Message)> = (0..1000u64)
+        .map(|i| (SimTime::ZERO, message(i, (i % 15 + 1) as u32, 0, true)))
+        .collect();
+    for k in NetworkKind::DETAILED {
+        let (timeline, _) = run(&kind(k, 4), &load, 0, false, None);
+        let makespan = timeline.iter().map(|&(.., d)| d).max().unwrap();
         // Serialisation bound at the single reader: even the fastest
         // architecture (the crossbar at 640 Gb/s) needs ≥ 900 ps per
         // 72-byte message ⇒ ≥ 0.9 µs for 1000 of them.
         assert!(
             makespan > SimTime::from_ns(850).as_ps(),
             "{}: 1000 hotspot cache lines drained implausibly fast ({makespan} ps)",
-            kind.label()
+            k.label()
         );
     }
 }

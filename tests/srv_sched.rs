@@ -219,10 +219,16 @@ fn a_long_request_does_not_stall_the_other_worker() {
 fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
     use sctm_core::workloads::Kernel;
     use sctm_core::{Experiment, NetworkKind, RunSpec, SystemConfig};
-    let server = std::sync::Arc::new(Server::start(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    }));
+    let dir = std::env::temp_dir().join(format!("sctm-panic-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = std::sync::Arc::new(sctm_obs::reqlog::RequestLog::create(&dir).expect("open log"));
+    let server = std::sync::Arc::new(Server::start_logged(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        Some(std::sync::Arc::clone(&log)),
+    ));
     // `parse_request` refuses ops below the workload builder's minimum;
     // a hand-built request reaches the assert inside the simulator.
     let bad = RunRequest {
@@ -261,6 +267,24 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
         let _ = done_tx.send(());
     });
     done_rx.recv_timeout(wait).expect("drain hung");
+    // The panicked request has its log line, as every answered one does.
+    let text = std::fs::read_to_string(log.path()).expect("read log");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{lines:#?}");
+    for needle in [
+        r#""id":"bad""#,
+        r#""verb":"run""#,
+        r#""outcome":"error""#,
+        r#""error_kind":"internal""#,
+    ] {
+        assert!(
+            lines[0].contains(needle),
+            "missing {needle} in {}",
+            lines[0]
+        );
+    }
+    assert!(lines[1].contains(r#""id":"good""#), "{}", lines[1]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Boot a TCP daemon on an OS-assigned port, sharded over `peers` when

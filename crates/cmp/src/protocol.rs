@@ -231,6 +231,12 @@ pub struct InjectRecord<'a> {
 pub trait TraceHook {
     fn on_inject(&mut self, rec: InjectRecord<'_>);
     fn on_deliver(&mut self, id: MsgId, at: SimTime);
+    /// The simulator is about to process its events at `now`: every
+    /// event before `now` has run, and every later injection or
+    /// delivery the hook is told of happens at or after `now`. Called
+    /// once per distinct event time, in increasing order.
+    #[inline]
+    fn on_time(&mut self, _now: SimTime) {}
 }
 
 /// Zero-cost hook for untraced runs.

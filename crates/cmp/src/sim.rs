@@ -365,6 +365,7 @@ impl CmpSim {
             self.q.schedule(SimTime::ZERO, Ev::CoreNext(c as u16));
         }
         // At equal times, core events run before network deliveries.
+        let mut now = None;
         loop {
             let tq = self.q.peek_time();
             let tn = self.net.next_time();
@@ -374,6 +375,11 @@ impl CmpSim {
                 (None, Some(_)) => false,
                 (Some(a), Some(b)) => a <= b,
             };
+            let t = if core_first { tq } else { tn };
+            if t != now {
+                now = t;
+                hook.on_time(t.expect("branch chosen from a Some"));
+            }
             if core_first {
                 let ev = self
                     .q

@@ -11,14 +11,14 @@ use crate::error::SctmError;
 use crate::metrics::{IterStats, RunReport};
 use crate::spec::{RunOutcome, RunSpec};
 use sctm_cmp::{CmpSim, NullHook};
-use sctm_engine::net::{AnalyticNetwork, MsgClass, MsgLifecycle, NetworkModel, NodeId};
+use sctm_engine::net::{AnalyticNetwork, Message, MsgClass, MsgLifecycle, NetworkModel, NodeId};
 use sctm_engine::time::SimTime;
 use sctm_obs as obs;
 use sctm_trace::replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_pass_with, ReplayScratch,
+    replay_sctm_pass_with, replay_sctm_stream, ReplayScratch,
 };
-use sctm_trace::{Capture, OnlineCorrected, TraceLog};
+use sctm_trace::{Capture, OnlineCorrected, ReplayResult, StreamCapture, StreamedPass, TraceLog};
 use sctm_workloads::{build, Kernel, WorkloadParams};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -95,6 +95,55 @@ pub struct Experiment {
     pub factor_epsilon: f64,
 }
 
+/// One iteration of the self-correction loop: a capture and the gated
+/// pass over it, as the loop reads them.
+enum Replayed<'a> {
+    /// A cached capture, replayed whole.
+    Whole(&'a TraceLog, ReplayResult),
+    /// A capture replayed as it ran, read in the pass's own pages.
+    Streamed(StreamedPass),
+}
+
+impl Replayed<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Replayed::Whole(log, _) => log.len(),
+            Replayed::Streamed(pass) => pass.len(),
+        }
+    }
+
+    fn capture_exec_time(&self) -> SimTime {
+        match self {
+            Replayed::Whole(log, _) => log.capture_exec_time,
+            Replayed::Streamed(pass) => pass.capture_exec_time(),
+        }
+    }
+
+    fn est_exec_time(&self) -> SimTime {
+        match self {
+            Replayed::Whole(_, result) => result.est_exec_time,
+            Replayed::Streamed(pass) => pass.est_exec_time(),
+        }
+    }
+
+    fn mean_latency_ns(&self, class: MsgClass) -> f64 {
+        match self {
+            Replayed::Whole(log, result) => result.mean_latency_ns(log, Some(class)),
+            Replayed::Streamed(pass) => pass.mean_latency_ns(Some(class)),
+        }
+    }
+
+    fn pair_corrections(
+        &self,
+        base_latency: impl FnMut(&Message) -> SimTime,
+    ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
+        match self {
+            Replayed::Whole(log, result) => pair_corrections(log, result, base_latency),
+            Replayed::Streamed(pass) => pass.pair_corrections(base_latency),
+        }
+    }
+}
+
 impl Experiment {
     pub fn new(system: SystemConfig, kernel: Kernel) -> Self {
         Experiment {
@@ -161,16 +210,48 @@ impl Experiment {
     /// model instance — the re-capture step of the self-correction loop.
     pub fn capture_on(&self, model: AnalyticNetwork) -> TraceLog {
         let _span = obs::span("sctm", "capture");
-        // Coherence workloads generate ~3 messages per op; pre-sizing
-        // the capture buffers avoids re-copying tens of MB of records
-        // as they double at full-system scale.
-        let est_msgs = self.ops_per_core * self.system.cores() * 3;
-        let mut cap = Capture::with_capacity(est_msgs);
+        let mut cap = Capture::new();
         // The simulator — cache tag arrays, directory, workload scripts
         // — is dead once the run returns; `finish` needs only the hook.
         let res =
             CmpSim::new(self.system.cmp.clone(), Box::new(model), self.workload()).run(&mut cap);
         cap.finish("analytic", res.exec_time)
+    }
+
+    /// [`Experiment::capture_on`] and the gated pass over its log on
+    /// `net` at once: the pass runs on a second thread and replays the
+    /// rows as this thread's capture finalises them
+    /// ([`replay_sctm_stream`]; DESIGN.md §7, "The loop captures and
+    /// replays at once"). What it returns reads as capturing, then
+    /// [`replay_sctm_pass_with`], would have.
+    ///
+    /// The loop reads the pass in place and never the log's other
+    /// columns, so the capture's tail is dropped unassembled. A capture
+    /// that panics closes the feed, the pass gives up, and the panic
+    /// goes on unwinding from here with its own payload.
+    fn capture_and_replay(
+        &self,
+        model: AnalyticNetwork,
+        net: &mut dyn NetworkModel,
+        scratch: &mut ReplayScratch,
+    ) -> StreamedPass {
+        std::thread::scope(|s| {
+            let (mut cap, feed) = StreamCapture::new();
+            let pass = s.spawn(move || {
+                let _span = obs::span("sctm", "replay");
+                replay_sctm_stream(feed, net, scratch)
+            });
+            {
+                let _span = obs::span("sctm", "capture");
+                let res = CmpSim::new(self.system.cmp.clone(), Box::new(model), self.workload())
+                    .run(&mut cap);
+                cap.finish("analytic", res.exec_time);
+            }
+            match pass.join() {
+                Ok(streamed) => streamed.expect("a finished capture sends its last batch"),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        })
     }
 
     /// A copy of this experiment with the spec's per-run knob overrides
@@ -273,7 +354,7 @@ impl Experiment {
         let mut model = SystemConfig::analytic(self.system.cores());
         let mut iters = Vec::new();
         let mut prev_est = SimTime::ZERO;
-        let mut last: Option<(Cow<'_, TraceLog>, sctm_trace::ReplayResult)> = None;
+        let mut last: Option<Replayed<'_>> = None;
         // One replay arena for the whole loop: every iteration replays a
         // same-shaped trace, so the buffers are paid for once.
         let mut scratch = ReplayScratch::new();
@@ -296,27 +377,29 @@ impl Experiment {
             // capture allocates its own, so one trace is resident at a
             // time.
             drop(last.take());
+            let mut net = SystemConfig::make_network_kind(side, kind);
             // Iteration 1 runs on the uncorrected model, so a cached
             // capture of this experiment substitutes exactly — read in
-            // place, never copied.
-            let log = match seed {
-                Some(s) if it == 1 => Cow::Borrowed(s),
-                _ => Cow::Owned(self.capture_on(model.clone())),
+            // place, never copied. Every other iteration captures and
+            // replays at once.
+            let replayed = match seed {
+                Some(s) if it == 1 => {
+                    let _span = obs::span("sctm", "replay");
+                    Replayed::Whole(s, replay_sctm_pass_with(s, net.as_mut(), &mut scratch))
+                }
+                _ => Replayed::Streamed(self.capture_and_replay(
+                    model.clone(),
+                    net.as_mut(),
+                    &mut scratch,
+                )),
             };
             if it == 1 {
-                prev_est = log.capture_exec_time;
+                prev_est = replayed.capture_exec_time();
             }
-            let mut net = SystemConfig::make_network_kind(side, kind);
-            let result = {
-                let _span = obs::span("sctm", "replay");
-                replay_sctm_pass_with(&log, net.as_mut(), &mut scratch)
-            };
+            let est = replayed.est_exec_time();
             if obs::enabled() {
-                obs::with_global(|reg| {
-                    obs::publish_network(reg, net.as_ref(), result.est_exec_time)
-                });
+                obs::with_global(|reg| obs::publish_network(reg, net.as_ref(), est));
             }
-            let est = result.est_exec_time;
             let drift = est.abs_diff(prev_est);
             // Damped warm-start update: the factor table carries over
             // from the previous iteration (warm start) and each new
@@ -330,7 +413,7 @@ impl Experiment {
             // whole multiples from iteration to iteration without moving
             // the estimate, so an unweighted max never settles.
             let corr_span = obs::span("sctm", "correct");
-            let corr = pair_corrections(&log, &result, |m| model.base_latency(m));
+            let corr = replayed.pair_corrections(|m| model.base_latency(m));
             let alpha = self.damping;
             let (mut moved_weighted, mut signed_weighted, mut weight) = (0.0f64, 0.0f64, 0.0f64);
             let mut pair_moves: Vec<obs::PairMove> = Vec::new();
@@ -382,7 +465,7 @@ impl Experiment {
                 drift,
                 corrections: corr.len(),
                 factor_move,
-                messages: log.len() as u64,
+                messages: replayed.len() as u64,
             });
             obs::record_iteration(obs::IterTelemetry {
                 network: kind.label(),
@@ -391,7 +474,7 @@ impl Experiment {
                 est_ps: est.as_ps(),
                 drift_ps: drift.as_ps(),
                 corrections: corr.len() as u64,
-                messages: log.len() as u64,
+                messages: replayed.len() as u64,
                 wall_ns: iter_wall.elapsed().as_nanos() as u64,
             });
             if let Some(c) = conv.as_mut() {
@@ -408,7 +491,7 @@ impl Experiment {
             signed_hist.push(signed_move);
             last_factor_move = factor_move;
             prev_est = est;
-            last = Some((log, result));
+            last = Some(replayed);
             if drift.as_ps() * 200 < est.as_ps() {
                 exit_verdict = Some(obs::ConvergenceVerdict::ConvergedDrift);
                 break; // < 0.5% movement of the estimate
@@ -437,15 +520,15 @@ impl Experiment {
         if let Some(c) = conv {
             c.finish(verdict);
         }
-        let (log, result) = last.unwrap();
+        let last = last.expect("the loop runs at least once");
         RunReport {
             mode: Mode::SelfCorrection { max_iters }.label(),
             network: kind.label(),
             workload: self.kernel.label(),
-            exec_time: result.est_exec_time,
-            mean_lat_ctrl_ns: result.mean_latency_ns(&log, Some(MsgClass::Control)),
-            mean_lat_data_ns: result.mean_latency_ns(&log, Some(MsgClass::Data)),
-            messages: log.len() as u64,
+            exec_time: last.est_exec_time(),
+            mean_lat_ctrl_ns: last.mean_latency_ns(MsgClass::Control),
+            mean_lat_data_ns: last.mean_latency_ns(MsgClass::Data),
+            messages: last.len() as u64,
             wall: wall0.elapsed(),
             iterations: Some(iters),
             verdict: Some(verdict),

@@ -26,17 +26,19 @@
 pub mod incr;
 pub mod log;
 pub mod online;
+mod pages;
 pub mod persist;
 pub mod replay;
 pub mod sctf;
 
 #[doc(hidden)]
 pub use incr::{IncrPassStats, IncrReplayer, PassKind};
-pub use log::{Capture, TraceLog, TraceRecord};
+pub use log::{Capture, CaptureFeed, CaptureTail, StreamCapture, TraceLog, TraceRecord};
 pub use online::{OnlineCorrected, ShadowFactory};
 pub use persist::{TraceError, TraceFormat, TraceStore};
 pub use replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_pass_ordered, replay_sctm_pass_with, GatePlan, ReplayResult, ReplayScratch,
+    replay_sctm_pass_ordered, replay_sctm_pass_with, replay_sctm_stream, GatePlan, ReplayResult,
+    ReplayScratch, StreamedPass,
 };
 pub use sctf::SctfReader;

@@ -14,10 +14,13 @@
 //! down-sampling knowledge per engine is what makes the accuracy
 //! comparison (experiment E3) apples-to-apples.
 
-use crate::replay::GatePlan;
+use crate::pages::Pages;
+use crate::replay::{GateBuilder, GatePlan, PlanRow};
 use sctm_cmp::protocol::{InjectRecord, TraceHook};
 use sctm_engine::net::{Message, MsgId};
 use sctm_engine::time::SimTime;
+use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 
 /// "No message" in every `u32` id column of this crate: a record's
@@ -380,39 +383,11 @@ impl TraceLog {
     /// without protocol instrumentation: you can see what arrived at a
     /// node before it transmitted, but not *which* arrival caused what.
     pub fn arrival_gates(&self) -> Vec<Option<MsgId>> {
-        let mut gates = Vec::new();
-        self.arrival_gates_into(&mut gates, &mut Vec::new());
+        let mut gates = vec![None; self.len()];
+        GateBuilder::new(false).feed_whole(self, |i, row| {
+            gates[i] = row.gate().map(|g| MsgId(g as u64));
+        });
         gates
-            .into_iter()
-            .map(|g| (g != NONE).then_some(MsgId(g as u64)))
-            .collect()
-    }
-
-    /// [`TraceLog::arrival_gates`] as a `u32` column ([`NONE`] =
-    /// ungated) written into caller-owned buffers, so a replay loop can
-    /// recompute the gating every pass without allocating.
-    /// `last_arrival` is pure scratch; both buffers are cleared and
-    /// resized here.
-    ///
-    /// The conceptual event order is `(time, arrivals-before-departures,
-    /// id)`: one merge of the log's arrival order with its departure
-    /// order, both of which the log already carries.
-    pub fn arrival_gates_into(&self, gates: &mut Vec<u32>, last_arrival: &mut Vec<u32>) {
-        let recs = &self.records[..];
-        last_arrival.clear();
-        last_arrival.resize(self.nodes, NONE);
-        gates.clear();
-        gates.resize(recs.len(), NONE);
-        let mut pending = self.arrival.iter().peekable();
-        let mut gate = |di: usize| {
-            let r = &recs[di];
-            // An arrival at the departure's instant is seen by it.
-            while let Some(&a) = pending.next_if(|&&a| recs[a as usize].t_deliver <= r.t_inject) {
-                last_arrival[recs[a as usize].msg.dst.idx()] = a;
-            }
-            gates[di] = last_arrival[r.msg.src.idx()];
-        };
-        self.for_each_departure(&mut gate);
     }
 
     /// Visit every record index in `(t_inject, id)` order.
@@ -489,36 +464,109 @@ fn sort_nearly_sorted<K: Ord + Copy>(keys: &mut [K]) {
     }
 }
 
+/// How many rows a capture lets pile up past its last flush before it
+/// finalises the ones the simulator can no longer precede. Small
+/// enough that a streamed pass is never far behind the capture, large
+/// enough that a flush's sort and hand-over cost nothing per row.
+const FLUSH_ROWS: usize = 512;
+
+/// Batches a [`StreamCapture`] may have handed over that its pass has
+/// not taken yet; past that the simulator waits. A capture runs ahead
+/// of its pass, and without a bound its rows would wait in the channel
+/// in batch form beside the pass's own copy of the log.
+const FEED_BATCHES: usize = 4;
+
 /// Capture hook: plugs into `CmpSim::run` and builds a [`TraceLog`].
 ///
-/// The hook records raw injections and deliveries exactly as it sees
-/// them, already in the shape the log keeps — 40-byte rows, one
-/// dependency arena, flat columns — so a capture makes no allocation
-/// per message. [`Capture::finish`] canonicalizes afterwards: records
-/// sorted by `(t_inject, capture id)`, densely renumbered, deps/prev
-/// remapped. The canonical form depends only on the ids and timestamps
-/// the simulator assigned, not on the order the hook saw the rows in.
+/// The log's canonical form — rows sorted by `(t_inject, capture id)`,
+/// densely renumbered, dependencies remapped, arrivals in `(t_deliver,
+/// id)` order — is built as the simulator runs, not after. The
+/// simulator reports its event time ([`TraceHook::on_time`]); a row
+/// injected before it can no longer be preceded by one the simulator
+/// has still to send, nor an arrival before it by one still to come, so
+/// each flush sorts only what piled up since the last one and appends
+/// it to the log under construction. A hook fed without event times —
+/// by hand, in any order — flushes once, in [`Capture::finish`], to
+/// the same answer: the canonical form depends only on the ids and
+/// timestamps the simulator assigned, not on the order the hook saw
+/// them in.
+///
+/// A capture needs no guess at its size. The rows and the arrival order
+/// grow as vectors, which the log takes over as they are — a grown
+/// vector is moved, not copied, once it is large — and `finish` trims
+/// them to size. The other columns grow a page at a time (`Pages`), which
+/// a [`StreamCapture`] drops unassembled, and `finish` copies them out
+/// once the simulator is gone.
 #[derive(Debug)]
 pub struct Capture {
-    /// What the hook has seen injected, in the order it saw it and in
-    /// capture-time ids; every row's `t_deliver` is still
-    /// [`UNDELIVERED`].
-    raw: Columns,
-    /// Raw `(delivery instant, capture message id)` pairs in the order
-    /// this hook observed the deliveries.
+    /// Injections not yet final, in capture-time ids and the order the
+    /// hook saw them; every row's `t_deliver` is [`UNDELIVERED`].
+    pending: Columns,
+    /// Deliveries not yet final: `(instant, capture id)`.
     delivers: Vec<(SimTime, u32)>,
-    /// Largest capture-time id seen, so `finish` can size its
-    /// direct-index table without rescanning every row.
-    max_id: u32,
+    /// The rows the last flush finalised, in canonical order.
+    fresh: Vec<TraceRecord>,
+    /// The rows of every flush before it (a [`StreamCapture`] hands
+    /// `fresh` over instead).
+    rows: Vec<TraceRecord>,
+    /// The other columns of every final row: dependencies in canonical
+    /// ids, `prev` still in capture ids (a source can decide a message
+    /// before one it sends sooner) until the capture ends.
+    dep_off: Pages<u32>,
+    dep_ids: Pages<u32>,
+    prev: Pages<u32>,
+    kind: Pages<u8>,
+    /// Canonical ids given out so far.
+    given: usize,
+    /// The last flush's final arrivals, `(t_deliver, canonical id)` in
+    /// arrival order; how many arrivals have been final in all; and the
+    /// arrival order of those joined to their rows (a [`StreamCapture`]
+    /// hands `arrived` over instead).
+    arrived: Vec<(SimTime, u32)>,
+    arrivals: usize,
+    arrival: Vec<u32>,
+    /// Capture id → canonical id ([`NONE`] = not final yet). Capture
+    /// ids are sparse but bounded (`seq × sources + src`), so a direct
+    /// table turns every lookup into one probe.
+    renum: Pages<u32>,
+    /// A flush's sort keys `(t_inject, capture id, pending row)`.
+    keys: Vec<(SimTime, u32, u32)>,
+    /// Pending rows that trigger the next flush, and the rows past
+    /// what a flush leaves pending that trigger the one after
+    /// ([`FLUSH_ROWS`]; a test flushes at every event time).
+    flush_at: usize,
+    flush_rows: usize,
+    /// The simulator's last event time: no injection comes before it.
+    watermark: SimTime,
 }
 
-/// Placeholder `t_deliver` of a row whose delivery `finish` has not
-/// joined yet.
-const UNDELIVERED: SimTime = SimTime::from_ps(u64::MAX);
+/// Placeholder `t_deliver` of a row whose delivery has not been joined
+/// yet.
+pub(crate) const UNDELIVERED: SimTime = SimTime::from_ps(u64::MAX);
 
 impl Default for Capture {
     fn default() -> Self {
-        Capture::with_capacity(0)
+        let mut dep_off = Pages::default();
+        dep_off.push(0);
+        Capture {
+            pending: Columns::with_capacity(0, 0),
+            delivers: Vec::new(),
+            fresh: Vec::new(),
+            rows: Vec::new(),
+            dep_off,
+            dep_ids: Pages::default(),
+            prev: Pages::default(),
+            kind: Pages::default(),
+            given: 0,
+            arrived: Vec::new(),
+            arrivals: 0,
+            arrival: Vec::new(),
+            renum: Pages::default(),
+            keys: Vec::new(),
+            flush_at: FLUSH_ROWS,
+            flush_rows: FLUSH_ROWS,
+            watermark: SimTime::ZERO,
+        }
     }
 }
 
@@ -527,159 +575,159 @@ impl Capture {
         Self::default()
     }
 
-    /// A capture with its buffers pre-sized for roughly `msgs`
-    /// messages. Captures at fft-64 scale retain ~15MB, and growing
-    /// there by doubling re-copies the lot — callers that can estimate
-    /// the message count (from the workload size, or from the previous
-    /// self-correction iteration's trace) should.
-    pub fn with_capacity(msgs: usize) -> Self {
-        Capture {
-            // Coherence traffic carries between one and two
-            // dependencies per message.
-            raw: Columns::with_capacity(msgs, msgs * 2),
-            delivers: Vec::with_capacity(msgs),
-            max_id: 0,
-        }
-    }
-
-    /// Finish capture: sort into the canonical `(t_inject, capture id)`
-    /// order, renumber densely, remap all cross-references, join
-    /// injections with deliveries, and hand the log its arrival order.
-    /// `net_label` and `exec_time` come from the run.
-    ///
-    /// The hook's buffers become the log's: rows and the fixed-size
-    /// columns are permuted where they lie and only the dependency arena
-    /// is written a second time, so finishing never holds two copies of
-    /// a trace (DESIGN.md §7).
-    pub fn finish(self, net_label: &'static str, exec_time: SimTime) -> TraceLog {
+    /// Finalise every pending row injected before `w` and every pending
+    /// delivery before `w`: none still to come can sort before them.
+    fn flush(&mut self, w: SimTime) {
         let Capture {
-            raw:
-                Columns {
-                    records: mut rows,
-                    dep_off: raw_off,
-                    dep_ids: raw_ids,
-                    mut prev,
-                    mut kind,
-                },
-            mut delivers,
-            max_id,
-        } = self;
-        let n = rows.len();
-        assert_eq!(
-            n,
-            delivers.len(),
-            "capture ended with undelivered (or doubly-delivered) messages"
-        );
-        assert!(
-            n < NONE as usize && raw_ids.len() < NONE as usize,
-            "trace too large to renumber"
-        );
-        // Map capture-time ids (unique but sparse — the simulator
-        // interleaves them per source, `seq × sources + src`) to
-        // canonical dense ids. Sparsity is bounded — the largest id is
-        // below `sources × (max per-source count + 1)` — so a direct
-        // index table is affordable and turns every dep/deliver lookup
-        // into one O(1) probe instead of a cache-hostile binary search
-        // (which dominated capture wall time at ~300k messages).
-        let mut renum_tbl = vec![NONE; max_id as usize + 1];
-        // Which raw row lands in each canonical slot: the permutation
-        // everything below moves by.
-        let mut idx: Vec<u32> = Vec::with_capacity(n);
-        {
-            // Canonical order is (t_inject, capture id). Sort the keys
-            // themselves, each carrying its row — an index sort through
-            // the rows pays a cache miss per comparison at fft-64
-            // scale. The 16-byte keys are gone before anything else is
-            // allocated.
-            let mut keys: Vec<(SimTime, u32, u32)> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (r.t_inject, r.msg.id.0 as u32, i as u32))
-                .collect();
-            sort_nearly_sorted(&mut keys);
-            for (new, &(_, id, i)) in keys.iter().enumerate() {
-                renum_tbl[id as usize] = new as u32;
-                idx.push(i);
-            }
-        }
-        let renum = |old: u32| -> u32 {
-            let new = renum_tbl.get(old as usize).copied().unwrap_or(NONE);
-            assert_ne!(new, NONE, "trace references an uncaptured message");
-            new
-        };
-        // The dependency lists are variable-length, so they cannot move
-        // within their own arena: a second arena is written in canonical
-        // order, renumbered on the way, and the raw one is freed.
-        let mut dep_off = Vec::with_capacity(n + 1);
-        let mut dep_ids = Vec::with_capacity(raw_ids.len());
-        dep_off.push(0);
-        for &i in &idx {
-            let i = i as usize;
-            let deps = &raw_ids[raw_off[i] as usize..raw_off[i + 1] as usize];
-            dep_ids.extend(deps.iter().map(|&d| renum(d)));
-            dep_off.push(dep_ids.len() as u32);
-        }
-        drop((raw_off, raw_ids));
-        // Everything fixed-size moves in place: each cycle of the
-        // permutation `idx[new] = old` is walked once, so every row is
-        // written once and no second set of columns ever exists.
-        // `idx[slot] == slot` marks a slot that holds its final row.
-        for start in 0..n {
-            if idx[start] as usize == start {
-                continue;
-            }
-            let held = (rows[start], prev[start], kind[start]);
-            let mut cur = start;
-            loop {
-                let from = idx[cur] as usize;
-                idx[cur] = cur as u32;
-                if from == start {
-                    (rows[cur], prev[cur], kind[cur]) = held;
-                    break;
-                }
-                (rows[cur], prev[cur], kind[cur]) = (rows[from], prev[from], kind[from]);
-                cur = from;
-            }
-        }
-        for (new, (r, p)) in rows.iter_mut().zip(prev.iter_mut()).enumerate() {
-            r.msg.id = MsgId(new as u64);
-            if *p != NONE {
-                *p = renum(*p);
-            }
-        }
-        // Join deliveries, renumbering them in place. n deliveries each
-        // landing on a row still undelivered leave none without one.
-        for d in delivers.iter_mut() {
-            d.1 = renum(d.1);
-            let slot = &mut rows[d.1 as usize].t_deliver;
-            assert_eq!(*slot, UNDELIVERED, "message delivered twice");
-            *slot = d.0;
-        }
-        // The hook saw the deliveries happen, so the arrival order is
-        // theirs — up to ties, which it saw in capture-id order.
-        sort_nearly_sorted(&mut delivers);
-        let arrival = delivers.iter().map(|d| d.1).collect();
-        // The hook sized its buffers from an estimate; the log keeps
-        // what it uses.
-        rows.shrink_to_fit();
-        prev.shrink_to_fit();
-        kind.shrink_to_fit();
-        let cols = Columns {
-            records: rows,
+            pending,
+            delivers,
+            fresh,
             dep_off,
             dep_ids,
             prev,
             kind,
+            given,
+            arrived,
+            arrivals,
+            renum,
+            keys,
+            ..
+        } = self;
+        fresh.clear();
+        arrived.clear();
+        keys.clear();
+        keys.extend(
+            (pending.records.iter().enumerate())
+                .filter(|(_, r)| r.t_inject < w)
+                .map(|(k, r)| (r.t_inject, r.msg.id.0 as u32, k as u32)),
+        );
+        sort_nearly_sorted(keys);
+        let now = &keys[..];
+        if let Some(max) = now.iter().map(|k| k.1).max() {
+            renum.resize(renum.len().max(max as usize + 1), NONE);
+        }
+        // Ids first: a dependency may name a row of the same flush that
+        // sorts after its dependant (only a hand-fed hook does that).
+        for (j, k) in now.iter().enumerate() {
+            renum[k.1 as usize] = (*given + j) as u32;
+        }
+        let canonical = |renum: &Pages<u32>, old: u32| -> u32 {
+            let new = renum.get(old as usize).unwrap_or(NONE);
+            assert_ne!(new, NONE, "trace references an uncaptured message");
+            new
         };
-        TraceLog::from_columns(cols, net_label, exec_time, Some(arrival))
+        for (j, k) in now.iter().enumerate() {
+            let k = k.2 as usize;
+            let mut r = pending.records[k];
+            r.msg.id = MsgId((*given + j) as u64);
+            fresh.push(r);
+            let deps =
+                &pending.dep_ids[pending.dep_off[k] as usize..pending.dep_off[k + 1] as usize];
+            for &d in deps {
+                dep_ids.push(canonical(renum, d));
+            }
+            dep_off.push(dep_ids.len() as u32);
+            prev.push(pending.prev[k]);
+            kind.push(pending.kind[k]);
+        }
+        *given += now.len();
+        // What stays pending closes up in place, in hook order: every
+        // row and dependency moves towards the front, never past one
+        // not yet read.
+        let (mut kept, mut dep_end) = (0, 0);
+        for k in 0..pending.records.len() {
+            let (lo, hi) = (pending.dep_off[k] as usize, pending.dep_off[k + 1] as usize);
+            if pending.records[k].t_inject < w {
+                continue;
+            }
+            pending.records[kept] = pending.records[k];
+            pending.prev[kept] = pending.prev[k];
+            pending.kind[kept] = pending.kind[k];
+            pending.dep_ids.copy_within(lo..hi, dep_end);
+            dep_end += hi - lo;
+            kept += 1;
+            pending.dep_off[kept] = dep_end as u32;
+        }
+        pending.records.truncate(kept);
+        pending.prev.truncate(kept);
+        pending.kind.truncate(kept);
+        pending.dep_ids.truncate(dep_end);
+        pending.dep_off.truncate(kept + 1);
+        // Deliveries come in time order up to runs of equal instants,
+        // which the simulator reports in capture-id order.
+        arrived.extend(
+            (delivers.iter())
+                .filter(|d| d.0 < w)
+                .map(|&(at, id)| (at, canonical(renum, id))),
+        );
+        delivers.retain(|d| d.0 >= w);
+        sort_nearly_sorted(arrived);
+        *arrivals += arrived.len();
+    }
+
+    /// Keep the last flush's rows and write its arrivals into them.
+    fn join(&mut self) {
+        self.rows.extend_from_slice(&self.fresh);
+        for &(at, id) in &self.arrived {
+            let slot = &mut self.rows[id as usize].t_deliver;
+            assert_eq!(*slot, UNDELIVERED, "message delivered twice");
+            *slot = at;
+            self.arrival.push(id);
+        }
+    }
+
+    /// The stream's tail: finalise everything, check every row was
+    /// delivered once, and put `prev` into canonical ids.
+    fn end(&mut self) {
+        self.flush(SimTime::MAX);
+        assert_eq!(
+            self.given, self.arrivals,
+            "capture ended with undelivered (or doubly-delivered) messages"
+        );
+        let renum = std::mem::take(&mut self.renum);
+        for p in self.prev.iter_mut().filter(|p| **p != NONE) {
+            *p = renum.get(*p as usize).unwrap_or(NONE);
+            assert_ne!(*p, NONE, "trace references an uncaptured message");
+        }
+    }
+
+    /// Finish capture: finalise what is still pending, join deliveries
+    /// to their rows and hand the log its arrival order. `net_label` and
+    /// `exec_time` come from the run. The log holds no slack: what it is
+    /// charged for ([`TraceLog::resident_bytes`]) is what it holds.
+    pub fn finish(mut self, net_label: &'static str, exec_time: SimTime) -> TraceLog {
+        self.end();
+        self.join();
+        self.rows.shrink_to_fit();
+        self.arrival.shrink_to_fit();
+        let cols = Columns {
+            records: self.rows,
+            dep_off: self.dep_off.into_vec(),
+            dep_ids: self.dep_ids.into_vec(),
+            prev: self.prev.into_vec(),
+            kind: self.kind.into_vec(),
+        };
+        TraceLog::from_columns(cols, net_label, exec_time, Some(self.arrival))
+    }
+
+    fn flush_due(&mut self, now: SimTime) -> bool {
+        debug_assert!(now >= self.watermark, "event time went backwards");
+        self.watermark = now;
+        if self.pending.records.len() < self.flush_at {
+            return false;
+        }
+        self.flush(now);
+        self.flush_at = self.pending.records.len() + self.flush_rows;
+        true
     }
 }
 
 impl TraceHook for Capture {
     fn on_inject(&mut self, rec: InjectRecord<'_>) {
-        let id = col_id(rec.msg.id);
-        self.max_id = self.max_id.max(id);
-        let raw = &mut self.raw;
+        debug_assert!(rec.at >= self.watermark, "injection before the event time");
+        // Ids are `u32` in every column, its flush's sort key included.
+        col_id(rec.msg.id);
+        let raw = &mut self.pending;
         raw.records.push(TraceRecord {
             msg: rec.msg,
             t_inject: rec.at,
@@ -693,6 +741,198 @@ impl TraceHook for Capture {
 
     fn on_deliver(&mut self, id: MsgId, at: SimTime) {
         self.delivers.push((at, col_id(id)));
+    }
+
+    fn on_time(&mut self, now: SimTime) {
+        if self.flush_due(now) {
+            self.join();
+        }
+    }
+}
+
+/// One flush of a [`StreamCapture`], as the pass on the other end of
+/// its [`CaptureFeed`] takes it.
+#[derive(Debug)]
+pub(crate) struct CaptureBatch {
+    /// The next canonical rows, `t_deliver` unset.
+    pub rows: Vec<TraceRecord>,
+    /// The next arrivals in arrival order, `(t_deliver, canonical id)`.
+    pub arrivals: Vec<(SimTime, u32)>,
+    /// The gate plan's row for each of `rows`.
+    pub plan: Vec<PlanRow>,
+    /// Every row injected, and every arrival delivered, before this
+    /// instant is in this batch or an earlier one.
+    pub watermark: SimTime,
+    /// On the capture's last batch, the run's execution time.
+    pub end: Option<SimTime>,
+}
+
+/// The receiving end of a [`StreamCapture`]: what
+/// [`crate::replay::replay_sctm_stream`] consumes.
+#[derive(Debug)]
+pub struct CaptureFeed {
+    rx: Receiver<CaptureBatch>,
+}
+
+impl CaptureFeed {
+    /// The next batch, or `None` once the capture side has hung up
+    /// before its last batch.
+    pub(crate) fn recv(&self) -> Option<CaptureBatch> {
+        self.rx.recv().ok()
+    }
+
+    /// The next batch if one is waiting.
+    pub(crate) fn try_recv(&self) -> Option<CaptureBatch> {
+        self.rx.try_recv().ok()
+    }
+}
+
+/// What a [`StreamCapture`] keeps of its log once the rows have gone
+/// to the pass: every other column, still in its pages, and the run's
+/// label and execution time. [`crate::StreamedPass::finish`] joins the
+/// two into the log.
+#[derive(Debug)]
+pub struct CaptureTail {
+    dep_off: Pages<u32>,
+    dep_ids: Pages<u32>,
+    prev: Pages<u32>,
+    kind: Pages<u8>,
+    net_label: &'static str,
+    exec_time: SimTime,
+}
+
+impl CaptureTail {
+    /// The log, given the rows and arrival order the pass assembled.
+    pub(crate) fn into_log(self, rows: Vec<TraceRecord>, arrival: Vec<u32>) -> TraceLog {
+        let cols = Columns {
+            records: rows,
+            dep_off: self.dep_off.into_vec(),
+            dep_ids: self.dep_ids.into_vec(),
+            prev: self.prev.into_vec(),
+            kind: self.kind.into_vec(),
+        };
+        TraceLog::from_columns(cols, self.net_label, self.exec_time, Some(arrival))
+    }
+}
+
+/// A [`Capture`] that hands its rows over as it builds them: every
+/// flush sends its rows, its arrivals and the gate plan's rows for them
+/// to the [`CaptureFeed`] end, so a gated pass on another thread can
+/// replay the capture while the simulator is still producing it. The
+/// rows leave; what stays (dependencies, `prev`, kind) is the
+/// [`CaptureTail`] [`StreamCapture::finish`] returns.
+pub struct StreamCapture {
+    cap: Capture,
+    tx: SyncSender<CaptureBatch>,
+    builder: GateBuilder,
+    /// Destination of every row handed over, by canonical id: all the
+    /// plan needs of an arrival whose row has left.
+    dst: Pages<u16>,
+    /// Final arrivals no departure handed over has passed yet.
+    carry: VecDeque<(SimTime, u32)>,
+}
+
+impl StreamCapture {
+    /// A capture and the feed its pass reads.
+    pub fn new() -> (StreamCapture, CaptureFeed) {
+        let (tx, rx) = std::sync::mpsc::sync_channel(FEED_BATCHES);
+        let cap = StreamCapture {
+            cap: Capture::new(),
+            tx,
+            builder: GateBuilder::new(false),
+            dst: Pages::default(),
+            carry: VecDeque::new(),
+        };
+        (cap, CaptureFeed { rx })
+    }
+
+    /// Flush once `rows` more rows are pending, from the next event time
+    /// on; a flush takes every row injected before that instant, so it
+    /// never splits one. Only tests use this, to show the result does
+    /// not depend on how the feed is cut.
+    #[doc(hidden)]
+    pub fn set_flush_rows(&mut self, rows: usize) {
+        let cap = &mut self.cap;
+        cap.flush_rows = rows.max(1);
+        cap.flush_at = cap.pending.records.len() + cap.flush_rows;
+    }
+
+    /// Hand over what the last flush finalised, with watermark `w`;
+    /// `exec_time` is the run's, on the last flush.
+    fn send(&mut self, w: SimTime, exec_time: Option<SimTime>) {
+        let rows = std::mem::take(&mut self.cap.fresh);
+        let arrivals = std::mem::take(&mut self.cap.arrived);
+        for r in &rows {
+            self.dst
+                .push(u16::try_from(r.msg.dst.0).expect("node id exceeds u16"));
+        }
+        self.carry.extend(&arrivals);
+        let StreamCapture {
+            builder,
+            dst,
+            carry,
+            ..
+        } = self;
+        let plan: Vec<PlanRow> = rows
+            .iter()
+            .map(|r| {
+                while let Some(&(at, a)) = carry.front() {
+                    if at > r.t_inject {
+                        break;
+                    }
+                    builder.arrive(a, dst[a as usize] as usize, at);
+                    carry.pop_front();
+                }
+                builder.depart(r.msg.id.0 as u32, r)
+            })
+            .collect();
+        // A send fails only once the pass has given up; the capture then
+        // finishes for nothing, which costs time, not correctness.
+        let _ = self.tx.send(CaptureBatch {
+            rows,
+            arrivals,
+            plan,
+            watermark: w,
+            end: exec_time,
+        });
+    }
+
+    /// End the capture: hand over the rest, and keep the other columns
+    /// of the log. `net_label` and `exec_time` come from the run.
+    pub fn finish(mut self, net_label: &'static str, exec_time: SimTime) -> CaptureTail {
+        self.cap.end();
+        self.send(SimTime::MAX, Some(exec_time));
+        let Capture {
+            dep_off,
+            dep_ids,
+            prev,
+            kind,
+            ..
+        } = self.cap;
+        CaptureTail {
+            dep_off,
+            dep_ids,
+            prev,
+            kind,
+            net_label,
+            exec_time,
+        }
+    }
+}
+
+impl TraceHook for StreamCapture {
+    fn on_inject(&mut self, rec: InjectRecord<'_>) {
+        self.cap.on_inject(rec);
+    }
+
+    fn on_deliver(&mut self, id: MsgId, at: SimTime) {
+        self.cap.on_deliver(id, at);
+    }
+
+    fn on_time(&mut self, now: SimTime) {
+        if self.cap.flush_due(now) {
+            self.send(now, None);
+        }
     }
 }
 
@@ -992,74 +1232,127 @@ mod tests {
         sort_nearly_sorted::<(SimTime, u32)>(&mut []);
     }
 
-    /// What `Capture::finish` did before it permuted in place: gather
-    /// every row and column entry into a second set of columns,
-    /// renumbering on the way. Kept as the reference the in-place
-    /// permutation is compared against.
-    fn finish_by_gather(cap: Capture, net_label: &'static str, exec_time: SimTime) -> TraceLog {
-        let Capture {
-            raw:
-                Columns {
-                    records: rows,
-                    dep_off,
-                    dep_ids,
-                    prev,
-                    kind,
-                },
-            mut delivers,
-            max_id,
-        } = cap;
-        let n = rows.len();
-        assert_eq!(n, delivers.len());
-        let mut keys: Vec<(SimTime, u32, u32)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.t_inject, r.msg.id.0 as u32, i as u32))
+    /// One `on_inject` call: message, instant, dependencies, `prev`,
+    /// kind.
+    type Injected = (Message, SimTime, Vec<MsgId>, Option<MsgId>, &'static str);
+
+    /// Every call one capture hook saw, in order, so the same capture
+    /// can be fed to more than one hook.
+    #[derive(Default)]
+    struct Calls {
+        injects: Vec<Injected>,
+        delivers: Vec<(MsgId, SimTime)>,
+        /// `(event time, injections so far, deliveries so far)` at each
+        /// `on_time`.
+        times: Vec<(SimTime, usize, usize)>,
+    }
+
+    impl TraceHook for Calls {
+        fn on_inject(&mut self, rec: InjectRecord<'_>) {
+            let r = (
+                rec.msg,
+                rec.at,
+                rec.deps.to_vec(),
+                rec.prev_same_src,
+                rec.kind,
+            );
+            self.injects.push(r);
+        }
+        fn on_deliver(&mut self, id: MsgId, at: SimTime) {
+            self.delivers.push((id, at));
+        }
+        fn on_time(&mut self, now: SimTime) {
+            let at = (now, self.injects.len(), self.delivers.len());
+            self.times.push(at);
+        }
+    }
+
+    impl Calls {
+        /// Feed `hook` these calls: with the event times the simulator
+        /// gave, or — `times` false — all injections and then all
+        /// deliveries, the way a hand-fed hook sees them.
+        fn feed(&self, hook: &mut dyn TraceHook, times: bool) {
+            let (mut i, mut d) = (0, 0);
+            let marks = if times { &self.times[..] } else { &[] };
+            for &(now, to_i, to_d) in marks
+                .iter()
+                .chain([&(SimTime::MAX, usize::MAX, usize::MAX)])
+            {
+                // Within one event time injections and deliveries
+                // interleave; the watermark is all a flush reads, so
+                // their relative order there does not matter.
+                for (m, at, deps, prev, kind) in &self.injects[i..to_i.min(self.injects.len())] {
+                    hook.on_inject(InjectRecord {
+                        msg: *m,
+                        at: *at,
+                        deps,
+                        prev_same_src: *prev,
+                        kind,
+                    });
+                }
+                for &(id, at) in &self.delivers[d..to_d.min(self.delivers.len())] {
+                    hook.on_deliver(id, at);
+                }
+                (i, d) = (to_i.min(self.injects.len()), to_d.min(self.delivers.len()));
+                if now != SimTime::MAX {
+                    hook.on_time(now);
+                }
+            }
+        }
+    }
+
+    /// The canonical log by the plain sort: gather every row and column
+    /// entry into canonical order, renumbering on the way. The
+    /// reference the incremental canonicaliser is compared against.
+    fn finish_by_gather(calls: &Calls, net_label: &'static str, exec_time: SimTime) -> TraceLog {
+        let n = calls.injects.len();
+        assert_eq!(n, calls.delivers.len());
+        let mut keys: Vec<(SimTime, u64, usize)> = (calls.injects.iter().enumerate())
+            .map(|(i, r)| (r.1, r.0.id.0, i))
             .collect();
         keys.sort_unstable();
-        let mut renum_tbl = vec![NONE; max_id as usize + 1];
-        for (new, &(_, id, _)) in keys.iter().enumerate() {
-            renum_tbl[id as usize] = new as u32;
-        }
-        let renum = |old: u32| renum_tbl[old as usize];
-        let mut cols = Columns::with_capacity(n, dep_ids.len());
+        let renum: std::collections::HashMap<u64, u32> = (keys.iter().enumerate())
+            .map(|(new, k)| (k.1, new as u32))
+            .collect();
+        let mut cols = Columns::with_capacity(0, 0);
         for (new, &(_, _, i)) in keys.iter().enumerate() {
-            let i = i as usize;
-            let mut r = rows[i];
-            r.msg.id = MsgId(new as u64);
-            cols.records.push(r);
-            let deps = &dep_ids[dep_off[i] as usize..dep_off[i + 1] as usize];
-            cols.dep_ids.extend(deps.iter().map(|&d| renum(d)));
-            cols.dep_off.push(cols.dep_ids.len() as u32);
-            cols.prev.push(match prev[i] {
-                NONE => NONE,
-                p => renum(p),
+            let (mut m, at, deps, prev, kind) = calls.injects[i].clone();
+            m.id = MsgId(new as u64);
+            cols.records.push(TraceRecord {
+                msg: m,
+                t_inject: at,
+                t_deliver: UNDELIVERED,
             });
-            cols.kind.push(kind[i]);
+            cols.dep_ids.extend(deps.iter().map(|d| renum[&d.0]));
+            cols.dep_off.push(cols.dep_ids.len() as u32);
+            cols.prev.push(prev.map_or(NONE, |p| renum[&p.0]));
+            cols.kind.push(crate::sctf::kind_tag(kind));
         }
-        for d in delivers.iter_mut() {
-            d.1 = renum(d.1);
-            cols.records[d.1 as usize].t_deliver = d.0;
+        let mut delivers: Vec<(SimTime, u32)> = (calls.delivers.iter())
+            .map(|&(id, at)| (at, renum[&id.0]))
+            .collect();
+        for &(at, id) in &delivers {
+            cols.records[id as usize].t_deliver = at;
         }
         delivers.sort_unstable();
         let arrival = delivers.iter().map(|d| d.1).collect();
         TraceLog::from_columns(cols, net_label, exec_time, Some(arrival))
     }
 
-    /// A capture whose hook saw `keys` — `(t_inject, capture id)` — in
-    /// slice order, with `room` rows pre-sized. Row k carries k % 3
-    /// dependencies and every column value differs from row to row, so
-    /// a row that lands in the wrong slot, or beside another row's
-    /// column entry, shows.
-    fn capture_of(keys: &[(SimTime, u32)], room: usize) -> Capture {
+    /// The calls of a hand-fed capture that saw `keys` — `(t_inject,
+    /// capture id)` — in slice order. Row k carries k % 3 dependencies
+    /// and every column value differs from row to row, so a row that
+    /// lands in the wrong slot, or beside another row's column entry,
+    /// shows.
+    fn calls_of(keys: &[(SimTime, u32)]) -> Calls {
         const KINDS: [&str; 3] = ["GetS", "Data", "Inv"];
-        let mut cap = Capture::with_capacity(room);
+        let mut calls = Calls::default();
         for (k, &(at, id)) in keys.iter().enumerate() {
             let deps: Vec<MsgId> = (1..=k % 3)
                 .filter_map(|back| k.checked_sub(7 * back))
                 .map(|j| MsgId(keys[j].1 as u64))
                 .collect();
-            cap.on_inject(InjectRecord {
+            calls.on_inject(InjectRecord {
                 msg: msg(id as u64, id % 16, k as u32 % 16, MsgClass::Control),
                 at,
                 deps: &deps,
@@ -1070,9 +1363,9 @@ mod tests {
         // Deliveries in hook order too, a varying while after injection.
         for (k, &(at, id)) in keys.iter().enumerate() {
             let after = SimTime::from_ps(1 + (k as u64 * 37) % 90);
-            cap.on_deliver(MsgId(id as u64), at + after);
+            calls.on_deliver(MsgId(id as u64), at + after);
         }
-        cap
+        calls
     }
 
     fn row_fields(log: &TraceLog) -> Vec<(u64, u32, u32, u32, SimTime, SimTime)> {
@@ -1083,13 +1376,22 @@ mod tests {
         log.records.iter().map(row).collect()
     }
 
-    /// The in-place permutation against the gather it replaced, column
-    /// for column, over permutations with cycles of every kind: the
-    /// three sort shapes, one n-cycle family (a rotation), 2-cycles
-    /// beside fixed points (a reversed block) and fixed points only
-    /// (the identity).
+    fn assert_same_log(got: &TraceLog, want: &TraceLog, what: &str) {
+        assert_eq!(row_fields(got), row_fields(want), "{what}: rows");
+        assert_eq!(got.dep_csr(), want.dep_csr(), "{what}: dependencies");
+        assert_eq!(got.prev, want.prev, "{what}: prev");
+        assert_eq!(got.kind, want.kind, "{what}: kind");
+        assert_eq!(got.arrival, want.arrival, "{what}: arrival order");
+        assert_eq!(got.departure, want.departure, "{what}: departure order");
+        assert_eq!(got.nodes, want.nodes, "{what}: node bound");
+        assert_eq!(got.capture_exec_time, want.capture_exec_time, "{what}");
+    }
+
+    /// A hand-fed hook (one flush, at `finish`) against the gather,
+    /// column for column, over the three sort shapes, a rotation, a
+    /// reversed block beside fixed points and the identity.
     #[test]
-    fn in_place_finish_matches_the_gather() {
+    fn one_flush_finish_matches_the_gather() {
         let at = |t: u64, id: u64| (SimTime::from_ps(t), id as u32);
         let n = 1000u64;
         let rotation = (0..n).map(|k| at((k + 300) % n, k)).collect();
@@ -1104,30 +1406,161 @@ mod tests {
         ]);
         for (shape, keys) in shapes {
             let exec = SimTime::from_ps(1 << 40);
-            let got = capture_of(&keys, keys.len()).finish("test", exec);
-            let want = finish_by_gather(capture_of(&keys, keys.len()), "test", exec);
-            assert_eq!(row_fields(&got), row_fields(&want), "{shape}: rows");
-            assert_eq!(got.dep_csr(), want.dep_csr(), "{shape}: dependencies");
-            assert_eq!(got.prev, want.prev, "{shape}: prev");
-            assert_eq!(got.kind, want.kind, "{shape}: kind");
-            assert_eq!(got.arrival, want.arrival, "{shape}: arrival order");
-            assert_eq!(got.departure, want.departure, "{shape}: departure order");
-            assert_eq!(got.nodes, want.nodes, "{shape}: node bound");
+            let calls = calls_of(&keys);
+            let mut cap = Capture::new();
+            calls.feed(&mut cap, false);
+            assert_same_log(
+                &cap.finish("test", exec),
+                &finish_by_gather(&calls, "test", exec),
+                shape,
+            );
         }
     }
 
-    /// The hook sizes its buffers from an estimate; the log that comes
-    /// out of `finish` is charged (`resident_bytes`, which the capture
-    /// cache budgets by) for what it holds, not for the estimate.
+    /// A real capture flushes as the simulator's event time moves: the
+    /// log must not depend on how often. Every event time, the default
+    /// batch, and one flush at the end, against the gather.
+    #[test]
+    fn flush_granularity_is_invisible() {
+        use sctm_cmp::{CmpConfig, CmpSim};
+        use sctm_engine::net::AnalyticNetwork;
+        use sctm_workloads::{build, Kernel, WorkloadParams};
+        let w = build(Kernel::Fft, WorkloadParams::new(16, 300, 7));
+        let net = AnalyticNetwork::new(16, SimTime::from_ns(8), SimTime::from_ns(2), 10);
+        let mut calls = Calls::default();
+        let exec = CmpSim::new(CmpConfig::tiled(4), Box::new(net), Box::new(w))
+            .run(&mut calls)
+            .exec_time;
+        assert!(calls.injects.len() > 4 * FLUSH_ROWS, "too short to flush");
+        let want = finish_by_gather(&calls, "analytic", exec);
+        for (what, flush_rows, times) in [
+            ("every event time", 1, true),
+            ("default batch", FLUSH_ROWS, true),
+            ("one flush", FLUSH_ROWS, false),
+        ] {
+            let mut cap = Capture::new();
+            (cap.flush_at, cap.flush_rows) = (flush_rows, flush_rows);
+            calls.feed(&mut cap, times);
+            let got = cap.finish("analytic", exec);
+            assert_eq!(got.validate(), Ok(()), "{what}");
+            assert_same_log(&got, &want, what);
+        }
+    }
+
+    /// The log that comes out of `finish` is charged (`resident_bytes`,
+    /// which the capture cache budgets by) for what it holds, not for
+    /// what its columns grew to.
     #[test]
     fn a_finished_capture_holds_no_slack() {
         let [(_, keys), ..] = sort_shapes();
-        let log = capture_of(&keys, 2 * keys.len()).finish("test", SimTime::from_ps(1 << 40));
+        let mut cap = Capture::new();
+        calls_of(&keys).feed(&mut cap, false);
+        let log = cap.finish("test", SimTime::from_ps(1 << 40));
         let n = log.len();
         let exact =
             n * std::mem::size_of::<TraceRecord>() + 4 * ((n + 1) + log.dep_ids.len() + n + n) + n;
         assert!(log.departure.is_empty());
         assert_eq!(log.resident_bytes(), exact);
+    }
+
+    /// Simulator events, `(instant, event)` in simulator order.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Inject(Message, Option<u64>),
+        Deliver(u64),
+    }
+
+    /// Nodes 0 and 1 ping-pong from the start, 40 messages; `more` adds
+    /// its own.
+    fn ping_pong(more: &[(u64, Ev)]) -> Vec<(u64, Ev)> {
+        let c = MsgClass::Control;
+        let mut events = Vec::new();
+        for k in 0..40u64 {
+            let prev = k.checked_sub(2);
+            events.push((
+                100 * k,
+                Ev::Inject(msg(k, (k % 2) as u32, 1 - (k % 2) as u32, c), prev),
+            ));
+            events.push((100 * k + 60, Ev::Deliver(k)));
+        }
+        events.extend_from_slice(more);
+        events.sort_by_key(|e| e.0);
+        events
+    }
+
+    /// Capture `events` whole and streamed a flush per event time, and
+    /// replay both on an analytic network 100 times slower than the
+    /// capture's: the streamed pass runs far ahead of the capture, so
+    /// only the horizon keeps it from passing a row still to come.
+    fn assert_streamed_pass_matches_whole(events: &[(u64, Ev)]) {
+        use crate::replay::{replay_sctm_pass_with, replay_sctm_stream, ReplayScratch};
+        use sctm_engine::net::AnalyticNetwork;
+        let feed_all = |hook: &mut dyn TraceHook| {
+            let mut now = None;
+            for &(at, ev) in events {
+                if now != Some(at) {
+                    now = Some(at);
+                    hook.on_time(SimTime::from_ps(at));
+                }
+                match ev {
+                    Ev::Inject(m, prev) => hook.on_inject(inj(m, at, &[], prev)),
+                    Ev::Deliver(id) => hook.on_deliver(MsgId(id), SimTime::from_ps(at)),
+                }
+            }
+        };
+        let exec = SimTime::from_ps(5000);
+        let net = || AnalyticNetwork::new(4, SimTime::from_ns(8), SimTime::from_ns(2), 10);
+        let mut cap = Capture::new();
+        feed_all(&mut cap);
+        let log = cap.finish("test", exec);
+        let whole = replay_sctm_pass_with(&log, &mut net(), &mut ReplayScratch::new());
+        let (mut cap, feed) = StreamCapture::new();
+        cap.set_flush_rows(1);
+        let mut scratch = ReplayScratch::new();
+        let mut target = net();
+        let streamed = std::thread::scope(|s| {
+            let pass = s.spawn(|| replay_sctm_stream(feed, &mut target, &mut scratch));
+            feed_all(&mut cap);
+            let tail = cap.finish("test", exec);
+            pass.join().unwrap().expect("finished").finish(tail).1
+        });
+        assert_eq!(streamed.inject, whole.inject);
+        assert_eq!(streamed.deliver, whole.deliver);
+        assert_eq!(streamed.est_exec_time, whole.est_exec_time);
+    }
+
+    /// Until a node has sent or received anything, only the watermark
+    /// bounds how far a streamed pass may run: the node's first row can
+    /// be a seed at any instant from there on. Node 2 first sends at
+    /// 2.5 ns, long after the replay has run past that instant on nodes
+    /// 0 and 1's account.
+    #[test]
+    fn a_silent_node_holds_a_streamed_pass_at_the_watermark() {
+        let c = MsgClass::Control;
+        assert_streamed_pass_matches_whole(&ping_pong(&[
+            (2500, Ev::Inject(msg(40, 2, 0, c), None)),
+            (2560, Ev::Deliver(40)),
+        ]));
+    }
+
+    /// A node that has sent but received nothing holds a streamed pass
+    /// at its latest departure's replay injection, moved on by the
+    /// watermark: its next row follows that departure by its capture
+    /// gap. Nodes 2 and 3 send at 0 and again at 2.5 ns, with nothing
+    /// else from them in between to bound the pass.
+    #[test]
+    fn a_node_that_has_only_sent_holds_a_streamed_pass_at_its_departure() {
+        let c = MsgClass::Control;
+        assert_streamed_pass_matches_whole(&ping_pong(&[
+            (0, Ev::Inject(msg(40, 2, 0, c), None)),
+            (0, Ev::Inject(msg(41, 3, 1, c), None)),
+            (60, Ev::Deliver(40)),
+            (60, Ev::Deliver(41)),
+            (2500, Ev::Inject(msg(42, 2, 0, c), Some(40))),
+            (2500, Ev::Inject(msg(43, 3, 1, c), Some(41))),
+            (2560, Ev::Deliver(42)),
+            (2560, Ev::Deliver(43)),
+        ]));
     }
 
     #[test]

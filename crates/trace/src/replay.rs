@@ -38,14 +38,23 @@
 //!   replays every log exactly once and re-captures, so a per-log plan
 //!   there would be allocated, used once and dropped; one arena paid for
 //!   up front serves every iteration instead.
+//! - [`replay_sctm_stream`] grows the plan in the same arena as a
+//!   capture still running hands its rows over: the loop replays each
+//!   capture while the simulator produces it, behind a horizon that
+//!   keeps the result the whole-log pass's to the bit.
 
-use crate::log::{TraceLog, TraceRecord, NONE};
-use sctm_engine::net::{Delivery, MsgClass, NetworkModel};
+use crate::log::{
+    CaptureBatch, CaptureFeed, CaptureTail, TraceLog, TraceRecord, NONE, UNDELIVERED,
+};
+use crate::pages::Pages;
+use sctm_engine::net::{Delivery, Message, MsgClass, NetworkModel};
 use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Debug;
 use std::mem::size_of;
+use std::ops::{Index, IndexMut};
 
 /// Outcome of one replay pass.
 #[derive(Clone, Debug)]
@@ -61,25 +70,55 @@ pub struct ReplayResult {
 
 impl ReplayResult {
     fn from_times(log: &TraceLog, inject: Vec<SimTime>, deliver: Vec<SimTime>) -> Self {
-        let tail = log.capture_exec_time.saturating_since(log.last_delivery());
-        let last = deliver.iter().copied().max().unwrap_or(SimTime::ZERO);
+        let est_exec_time = estimate(log.capture_exec_time, log.last_delivery(), &deliver);
         ReplayResult {
             inject,
             deliver,
-            est_exec_time: last + tail,
+            est_exec_time,
         }
     }
 
     /// Mean message latency in nanoseconds for one class (or all).
     pub fn mean_latency_ns(&self, log: &TraceLog, class: Option<MsgClass>) -> f64 {
-        let mut acc = Running::new();
-        for (i, r) in log.records.iter().enumerate() {
-            if class.is_none() || class == Some(r.msg.class) {
-                acc.push(self.deliver[i].saturating_since(self.inject[i]).as_ns_f64());
-            }
-        }
-        acc.mean()
+        mean_latency_ns(self.replayed(log), class)
     }
+
+    /// Every message of `log` with its replay injection and delivery.
+    fn replayed<'a>(
+        &'a self,
+        log: &'a TraceLog,
+    ) -> impl Iterator<Item = (&'a Message, SimTime, SimTime)> {
+        (log.records.iter().zip(&self.inject).zip(&self.deliver))
+            .map(|((r, &i), &d)| (&r.msg, i, d))
+    }
+}
+
+/// The execution-time estimate of a replay whose deliveries are
+/// `deliver`, over a capture that ran `exec_time` and delivered last at
+/// `last_delivery`: the replay's last delivery plus the capture's local
+/// tail.
+fn estimate<'a>(
+    exec_time: SimTime,
+    last_delivery: SimTime,
+    deliver: impl IntoIterator<Item = &'a SimTime>,
+) -> SimTime {
+    let last = deliver.into_iter().copied().max().unwrap_or(SimTime::ZERO);
+    last + exec_time.saturating_since(last_delivery)
+}
+
+/// Mean latency in nanoseconds of the `replayed` messages of one class
+/// (or all), in id order.
+fn mean_latency_ns<'a>(
+    replayed: impl Iterator<Item = (&'a Message, SimTime, SimTime)>,
+    class: Option<MsgClass>,
+) -> f64 {
+    let mut acc = Running::new();
+    for (msg, inject, deliver) in replayed {
+        if class.is_none() || class == Some(msg.class) {
+            acc.push(deliver.saturating_since(inject).as_ns_f64());
+        }
+    }
+    acc.mean()
 }
 
 /// Rows of ascending `u32` ids behind one offset array — the flat
@@ -145,42 +184,283 @@ const GATE_DONE: u8 = 2;
 const PREV_DONE: u8 = 4;
 /// Its injection time is known and queued (or already injected).
 const SCHEDULED: u8 = 8;
+/// Its capture delivery is known to a streamed pass.
+const ARRIVED: u8 = 16;
+/// It has delivered in the replay: its [`PassState::time`] is its
+/// delivery time.
+const DELIVERED: u8 = 32;
+
+/// The heads of [`GatePlan`]'s lists that are not a gate's: the seeds
+/// (no gate, no predecessor) and the gate-less departures that follow
+/// a predecessor. Gate `g`'s list head is `heads[LISTS + g]`.
+const SEEDS: usize = 0;
+const CHAINED: usize = 1;
+const LISTS: usize = 2;
+
+/// A pass's heap key: `(time, id)` packed into one integer, so the
+/// heap compares one `u128` instead of a tuple, in the same order.
+#[inline]
+fn key(t: SimTime, i: u32) -> u128 {
+    (u128::from(t.as_ps()) << 32) | u128::from(i)
+}
+
+#[inline]
+fn key_time(k: u128) -> SimTime {
+    SimTime::from_ps((k >> 32) as u64)
+}
+
+#[inline]
+fn key_id(k: u128) -> usize {
+    k as u32 as usize
+}
+
+/// One per-message column of a gated pass, indexed by message id.
+pub(crate) trait Col<T>:
+    Index<usize, Output = T> + IndexMut<usize> + Clone + Debug + Default
+{
+    fn len(&self) -> usize;
+    fn clear(&mut self);
+    /// Grow to `n` items; the new ones are `fill`.
+    fn grow(&mut self, n: usize, fill: T);
+    /// The column as one exact-size vector, leaving it empty.
+    fn take_vec(&mut self) -> Vec<T>;
+}
+
+impl<T: Copy + Debug> Col<T> for Vec<T> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+    fn grow(&mut self, n: usize, fill: T) {
+        self.resize(n, fill);
+    }
+    fn take_vec(&mut self) -> Vec<T> {
+        std::mem::take(self)
+    }
+}
+
+impl<T: Copy + Debug> Col<T> for Pages<T> {
+    fn len(&self) -> usize {
+        Pages::len(self)
+    }
+    fn clear(&mut self) {
+        Pages::clear(self);
+    }
+    fn grow(&mut self, n: usize, fill: T) {
+        self.resize(n, fill);
+    }
+    fn take_vec(&mut self) -> Vec<T> {
+        Pages::take_vec(self)
+    }
+}
+
+/// Where a gated pass keeps its per-message columns. A pass over a whole
+/// log knows its length and keeps them flat ([`Flat`]); a pass fed by a
+/// capture that is still running grows them a batch at a time, a page
+/// at a time ([`Paged`]), so that it never copies or outgrows what it
+/// holds. The pass ([`run_gated`]) is one function over either.
+pub(crate) trait Store: Clone + Debug + Default {
+    type Col<T: Copy + Debug>: Col<T>;
+}
+
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Flat;
+
+impl Store for Flat {
+    type Col<T: Copy + Debug> = Vec<T>;
+}
+
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Paged;
+
+impl Store for Paged {
+    type Col<T: Copy + Debug> = Pages<T>;
+}
 
 /// Everything a gated pass derives from the rows of a log and nothing
 /// else: read-only while passes run, so any number of them — on any
 /// number of threads — can share one.
 ///
-/// Its size is a function of the row count alone
-/// ([`GatePlan::bytes_for`]), which is what lets the capture cache in
-/// `sctm-srv` charge an entry for its plan before anything builds it.
+/// A plan grows a row at a time, in departure order (`GateBuilder`):
+/// a whole log feeds it every row at once, a streamed capture feeds it
+/// rows as the simulator finalises them. Its size is a function of the
+/// row count alone ([`GatePlan::bytes_for`]), which is what lets the
+/// capture cache in `sctm-srv` charge an entry for its plan before
+/// anything builds it.
 #[derive(Clone, Debug, Default)]
-pub struct GatePlan {
+pub struct GatePlan(Plan<Flat>);
+
+/// The columns of a [`GatePlan`], in either [`Store`].
+#[derive(Clone, Debug, Default)]
+struct Plan<S: Store> {
     /// Capture-anchored local think time per message: from the gating
     /// delivery (or the previous departure, for gate-less messages) to
     /// this departure, measured on the capture timeline.
-    delta: Vec<SimTime>,
+    delta: S::Col<SimTime>,
     /// Each message's successor in its source node's time-sorted
     /// departure sequence ([`NONE`]-terminated).
-    next_in_order: Vec<u32>,
-    /// Row `g < n`: the departures `g`'s delivery unblocks. Row `n`:
-    /// the ungated departures, the seeds among them flagged
-    /// [`SCHEDULED`] in `init`. Every message is in exactly one row.
-    gated_by: Csr,
+    next_in_order: S::Col<u32>,
+    /// Heads of singly linked lists through `next`: the seeds, the
+    /// chained gate-less departures, then one list per gate `g` — the
+    /// departures `g`'s delivery unblocks. Every message is in exactly
+    /// one list, so a row is linked in where it is settled, and no
+    /// earlier row moves.
+    heads: S::Col<u32>,
+    /// The next message in the same list ([`NONE`]-terminated).
+    next: S::Col<u32>,
     /// Each message's readiness flags as a pass starts.
-    init: Vec<u8>,
+    init: S::Col<u8>,
 }
 
-/// What [`GatePlan::build`] needs besides its output; kept so a loop
-/// that rebuilds plans does not reallocate it.
+/// One departure as [`GateBuilder`] settles it: what the plan stores
+/// of it, plus the two ids a pass that admits it late has to look at.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PlanRow {
+    /// Arrival gate ([`NONE`] = ungated).
+    gate: u32,
+    /// Predecessor in its source's departure order ([`NONE`] = first).
+    src_prev: u32,
+    delta: SimTime,
+    flags: u8,
+}
+
+impl PlanRow {
+    /// The arrival gate, if any.
+    pub(crate) fn gate(&self) -> Option<u32> {
+        (self.gate != NONE).then_some(self.gate)
+    }
+}
+
+/// The arrival-gate pairing as one merge of arrivals and departures in
+/// `(time, arrivals-before-departures, id)` order, fed a message at a
+/// time: [`GateBuilder::arrive`] each arrival, then
+/// [`GateBuilder::depart`] each departure once every arrival at or
+/// before its instant has been fed. Whoever feeds it — a whole log, or
+/// a capture as it runs — gets the same rows.
 #[derive(Debug, Default)]
-struct PlanScratch {
-    /// Arrival gate per message ([`NONE`] = ungated), and the scratch
-    /// of [`TraceLog::arrival_gates_into`].
-    gates: Vec<u32>,
-    last_arrival: Vec<u32>,
-    /// Most recent departure per source node during the chain walk.
-    src_last: Vec<u32>,
-    cursor: Vec<u32>,
+pub(crate) struct GateBuilder {
+    enforce_source_order: bool,
+    /// Latest arrival per node so far, and its delivery instant.
+    last_arrival: Vec<(u32, SimTime)>,
+    /// Latest departure per source so far, and its injection instant.
+    src_last: Vec<(u32, SimTime)>,
+}
+
+impl GateBuilder {
+    pub(crate) fn new(enforce_source_order: bool) -> Self {
+        GateBuilder {
+            enforce_source_order,
+            ..Default::default()
+        }
+    }
+
+    fn node(v: &mut Vec<(u32, SimTime)>, x: usize) -> &mut (u32, SimTime) {
+        if x >= v.len() {
+            v.resize(x + 1, (NONE, SimTime::ZERO));
+        }
+        &mut v[x]
+    }
+
+    /// Message `id` arrives at node `dst` at `at`.
+    pub(crate) fn arrive(&mut self, id: u32, dst: usize, at: SimTime) {
+        *Self::node(&mut self.last_arrival, dst) = (id, at);
+    }
+
+    /// Message `i` (row `r`) departs: pair it with the latest arrival
+    /// at its source and chain it after the source's last departure.
+    pub(crate) fn depart(&mut self, i: u32, r: &TraceRecord) -> PlanRow {
+        let src = r.msg.src.idx();
+        let (gate, gate_at) = *Self::node(&mut self.last_arrival, src);
+        let (prev, prev_at) =
+            std::mem::replace(Self::node(&mut self.src_last, src), (i, r.t_inject));
+        let anchor = match (gate, prev) {
+            (NONE, NONE) => SimTime::ZERO,
+            (NONE, _) => prev_at,
+            _ => gate_at,
+        };
+        let mut flags = if gate == NONE { GATE_DONE } else { GATED };
+        // Gated messages do not wait on their per-source predecessor:
+        // a node's departures may legitimately reorder when the target
+        // network's latency profile differs from capture (e.g. a hybrid
+        // optical design where control and data planes diverge), and
+        // forcing capture order inflates the timeline measurably.
+        if prev == NONE || (!self.enforce_source_order && gate != NONE) {
+            flags |= PREV_DONE;
+        }
+        // Seed: no gate and no predecessor to wait for.
+        if flags == GATE_DONE | PREV_DONE {
+            flags |= SCHEDULED;
+        }
+        PlanRow {
+            gate,
+            src_prev: prev,
+            delta: r.t_inject.saturating_since(anchor),
+            flags,
+        }
+    }
+
+    /// Feed the builder all of `log`, calling `row` with each departure
+    /// and its settled row, in departure order.
+    pub(crate) fn feed_whole(&mut self, log: &TraceLog, mut row: impl FnMut(usize, PlanRow)) {
+        let recs = &log.records[..];
+        for v in [&mut self.last_arrival, &mut self.src_last] {
+            v.clear();
+            v.resize(log.nodes(), (NONE, SimTime::ZERO));
+        }
+        let mut arrivals = log.arrival_order().iter().peekable();
+        log.for_each_departure(&mut |i| {
+            let r = &recs[i];
+            // An arrival at the departure's instant is seen by it.
+            while let Some(&a) = arrivals.next_if(|&&a| recs[a as usize].t_deliver <= r.t_inject) {
+                let ar = &recs[a as usize];
+                self.arrive(a, ar.msg.dst.idx(), ar.t_deliver);
+            }
+            row(i, self.depart(i as u32, r));
+        });
+    }
+}
+
+impl<S: Store> Plan<S> {
+    fn clear(&mut self) {
+        self.delta.clear();
+        self.next_in_order.clear();
+        self.next.clear();
+        self.init.clear();
+        self.heads.clear();
+        self.heads.grow(LISTS, NONE);
+    }
+
+    /// Make room for messages up to `n`, not yet linked.
+    fn grow(&mut self, n: usize) {
+        self.delta.grow(n, SimTime::ZERO);
+        self.next_in_order.grow(n, NONE);
+        self.next.grow(n, NONE);
+        self.init.grow(n, 0);
+        self.heads.grow(LISTS + n, NONE);
+    }
+
+    /// Enter message `i`'s row: its delta and flags, its place in its
+    /// gate's (or a gate-less) list, and its predecessor's successor
+    /// link.
+    fn link(&mut self, i: usize, row: &PlanRow) {
+        self.delta[i] = row.delta;
+        self.init[i] = row.flags;
+        let list = match row.gate {
+            NONE if row.flags & SCHEDULED != 0 => SEEDS,
+            NONE => CHAINED,
+            g => LISTS + g as usize,
+        };
+        self.next[i] = std::mem::replace(&mut self.heads[list], i as u32);
+        if row.src_prev != NONE {
+            self.next_in_order[row.src_prev as usize] = i as u32;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.init.len()
+    }
 }
 
 impl GatePlan {
@@ -188,127 +468,266 @@ impl GatePlan {
     /// exactly the size they need.
     pub(crate) fn of(log: &TraceLog) -> GatePlan {
         let mut plan = GatePlan::default();
-        plan.build(log, false, &mut PlanScratch::default());
+        plan.build(log, &mut GateBuilder::new(false));
         plan
     }
 
-    /// Rebuild this plan for `log`, recycling its buffers. The one
-    /// place a plan is made.
-    fn build(&mut self, log: &TraceLog, enforce_source_order: bool, tmp: &mut PlanScratch) {
-        let n = log.len();
-        let PlanScratch {
-            gates,
-            last_arrival,
-            src_last,
-            cursor,
-        } = tmp;
-        log.arrival_gates_into(gates, last_arrival);
-        src_last.clear();
-        src_last.resize(log.nodes(), NONE);
-        self.delta.clear();
-        self.delta.resize(n, SimTime::ZERO);
-        self.next_in_order.clear();
-        self.next_in_order.resize(n, NONE);
-        self.init.clear();
-        self.init.resize(n, 0);
-        // One walk in departure order links the per-source chains and,
-        // knowing each message's gate and predecessor, settles its
-        // delta and what it starts a pass waiting on.
-        log.for_each_departure(&mut |i| {
-            let r = &log.records[i];
-            let prev = std::mem::replace(&mut src_last[r.msg.src.idx()], i as u32);
-            if prev != NONE {
-                self.next_in_order[prev as usize] = i as u32;
-            }
-            let gate = gates[i];
-            let anchor = match (gate, prev) {
-                (NONE, NONE) => SimTime::ZERO,
-                (NONE, p) => log.records[p as usize].t_inject,
-                (g, _) => log.records[g as usize].t_deliver,
-            };
-            self.delta[i] = r.t_inject.saturating_since(anchor);
-            let mut flags = if gate == NONE { GATE_DONE } else { GATED };
-            // Gated messages do not wait on their per-source
-            // predecessor: a node's departures may legitimately reorder
-            // when the target network's latency profile differs from
-            // capture (e.g. a hybrid optical design where control and
-            // data planes diverge), and forcing capture order inflates
-            // the timeline measurably.
-            if prev == NONE || (!enforce_source_order && gate != NONE) {
-                flags |= PREV_DONE;
-            }
-            // Seed: no gate and no predecessor to wait for.
-            if flags == GATE_DONE | PREV_DONE {
-                flags |= SCHEDULED;
-            }
-            self.init[i] = flags;
-        });
-        let ungated = n as u32;
-        self.gated_by.invert(n + 1, n, cursor, |i| {
-            std::iter::once(if gates[i] == NONE { ungated } else { gates[i] })
-        });
+    /// Rebuild this plan for `log`, recycling its buffers: the builder
+    /// fed the whole log.
+    fn build(&mut self, log: &TraceLog, builder: &mut GateBuilder) {
+        let plan = &mut self.0;
+        plan.clear();
+        plan.grow(log.len());
+        builder.feed_whole(log, |i, row| plan.link(i, &row));
     }
 
     /// Heap bytes of the plan of a log with `rows` messages.
     pub fn bytes_for(rows: usize) -> usize {
         let (delta, init) = (rows * size_of::<SimTime>(), rows);
-        // Successor column, adjacency (every message is in one row)
-        // and its `rows + 1` rows' offsets.
-        let ids = (rows + rows + rows + 2) * size_of::<u32>();
+        // Successor column, list links (every message is in one list)
+        // and the list heads: one per gate plus the two gate-less ones.
+        let ids = (rows + rows + rows + LISTS) * size_of::<u32>();
         delta + init + ids
     }
 
     /// Heap bytes this plan holds.
     pub fn resident_bytes(&self) -> usize {
-        self.delta.capacity() * size_of::<SimTime>()
+        let p = &self.0;
+        p.delta.capacity() * size_of::<SimTime>()
             + size_of::<u32>()
-                * (self.next_in_order.capacity()
-                    + self.gated_by.off.capacity()
-                    + self.gated_by.adj.capacity())
-            + self.init.capacity()
+                * (p.next_in_order.capacity() + p.heads.capacity() + p.next.capacity())
+            + p.init.capacity()
     }
 }
 
 /// What a gated pass mutates, and all it has to reset.
 #[derive(Debug, Default)]
-struct PassState {
-    /// Readiness flags per message, a copy of [`GatePlan::init`] moved
+struct PassState<S: Store> {
+    /// Readiness flags per message, a copy of [`Plan::init`] moved
     /// forward by the pass.
-    flags: Vec<u8>,
-    /// Delivery time of each message's gate, once delivered.
-    gate_time: Vec<SimTime>,
-    /// Injection time of each message's predecessor, once injected.
-    prev_time: Vec<SimTime>,
-    /// Pending injections whose time is already known.
-    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
+    flags: S::Col<u8>,
+    /// Pending injections whose time is already known, keyed by
+    /// [`key`].
+    heap: BinaryHeap<Reverse<u128>>,
     /// Delivery drain buffer.
     buf: Vec<Delivery>,
+    /// Replay injection time per message ([`SimTime::MAX`] until it is
+    /// injected).
+    inject: S::Col<SimTime>,
+    /// Per message, one time that changes meaning once: until the
+    /// message is scheduled, what is known of its injection time — its
+    /// gate's replay delivery plus its delta once the gate has
+    /// delivered, else its predecessor's replay injection once that has
+    /// happened, else zero; once it has delivered ([`DELIVERED`]), its
+    /// replay delivery time. Nothing reads it in between.
+    time: S::Col<SimTime>,
+    delivered: usize,
+    /// The pass injects nothing and processes no network event at or
+    /// after this instant: every message it has not been given yet
+    /// replays at or after it. [`SimTime::MAX`] once it has them all.
+    horizon: SimTime,
+    /// Fed by a capture still running: keep what the horizon is made of.
+    open: bool,
+    /// The capture's watermark at the last batch.
+    watermark: SimTime,
+    /// Per node, the latest arrival and the latest departure the pass
+    /// has been given ([`NONE`] = none yet), each with its instant on
+    /// the capture timeline.
+    last_arrival: Vec<(u32, SimTime)>,
+    last_departure: Vec<(u32, SimTime)>,
+    /// Messages delivered in the replay before their capture delivery
+    /// was known, keyed by [`key`] on their replay delivery.
+    early: BinaryHeap<Reverse<u128>>,
 }
 
-impl PassState {
-    fn reset(&mut self, plan: &GatePlan) {
-        let n = plan.init.len();
+impl<S: Store> PassState<S> {
+    /// Start a pass over a whole plan: nothing is still to come.
+    fn start(&mut self, plan: &Plan<S>) {
+        let n = plan.len();
         self.flags.clone_from(&plan.init);
-        self.gate_time.clear();
-        self.gate_time.resize(n, SimTime::ZERO);
-        self.prev_time.clear();
-        self.prev_time.resize(n, SimTime::ZERO);
-        self.heap.clear();
-        for &i in plan.gated_by.row(n) {
-            if plan.init[i as usize] & SCHEDULED != 0 {
-                self.heap.push(Reverse((plan.delta[i as usize], i)));
-            }
+        self.reset_times(n);
+        self.horizon = SimTime::MAX;
+        self.open = false;
+        let mut i = plan.heads[SEEDS];
+        while i != NONE {
+            self.heap.push(Reverse(key(plan.delta[i as usize], i)));
+            i = plan.next[i as usize];
         }
     }
+
+    fn reset_times(&mut self, n: usize) {
+        self.inject.clear();
+        self.inject.grow(n, SimTime::MAX);
+        self.time.clear();
+        self.time.grow(n, SimTime::ZERO);
+        self.delivered = 0;
+        self.heap.clear();
+    }
+
+    /// The pass's times, taken out of its columns.
+    fn times(&mut self) -> (Vec<SimTime>, Vec<SimTime>) {
+        (self.inject.take_vec(), self.time.take_vec())
+    }
+}
+
+impl PassState<Paged> {
+    /// Start a pass that a running capture feeds, over `nodes` nodes.
+    fn start_open(&mut self, nodes: usize) {
+        self.flags.clear();
+        self.reset_times(0);
+        self.horizon = SimTime::ZERO;
+        self.open = true;
+        self.watermark = SimTime::ZERO;
+        for v in [&mut self.last_arrival, &mut self.last_departure] {
+            v.clear();
+            v.resize(nodes, (NONE, SimTime::ZERO));
+        }
+        self.early.clear();
+    }
+
+    /// Take one batch of a running capture: its rows join `rows` and
+    /// `plan`, each admitted where a whole-log pass would have it by
+    /// now, its arrivals are joined to their rows, and the horizon moves
+    /// to what the batch makes safe.
+    fn take(
+        &mut self,
+        batch: &CaptureBatch,
+        rows: &mut Pages<TraceRecord>,
+        arrival: &mut Pages<u32>,
+        plan: &mut Plan<Paged>,
+    ) {
+        let lo = rows.len();
+        rows.extend_from_slice(&batch.rows);
+        let n = rows.len();
+        plan.grow(n);
+        self.flags.grow(n, 0);
+        self.inject.grow(n, SimTime::MAX);
+        self.time.grow(n, SimTime::ZERO);
+        for ((i, r), row) in (lo..n).zip(&batch.rows).zip(&batch.plan) {
+            plan.link(i, row);
+            self.admit(i, row);
+            self.last_departure[r.msg.src.idx()] = (i as u32, r.t_inject);
+        }
+        for &(at, id) in &batch.arrivals {
+            let r = &mut rows[id as usize];
+            assert_eq!(r.t_deliver, UNDELIVERED, "message delivered twice");
+            r.t_deliver = at;
+            arrival.push(id);
+            self.flags[id as usize] |= ARRIVED;
+            self.last_arrival[r.msg.dst.idx()] = (id, at);
+        }
+        self.watermark = batch.watermark;
+        self.horizon = self.bound();
+    }
+
+    /// Message `i` joins a pass that may already have run past what
+    /// would have scheduled it: settle its flags and time against what
+    /// the pass has done, and queue it at the time a whole-log pass
+    /// would have.
+    fn admit(&mut self, i: usize, row: &PlanRow) {
+        let mut f = row.flags;
+        if row.gate != NONE && self.flags[row.gate as usize] & DELIVERED != 0 {
+            f |= GATE_DONE;
+            self.time[i] = self.time[row.gate as usize] + row.delta;
+        }
+        // A binding predecessor exists whenever PREV_DONE is unset. A
+        // gated message's predecessor binds only under enforced source
+        // order, which a streamed pass never runs, so here it is always
+        // gate-less: the predecessor's injection plus the delta. (A
+        // whole-log pass also takes the later of a gated message's two
+        // times, but a predecessor that injected before the gate
+        // delivered did so no later than the delivery.)
+        if f & PREV_DONE == 0 && self.inject[row.src_prev as usize] != SimTime::MAX {
+            f |= PREV_DONE;
+            self.time[i] = self.inject[row.src_prev as usize] + row.delta;
+        }
+        let at = if f & SCHEDULED != 0 {
+            Some(row.delta)
+        } else if f & (GATE_DONE | PREV_DONE) == GATE_DONE | PREV_DONE {
+            f |= SCHEDULED;
+            Some(self.time[i])
+        } else {
+            None
+        };
+        self.flags[i] = f;
+        if let Some(at) = at {
+            // The horizon's promise: the pass has taken no step at or
+            // after it, and no row it had not been given replays before
+            // it.
+            debug_assert!(
+                at >= self.horizon,
+                "a row given late replays before the horizon"
+            );
+            self.heap.push(Reverse(key(at, i as u32)));
+        }
+    }
+
+    /// The replay delivery of message `i`, if it has delivered.
+    fn delivery(&self, i: u32) -> SimTime {
+        if self.flags[i as usize] & DELIVERED != 0 {
+            self.time[i as usize]
+        } else {
+            SimTime::MAX
+        }
+    }
+
+    /// The horizon the rows given so far allow (DESIGN.md §7, "The loop
+    /// captures and replays at once"): per node, [`after_anchor`] its
+    /// latest given arrival, else its latest given departure — each
+    /// bounding only once it has happened in the replay — else the
+    /// watermark; and the replay delivery of every message delivered in
+    /// the replay before its capture delivery was known.
+    fn bound(&mut self) -> SimTime {
+        let w = self.watermark;
+        let mut h = SimTime::MAX;
+        for (&(a, a_at), &(d, d_at)) in self.last_arrival.iter().zip(&self.last_departure) {
+            h = h.min(match (a, d) {
+                (NONE, NONE) => w,
+                (NONE, d) => after_anchor(self.inject[d as usize], d_at, w),
+                (a, _) => after_anchor(self.delivery(a), a_at, w),
+            });
+        }
+        while let Some(&Reverse(k)) = self.early.peek() {
+            if self.flags[key_id(k)] & ARRIVED == 0 {
+                h = h.min(key_time(k));
+                break;
+            }
+            self.early.pop();
+        }
+        h
+    }
+
+    /// The capture has ended and every row is in: nothing bounds the
+    /// pass any more.
+    fn close(&mut self) {
+        self.open = false;
+        self.horizon = SimTime::MAX;
+        self.early.clear();
+    }
+}
+
+/// The earliest a row still to come from a node can replay, given the
+/// node's latest given arrival or departure — its anchor — happened at
+/// `capture` on the capture timeline and at `replay` in this pass
+/// ([`SimTime::MAX`] = not yet). The row's delta is measured from the
+/// anchor on the capture timeline, and the row departs there at or after
+/// the watermark `w`.
+#[inline]
+fn after_anchor(replay: SimTime, capture: SimTime, w: SimTime) -> SimTime {
+    SimTime::from_ps(
+        replay
+            .as_ps()
+            .saturating_add(w.saturating_since(capture).as_ps()),
+    )
 }
 
 /// Reusable working set for the engines a caller runs in a loop.
 ///
 /// The self-correction loop in `sctm-core` replays a fresh same-sized
 /// trace once per iteration, so it borrows one of these for the whole
-/// run ([`replay_sctm_pass_with`]): the plan is rebuilt in place and the
-/// pass state reset, so after the first pass only the result is
-/// allocated.
+/// run ([`replay_sctm_pass_with`], [`replay_sctm_stream`]): the plan is
+/// rebuilt in place and the pass state reset, so after the first pass
+/// nothing of a trace's size is allocated but what the pass returns.
 ///
 /// A scratch is not tied to one trace: buffers are resized on entry to
 /// each pass, so one instance can serve logs of different sizes
@@ -317,8 +736,14 @@ impl PassState {
 pub struct ReplayScratch {
     /// The arena plan: rebuilt for whichever log is replayed next.
     plan: GatePlan,
-    plan_scratch: PlanScratch,
-    pass: PassState,
+    builder: GateBuilder,
+    pass: PassState<Flat>,
+    /// A streamed pass's plan and state, and the rows and arrival order
+    /// it assembles (handed over in its [`StreamedPass`]).
+    stream_plan: Plan<Paged>,
+    stream: PassState<Paged>,
+    rows: Pages<TraceRecord>,
+    arrival: Pages<u32>,
 }
 
 impl ReplayScratch {
@@ -411,9 +836,9 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
     // Max dependency delivery so far, per message.
     let mut ready_at = vec![SimTime::ZERO; n];
     // Pending injections we already know the time of, not yet injected.
-    let mut heap: BinaryHeap<Reverse<(SimTime, u32)>> = (0..n)
+    let mut heap: BinaryHeap<Reverse<u128>> = (0..n)
         .filter(|&i| log.deps(i).is_empty())
-        .map(|i| Reverse((delta[i], i as u32)))
+        .map(|i| Reverse(key(delta[i], i as u32)))
         .collect();
     let mut deliver = vec![SimTime::ZERO; n];
     let mut delivered = 0usize;
@@ -423,13 +848,14 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
         // network's next internal event (its network effects may precede
         // that event); with an idle network, inject the earliest one to
         // re-arm it.
-        while let Some(&Reverse((t, i))) = heap.peek() {
+        while let Some(&Reverse(k)) = heap.peek() {
+            let t = key_time(k);
             match net.next_time() {
                 Some(h) if t > h => break,
                 _ => {
                     heap.pop();
-                    inject[i as usize] = t;
-                    net.inject(t, log.records[i as usize].msg);
+                    inject[key_id(k)] = t;
+                    net.inject(t, log.records[key_id(k)].msg);
                 }
             }
         }
@@ -438,7 +864,7 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
         // keeps the exact per-batch semantics of the old caller-side
         // loop while crossing the trait boundary once per stop instead
         // of twice per event round.
-        let stop = heap.peek().map(|&Reverse((t, _))| t);
+        let stop = heap.peek().map(|&Reverse(k)| key_time(k));
         buf.clear();
         let nt = net.advance_batches(stop, &mut buf);
         if buf.is_empty() && nt.is_none() && heap.is_empty() {
@@ -453,8 +879,8 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
                 ready_at[c] = ready_at[c].max(d.delivered_at);
                 remaining[c] -= 1;
                 if remaining[c] == 0 {
-                    prefetch_row(&log.records[c]);
-                    heap.push(Reverse((ready_at[c] + delta[c], c as u32)));
+                    prefetch(&log.records[c].msg);
+                    heap.push(Reverse(key(ready_at[c] + delta[c], c as u32)));
                 }
             }
         }
@@ -462,23 +888,23 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
     ReplayResult::from_times(log, inject, deliver)
 }
 
-/// Start pulling `row` into L1 ahead of its injection. A pass pops rows
-/// in replay order, thousands of rows from the one it touched last, so
-/// the `msg` load at injection missed every cache level (10.5 % of the
-/// flagship loop); a row is scheduled one heap residence before it is
-/// injected, which is time enough for the line to arrive.
+/// Start pulling a row's `msg` into L1 ahead of its injection. A pass
+/// pops rows in replay order, thousands of rows from the one it touched
+/// last, so the `msg` load at injection missed every cache level
+/// (10.5 % of the flagship loop); a row is scheduled one heap residence
+/// before it is injected, which is time enough for the line to arrive.
 #[inline]
-fn prefetch_row(row: &TraceRecord) {
+fn prefetch(msg: &Message) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch is a hint: it never faults, even on an invalid
-    // address, and has no architectural effect — and `row` is a live
+    // address, and has no architectural effect — and `msg` is a live
     // reference besides.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((row as *const TraceRecord).cast::<i8>());
+        _mm_prefetch::<_MM_HINT_T0>((msg as *const Message).cast::<i8>());
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
+    let _ = msg;
 }
 
 /// The self-correcting replay pass — how the SCTM injects a trace into
@@ -497,7 +923,7 @@ fn prefetch_row(row: &TraceRecord) {
 /// in `sctm-core` attacks by correcting the capture model itself and
 /// re-capturing.
 pub fn replay_sctm_pass(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    run_gated(log, net, log.gate_plan(), &mut PassState::default())
+    whole_pass(log, net, log.gate_plan(), &mut PassState::default())
 }
 
 /// [`replay_sctm_pass`] for a caller that replays each log once and
@@ -508,8 +934,8 @@ pub fn replay_sctm_pass_with(
     net: &mut dyn NetworkModel,
     scratch: &mut ReplayScratch,
 ) -> ReplayResult {
-    scratch.plan.build(log, false, &mut scratch.plan_scratch);
-    run_gated(log, net, &scratch.plan, &mut scratch.pass)
+    scratch.plan.build(log, &mut scratch.builder);
+    whole_pass(log, net, &scratch.plan, &mut scratch.pass)
 }
 
 /// Ablation variant of [`replay_sctm_pass`] that *enforces per-source
@@ -520,86 +946,334 @@ pub fn replay_sctm_pass_with(
 /// bench (A1).
 pub fn replay_sctm_pass_ordered(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
     let mut plan = GatePlan::default();
-    plan.build(log, true, &mut PlanScratch::default());
-    run_gated(log, net, &plan, &mut PassState::default())
+    plan.build(log, &mut GateBuilder::new(true));
+    whole_pass(log, net, &plan, &mut PassState::default())
 }
 
-/// The gated event-driven pass over `plan`, which must be `log`'s.
-fn run_gated(
+/// The gated pass fed a whole log: its plan complete, its horizon
+/// unbounded.
+fn whole_pass(
     log: &TraceLog,
     net: &mut dyn NetworkModel,
     plan: &GatePlan,
-    pass: &mut PassState,
+    pass: &mut PassState<Flat>,
 ) -> ReplayResult {
-    let n = log.len();
-    debug_assert_eq!(plan.init.len(), n, "plan built for another log");
-    pass.reset(plan);
+    let plan = &plan.0;
+    debug_assert_eq!(plan.len(), log.len(), "plan built for another log");
+    pass.start(plan);
+    let done = run_gated(&log.records[..], net, plan, pass);
+    debug_assert!(done, "an unbounded pass stops only when done");
+    let (inject, deliver) = pass.times();
+    ReplayResult::from_times(log, inject, deliver)
+}
+
+/// The gated pass over a capture that is still running on another
+/// thread: [`replay_sctm_pass_with`] of the log the capture behind
+/// `feed` finishes with ([`crate::StreamCapture::finish`]), run as the
+/// capture hands its rows over.
+///
+/// The pass takes every batch as it comes and runs up to the horizon
+/// the rows given so far allow (DESIGN.md §7, "The loop captures and
+/// replays at once"): no message it has not been given can replay
+/// before that instant, so the pass makes the same network calls in the
+/// same order as the whole-log pass, and its result is the same to the
+/// bit. `None` when the capture side hung up before its last batch — it
+/// panicked; the caller learns why from its own thread.
+///
+/// The log's rows and the pass's times come back in pages, for the
+/// caller to [`StreamedPass::finish`] with the capture's tail on
+/// whichever thread should own the log.
+pub fn replay_sctm_stream(
+    feed: CaptureFeed,
+    net: &mut dyn NetworkModel,
+    scratch: &mut ReplayScratch,
+) -> Option<StreamedPass> {
+    let ReplayScratch {
+        stream_plan: plan,
+        stream: pass,
+        rows,
+        arrival,
+        ..
+    } = scratch;
+    rows.clear();
+    arrival.clear();
+    plan.clear();
+    pass.start_open(net.num_nodes());
+    loop {
+        run_gated(rows, net, plan, pass);
+        // Wait for a batch, then take every other one already waiting:
+        // the pass runs as far as all of them allow.
+        let mut next = Some(feed.recv()?);
+        while let Some(batch) = next {
+            pass.take(&batch, rows, arrival, plan);
+            if let Some(exec_time) = batch.end {
+                pass.close();
+                let done = run_gated(rows, net, plan, pass);
+                debug_assert!(done, "an unbounded pass stops only when done");
+                return Some(StreamedPass::new(
+                    std::mem::take(rows),
+                    std::mem::take(arrival),
+                    std::mem::take(&mut pass.inject),
+                    std::mem::take(&mut pass.time),
+                    exec_time,
+                ));
+            }
+            next = feed.try_recv();
+        }
+    }
+}
+
+/// A finished streamed pass: the log's rows and arrival order, and the
+/// replay's times, still in the pages the pass grew them in.
+///
+/// What the self-correction loop reads of an iteration — the estimate,
+/// the pair corrections, the mean latencies — it reads here, in place,
+/// each computed by the same code and in the same order as from a
+/// [`TraceLog`] and its [`ReplayResult`]: copying a log's worth of pages
+/// into a log it would only read once cost a second copy's residency.
+/// [`StreamedPass::finish`] builds the log and result for a caller that
+/// keeps them.
+#[derive(Debug)]
+pub struct StreamedPass {
+    rows: Pages<TraceRecord>,
+    arrival: Pages<u32>,
+    inject: Pages<SimTime>,
+    deliver: Pages<SimTime>,
+    /// One past the largest node id any row names.
+    nodes: usize,
+    capture_exec_time: SimTime,
+    est_exec_time: SimTime,
+}
+
+impl StreamedPass {
+    fn new(
+        rows: Pages<TraceRecord>,
+        arrival: Pages<u32>,
+        inject: Pages<SimTime>,
+        deliver: Pages<SimTime>,
+        capture_exec_time: SimTime,
+    ) -> Self {
+        let nodes = (rows.iter())
+            .map(|r| r.msg.src.idx().max(r.msg.dst.idx()) + 1)
+            .max()
+            .unwrap_or(0);
+        let last_delivery = match arrival.len() {
+            0 => SimTime::ZERO,
+            n => rows[arrival[n - 1] as usize].t_deliver,
+        };
+        let est_exec_time = estimate(capture_exec_time, last_delivery, deliver.iter());
+        StreamedPass {
+            rows,
+            arrival,
+            inject,
+            deliver,
+            nodes,
+            capture_exec_time,
+            est_exec_time,
+        }
+    }
+
+    /// Messages replayed.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.len() == 0
+    }
+
+    /// The capture run's execution time ([`TraceLog::capture_exec_time`]).
+    pub fn capture_exec_time(&self) -> SimTime {
+        self.capture_exec_time
+    }
+
+    /// [`ReplayResult::est_exec_time`].
+    pub fn est_exec_time(&self) -> SimTime {
+        self.est_exec_time
+    }
+
+    /// [`ReplayResult::mean_latency_ns`].
+    pub fn mean_latency_ns(&self, class: Option<MsgClass>) -> f64 {
+        mean_latency_ns(self.replayed(), class)
+    }
+
+    /// [`pair_corrections`].
+    pub fn pair_corrections(
+        &self,
+        base_latency: impl FnMut(&Message) -> SimTime,
+    ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
+        corrections(self.nodes, self.replayed(), base_latency)
+    }
+
+    fn replayed(&self) -> impl Iterator<Item = (&Message, SimTime, SimTime)> {
+        (self
+            .rows
+            .iter()
+            .zip(self.inject.iter())
+            .zip(self.deliver.iter()))
+        .map(|((r, &i), &d)| (&r.msg, i, d))
+    }
+
+    /// The log the capture produced and the pass's result over it,
+    /// each column copied out of its pages into its final form on the
+    /// calling thread.
+    pub fn finish(self, tail: CaptureTail) -> (TraceLog, ReplayResult) {
+        let log = tail.into_log(self.rows.into_vec(), self.arrival.into_vec());
+        let result = ReplayResult {
+            inject: self.inject.into_vec(),
+            deliver: self.deliver.into_vec(),
+            est_exec_time: self.est_exec_time,
+        };
+        (log, result)
+    }
+}
+
+/// What a gated pass reads of a row: the message it injects.
+trait Msgs {
+    fn msg(&self, i: usize) -> &Message;
+}
+
+impl Msgs for [TraceRecord] {
+    #[inline]
+    fn msg(&self, i: usize) -> &Message {
+        &self[i].msg
+    }
+}
+
+impl Msgs for Pages<TraceRecord> {
+    #[inline]
+    fn msg(&self, i: usize) -> &Message {
+        &self[i].msg
+    }
+}
+
+/// The gated event-driven pass over `plan` and its messages `msgs`,
+/// run until every message in the plan has delivered (`true`) or until
+/// the next step would reach the pass's horizon (`false`).
+///
+/// A step is an injection — the earliest queued one, taken when it is
+/// due at or before the network's next event — or the network's next
+/// event batch. Steps come in time order, and a step at or after the
+/// horizon is never taken: one a row still to come might precede.
+fn run_gated<S: Store, M: Msgs + ?Sized>(
+    msgs: &M,
+    net: &mut dyn NetworkModel,
+    plan: &Plan<S>,
+    pass: &mut PassState<S>,
+) -> bool {
+    let n = plan.len();
     let PassState {
         flags,
-        gate_time,
-        prev_time,
         heap,
         buf,
+        inject,
+        time,
+        delivered,
+        horizon,
+        open,
+        watermark,
+        last_arrival,
+        last_departure,
+        early,
     } = pass;
-    let mut inject = vec![SimTime::MAX; n];
-    let mut deliver = vec![SimTime::ZERO; n];
-    let mut delivered = 0usize;
-    while delivered < n {
-        while let Some(&Reverse((t, i))) = heap.peek() {
+    while *delivered < n {
+        while let Some(&Reverse(k)) = heap.peek() {
+            let t = key_time(k);
+            if t >= *horizon {
+                break;
+            }
             match net.next_time() {
                 Some(h) if t > h => break,
                 _ => {
                     heap.pop();
-                    let i = i as usize;
+                    let i = key_id(k);
                     inject[i] = t;
-                    net.inject(t, log.records[i].msg);
+                    let msg = *msgs.msg(i);
+                    net.inject(t, msg);
+                    // A row still to come may follow this one at its
+                    // source, from `t` on.
+                    if *open {
+                        let (d, d_at) = last_departure[msg.src.idx()];
+                        if d == i as u32 && last_arrival[msg.src.idx()].0 == NONE {
+                            *horizon = (*horizon).min(after_anchor(t, d_at, *watermark));
+                        }
+                    }
                     // Unblock the per-source successor (only gate-less
                     // successors wait on their predecessor).
                     let nx = plan.next_in_order[i];
-                    if nx != NONE {
+                    if nx != NONE && flags[nx as usize] & SCHEDULED == 0 {
                         let nx = nx as usize;
                         flags[nx] |= PREV_DONE;
-                        prev_time[nx] = t;
-                        if flags[nx] & (GATE_DONE | SCHEDULED) == GATE_DONE {
-                            let base = if flags[nx] & GATED != 0 {
-                                gate_time[nx]
+                        if flags[nx] & GATE_DONE == 0 {
+                            time[nx] = t;
+                        } else {
+                            let at = if flags[nx] & GATED != 0 {
+                                time[nx]
                             } else {
-                                t
+                                t + plan.delta[nx]
                             };
                             flags[nx] |= SCHEDULED;
-                            prefetch_row(&log.records[nx]);
-                            heap.push(Reverse(((base + plan.delta[nx]).max(t), nx as u32)));
+                            prefetch(msgs.msg(nx));
+                            heap.push(Reverse(key(at.max(t), nx as u32)));
                         }
                     }
                 }
             }
         }
-        // See `replay_oracle`: batch-advance to the next delivery
-        // or pending-injection time with one trait crossing.
-        let stop = heap.peek().map(|&Reverse((t, _))| t);
+        // See `replay_oracle`: batch-advance to the next delivery or
+        // pending-injection time with one trait crossing — never to the
+        // horizon.
+        let top = heap.peek().map(|&Reverse(k)| key_time(k));
+        let stop = top.map_or(*horizon, |t| t.min(*horizon));
         buf.clear();
-        let nt = net.advance_batches(stop, buf);
-        if buf.is_empty() && nt.is_none() && heap.is_empty() {
-            panic!("gated replay deadlocked: undelivered messages but nothing pending");
+        let nt = net.advance_batches((stop != SimTime::MAX).then_some(stop), buf);
+        if buf.is_empty() && top.is_none_or(|t| t >= *horizon) && nt.is_none_or(|t| t >= *horizon) {
+            assert!(
+                *horizon != SimTime::MAX,
+                "gated replay deadlocked: undelivered messages but nothing pending"
+            );
+            return false;
         }
         for d in buf.drain(..) {
             let id = d.msg.id.0 as usize;
-            deliver[id] = d.delivered_at;
-            delivered += 1;
-            for &g in plan.gated_by.row(id) {
-                let g = g as usize;
-                flags[g] |= GATE_DONE;
-                gate_time[g] = d.delivered_at;
-                if flags[g] & (PREV_DONE | SCHEDULED) == PREV_DONE {
-                    let t = (d.delivered_at + plan.delta[g]).max(prev_time[g]);
-                    flags[g] |= SCHEDULED;
-                    prefetch_row(&log.records[g]);
-                    heap.push(Reverse((t, g as u32)));
+            let at = d.delivered_at;
+            debug_assert!(at < stop, "a network event at or past the horizon");
+            time[id] = at;
+            flags[id] |= DELIVERED;
+            *delivered += 1;
+            // A row still to come may be gated by this delivery, from
+            // `at` on: the latest arrival its destination has been
+            // given, or one whose capture delivery is not known yet.
+            if *open {
+                if flags[id] & ARRIVED == 0 {
+                    early.push(Reverse(key(at, id as u32)));
+                    *horizon = (*horizon).min(at);
+                } else {
+                    let (a, a_at) = last_arrival[d.msg.dst.idx()];
+                    if a == id as u32 {
+                        *horizon = (*horizon).min(after_anchor(at, a_at, *watermark));
+                    }
                 }
+            }
+            let mut g = plan.heads[LISTS + id];
+            while g != NONE {
+                let gi = g as usize;
+                flags[gi] |= GATE_DONE;
+                let ready = at + plan.delta[gi];
+                if flags[gi] & PREV_DONE == 0 {
+                    time[gi] = ready;
+                } else {
+                    // The predecessor's injection, if it came first.
+                    let t = ready.max(time[gi]);
+                    flags[gi] |= SCHEDULED;
+                    prefetch(msgs.msg(gi));
+                    heap.push(Reverse(key(t, g)));
+                }
+                g = plan.next[gi];
             }
         }
     }
-    ReplayResult::from_times(log, inject, deliver)
+    true
 }
 
 /// Per-(src, dst, class) multiplicative correction factors derived from
@@ -623,17 +1297,26 @@ fn run_gated(
 pub fn pair_corrections(
     log: &TraceLog,
     result: &ReplayResult,
-    mut base_latency: impl FnMut(&sctm_engine::net::Message) -> SimTime,
+    base_latency: impl FnMut(&Message) -> SimTime,
 ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
-    let nodes = log.nodes();
+    corrections(log.nodes(), result.replayed(log), base_latency)
+}
+
+/// [`pair_corrections`] of the `replayed` messages, in id order, over
+/// `nodes` nodes.
+fn corrections<'a>(
+    nodes: usize,
+    replayed: impl Iterator<Item = (&'a Message, SimTime, SimTime)>,
+    mut base_latency: impl FnMut(&Message) -> SimTime,
+) -> Vec<((u32, u32, MsgClass), f64, u64)> {
     // (replay latency sum, base-model latency sum, message count) per
     // (src, dst, class) cell.
     let mut acc: Vec<(f64, f64, u64)> = vec![(0.0, 0.0, 0); nodes * nodes * 2];
-    for (i, r) in log.records.iter().enumerate() {
-        let c = matches!(r.msg.class, MsgClass::Data) as usize;
-        let cell = &mut acc[(r.msg.src.idx() * nodes + r.msg.dst.idx()) * 2 + c];
-        cell.0 += result.deliver[i].saturating_since(result.inject[i]).as_ps() as f64;
-        cell.1 += base_latency(&r.msg).as_ps() as f64;
+    for (msg, inject, deliver) in replayed {
+        let c = matches!(msg.class, MsgClass::Data) as usize;
+        let cell = &mut acc[(msg.src.idx() * nodes + msg.dst.idx()) * 2 + c];
+        cell.0 += deliver.saturating_since(inject).as_ps() as f64;
+        cell.1 += base_latency(msg).as_ps() as f64;
         cell.2 += 1;
     }
     // Emit in (src, dst, Control-before-Data) order.

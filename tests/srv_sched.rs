@@ -230,16 +230,22 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
         Some(std::sync::Arc::clone(&log)),
     ));
     // `parse_request` refuses ops below the workload builder's minimum;
-    // a hand-built request reaches the assert inside the simulator.
-    let bad = RunRequest {
-        id: "bad".into(),
+    // a hand-built request reaches the assert inside the simulator —
+    // once for an exec-driven run, once for a self-correction loop
+    // (`mode=sctm`, not `replay=1`).
+    let bad = |id: &str, mode| RunRequest {
+        id: id.into(),
         experiment: Experiment::new(SystemConfig::new(2, NetworkKind::Omesh), Kernel::Fft)
             .with_ops(10),
-        spec: RunSpec::new(Mode::ExecutionDriven),
+        spec: RunSpec::new(mode),
         timeout_ms: None,
     };
     let wait = std::time::Duration::from_secs(60);
-    let bad_rx = server.submit(bad).expect("enqueue bad");
+    let bad_rx = [
+        bad("bad", Mode::ExecutionDriven),
+        bad("bad-sctm", Mode::SelfCorrection { max_iters: 4 }),
+    ]
+    .map(|req| server.submit(req).expect("enqueue bad"));
     let good_rx = server
         .submit(run_req(
             "run kernel=fft net=omesh side=2 ops=150 mode=exec-driven id=good",
@@ -247,10 +253,12 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
         .expect("enqueue good");
     // The unwinding job dropped its sender without a reply, which the
     // front ends answer with the `internal` line.
-    assert!(matches!(
-        bad_rx.recv_timeout(wait),
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
-    ));
+    for rx in bad_rx {
+        assert!(matches!(
+            rx.recv_timeout(wait),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+        ));
+    }
     let good = good_rx
         .recv_timeout(wait)
         .expect("the only worker died with the bad request");
@@ -258,7 +266,7 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
     let snap = server.svc_snapshot();
     assert_eq!(snap.in_flight, 0);
     let stats = server.stats_manifest().to_json();
-    assert_eq!(stats_counter(&stats, "srv.errors"), 1, "{stats}");
+    assert_eq!(stats_counter(&stats, "srv.errors"), 2, "{stats}");
     assert_eq!(stats_counter(&stats, "srv.completed"), 1, "{stats}");
     // A drain that waits on the dead request would hang here.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -267,23 +275,21 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
         let _ = done_tx.send(());
     });
     done_rx.recv_timeout(wait).expect("drain hung");
-    // The panicked request has its log line, as every answered one does.
+    // Each panicked request has its log line, as every answered one does.
     let text = std::fs::read_to_string(log.path()).expect("read log");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2, "{lines:#?}");
-    for needle in [
-        r#""id":"bad""#,
-        r#""verb":"run""#,
-        r#""outcome":"error""#,
-        r#""error_kind":"internal""#,
-    ] {
-        assert!(
-            lines[0].contains(needle),
-            "missing {needle} in {}",
-            lines[0]
-        );
+    assert_eq!(lines.len(), 3, "{lines:#?}");
+    for (line, id) in lines.iter().zip([r#""id":"bad""#, r#""id":"bad-sctm""#]) {
+        for needle in [
+            id,
+            r#""verb":"run""#,
+            r#""outcome":"error""#,
+            r#""error_kind":"internal""#,
+        ] {
+            assert!(line.contains(needle), "missing {needle} in {line}");
+        }
     }
-    assert!(lines[1].contains(r#""id":"good""#), "{}", lines[1]);
+    assert!(lines[2].contains(r#""id":"good""#), "{}", lines[2]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -23,10 +23,7 @@
 //! latency blame plus the critical path — and `critpath.folded`, a
 //! folded-stack file for flamegraph tooling. The sampled per-node
 //! counter series ride along as Perfetto counter tracks in
-//! `trace.json` and as a `series` section in the manifest, joined by
-//! `conv.*` tracks from every self-correction loop. The per-iteration
-//! drift ledger itself lands in `convergence.json` — verdicts and top
-//! movers per run.
+//! `trace.json` and as a `series` section in the manifest.
 
 use sctm_bench::{num_threads, run_experiment, Scale, EXPERIMENT_IDS};
 use sctm_core::{Experiment, NetworkKind, RunSpec, SystemConfig};
@@ -158,14 +155,6 @@ fn main() {
     for (_, series) in &profiles {
         manifest.series.push(series.clone());
     }
-    // Per-iteration convergence telemetry from every self-correction
-    // loop traced above: drift/factor-move/sign-flip tracks plus
-    // per-node error series, keyed by (network, workload).
-    let conv_runs = obs::conv_snapshot();
-    let conv_store = obs::conv_series(&conv_runs);
-    if !conv_store.is_empty() {
-        manifest.series.push(conv_store.clone());
-    }
     let manifest_json = manifest.to_json();
     if json {
         println!("{manifest_json}");
@@ -176,18 +165,9 @@ fn main() {
         // run's node gauges would collide with the same track names.
         let empty = obs::SeriesStore::default();
         let series = profiles.first().map_or(&empty, |(_, s)| s);
-        // Convergence series ride along as extra counter tracks; their
-        // `conv.<net>.<wl>.` prefix keeps them clear of the node gauges.
-        let mut tracked = series.clone();
-        tracked.series.extend(conv_store.series.iter().cloned());
-        let trace = obs::chrome_trace_with_series(&obs::drain(), &tracked);
+        let trace = obs::chrome_trace_with_series(&obs::drain(), series);
         std::fs::write(dir.join("trace.json"), trace).expect("write trace.json");
         std::fs::write(dir.join("manifest.json"), &manifest_json).expect("write manifest.json");
-        std::fs::write(
-            dir.join("convergence.json"),
-            obs::conv_report_json(&conv_runs),
-        )
-        .expect("write convergence.json");
         let mut blame_doc = String::from("[\n");
         let mut folded = String::new();
         for (i, (blame, _)) in profiles.iter().enumerate() {
@@ -201,7 +181,7 @@ fn main() {
         std::fs::write(dir.join("blame.json"), blame_doc).expect("write blame.json");
         std::fs::write(dir.join("critpath.folded"), folded).expect("write critpath.folded");
         eprintln!(
-            "# obs: wrote trace.json, manifest.json, convergence.json, blame.json, critpath.folded to {} — open trace.json at https://ui.perfetto.dev",
+            "# obs: wrote trace.json, manifest.json, blame.json, critpath.folded to {} — open trace.json at https://ui.perfetto.dev",
             dir.display()
         );
     }

@@ -16,7 +16,7 @@ use sctm_engine::time::SimTime;
 use sctm_obs as obs;
 use sctm_trace::replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_pass_with, replay_sctm_stream, ReplayScratch,
+    replay_sctm_stream, ReplayScratch,
 };
 use sctm_trace::{Capture, OnlineCorrected, ReplayResult, StreamCapture, StreamedPass, TraceLog};
 use sctm_workloads::{build, Kernel, WorkloadParams};
@@ -223,7 +223,7 @@ impl Experiment {
     /// rows as this thread's capture finalises them
     /// ([`replay_sctm_stream`]; DESIGN.md §7, "The loop captures and
     /// replays at once"). What it returns reads as capturing, then
-    /// [`replay_sctm_pass_with`], would have.
+    /// [`replay_sctm_pass`], would have.
     ///
     /// The loop reads the pass in place and never the log's other
     /// columns, so the capture's tail is dropped unassembled. A capture
@@ -355,15 +355,12 @@ impl Experiment {
         let mut iters = Vec::new();
         let mut prev_est = SimTime::ZERO;
         let mut last: Option<Replayed<'_>> = None;
-        // One replay arena for the whole loop: every iteration replays a
-        // same-shaped trace, so the buffers are paid for once.
+        // One set of pass pages for the whole loop: every iteration
+        // streams a same-shaped trace, so the buffers are paid for once.
         let mut scratch = ReplayScratch::new();
-        // Convergence observability: the drift ledger exists only while
-        // recording is on; the verdict inputs (drift/signed-movement
-        // history) are a handful of scalar pushes and always tracked,
-        // so the verdict never depends on the recording state.
-        let mut conv = obs::enabled()
-            .then(|| obs::ConvTracker::new(kind.label(), self.kernel.label(), self.damping));
+        // The verdict inputs (drift/signed-movement history) are a
+        // handful of scalar pushes, always tracked, so the verdict never
+        // depends on the recording state.
         let mut drift_hist: Vec<u64> = Vec::with_capacity(max_iters);
         let mut signed_hist: Vec<f64> = Vec::with_capacity(max_iters);
         let mut last_factor_move = 0.0f64;
@@ -380,12 +377,14 @@ impl Experiment {
             let mut net = SystemConfig::make_network_kind(side, kind);
             // Iteration 1 runs on the uncorrected model, so a cached
             // capture of this experiment substitutes exactly — read in
-            // place, never copied. Every other iteration captures and
-            // replays at once.
+            // place, never copied, through the gate plan the log
+            // memoises (a second request over the same cached capture
+            // reuses it). Every other iteration captures and replays at
+            // once.
             let replayed = match seed {
                 Some(s) if it == 1 => {
                     let _span = obs::span("sctm", "replay");
-                    Replayed::Whole(s, replay_sctm_pass_with(s, net.as_mut(), &mut scratch))
+                    Replayed::Whole(s, replay_sctm_pass(s, net.as_mut()))
                 }
                 _ => Replayed::Streamed(self.capture_and_replay(
                     model.clone(),
@@ -398,7 +397,7 @@ impl Experiment {
             }
             let est = replayed.est_exec_time();
             if obs::enabled() {
-                obs::with_global(|reg| obs::publish_network(reg, net.as_ref(), est));
+                obs::with_global(|reg| obs::publish_network(reg, net.as_ref()));
             }
             let drift = est.abs_diff(prev_est);
             // Damped warm-start update: the factor table carries over
@@ -416,10 +415,6 @@ impl Experiment {
             let corr = replayed.pair_corrections(|m| model.base_latency(m));
             let alpha = self.damping;
             let (mut moved_weighted, mut signed_weighted, mut weight) = (0.0f64, 0.0f64, 0.0f64);
-            let mut pair_moves: Vec<obs::PairMove> = Vec::new();
-            if conv.is_some() {
-                pair_moves.reserve(corr.len());
-            }
             for &((s, d, class), f, count) in &corr {
                 let old = model.correction(NodeId(s), NodeId(d), class);
                 model.set_correction(NodeId(s), NodeId(d), class, (1.0 - alpha) * old + alpha * f);
@@ -428,17 +423,6 @@ impl Experiment {
                 moved_weighted += moved * count as f64;
                 signed_weighted += (installed - old) / old.abs().max(1e-12) * count as f64;
                 weight += count as f64;
-                if conv.is_some() {
-                    pair_moves.push(obs::PairMove {
-                        src: s,
-                        dst: d,
-                        class: class.label(),
-                        factor_old: old,
-                        factor_measured: f,
-                        factor_new: installed,
-                        messages: count,
-                    });
-                }
             }
             let factor_move = if weight > 0.0 {
                 moved_weighted / weight
@@ -477,16 +461,6 @@ impl Experiment {
                 messages: replayed.len() as u64,
                 wall_ns: iter_wall.elapsed().as_nanos() as u64,
             });
-            if let Some(c) = conv.as_mut() {
-                c.record_iteration(
-                    it as u32,
-                    est.as_ps(),
-                    drift.as_ps(),
-                    factor_move,
-                    signed_move,
-                    &pair_moves,
-                );
-            }
             drift_hist.push(drift.as_ps());
             signed_hist.push(signed_move);
             last_factor_move = factor_move;
@@ -517,9 +491,6 @@ impl Experiment {
             };
             obs::classify_unconverged(&drift_hist, &signed_hist, last_factor_move, stall_eps)
         });
-        if let Some(c) = conv {
-            c.finish(verdict);
-        }
         let last = last.expect("the loop runs at least once");
         RunReport {
             mode: Mode::SelfCorrection { max_iters }.label(),
@@ -578,7 +549,7 @@ impl Experiment {
         );
         let res = sim.run(&mut NullHook);
         if obs::enabled() {
-            obs::with_global(|reg| obs::publish_network(reg, sim.network(), res.exec_time));
+            obs::with_global(|reg| obs::publish_network(reg, sim.network()));
         }
         let stats = sim.network().stats();
         RunReport {
@@ -626,7 +597,7 @@ impl Experiment {
             }
         };
         if obs::enabled() {
-            obs::with_global(|reg| obs::publish_network(reg, net.as_ref(), result.est_exec_time));
+            obs::with_global(|reg| obs::publish_network(reg, net.as_ref()));
         }
         Ok(RunReport {
             mode: mode.label(),
@@ -655,7 +626,7 @@ impl Experiment {
         let mut sim = CmpSim::new(self.system.cmp.clone(), net, self.workload());
         let res = sim.run(&mut NullHook);
         if obs::enabled() {
-            obs::with_global(|reg| obs::publish_network(reg, sim.network(), res.exec_time));
+            obs::with_global(|reg| obs::publish_network(reg, sim.network()));
         }
         let stats = sim.network().stats();
         RunReport {

@@ -332,9 +332,8 @@ impl Manifest {
 /// Minimal structural JSON check: balanced braces/brackets outside
 /// string literals, escapes well-formed. Not a full parser, but it
 /// catches the serialisation mistakes hand-written JSON makes.
-/// Test-only, shared with the conv-report tests.
 #[cfg(test)]
-pub(crate) fn check_json(s: &str) {
+fn check_json(s: &str) {
     let mut depth: Vec<char> = Vec::new();
     let mut chars = s.chars();
     let mut in_str = false;
@@ -481,7 +480,7 @@ mod tests {
         m.config("scale", "quick").config("seed", 42);
         m.phase("e1", 12.5).phase("e2", 0.125);
         m.metrics.counter_add("net.omesh.delivered", 2000);
-        m.metrics.gauge_set("net.omesh.energy_pj", 1.5);
+        m.metrics.gauge_set("run.mean_lat_ctrl_ns", 1.5);
         for v in [100u64, 200, 300] {
             m.metrics.hist_record("net.omesh.lat_ctrl_ps", v);
         }

@@ -27,10 +27,9 @@ mod series;
 pub mod svc;
 mod tracer;
 
-pub use conv::{
-    classify_unconverged, conv_report_json, conv_series, conv_snapshot, reset_conv, ConvRun,
-    ConvTracker, ConvergenceVerdict, IterLedger, LedgerEntry, PairMove,
-};
+#[doc(hidden)]
+pub use conv::reset_conv;
+pub use conv::{classify_unconverged, ConvergenceVerdict};
 pub use export::{
     chrome_trace_json, chrome_trace_with_series, json_escape, json_f64, Manifest, PhaseWall,
 };

@@ -10,9 +10,8 @@
 //! checks.
 
 use crate::{enabled, lock_unpoisoned};
-use sctm_engine::net::{NetworkModel, NodeObs};
+use sctm_engine::net::NetworkModel;
 use sctm_engine::stats::Histogram;
-use sctm_engine::time::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -150,31 +149,16 @@ pub fn reset_global() {
     lock_unpoisoned(&GLOBAL).map.clear();
 }
 
-/// Publish a network model's aggregate stats and per-node observations
-/// into `reg` under `net.<label>.*`. `elapsed` scales cumulative link
-/// busy time into a utilisation gauge.
-pub fn publish_network(reg: &mut MetricsRegistry, model: &dyn NetworkModel, elapsed: SimTime) {
+/// Publish a network model's message counts and latency distributions
+/// into `reg` under `net.<label>.*`.
+pub fn publish_network(reg: &mut MetricsRegistry, model: &dyn NetworkModel) {
     let label = model.label();
     let s = model.stats();
     reg.counter_add(format!("net.{label}.injected"), s.injected);
     reg.counter_add(format!("net.{label}.delivered"), s.delivered);
     reg.counter_add(format!("net.{label}.bytes_delivered"), s.bytes_delivered);
-    reg.gauge_set(format!("net.{label}.energy_pj"), s.energy_pj);
     reg.hist_merge(format!("net.{label}.lat_ctrl_ps"), &s.ctrl_latency_ps);
     reg.hist_merge(format!("net.{label}.lat_data_ps"), &s.data_latency_ps);
-    let mut nodes: Vec<NodeObs> = Vec::new();
-    model.observe_nodes(&mut nodes);
-    let el = elapsed.as_ps().max(1) as f64;
-    for o in &nodes {
-        reg.gauge_set(
-            format!("net.{label}.node{:03}.queue_depth", o.node),
-            o.queue_depth as f64,
-        );
-        reg.gauge_set(
-            format!("net.{label}.node{:03}.link_util", o.node),
-            (o.link_busy_ps as f64 / el).min(1.0),
-        );
-    }
 }
 
 /// One iteration of the self-correction loop, as telemetry.
@@ -192,23 +176,12 @@ pub struct IterTelemetry {
 
 static ITERATIONS: Mutex<Vec<IterTelemetry>> = Mutex::new(Vec::new());
 
-/// Record one self-correction iteration: kept structured for the run
-/// manifest and mirrored into the global registry as gauges under
-/// `sctm.<network>.<workload>.iterNN.*` so it is queryable like any
-/// other metric. No-op while recording is disabled.
+/// Record one self-correction iteration for the run manifest's
+/// `iterations` section. No-op while recording is disabled.
 pub fn record_iteration(t: IterTelemetry) {
-    if !enabled() {
-        return;
+    if enabled() {
+        lock_unpoisoned(&ITERATIONS).push(t);
     }
-    lock_unpoisoned(&ITERATIONS).push(t);
-    with_global(|reg| {
-        let p = format!("sctm.{}.{}.iter{:02}", t.network, t.workload, t.iteration);
-        reg.gauge_set(format!("{p}.est_ps"), t.est_ps as f64);
-        reg.gauge_set(format!("{p}.drift_ps"), t.drift_ps as f64);
-        reg.gauge_set(format!("{p}.corrections"), t.corrections as f64);
-        reg.gauge_set(format!("{p}.messages"), t.messages as f64);
-        reg.gauge_set(format!("{p}.wall_ns"), t.wall_ns as f64);
-    });
 }
 
 /// Every iteration recorded since the last reset, in a deterministic
@@ -295,40 +268,25 @@ mod tests {
     }
 
     #[test]
-    fn iteration_telemetry_gated_and_mirrored() {
+    fn iteration_telemetry_is_gated() {
         let _serial = lock_unpoisoned(&crate::GLOBAL_STATE_TESTS);
-        crate::set_enabled(false);
-        record_iteration(IterTelemetry {
-            network: "none",
-            workload: "none",
-            iteration: 1,
-            est_ps: 1,
-            drift_ps: 1,
-            corrections: 0,
-            messages: 0,
-            wall_ns: 0,
-        });
-        assert!(!iterations_snapshot().iter().any(|t| t.network == "none"));
-
-        crate::set_enabled(true);
-        record_iteration(IterTelemetry {
-            network: "testnet",
+        let at = |network| IterTelemetry {
+            network,
             workload: "testwl",
-            iteration: 2,
+            iteration: 1,
             est_ps: 123,
             drift_ps: 4,
             corrections: 5,
             messages: 6,
             wall_ns: 7,
-        });
+        };
         crate::set_enabled(false);
-        assert!(iterations_snapshot()
-            .iter()
-            .any(|t| t.network == "testnet" && t.est_ps == 123));
-        let g = global_snapshot();
-        assert_eq!(
-            g.get("sctm.testnet.testwl.iter02.est_ps"),
-            Some(&MetricValue::Gauge(123.0))
-        );
+        record_iteration(at("off"));
+        crate::set_enabled(true);
+        record_iteration(at("on"));
+        crate::set_enabled(false);
+        let recorded = iterations_snapshot();
+        assert!(!recorded.iter().any(|t| t.network == "off"));
+        assert!(recorded.contains(&at("on")));
     }
 }

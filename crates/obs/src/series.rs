@@ -1,9 +1,9 @@
 //! Time-series sampling of per-node network gauges.
 //!
-//! [`publish_network`] captures one end-of-run snapshot per node; this
-//! module captures the *trajectory*: a [`SampledNetwork`] wraps any
-//! [`NetworkModel`] and, while the simulation advances, records each
-//! node's queue depth and link utilisation at a fixed sim-time cadence.
+//! A [`SampledNetwork`] wraps any [`NetworkModel`] and, while the
+//! simulation advances, records each node's queue depth and link
+//! utilisation at a fixed sim-time cadence — the trajectory, where an
+//! end-of-run snapshot would read an empty network.
 //! The result is a [`SeriesStore`] of compact `(t_ps, value)` series
 //! that export as Perfetto counter tracks (see
 //! [`crate::chrome_trace_with_series`]) and as a `series` section of
@@ -13,8 +13,6 @@
 //! calls at sample boundaries, which every model already supports at
 //! arbitrary horizons, so wrapped and bare runs produce identical
 //! deliveries — asserted by the tests below.
-//!
-//! [`publish_network`]: crate::publish_network
 
 use sctm_engine::net::{Delivery, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs};
 use sctm_engine::time::SimTime;

@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 /// Version of the `stats` verb's JSON snapshot. Bump on any field
 /// removal or rename; additions are compatible.
-pub const SVC_STATS_VERSION: u32 = 3;
+pub const SVC_STATS_VERSION: u32 = 4;
 
 /// One phase of the request lifecycle, measured in host microseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -454,8 +454,8 @@ mod tests {
     fn prometheus_names_are_sanitised() {
         assert_eq!(prometheus_name("srv.cache.hits"), "sctm_srv_cache_hits");
         assert_eq!(
-            prometheus_name("net.omesh.node003.queue_depth"),
-            "sctm_net_omesh_node003_queue_depth"
+            prometheus_name("net.omesh.lat_data_ps"),
+            "sctm_net_omesh_lat_data_ps"
         );
         assert_eq!(prometheus_name("a-b c"), "sctm_a_b_c");
     }

@@ -132,11 +132,18 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
         rate(prev.completed, cur.completed, dt),
     ));
     out.push_str(&format!(
-        "           errors {:>6}   busy {:>6}   timeouts {:>6}   budget-exhausted {:>4}\n\n",
+        "           errors {:>6}   busy {:>6}   timeouts {:>6}   budget-exhausted {:>4}\n",
         cur.errors,
         cur.rejected,
         cur.timeouts,
         counter(doc, "srv.budget_exhausted"),
+    ));
+    // Polls of `stats` (this monitor's own included) and `metrics`
+    // scrapes: how much of the traffic is watching the rest.
+    out.push_str(&format!(
+        "           polls  stats {:>6}   metrics {:>6}\n\n",
+        counter(doc, "srv.stats_served"),
+        counter(doc, "srv.metrics_served"),
     ));
     out.push_str(&format!(
         "cache      hit {:>5.1}%   hits {:>8}   misses {:>6}   waits {:>5}   bypass {:>5}\n",
@@ -146,11 +153,13 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
         counter(doc, "srv.cache.single_flight_waits"),
         counter(doc, "srv.cache.bypass"),
     ));
+    let (entries, bytes) = (g("srv.cache.entries"), g("srv.cache.bytes"));
+    let per_entry = if entries > 0.0 { bytes / entries } else { 0.0 };
     out.push_str(&format!(
         "           entries {:>5}   {:>9.1} MiB resident   {:>7.1} KiB/entry   evictions {:>5}\n\n",
-        g("srv.cache.entries") as u64,
-        mib(g("srv.cache.bytes")),
-        g("srv.cache.bytes_per_entry") / 1024.0,
+        entries as u64,
+        mib(bytes),
+        per_entry / 1024.0,
         counter(doc, "srv.cache.evictions"),
     ));
     out.push_str(&format!(
@@ -174,10 +183,6 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
             counter(doc, "srv.shard.forwarded"),
             counter(doc, "srv.shard.fwd_served"),
             counter(doc, "srv.shard.fwd_errors"),
-        ));
-        out.push_str(&format!(
-            "           fwd frames   sctf {:>6}\n",
-            counter(doc, "srv.shard.fwd_sctf"),
         ));
     }
     out.push('\n');

@@ -120,7 +120,6 @@ pub fn parse_request(line: &str) -> Result<Request, SctmError> {
     let mut iters = 4usize;
     let mut epoch_us = 5u64;
     let mut replay = false;
-    let mut profile = false;
     let mut damping = None;
     let mut epsilon = None;
     let mut id = String::new();
@@ -140,7 +139,6 @@ pub fn parse_request(line: &str) -> Result<Request, SctmError> {
             "iters" => iters = parse_num(k, v)?,
             "epoch_us" => epoch_us = parse_num(k, v)?,
             "replay" => replay = v == "1" || v == "true",
-            "profile" => profile = v == "1" || v == "true",
             "damping" => damping = Some(parse_num::<f64>(k, v)?),
             "epsilon" => epsilon = Some(parse_num::<f64>(k, v)?),
             "id" => id = v.to_string(),
@@ -165,7 +163,6 @@ pub fn parse_request(line: &str) -> Result<Request, SctmError> {
     };
     let mut spec = RunSpec::new(mode);
     spec.replay_only = replay;
-    spec.profile = profile;
     spec.damping = damping;
     spec.factor_epsilon = epsilon;
     // Reject before queueing, not after a scheduling round trip.
@@ -409,7 +406,7 @@ mod tests {
     fn parses_a_full_run_line() {
         let r = run_req(
             "run kernel=lu net=oxbar side=8 ops=900 seed=7 mode=sctm iters=3 \
-             replay=1 profile=1 damping=0.5 epsilon=0.05 id=r42 timeout_ms=2500",
+             replay=1 damping=0.5 epsilon=0.05 id=r42 timeout_ms=2500",
         );
         assert_eq!(r.id, "r42");
         assert_eq!(r.experiment.system.side, 8);
@@ -418,7 +415,6 @@ mod tests {
         assert_eq!(r.experiment.seed, 7);
         assert_eq!(r.spec.mode, Mode::SelfCorrection { max_iters: 3 });
         assert!(r.spec.replay_only);
-        assert!(r.spec.profile);
         assert_eq!(r.spec.damping, Some(0.5));
         assert_eq!(r.spec.factor_epsilon, Some(0.05));
         assert_eq!(r.timeout_ms, Some(2500));
@@ -462,7 +458,7 @@ mod tests {
             "run kernel=fft mode=sctm iters=0",
             "run kernel=fft mode=online epoch_us=0",
             "run kernel=fft damping=1.5",
-            "run kernel=fft mode=exec-driven profile=1",
+            "run kernel=fft replay=1 profile=1",
             "run magic=on kernel=fft",
             "run",
         ] {

@@ -152,8 +152,6 @@ struct ShardCounters {
     /// Forwards that failed (peer down, malformed reply); the capture
     /// was taken locally instead.
     fwd_errors: AtomicU64,
-    /// `fwd` replies rendered as sctf frames.
-    fwd_sctf: AtomicU64,
 }
 
 struct Shared {
@@ -355,10 +353,6 @@ impl Server {
         } else {
             CacheOutcome::Miss
         };
-        self.shared
-            .shard_counters
-            .fwd_sctf
-            .fetch_add(1, Ordering::Relaxed);
         proto::fwd_response(&f.id, outcome, &log)
     }
 
@@ -411,15 +405,6 @@ impl Server {
             .counter_add("srv.cache.single_flight_waits", cs.single_flight_waits);
         m.metrics.gauge_set("srv.cache.entries", cs.entries as f64);
         m.metrics.gauge_set("srv.cache.bytes", cs.bytes as f64);
-        // Mean resident size per entry (parsed log + gate plan): the
-        // at-a-glance capacity figure — budget / bytes_per_entry is how
-        // many workloads stay warm. Zero while the cache is empty.
-        let per_entry = if cs.entries > 0 {
-            cs.bytes as f64 / cs.entries as f64
-        } else {
-            0.0
-        };
-        m.metrics.gauge_set("srv.cache.bytes_per_entry", per_entry);
         m.metrics
             .gauge_set("srv.queue.depth", self.queue_depth() as f64);
         {
@@ -457,8 +442,6 @@ impl Server {
             "srv.shard.fwd_errors",
             sc.fwd_errors.load(Ordering::Relaxed),
         );
-        m.metrics
-            .counter_add("srv.shard.fwd_sctf", sc.fwd_sctf.load(Ordering::Relaxed));
         self.shared.svc.snapshot().publish(&mut m.metrics);
         m
     }

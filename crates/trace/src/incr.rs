@@ -3,7 +3,7 @@
 //! `trace.incr_*` metrics through. The next `[benchmark]` PR that drops
 //! those metrics deletes this file; nothing else may use it.
 
-use crate::replay::{replay_sctm_pass_with, ReplayResult, ReplayScratch};
+use crate::replay::{replay_sctm_pass, ReplayResult, ReplayScratch};
 use crate::TraceLog;
 use sctm_engine::net::NetworkModel;
 
@@ -26,15 +26,17 @@ impl IncrReplayer {
         IncrReplayer
     }
 
-    /// [`replay_sctm_pass_with`], reported as the full pass it is.
+    /// [`replay_sctm_pass`], reported as the full pass it is. The
+    /// scratch is unused: a whole-log pass reads the plan the log
+    /// memoises.
     pub fn replay(
         &mut self,
         log: &TraceLog,
         net: &mut Box<dyn NetworkModel>,
-        scratch: &mut ReplayScratch,
+        _scratch: &mut ReplayScratch,
     ) -> (ReplayResult, IncrPassStats) {
         let kind = PassKind::Full;
-        let result = replay_sctm_pass_with(log, net.as_mut(), scratch);
+        let result = replay_sctm_pass(log, net.as_mut());
         (result, IncrPassStats { kind, dirty: 0 })
     }
 }

@@ -38,7 +38,7 @@ pub use online::{OnlineCorrected, ShadowFactory};
 pub use persist::{TraceError, TraceFormat, TraceStore};
 pub use replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_pass_ordered, replay_sctm_pass_with, replay_sctm_stream, GatePlan, ReplayResult,
-    ReplayScratch, StreamedPass,
+    replay_sctm_pass_ordered, replay_sctm_stream, GatePlan, ReplayResult, ReplayScratch,
+    StreamedPass,
 };
 pub use sctf::SctfReader;

@@ -1493,7 +1493,7 @@ mod tests {
     /// capture's: the streamed pass runs far ahead of the capture, so
     /// only the horizon keeps it from passing a row still to come.
     fn assert_streamed_pass_matches_whole(events: &[(u64, Ev)]) {
-        use crate::replay::{replay_sctm_pass_with, replay_sctm_stream, ReplayScratch};
+        use crate::replay::{replay_sctm_pass, replay_sctm_stream, ReplayScratch};
         use sctm_engine::net::AnalyticNetwork;
         let feed_all = |hook: &mut dyn TraceHook| {
             let mut now = None;
@@ -1513,7 +1513,7 @@ mod tests {
         let mut cap = Capture::new();
         feed_all(&mut cap);
         let log = cap.finish("test", exec);
-        let whole = replay_sctm_pass_with(&log, &mut net(), &mut ReplayScratch::new());
+        let whole = replay_sctm_pass(&log, &mut net());
         let (mut cap, feed) = StreamCapture::new();
         cap.set_flush_rows(1);
         let mut scratch = ReplayScratch::new();

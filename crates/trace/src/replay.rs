@@ -27,21 +27,16 @@
 //! adjacency, the initial readiness flags — is one immutable
 //! [`GatePlan`]; what a pass mutates (`PassState`: readiness flags,
 //! gate/predecessor times, the injection heap, the drain buffer) is all
-//! a pass resets. Who owns the plan follows who replays the log how
-//! often:
+//! a pass resets. Who owns the plan follows how the rows arrive:
 //!
 //! - [`replay_sctm_pass`] reads the plan the log memoises
-//!   ([`TraceLog::gate_plan`]): K replays of one capture — K `replay=1`
-//!   requests over one cached log in `sctmd` — prepare once.
-//! - [`replay_sctm_pass_with`] rebuilds the plan into a borrowed
-//!   [`ReplayScratch`] arena: the self-correction loop in `sctm-core`
-//!   replays every log exactly once and re-captures, so a per-log plan
-//!   there would be allocated, used once and dropped; one arena paid for
-//!   up front serves every iteration instead.
-//! - [`replay_sctm_stream`] grows the plan in the same arena as a
-//!   capture still running hands its rows over: the loop replays each
-//!   capture while the simulator produces it, behind a horizon that
-//!   keeps the result the whole-log pass's to the bit.
+//!   ([`TraceLog::gate_plan`]): K replays of one capture — K requests
+//!   over one cached log in `sctmd` — prepare once.
+//! - [`replay_sctm_stream`] grows the plan in a borrowed
+//!   [`ReplayScratch`] as a capture still running hands its rows over:
+//!   the loop replays each capture while the simulator produces it,
+//!   behind a horizon that keeps the result the whole-log pass's to the
+//!   bit.
 
 use crate::log::{
     CaptureBatch, CaptureFeed, CaptureTail, TraceLog, TraceRecord, NONE, UNDELIVERED,
@@ -467,18 +462,16 @@ impl GatePlan {
     /// The plan of `log` as [`replay_sctm_pass`] runs it, in vectors of
     /// exactly the size they need.
     pub(crate) fn of(log: &TraceLog) -> GatePlan {
-        let mut plan = GatePlan::default();
-        plan.build(log, &mut GateBuilder::new(false));
-        plan
+        GatePlan::build(log, false)
     }
 
-    /// Rebuild this plan for `log`, recycling its buffers: the builder
-    /// fed the whole log.
-    fn build(&mut self, log: &TraceLog, builder: &mut GateBuilder) {
-        let plan = &mut self.0;
+    /// The builder fed the whole log.
+    fn build(log: &TraceLog, enforce_source_order: bool) -> GatePlan {
+        let mut plan = Plan::default();
         plan.clear();
         plan.grow(log.len());
-        builder.feed_whole(log, |i, row| plan.link(i, &row));
+        GateBuilder::new(enforce_source_order).feed_whole(log, |i, row| plan.link(i, &row));
+        GatePlan(plan)
     }
 
     /// Heap bytes of the plan of a log with `rows` messages.
@@ -721,27 +714,21 @@ fn after_anchor(replay: SimTime, capture: SimTime, w: SimTime) -> SimTime {
     )
 }
 
-/// Reusable working set for the engines a caller runs in a loop.
+/// The pages a streamed pass ([`replay_sctm_stream`]) grows its plan
+/// and state in.
 ///
-/// The self-correction loop in `sctm-core` replays a fresh same-sized
-/// trace once per iteration, so it borrows one of these for the whole
-/// run ([`replay_sctm_pass_with`], [`replay_sctm_stream`]): the plan is
-/// rebuilt in place and the pass state reset, so after the first pass
-/// nothing of a trace's size is allocated but what the pass returns.
-///
-/// A scratch is not tied to one trace: buffers are resized on entry to
-/// each pass, so one instance can serve logs of different sizes
-/// (capacity only ever grows).
+/// The self-correction loop in `sctm-core` streams a fresh same-sized
+/// capture once per iteration, so it borrows one of these for the whole
+/// run: the plan and pass state are reset in place, so after the first
+/// pass nothing of a trace's size is allocated but what the pass hands
+/// over. One instance can serve captures of different sizes (capacity
+/// only ever grows).
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    /// The arena plan: rebuilt for whichever log is replayed next.
-    plan: GatePlan,
-    builder: GateBuilder,
-    pass: PassState<Flat>,
-    /// A streamed pass's plan and state, and the rows and arrival order
-    /// it assembles (handed over in its [`StreamedPass`]).
-    stream_plan: Plan<Paged>,
-    stream: PassState<Paged>,
+    plan: Plan<Paged>,
+    pass: PassState<Paged>,
+    /// The rows and arrival order the pass assembles (handed over in
+    /// its [`StreamedPass`]).
     rows: Pages<TraceRecord>,
     arrival: Pages<u32>,
 }
@@ -926,18 +913,6 @@ pub fn replay_sctm_pass(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayRes
     whole_pass(log, net, log.gate_plan(), &mut PassState::default())
 }
 
-/// [`replay_sctm_pass`] for a caller that replays each log once and
-/// many logs in a row: the plan is rebuilt into the borrowed
-/// [`ReplayScratch`] instead of being memoised on the log.
-pub fn replay_sctm_pass_with(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    scratch: &mut ReplayScratch,
-) -> ReplayResult {
-    scratch.plan.build(log, &mut scratch.builder);
-    whole_pass(log, net, &scratch.plan, &mut scratch.pass)
-}
-
 /// Ablation variant of [`replay_sctm_pass`] that *enforces per-source
 /// capture order* on gated departures. Physically plausible-sounding,
 /// but measurably worse: when the target's latency profile reorders a
@@ -945,8 +920,7 @@ pub fn replay_sctm_pass_with(
 /// ordering constraint inflates the timeline. Kept for the ablation
 /// bench (A1).
 pub fn replay_sctm_pass_ordered(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    let mut plan = GatePlan::default();
-    plan.build(log, &mut GateBuilder::new(true));
+    let plan = GatePlan::build(log, true);
     whole_pass(log, net, &plan, &mut PassState::default())
 }
 
@@ -968,7 +942,7 @@ fn whole_pass(
 }
 
 /// The gated pass over a capture that is still running on another
-/// thread: [`replay_sctm_pass_with`] of the log the capture behind
+/// thread: [`replay_sctm_pass`] of the log the capture behind
 /// `feed` finishes with ([`crate::StreamCapture::finish`]), run as the
 /// capture hands its rows over.
 ///
@@ -989,11 +963,10 @@ pub fn replay_sctm_stream(
     scratch: &mut ReplayScratch,
 ) -> Option<StreamedPass> {
     let ReplayScratch {
-        stream_plan: plan,
-        stream: pass,
+        plan,
+        pass,
         rows,
         arrival,
-        ..
     } = scratch;
     rows.clear();
     arrival.clear();
@@ -1477,42 +1450,6 @@ mod tests {
                 "msg {i} ({}) diverged",
                 log.kind(i)
             );
-        }
-    }
-
-    /// A shared scratch must be invisible in the results: run the gated
-    /// pass twice through one arena (dirty on the second pass) and
-    /// against its memoised-plan entry point.
-    #[test]
-    fn scratch_reuse_is_bit_identical() {
-        let log = capture_fft(16);
-        let mut scratch = ReplayScratch::new();
-        let a = replay_sctm_pass(&log, analytic(16, 6).as_mut());
-        for round in 0..2 {
-            let b = replay_sctm_pass_with(&log, analytic(16, 6).as_mut(), &mut scratch);
-            assert_eq!(a.inject, b.inject, "inject diverged (round {round})");
-            assert_eq!(a.deliver, b.deliver, "deliver diverged (round {round})");
-            assert_eq!(a.est_exec_time, b.est_exec_time, "est diverged");
-        }
-    }
-
-    /// One arena must also serve logs of different sizes back to back.
-    #[test]
-    fn scratch_survives_log_size_changes() {
-        let big = capture_fft(16);
-        let small = capture_fft(4);
-        let mut scratch = ReplayScratch::new();
-        for (log, cores) in [(&big, 16), (&small, 4), (&big, 16)] {
-            let mut net = analytic(cores, 2);
-            let r = replay_sctm_pass_with(log, net.as_mut(), &mut scratch);
-            for (i, rec) in log.records.iter().enumerate() {
-                assert_eq!(
-                    r.deliver[i],
-                    rec.t_deliver,
-                    "msg {i} diverged ({} msgs)",
-                    log.len()
-                );
-            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! The metric namespace is a contract: DESIGN.md §12.4 holds the only
 //! table of names any SCTM component may publish, and this test fails
 //! the build if a SelfCorrection run or the `sctmd` service publishes
-//! a name (or kind) the table does not document.
+//! a name (or kind) the table does not document, or if a row does not
+//! name the consumer that reads it.
 
 use sctm::obs::{self, MetricValue};
 use sctm::prelude::*;
@@ -10,6 +11,8 @@ use sctm_srv::{parse_request, Request, Server, ServerConfig};
 const DESIGN: &str = include_str!("../DESIGN.md");
 
 /// `(name pattern, kind)` rows between the namespace table markers.
+/// Every row must name its consumer: something other than the
+/// publisher and its own tests that reads the value.
 fn table_rows() -> Vec<(String, String)> {
     let begin = DESIGN
         .find("<!-- metric-namespace:begin -->")
@@ -25,36 +28,32 @@ fn table_rows() -> Vec<(String, String)> {
         let Some((name, rest)) = rest.split_once('`') else {
             continue;
         };
-        let kind = rest
-            .split('|')
-            .nth(1)
-            .map(str::trim)
-            .unwrap_or_default()
-            .to_string();
+        // | kind | publisher | consumer | meaning |
+        let cells: Vec<&str> = rest.split('|').map(str::trim).collect();
+        let cell = |i: usize| cells.get(i).copied().unwrap_or_default();
+        let (kind, consumer) = (cell(1), cell(3));
         assert!(
-            ["counter", "gauge", "hist"].contains(&kind.as_str()),
+            ["counter", "gauge", "hist"].contains(&kind),
             "bad kind column for {name}: {kind:?}"
         );
-        rows.push((name.to_string(), kind));
+        assert!(
+            !consumer.is_empty(),
+            "{name} names no consumer — give it a reader or delete it with the code that feeds it"
+        );
+        rows.push((name.to_string(), kind.to_string()));
     }
     assert!(rows.len() >= 40, "suspiciously small table: {}", rows.len());
     rows
 }
 
-/// Match one dot-segment against a pattern segment: literal, or a
-/// `<placeholder>` with optional literal prefix/suffix (`iter<NN>`,
-/// `node<NNN>`, `<net>`), where the placeholder consumes one or more
+/// Match one dot-segment against a pattern segment: literal, or a whole
+/// `<placeholder>` (`<net>`, `<verdict>`) consuming one or more
 /// characters.
 fn seg_matches(pat: &str, seg: &str) -> bool {
-    match (pat.find('<'), pat.find('>')) {
-        (Some(open), Some(close)) if open < close => {
-            let prefix = &pat[..open];
-            let suffix = &pat[close + 1..];
-            seg.len() > prefix.len() + suffix.len()
-                && seg.starts_with(prefix)
-                && seg.ends_with(suffix)
-        }
-        _ => pat == seg,
+    if pat.starts_with('<') && pat.ends_with('>') {
+        !seg.is_empty()
+    } else {
+        pat == seg
     }
 }
 
@@ -99,8 +98,7 @@ fn every_published_metric_appears_in_the_design_table() {
     let rows = table_rows();
 
     // 1. An obs-enabled SelfCorrection run: exercises publish_network
-    //    (net.*), record_iteration (sctm.<net>.<wl>.iterNN.*) and the
-    //    convergence counters (sctm.conv.*).
+    //    (net.*), the only registry names a run publishes.
     obs::reset_global();
     obs::reset_iterations();
     obs::set_enabled(true);
@@ -161,20 +159,16 @@ fn pattern_matcher_is_exact_where_it_should_be() {
     assert!(!name_matches("srv.cache.hits", "srv.cache.hits.extra"));
     assert!(name_matches("net.<net>.injected", "net.omesh.injected"));
     assert!(!name_matches("net.<net>.injected", "net..injected"));
-    assert!(name_matches(
-        "net.<net>.node<NNN>.link_util",
-        "net.hybrid.node007.link_util"
-    ));
     assert!(!name_matches(
-        "net.<net>.node<NNN>.link_util",
-        "net.hybrid.node.link_util"
+        "net.<net>.injected",
+        "net.omesh.node007.injected"
     ));
     assert!(name_matches(
-        "sctm.<net>.<wl>.iter<NN>.drift_ps",
-        "sctm.omesh.fft.iter02.drift_ps"
+        "srv.conv.runs.<verdict>",
+        "srv.conv.runs.oscillating"
     ));
     assert!(!name_matches(
-        "sctm.<net>.<wl>.iter<NN>.drift_ps",
-        "sctm.omesh.fft.iter02.est_ps"
+        "srv.conv.runs.<verdict>",
+        "srv.conv.iterations"
     ));
 }

@@ -249,6 +249,8 @@ fn protocol_errors_are_typed_not_fatal() {
         ("run kernel=fft net=subspace", "unknown-network"),
         ("run kernel=fft side=9999", "invalid-config"),
         ("run kernel=fft mode=sctm iters=0", "invalid-spec"),
+        // A profile the worker would compute and drop is not an option.
+        ("run kernel=fft replay=1 profile=1", "invalid-spec"),
         ("run kernel=fft ops=10", "invalid-spec"),
         ("run kernel=fft ops=0", "invalid-spec"),
         ("run kernel=fft side=1 net=omesh", "invalid-config"),

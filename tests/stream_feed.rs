@@ -21,8 +21,7 @@ use sctm::engine::time::SimTime;
 use sctm::prelude::*;
 use sctm::trace::sctf::to_sctf_bytes;
 use sctm::trace::{
-    replay_sctm_pass_with, replay_sctm_stream, ReplayResult, ReplayScratch, StreamCapture,
-    StreamedPass,
+    replay_sctm_pass, replay_sctm_stream, ReplayResult, ReplayScratch, StreamCapture, StreamedPass,
 };
 use sctm::workloads::{build, WorkloadParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,7 +140,7 @@ fn every_feed_replays_a_capture_alike_on_every_network() {
             for kind in NetworkKind::DETAILED {
                 let what = format!("{} side {side} on {}", kernel.label(), kind.label());
                 let mut net = SystemConfig::make_network_kind(side, kind);
-                let whole = replay_sctm_pass_with(&log, net.as_mut(), &mut ReplayScratch::new());
+                let whole = replay_sctm_pass(&log, net.as_mut());
                 let (each_log, each) = stream(kernel, side, OPS, kind, Feed::EveryTime);
                 assert_same_replay(&each, &whole, &format!("{what}, every event time"));
                 assert!(to_sctf_bytes(&each_log) == bytes, "{what}: streamed log");

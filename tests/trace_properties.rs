@@ -8,8 +8,8 @@ use sctm_cmp::{CmpConfig, CmpSim};
 use sctm_engine::net::{AnalyticNetwork, NetworkModel};
 use sctm_engine::time::SimTime;
 use sctm_trace::{
-    replay_fixed, replay_oracle, replay_sctm_pass, replay_sctm_pass_ordered, replay_sctm_pass_with,
-    Capture, ReplayResult, ReplayScratch, TraceLog,
+    replay_fixed, replay_oracle, replay_sctm_pass, replay_sctm_pass_ordered, Capture, ReplayResult,
+    TraceLog,
 };
 
 fn kernel_strategy() -> impl Strategy<Value = Kernel> {
@@ -253,12 +253,11 @@ const ORDERED_GOLDEN: [(Kernel, [u64; 5]); 3] = [
 ];
 
 /// One plan, however a pass comes by it: built and memoised by the
-/// first one-shot pass over a log, read back by the second, rebuilt
-/// into a dirty arena by `replay_sctm_pass_with` — same timeline.
+/// first pass over a log, read back by the second — same timeline. The
+/// ordered variant builds its own plan every time and stays on its pins.
 #[test]
-fn gate_plan_is_the_same_memoised_reread_or_rebuilt_in_an_arena() {
+fn gate_plan_is_the_same_built_or_memoised_and_the_ordered_pass_is_pinned() {
     let print = std::env::var_os("GOLDEN_PRINT").is_some();
-    let mut scratch = ReplayScratch::new();
     for (kernel, ordered_golden) in ORDERED_GOLDEN {
         let log = Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), kernel)
             .with_ops(160)
@@ -271,10 +270,6 @@ fn gate_plan_is_the_same_memoised_reread_or_rebuilt_in_an_arena() {
             let miss = replay_sctm_pass(&fresh, net().as_mut());
             let hit = replay_sctm_pass(&fresh, net().as_mut());
             same_timeline(&miss, &hit, &what);
-            // The arena still holds the previous network's (or
-            // kernel's) plan and pass state.
-            let arena = replay_sctm_pass_with(&log, net().as_mut(), &mut scratch);
-            same_timeline(&miss, &arena, &what);
 
             let ordered = timeline_hash(&replay_sctm_pass_ordered(&log, net().as_mut()));
             if print {

@@ -1,23 +1,24 @@
-//! `sctf` — capture, convert, inspect, verify, and replay trace
+//! `sctf` — capture, export, inspect, verify, and replay trace
 //! containers (DESIGN.md §14).
 //!
 //! ```text
 //! sctf capture out.sctf [--side N] [--kernel K] [--ops N] [--seed N]
-//! sctf convert in.trace.csv out.sctf      # either direction
+//! sctf export trace.sctf trace.csv        # sctm-trace-v1 text view
 //! sctf inspect trace.sctf                 # header + column stats
 //! sctf verify trace.sctf                  # full decode + checksum walk
 //! sctf replay trace.sctf [--net KIND] [--side N] [--engine E]
 //! ```
 //!
-//! The on-disk format is picked by extension on writes (`.sctf` →
-//! binary container, anything else → CSV text) and sniffed by magic on
-//! reads, so `convert` is just load + save. `replay` prints a
-//! deterministic one-line JSON manifest — record count, engine,
-//! network, estimated execution time, and an FNV-1a digest of the full
-//! inject/deliver timeline — which CI diffs to prove a trace that
-//! round-tripped through `convert` still replays bit-identically.
+//! A trace has one encoding on disk, the sctf container; `export`
+//! writes a one-way `sctm-trace-v1` text view of it to grep and diff.
+//! `replay` prints a deterministic one-line JSON manifest — record
+//! count, engine, network, estimated execution time, and an FNV-1a
+//! digest of the full inject/deliver timeline — which CI pins to prove
+//! a captured trace still replays bit-identically.
 
 use sctm_core::{Experiment, NetworkKind, SystemConfig};
+use sctm_engine::net::MsgClass;
+use sctm_trace::sctf::{from_sctf_bytes, to_sctf_bytes};
 use sctm_trace::{
     replay_fixed, replay_oracle, replay_sctm_pass, ReplayResult, SctfReader, TraceLog,
 };
@@ -26,7 +27,7 @@ use sctm_workloads::Kernel;
 fn usage() -> ! {
     eprintln!(
         "usage: sctf capture OUT [--side N] [--kernel K] [--ops N] [--seed N]\n\
-         \x20      sctf convert IN OUT\n\
+         \x20      sctf export IN.sctf OUT.csv\n\
          \x20      sctf inspect PATH\n\
          \x20      sctf verify PATH\n\
          \x20      sctf replay PATH [--net KIND] [--side N] [--engine fixed|sctm|oracle]"
@@ -139,84 +140,93 @@ fn cmd_capture(args: &[String]) {
     );
 }
 
-fn cmd_convert(args: &[String]) {
+/// The `sctm-trace-v1` text view: a metadata line, a column header,
+/// then one line per record with its dependency ids `;`-separated.
+fn export_text(log: &TraceLog) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!(
+        "sctm-trace-v1,{},{}\nid,src,dst,class,bytes,t_inject_ps,t_deliver_ps,prev,deps,kind\n",
+        log.capture_net,
+        log.capture_exec_time.as_ps()
+    );
+    for (i, r) in log.records.iter().enumerate() {
+        let m = r.msg;
+        let class = match m.class {
+            MsgClass::Control => "C",
+            MsgClass::Data => "D",
+        };
+        let prev = log
+            .prev_same_src(i)
+            .map(|p| p.0.to_string())
+            .unwrap_or_default();
+        let deps: Vec<String> = log.deps(i).iter().map(u32::to_string).collect();
+        let _ = writeln!(
+            out,
+            "{},{},{},{class},{},{},{},{prev},{},{}",
+            m.id.0,
+            m.src.0,
+            m.dst.0,
+            m.bytes,
+            r.t_inject.as_ps(),
+            r.t_deliver.as_ps(),
+            deps.join(";"),
+            log.kind(i),
+        );
+    }
+    out
+}
+
+fn cmd_export(args: &[String]) {
     let pos = positionals(args);
     let [input, out] = pos[..] else { usage() };
     let log = load(input);
-    log.save(out)
-        .unwrap_or_else(|e| fail(&format!("save {out}: {e}")));
+    std::fs::write(out, export_text(&log)).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     eprintln!("{} records: {input} -> {out}", log.len());
 }
 
 fn cmd_inspect(args: &[String]) {
     let pos = positionals(args);
     let [path] = pos[..] else { usage() };
-    let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
-    if bytes.starts_with(&sctm_trace::sctf::SCTF_MAGIC) {
-        let r = SctfReader::from_bytes(&bytes)
-            .unwrap_or_else(|e| fail(&format!("invalid container {path}: {e}")));
-        let n = r.len().max(1);
-        let (doff, stream) = r.deps_csr();
-        println!("format          sctf v{}", sctm_trace::sctf::SCTF_VERSION);
-        println!("records         {}", r.len());
-        println!("capture net     {}", r.capture_net());
-        println!("capture exec    {}", r.capture_exec_time());
-        println!(
-            "container       {} B ({:.1} B/record)",
-            r.byte_len(),
-            r.byte_len() as f64 / n as f64
-        );
-        let edges = r.children_csr().map_or(0, |(_, adj)| adj.len());
-        println!(
-            "deps            {} edges, {} stream bytes (offsets {})",
-            edges,
-            stream.len(),
-            doff.len()
-        );
-        println!(
-            "children csr    {}",
-            if r.children_csr().is_some() {
-                "stored (zero-copy replay install)"
-            } else {
-                "absent (built on demand)"
-            }
-        );
-    } else {
-        let log = load(path);
-        println!("format          csv (sctm-trace-v1)");
-        println!("records         {}", log.len());
-        println!("capture net     {}", log.capture_net);
-        println!("capture exec    {}", log.capture_exec_time);
-        println!(
-            "text            {} B   parsed resident {} B   sctf would be {} B",
-            bytes.len(),
-            log.resident_bytes(),
-            sctm_trace::sctf::encoded_size(&log)
-        );
-    }
+    let r = SctfReader::open(path).unwrap_or_else(|e| fail(&format!("open {path}: {e}")));
+    let n = r.len().max(1);
+    let (doff, stream) = r.deps_csr();
+    println!("format          sctf v{}", sctm_trace::sctf::SCTF_VERSION);
+    println!("records         {}", r.len());
+    println!("capture net     {}", r.capture_net());
+    println!("capture exec    {}", r.capture_exec_time());
+    println!(
+        "container       {} B ({:.1} B/record)",
+        r.byte_len(),
+        r.byte_len() as f64 / n as f64
+    );
+    let edges = r.children_csr().map_or(0, |(_, adj)| adj.len());
+    println!(
+        "deps            {} edges, {} stream bytes (offsets {})",
+        edges,
+        stream.len(),
+        doff.len()
+    );
+    println!(
+        "children csr    {}",
+        if r.children_csr().is_some() {
+            "stored"
+        } else {
+            "absent"
+        }
+    );
 }
 
 fn cmd_verify(args: &[String]) {
     let pos = positionals(args);
     let [path] = pos[..] else { usage() };
     let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
-    let log = load(path);
-    if bytes.starts_with(&sctm_trace::sctf::SCTF_MAGIC) {
-        // Decode already re-walked the checksum and every section
-        // bound; prove the columns also reassemble into the exact
-        // container we read.
-        let back = sctm_trace::sctf::to_sctf_bytes(&log);
-        if back != bytes {
-            fail(&format!(
-                "{path}: container decodes but does not re-encode byte-identically"
-            ));
-        }
-    } else {
-        let back = TraceLog::from_csv_str(&log.to_csv_string())
-            .unwrap_or_else(|e| fail(&format!("{path}: csv round-trip failed: {e}")));
-        if back.to_csv_string() != log.to_csv_string() {
-            fail(&format!("{path}: csv round-trip is not stable"));
-        }
+    let log = from_sctf_bytes(&bytes).unwrap_or_else(|e| fail(&format!("load {path}: {e}")));
+    // Decode already re-walked the checksum and every section bound;
+    // prove the columns also reassemble into the exact container read.
+    if to_sctf_bytes(&log) != bytes {
+        fail(&format!(
+            "{path}: container decodes but does not re-encode byte-identically"
+        ));
     }
     println!("ok: {} records, {} bytes, {path}", log.len(), bytes.len());
 }
@@ -254,7 +264,7 @@ fn main() {
     let rest = &args[1..];
     match cmd.as_str() {
         "capture" => cmd_capture(rest),
-        "convert" => cmd_convert(rest),
+        "export" => cmd_export(rest),
         "inspect" => cmd_inspect(rest),
         "verify" => cmd_verify(rest),
         "replay" => cmd_replay(rest),

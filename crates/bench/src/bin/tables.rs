@@ -7,7 +7,7 @@
 //! tables --csv              # machine-readable tables as well
 //! tables --json             # run manifest JSON on stdout
 //! tables --obs-dir out/     # write trace/manifest/blame/flamegraph to out/
-//! tables --trace-out t.sctf  # save the flagship capture (format by extension)
+//! tables --trace-out t.sctf  # save the flagship capture as an sctf container
 //! SCTM_OBS=1 tables         # enable tracing without flags
 //! ```
 //!
@@ -95,8 +95,8 @@ fn main() {
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
     eprintln!("# total wall time: {:.1}s", total_ms / 1e3);
 
-    // One flagship capture to disk; the extension picks the container
-    // (`.sctf` binary or CSV text — see `sctf --help` for conversion).
+    // One flagship capture to disk as an sctf container (`sctf export`
+    // writes a text view of it).
     if let Some(path) = &trace_out {
         let exp = Experiment::new(
             SystemConfig::new(scale.side(), NetworkKind::Omesh),

@@ -662,10 +662,9 @@ pub fn a1_ablation(scale: Scale) -> Table {
 }
 
 /// §P10 — trace-container economics as the mesh scales. One row per
-/// system size: bytes per message and cold-load time for the CSV text
-/// versus the sctf binary container, plus the container's resident
-/// bytes against the parsed log (what the capture cache holds and
-/// charges). Each row then replays the *decoded* container through the
+/// system size: the sctf container's bytes per message, its cold-load
+/// time, and its size against the parsed log's resident bytes. Each
+/// row then replays the *decoded* container through the
 /// full-causality oracle on the detailed mesh, so the larger
 /// configurations (256 and 1024 cores at full scale) exercise the
 /// whole capture → encode → decode → replay path end-to-end.
@@ -713,45 +712,34 @@ pub fn p10_trace_format(scale: Scale) -> Table {
     let rows: Vec<Vec<String>> = captures
         .into_iter()
         .map(|(side, log)| {
-            let csv = log.to_csv_string();
             let sctf = to_sctf_bytes(&log);
             let n = log.len().max(1) as f64;
 
-            let (csv_load, parsed) = best_of_3(|| TraceLog::from_csv_str(&csv).expect("csv parse"));
             let (sctf_load, decoded) = best_of_3(|| from_sctf_bytes(&sctf).expect("sctf decode"));
-            assert_eq!(parsed.len(), decoded.len());
+            assert_eq!(decoded.len(), log.len());
 
             let t0 = std::time::Instant::now();
             let mut net = SystemConfig::make_network_kind(side, NetworkKind::Omesh);
             let r = sctm_trace::replay_oracle(&decoded, net.as_mut());
             let replay = t0.elapsed();
 
-            let speedup = csv_load.as_secs_f64() / sctf_load.as_secs_f64().max(1e-9);
             vec![
                 format!("{}", side * side),
                 format!("{}", log.len()),
-                fnum(csv.len() as f64 / n),
                 fnum(sctf.len() as f64 / n),
-                format!("{:.2}", sctf.len() as f64 / csv.len() as f64),
-                ms(csv_load),
                 ms(sctf_load),
-                format!("{speedup:.1}x"),
                 format!("{:.2}", sctf.len() as f64 / log.resident_bytes() as f64),
                 format!("{} / {}", ms(replay), r.est_exec_time),
             ]
         })
         .collect();
     let mut t = Table::new(
-        "P10 — Trace container economics: CSV text vs sctf binary (fft on omesh)",
+        "P10 — Trace container economics: sctf binary (fft on omesh)",
         &[
             "cores",
             "records",
-            "csv B/msg",
             "sctf B/msg",
-            "size ratio",
-            "csv parse (ms)",
             "sctf load (ms)",
-            "load speedup",
             "resident ratio",
             "oracle replay (ms / est)",
         ],

@@ -25,8 +25,8 @@ pub enum SctmError {
     /// No interconnect with this label
     /// ([`crate::NetworkKind::from_label`]).
     UnknownNetwork(String),
-    /// Trace ingestion failed (absorbs [`TraceError`] from the CSV
-    /// round-trip, file I/O included).
+    /// Trace ingestion failed (absorbs [`TraceError`] from an sctf
+    /// load or `fwd` frame decode, file I/O included).
     Trace(TraceError),
     /// A budgeted replay exhausted its batch budget before every
     /// message was delivered — the congestion-collapse guard for
@@ -103,8 +103,8 @@ mod tests {
     #[test]
     fn trace_errors_absorb_with_source() {
         use std::error::Error as _;
-        let e: SctmError = TraceError::Truncated { line: 7 }.into();
-        assert_eq!(e, SctmError::Trace(TraceError::Truncated { line: 7 }));
+        let e: SctmError = TraceError::VersionSkew { found: 7 }.into();
+        assert_eq!(e, SctmError::Trace(TraceError::VersionSkew { found: 7 }));
         assert!(e.source().is_some(), "wrapped trace error keeps its source");
     }
 }

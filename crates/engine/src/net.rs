@@ -63,7 +63,7 @@ impl MsgClass {
 
 /// One network message (a coherence transaction hop, or a synthetic
 /// packet in microbenchmarks).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Message {
     pub id: MsgId,
     pub src: NodeId,

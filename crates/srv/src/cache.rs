@@ -287,7 +287,7 @@ mod tests {
         let (warm, hit_warm) = cache.get_or_capture(key, || panic!("must not re-capture"));
         assert!(!hit_cold);
         assert!(hit_warm);
-        assert_eq!(cold.to_csv_string(), warm.to_csv_string());
+        assert_eq!(cold, warm);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!(s.bytes > 0);

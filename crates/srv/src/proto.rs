@@ -19,7 +19,8 @@
 //! byte-identical between a cold and a warm run, between the service
 //! and a direct [`Experiment::execute`], and at any worker count.
 
-use sctm_core::trace::{TraceLog, TraceStore};
+use sctm_core::trace::sctf::{from_sctf_bytes, to_sctf_bytes};
+use sctm_core::trace::TraceLog;
 use sctm_core::workloads::MIN_OPS_PER_CORE;
 use sctm_core::{
     kernel_from_label, Experiment, Mode, NetworkKind, RunReport, RunSpec, SctmError, SystemConfig,
@@ -240,7 +241,7 @@ pub fn fwd_response(id: &str, cache: CacheOutcome, log: &TraceLog) -> String {
         cache.label(),
         // Base64 needs no JSON escaping: its alphabet is disjoint from
         // every character JSON strings escape.
-        sctm_client::wire::b64_encode(&sctm_core::trace::sctf::to_sctf_bytes(log))
+        sctm_client::wire::b64_encode(&to_sctf_bytes(log))
     )
 }
 
@@ -274,7 +275,7 @@ pub fn parse_fwd_response(line: &str) -> Result<(TraceLog, CacheOutcome), SctmEr
     let b64 = json_str_field(line, "trace_sctf")
         .ok_or_else(|| peer_err("peer fwd reply has no trace_sctf payload".into()))?;
     let bytes = b64_decode(&b64).ok_or_else(|| peer_err("peer fwd reply has bad base64".into()))?;
-    let log = TraceStore::decode(&bytes).map_err(SctmError::Trace)?;
+    let log = from_sctf_bytes(&bytes).map_err(SctmError::Trace)?;
     Ok((log, cache))
 }
 

@@ -16,11 +16,12 @@
 //! * [`online`] — the online epoch-corrected variant: an analytic
 //!   network that continuously calibrates itself against a shadow
 //!   detailed model while the full-system run proceeds.
-//! * [`persist`] — the unified trace store: save/load with format
-//!   autodetection, CSV as the interchange codec.
-//! * [`sctf`] — the binary columnar container (storage format): fixed
-//!   LE header, per-field column sections, delta+varint timestamps, a
-//!   replay-ready dependency CSR, and a zero-copy reader.
+//! * [`persist`] — traces on disk: [`TraceLog::save`] /
+//!   [`TraceLog::load`] and the typed [`TraceError`].
+//! * [`sctf`] — the binary columnar container, a trace's one encoding
+//!   outside memory: fixed LE header, per-field column sections,
+//!   delta+varint timestamps, a children dependency CSR, and a
+//!   zero-copy reader.
 
 #[doc(hidden)]
 pub mod incr;
@@ -35,7 +36,7 @@ pub mod sctf;
 pub use incr::{IncrPassStats, IncrReplayer, PassKind};
 pub use log::{Capture, CaptureFeed, CaptureTail, StreamCapture, TraceLog, TraceRecord};
 pub use online::{OnlineCorrected, ShadowFactory};
-pub use persist::{TraceError, TraceFormat, TraceStore};
+pub use persist::TraceError;
 pub use replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
     replay_sctm_pass_ordered, replay_sctm_stream, GatePlan, ReplayResult, ReplayScratch,

@@ -1,14 +1,12 @@
-//! `sctf` — the binary columnar trace container (format version 1).
+//! `sctf` — the binary columnar trace container (format version 1),
+//! the one encoding a trace has outside memory ([`TraceLog::save`] and
+//! [`TraceLog::load`] speak nothing else).
 //!
-//! CSV (see [`crate::persist`]) is the *interchange* format: greppable,
-//! diffable, importable from anything. It is also the wrong shape for
-//! the replay path — at fft-64 scale a trace is hundreds of thousands
-//! of records, and a per-record string parser plus row-struct
-//! materialization is the dominant cold-load cost. `sctf` is the
-//! *storage* format: one fixed little-endian header, then one section
-//! per record **field** (columnar), so loading is a bounded number of
-//! bounds/alignment checks followed by borrowed slices straight into
-//! the owned file buffer.
+//! At fft-64 scale a trace is hundreds of thousands of records, so the
+//! container is shaped for the load path: one fixed little-endian
+//! header, then one section per record **field** (columnar), so loading
+//! is a bounded number of bounds/alignment checks followed by borrowed
+//! slices straight into the owned file buffer.
 //!
 //! Layout (all integers little-endian; see DESIGN.md §14 for the
 //! on-disk diagram and the compatibility policy):
@@ -47,7 +45,7 @@
 //! silent misparse. The word stride keeps the verify walk off the
 //! cold-load critical path (~8 bytes/cycle vs the byte-serial
 //! classic), which is what lets `SctfReader::open` stay cheap enough
-//! for the cache and wire fast paths.
+//! for the `fwd` wire path.
 
 use crate::log::{Columns, TraceLog, TraceRecord, NONE};
 use crate::persist::TraceError;
@@ -383,7 +381,7 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     }
 
     // Children CSR: for each message, the messages its delivery
-    // unblocks — exactly `ReplayScratch::{adj_off, adj}` for the oracle.
+    // unblocks, rows ascending (the inverse of the dependency lists).
     {
         let (_, dep_ids) = log.dep_csr();
         let mut cnt = vec![0u32; n];
@@ -441,8 +439,7 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
 }
 
 /// Exact byte size [`to_sctf_bytes`] would produce, without building
-/// the buffer — the capture cache charges entries with this, so its
-/// byte budget means "a directory of `.sctf` files this large".
+/// the buffer; the writer pre-sizes its output with it.
 pub fn encoded_size(log: &TraceLog) -> usize {
     let n = log.records.len();
     let pad = |x: usize| x.div_ceil(8) * 8;
@@ -553,11 +550,11 @@ impl SctfReader {
             need,
             have: b.len() as u64,
         };
+        if !b.starts_with(&SCTF_MAGIC) {
+            return Err(TraceError::BadMagic);
+        }
         if b.len() < HEADER_LEN {
             return Err(short("header", HEADER_LEN as u64));
-        }
-        if b[0..8] != SCTF_MAGIC {
-            return Err(TraceError::BadMagic);
         }
         let version = read_u32(b, 8);
         if version != SCTF_VERSION {
@@ -762,34 +759,10 @@ impl SctfReader {
 
     /// Record-order dependency stream, borrowed: record `i`'s
     /// dependencies occupy stream bytes `off[i]..off[i+1]`, each edge a
-    /// zigzag varint of `i − dep` in original capture order (decode
-    /// with [`SctfReader::record_deps`]).
+    /// zigzag varint of `i − dep` in original capture order
+    /// ([`SctfReader::to_log`] decodes it).
     pub fn deps_csr(&self) -> (&[u32], &[u8]) {
         (self.u32_slice(SEC_DEPS_OFF), self.byte_slice(SEC_DEPS))
-    }
-
-    /// Decode record `i`'s dependency ids into `out` (cleared first),
-    /// in their original capture order.
-    pub fn record_deps(&self, i: usize, out: &mut Vec<MsgId>) -> Result<(), TraceError> {
-        let (off, stream) = self.deps_csr();
-        let row = &stream[off[i] as usize..off[i + 1] as usize];
-        out.clear();
-        let mut pos = 0usize;
-        while pos < row.len() {
-            let zz = varint_read(row, &mut pos).ok_or(TraceError::TruncatedSection {
-                section: SECTION_NAMES[SEC_DEPS],
-                need: off[i] as u64 + pos as u64 + 1,
-                have: stream.len() as u64,
-            })?;
-            let d = zz_unapply(i as u64, zz);
-            if d >= self.n as u64 {
-                return Err(TraceError::Invalid(format!(
-                    "sctf: record {i} has out-of-range dep"
-                )));
-            }
-            out.push(MsgId(d));
-        }
-        Ok(())
     }
 
     /// Children CSR (messages unblocked by each delivery), borrowed:
@@ -947,31 +920,12 @@ mod tests {
         cap.finish("analytic", SimTime::from_ps(3000))
     }
 
-    fn assert_logs_equal(a: &TraceLog, b: &TraceLog) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.capture_net, b.capture_net);
-        assert_eq!(a.capture_exec_time, b.capture_exec_time);
-        for (x, y) in a.records.iter().zip(b.records.iter()) {
-            assert_eq!(x.msg.id, y.msg.id);
-            assert_eq!(x.msg.src, y.msg.src);
-            assert_eq!(x.msg.dst, y.msg.dst);
-            assert_eq!(x.msg.class, y.msg.class);
-            assert_eq!(x.msg.bytes, y.msg.bytes);
-            assert_eq!(x.t_inject, y.t_inject);
-            assert_eq!(x.t_deliver, y.t_deliver);
-        }
-        assert_eq!(a.dep_csr(), b.dep_csr());
-        assert_eq!(a.prev_column(), b.prev_column());
-        assert_eq!(a.kind_tags(), b.kind_tags());
-        assert_eq!(a.arrival_order(), b.arrival_order());
-    }
-
     #[test]
     fn roundtrip_preserves_everything() {
         let log = tiny();
         let bytes = to_sctf_bytes(&log);
         let back = from_sctf_bytes(&bytes).unwrap();
-        assert_logs_equal(&log, &back);
+        assert_eq!(back, log);
     }
 
     #[test]
@@ -1007,9 +961,7 @@ mod tests {
         assert_eq!(off.len(), log.len() + 1);
         // One edge, one byte: the dep on the previous id zigzags to 2.
         assert_eq!(stream, &[2]);
-        let mut dv = Vec::new();
-        r.record_deps(1, &mut dv).unwrap();
-        assert_eq!(dv, vec![MsgId(0)]);
+        assert_eq!(r.to_log().unwrap().deps(1), &[0]);
         // Children CSR: msg 0 unblocks msg 1.
         let (coff, cadj) = r.children_csr().unwrap();
         assert_eq!(coff, &[0, 1, 1]);
@@ -1083,7 +1035,7 @@ mod tests {
             [mk(0, 5000, 6000), mk(1, 10, 20), mk(2, 7000, 7001)],
         );
         let back = from_sctf_bytes(&to_sctf_bytes(&log)).unwrap();
-        assert_logs_equal(&log, &back);
+        assert_eq!(back, log);
     }
 
     #[test]

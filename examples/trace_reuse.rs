@@ -25,25 +25,18 @@ fn main() {
         log.capture_exec_time
     );
 
-    // 2. ...saved in both encodings — the extension picks the format:
-    // self-describing CSV text for diffing, the checksummed `sctf`
-    // binary container (DESIGN.md §14) for fast reloads...
-    let csv_path = std::env::temp_dir().join("sctm_barnes_16c.trace.csv");
+    // 2. ...saved as a checksummed `sctf` container (DESIGN.md §14)...
     let sctf_path = std::env::temp_dir().join("sctm_barnes_16c.sctf");
-    log.save(&csv_path).expect("save csv trace");
     log.save(&sctf_path).expect("save sctf trace");
-    let size = |p: &std::path::Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
+    let size = std::fs::metadata(&sctf_path).map(|m| m.len()).unwrap_or(0);
     eprintln!(
-        "saved {} ({:.2} MiB csv) and {} ({:.2} MiB sctf)",
-        csv_path.display(),
-        size(&csv_path) as f64 / (1 << 20) as f64,
+        "saved {} ({:.2} MiB)",
         sctf_path.display(),
-        size(&sctf_path) as f64 / (1 << 20) as f64
+        size as f64 / (1 << 20) as f64
     );
 
-    // 3. ...reloaded (possibly by another process, days later). `load`
-    // sniffs the format by magic, so both paths decode to the same log;
-    // the container also supports header-only inspection without
+    // 3. ...reloaded (possibly by another process, days later). The
+    // container also supports header-only inspection without
     // materializing records.
     let reader = sctm::trace::SctfReader::open(&sctf_path).expect("open sctf");
     eprintln!(
@@ -52,12 +45,9 @@ fn main() {
         reader.capture_net(),
         reader.capture_exec_time()
     );
-    let log = TraceLog::load(&sctf_path).expect("load trace");
-    assert_eq!(
-        log.to_csv_string(),
-        TraceLog::load(&csv_path).expect("load csv").to_csv_string(),
-        "both encodings decode to the same trace"
-    );
+    let reloaded = TraceLog::load(&sctf_path).expect("load trace");
+    assert!(reloaded == log, "the container decodes to the same trace");
+    let log = reloaded;
 
     // 4. ...and replayed against every detailed interconnect.
     let mut t = Table::new(
@@ -81,6 +71,5 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    let _ = std::fs::remove_file(csv_path);
     let _ = std::fs::remove_file(sctf_path);
 }

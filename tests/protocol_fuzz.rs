@@ -181,7 +181,7 @@ mod wire_fuzz {
         let (log, reply) = valid_reply();
         let (decoded, outcome) = parse_fwd_response(&reply).expect("decode");
         assert!(matches!(outcome, CacheOutcome::Miss));
-        assert_eq!(decoded.to_csv_string(), log.to_csv_string());
+        assert!(decoded == log, "fwd frame decoded to a different trace");
 
         for line in ["fwd kernel=fft id=f", "fwd kernel=fft fmt=sctf id=f"] {
             assert!(matches!(parse_request(line), Ok(Request::Fwd(_))), "{line}");
@@ -192,7 +192,7 @@ mod wire_fuzz {
 
         let csv_reply = format!(
             r#"{{"status":"ok","id":"f","cache":"miss","trace_csv":"{}"}}"#,
-            sctm_obs::json_escape(&log.to_csv_string())
+            sctm_obs::json_escape("sctm-trace-v1,omesh,0\nid,src,dst\n")
         );
         let err = parse_fwd_response(&csv_reply).unwrap_err();
         assert!(matches!(err, SctmError::Io(_)), "{err}");
@@ -288,12 +288,11 @@ mod wire_fuzz {
         // The slot is free: a healthy producer wins it immediately and
         // later callers hit.
         let (log, _) = valid_reply();
-        let csv = log.to_csv_string();
-        let (_, hit) = cache.get_or_capture(key, || log);
+        let (_, hit) = cache.get_or_capture(key, || log.clone());
         assert!(!hit, "slot was poisoned: healthy producer never ran");
         let (again, hit) = cache.get_or_capture(key, || unreachable!("must hit"));
         assert!(hit);
-        assert_eq!(again.to_csv_string(), csv);
+        assert!(*again == log);
     }
 }
 
@@ -306,7 +305,7 @@ mod wire_fuzz {
 mod sctf_fuzz {
     use proptest::prelude::*;
     use sctm_trace::sctf::{from_sctf_bytes, to_sctf_bytes, SCTF_MAGIC, SCTF_VERSION};
-    use sctm_trace::{SctfReader, TraceError, TraceStore};
+    use sctm_trace::{SctfReader, TraceError};
 
     /// A real (small) capture encoded into a valid container.
     fn valid_container() -> Vec<u8> {
@@ -350,7 +349,6 @@ mod sctf_fuzz {
             let mut buf = SCTF_MAGIC.to_vec();
             buf.extend_from_slice(&tail);
             prop_assert!(from_sctf_bytes(&buf).is_err());
-            prop_assert!(TraceStore::decode(&buf).is_err());
         }
 
         /// Future (and byte-swapped, i.e. wrong-endian) version words

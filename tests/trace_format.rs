@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sctm::prelude::*;
 use sctm_engine::net::NetworkModel;
 use sctm_trace::sctf::{encoded_size, from_sctf_bytes, to_sctf_bytes};
-use sctm_trace::{replay_fixed, replay_oracle, replay_sctm_pass, SctfReader, TraceLog, TraceStore};
+use sctm_trace::{replay_fixed, replay_oracle, replay_sctm_pass, SctfReader, TraceError, TraceLog};
 
 fn capture(side: usize, kernel: Kernel, ops: usize, seed: u64) -> TraceLog {
     Experiment::new(SystemConfig::new(side, NetworkKind::Omesh), kernel)
@@ -34,9 +34,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
 
     /// Encoding a real capture into the container and decoding it back
-    /// reproduces the log exactly (CSV interchange bytes compare every
-    /// field), through both the direct codec and the format-sniffing
-    /// store facade.
+    /// reproduces the log exactly: the same trace, field for field.
     #[test]
     fn container_roundtrip_is_lossless(
         seed in 1u64..500,
@@ -48,9 +46,7 @@ proptest! {
         let bytes = to_sctf_bytes(&log);
         prop_assert_eq!(bytes.len(), encoded_size(&log), "encoded_size must be exact");
         let back = from_sctf_bytes(&bytes).expect("decode");
-        prop_assert_eq!(back.to_csv_string(), log.to_csv_string());
-        let sniffed = TraceStore::decode(&bytes).expect("sniff+decode");
-        prop_assert_eq!(sniffed.to_csv_string(), log.to_csv_string());
+        prop_assert!(back == log, "decoded container is not the same trace");
     }
 
     /// A decoded sctf trace replays to the *bit-identical* timeline the
@@ -103,22 +99,16 @@ proptest! {
     }
 }
 
-/// Footprint guarantees on a 64-core fft capture. Two ratios matter:
-/// the container is smaller than the CSV text it replaces on disk and
-/// on the wire, and the zero-copy reader's resident bytes stay below
-/// what the parsed log costs in memory. The parsed form is itself
-/// columnar since the 40-byte trace rows (58 B/record against the
-/// container's 38), so the second ratio is 0.66 here; it was 0.35
-/// against 96-byte rows with a heap `Vec` of dependencies each.
+/// Footprint guarantee on a 64-core fft capture: the zero-copy
+/// reader's resident bytes stay below what the parsed log costs in
+/// memory. The parsed form is itself columnar since the 40-byte trace
+/// rows (58 B/record against the container's 38), so the ratio is 0.66
+/// here; it was 0.35 against 96-byte rows with a heap `Vec` of
+/// dependencies each.
 #[test]
-fn sctf_is_smaller_than_csv_and_at_most_three_quarters_of_the_parsed_log_at_64_cores() {
+fn sctf_is_at_most_three_quarters_of_the_parsed_log_at_64_cores() {
     let log = capture(8, Kernel::Fft, 300, 1);
-    let csv = log.to_csv_string().len();
     let sctf = encoded_size(&log);
-    assert!(
-        sctf < csv,
-        "container ({sctf} B) must beat CSV text ({csv} B)"
-    );
     let resident = log.resident_bytes();
     assert!(
         sctf * 4 <= resident * 3,
@@ -131,25 +121,24 @@ fn sctf_is_smaller_than_csv_and_at_most_three_quarters_of_the_parsed_log_at_64_c
     assert_eq!(reader.byte_len(), sctf);
 }
 
-/// The store facade writes whichever format the extension names and
-/// autodetects it back by magic, so a mixed directory of `.trace.csv`
-/// and `.sctf` files loads through one call.
+/// A trace has one encoding on disk: `save` writes an sctf container
+/// whatever the file is called, `load` reads it back as the same trace,
+/// and a text file — the `sctm-trace-v1` export included — does not
+/// load.
 #[test]
-fn save_load_autodetects_both_formats_on_disk() {
+fn save_writes_sctf_under_any_name_and_load_reads_only_sctf() {
     let dir = std::env::temp_dir().join(format!("sctm-fmt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let log = capture(2, Kernel::Fft, 120, 7);
-    let csv_path = dir.join("a.trace.csv");
-    let sctf_path = dir.join("a.sctf");
-    log.save(&csv_path).expect("save csv");
-    log.save(&sctf_path).expect("save sctf");
-    let csv_bytes = std::fs::read(&csv_path).expect("read");
-    let sctf_bytes = std::fs::read(&sctf_path).expect("read");
-    assert!(csv_bytes.starts_with(b"sctm-trace-v1"));
-    assert!(sctf_bytes.starts_with(&sctm_trace::sctf::SCTF_MAGIC));
-    for p in [&csv_path, &sctf_path] {
-        let back = TraceLog::load(p).expect("load");
-        assert_eq!(back.to_csv_string(), log.to_csv_string(), "{}", p.display());
+    for name in ["a.sctf", "a.trace.csv"] {
+        let path = dir.join(name);
+        log.save(&path).expect("save");
+        let bytes = std::fs::read(&path).expect("read");
+        assert_eq!(bytes, to_sctf_bytes(&log), "{name} is not the container");
+        assert!(TraceLog::load(&path).expect("load") == log, "{name}");
     }
+    let text = dir.join("b.trace.csv");
+    std::fs::write(&text, "sctm-trace-v1,omesh,0\nid,src,dst\n").expect("write");
+    assert_eq!(TraceLog::load(&text).err(), Some(TraceError::BadMagic));
     let _ = std::fs::remove_dir_all(&dir);
 }

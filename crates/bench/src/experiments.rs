@@ -529,18 +529,20 @@ pub struct LoopOptions {
     pub ordered: bool,
     /// Correct control and data flows separately.
     pub class_aware: bool,
-    /// Damp correction updates (EWMA 0.5) across iterations.
+    /// Damp correction updates (EWMA, α = 0.5) across iterations.
     pub damped: bool,
     /// Learn per-destination ejection serialisation.
     pub learn_service: bool,
 }
 
 impl LoopOptions {
-    /// The production loop's choices (as in `Mode::SelfCorrection`).
+    /// The production loop's choices (as in `Mode::SelfCorrection`,
+    /// whose shipped damping is α = 1.0: undamped). The harness runs a
+    /// fixed 4 iterations with no early exit.
     pub const FULL: LoopOptions = LoopOptions {
         ordered: false,
         class_aware: true,
-        damped: true,
+        damped: false,
         learn_service: false,
     };
 }
@@ -620,9 +622,9 @@ pub fn a1_ablation(scale: Scale) -> Table {
             },
         ),
         (
-            "- damping",
+            "+ damping (α = 0.5)",
             LoopOptions {
-                damped: false,
+                damped: true,
                 ..LoopOptions::FULL
             },
         ),

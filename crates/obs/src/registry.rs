@@ -1,13 +1,11 @@
 //! Named metrics: counters, gauges and latency histograms.
 //!
 //! The primitives are the engine's own streaming statistics
-//! ([`sctm_engine::stats`]); this module gives them *names* and a merge
-//! discipline so independent workers can aggregate deterministically.
-//! All three merge operations are exactly associative and commutative
-//! (integer adds, bucket-wise histogram adds, max for gauges), so a
-//! `par_map` sweep merging worker snapshots in any order produces the
-//! same registry bit for bit — the property `tests/obs_properties.rs`
-//! checks.
+//! ([`sctm_engine::stats`]); this module gives them *names*. Two
+//! registries exist at run time: the process-wide one that traced runs
+//! publish into ([`with_global`]), and the one `sctmd` keeps its live
+//! service telemetry in. Names sort, so every export is deterministic
+//! for a given registry state.
 
 use crate::{enabled, lock_unpoisoned};
 use sctm_engine::net::NetworkModel;
@@ -18,19 +16,16 @@ use std::sync::Mutex;
 /// One registered metric.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
-    /// Monotone count; merge adds (saturating, so aggregation can
-    /// never panic and stays associative).
+    /// Monotone count; adds saturate, so recording can never panic.
     Counter(u64),
-    /// Last-observed level; merge takes the max (associative, unlike
-    /// last-write-wins, so parallel aggregation stays order-free).
+    /// Last-set level.
     Gauge(f64),
-    /// Value distribution; merge is bucket-wise addition.
+    /// Value distribution.
     Hist(Histogram),
 }
 
-/// A name → metric map with snapshot/merge semantics. Names sort
-/// lexicographically (`BTreeMap`), so iteration, export and merge order
-/// are all deterministic.
+/// A name → metric map. Names sort lexicographically (`BTreeMap`), so
+/// iteration and export order are deterministic.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
     map: BTreeMap<String, MetricValue>,
@@ -97,39 +92,6 @@ impl MetricsRegistry {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// An owned copy suitable for sending to an aggregator thread.
-    pub fn snapshot(&self) -> MetricsRegistry {
-        self.clone()
-    }
-
-    /// Merge another registry into this one. Same-named metrics combine
-    /// per [`MetricValue`] kind; a kind mismatch is a caller bug
-    /// (debug-asserted, ignored in release).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, theirs) in &other.map {
-            match self.map.get_mut(name) {
-                None => {
-                    self.map.insert(name.clone(), theirs.clone());
-                }
-                Some(mine) => match (mine, theirs) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a = a.saturating_add(*b),
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => {
-                        if *b > *a {
-                            *a = *b;
-                        }
-                    }
-                    (MetricValue::Hist(a), MetricValue::Hist(b)) => a.merge(b),
-                    (mine, theirs) => {
-                        debug_assert!(
-                            false,
-                            "metric kind mismatch for {name}: {mine:?} vs {theirs:?}"
-                        )
-                    }
-                },
-            }
-        }
-    }
 }
 
 static GLOBAL: Mutex<MetricsRegistry> = Mutex::new(MetricsRegistry::new());
@@ -141,7 +103,7 @@ pub fn with_global<R>(f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
 
 /// Copy of the process-wide registry.
 pub fn global_snapshot() -> MetricsRegistry {
-    lock_unpoisoned(&GLOBAL).snapshot()
+    lock_unpoisoned(&GLOBAL).clone()
 }
 
 /// Clear the process-wide registry.
@@ -218,37 +180,6 @@ mod tests {
             other => panic!("bad metric {other:?}"),
         }
         assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn merge_combines_per_kind() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 1);
-        a.gauge_set("g", 2.0);
-        a.hist_record("h", 10);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("c", 4);
-        b.gauge_set("g", 1.0);
-        b.hist_record("h", 20);
-        b.counter_add("only_b", 7);
-        a.merge(&b);
-        assert_eq!(a.get("c"), Some(&MetricValue::Counter(5)));
-        assert_eq!(a.get("g"), Some(&MetricValue::Gauge(2.0)));
-        assert_eq!(a.get("only_b"), Some(&MetricValue::Counter(7)));
-        match a.get("h") {
-            Some(MetricValue::Hist(h)) => assert_eq!(h.count(), 2),
-            other => panic!("bad metric {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_is_independent() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 1);
-        let snap = a.snapshot();
-        a.counter_add("c", 1);
-        assert_eq!(snap.get("c"), Some(&MetricValue::Counter(1)));
-        assert_eq!(a.get("c"), Some(&MetricValue::Counter(2)));
     }
 
     #[test]

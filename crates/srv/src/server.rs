@@ -34,15 +34,15 @@
 //!
 //! Every request is decomposed into lifecycle phases — accepted →
 //! queued → cache-probe → capture/replay → respond — timed on the host
-//! clock and rolled into a [`SvcStats`] aggregate (relaxed-atomic
-//! counters, max gauges, per-phase latency histograms behind one
-//! per-request lock). The aggregate is always on: it feeds the `stats`
-//! verb (versioned JSON snapshot), the `metrics` verb (Prometheus text
-//! exposition 0.0.4, also served to `GET /metrics` over the same TCP
-//! port), and the optional JSONL request log. None of it can reach a
-//! simulation: response `"result"` bytes are produced before any
-//! telemetry is recorded for the request, and the byte-identity suite
-//! hammers `stats` concurrently to prove it.
+//! clock and recorded into one [`MetricsRegistry`] behind one mutex,
+//! taken once per event (a finished request records everything in one
+//! critical section). The registry is always on: a copy of it feeds the
+//! `stats` verb (versioned JSON snapshot) and the `metrics` verb
+//! (Prometheus text exposition 0.0.4, also served to `GET /metrics`
+//! over the same TCP port); the optional JSONL request log sits beside
+//! it. None of it can reach a simulation: response `"result"` bytes are
+//! produced before any telemetry is recorded for the request, and the
+//! byte-identity suite hammers `stats` concurrently to prove it.
 
 use crate::cache::{CacheStats, CaptureCache, CaptureKey};
 use crate::proto::{
@@ -54,8 +54,8 @@ use sctm_core::trace::TraceLog;
 use sctm_core::Mode;
 use sctm_engine::stats::Histogram;
 use sctm_obs::reqlog::{json_line, RequestLog};
-use sctm_obs::svc::{SvcCounter, SvcPhase, SvcStats, SVC_STATS_VERSION};
-use sctm_obs::{json_escape, span, ConvergenceVerdict, Manifest};
+use sctm_obs::svc::SVC_STATS_VERSION;
+use sctm_obs::{json_escape, span, ConvergenceVerdict, Manifest, MetricValue, MetricsRegistry};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,7 +100,7 @@ pub struct Reply {
     /// The response line (no trailing newline).
     pub line: String,
     /// When the worker handed the line over. Whoever delivers it
-    /// records [`SvcPhase::Respond`] as the time from here to delivery.
+    /// records `srv.lat.respond_us` as the time from here to delivery.
     pub done: Instant,
 }
 
@@ -138,51 +138,69 @@ struct QueueState {
     draining: bool,
 }
 
-/// Shard-mode counters (zeros outside shard mode; the schema is
-/// stable either way). Cluster-wide capture count is
-/// `Σ srv.cache.misses − Σ srv.shard.forwarded` across instances.
-#[derive(Default)]
-struct ShardCounters {
-    /// Local captures for keys this instance owns.
-    owned: AtomicU64,
-    /// Misses satisfied by fetching from the owning peer.
-    forwarded: AtomicU64,
-    /// `fwd` requests served on behalf of peers.
-    fwd_served: AtomicU64,
-    /// Forwards that failed (peer down, malformed reply); the capture
-    /// was taken locally instead.
-    fwd_errors: AtomicU64,
-}
-
 struct Shared {
     cfg: ServerConfig,
     cache: CaptureCache,
     queue: Mutex<QueueState>,
     /// Signalled once per queued job, and to all when a drain begins.
     work: Condvar,
-    svc: SvcStats,
+    /// The live telemetry: every `srv.*` name the server records
+    /// (DESIGN.md §12.4). `submit` may take this lock inside `queue`;
+    /// nothing takes `queue` while holding it.
+    metrics: Mutex<MetricsRegistry>,
     log: Option<Arc<RequestLog>>,
     next_seq: AtomicU64,
-    /// Convergence rollup across completed self-correction runs: run
-    /// counts per verdict and an iterations-per-run histogram, served
-    /// as `srv.conv.*` by the `stats`/`metrics` verbs.
-    conv: Mutex<ConvRollup>,
     /// Consistent-hash shard state; `None` runs single-instance.
     shard: Option<Shard>,
-    shard_counters: ShardCounters,
 }
 
-struct ConvRollup {
-    runs: std::collections::BTreeMap<&'static str, u64>,
-    iterations: Histogram,
+/// Every name the server records into, at zero, so the `stats` schema
+/// never depends on which events have happened. The names `stats`
+/// derives at call time (cache, queue depth, workers, peers) are added
+/// by [`Server::stats_manifest`].
+fn seeded_registry() -> MetricsRegistry {
+    let mut m = MetricsRegistry::new();
+    for name in [
+        "srv.accepted",
+        "srv.completed",
+        "srv.rejected",
+        "srv.timeouts",
+        "srv.errors",
+        "srv.budget_exhausted",
+        "srv.cache.bypass",
+        "srv.stats_served",
+        "srv.metrics_served",
+        // Shard mode: zeros single-instance. Cluster-wide capture count
+        // is `Σ srv.cache.misses − Σ srv.shard.forwarded`.
+        "srv.shard.owned",
+        "srv.shard.forwarded",
+        "srv.shard.fwd_served",
+        "srv.shard.fwd_errors",
+    ] {
+        m.counter_add(name, 0);
+    }
+    for v in ConvergenceVerdict::ALL {
+        m.counter_add(format!("srv.conv.runs.{}", v.label()), 0);
+    }
+    m.gauge_set("srv.in_flight", 0.0);
+    m.gauge_set("srv.queue.peak", 0.0);
+    for name in [
+        "srv.lat.queue_us",
+        "srv.lat.cache_probe_us",
+        "srv.lat.execute_us",
+        "srv.lat.respond_us",
+        "srv.lat.total_us",
+        "srv.conv.iterations",
+    ] {
+        m.hist_merge(name, &Histogram::new());
+    }
+    m
 }
 
-impl ConvRollup {
-    fn new() -> Self {
-        ConvRollup {
-            runs: std::collections::BTreeMap::new(),
-            iterations: Histogram::new(),
-        }
+fn gauge(m: &MetricsRegistry, name: &str) -> f64 {
+    match m.get(name) {
+        Some(MetricValue::Gauge(v)) => *v,
+        _ => 0.0,
     }
 }
 
@@ -202,6 +220,11 @@ fn now_ms() -> u128 {
 }
 
 impl Shared {
+    /// Update the live telemetry in one critical section.
+    fn record(&self, f: impl FnOnce(&mut MetricsRegistry)) {
+        f(&mut lock(&self.metrics));
+    }
+
     /// Emit one structured JSONL request-log line (no-op when the
     /// daemon runs without a log). `fields` follow the fixed prefix
     /// `ts_ms`, `seq`.
@@ -231,15 +254,11 @@ impl Server {
         Server::start_sharded(cfg, None, None)
     }
 
-    /// As [`Server::start`], with an optional structured request log
-    /// (one JSONL line per request; see DESIGN.md §12).
-    pub fn start_logged(cfg: ServerConfig, log: Option<Arc<RequestLog>>) -> Server {
-        Server::start_sharded(cfg, None, log)
-    }
-
-    /// As [`Server::start_logged`], optionally joining a consistent-hash
-    /// shard cluster (see the `shard` module docs): capture misses on
-    /// keys owned by a peer are forwarded instead of captured locally.
+    /// As [`Server::start`], optionally joining a consistent-hash shard
+    /// cluster (see the `shard` module docs) — capture misses on keys
+    /// owned by a peer are forwarded instead of captured locally — and
+    /// with an optional structured request log (one JSONL line per
+    /// request; see DESIGN.md §12).
     pub fn start_sharded(
         cfg: ServerConfig,
         shard: Option<Shard>,
@@ -250,12 +269,10 @@ impl Server {
             cfg,
             queue: Mutex::new(QueueState::default()),
             work: Condvar::new(),
-            svc: SvcStats::new(),
+            metrics: Mutex::new(seeded_registry()),
             log,
             next_seq: AtomicU64::new(1),
-            conv: Mutex::new(ConvRollup::new()),
             shard,
-            shard_counters: ShardCounters::default(),
         });
         let workers = (0..service_threads(cfg.workers))
             .map(|index| {
@@ -289,7 +306,7 @@ impl Server {
         if q.draining {
             drop(q);
             let err = sctm_core::SctmError::InvalidSpec("server is shutting down".into());
-            self.shared.svc.incr(SvcCounter::Rejected);
+            self.shared.record(|m| m.counter_add("srv.rejected", 1));
             self.shared.log_event(
                 seq,
                 &[
@@ -302,7 +319,7 @@ impl Server {
         }
         if q.jobs.len() >= cfg.queue_cap {
             drop(q);
-            self.shared.svc.incr(SvcCounter::Rejected);
+            self.shared.record(|m| m.counter_add("srv.rejected", 1));
             self.shared.log_event(
                 seq,
                 &[
@@ -323,8 +340,11 @@ impl Server {
         });
         // Counted before a worker can see the job, so `srv.completed`
         // never runs ahead of `srv.accepted`.
-        self.shared.svc.incr(SvcCounter::Accepted);
-        self.shared.svc.note_queue_depth(q.jobs.len() as u64);
+        let depth = q.jobs.len() as f64;
+        self.shared.record(|m| {
+            m.counter_add("srv.accepted", 1);
+            m.gauge_set("srv.queue.peak", gauge(m, "srv.queue.peak").max(depth));
+        });
         drop(q);
         self.shared.work.notify_one();
         Ok(rx)
@@ -341,9 +361,7 @@ impl Server {
         let e = &f.experiment;
         let key = CaptureKey::new(e.kernel.label(), e.system.side, e.ops_per_core, e.seed);
         self.shared
-            .shard_counters
-            .fwd_served
-            .fetch_add(1, Ordering::Relaxed);
+            .record(|m| m.counter_add("srv.shard.fwd_served", 1));
         let (log, hit) = self.shared.cache.get_or_capture(key, || {
             let _g = span("svc", "capture");
             e.capture()
@@ -361,9 +379,9 @@ impl Server {
         match self.submit(req) {
             Ok(rx) => {
                 let reply = rx.recv().unwrap_or_else(|_| Reply::dropped());
+                let respond_us = us(reply.done.elapsed());
                 self.shared
-                    .svc
-                    .record_us(SvcPhase::Respond, us(reply.done.elapsed()));
+                    .record(|m| m.hist_record("srv.lat.respond_us", respond_us));
                 reply.line
             }
             Err(line) => line,
@@ -378,12 +396,6 @@ impl Server {
         lock(&self.shared.queue).jobs.len()
     }
 
-    /// Point-in-time copy of the service aggregate. Counters are
-    /// individually monotone across successive calls.
-    pub fn svc_snapshot(&self) -> sctm_obs::svc::SvcSnapshot {
-        self.shared.svc.snapshot()
-    }
-
     /// The structured request log, when the server was started with one.
     pub fn request_log(&self) -> Option<&RequestLog> {
         self.shared.log.as_deref()
@@ -391,13 +403,17 @@ impl Server {
 
     /// Service telemetry as a run manifest in the `sctm-obs` schema:
     /// the full `srv.*` namespace of DESIGN.md §12 (lifecycle counters,
-    /// per-phase latency histograms, cache economics, queue state).
+    /// per-phase latency histograms, cache economics, queue state): a
+    /// copy of the live registry plus the gauges derived at call time.
     pub fn stats_manifest(&self) -> Manifest {
-        let cs = self.shared.cache.stats();
         let mut m = Manifest::new();
         m.config("stats_version", SVC_STATS_VERSION);
         m.config("queue_cap", self.shared.cfg.queue_cap);
         m.config("cache_budget_bytes", self.shared.cfg.cache_bytes);
+        // Copied before `queue_depth` takes the queue lock: the
+        // registry lock is never held while the queue lock is taken.
+        m.metrics = lock(&self.shared.metrics).clone();
+        let cs = self.shared.cache.stats();
         m.metrics.counter_add("srv.cache.hits", cs.hits);
         m.metrics.counter_add("srv.cache.misses", cs.misses);
         m.metrics.counter_add("srv.cache.evictions", cs.evictions);
@@ -407,42 +423,16 @@ impl Server {
         m.metrics.gauge_set("srv.cache.bytes", cs.bytes as f64);
         m.metrics
             .gauge_set("srv.queue.depth", self.queue_depth() as f64);
-        {
-            // Fixed verdict set, zeros included: the schema never
-            // depends on which verdicts have occurred yet.
-            let conv = lock(&self.shared.conv);
-            for v in ConvergenceVerdict::ALL {
-                let n = conv.runs.get(v.label()).copied().unwrap_or(0);
-                m.metrics
-                    .counter_add(format!("srv.conv.runs.{}", v.label()), n);
-            }
-            m.metrics
-                .hist_merge("srv.conv.iterations", &conv.iterations);
-        }
         // Zero once drained.
         m.metrics
             .gauge_set("srv.sched.workers", lock(&self.workers).len() as f64);
-        // Shard counters: zeros single-instance, same schema.
+        // Zero single-instance, same schema.
         let peers = self
             .shared
             .shard
             .as_ref()
             .map_or(0, |s| s.ring().peers().len());
-        let sc = &self.shared.shard_counters;
         m.metrics.gauge_set("srv.shard.peers", peers as f64);
-        m.metrics
-            .counter_add("srv.shard.owned", sc.owned.load(Ordering::Relaxed));
-        m.metrics
-            .counter_add("srv.shard.forwarded", sc.forwarded.load(Ordering::Relaxed));
-        m.metrics.counter_add(
-            "srv.shard.fwd_served",
-            sc.fwd_served.load(Ordering::Relaxed),
-        );
-        m.metrics.counter_add(
-            "srv.shard.fwd_errors",
-            sc.fwd_errors.load(Ordering::Relaxed),
-        );
-        self.shared.svc.snapshot().publish(&mut m.metrics);
         m
     }
 
@@ -475,9 +465,11 @@ impl Drop for Server {
 /// full telemetry.
 fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
     let waited = now.duration_since(job.enqueued);
-    shared.svc.incr(SvcCounter::TimedOut);
-    shared.svc.record_us(SvcPhase::Queue, us(waited));
-    shared.svc.record_us(SvcPhase::Total, us(waited));
+    shared.record(|m| {
+        m.counter_add("srv.timeouts", 1);
+        m.hist_record("srv.lat.queue_us", us(waited));
+        m.hist_record("srv.lat.total_us", us(waited));
+    });
     shared.log_event(
         job.seq,
         &[
@@ -494,37 +486,36 @@ fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
     )));
 }
 
-/// Fold one finished request into counters, conv rollup, phase
-/// histograms, and the request log, and send its reply. The
-/// counter-before-reply ordering is the `stats` read-your-writes
-/// contract.
+/// Record one finished request into the registry and the request log,
+/// and send its reply. Recording before the reply is the `stats`
+/// read-your-writes contract.
 fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
-    // Counters land before the reply: a client that polls `stats`
-    // after receiving its answer always sees itself counted (the
-    // channel send/recv pair orders the relaxed stores for the
-    // receiver).
-    let svc = &shared.svc;
-    svc.incr(SvcCounter::Completed);
-    match done.cache {
-        CacheOutcome::Bypass => svc.incr(SvcCounter::CacheBypass),
-        CacheOutcome::Hit | CacheOutcome::Miss => {}
-    }
-    if let Some(kind) = done.error_kind {
-        svc.incr(SvcCounter::Errors);
-        if kind == "budget-exhausted" {
-            svc.incr(SvcCounter::BudgetExhausted);
-        }
-    }
-    // Conv rollup lands before the reply for the same reason the
-    // counters above do: a client polling `stats` after its answer
-    // sees itself counted.
-    if let Some(v) = done.verdict {
-        let mut conv = lock(&shared.conv);
-        *conv.runs.entry(v).or_insert(0) += 1;
-        conv.iterations.record(done.conv_iterations);
-    }
     let total_us = us(job.enqueued.elapsed());
-    // The log line, like the counters, lands before the reply: a
+    // Counters, convergence row and phase samples land in one critical
+    // section before the reply: a client that polls `stats` after
+    // receiving its answer sees all of its own samples (the channel
+    // send/recv pair orders the unlock before the receiver's read).
+    shared.record(|m| {
+        m.counter_add("srv.completed", 1);
+        if done.cache == CacheOutcome::Bypass {
+            m.counter_add("srv.cache.bypass", 1);
+        }
+        if let Some(kind) = done.error_kind {
+            m.counter_add("srv.errors", 1);
+            if kind == "budget-exhausted" {
+                m.counter_add("srv.budget_exhausted", 1);
+            }
+        }
+        if let Some(v) = done.verdict {
+            m.counter_add(format!("srv.conv.runs.{v}"), 1);
+            m.hist_record("srv.conv.iterations", done.conv_iterations);
+        }
+        m.hist_record("srv.lat.queue_us", queue_us);
+        m.hist_record("srv.lat.cache_probe_us", done.probe_us);
+        m.hist_record("srv.lat.execute_us", done.execute_us);
+        m.hist_record("srv.lat.total_us", total_us);
+    });
+    // The log line, like the samples, lands before the reply: a
     // client holding its answer can already find its line, and lines
     // of requests sent one after another stay in that order.
     if shared.log.is_some() {
@@ -559,14 +550,10 @@ fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
     // The respond phase starts here and ends where the line is
     // delivered, so whoever holds the receiver records it.
     let _ = job.reply.send(Reply::now(done.line));
-    svc.record_us(SvcPhase::Queue, queue_us);
-    svc.record_us(SvcPhase::CacheProbe, done.probe_us);
-    svc.record_us(SvcPhase::Execute, done.execute_us);
-    svc.record_us(SvcPhase::Total, total_us);
 }
 
 /// What one executed request produced, response line plus the
-/// telemetry its worker folds into [`SvcStats`] and the request log.
+/// telemetry its worker records into the registry and the request log.
 struct JobDone {
     line: String,
     cache: CacheOutcome,
@@ -602,24 +589,16 @@ fn produce_capture(
     if let Some(shard) = &shared.shard {
         let owner = shard.ring().owner(key);
         if owner == shard.ring().self_addr() {
-            shared.shard_counters.owned.fetch_add(1, Ordering::Relaxed);
+            shared.record(|m| m.counter_add("srv.shard.owned", 1));
         } else {
             let owner = owner.to_string();
             let _g = span("svc", "fwd");
             match shard.fetch_from_owner(&owner, e, id) {
                 Ok((log, _peer_outcome)) => {
-                    shared
-                        .shard_counters
-                        .forwarded
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.record(|m| m.counter_add("srv.shard.forwarded", 1));
                     return log;
                 }
-                Err(_) => {
-                    shared
-                        .shard_counters
-                        .fwd_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                Err(_) => shared.record(|m| m.counter_add("srv.shard.fwd_errors", 1)),
             }
         }
     }
@@ -673,7 +652,7 @@ fn worker_loop(shared: &Shared) {
         let (seq, id) = (job.seq, job.req.id.clone());
         let run = std::panic::AssertUnwindSafe(|| run_job(shared, job));
         if std::panic::catch_unwind(run).is_err() {
-            shared.svc.incr(SvcCounter::Errors);
+            shared.record(|m| m.counter_add("srv.errors", 1));
             shared.log_event(
                 seq,
                 &[
@@ -688,18 +667,19 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Holds one `srv.in_flight` tick for as long as a request executes.
-struct InFlight<'a>(&'a SvcStats);
+struct InFlight<'a>(&'a Shared);
 
 impl<'a> InFlight<'a> {
-    fn enter(svc: &'a SvcStats) -> Self {
-        svc.enter();
-        InFlight(svc)
+    fn enter(shared: &'a Shared) -> Self {
+        shared.record(|m| m.gauge_set("srv.in_flight", gauge(m, "srv.in_flight") + 1.0));
+        InFlight(shared)
     }
 }
 
 impl Drop for InFlight<'_> {
     fn drop(&mut self) {
-        self.0.exit();
+        self.0
+            .record(|m| m.gauge_set("srv.in_flight", gauge(m, "srv.in_flight") - 1.0));
     }
 }
 
@@ -717,7 +697,7 @@ fn run_job(shared: &Shared, job: Job) {
         }
     }
     let queue_us = us(started.duration_since(job.enqueued));
-    let in_flight = InFlight::enter(&shared.svc);
+    let in_flight = InFlight::enter(shared);
     let req = &job.req;
     let e = &req.experiment;
     let traceless = matches!(req.spec.mode, Mode::ExecutionDriven | Mode::Online { .. });
@@ -921,11 +901,11 @@ fn read_requests<R: BufRead>(
 
 /// The connection's sink as the writer half sees it: buffered, and
 /// remembering which run replies are written but not yet flushed so
-/// [`SvcPhase::Respond`] ends where the bytes actually leave.
+/// `srv.lat.respond_us` ends where the bytes actually leave.
 struct Sink<'a, W: Write> {
     out: std::io::BufWriter<&'a mut W>,
     unflushed: Vec<Instant>,
-    svc: &'a SvcStats,
+    shared: &'a Shared,
 }
 
 impl<W: Write> Sink<'_, W> {
@@ -936,8 +916,13 @@ impl<W: Write> Sink<'_, W> {
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.out.flush()?;
-        for done in self.unflushed.drain(..) {
-            self.svc.record_us(SvcPhase::Respond, us(done.elapsed()));
+        if !self.unflushed.is_empty() {
+            let unflushed = &mut self.unflushed;
+            self.shared.record(|m| {
+                for done in unflushed.drain(..) {
+                    m.hist_record("srv.lat.respond_us", us(done.elapsed()));
+                }
+            });
         }
         Ok(())
     }
@@ -961,13 +946,13 @@ fn write_owed<W: Write>(
     writer: &mut W,
     server: &Server,
 ) -> std::io::Result<bool> {
-    let svc = &server.shared.svc;
+    let shared = &*server.shared;
     let mut sink = Sink {
         // One write per response for everything but multi-megabyte
         // `fwd` frames (run responses are a few KiB, `stats` ~20 KiB).
         out: std::io::BufWriter::with_capacity(64 << 10, writer),
         unflushed: Vec::new(),
-        svc,
+        shared,
     };
     while let Some(item) = sink.wait_for(&owed)? {
         // These take time to evaluate (`fwd` may wait out a whole
@@ -994,11 +979,11 @@ fn write_owed<W: Write>(
             }
             Owed::Verb(Request::Fwd(freq)) => sink.line(&server.handle_fwd(&freq))?,
             Owed::Verb(Request::Stats) => {
-                svc.incr(SvcCounter::StatsServed);
+                shared.record(|m| m.counter_add("srv.stats_served", 1));
                 sink.line(&stats_line(server))?;
             }
             Owed::Verb(Request::Metrics) => {
-                svc.incr(SvcCounter::MetricsServed);
+                shared.record(|m| m.counter_add("srv.metrics_served", 1));
                 sink.out.write_all(server.prometheus_text().as_bytes())?;
                 sink.line("# EOF")?;
             }
@@ -1029,7 +1014,9 @@ fn serve_http_get<W: Write>(
         .unwrap_or("/");
     let (status, ctype, body) = match path {
         "/metrics" => {
-            server.shared.svc.incr(SvcCounter::MetricsServed);
+            server
+                .shared
+                .record(|m| m.counter_add("srv.metrics_served", 1));
             (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
@@ -1037,7 +1024,9 @@ fn serve_http_get<W: Write>(
             )
         }
         "/stats" => {
-            server.shared.svc.incr(SvcCounter::StatsServed);
+            server
+                .shared
+                .record(|m| m.counter_add("srv.stats_served", 1));
             (
                 "200 OK",
                 "application/json",

@@ -1,33 +1,9 @@
-//! Property tests for the observability layer's two numeric guarantees:
+//! Property test for the observability layer's numeric guarantee:
 //! histogram quantiles stay within their documented error bound over the
-//! full `u64` range, and metrics-registry snapshot/merge is exactly
-//! associative — the precondition for deterministic parallel
-//! aggregation (per-thread registries can be merged in any grouping and
-//! produce the identical snapshot).
+//! full `u64` range.
 
 use proptest::prelude::*;
 use sctm::engine::stats::Histogram;
-use sctm::obs::{MetricValue, MetricsRegistry};
-
-/// One randomly generated registry operation, applied to a named metric.
-fn apply(reg: &mut MetricsRegistry, op: &(u8, u8, u64)) {
-    let (kind, slot, v) = *op;
-    // Keep name spaces per kind disjoint so ops never mix metric kinds
-    // on one name (mixing is a programming error, debug_assert'd).
-    match kind % 3 {
-        0 => reg.counter_add(format!("c{}", slot % 4), v),
-        1 => reg.gauge_set(format!("g{}", slot % 4), v as f64),
-        _ => reg.hist_record(format!("h{}", slot % 4), v),
-    }
-}
-
-fn build(ops: &[(u8, u8, u64)]) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    for op in ops {
-        apply(&mut reg, op);
-    }
-    reg
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -58,56 +34,5 @@ proptest! {
         }
         prop_assert_eq!(h.quantile(0.0), sorted[0]);
         prop_assert_eq!(h.quantile(1.0), *sorted.last().unwrap());
-    }
-
-    /// Snapshot/merge is exactly associative and order-insensitive:
-    /// `(a ⊔ b) ⊔ c == a ⊔ (b ⊔ c)`, with every metric kind
-    /// (counter sum, gauge max, histogram bucket-wise merge) compared
-    /// for exact equality. This is what makes parallel sweeps publish
-    /// deterministic aggregates regardless of worker count.
-    #[test]
-    fn registry_merge_associative(
-        a in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..60),
-        b in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..60),
-        c in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..60),
-    ) {
-        let (ra, rb, rc) = (build(&a), build(&b), build(&c));
-
-        let mut left = ra.snapshot();
-        left.merge(&rb);
-        left.merge(&rc);
-
-        let mut right_tail = rb.snapshot();
-        right_tail.merge(&rc);
-        let mut right = ra.snapshot();
-        right.merge(&right_tail);
-
-        prop_assert_eq!(&left, &right, "merge grouping changed the aggregate");
-
-        // Merging in the swapped order must agree too (counters are
-        // commutative sums, gauges max, histograms bucket-wise sums).
-        let mut swapped = rc.snapshot();
-        swapped.merge(&ra);
-        swapped.merge(&rb);
-        prop_assert_eq!(&left, &swapped, "merge order changed the aggregate");
-
-        // A merge with an empty registry is the identity.
-        let mut id = ra.snapshot();
-        id.merge(&MetricsRegistry::new());
-        prop_assert_eq!(&id, &ra);
-    }
-}
-
-#[test]
-fn registry_snapshot_is_deep() {
-    let mut reg = MetricsRegistry::new();
-    reg.counter_add("c", 1);
-    reg.hist_record("h", 42);
-    let snap = reg.snapshot();
-    reg.counter_add("c", 1);
-    reg.hist_record("h", 43);
-    match snap.get("c") {
-        Some(MetricValue::Counter(n)) => assert_eq!(*n, 1, "snapshot mutated"),
-        other => panic!("bad snapshot entry: {other:?}"),
     }
 }

@@ -222,11 +222,12 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
     let dir = std::env::temp_dir().join(format!("sctm-panic-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let log = std::sync::Arc::new(sctm_obs::reqlog::RequestLog::create(&dir).expect("open log"));
-    let server = std::sync::Arc::new(Server::start_logged(
+    let server = std::sync::Arc::new(Server::start_sharded(
         ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         },
+        None,
         Some(std::sync::Arc::clone(&log)),
     ));
     // `parse_request` refuses ops below the workload builder's minimum;
@@ -263,9 +264,12 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
         .recv_timeout(wait)
         .expect("the only worker died with the bad request");
     assert!(good.line.starts_with(r#"{"status":"ok""#), "{}", good.line);
-    let snap = server.svc_snapshot();
-    assert_eq!(snap.in_flight, 0);
-    let stats = server.stats_manifest().to_json();
+    let manifest = server.stats_manifest();
+    assert_eq!(
+        manifest.metrics.get("srv.in_flight"),
+        Some(&sctm_obs::MetricValue::Gauge(0.0))
+    );
+    let stats = manifest.to_json();
     assert_eq!(stats_counter(&stats, "srv.errors"), 2, "{stats}");
     assert_eq!(stats_counter(&stats, "srv.completed"), 1, "{stats}");
     // A drain that waits on the dead request would hang here.

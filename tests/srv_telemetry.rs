@@ -11,7 +11,7 @@
 //! independence.
 
 use sctm_obs::reqlog::RequestLog;
-use sctm_obs::svc::{SvcPhase, SvcSnapshot};
+use sctm_obs::MetricValue;
 use sctm_srv::{parse_request, serve_lines, Request, RunRequest, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -169,16 +169,13 @@ fn stats_verb_is_versioned_and_observes_prior_runs() {
     assert_eq!(counter(&line, "srv.accepted"), 1);
     assert_eq!(counter(&line, "srv.completed"), 1);
     assert_eq!(counter(&line, "srv.cache.misses"), 1);
-    // Histograms land just after the reply send; wait out the tiny race.
-    let mut lat = metric_num(&line, "srv.lat.total_us", "count");
-    for _ in 0..1000 {
-        if lat == Some(1.0) {
-            break;
-        }
-        std::thread::yield_now();
-        lat = metric_num(&verb(&server, "stats"), "srv.lat.total_us", "count");
-    }
+    // Phase samples land with the counters, before the reply.
+    let lat = metric_num(&line, "srv.lat.total_us", "count");
     assert_eq!(lat, Some(1.0));
+    assert_eq!(
+        lat,
+        Some((counter(&line, "srv.completed") + counter(&line, "srv.timeouts")) as f64)
+    );
     // The stats verb counts itself (incremented before rendering).
     assert_eq!(counter(&line, "srv.stats_served"), 1);
     assert!(counter(&verb(&server, "stats"), "srv.stats_served") >= 2);
@@ -190,15 +187,7 @@ fn metrics_verb_emits_valid_prometheus_terminated_by_eof() {
     server.submit_blocking(run_req(
         "run kernel=fft net=omesh side=2 ops=150 mode=sctm iters=2 id=m1",
     ));
-    // Histograms land just after the reply send; wait out the tiny race.
-    let mut out = verb(&server, "metrics");
-    for _ in 0..1000 {
-        if out.contains("sctm_srv_lat_total_us_count 1") {
-            break;
-        }
-        std::thread::yield_now();
-        out = verb(&server, "metrics");
-    }
+    let out = verb(&server, "metrics");
     let body = out
         .strip_suffix("# EOF\n")
         .expect("missing # EOF terminator");
@@ -301,10 +290,12 @@ fn counters_are_monotone_while_clients_hammer() {
                         );
                         prev[i] = cur;
                     }
-                    // Histogram sample counts are monotone too.
+                    // Phase samples land with their counters, so every
+                    // snapshot holds exactly one total per answer.
                     let lat = metric_num(&line, "srv.lat.total_us", "count").unwrap_or(0.0) as u64;
-                    assert!(
-                        lat <= counter(&line, "srv.completed") + counter(&line, "srv.timeouts")
+                    assert_eq!(
+                        lat,
+                        counter(&line, "srv.completed") + counter(&line, "srv.timeouts")
                     );
                     check_prometheus(
                         verb(&server, "metrics")
@@ -393,24 +384,96 @@ fn responses_are_byte_identical_with_aggressive_polling() {
     }
 }
 
+/// `(name, kind)` of every metric a `stats` call would render.
+fn schema(server: &Server) -> Vec<(String, &'static str)> {
+    let m = server.stats_manifest();
+    m.metrics
+        .iter()
+        .map(|(name, v)| {
+            let kind = match v {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Hist(_) => "hist",
+            };
+            (name.to_string(), kind)
+        })
+        .collect()
+}
+
 #[test]
-fn snapshot_merge_matches_sequential_recording() {
-    // Shard aggregation: recording phases into two snapshots and
-    // merging equals recording everything into one.
-    let mut a = SvcSnapshot::default();
-    let mut b = SvcSnapshot::default();
-    let mut whole = SvcSnapshot::default();
-    for i in 0..100u64 {
-        let v = i * 37 + 1;
-        whole.record_us(SvcPhase::Total, v);
-        if i % 2 == 0 {
-            a.record_us(SvcPhase::Total, v);
-        } else {
-            b.record_us(SvcPhase::Total, v);
+fn fresh_stats_are_pinned_and_the_schema_never_grows() {
+    // The goldens were rendered by the daemon before its telemetry
+    // became one registry; never regenerate them to make a telemetry
+    // change pass.
+    let cfg = ServerConfig {
+        queue_cap: 64,
+        cache_bytes: 256 << 20,
+        default_timeout_ms: 300_000,
+        retry_after_ms: 50,
+        workers: 1,
+    };
+    let fresh = Server::start(cfg);
+    assert_eq!(
+        verb(&fresh, "stats"),
+        include_str!("golden/srv_fresh_stats.json")
+    );
+    assert_eq!(
+        verb(&fresh, "metrics"),
+        include_str!("golden/srv_fresh_metrics.prom")
+    );
+
+    // A mixed batch: ok, typed error, self-correction, busy, timeout.
+    let server = Server::start(ServerConfig {
+        queue_cap: 2,
+        ..cfg
+    });
+    let ok = server.submit_blocking(run_req(
+        "run kernel=fft net=omesh side=2 ops=150 mode=classic-trace id=ok",
+    ));
+    assert!(ok.contains(r#""status":"ok""#), "{ok}");
+    // `parse_request` refuses `iters=0`; a hand-built spec reaches the
+    // worker and comes back as a typed error.
+    let mut bad = run_req("run kernel=fft net=omesh side=2 ops=150 mode=sctm id=bad");
+    bad.spec = sctm_core::RunSpec::new(sctm_core::Mode::SelfCorrection { max_iters: 0 });
+    let bad = server.submit_blocking(bad);
+    assert!(bad.contains(r#""kind":"invalid-spec""#), "{bad}");
+    let sctm = server.submit_blocking(run_req(
+        "run kernel=fft net=omesh side=2 ops=150 mode=sctm iters=2 id=sctm",
+    ));
+    assert!(sctm.contains(r#""status":"ok""#), "{sctm}");
+    // Whether or not the one worker has picked up the long request yet,
+    // the queue (cap 2) is full by the third zero-deadline request,
+    // which is refused; the first one queued has expired by the time
+    // the worker reaches it.
+    let long = server
+        .submit(run_req(
+            "run kernel=fft net=omesh side=4 ops=600 seed=9 mode=exec-driven id=long",
+        ))
+        .expect("queue is empty");
+    let queued: Vec<_> = (0..3)
+        .map(|i| {
+            server.submit(run_req(&format!(
+                "run kernel=fft side=2 ops=150 timeout_ms=0 id=t{i}"
+            )))
+        })
+        .collect();
+    assert!(queued.iter().any(Result::is_err), "nothing was refused");
+    let mut lines = vec![long.recv().expect("long reply").line];
+    for q in queued {
+        match q {
+            Ok(rx) => lines.push(rx.recv().expect("reply").line),
+            Err(busy) => assert!(busy.contains(r#""status":"busy""#), "{busy}"),
         }
     }
-    a.merge(&b);
-    assert_eq!(a.phase(SvcPhase::Total), whole.phase(SvcPhase::Total));
+    assert!(
+        lines.iter().any(|l| l.contains(r#""status":"timeout""#)),
+        "{lines:#?}"
+    );
+    let stats = verb(&server, "stats");
+    for name in ["srv.errors", "srv.rejected", "srv.timeouts"] {
+        assert!(counter(&stats, name) >= 1, "{name} in {stats}");
+    }
+    assert_eq!(schema(&server), schema(&fresh));
 }
 
 #[test]
@@ -418,7 +481,7 @@ fn request_log_writes_one_line_per_request() {
     let dir = std::env::temp_dir().join(format!("sctm-srvlog-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let log = Arc::new(RequestLog::create(&dir).expect("open log"));
-    let server = Server::start_logged(ServerConfig::default(), Some(Arc::clone(&log)));
+    let server = Server::start_sharded(ServerConfig::default(), None, Some(Arc::clone(&log)));
 
     server.submit_blocking(run_req(
         "run kernel=fft net=omesh side=2 ops=150 mode=classic-trace id=l1",

@@ -18,19 +18,24 @@
 //! full-system phases cost nothing.
 //!
 //! A busy cycle costs in proportion to the flits that can act in it,
-//! not to the buffers that exist. Each router summarises its input VCs
-//! in request masks, one bit per `port * V + vc` slot — `nonempty`,
-//! `want[out_port]`, `needs_va` — and the simulator keeps a set of
-//! routers holding flits and a set of NIs with queued flits; the phases
-//! walk set bits only. The masks are redundant state, updated where a
-//! flit enters or leaves a VC (`push_flit`, `pop_flit`) and where RC/VA
-//! decide, and `check_masks` re-derives every one of them after each
-//! cycle in debug builds. Visit order is part of the model: RC/VA takes
-//! slots in ascending order, SA takes an output port's requesters from
-//! its round-robin pointer upward, then wrapped (DESIGN.md §7). What
-//! the phases ask of the topology per flit — which router is across
-//! this port, which way dimension order goes from here — is read from
-//! two tables `NocSim::new` builds once from [`Topology`]'s functions.
+//! not to the buffers that exist or the flits still in the pipeline.
+//! Each router summarises its input VCs in request masks, one bit per
+//! `port * V + vc` slot — `ready`, `want[out_port]`, `needs_va` — and
+//! the simulator keeps a set of routers with a ready VC and a set of
+//! NIs with queued flits; the phases walk set bits only. A VC's front
+//! flit turns `ready` in the cycle its `ready_cycle` falls due: a flit
+//! that becomes the front early is parked on a wake-up ring of
+//! `(router, slot)` lists, one per cycle, that `step_cycle` drains
+//! before the phases run. The masks are redundant state, updated where
+//! a flit enters or leaves a VC (`push_flit`, `pop_flit`), where the
+//! ring wakes it and where RC/VA decide, and `check_masks` re-derives
+//! every one of them, and the ring, after each cycle in debug builds.
+//! Visit order is part of the model: RC/VA takes slots in ascending
+//! order, SA takes an output port's requesters from its round-robin
+//! pointer upward, then wrapped (DESIGN.md §7). What the phases ask of
+//! the topology per flit — which router is across this port, which way
+//! dimension order goes from here — is read from two tables
+//! `NocSim::new` builds once from [`Topology`]'s functions.
 
 use crate::packet::{Flit, PacketizeConfig};
 use crate::topology::{Port, Routing, Topology, DIRS, NUM_PORTS};
@@ -176,8 +181,9 @@ struct Router {
     sa_rr: [usize; NUM_PORTS],
     /// Flits resident in this router's input buffers.
     occupancy: usize,
-    /// Input VCs holding at least one flit.
-    nonempty: SlotMask,
+    /// Input VCs whose front flit may compete this cycle: its
+    /// `ready_cycle` has come and the wake-up ring has delivered it.
+    ready: SlotMask,
     /// Input VCs routed to each output port: set by RC, cleared when
     /// the packet's tail leaves.
     want: [SlotMask; NUM_PORTS],
@@ -252,8 +258,13 @@ struct Ni {
 pub struct NocSim {
     cfg: NocConfig,
     routers: Vec<Router>,
-    /// Routers with `occupancy > 0`.
-    active: NodeSet,
+    /// Routers with `ready != 0`.
+    ready_set: NodeSet,
+    /// Wake-up ring: `wake[c % len]` holds the `(router, slot)` VCs
+    /// whose front flit turns ready in cycle `c`. Its length, a power of
+    /// two above `router_stages + link_cycles`, covers the furthest a
+    /// front's due cycle can lie ahead.
+    wake: Vec<Vec<(u32, u32)>>,
     nis: Vec<Ni>,
     /// NIs with a non-empty source queue.
     ni_nonempty: NodeSet,
@@ -345,16 +356,18 @@ impl NocSim {
                     out_alloc: vec![false; NUM_PORTS * v],
                     sa_rr: [0; NUM_PORTS],
                     occupancy: 0,
-                    nonempty: 0,
+                    ready: 0,
                     want: [0; NUM_PORTS],
                     needs_va: 0,
                 }
             })
             .collect();
+        let ring = (cfg.router_stages + cfg.link_cycles + 1).next_power_of_two();
         NocSim {
             cfg,
             routers,
-            active: NodeSet::new(n),
+            ready_set: NodeSet::new(n),
+            wake: vec![Vec::new(); ring as usize],
             nis: (0..n).map(|_| Ni::default()).collect(),
             ni_nonempty: NodeSet::new(n),
             pending: BinaryHeap::new(),
@@ -430,17 +443,42 @@ impl NocSim {
         }
     }
 
+    /// The front flit of input VC `pv` of router `node` may compete
+    /// from cycle `due` on: at once if that cycle has come, else when
+    /// the wake-up ring reaches it.
+    #[inline]
+    fn wake_at(&mut self, node: usize, pv: usize, due: u64) {
+        if due <= self.cycle {
+            self.routers[node].ready |= 1 << pv;
+            self.ready_set.insert(node);
+        } else {
+            let ring = self.wake.len();
+            debug_assert!(due - self.cycle <= ring as u64, "wake-up beyond the ring");
+            self.wake[due as usize & (ring - 1)].push((node as u32, pv as u32));
+        }
+    }
+
+    /// The fronts that fall due this cycle turn ready.
+    fn wake_due(&mut self) {
+        let at = self.cycle as usize & (self.wake.len() - 1);
+        let mut due = std::mem::take(&mut self.wake[at]);
+        for &(node, pv) in &due {
+            self.routers[node as usize].ready |= 1 << pv;
+            self.ready_set.insert(node as usize);
+        }
+        due.clear();
+        self.wake[at] = due;
+    }
+
     /// A flit enters input VC `pv` of router `node`.
     #[inline]
     fn push_flit(&mut self, node: usize, pv: usize, f: Flit) {
         let r = &mut self.routers[node];
         let ivc = &mut r.invc[pv];
         assert!(ivc.len < r.depth, "input VC overflow: credits out of step");
-        if ivc.len == 0 {
-            r.nonempty |= 1 << pv;
-            if f.kind.is_head() {
-                r.needs_va |= 1 << pv;
-            }
+        let front = ivc.len == 0;
+        if front && f.kind.is_head() {
+            r.needs_va |= 1 << pv;
         }
         let mut at = ivc.head + ivc.len;
         if at >= r.depth {
@@ -449,8 +487,8 @@ impl NocSim {
         r.bufs[pv * r.depth + at] = f;
         ivc.len += 1;
         r.occupancy += 1;
-        if r.occupancy == 1 {
-            self.active.insert(node);
+        if front {
+            self.wake_at(node, pv, f.ready_cycle);
         }
     }
 
@@ -478,12 +516,16 @@ impl NocSim {
                 r.needs_va |= 1 << pv;
             }
         }
-        if ivc.len == 0 {
-            r.nonempty &= !(1 << pv);
-        }
         r.occupancy -= 1;
-        if r.occupancy == 0 {
-            self.active.remove(node);
+        r.ready &= !(1 << pv);
+        if r.ready == 0 {
+            self.ready_set.remove(node);
+        }
+        if ivc.len > 0 {
+            // This cycle has read the VC's input port already, so the
+            // flit behind competes from the next cycle at the earliest.
+            let next = r.bufs[pv * r.depth + ivc.head].ready_cycle;
+            self.wake_at(node, pv, next.max(self.cycle + 1));
         }
         (f, ovc)
     }
@@ -539,15 +581,13 @@ impl NocSim {
         let v = self.cfg.total_vcs();
         let topo = self.cfg.topology;
         let mut next = 0;
-        while let Some(node) = self.active.next_from(next) {
+        while let Some(node) = self.ready_set.next_from(next) {
             next = node + 1;
             let here = sctm_engine::net::NodeId(node as u32);
-            for pv in slots(self.routers[node].needs_va) {
+            let r = &self.routers[node];
+            for pv in slots(r.needs_va & r.ready) {
                 let r = &self.routers[node];
                 let head = *r.front(pv).expect("needs_va on an empty VC");
-                if head.ready_cycle > self.cycle {
-                    continue;
-                }
                 let out = match r.invc[pv].out_port {
                     Some(out) => out,
                     None => {
@@ -616,7 +656,7 @@ impl NocSim {
         let port_slots: SlotMask = (1 << v) - 1;
         let topo = self.cfg.topology;
         let mut next = 0;
-        while let Some(node) = self.active.next_from(next) {
+        while let Some(node) = self.ready_set.next_from(next) {
             next = node + 1;
             let here = sctm_engine::net::NodeId(node as u32);
             // Slots of input ports not yet read this cycle.
@@ -630,17 +670,15 @@ impl NocSim {
             ] {
                 let op = out_port.idx();
                 let r = &self.routers[node];
-                let requests = r.want[op] & r.nonempty & unread;
+                let requests = r.want[op] & r.ready & unread;
                 if requests == 0 {
                     continue;
                 }
                 let grantable = |&pv: &usize| {
-                    let f = r.front(pv).expect("nonempty bit on an empty VC");
-                    f.ready_cycle <= self.cycle
-                        && (out_port == Port::Local
-                            || r.invc[pv]
-                                .out_vc
-                                .is_some_and(|ovc| r.credits[op * v + ovc] > 0))
+                    out_port == Port::Local
+                        || r.invc[pv]
+                            .out_vc
+                            .is_some_and(|ovc| r.credits[op * v + ovc] > 0)
                 };
                 // From the round-robin pointer upward, then wrapped.
                 let below_rr: SlotMask = (1 << r.sa_rr[op]) - 1;
@@ -696,17 +734,43 @@ impl NocSim {
         }
     }
 
-    /// The request masks, the active sets and the occupancy counts are
-    /// redundant with the buffers and routes they summarise; check that
-    /// every one of them says what the underlying state says.
+    /// The request masks, the wake-up ring, the node sets and the
+    /// occupancy counts are redundant with the buffers, stamps and
+    /// routes they summarise; check at the end of a cycle that every one
+    /// of them says what the underlying state says.
     #[cfg(debug_assertions)]
     fn check_masks(&self) {
+        let ring = self.wake.len();
+        let per_router = NUM_PORTS * self.cfg.total_vcs();
+        // Ring position of each VC's pending wake-up.
+        let mut queued = vec![None; self.routers.len() * per_router];
+        for (at, due) in self.wake.iter().enumerate() {
+            for &(node, pv) in due {
+                let q = &mut queued[node as usize * per_router + pv as usize];
+                assert_eq!(*q, None, "two wake-ups for {node}/{pv}");
+                *q = Some(at);
+            }
+        }
         for (node, r) in self.routers.iter().enumerate() {
             let mut held = 0;
             for (pv, ivc) in r.invc.iter().enumerate() {
                 let bit = |m: SlotMask| m & (1 << pv) != 0;
                 held += ivc.len;
-                assert_eq!(bit(r.nonempty), ivc.len > 0, "nonempty {node}/{pv}");
+                let pending = queued[node * per_router + pv];
+                match r.front(pv) {
+                    None => assert!(
+                        !bit(r.ready) && pending.is_none(),
+                        "ready or wake-up on empty {node}/{pv}"
+                    ),
+                    Some(f) if bit(r.ready) => {
+                        assert!(f.ready_cycle <= self.cycle, "ready too early {node}/{pv}");
+                        assert_eq!(pending, None, "ready and queued {node}/{pv}");
+                    }
+                    Some(f) => {
+                        let due = f.ready_cycle.max(self.cycle + 1);
+                        assert_eq!(pending, Some(due as usize % ring), "wake-up {node}/{pv}");
+                    }
+                }
                 for (op, &want) in r.want.iter().enumerate() {
                     let routed = ivc.out_port.map(Port::idx) == Some(op);
                     assert_eq!(bit(want), routed, "want[{op}] {node}/{pv}");
@@ -720,7 +784,11 @@ impl NocSim {
                 assert_eq!(bit(r.needs_va), awaiting, "needs_va {node}/{pv}");
             }
             assert_eq!(r.occupancy, held, "occupancy {node}");
-            assert_eq!(self.active.contains(node), held > 0, "active {node}");
+            assert_eq!(
+                self.ready_set.contains(node),
+                r.ready != 0,
+                "ready_set {node}"
+            );
         }
         for (node, ni) in self.nis.iter().enumerate() {
             assert_eq!(
@@ -733,6 +801,7 @@ impl NocSim {
 
     fn step_cycle(&mut self, out: &mut Vec<Delivery>) {
         self.stall_cycles += 1;
+        self.wake_due();
         self.phase_inject();
         self.phase_rc_va();
         self.phase_sa_st(out);

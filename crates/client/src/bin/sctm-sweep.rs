@@ -1,20 +1,19 @@
-//! Pipelined sweep driver for one or more `sctmd` instances.
+//! Pipelined sweep driver for one `sctmd`.
 //!
-//! Reads request lines from stdin, distributes them round-robin across
-//! the given addresses, pipelines each partition over a pooled
+//! Reads request lines from stdin, pipelines them over a pooled
 //! connection, and prints the responses **in input order** — so a
-//! sweep script is `generate-configs | sctm-sweep --addr A --addr B`.
+//! sweep script is `generate-configs | sctm-sweep --addr A`.
 //!
 //! ```text
-//! sctm-sweep --addr HOST:PORT [--addr HOST:PORT ...]
-//!            [--stats]      print one stats line per address after the sweep
-//!            [--shutdown]   ask every address to drain and exit afterwards
+//! sctm-sweep --addr HOST:PORT
+//!            [--stats]      print one stats line after the sweep
+//!            [--shutdown]   ask the daemon to drain and exit afterwards
 //!            [--expect-ok]  exit 1 if any response is not status=ok
 //! ```
 //!
-//! Used by CI's two-process sharded smoke test: drive one workload
-//! through two instances, then assert from the `--stats` lines that the
-//! cluster captured it exactly once.
+//! Used by CI's sweep smoke test: drive one workload's sweep through
+//! one daemon, then assert from the `--stats` line that it captured the
+//! workload exactly once.
 
 use sctm_client::{Client, ClientError, Response};
 use std::io::BufRead;
@@ -30,7 +29,7 @@ fn main() {
 }
 
 fn run() -> Result<i32, ClientError> {
-    let mut addrs: Vec<String> = Vec::new();
+    let mut addr: Option<String> = None;
     let mut stats = false;
     let mut shutdown = false;
     let mut expect_ok = false;
@@ -41,14 +40,16 @@ fn run() -> Result<i32, ClientError> {
                 let v = args
                     .next()
                     .ok_or_else(|| ClientError::Protocol("--addr needs HOST:PORT".into()))?;
-                addrs.push(v);
+                if addr.replace(v).is_some() {
+                    return Err(ClientError::Protocol("--addr names one daemon".into()));
+                }
             }
             "--stats" => stats = true,
             "--shutdown" => shutdown = true,
             "--expect-ok" => expect_ok = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: sctm-sweep --addr HOST:PORT [--addr ...] \
+                    "usage: sctm-sweep --addr HOST:PORT \
                      [--stats] [--shutdown] [--expect-ok] < requests.txt"
                 );
                 return Ok(0);
@@ -58,16 +59,8 @@ fn run() -> Result<i32, ClientError> {
             }
         }
     }
-    if addrs.is_empty() {
-        return Err(ClientError::Protocol(
-            "at least one --addr is required".into(),
-        ));
-    }
-
-    let clients: Vec<Client> = addrs
-        .iter()
-        .map(|a| Client::connect(a))
-        .collect::<Result<_, _>>()?;
+    let addr = addr.ok_or_else(|| ClientError::Protocol("--addr is required".into()))?;
+    let client = Client::connect(&addr)?;
 
     let lines: Vec<String> = std::io::stdin()
         .lock()
@@ -75,36 +68,10 @@ fn run() -> Result<i32, ClientError> {
         .collect::<Result<_, _>>()
         .map_err(|e| ClientError::Io(e.to_string()))?;
     let lines: Vec<String> = lines.into_iter().filter(|l| !l.trim().is_empty()).collect();
-
-    // Partition round-robin, pipeline each partition concurrently, then
-    // reassemble by original index.
-    let mut parts: Vec<Vec<(usize, String)>> = vec![Vec::new(); clients.len()];
-    for (i, line) in lines.iter().enumerate() {
-        parts[i % clients.len()].push((i, line.clone()));
-    }
-    let mut responses: Vec<Option<Response>> = vec![None; lines.len()];
-    let results: Vec<Result<Vec<Response>, ClientError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = clients
-            .iter()
-            .zip(&parts)
-            .map(|(client, part)| {
-                s.spawn(move || {
-                    let batch: Vec<String> = part.iter().map(|(_, l)| l.clone()).collect();
-                    client.pipeline(&batch)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (part, result) in parts.iter().zip(results) {
-        let batch = result?;
-        for ((idx, _), resp) in part.iter().zip(batch) {
-            responses[*idx] = Some(resp);
-        }
-    }
+    let responses = client.pipeline(&lines)?;
 
     let mut all_ok = true;
-    for resp in responses.into_iter().map(|r| r.expect("all answered")) {
+    for resp in responses {
         match resp {
             Response::Ok { line } => println!("{line}"),
             Response::Busy { retry_after_ms } => {
@@ -124,14 +91,10 @@ fn run() -> Result<i32, ClientError> {
     }
 
     if stats {
-        for client in &clients {
-            println!("{}", client.stats()?);
-        }
+        println!("{}", client.stats()?);
     }
     if shutdown {
-        for client in &clients {
-            client.shutdown()?;
-        }
+        client.shutdown()?;
     }
     Ok(if expect_ok && !all_ok { 1 } else { 0 })
 }

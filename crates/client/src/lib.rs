@@ -16,8 +16,8 @@
 //!   scheduler workers.
 //! - **Backpressure** — a `{"status":"busy","retry_after_ms":N}` line
 //!   is not an error: the client sleeps the server-quoted `N` and
-//!   resends, up to [`ClientOptions::max_busy_retries`]. Only after the
-//!   retry budget is spent does it surface [`ClientError::Busy`].
+//!   resends, up to 100 times. Only after the retry budget is spent
+//!   does it surface [`ClientError::Busy`].
 //!
 //! Everything here is std-only and every parse is total: malformed
 //! server output becomes [`ClientError::Protocol`], never a panic —
@@ -116,39 +116,23 @@ fn clip(line: &str) -> String {
     }
 }
 
-/// Knobs for [`Client`]; the defaults suit tests and local sweeps.
-#[derive(Clone, Copy, Debug)]
-pub struct ClientOptions {
-    /// Socket read timeout per response line; 0 waits forever.
-    pub io_timeout_ms: u64,
-    /// Most connections kept pooled (and dialed) at once.
-    pub pool_cap: usize,
-    /// Resends after busy responses before giving up.
-    pub max_busy_retries: u32,
-}
-
-impl Default for ClientOptions {
-    fn default() -> Self {
-        ClientOptions {
-            io_timeout_ms: 300_000,
-            pool_cap: 4,
-            max_busy_retries: 100,
-        }
-    }
-}
+/// Socket read timeout per response line.
+const IO_TIMEOUT: Duration = Duration::from_millis(300_000);
+/// Most connections kept pooled at once.
+const POOL_CAP: usize = 4;
+/// Resends after busy responses before giving up.
+const MAX_BUSY_RETRIES: u32 = 100;
 
 struct Conn {
     reader: BufReader<TcpStream>,
 }
 
 impl Conn {
-    fn dial(addr: &str, opts: &ClientOptions) -> Result<Conn, ClientError> {
+    fn dial(addr: &str) -> Result<Conn, ClientError> {
         let stream = TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?;
-        if opts.io_timeout_ms > 0 {
-            stream
-                .set_read_timeout(Some(Duration::from_millis(opts.io_timeout_ms)))
-                .map_err(|e| ClientError::Io(e.to_string()))?;
-        }
+        stream
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .map_err(|e| ClientError::Io(e.to_string()))?;
         stream
             .set_nodelay(true)
             .map_err(|e| ClientError::Io(e.to_string()))?;
@@ -191,7 +175,6 @@ impl Conn {
 /// out its own connection.
 pub struct Client {
     addr: String,
-    opts: ClientOptions,
     pool: Mutex<Vec<Conn>>,
 }
 
@@ -199,14 +182,9 @@ impl Client {
     /// Create a client and eagerly dial one connection so obvious
     /// address errors fail here, not on the first call.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
-        Client::connect_with(addr, ClientOptions::default())
-    }
-
-    pub fn connect_with(addr: &str, opts: ClientOptions) -> Result<Client, ClientError> {
-        let first = Conn::dial(addr, &opts)?;
+        let first = Conn::dial(addr)?;
         Ok(Client {
             addr: addr.to_string(),
-            opts,
             pool: Mutex::new(vec![first]),
         })
     }
@@ -222,13 +200,13 @@ impl Client {
         };
         match pooled {
             Some(c) => Ok(c),
-            None => Conn::dial(&self.addr, &self.opts),
+            None => Conn::dial(&self.addr),
         }
     }
 
     fn checkin(&self, conn: Conn) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < self.opts.pool_cap {
+        if pool.len() < POOL_CAP {
             pool.push(conn);
         } // else drop: over cap, close it
     }
@@ -257,7 +235,7 @@ impl Client {
             match self.call_once(line)? {
                 Response::Ok { line } => return Ok(line),
                 Response::Busy { retry_after_ms } => {
-                    if attempts >= self.opts.max_busy_retries {
+                    if attempts >= MAX_BUSY_RETRIES {
                         return Err(ClientError::Busy { retry_after_ms });
                     }
                     attempts += 1;
@@ -291,7 +269,7 @@ impl Client {
             for &i in &remaining {
                 let resp = conn.read_line().and_then(|r| parse_response(&r))?;
                 if let Response::Busy { retry_after_ms } = resp {
-                    if rounds < self.opts.max_busy_retries {
+                    if rounds < MAX_BUSY_RETRIES {
                         max_wait = max_wait.max(retry_after_ms.max(1));
                         retry.push(i);
                         continue;

@@ -95,67 +95,6 @@ fn find_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
     None
 }
 
-const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-/// Standard (RFC 4648, padded) base64 — how binary trace containers
-/// ride inside the service's single-line JSON frames.
-pub fn b64_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [
-            chunk[0],
-            chunk.get(1).copied().unwrap_or(0),
-            chunk.get(2).copied().unwrap_or(0),
-        ];
-        let v = u32::from(b[0]) << 16 | u32::from(b[1]) << 8 | u32::from(b[2]);
-        for i in 0..4 {
-            if i <= chunk.len() {
-                out.push(B64_ALPHABET[(v >> (18 - 6 * i)) as usize & 0x3f] as char);
-            } else {
-                out.push('=');
-            }
-        }
-    }
-    out
-}
-
-/// Total base64 decoder: `None` on any byte outside the alphabet, bad
-/// padding, or a length that is not a multiple of four.
-pub fn b64_decode(s: &str) -> Option<Vec<u8>> {
-    let bytes = s.as_bytes();
-    if !bytes.len().is_multiple_of(4) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for (c, chunk) in bytes.chunks(4).enumerate() {
-        let last = (c + 1) * 4 == bytes.len();
-        let mut v: u32 = 0;
-        let mut data = 0usize;
-        for (i, &b) in chunk.iter().enumerate() {
-            if b == b'=' {
-                // Padding: only in the final chunk's last two slots,
-                // with nothing but '=' after it.
-                if !last || i < 2 || chunk[i..].iter().any(|&p| p != b'=') {
-                    return None;
-                }
-                data = i;
-                v <<= 6 * (4 - i) as u32;
-                break;
-            }
-            let d = B64_ALPHABET.iter().position(|&a| a == b)? as u32;
-            v = v << 6 | d;
-            data = i + 1;
-        }
-        match data {
-            4 => out.extend_from_slice(&[(v >> 16) as u8, (v >> 8) as u8, v as u8]),
-            3 => out.extend_from_slice(&[(v >> 16) as u8, (v >> 8) as u8]),
-            2 => out.push((v >> 16) as u8),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,38 +140,6 @@ mod tests {
             let _ = json_str_field(j, "status");
             let _ = json_str_field(j, "x");
             let _ = json_u64_field(j, "status");
-        }
-    }
-
-    #[test]
-    fn b64_known_vectors() {
-        // RFC 4648 test vectors.
-        let cases: [(&[u8], &str); 5] = [
-            (b"", ""),
-            (b"f", "Zg=="),
-            (b"fo", "Zm8="),
-            (b"foo", "Zm9v"),
-            (b"foobar", "Zm9vYmFy"),
-        ];
-        for (raw, enc) in cases {
-            assert_eq!(b64_encode(raw), enc);
-            assert_eq!(b64_decode(enc).as_deref(), Some(raw));
-        }
-    }
-
-    #[test]
-    fn b64_roundtrips_all_byte_values() {
-        let all: Vec<u8> = (0..=255u8).collect();
-        for cut in [0, 1, 2, 3, 255, 256] {
-            let raw = &all[..cut.min(all.len())];
-            assert_eq!(b64_decode(&b64_encode(raw)).as_deref(), Some(raw));
-        }
-    }
-
-    #[test]
-    fn b64_decode_rejects_malformed() {
-        for bad in ["A", "AB=x", "====", "A===", "Zm9v!", "Zg==Zg=="] {
-            assert_eq!(b64_decode(bad), None, "{bad:?}");
         }
     }
 }

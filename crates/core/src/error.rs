@@ -26,7 +26,7 @@ pub enum SctmError {
     /// ([`crate::NetworkKind::from_label`]).
     UnknownNetwork(String),
     /// Trace ingestion failed (absorbs [`TraceError`] from an sctf
-    /// load or `fwd` frame decode, file I/O included).
+    /// load, file I/O included).
     Trace(TraceError),
     /// A budgeted replay exhausted its batch budget before every
     /// message was delivered — the congestion-collapse guard for

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 /// Version of the `stats` verb's JSON snapshot. Bump on any field
 /// removal or rename; additions are compatible.
-pub const SVC_STATS_VERSION: u32 = 4;
+pub const SVC_STATS_VERSION: u32 = 5;
 
 /// Cumulative `le` bounds for histogram exposition: decades from 1 to
 /// 10^10. The registry's histograms are unit-bearing by name

@@ -6,16 +6,10 @@
 //! sctmd --stdin --cache-mb 64 --queue 32 --timeout-ms 10000
 //! sctmd --listen 127.0.0.1:4710 --log-dir /var/log/sctmd
 //! sctmd --listen 127.0.0.1:4710 --workers 8
-//! sctmd --listen 127.0.0.1:4711 \
-//!       --peers 127.0.0.1:4710,127.0.0.1:4711   # shard the capture cache
 //! ```
 //!
 //! Scheduling: `--workers` threads (default `SCTM_THREADS`, else all
 //! cores) each take one whole request at a time off the bounded queue.
-//! Shard mode: `--peers` lists every instance's *listen* address
-//! (comma-separated, including this one — matched against `--listen`,
-//! or set explicitly with `--shard-self`); capture misses on keys
-//! owned by a peer are forwarded over the `fwd` verb.
 //!
 //! `--cache-mb N` is the capture cache's budget in MiB of resident
 //! memory (parsed logs and their gate plans; default 256). `0` keeps
@@ -33,8 +27,7 @@
 
 use sctm_obs::json_escape;
 use sctm_obs::reqlog::{json_line, RequestLog};
-use sctm_srv::shard::ShardRing;
-use sctm_srv::{serve_lines, serve_tcp, Server, ServerConfig, Shard};
+use sctm_srv::{serve_lines, serve_tcp, Server, ServerConfig};
 use std::sync::Arc;
 
 /// One structured daemon event on stderr: `{"ts_ms":…,"event":"…",…}`.
@@ -62,8 +55,7 @@ fn usage() -> ! {
             "message",
             quoted(
                 "sctmd (--stdin | --listen ADDR) [--cache-mb N] [--queue N] \
-                 [--timeout-ms N] [--log-dir DIR] [--workers N] \
-                 [--peers A,B,...] [--shard-self ADDR]",
+                 [--timeout-ms N] [--log-dir DIR] [--workers N]",
             ),
         )],
     );
@@ -77,8 +69,6 @@ fn main() {
     let mut log_dir: Option<String> = std::env::var("SCTM_LOG")
         .ok()
         .filter(|v| !matches!(v.as_str(), "" | "0" | "false" | "off"));
-    let mut peers: Vec<String> = Vec::new();
-    let mut shard_self: Option<String> = None;
     let mut cfg = ServerConfig::default();
 
     let mut i = 0;
@@ -99,21 +89,6 @@ fn main() {
             "--queue" => cfg.queue_cap = num(&args, &mut i) as usize,
             "--timeout-ms" => cfg.default_timeout_ms = num(&args, &mut i),
             "--workers" => cfg.workers = num(&args, &mut i) as usize,
-            "--peers" => {
-                i += 1;
-                peers = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| usage())
-                    .split(',')
-                    .map(|p| p.trim().to_string())
-                    .filter(|p| !p.is_empty())
-                    .collect();
-            }
-            "--shard-self" => {
-                i += 1;
-                shard_self = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
             "--log-dir" => {
                 i += 1;
                 log_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
@@ -146,40 +121,7 @@ fn main() {
         }
     });
 
-    let shard = if peers.is_empty() {
-        None
-    } else {
-        // The self address defaults to the listen address; stdin mode
-        // has no listen address, so sharded stdin requires --shard-self.
-        let self_addr = shard_self.or_else(|| listen.clone()).unwrap_or_else(|| {
-            log_stderr(
-                "error",
-                &[(
-                    "message",
-                    quoted("--peers with --stdin requires --shard-self"),
-                )],
-            );
-            std::process::exit(2);
-        });
-        match ShardRing::new(peers, &self_addr) {
-            Ok(ring) => {
-                log_stderr(
-                    "shard",
-                    &[
-                        ("peers", ring.peers().len().to_string()),
-                        ("self", quoted(ring.self_addr())),
-                    ],
-                );
-                Some(Shard::new(ring))
-            }
-            Err(e) => {
-                log_stderr("error", &[("message", quoted(&e.to_string()))]);
-                std::process::exit(2);
-            }
-        }
-    };
-
-    let server = Server::start_sharded(cfg, shard, log);
+    let server = Server::start_logged(cfg, log);
     if stdin_mode {
         // The writer half runs on its own thread, so the sink must be
         // `Send`: the `Stdout` handle, not its `!Send` lock guard.

@@ -172,19 +172,6 @@ fn render(doc: &str, prev: &Frame, addr: &str, frame_no: u64, clear: bool) -> Fr
         g("srv.sched.workers") as u64,
         g("srv.in_flight") as u64,
     ));
-    // Shard rows only matter in multi-instance mode; a 0-peer ring
-    // means the daemon runs unsharded, so keep the screen quiet then.
-    let shard_peers = g("srv.shard.peers") as u64;
-    if shard_peers > 0 {
-        out.push_str(&format!(
-            "shard      peers {:>3}   owned {:>6}   forwarded {:>6}   served {:>6}   fwd-errors {:>4}\n",
-            shard_peers,
-            counter(doc, "srv.shard.owned"),
-            counter(doc, "srv.shard.forwarded"),
-            counter(doc, "srv.shard.fwd_served"),
-            counter(doc, "srv.shard.fwd_errors"),
-        ));
-    }
     out.push('\n');
     let cv = |v: ConvergenceVerdict| counter(doc, &format!("srv.conv.runs.{}", v.label()));
     let converged: u64 = ConvergenceVerdict::ALL

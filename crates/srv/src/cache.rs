@@ -19,7 +19,7 @@
 //!   the lock, so every requester of a key replays the *same* log — and
 //!   the gate plan the log memoises on its first `replay=1` request
 //!   ([`TraceLog::gate_plan`]) serves all the later ones. sctf is the
-//!   disk and `fwd`-wire form only (DESIGN.md §14.5).
+//!   disk form only (DESIGN.md §14.5).
 //! - **LRU byte budget**: an entry is charged its resident bytes — the
 //!   log's rows, columns and orders plus its gate plan, whose size is a
 //!   function of the row count and is therefore charged at insert,

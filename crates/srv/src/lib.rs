@@ -33,11 +33,7 @@
 pub mod cache;
 pub mod proto;
 pub mod server;
-pub mod shard;
 
 pub use cache::{CacheStats, CaptureCache, CaptureKey};
-pub use proto::{
-    parse_fwd_response, parse_request, result_json, CacheOutcome, FwdRequest, Request, RunRequest,
-};
+pub use proto::{parse_request, result_json, CacheOutcome, Request, RunRequest};
 pub use server::{serve_lines, serve_tcp, Reply, Server, ServerConfig};
-pub use shard::{Shard, ShardRing};

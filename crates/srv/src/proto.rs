@@ -19,8 +19,6 @@
 //! byte-identical between a cold and a warm run, between the service
 //! and a direct [`Experiment::execute`], and at any worker count.
 
-use sctm_core::trace::sctf::{from_sctf_bytes, to_sctf_bytes};
-use sctm_core::trace::TraceLog;
 use sctm_core::workloads::MIN_OPS_PER_CORE;
 use sctm_core::{
     kernel_from_label, Experiment, Mode, NetworkKind, RunReport, RunSpec, SctmError, SystemConfig,
@@ -39,26 +37,10 @@ pub struct RunRequest {
     pub timeout_ms: Option<u64>,
 }
 
-/// A peer-to-peer capture fetch in shard mode: the non-owning instance
-/// asks the key's owner to produce (or serve) the capture. Carries the
-/// workload fields, not the hash, so the owner recomputes the FNV key
-/// itself — a version-skewed peer can never poison a foreign cache
-/// slot with a mislabeled trace.
-#[derive(Clone, Debug)]
-pub struct FwdRequest {
-    /// Originating request id, echoed for log correlation.
-    pub id: String,
-    /// Workload side of the capture. The network field is irrelevant
-    /// and fixed to the analytic model captures run on.
-    pub experiment: Experiment,
-}
-
 /// Any protocol line.
 #[derive(Clone, Debug)]
 pub enum Request {
     Run(Box<RunRequest>),
-    /// Shard-mode capture fetch from a peer instance.
-    Fwd(Box<FwdRequest>),
     /// Versioned JSON telemetry snapshot (`SVC_STATS_VERSION`).
     Stats,
     /// Prometheus text exposition 0.0.4; the only multi-line response,
@@ -107,7 +89,6 @@ pub fn parse_request(line: &str) -> Result<Request, SctmError> {
         "metrics" => return bare(Request::Metrics, toks),
         "ping" => return bare(Request::Ping, toks),
         "shutdown" => return bare(Request::Shutdown, toks),
-        "fwd" => return parse_fwd(toks),
         "run" => {}
         other => return Err(invalid(format!("unknown verb '{other}'"))),
     }
@@ -178,105 +159,6 @@ pub fn parse_request(line: &str) -> Result<Request, SctmError> {
         spec,
         timeout_ms,
     })))
-}
-
-/// Parse the tokens after a `fwd` verb:
-/// `fwd kernel=<label> side=N ops=N seed=N id=<id> [fmt=sctf]`.
-/// Same defaults as `run` for the workload fields; only the
-/// capture-identity keys are accepted — a `fwd` can never smuggle
-/// replay knobs — and the reply is always an sctf frame, so any other
-/// `fmt` is refused rather than answered in a format the peer did not
-/// ask for.
-fn parse_fwd(toks: std::str::SplitWhitespace<'_>) -> Result<Request, SctmError> {
-    let mut kernel = None;
-    let mut side = 4usize;
-    let mut ops = 600usize;
-    let mut seed = 1u64;
-    let mut id = String::new();
-    for tok in toks {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| invalid(format!("token '{tok}' is not key=value")))?;
-        match k {
-            "kernel" => kernel = Some(v.to_string()),
-            "side" => side = parse_num(k, v)?,
-            "ops" => ops = parse_ops(v)?,
-            "seed" => seed = parse_num(k, v)?,
-            "id" => id = v.to_string(),
-            "fmt" if v == "sctf" => {}
-            "fmt" => return Err(invalid(format!("fwd replies are sctf frames, not '{v}'"))),
-            other => return Err(invalid(format!("unknown fwd key '{other}'"))),
-        }
-    }
-    let kernel = kernel.ok_or_else(|| invalid("fwd needs kernel=<label>".into()))?;
-    let kernel = kernel_from_label(&kernel)?;
-    let experiment = Experiment::new(SystemConfig::try_new(side, NetworkKind::Analytic)?, kernel)
-        .with_ops(ops)
-        .with_seed(seed);
-    Ok(Request::Fwd(Box::new(FwdRequest { id, experiment })))
-}
-
-/// Render the `fwd` request line for a capture owned by a peer.
-pub fn fwd_line(exp: &Experiment, id: &str) -> String {
-    format!(
-        "fwd kernel={} side={} ops={} seed={} fmt=sctf id={}",
-        exp.kernel.label(),
-        exp.system.side,
-        exp.ops_per_core,
-        exp.seed,
-        // Ids are client-controlled and may contain anything; strip
-        // whitespace so the line stays one line of clean tokens.
-        id.replace(char::is_whitespace, "_"),
-    )
-}
-
-/// Success reply to a `fwd`: `trace_sctf` carries the base64 of the
-/// binary sctf container, plus whether the owner's cache already had
-/// it. Both ends share the on-disk codec, so a forwarded trace is
-/// byte-identical to a saved one.
-pub fn fwd_response(id: &str, cache: CacheOutcome, log: &TraceLog) -> String {
-    format!(
-        r#"{{"status":"ok","id":"{}","cache":"{}","trace_sctf":"{}"}}"#,
-        json_escape(id),
-        cache.label(),
-        // Base64 needs no JSON escaping: its alphabet is disjoint from
-        // every character JSON strings escape.
-        sctm_client::wire::b64_encode(&to_sctf_bytes(log))
-    )
-}
-
-/// Decode a peer's `fwd` reply. Total: any malformed, truncated, or
-/// error frame — or one without a `trace_sctf` payload — becomes a typed
-/// [`SctmError`], which the caller counts and answers with a local
-/// capture.
-pub fn parse_fwd_response(line: &str) -> Result<(TraceLog, CacheOutcome), SctmError> {
-    use sctm_client::wire::{b64_decode, json_str_field};
-    let peer_err = |msg: String| SctmError::Io(msg);
-    let status = json_str_field(line, "status")
-        .ok_or_else(|| peer_err("peer fwd reply has no status field".into()))?;
-    match status.as_str() {
-        "ok" => {}
-        "error" => {
-            let kind = json_str_field(line, "kind").unwrap_or_else(|| "unknown".into());
-            let message = json_str_field(line, "message").unwrap_or_default();
-            return Err(peer_err(format!("peer fwd error [{kind}]: {message}")));
-        }
-        other => return Err(peer_err(format!("peer fwd reply has status '{other}'"))),
-    }
-    let cache = match json_str_field(line, "cache").as_deref() {
-        Some("hit") => CacheOutcome::Hit,
-        Some("miss") => CacheOutcome::Miss,
-        other => {
-            return Err(peer_err(format!(
-                "peer fwd reply has cache outcome {other:?}"
-            )))
-        }
-    };
-    let b64 = json_str_field(line, "trace_sctf")
-        .ok_or_else(|| peer_err("peer fwd reply has no trace_sctf payload".into()))?;
-    let bytes = b64_decode(&b64).ok_or_else(|| peer_err("peer fwd reply has bad base64".into()))?;
-    let log = from_sctf_bytes(&bytes).map_err(SctmError::Trace)?;
-    Ok((log, cache))
 }
 
 /// Stable machine-readable tag for each [`SctmError`] variant.

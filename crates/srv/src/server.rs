@@ -17,12 +17,6 @@
 //! the bytes a direct `Experiment::execute` renders, at any worker
 //! count.
 //!
-//! In **shard mode** ([`Server::start_sharded`]) several `sctmd`
-//! processes partition the capture cache by consistent hashing over the
-//! FNV capture key: a miss on a key owned by a peer is forwarded (`fwd`
-//! verb) instead of captured locally, so the whole cluster performs one
-//! capture per workload. See the `shard` module docs.
-//!
 //! Backpressure is explicit: `submit` on a full queue fails immediately
 //! with a `busy` response carrying `retry_after_ms`, never blocks the
 //! caller, and never grows the queue past its cap. Shutdown is a
@@ -47,10 +41,8 @@
 use crate::cache::{CacheStats, CaptureCache, CaptureKey};
 use crate::proto::{
     self, error_kind, error_response, ok_response, parse_request, result_json, timeout_response,
-    CacheOutcome, FwdRequest, Request, RunRequest,
+    CacheOutcome, Request, RunRequest,
 };
-use crate::shard::Shard;
-use sctm_core::trace::TraceLog;
 use sctm_core::Mode;
 use sctm_engine::stats::Histogram;
 use sctm_obs::reqlog::{json_line, RequestLog};
@@ -150,13 +142,11 @@ struct Shared {
     metrics: Mutex<MetricsRegistry>,
     log: Option<Arc<RequestLog>>,
     next_seq: AtomicU64,
-    /// Consistent-hash shard state; `None` runs single-instance.
-    shard: Option<Shard>,
 }
 
 /// Every name the server records into, at zero, so the `stats` schema
 /// never depends on which events have happened. The names `stats`
-/// derives at call time (cache, queue depth, workers, peers) are added
+/// derives at call time (cache, queue depth, workers) are added
 /// by [`Server::stats_manifest`].
 fn seeded_registry() -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
@@ -170,12 +160,6 @@ fn seeded_registry() -> MetricsRegistry {
         "srv.cache.bypass",
         "srv.stats_served",
         "srv.metrics_served",
-        // Shard mode: zeros single-instance. Cluster-wide capture count
-        // is `Σ srv.cache.misses − Σ srv.shard.forwarded`.
-        "srv.shard.owned",
-        "srv.shard.forwarded",
-        "srv.shard.fwd_served",
-        "srv.shard.fwd_errors",
     ] {
         m.counter_add(name, 0);
     }
@@ -251,19 +235,12 @@ pub struct Server {
 
 impl Server {
     pub fn start(cfg: ServerConfig) -> Server {
-        Server::start_sharded(cfg, None, None)
+        Server::start_logged(cfg, None)
     }
 
-    /// As [`Server::start`], optionally joining a consistent-hash shard
-    /// cluster (see the `shard` module docs) — capture misses on keys
-    /// owned by a peer are forwarded instead of captured locally — and
-    /// with an optional structured request log (one JSONL line per
-    /// request; see DESIGN.md §12).
-    pub fn start_sharded(
-        cfg: ServerConfig,
-        shard: Option<Shard>,
-        log: Option<Arc<RequestLog>>,
-    ) -> Server {
+    /// As [`Server::start`], with an optional structured request log
+    /// (one JSONL line per request; see DESIGN.md §12).
+    pub fn start_logged(cfg: ServerConfig, log: Option<Arc<RequestLog>>) -> Server {
         let shared = Arc::new(Shared {
             cache: CaptureCache::new(cfg.cache_bytes),
             cfg,
@@ -272,7 +249,6 @@ impl Server {
             metrics: Mutex::new(seeded_registry()),
             log,
             next_seq: AtomicU64::new(1),
-            shard,
         });
         let workers = (0..service_threads(cfg.workers))
             .map(|index| {
@@ -350,30 +326,6 @@ impl Server {
         Ok(rx)
     }
 
-    /// Answer a peer's `fwd` request from this instance's own cache —
-    /// the owner end of the forward hop. Runs on the connection's
-    /// writer half (never a request worker) and goes through the normal
-    /// single-flight `get_or_capture`, so racing forwards from several
-    /// peers and local requests for the same key collapse onto one
-    /// capture. The owner never re-forwards: it is the end of the
-    /// chain, so forwarding cannot loop.
-    pub fn handle_fwd(&self, f: &FwdRequest) -> String {
-        let e = &f.experiment;
-        let key = CaptureKey::new(e.kernel.label(), e.system.side, e.ops_per_core, e.seed);
-        self.shared
-            .record(|m| m.counter_add("srv.shard.fwd_served", 1));
-        let (log, hit) = self.shared.cache.get_or_capture(key, || {
-            let _g = span("svc", "capture");
-            e.capture()
-        });
-        let outcome = if hit {
-            CacheOutcome::Hit
-        } else {
-            CacheOutcome::Miss
-        };
-        proto::fwd_response(&f.id, outcome, &log)
-    }
-
     /// Submit and wait for the response line.
     pub fn submit_blocking(&self, req: RunRequest) -> String {
         match self.submit(req) {
@@ -426,13 +378,6 @@ impl Server {
         // Zero once drained.
         m.metrics
             .gauge_set("srv.sched.workers", lock(&self.workers).len() as f64);
-        // Zero single-instance, same schema.
-        let peers = self
-            .shared
-            .shard
-            .as_ref()
-            .map_or(0, |s| s.ring().peers().len());
-        m.metrics.gauge_set("srv.shard.peers", peers as f64);
         m
     }
 
@@ -572,40 +517,6 @@ struct JobDone {
     conv_iterations: u64,
 }
 
-/// Produce the capture for `key`: locally when this instance owns the
-/// key (or runs single-instance), otherwise by forwarding to the
-/// owning peer. Runs as the single-flight producer, so per instance at
-/// most one capture/forward per key is in flight. A forward that fails
-/// (peer down, transport error, undecodable reply) is counted and the
-/// capture is taken here instead: captures are deterministic, so the
-/// answer is the same bytes and only "one capture cluster-wide"
-/// degrades.
-fn produce_capture(
-    shared: &Shared,
-    e: &sctm_core::Experiment,
-    id: &str,
-    key: CaptureKey,
-) -> TraceLog {
-    if let Some(shard) = &shared.shard {
-        let owner = shard.ring().owner(key);
-        if owner == shard.ring().self_addr() {
-            shared.record(|m| m.counter_add("srv.shard.owned", 1));
-        } else {
-            let owner = owner.to_string();
-            let _g = span("svc", "fwd");
-            match shard.fetch_from_owner(&owner, e, id) {
-                Ok((log, _peer_outcome)) => {
-                    shared.record(|m| m.counter_add("srv.shard.forwarded", 1));
-                    return log;
-                }
-                Err(_) => shared.record(|m| m.counter_add("srv.shard.fwd_errors", 1)),
-            }
-        }
-    }
-    let _g = span("svc", "capture");
-    e.capture()
-}
-
 /// Worker count for `configured` (`ServerConfig::workers`).
 fn service_threads(configured: usize) -> usize {
     if configured > 0 {
@@ -625,7 +536,7 @@ fn service_threads(configured: usize) -> usize {
 /// One request worker: pop the oldest queued job (FIFO start order) or
 /// sleep until there is one; leave when the queue is empty and a drain
 /// has begun. A job may block (on the capture cache's single-flight
-/// condvar, or a shard forward); that parks this worker only, and a
+/// condvar); that parks this worker only, and a
 /// `Pending` slot is only ever owned by a *running* job, so the wait is
 /// on live progress, never on queued work — no deadlock at any worker
 /// count.
@@ -684,7 +595,7 @@ impl Drop for InFlight<'_> {
 }
 
 /// Take one request from deadline check to reply: cache lookup (and the
-/// capture or shard forward behind a miss), the simulation, rendering,
+/// capture behind a miss), the simulation, rendering,
 /// telemetry. The `"result"` object is computed from simulated
 /// quantities only, so its bytes do not depend on which worker ran the
 /// request, or when.
@@ -715,8 +626,9 @@ fn run_job(shared: &Shared, job: Job) {
         let (log, hit) = {
             let _g = span("svc", "cache_probe");
             shared.cache.get_or_capture(key, || {
+                let _g = span("svc", "capture");
                 let p0 = Instant::now();
-                let t = produce_capture(shared, e, &req.id, key);
+                let t = e.capture();
                 produce_time = p0.elapsed();
                 t
             })
@@ -820,7 +732,7 @@ fn stats_line(server: &Server) -> String {
 /// the reader half stops reading, and TCP pushes back on the sender
 /// instead of the daemon buffering its answers without limit.
 ///
-/// Control verbs (`ping`, `stats`, `metrics`, `fwd`, `shutdown`) travel
+/// Control verbs (`ping`, `stats`, `metrics`, `shutdown`) travel
 /// through the same queue and are evaluated by the writer at their
 /// turn, after it has received every earlier run's reply — so their
 /// answers observe all preceding runs. The `metrics` response is the
@@ -948,18 +860,18 @@ fn write_owed<W: Write>(
 ) -> std::io::Result<bool> {
     let shared = &*server.shared;
     let mut sink = Sink {
-        // One write per response for everything but multi-megabyte
-        // `fwd` frames (run responses are a few KiB, `stats` ~20 KiB).
+        // One write per response (run responses are a few KiB, `stats`
+        // ~20 KiB).
         out: std::io::BufWriter::with_capacity(64 << 10, writer),
         unflushed: Vec::new(),
         shared,
     };
     while let Some(item) = sink.wait_for(&owed)? {
-        // These take time to evaluate (`fwd` may wait out a whole
-        // capture), so what is already written leaves first.
+        // These take time to evaluate, so what is already written
+        // leaves first.
         if matches!(
             item,
-            Owed::Verb(Request::Fwd(_) | Request::Stats | Request::Metrics) | Owed::HttpGet(_)
+            Owed::Verb(Request::Stats | Request::Metrics) | Owed::HttpGet(_)
         ) {
             sink.flush()?;
         }
@@ -977,7 +889,6 @@ fn write_owed<W: Write>(
                 sink.flush()?;
                 return Ok(true);
             }
-            Owed::Verb(Request::Fwd(freq)) => sink.line(&server.handle_fwd(&freq))?,
             Owed::Verb(Request::Stats) => {
                 shared.record(|m| m.counter_add("srv.stats_served", 1));
                 sink.line(&stats_line(server))?;
@@ -1050,21 +961,31 @@ fn serve_http_get<W: Write>(
 /// `shutdown`. One [`serve_lines`] thread pair per connection; the
 /// accept loop polls so it can notice the shutdown flag. Returns after
 /// the graceful drain.
+///
+/// The accept loop keeps a handle on every live connection. At
+/// shutdown it shuts the read side of each, so a reader half blocked on
+/// an idle client sees EOF instead of holding the daemon open. The
+/// writer half still writes everything its connection is owed before
+/// the thread ends; lines the reader half had not yet read go
+/// unanswered, and their client sees the connection close.
 pub fn serve_tcp(listener: std::net::TcpListener, server: Server) -> std::io::Result<()> {
     use std::sync::atomic::AtomicBool;
     listener.set_nonblocking(true)?;
     let server = Arc::new(server);
     let stop = Arc::new(AtomicBool::new(false));
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut conns: Vec<(std::thread::JoinHandle<()>, std::net::TcpStream)> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Reap connections that have ended, or every one-shot
                 // scrape would grow `conns` for the daemon's lifetime.
-                conns.retain(|c| !c.is_finished());
+                conns.retain(|(c, _)| !c.is_finished());
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&stop);
-                conns.push(std::thread::spawn(move || {
+                let conn = std::thread::spawn(move || {
                     stream.set_nonblocking(false).ok();
                     // Responses are written whole and flushed once;
                     // Nagle would only hold them for the client's ACK.
@@ -1077,7 +998,8 @@ pub fn serve_tcp(listener: std::net::TcpListener, server: Server) -> std::io::Re
                     if let Ok(true) = serve_lines(reader, &mut write_half, &server) {
                         stop.store(true, Ordering::SeqCst);
                     }
-                }));
+                });
+                conns.push((conn, handle));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -1085,7 +1007,10 @@ pub fn serve_tcp(listener: std::net::TcpListener, server: Server) -> std::io::Re
             Err(e) => return Err(e),
         }
     }
-    for c in conns {
+    for (_, handle) in &conns {
+        let _ = handle.shutdown(std::net::Shutdown::Read);
+    }
+    for (c, _) in conns {
         let _ = c.join();
     }
     server.drain();

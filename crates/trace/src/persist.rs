@@ -4,10 +4,9 @@
 //! Captures are expensive relative to replays, so they are worth
 //! keeping: a saved trace can be replayed against any number of target
 //! networks (or shared with another machine) without re-running the
-//! full-system simulation. A trace has one encoding wherever it leaves
-//! memory — file, capture hand-off, `fwd` wire frame — and that is
-//! sctf, whatever the file is called. A text view for grepping and
-//! diffing is a one-way `sctf export`.
+//! full-system simulation. A trace leaves memory in one encoding, sctf,
+//! whatever the file is called. A text view for grepping and diffing is
+//! a one-way `sctf export`.
 
 use crate::log::TraceLog;
 use crate::sctf;

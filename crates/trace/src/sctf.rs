@@ -44,8 +44,7 @@
 //! digest and surfaces as a typed [`TraceError::BadChecksum`], never a
 //! silent misparse. The word stride keeps the verify walk off the
 //! cold-load critical path (~8 bytes/cycle vs the byte-serial
-//! classic), which is what lets `SctfReader::open` stay cheap enough
-//! for the `fwd` wire path.
+//! classic), which keeps `SctfReader::open` cheap.
 
 use crate::log::{Columns, TraceLog, TraceRecord, NONE};
 use crate::persist::TraceError;

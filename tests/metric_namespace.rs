@@ -42,7 +42,7 @@ fn table_rows() -> Vec<(String, String)> {
         );
         rows.push((name.to_string(), kind.to_string()));
     }
-    assert!(rows.len() >= 40, "suspiciously small table: {}", rows.len());
+    assert!(rows.len() >= 35, "suspiciously small table: {}", rows.len());
     rows
 }
 

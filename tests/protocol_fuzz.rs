@@ -4,10 +4,10 @@
 //!    contended line set must always run to completion (no lost
 //!    wakeups, no leaked transactions) and pass the end-of-run MESI
 //!    validation built into `CmpSim::run`, on every interconnect.
-//! 2. Wire: the `fwd` shard verb and the client's response frames must
-//!    decode *totally* — any malformed, truncated, or hostile line is
-//!    a typed error, never a panic, and a producer that dies never
-//!    poisons the capture cache's single-flight pending slot.
+//! 2. Wire: the client's response frames must decode *totally* — any
+//!    malformed, truncated, or hostile line is a typed error, never a
+//!    panic — and a producer that dies never poisons the capture
+//!    cache's single-flight pending slot.
 
 use proptest::prelude::*;
 use sctm::{NetworkKind, SystemConfig};
@@ -148,56 +148,12 @@ fn wide_fan_invalidation_storm_terminates() {
 }
 
 // ---------------------------------------------------------------------
-// Wire-protocol fuzz: `fwd` verb, peer reply frames, client frames.
+// Wire-protocol fuzz: client frames.
 // ---------------------------------------------------------------------
 
 mod wire_fuzz {
     use proptest::prelude::*;
-    use sctm_core::SctmError;
     use sctm_srv::cache::{CaptureCache, CaptureKey};
-    use sctm_srv::proto::{error_kind, fwd_response, CacheOutcome};
-    use sctm_srv::{parse_fwd_response, parse_request, Request};
-    use sctm_trace::TraceLog;
-
-    /// A real capture rendered into a valid peer reply, for
-    /// truncation/mutation fuzzing around the happy path.
-    fn valid_reply() -> (TraceLog, String) {
-        let req =
-            match parse_request("run kernel=fft net=omesh side=2 ops=100 mode=classic-trace id=f")
-                .expect("parse")
-            {
-                Request::Run(r) => *r,
-                other => panic!("expected run, got {other:?}"),
-            };
-        let log = req.experiment.capture();
-        let reply = fwd_response("f", CacheOutcome::Miss, &log);
-        (log, reply)
-    }
-
-    /// One wire encoding: an sctf frame round-trips; asking for CSV is
-    /// `invalid-spec` and a CSV reply is `io`, never a decoded trace.
-    #[test]
-    fn fwd_frames_are_sctf_only_and_csv_is_a_typed_error() {
-        let (log, reply) = valid_reply();
-        let (decoded, outcome) = parse_fwd_response(&reply).expect("decode");
-        assert!(matches!(outcome, CacheOutcome::Miss));
-        assert!(decoded == log, "fwd frame decoded to a different trace");
-
-        for line in ["fwd kernel=fft id=f", "fwd kernel=fft fmt=sctf id=f"] {
-            assert!(matches!(parse_request(line), Ok(Request::Fwd(_))), "{line}");
-        }
-        let err = parse_request("fwd kernel=fft fmt=csv id=f").unwrap_err();
-        assert!(matches!(err, SctmError::InvalidSpec(_)), "{err}");
-        assert_eq!(error_kind(&err), "invalid-spec");
-
-        let csv_reply = format!(
-            r#"{{"status":"ok","id":"f","cache":"miss","trace_csv":"{}"}}"#,
-            sctm_obs::json_escape("sctm-trace-v1,omesh,0\nid,src,dst\n")
-        );
-        let err = parse_fwd_response(&csv_reply).unwrap_err();
-        assert!(matches!(err, SctmError::Io(_)), "{err}");
-        assert_eq!(error_kind(&err), "io");
-    }
 
     /// Strategy: a string drawn from `charset` with a length in `len`
     /// (the vendored proptest has no regex strategies, so charsets are
@@ -216,43 +172,6 @@ mod wire_fuzz {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
-
-        /// Every truncation of a *valid* reply is a typed error — the
-        /// nastiest frames are the nearly-right ones.
-        #[test]
-        fn truncated_peer_replies_are_typed_errors(cut in 0usize..100) {
-            let (_, reply) = valid_reply();
-            if cut < reply.len() {
-                let head: String = reply.chars().take(cut).collect();
-                prop_assert!(parse_fwd_response(&head).is_err(), "decoded {head:?}");
-            }
-        }
-
-        /// Arbitrary bytes (printable and not) never panic the decoder.
-        #[test]
-        fn arbitrary_peer_replies_never_panic(frame in raw(0..200)) {
-            let _ = parse_fwd_response(&frame);
-        }
-
-        /// Peer error frames surface as errors, whatever their fields.
-        #[test]
-        fn peer_error_frames_stay_errors(
-            kind in chars("abcdefghijklmnopqrstuvwxyz-", 0..20),
-            msg in raw(0..60),
-        ) {
-            let frame = format!(
-                r#"{{"status":"error","kind":"{kind}","message":"{}"}}"#,
-                sctm_obs::json_escape(&msg)
-            );
-            prop_assert!(parse_fwd_response(&frame).is_err());
-        }
-
-        /// Random token soup after the `fwd` verb parses totally:
-        /// either a well-formed forward or a typed protocol error.
-        #[test]
-        fn fwd_verb_parsing_is_total(tokens in chars(" abcdefghijklmnopqrstuvwxyz0123456789=.|-", 0..80)) {
-            let _ = parse_request(&format!("fwd {tokens}"));
-        }
 
         /// The client's frame classifier is total on arbitrary lines.
         #[test]
@@ -273,8 +192,6 @@ mod wire_fuzz {
 
     /// A *panicking* producer must release the pending slot via the drop
     /// guard so the next request can retry: the slot is never poisoned.
-    /// (A forward that fails never reaches the cache — `produce_capture`
-    /// falls back to a local capture.)
     #[test]
     fn panicking_producers_release_the_pending_slot() {
         let cache = CaptureCache::new(16 << 20);
@@ -287,7 +204,12 @@ mod wire_fuzz {
 
         // The slot is free: a healthy producer wins it immediately and
         // later callers hit.
-        let (log, _) = valid_reply();
+        let log = sctm::Experiment::new(
+            sctm::SystemConfig::new(2, sctm::NetworkKind::Omesh),
+            sctm::workloads::Kernel::Fft,
+        )
+        .with_ops(100)
+        .capture();
         let (_, hit) = cache.get_or_capture(key, || log.clone());
         assert!(!hit, "slot was poisoned: healthy producer never ran");
         let (again, hit) = cache.get_or_capture(key, || unreachable!("must hit"));

@@ -1,24 +1,19 @@
-//! Determinism contract of the worker pool and the sharded
-//! multi-instance cache: the daemon must answer byte-identically to a
-//! direct `Experiment::execute` at any worker count, a two-instance
-//! shard must answer byte-identically to a single instance while
-//! capturing each workload exactly once *cluster-wide* (and, when the
-//! owning peer is dead, by capturing locally), a lockstep client must
-//! get each response as soon as it is finished, a long request must not
-//! stall the other workers, and a request that panics inside the
-//! simulator must cost one `internal` reply, never its worker.
+//! Determinism contract of the worker pool: the daemon must answer
+//! byte-identically to a direct `Experiment::execute` at any worker
+//! count, a lockstep client must get each response as soon as it is
+//! finished, a long request must not stall the other workers, and a
+//! request that panics inside the simulator must cost one `internal`
+//! reply, never its worker.
 //!
 //! Responses are compared whole, after masking the one wall-clock field
 //! (`wall_ns`) a schedule may legitimately change — and, where requests
 //! that share a capture key are submitted as one burst, which of them
 //! won the single-flight race and so carries the `"cache":"miss"` label.
 
-use sctm_client::Client;
 use sctm_core::Mode;
 use sctm_srv::proto::{error_response, ok_response};
 use sctm_srv::{
-    parse_request, result_json, serve_tcp, CacheOutcome, CaptureKey, Request, RunRequest, Server,
-    ServerConfig, Shard, ShardRing,
+    parse_request, result_json, serve_tcp, CacheOutcome, Request, RunRequest, Server, ServerConfig,
 };
 
 fn run_req(line: &str) -> RunRequest {
@@ -222,12 +217,11 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
     let dir = std::env::temp_dir().join(format!("sctm-panic-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let log = std::sync::Arc::new(sctm_obs::reqlog::RequestLog::create(&dir).expect("open log"));
-    let server = std::sync::Arc::new(Server::start_sharded(
+    let server = std::sync::Arc::new(Server::start_logged(
         ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         },
-        None,
         Some(std::sync::Arc::clone(&log)),
     ));
     // `parse_request` refuses ops below the workload builder's minimum;
@@ -297,15 +291,12 @@ fn a_panicking_request_costs_one_internal_reply_not_the_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Boot a TCP daemon on an OS-assigned port, sharded over `peers` when
-/// non-empty. Returns the bound address and the daemon thread.
-fn boot_tcp(
-    cfg: ServerConfig,
-    ring: Option<ShardRing>,
-) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+/// Boot a TCP daemon on an OS-assigned port. Returns the bound address
+/// and the daemon thread.
+fn boot_tcp(cfg: ServerConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap().to_string();
-    let server = Server::start_sharded(cfg, ring.map(Shard::new), None);
+    let server = Server::start(cfg);
     let daemon = std::thread::spawn(move || serve_tcp(listener, server));
     (addr, daemon)
 }
@@ -327,133 +318,6 @@ fn stats_counter(doc: &str, name: &str) -> u64 {
 }
 
 #[test]
-fn two_instance_shard_captures_once_cluster_wide_and_matches_single() {
-    // Two daemons sharding one capture cache. The sweep alternates
-    // between instances, so whichever instance does not own the
-    // workload's key must forward over `fwd` instead of capturing.
-    let sweep: Vec<String> = (0..20)
-        .map(|n| {
-            let damping = ["0.4", "0.6", "0.8", "0.9", "1.0"][n % 5];
-            let net = ["emesh", "omesh", "oxbar", "hybrid"][n / 5];
-            format!(
-                "run kernel=fft net={net} side=2 ops=150 mode=sctm iters=2 \
-                 damping={damping} replay=1 id=w{n}"
-            )
-        })
-        .collect();
-
-    // Reference: the same sweep against one unsharded instance.
-    let reference: Vec<String> = {
-        let server = Server::start(ServerConfig::default());
-        let out = sweep
-            .iter()
-            .map(|l| mask_wall(&server.submit_blocking(run_req(l))))
-            .collect();
-        server.drain();
-        out
-    };
-
-    // Bind both listeners first so each ring lists real addresses.
-    let la = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a");
-    let lb = std::net::TcpListener::bind("127.0.0.1:0").expect("bind b");
-    let addr_a = la.local_addr().unwrap().to_string();
-    let addr_b = lb.local_addr().unwrap().to_string();
-    let peers = vec![addr_a.clone(), addr_b.clone()];
-    let ring_a = ShardRing::new(peers.clone(), &addr_a).unwrap();
-    let ring_b = ShardRing::new(peers, &addr_b).unwrap();
-    let srv_a = Server::start_sharded(ServerConfig::default(), Some(Shard::new(ring_a)), None);
-    let srv_b = Server::start_sharded(ServerConfig::default(), Some(Shard::new(ring_b)), None);
-    let da = std::thread::spawn(move || serve_tcp(la, srv_a));
-    let db = std::thread::spawn(move || serve_tcp(lb, srv_b));
-
-    let ca = Client::connect(&addr_a).expect("dial a");
-    let cb = Client::connect(&addr_b).expect("dial b");
-    let mut got = Vec::new();
-    for (i, line) in sweep.iter().enumerate() {
-        let c = if i % 2 == 0 { &ca } else { &cb };
-        let reply = c.call(line).unwrap_or_else(|e| panic!("call {i}: {e}"));
-        got.push(mask_wall(&reply));
-    }
-
-    // Byte-identity with the single instance, modulo the local
-    // hit/miss label: the first request *per instance* is a local
-    // miss (one resolves by capturing, one by forwarding), both of
-    // which replay into the identical result object.
-    let normalize = |l: &str| l.replace(r#""cache":"miss""#, r#""cache":"hit""#);
-    for (g, r) in got.iter().zip(&reference) {
-        assert_eq!(normalize(g), normalize(r), "sharded answer diverged");
-    }
-    // Either one or two responses carry a local `miss` label: when the
-    // owner sees the workload first it misses once and the non-owner's
-    // forward later misses once (2); when the *non-owner* goes first,
-    // its forward warms the owner's cache, whose own requests then all
-    // hit (1). Which case runs depends on the OS-assigned ports.
-    let local_misses = got
-        .iter()
-        .filter(|l| l.contains(r#""cache":"miss""#))
-        .count();
-    assert!(
-        (1..=2).contains(&local_misses),
-        "local misses {local_misses}"
-    );
-
-    // Cluster-wide capture accounting straight off the daemons' own
-    // counters: captures = Σ misses − Σ forwarded = 1.
-    let sa = ca.stats().expect("stats a");
-    let sb = cb.stats().expect("stats b");
-    let misses = stats_counter(&sa, "srv.cache.misses") + stats_counter(&sb, "srv.cache.misses");
-    let forwarded =
-        stats_counter(&sa, "srv.shard.forwarded") + stats_counter(&sb, "srv.shard.forwarded");
-    let served =
-        stats_counter(&sa, "srv.shard.fwd_served") + stats_counter(&sb, "srv.shard.fwd_served");
-    let errors =
-        stats_counter(&sa, "srv.shard.fwd_errors") + stats_counter(&sb, "srv.shard.fwd_errors");
-    assert_eq!(errors, 0, "a:{sa}\nb:{sb}");
-    assert_eq!(forwarded, 1, "exactly one instance forwards the one key");
-    assert_eq!(served, 1, "the owner serves exactly that forward");
-    assert_eq!(misses - forwarded, 1, "one capture cluster-wide");
-
-    ca.shutdown().expect("shutdown a");
-    cb.shutdown().expect("shutdown b");
-    da.join().unwrap().expect("daemon a");
-    db.join().unwrap().expect("daemon b");
-}
-
-#[test]
-fn dead_owner_degrades_to_a_local_capture_with_the_same_answer() {
-    // A ring whose second peer refuses connections: the port was bound
-    // a moment ago, so nothing listens on it now.
-    let dead = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        l.local_addr().unwrap().to_string()
-    };
-    let live = "127.0.0.1:1".to_string();
-    let ring = ShardRing::new(vec![live.clone(), dead.clone()], &live).unwrap();
-    let seed = (1u64..)
-        .find(|&seed| ring.owner(CaptureKey::new("fft", 2, 150, seed)) == dead)
-        .expect("the dead peer owns some key");
-    let line =
-        format!("run kernel=fft net=omesh side=2 ops=150 seed={seed} mode=sctm iters=2 id=d1");
-
-    let reference = {
-        let server = Server::start(ServerConfig::default());
-        let out = mask_wall(&server.submit_blocking(run_req(&line)));
-        server.drain();
-        out
-    };
-    assert!(reference.starts_with(r#"{"status":"ok""#), "{reference}");
-
-    let server = Server::start_sharded(ServerConfig::default(), Some(Shard::new(ring)), None);
-    let got = mask_wall(&server.submit_blocking(run_req(&line)));
-    assert_eq!(got, reference, "degraded answer diverged");
-    let stats = server.stats_manifest().to_json();
-    assert_eq!(stats_counter(&stats, "srv.shard.fwd_errors"), 1, "{stats}");
-    assert_eq!(stats_counter(&stats, "srv.shard.forwarded"), 0, "{stats}");
-    assert_eq!(stats_counter(&stats, "srv.cache.misses"), 1, "{stats}");
-    server.drain();
-}
-
-#[test]
 fn lockstep_response_leaves_the_daemon_without_waiting_on_a_timer() {
     use std::io::{BufRead, BufReader, Write};
     // A lockstep client sends one request and then goes silent until
@@ -462,7 +326,7 @@ fn lockstep_response_leaves_the_daemon_without_waiting_on_a_timer() {
     // `wall_ns` must be far below any polling period (the idle-flush
     // poll this replaces cost >= 25 ms per request): the minimum over
     // ten warm rounds filters out scheduling noise on a shared host.
-    let (addr, daemon) = boot_tcp(ServerConfig::default(), None);
+    let (addr, daemon) = boot_tcp(ServerConfig::default());
     let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
     conn.set_nodelay(true).expect("nodelay");
     conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))

@@ -258,6 +258,7 @@ fn protocol_errors_are_typed_not_fatal() {
         ("run kernel=fft side=1 net=obus", "invalid-config"),
         ("run kernel=fft side=1 net=hybrid", "invalid-config"),
         ("run kernel=fft side=1 net=emesh", "invalid-config"),
+        // The cache-sharding verb is gone: a forward is an unknown verb.
         ("fwd kernel=fft ops=10", "invalid-spec"),
     ];
     let mut script: String = cases.iter().map(|(line, _)| format!("{line}\n")).collect();
@@ -350,6 +351,13 @@ fn join_daemon(daemon: std::thread::JoinHandle<std::io::Result<()>>) {
         .expect("daemon io");
 }
 
+/// One counter's value from a fresh `stats` poll.
+fn counter(client: &sctm_client::Client, name: &str) -> Option<u64> {
+    let stats = client.stats().expect("stats");
+    let at = stats.find(&format!("\"{name}\"")).expect(name);
+    sctm_client::wire::json_u64_field(&stats[at..], "value")
+}
+
 #[test]
 fn a_client_stalled_mid_line_still_gets_what_it_is_owed() {
     use std::io::{BufRead, Write};
@@ -439,14 +447,8 @@ fn a_client_that_hangs_up_mid_response_costs_only_its_own_connection() {
         .call("run kernel=fft net=omesh side=2 ops=100 mode=exec-driven id=after")
         .expect("daemon still serves");
     assert!(line.contains(r#""id":"after""#), "{line}");
-    let completed = |stats: &str| {
-        sctm_client::wire::json_u64_field(
-            &stats[stats.find(r#""srv.completed""#).expect("srv.completed")..],
-            "value",
-        )
-    };
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while completed(&client.stats().expect("stats")) != Some(4) {
+    while counter(&client, "srv.completed") != Some(4) {
         assert!(
             std::time::Instant::now() < deadline,
             "abandoned runs never completed"
@@ -458,6 +460,35 @@ fn a_client_that_hangs_up_mid_response_costs_only_its_own_connection() {
     // and writer half of the abandoned one included — has ended.
     client.shutdown().expect("shutdown");
     join_daemon(daemon);
+}
+
+#[test]
+fn shutdown_does_not_wait_for_idle_clients_and_still_answers_what_is_owed() {
+    use std::io::{BufRead, Write};
+    let (addr, daemon) = boot_tcp(ServerConfig::default());
+    let (tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(daemon.join()));
+    // One client that never sends, one with a run accepted before the
+    // shutdown and its answer unread; both stay connected throughout.
+    let (_idle, _) = dial(&addr);
+    let (mut owed, mut owed_reader) = dial(&addr);
+    owed.write_all(b"run kernel=fft net=omesh side=2 ops=150 mode=exec-driven id=o1\n")
+        .expect("send run");
+    let client = sctm_client::Client::connect(&addr).expect("dial");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while counter(&client, "srv.accepted") != Some(1) {
+        assert!(std::time::Instant::now() < deadline, "run never accepted");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    client.shutdown().expect("shutdown");
+    let mut line = String::new();
+    owed_reader.read_line(&mut line).expect("read owed answer");
+    assert_status(&line, "ok");
+    assert!(line.contains(r#""id":"o1""#), "{line}");
+    done.recv_timeout(std::time::Duration::from_secs(5))
+        .expect("serve_tcp still waits on an idle connection after shutdown")
+        .expect("daemon thread")
+        .expect("daemon io");
 }
 
 #[test]

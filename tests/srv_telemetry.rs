@@ -163,7 +163,7 @@ fn stats_verb_is_versioned_and_observes_prior_runs() {
     ));
     let line = verb(&server, "stats");
     assert!(
-        line.starts_with(r#"{"status":"ok","version":4,"stats":{"#),
+        line.starts_with(r#"{"status":"ok","version":5,"stats":{"#),
         "{line}"
     );
     assert_eq!(counter(&line, "srv.accepted"), 1);
@@ -240,7 +240,7 @@ fn http_get_scrape_works_on_the_line_protocol_port() {
     serve_lines(b"GET /stats HTTP/1.0\r\n\r\n".as_slice(), &mut out, &server).expect("serve");
     let text = String::from_utf8(out).unwrap();
     assert!(text.contains("Content-Type: application/json"), "{text}");
-    assert!(text.contains(r#""version":4"#), "{text}");
+    assert!(text.contains(r#""version":5"#), "{text}");
     let mut out = Vec::new();
     serve_lines(b"GET /nope HTTP/1.0\r\n\r\n".as_slice(), &mut out, &server).expect("serve");
     assert!(
@@ -481,7 +481,7 @@ fn request_log_writes_one_line_per_request() {
     let dir = std::env::temp_dir().join(format!("sctm-srvlog-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let log = Arc::new(RequestLog::create(&dir).expect("open log"));
-    let server = Server::start_sharded(ServerConfig::default(), None, Some(Arc::clone(&log)));
+    let server = Server::start_logged(ServerConfig::default(), Some(Arc::clone(&log)));
 
     server.submit_blocking(run_req(
         "run kernel=fft net=omesh side=2 ops=150 mode=classic-trace id=l1",

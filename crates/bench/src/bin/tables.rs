@@ -6,7 +6,7 @@
 //! tables --exp e3 e7       # a subset
 //! tables --csv              # machine-readable tables as well
 //! tables --json             # run manifest JSON on stdout
-//! tables --obs-dir out/     # write trace/manifest/blame/flamegraph to out/
+//! tables --obs-dir out/     # write trace.json and manifest.json to out/
 //! tables --trace-out t.sctf  # save the flagship capture as an sctf container
 //! SCTM_OBS=1 tables         # enable tracing without flags
 //! ```
@@ -17,18 +17,10 @@
 //! machine-readable manifest: config, per-phase wall times, metric
 //! snapshots from every network touched, and per-iteration convergence
 //! telemetry. `out/trace.json` loads directly in <https://ui.perfetto.dev>.
-//!
-//! `--obs-dir` additionally runs two instrumented profile passes
-//! (fft on omesh and on oxbar) and writes `blame.json` — per-class
-//! latency blame plus the critical path — and `critpath.folded`, a
-//! folded-stack file for flamegraph tooling. The sampled per-node
-//! counter series ride along as Perfetto counter tracks in
-//! `trace.json` and as a `series` section in the manifest.
 
 use sctm_bench::{num_threads, run_experiment, Scale, EXPERIMENT_IDS};
-use sctm_core::{Experiment, NetworkKind, RunSpec, SystemConfig};
+use sctm_core::{Experiment, NetworkKind, SystemConfig};
 use sctm_obs as obs;
-use sctm_prof as prof;
 use sctm_workloads::Kernel;
 
 fn main() {
@@ -113,28 +105,6 @@ fn main() {
         return;
     }
 
-    // Instrumented profile passes: a self-correcting replay of fft on
-    // each photonic target with lifecycle capture and per-node gauge
-    // sampling on. Blame analysis and the counter tracks come from
-    // these, not from the (uninstrumented) experiment runs above.
-    let mut profiles = Vec::new();
-    if obs_dir.is_some() {
-        for kind in [NetworkKind::Omesh, NetworkKind::Oxbar] {
-            let _span = obs::span("bench", "profile");
-            let exp = Experiment::new(SystemConfig::new(scale.side(), kind), Kernel::Fft)
-                .with_ops(scale.ops().min(400));
-            let log = exp.capture();
-            let spec = RunSpec::self_correction(1).replay_only().profiled();
-            let profile = exp
-                .execute_seeded(&spec, Some(&log))
-                .expect("valid spec")
-                .profile
-                .expect("profiled run returns artefacts");
-            let blame = prof::analyze(kind.label(), "fft", &profile.log, &profile.lifecycles);
-            profiles.push((blame, profile.series));
-        }
-    }
-
     let mut manifest = obs::Manifest::new();
     manifest.config("scale", format!("{scale:?}").to_lowercase());
     manifest.config("threads", num_threads());
@@ -152,36 +122,17 @@ fn main() {
     manifest.phase("total", total_ms);
     manifest.metrics = obs::global_snapshot();
     manifest.iterations = obs::iterations_snapshot();
-    for (_, series) in &profiles {
-        manifest.series.push(series.clone());
-    }
     let manifest_json = manifest.to_json();
     if json {
         println!("{manifest_json}");
     }
     if let Some(dir) = &obs_dir {
         std::fs::create_dir_all(dir).expect("create --obs-dir");
-        // Counter tracks from the first (omesh) profile pass; a second
-        // run's node gauges would collide with the same track names.
-        let empty = obs::SeriesStore::default();
-        let series = profiles.first().map_or(&empty, |(_, s)| s);
-        let trace = obs::chrome_trace_with_series(&obs::drain(), series);
+        let trace = obs::chrome_trace_json(&obs::drain());
         std::fs::write(dir.join("trace.json"), trace).expect("write trace.json");
         std::fs::write(dir.join("manifest.json"), &manifest_json).expect("write manifest.json");
-        let mut blame_doc = String::from("[\n");
-        let mut folded = String::new();
-        for (i, (blame, _)) in profiles.iter().enumerate() {
-            if i > 0 {
-                blame_doc.push_str(",\n");
-            }
-            blame_doc.push_str(&blame.to_json());
-            folded.push_str(&blame.to_folded());
-        }
-        blame_doc.push_str("\n]\n");
-        std::fs::write(dir.join("blame.json"), blame_doc).expect("write blame.json");
-        std::fs::write(dir.join("critpath.folded"), folded).expect("write critpath.folded");
         eprintln!(
-            "# obs: wrote trace.json, manifest.json, blame.json, critpath.folded to {} — open trace.json at https://ui.perfetto.dev",
+            "# obs: wrote trace.json and manifest.json to {} — open trace.json at https://ui.perfetto.dev",
             dir.display()
         );
     }

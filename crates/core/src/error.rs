@@ -14,8 +14,8 @@ use sctm_trace::persist::TraceError;
 #[derive(Clone, Debug, PartialEq)]
 pub enum SctmError {
     /// A [`crate::RunSpec`] field combination `execute` cannot honour
-    /// (zero iteration cap, damping outside `[0, 1]`, profiling a mode
-    /// that produces no trace, seeding a mode that consumes none...).
+    /// (zero iteration cap, damping outside `[0, 1]`, replaying only a
+    /// mode that produces no trace, seeding a mode that consumes none...).
     InvalidSpec(String),
     /// System parameters outside the simulable envelope (zero-sized
     /// mesh, more cores than the renumbering tables can index).

@@ -37,7 +37,7 @@ pub mod spec;
 pub use config::{NetworkKind, SystemConfig};
 pub use error::SctmError;
 pub use metrics::{accuracy, Accuracy, RunReport};
-pub use modes::{Experiment, Mode, ProfileCapture};
+pub use modes::{Experiment, Mode};
 pub use spec::{RunOutcome, RunSpec};
 
 /// Look a workload kernel up by its [`sctm_workloads::Kernel::label`]

@@ -11,7 +11,7 @@ use crate::error::SctmError;
 use crate::metrics::{IterStats, RunReport};
 use crate::spec::{RunOutcome, RunSpec};
 use sctm_cmp::{CmpSim, NullHook};
-use sctm_engine::net::{AnalyticNetwork, Message, MsgClass, MsgLifecycle, NetworkModel, NodeId};
+use sctm_engine::net::{AnalyticNetwork, Message, MsgClass, NetworkModel, NodeId};
 use sctm_engine::time::SimTime;
 use sctm_obs as obs;
 use sctm_trace::replay::{
@@ -52,21 +52,6 @@ impl Mode {
             Mode::Online { .. } => "online",
         }
     }
-}
-
-/// Everything a profiled run captured, ready for `sctm-prof` analysis:
-/// the trace (dependency DAG), the per-message lifecycle records from
-/// the detailed replay, and the sampled time-series gauges.
-pub struct ProfileCapture {
-    pub log: TraceLog,
-    pub lifecycles: Vec<MsgLifecycle>,
-    pub series: obs::SeriesStore,
-}
-
-/// Sampling interval for profiled runs: ~100 snapshots across the
-/// run, floored at 1 ns so degenerate tiny runs still sample.
-fn profile_interval(total: SimTime) -> SimTime {
-    SimTime::from_ps((total.as_ps() / 100).max(1_000))
 }
 
 /// A workload bound to a simulated system.
@@ -302,37 +287,22 @@ impl Experiment {
         }
         let exp = self.with_spec_overrides(spec);
         let wall0 = Instant::now();
-        let mut profile_log: Option<TraceLog> = None;
         let mut report = match spec.mode {
             Mode::ExecutionDriven => exp.exec_driven_report(),
             Mode::Online { epoch } => exp.online_report(epoch),
             Mode::SelfCorrection { max_iters } if !spec.replay_only => {
-                let r = exp.self_correction_report(max_iters, seed);
-                if spec.profile {
-                    // The loop consumed its traces; profile on a fresh
-                    // (equivalent) uncorrected capture.
-                    profile_log = Some(match seed {
-                        Some(l) => l.clone(),
-                        None => exp.capture(),
-                    });
-                }
-                r
+                exp.self_correction_report(max_iters, seed)
             }
             mode => {
                 let log = match seed {
                     Some(l) => Cow::Borrowed(l),
                     None => Cow::Owned(exp.capture()),
                 };
-                let r = exp.replay_report(&log, mode, spec.replay_batch_budget)?;
-                if spec.profile {
-                    profile_log = Some(log.into_owned());
-                }
-                r
+                exp.replay_report(&log, mode, spec.replay_batch_budget)?
             }
         };
         report.wall = wall0.elapsed();
-        let profile = profile_log.map(|l| exp.profile_replay(l, spec.mode));
-        Ok(RunOutcome { report, profile })
+        Ok(RunOutcome { report })
     }
 
     /// The full self-correction loop (the paper's simulation flow):
@@ -503,39 +473,6 @@ impl Experiment {
             wall: wall0.elapsed(),
             iterations: Some(iters),
             verdict: Some(verdict),
-        }
-    }
-
-    /// The instrumented replay shared by the profiled entry points:
-    /// lifecycle capture enabled on the detailed network, the whole
-    /// thing wrapped in a sampling decorator for time-series gauges.
-    fn profile_replay(&self, log: TraceLog, mode: Mode) -> ProfileCapture {
-        let _span = obs::span("sctm", "profile");
-        let side = self.system.side;
-        let kind = self.system.network;
-        let interval = profile_interval(log.capture_exec_time);
-        let mut net =
-            obs::SampledNetwork::new(SystemConfig::make_network_kind(side, kind), interval);
-        net.set_lifecycle_capture(true);
-        match mode {
-            Mode::ClassicTrace => {
-                replay_fixed(&log, &mut net);
-            }
-            Mode::OracleTrace => {
-                replay_oracle(&log, &mut net);
-            }
-            Mode::SelfCorrection { .. } => {
-                replay_sctm_pass(&log, &mut net);
-            }
-            _ => panic!("profile_replay called with non-trace mode {mode:?}"),
-        }
-        let mut lifecycles = Vec::new();
-        net.take_lifecycles(&mut lifecycles);
-        let (_, series) = net.into_parts();
-        ProfileCapture {
-            log,
-            lifecycles,
-            series,
         }
     }
 
@@ -814,10 +751,6 @@ mod tests {
         ));
         assert!(matches!(
             e.execute(&RunSpec::self_correction(2).with_damping(1.5)),
-            Err(SctmError::InvalidSpec(_))
-        ));
-        assert!(matches!(
-            e.execute(&RunSpec::exec_driven().profiled()),
             Err(SctmError::InvalidSpec(_))
         ));
     }

@@ -1,15 +1,14 @@
 //! The unified run-request type.
 //!
 //! A [`RunSpec`] is everything one simulation run needs beyond the
-//! [`crate::Experiment`] it runs on: the [`Mode`], the self-correction
-//! knobs, and whether to keep profiling artefacts. It is the request
-//! vocabulary shared by every caller — the examples, the bench harness
-//! and the `sctmd` batch service all speak `RunSpec` and get a
-//! [`RunOutcome`] back.
+//! [`crate::Experiment`] it runs on: the [`Mode`] and the
+//! self-correction knobs. It is the request vocabulary shared by every
+//! caller — the examples, the bench harness and the `sctmd` batch
+//! service all speak `RunSpec` and get a [`RunOutcome`] back.
 
 use crate::error::SctmError;
 use crate::metrics::RunReport;
-use crate::modes::{Mode, ProfileCapture};
+use crate::modes::Mode;
 
 /// One simulation request, ready for [`crate::Experiment::execute`].
 ///
@@ -25,10 +24,6 @@ pub struct RunSpec {
     pub damping: Option<f64>,
     /// Override of [`crate::Experiment::factor_epsilon`] for this run.
     pub factor_epsilon: Option<f64>,
-    /// Capture profiling artefacts (lifecycles + sampled gauge series)
-    /// with an extra instrumented replay; the outcome's `profile` field
-    /// is `Some`. Only meaningful for modes that produce a trace.
-    pub profile: bool,
     /// Trace modes only: perform a *single* replay of the trace (the
     /// seeded one, or a fresh capture) instead of the full re-capture
     /// loop. For [`Mode::SelfCorrection`] this is one self-correcting
@@ -50,7 +45,6 @@ impl RunSpec {
             mode,
             damping: None,
             factor_epsilon: None,
-            profile: false,
             replay_only: false,
             replay_batch_budget: None,
         }
@@ -93,12 +87,6 @@ impl RunSpec {
         self
     }
 
-    /// Request profiling artefacts alongside the report.
-    pub fn profiled(mut self) -> Self {
-        self.profile = true;
-        self
-    }
-
     /// Replay once instead of running the full self-correction loop.
     pub fn replay_only(mut self) -> Self {
         self.replay_only = true;
@@ -137,12 +125,6 @@ impl RunSpec {
             }
         }
         let traceless = matches!(self.mode, Mode::ExecutionDriven | Mode::Online { .. });
-        if self.profile && traceless {
-            return invalid(format!(
-                "profiling needs a trace mode, not {}",
-                self.mode.label()
-            ));
-        }
         if self.replay_only && traceless {
             return invalid(format!(
                 "replay_only needs a trace mode, not {}",
@@ -166,22 +148,10 @@ impl RunSpec {
 }
 
 /// Everything [`crate::Experiment::execute`] produced: the aggregate
-/// report, plus the profiling artefacts when the spec asked for them.
+/// report.
+#[derive(Debug)]
 pub struct RunOutcome {
     pub report: RunReport,
-    pub profile: Option<ProfileCapture>,
-}
-
-impl std::fmt::Debug for RunOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunOutcome")
-            .field("report", &self.report)
-            .field(
-                "profile",
-                &self.profile.as_ref().map(|p| p.lifecycles.len()),
-            )
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -251,14 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn rejects_profiling_traceless_modes() {
+    fn rejects_replay_only_on_traceless_modes() {
         for mode in [
             Mode::ExecutionDriven,
             Mode::Online {
                 epoch: SimTime::from_us(1),
             },
         ] {
-            assert!(RunSpec::new(mode).profiled().validate().is_err());
             assert!(RunSpec::new(mode).replay_only().validate().is_err());
         }
     }

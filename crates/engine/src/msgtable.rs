@@ -126,14 +126,6 @@ impl<T> MsgTable<T> {
         self.get(id.0)
     }
 
-    /// Drop all entries; keeps allocated capacity for reuse.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.index.clear();
-        self.free.clear();
-        self.len = 0;
-    }
-
     /// Iterate over live `(id, &value)` pairs in id order. O(index len);
     /// meant for drain/validation paths, not the per-event path.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {

@@ -99,8 +99,6 @@ pub struct NetStats {
     pub data_latency_ps: Histogram,
     /// Total payload bytes delivered (throughput numerator).
     pub bytes_delivered: u64,
-    /// Network-specific energy estimate in picojoules, if modelled.
-    pub energy_pj: f64,
 }
 
 impl NetStats {
@@ -128,87 +126,6 @@ impl NetStats {
     /// Messages still in flight.
     pub fn in_flight(&self) -> u64 {
         self.injected - self.delivered
-    }
-}
-
-/// A point-in-time observation of one network endpoint, for external
-/// metric collection. Produced by [`NetworkModel::observe_nodes`];
-/// consumed by the observability layer, which the engine deliberately
-/// knows nothing about.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NodeObs {
-    pub node: u32,
-    /// Messages/flits currently queued at this node's interface.
-    pub queue_depth: u64,
-    /// Cumulative busy time of this node's outbound link/channel, in
-    /// picoseconds (divide by elapsed sim time for utilisation).
-    pub link_busy_ps: u64,
-}
-
-/// Where one message's end-to-end latency went, in picoseconds.
-///
-/// Every model decomposes into the same five bins so blame totals are
-/// comparable across architectures; the invariant — checked on every
-/// model by the conformance checker in `tests/network_properties.rs` —
-/// is that the five components sum *exactly* to
-/// `delivered_at - injected_at`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LatencyBreakdown {
-    /// Waiting for a resource held by *other* traffic (source/dest
-    /// serialisation, blocked path segments, router buffers).
-    pub queue_ps: u64,
-    /// Deciding who goes next: token wait, setup-path arbitration,
-    /// router allocation stages, circuit acknowledgements.
-    pub arbitration_ps: u64,
-    /// Pushing the payload through the bottleneck link (burst or flit
-    /// serialisation, ejection).
-    pub serialization_ps: u64,
-    /// Time of flight: waveguide/wire propagation, per-hop link
-    /// traversal.
-    pub propagation_ps: u64,
-    /// Fixed interface costs that fit no other bin (NI latency,
-    /// rounding residue of corrected analytic latencies).
-    pub overhead_ps: u64,
-}
-
-impl LatencyBreakdown {
-    #[inline]
-    pub fn total_ps(&self) -> u64 {
-        self.queue_ps
-            + self.arbitration_ps
-            + self.serialization_ps
-            + self.propagation_ps
-            + self.overhead_ps
-    }
-
-    /// `(label, value)` pairs in a fixed report order.
-    pub fn components(&self) -> [(&'static str, u64); 5] {
-        [
-            ("queue", self.queue_ps),
-            ("arbitration", self.arbitration_ps),
-            ("serialization", self.serialization_ps),
-            ("propagation", self.propagation_ps),
-            ("overhead", self.overhead_ps),
-        ]
-    }
-}
-
-/// One message's full journey through a network model: the [`Delivery`]
-/// endpoints plus the per-component latency decomposition. Collected by
-/// models only while [`NetworkModel::set_lifecycle_capture`] is on, and
-/// harvested with [`NetworkModel::take_lifecycles`].
-#[derive(Clone, Copy, Debug)]
-pub struct MsgLifecycle {
-    pub msg: Message,
-    pub injected_at: SimTime,
-    pub delivered_at: SimTime,
-    pub breakdown: LatencyBreakdown,
-}
-
-impl MsgLifecycle {
-    #[inline]
-    pub fn latency_ps(&self) -> u64 {
-        self.delivered_at.saturating_since(self.injected_at).as_ps()
     }
 }
 
@@ -283,35 +200,6 @@ pub trait NetworkModel: Send {
 
     /// Short architecture label for reports ("emesh", "omesh", "oxbar"...).
     fn label(&self) -> &'static str;
-
-    /// Append one [`NodeObs`] per endpoint describing current queue
-    /// depths and cumulative link busy time. Models without per-node
-    /// state (analytic, hybrid wrappers) may report nothing — the
-    /// default.
-    fn observe_nodes(&self, _out: &mut Vec<NodeObs>) {}
-
-    /// Turn per-message lifecycle capture on or off. Off by default;
-    /// models that do not implement capture ignore the call (and
-    /// [`Self::lifecycle_capture`] stays `false`).
-    ///
-    /// The rule, the same in every model (each keeps its books in a
-    /// [`crate::ledger::Ledger`]): a message's lifecycle is recorded iff
-    /// it is injected while capture is on and delivered before capture
-    /// is switched off. A message already in flight when capture is
-    /// switched on is delivered but not recorded — nobody booked its
-    /// bins so far — and switching capture off drops the bins of the
-    /// messages in flight. So every recorded lifecycle's bins sum
-    /// exactly to its latency.
-    fn set_lifecycle_capture(&mut self, _on: bool) {}
-
-    /// Whether this model is currently recording [`MsgLifecycle`]s.
-    fn lifecycle_capture(&self) -> bool {
-        false
-    }
-
-    /// Move every lifecycle recorded since the last call into `out`
-    /// (appending). Models without capture append nothing.
-    fn take_lifecycles(&mut self, _out: &mut Vec<MsgLifecycle>) {}
 }
 
 /// A contention-free analytic latency model.
@@ -445,21 +333,6 @@ impl NetworkModel for AnalyticNetwork {
         let at = at.max(self.now);
         let model_lat = self.model_latency(&msg);
         let mut deliver = at + model_lat;
-        let mut bd = LatencyBreakdown::default();
-        let capture = self.ledger.capture();
-        if capture {
-            // The correction factor scales the whole analytic formula;
-            // scale serialization/propagation by the same factor and
-            // let the flooring residue land in overhead alongside the
-            // base term, so the five bins sum exactly to the latency.
-            let q = self.correction_q10[self.corr_idx(msg.src, msg.dst, msg.class)] as u64;
-            let hops = self.hops(msg.src, msg.dst);
-            bd.serialization_ps = self.per_byte_ps * msg.bytes as u64 * q / 1024;
-            bd.propagation_ps = self.per_hop.as_ps() * hops * q / 1024;
-            bd.overhead_ps = model_lat
-                .as_ps()
-                .saturating_sub(bd.serialization_ps + bd.propagation_ps);
-        }
         let service_per_byte = self.dst_service_ps_per_byte[msg.dst.idx()];
         if service_per_byte > 0 {
             // Finite ejection bandwidth: serialise behind earlier
@@ -468,16 +341,10 @@ impl NetworkModel for AnalyticNetwork {
             // replay callers).
             let service = SimTime::from_ps(service_per_byte * msg.bytes.max(1) as u64);
             let start = deliver.max(self.dst_free[msg.dst.idx()]);
-            if capture {
-                bd.queue_ps = start.saturating_since(deliver).as_ps();
-                bd.serialization_ps += service.as_ps();
-            }
             deliver = start + service;
             self.dst_free[msg.dst.idx()] = deliver;
         }
-        if let Some(bins) = self.ledger.book_injection(msg.id.0) {
-            *bins = bd;
-        }
+        self.ledger.book_injection();
         let slot = if let Some(i) = self.free.pop() {
             self.queue[i] = (msg, at);
             i
@@ -506,7 +373,7 @@ impl NetworkModel for AnalyticNetwork {
                 injected_at,
                 delivered_at: dt,
             };
-            self.ledger.book_delivery(d, out, |_, _| {});
+            self.ledger.book_delivery(d, out);
             self.now = dt;
         }
         if t > self.now {
@@ -520,18 +387,6 @@ impl NetworkModel for AnalyticNetwork {
 
     fn label(&self) -> &'static str {
         "analytic"
-    }
-
-    fn set_lifecycle_capture(&mut self, on: bool) {
-        self.ledger.set_capture(on);
-    }
-
-    fn lifecycle_capture(&self) -> bool {
-        self.ledger.capture()
-    }
-
-    fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        self.ledger.take_lifecycles(out);
     }
 }
 
@@ -641,31 +496,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 160, "every message delivered exactly once");
-    }
-
-    /// The checker in `tests/network_properties.rs` builds its analytic
-    /// model without corrections or destination service; this is where
-    /// their bins are checked.
-    #[test]
-    fn lifecycle_breakdown_sums_exactly() {
-        let mut n = net();
-        n.set_lifecycle_capture(true);
-        n.set_dst_service(NodeId(1), 5);
-        n.set_correction(NodeId(2), NodeId(15), MsgClass::Control, 1.37);
-        n.inject(SimTime::ZERO, msg(1, 0, 1, 64));
-        n.inject(SimTime::ZERO, msg(2, 0, 1, 64));
-        n.inject(SimTime::ZERO, msg(3, 2, 15, 8));
-        let mut out = Vec::new();
-        n.drain(&mut out);
-        let mut lc = Vec::new();
-        n.take_lifecycles(&mut lc);
-        assert_eq!(lc.len(), 3);
-        for l in &lc {
-            assert_eq!(l.breakdown.total_ps(), l.latency_ps(), "{l:?}");
-        }
-        // The second message to the serialised destination queued
-        // behind the first.
-        assert!(lc.iter().any(|l| l.breakdown.queue_ps > 0));
     }
 
     #[test]

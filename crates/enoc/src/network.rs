@@ -40,9 +40,7 @@
 use crate::packet::{Flit, PacketizeConfig};
 use crate::topology::{Port, Routing, Topology, DIRS, NUM_PORTS};
 use sctm_engine::ledger::Ledger;
-use sctm_engine::net::{
-    Delivery, LatencyBreakdown, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs,
-};
+use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_obs as obs;
 use std::cmp::Reverse;
@@ -94,44 +92,6 @@ impl NocConfig {
         let per_hop = self.router_stages + self.link_cycles;
         // +router_stages: source router pipeline; flits-1: serialization.
         per_hop * hops + self.router_stages + (flits - 1)
-    }
-
-    /// Lifecycle bins of a delivered message. The pipeline terms
-    /// (routing/arbitration stages, link traversal, serialization) are
-    /// analytic — the wormhole router is a fixed pipeline, so their
-    /// zero-load shares are exact — and everything above zero-load is
-    /// contention, booked as queueing. On the rare boundary where the
-    /// measured latency undercuts the zero-load model (injection-edge
-    /// rounding, or adaptive routes shorter than the minimal-path
-    /// estimate never happen but misalignment can shave a cycle), the
-    /// fixed terms are trimmed so the five bins always sum exactly.
-    fn lifecycle_bins(&self, d: &Delivery, bd: &mut LatencyBreakdown) {
-        let p = self.freq.period().as_ps();
-        let hops = self.topology.hops(d.msg.src, d.msg.dst) as u64;
-        let flits = self.pkt.flit_count(d.msg.bytes) as u64;
-        *bd = LatencyBreakdown {
-            propagation_ps: self.link_cycles * hops * p,
-            arbitration_ps: self.router_stages * (hops + 1) * p,
-            serialization_ps: (flits - 1) * p,
-            ..LatencyBreakdown::default()
-        };
-        let lat = d.latency().as_ps();
-        let fixed = bd.total_ps();
-        if fixed <= lat {
-            bd.queue_ps = lat - fixed;
-        } else {
-            let mut over = fixed - lat;
-            for slot in [
-                &mut bd.serialization_ps,
-                &mut bd.arbitration_ps,
-                &mut bd.propagation_ps,
-            ] {
-                let cut = over.min(*slot);
-                *slot -= cut;
-                over -= cut;
-            }
-            debug_assert_eq!(over, 0);
-        }
     }
 }
 
@@ -277,8 +237,6 @@ pub struct NocSim {
     active_flits: usize,
     /// Cycles since a flit last moved, for deadlock detection.
     stall_cycles: u64,
-    /// Cumulative outbound-link occupancy per node, in flit-cycles.
-    link_busy_cycles: Vec<u64>,
     /// `neigh[node * 4 + dir]`: the router across direction port `dir`
     /// ([`WALL`] where the mesh ends), as [`Topology::neighbor`] says.
     neigh: Vec<u32>,
@@ -375,7 +333,6 @@ impl NocSim {
             cycle: 0,
             active_flits: 0,
             stall_cycles: 0,
-            link_busy_cycles: vec![0; n],
             neigh,
             dor,
         }
@@ -726,7 +683,6 @@ impl NocSim {
                         flit.dateline = true;
                     }
                     flit.ready_cycle = self.cycle + self.cfg.link_cycles + self.cfg.router_stages;
-                    self.link_busy_cycles[node] += self.cfg.link_cycles;
                     let down = self.across(node, op, "route into a wall");
                     self.push_flit(down, out_port.opposite().idx() * v + ovc, flit);
                 }
@@ -823,8 +779,7 @@ impl NocSim {
     /// replay pass by 2 % on a 2-vCPU x86-64 host (EXPERIMENTS.md §P26).
     #[inline(never)]
     fn deliver(&mut self, at: SimTime, id: u64, out: &mut Vec<Delivery>) {
-        self.ledger
-            .deliver(at, id, out, |d, bd| self.cfg.lifecycle_bins(d, bd));
+        self.ledger.deliver(at, id, out);
     }
 
     fn idle(&self) -> bool {
@@ -884,29 +839,6 @@ impl NetworkModel for NocSim {
 
     fn label(&self) -> &'static str {
         "emesh"
-    }
-
-    fn set_lifecycle_capture(&mut self, on: bool) {
-        self.ledger.set_capture(on);
-    }
-
-    fn lifecycle_capture(&self) -> bool {
-        self.ledger.capture()
-    }
-
-    fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        self.ledger.take_lifecycles(out);
-    }
-
-    fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
-        let cycle_ps = self.cfg.freq.period().as_ps();
-        for node in 0..self.num_nodes() {
-            out.push(NodeObs {
-                node: node as u32,
-                queue_depth: (self.nis[node].q.len() + self.routers[node].occupancy) as u64,
-                link_busy_ps: self.link_busy_cycles[node] * cycle_ps,
-            });
-        }
     }
 }
 

@@ -58,7 +58,8 @@ fn digest(sim: &NocSim, out: &[Delivery]) -> u64 {
     h.u64(s.injected);
     h.u64(s.delivered);
     h.u64(s.bytes_delivered);
-    h.u64(s.energy_pj.to_bits());
+    // Where the deleted `NetStats::energy_pj` (never written) was hashed.
+    h.u64(0f64.to_bits());
     h.hist(&s.ctrl_latency_ps);
     h.hist(&s.data_latency_ps);
     h.0

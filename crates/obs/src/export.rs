@@ -7,7 +7,6 @@
 //! finite floats.
 
 use crate::registry::{IterTelemetry, MetricValue, MetricsRegistry};
-use crate::series::SeriesStore;
 use crate::tracer::TraceEvent;
 use std::fmt::Write as _;
 
@@ -51,14 +50,6 @@ pub fn json_f64(v: f64) -> String {
 /// network node. Timestamps are microseconds as the format requires —
 /// fractional µs keep full ns (host) and ps (sim) precision.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    chrome_trace_with_series(events, &SeriesStore::default())
-}
-
-/// [`chrome_trace_json`] plus sampled per-node gauges as Perfetto
-/// counter tracks: each [`crate::CounterSeries`] becomes one
-/// `"ph":"C"` track under the simulation process (pid 2), named after
-/// the series, one counter event per sample point.
-pub fn chrome_trace_with_series(events: &[TraceEvent], series: &SeriesStore) -> String {
     let mut threads: Vec<u32> = Vec::new();
     let mut nodes: Vec<u32> = Vec::new();
     for ev in events {
@@ -136,19 +127,6 @@ pub fn chrome_trace_with_series(events: &[TraceEvent], series: &SeriesStore) -> 
             }
         }
     }
-    for s in &series.series {
-        let name = json_escape(&s.name);
-        for &(at_ps, v) in &s.points {
-            // ps → µs with 6 decimals, like the instants above.
-            rows.push(format!(
-                r#"{{"name":"{}","cat":"series","ph":"C","pid":2,"ts":{}.{:06},"args":{{"value":{}}}}}"#,
-                name,
-                at_ps / 1_000_000,
-                at_ps % 1_000_000,
-                json_f64(v),
-            ));
-        }
-    }
 
     let mut out = String::new();
     out.push_str("{\"traceEvents\":[\n");
@@ -180,8 +158,6 @@ pub struct Manifest {
     pub phases: Vec<PhaseWall>,
     pub metrics: MetricsRegistry,
     pub iterations: Vec<IterTelemetry>,
-    /// Sampled per-node gauge series (one store per profiled run).
-    pub series: Vec<SeriesStore>,
 }
 
 impl Manifest {
@@ -283,34 +259,12 @@ impl Manifest {
         }
         out.push_str("\n  ],\n");
 
-        out.push_str("  \"series\": [");
-        let mut first = true;
-        for store in &self.series {
-            for s in &store.series {
-                if s.points.is_empty() {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "\n    {{\"name\": \"{}\", \"node\": {}, \"interval_ps\": {}, \"points\": [",
-                    json_escape(&s.name),
-                    s.node,
-                    store.interval_ps,
-                );
-                for (i, (t, v)) in s.points.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "[{}, {}]", t, json_f64(*v));
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str("\n  ]\n}\n");
+        // Always empty: the section once held sampled per-node gauges,
+        // which are gone, but its bytes stay. `tests/golden/
+        // srv_fresh_stats.json`, every `sctmd` `ok` response and the
+        // benchmark's `sim_digest` (a hash of `result_json` bytes) all
+        // contain `"series": []`.
+        out.push_str("  \"series\": [\n  ]\n}\n");
         out
     }
 
@@ -403,71 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_tracks_render_and_validate() {
-        use crate::series::CounterSeries;
-        let store = SeriesStore {
-            interval_ps: 1_000,
-            series: vec![
-                CounterSeries {
-                    name: "node003.queue_depth".into(),
-                    node: 3,
-                    points: vec![(1_000, 2.0), (2_000, 5.0)],
-                },
-                CounterSeries {
-                    name: "node003.link_util".into(),
-                    node: 3,
-                    points: vec![(1_000, 0.25)],
-                },
-                CounterSeries {
-                    name: "empty".into(),
-                    node: 0,
-                    points: vec![],
-                },
-            ],
-        };
-        let json = chrome_trace_with_series(&[], &store);
-        check_json(&json);
-        assert_eq!(json.matches(r#""ph":"C""#).count(), 3);
-        assert!(json.contains(r#""name":"node003.queue_depth""#));
-        assert!(json.contains(r#""ts":0.001000"#));
-        assert!(json.contains(r#""args":{"value":0.25}"#));
-    }
-
-    #[test]
-    fn counter_track_names_are_escaped() {
-        use crate::series::CounterSeries;
-        let store = SeriesStore {
-            interval_ps: 1,
-            series: vec![CounterSeries {
-                name: "evil\"name\\with\njunk".into(),
-                node: 0,
-                points: vec![(5, 1.0)],
-            }],
-        };
-        let json = chrome_trace_with_series(&[], &store);
-        check_json(&json);
-        assert!(json.contains(r#"evil\"name\\with\njunk"#));
-    }
-
-    #[test]
-    fn manifest_series_section_roundtrips() {
-        use crate::series::CounterSeries;
-        let mut m = Manifest::new();
-        m.series.push(SeriesStore {
-            interval_ps: 500,
-            series: vec![CounterSeries {
-                name: "node000.queue_depth".into(),
-                node: 0,
-                points: vec![(500, 1.0), (1_000, 3.5)],
-            }],
-        });
-        let json = m.to_json();
-        check_json(&json);
-        assert!(json.contains(r#""interval_ps": 500"#));
-        assert!(json.contains("[500, 1],[1000, 3.5]"));
-    }
-
-    #[test]
     fn chrome_trace_empty_is_valid() {
         let json = chrome_trace_json(&[]);
         check_json(&json);
@@ -515,6 +404,7 @@ mod tests {
         assert!(!compact.contains('\n'), "compact manifest spans lines");
         assert!(compact.contains(r#""note": "multi\nline \"quoted\"""#));
         assert!(compact.contains(r#""srv.cache.hits""#));
+        assert!(compact.ends_with(r#""series": []}"#));
     }
 
     #[test]

@@ -23,21 +23,17 @@ pub mod conv;
 mod export;
 mod registry;
 pub mod reqlog;
-mod series;
 pub mod svc;
 mod tracer;
 
 #[doc(hidden)]
 pub use conv::reset_conv;
 pub use conv::{classify_unconverged, ConvergenceVerdict};
-pub use export::{
-    chrome_trace_json, chrome_trace_with_series, json_escape, json_f64, Manifest, PhaseWall,
-};
+pub use export::{chrome_trace_json, json_escape, json_f64, Manifest, PhaseWall};
 pub use registry::{
     global_snapshot, iterations_snapshot, publish_network, record_iteration, reset_global,
     reset_iterations, with_global, IterTelemetry, MetricValue, MetricsRegistry,
 };
-pub use series::{CounterSeries, SampledNetwork, SeriesStore};
 pub use tracer::{drain, sim_event, span, SpanGuard, TraceEvent};
 
 use std::sync::atomic::{AtomicBool, Ordering};

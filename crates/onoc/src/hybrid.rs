@@ -14,7 +14,7 @@
 //! NIs) and keeps each plane's contention model intact.
 
 use crate::omesh::{OmeshConfig, OmeshSim};
-use sctm_engine::net::{Delivery, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs};
+use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::SimTime;
 use sctm_enoc::{NocConfig, NocSim, Routing, Topology};
 
@@ -162,46 +162,6 @@ impl NetworkModel for HybridSim {
 
     fn label(&self) -> &'static str {
         "hybrid"
-    }
-
-    fn set_lifecycle_capture(&mut self, on: bool) {
-        self.optical.set_lifecycle_capture(on);
-        self.electrical.set_lifecycle_capture(on);
-    }
-
-    fn lifecycle_capture(&self) -> bool {
-        self.optical.lifecycle_capture()
-    }
-
-    fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        // Both planes' records, ordered by delivery like the merged
-        // delivery stream.
-        let start = out.len();
-        self.optical.take_lifecycles(out);
-        self.electrical.take_lifecycles(out);
-        out[start..].sort_by_key(|l| (l.delivered_at, l.msg.id.0));
-    }
-
-    fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
-        // The planes share NIs: merge per-node observations by summing
-        // queue depths and busy time across layers.
-        let mut optical = Vec::new();
-        self.optical.observe_nodes(&mut optical);
-        let mut electrical = Vec::new();
-        self.electrical.observe_nodes(&mut electrical);
-        for node in 0..self.num_nodes() as u32 {
-            let mut merged = NodeObs {
-                node,
-                ..NodeObs::default()
-            };
-            for o in optical.iter().chain(&electrical) {
-                if o.node == node {
-                    merged.queue_depth += o.queue_depth;
-                    merged.link_busy_ps += o.link_busy_ps;
-                }
-            }
-            out.push(merged);
-        }
     }
 }
 

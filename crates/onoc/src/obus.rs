@@ -14,7 +14,7 @@
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
 use sctm_engine::ledger::Ledger;
-use sctm_engine::net::{Delivery, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs};
+use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, OpticalPath, PowerBreakdown};
@@ -96,10 +96,6 @@ pub struct ObusSim {
     src_free: Vec<SimTime>,
     /// Per-receiver ejection port: busy until.
     dst_free: Vec<SimTime>,
-    /// Cumulative burst time per source channel, for observability.
-    src_busy_ps: Vec<u64>,
-    /// Messages injected at each source and not yet delivered.
-    src_inflight: Vec<u64>,
     optical_bits: u64,
 }
 
@@ -112,8 +108,6 @@ impl ObusSim {
             ledger: Ledger::new(),
             src_free: vec![SimTime::ZERO; n],
             dst_free: vec![SimTime::ZERO; n],
-            src_busy_ps: vec![0; n],
-            src_inflight: vec![0; n],
             optical_bits: 0,
         }
     }
@@ -139,11 +133,7 @@ impl ObusSim {
                 let msg = self.ledger[id].msg;
                 if msg.src == msg.dst {
                     // Loopback: NI in, NI out — pure interface overhead.
-                    let ni = self.ni_delay();
-                    if let Some(bd) = self.ledger.bins(id) {
-                        bd.overhead_ps += ni.as_ps();
-                    }
-                    self.q.schedule(at + ni, Ev::Deliver(id));
+                    self.q.schedule(at + self.ni_delay(), Ev::Deliver(id));
                     return;
                 }
                 // Single writer: wait only for our own channel.
@@ -151,21 +141,13 @@ impl ObusSim {
                 let start = at.max(self.src_free[msg.src.idx()]);
                 let end = start + burst;
                 self.src_free[msg.src.idx()] = end;
-                self.src_busy_ps[msg.src.idx()] += burst.as_ps();
                 self.optical_bits += msg.bytes.max(1) as u64 * 8;
-                if let Some(bd) = self.ledger.bins(id) {
-                    bd.queue_ps += start.saturating_since(at).as_ps();
-                    bd.serialization_ps += burst.as_ps();
-                }
                 self.q.schedule(end, Ev::BurstEnd(id));
             }
             Ev::BurstEnd(id) => {
                 let msg = self.ledger[id].msg;
                 let dist = self.cfg.floorplan.serpentine_distance_mm(msg.src, msg.dst);
                 let tof = SimTime::from_ps(self.cfg.kit.waveguide.tof_ps(dist));
-                if let Some(bd) = self.ledger.bins(id) {
-                    bd.propagation_ps += tof.as_ps();
-                }
                 self.q.schedule(at + tof, Ev::Arrive(id));
             }
             Ev::Arrive(id) => {
@@ -175,17 +157,11 @@ impl ObusSim {
                 let eject = self.cfg.plan.burst_time(msg.bytes.max(1));
                 let start = at.max(self.dst_free[msg.dst.idx()]);
                 self.dst_free[msg.dst.idx()] = start + eject;
-                let ni = self.ni_delay();
-                if let Some(bd) = self.ledger.bins(id) {
-                    bd.queue_ps += start.saturating_since(at).as_ps();
-                    bd.serialization_ps += eject.as_ps();
-                    bd.overhead_ps += ni.as_ps();
-                }
-                self.q.schedule(start + eject + ni, Ev::Deliver(id));
+                self.q
+                    .schedule(start + eject + self.ni_delay(), Ev::Deliver(id));
             }
             Ev::Deliver(id) => {
-                let msg = self.ledger.deliver(at, id, out, |_, _| {});
-                self.src_inflight[msg.src.idx()] -= 1;
+                let msg = self.ledger.deliver(at, id, out);
                 obs::sim_event("obus", "deliver", msg.dst.0, at);
             }
         }
@@ -199,13 +175,9 @@ impl NetworkModel for ObusSim {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
-        self.src_inflight[msg.src.idx()] += 1;
         obs::sim_event("obus", "inject", msg.src.0, at);
-        let ni = self.ni_delay();
-        if let Some(bd) = self.ledger.inject(at, msg, ()) {
-            bd.overhead_ps = ni.as_ps();
-        }
-        self.q.schedule(at + ni, Ev::Ready(msg.id.0));
+        self.ledger.inject(at, msg, ());
+        self.q.schedule(at + self.ni_delay(), Ev::Ready(msg.id.0));
     }
 
     fn next_time(&self) -> Option<SimTime> {
@@ -225,28 +197,6 @@ impl NetworkModel for ObusSim {
 
     fn label(&self) -> &'static str {
         "obus"
-    }
-
-    fn set_lifecycle_capture(&mut self, on: bool) {
-        self.ledger.set_capture(on);
-    }
-
-    fn lifecycle_capture(&self) -> bool {
-        self.ledger.capture()
-    }
-
-    fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        self.ledger.take_lifecycles(out);
-    }
-
-    fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
-        for node in 0..self.num_nodes() {
-            out.push(NodeObs {
-                node: node as u32,
-                queue_depth: self.src_inflight[node],
-                link_busy_ps: self.src_busy_ps[node],
-            });
-        }
     }
 }
 

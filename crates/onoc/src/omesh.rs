@@ -23,10 +23,7 @@
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
 use sctm_engine::ledger::Ledger;
-use sctm_engine::net::{
-    Delivery, LatencyBreakdown, Message, MsgClass, MsgLifecycle, NetStats, NetworkModel, NodeId,
-    NodeObs,
-};
+use sctm_engine::net::{Delivery, Message, MsgClass, NetStats, NetworkModel, NodeId};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_enoc::{Port, Topology};
 use sctm_obs as obs;
@@ -152,10 +149,6 @@ pub struct OmeshSim {
     seg_busy: Vec<Option<u32>>,
     /// Parked setups per segment: `(message id, next router, dst)`.
     seg_wait: Vec<VecDeque<(u32, u32, u32)>>,
-    /// When each busy segment was last acquired (valid while busy).
-    seg_since: Vec<SimTime>,
-    /// Cumulative outbound-segment busy time per node, for observability.
-    node_busy_ps: Vec<u64>,
     /// Control-plane router next-free times.
     router_free: Vec<SimTime>,
     /// Optical payload bits transmitted (for the energy report).
@@ -205,8 +198,6 @@ impl OmeshSim {
             nodes: n,
             seg_busy: vec![None; n * 4],
             seg_wait: (0..n * 4).map(|_| VecDeque::new()).collect(),
-            seg_since: vec![SimTime::ZERO; n * 4],
-            node_busy_ps: vec![0; n],
             router_free: vec![SimTime::ZERO; n],
             optical_bits: 0,
         }
@@ -231,17 +222,12 @@ impl OmeshSim {
     }
 
     /// Serve an event at router `r`: returns the service-complete time
-    /// and occupies the router. The service slot is arbitration; any
-    /// wait for the router is queueing, which [`close`] books.
+    /// and occupies the router.
     #[inline]
-    fn serve(&mut self, id: u32, r: u32, at: SimTime) -> SimTime {
+    fn serve(&mut self, r: u32, at: SimTime) -> SimTime {
         let free = &mut self.router_free[r as usize];
         let done = at.max(*free) + self.svc;
         *free = done;
-        let svc = self.svc;
-        if let Some(bd) = self.ledger.bins(id as u64) {
-            bd.arbitration_ps += svc.as_ps();
-        }
         done
     }
 
@@ -255,12 +241,12 @@ impl OmeshSim {
     }
 
     fn deliver(&mut self, at: SimTime, id: u32, out: &mut Vec<Delivery>) {
-        let msg = self.ledger.deliver(at, id as u64, out, close);
+        let msg = self.ledger.deliver(at, id as u64, out);
         obs::sim_event("omesh", "deliver", msg.dst.0, at);
     }
 
     fn handle_setup(&mut self, at: SimTime, id: u32, here: u32, dst: u32) {
-        let svc_done = self.serve(id, here, at);
+        let svc_done = self.serve(here, at);
         if here == dst {
             // Path fully reserved. ACK back to source (uncontended
             // control broadcast on the reserved path), then the optical
@@ -275,7 +261,6 @@ impl OmeshSim {
             let seg = step.seg(here);
             if self.seg_busy[seg].is_none() {
                 self.seg_busy[seg] = Some(id);
-                self.seg_since[seg] = svc_done;
                 obs::sim_event("omesh", "arbitrate", here, svc_done);
                 self.advance_setup(id, step.nb(), dst, svc_done);
             } else {
@@ -286,31 +271,20 @@ impl OmeshSim {
 
     /// Move the setup across its just-reserved segment to router `next`.
     fn advance_setup(&mut self, id: u32, next: u32, dst: u32, from_time: SimTime) {
-        let hop = self.hop;
-        if let Some(bd) = self.ledger.bins(id as u64) {
-            bd.propagation_ps += hop.as_ps();
-        }
-        let t = from_time + hop;
+        let t = from_time + self.hop;
         self.q
             .schedule(t.max(self.q.now()), Ev::Setup(id, next, dst));
     }
 
     fn handle_ctrl_hop(&mut self, at: SimTime, id: u32, here: u32, dst: u32) {
-        let svc_done = self.serve(id, here, at);
+        let svc_done = self.serve(here, at);
         let last = here == dst;
-        let (ni, hop) = (self.ni, self.hop);
-        if let Some(bd) = self.ledger.bins(id as u64) {
-            if last {
-                bd.overhead_ps += ni.as_ps(); // trailing NI on the electrical plane
-            } else {
-                bd.propagation_ps += hop.as_ps(); // wire hop to the next router
-            }
-        }
         if last {
-            self.q.schedule(svc_done + ni, Ev::CtrlDone(id));
+            self.q.schedule(svc_done + self.ni, Ev::CtrlDone(id));
         } else {
             let next = self.step(here, dst).nb();
-            self.q.schedule(svc_done + hop, Ev::CtrlHop(id, next, dst));
+            self.q
+                .schedule(svc_done + self.hop, Ev::CtrlHop(id, next, dst));
         }
     }
 
@@ -330,40 +304,14 @@ impl OmeshSim {
             let seg = step.seg(here);
             debug_assert_eq!(self.seg_busy[seg], Some(id), "segment not held by owner");
             self.seg_busy[seg] = None;
-            self.node_busy_ps[here as usize] += at.saturating_since(self.seg_since[seg]).as_ps();
             if let Some((next_id, next, next_dst)) = self.seg_wait[seg].pop_front() {
                 self.seg_busy[seg] = Some(next_id);
-                self.seg_since[seg] = at;
                 obs::sim_event("omesh", "arbitrate", here, at);
                 self.advance_setup(next_id, next, next_dst, at);
             }
             here = step.nb();
         }
         self.deliver(at, id, out);
-    }
-}
-
-/// Close out a lifecycle. Queueing — behind a busy router or a held
-/// segment — is not booked as it happens: it is the slack the other
-/// four bins leave of the latency. Overshoot (only possible through the
-/// grant-before-service clamp in [`OmeshSim::advance_setup`]) is
-/// trimmed, so the bins always sum exactly to the latency.
-fn close(d: &Delivery, bd: &mut LatencyBreakdown) {
-    let (lat, sum) = (d.latency().as_ps(), bd.total_ps());
-    if sum <= lat {
-        bd.queue_ps = lat - sum;
-        return;
-    }
-    let mut over = sum - lat;
-    for slot in [
-        &mut bd.propagation_ps,
-        &mut bd.arbitration_ps,
-        &mut bd.serialization_ps,
-        &mut bd.overhead_ps,
-    ] {
-        let cut = (*slot).min(over);
-        *slot -= cut;
-        over -= cut;
     }
 }
 
@@ -379,29 +327,11 @@ impl NetworkModel for OmeshSim {
             || msg.class == MsgClass::Control
             || msg.src == msg.dst;
         let mut flight = SimTime::ZERO;
-        let mut bd = LatencyBreakdown {
-            overhead_ps: self.ni.as_ps(),
-            ..LatencyBreakdown::default()
-        };
         if !electrical {
             let hops = self.step(msg.src.0, msg.dst.0).hops();
-            let burst = self.cfg.plan.burst_time(msg.bytes);
-            flight = self.ack_tof[hops] + burst + self.ni;
-            if self.ledger.capture() {
-                let ack = if self.cfg.ack_required {
-                    SimTime::from_ps(self.hop.as_ps() * hops as u64)
-                } else {
-                    SimTime::ZERO
-                };
-                bd.arbitration_ps += ack.as_ps();
-                bd.propagation_ps += self.ack_tof[hops].saturating_since(ack).as_ps();
-                bd.serialization_ps += burst.as_ps();
-                bd.overhead_ps += self.ni.as_ps();
-            }
+            flight = self.ack_tof[hops] + self.cfg.plan.burst_time(msg.bytes) + self.ni;
         }
-        if let Some(bins) = self.ledger.inject(at, msg, flight) {
-            *bins = bd;
-        }
+        self.ledger.inject(at, msg, flight);
         // The ledger's table asserted that the id fits in 32 bits.
         let (id, src, dst) = (msg.id.0 as u32, msg.src.0, msg.dst.0);
         let start = at + self.ni;
@@ -429,31 +359,6 @@ impl NetworkModel for OmeshSim {
 
     fn label(&self) -> &'static str {
         "omesh"
-    }
-
-    fn set_lifecycle_capture(&mut self, on: bool) {
-        self.ledger.set_capture(on);
-    }
-
-    fn lifecycle_capture(&self) -> bool {
-        self.ledger.capture()
-    }
-
-    fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        self.ledger.take_lifecycles(out);
-    }
-
-    fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
-        for node in 0..self.num_nodes() {
-            let queue_depth = (0..4)
-                .map(|d| self.seg_wait[node * 4 + d].len() as u64)
-                .sum();
-            out.push(NodeObs {
-                node: node as u32,
-                queue_depth,
-                link_busy_ps: self.node_busy_ps[node],
-            });
-        }
     }
 }
 

@@ -17,7 +17,7 @@
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
 use sctm_engine::ledger::Ledger;
-use sctm_engine::net::{Delivery, Message, MsgLifecycle, NetStats, NetworkModel, NodeObs};
+use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, PowerBreakdown};
@@ -89,9 +89,6 @@ pub struct OxbarSim {
     q: EventQueue<Ev>,
     ledger: Ledger,
     channels: Vec<Channel>,
-    /// Cumulative burst (channel-busy) time per home channel, for
-    /// observability; indexed by the owning destination node.
-    ch_busy_ps: Vec<u64>,
     optical_bits: u64,
     nodes: u64,
 }
@@ -112,7 +109,6 @@ impl OxbarSim {
                     pending: None,
                 })
                 .collect(),
-            ch_busy_ps: vec![0; n],
             optical_bits: 0,
             nodes: n as u64,
         }
@@ -180,11 +176,7 @@ impl OxbarSim {
                 let Message { src, dst, .. } = self.ledger[id].msg;
                 if dst == src {
                     // Loopback stays in the NI.
-                    let ni = self.ni_delay();
-                    if let Some(bd) = self.ledger.bins(id) {
-                        bd.overhead_ps += ni.as_ps();
-                    }
-                    self.q.schedule(at + ni, Ev::Deliver(id));
+                    self.q.schedule(at + self.ni_delay(), Ev::Deliver(id));
                     return;
                 }
                 let ch_idx = dst.idx();
@@ -212,7 +204,7 @@ impl OxbarSim {
                 let Some(st) = self.ledger.get(id) else {
                     return;
                 };
-                let (msg, injected_at) = (st.msg, st.injected_at);
+                let msg = st.msg;
                 let ch_idx = msg.dst.idx();
                 if self.channels[ch_idx].pending != Some((id, at)) {
                     return;
@@ -220,15 +212,7 @@ impl OxbarSim {
                 let burst = self.cfg.plan.burst_time(msg.bytes.max(1));
                 let src_pos = msg.src.0 as u64;
                 self.optical_bits += msg.bytes.max(1) as u64 * 8;
-                self.ch_busy_ps[ch_idx] += burst.as_ps();
                 obs::sim_event("oxbar", "arbitrate", ch_idx as u32, at);
-                // Token wait: from the request hitting the channel (NI
-                // traversal after injection) to this grant.
-                let requested = injected_at + self.ni_delay();
-                if let Some(bd) = self.ledger.bins(id) {
-                    bd.arbitration_ps += at.saturating_since(requested).as_ps();
-                    bd.serialization_ps += burst.as_ps();
-                }
                 let end = at + burst;
                 let ch = &mut self.channels[ch_idx];
                 ch.pending = None;
@@ -241,16 +225,11 @@ impl OxbarSim {
                 // Propagation from source to reader along the serpentine.
                 let dist_mm = self.cfg.floorplan.serpentine_distance_mm(src, dst);
                 let tof = SimTime::from_ps(self.cfg.kit.waveguide.tof_ps(dist_mm));
-                let ni = self.ni_delay();
-                if let Some(bd) = self.ledger.bins(id) {
-                    bd.propagation_ps += tof.as_ps();
-                    bd.overhead_ps += ni.as_ps();
-                }
-                self.q.schedule(at + tof + ni, Ev::Deliver(id));
+                self.q.schedule(at + tof + self.ni_delay(), Ev::Deliver(id));
                 self.arbitrate(dst.idx(), at);
             }
             Ev::Deliver(id) => {
-                let msg = self.ledger.deliver(at, id, out, |_, _| {});
+                let msg = self.ledger.deliver(at, id, out);
                 obs::sim_event("oxbar", "deliver", msg.dst.0, at);
             }
         }
@@ -265,11 +244,8 @@ impl NetworkModel for OxbarSim {
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
         obs::sim_event("oxbar", "inject", msg.src.0, at);
-        let ni = self.ni_delay();
-        if let Some(bd) = self.ledger.inject(at, msg, ()) {
-            bd.overhead_ps = ni.as_ps();
-        }
-        self.q.schedule(at + ni, Ev::Request(msg.id.0));
+        self.ledger.inject(at, msg, ());
+        self.q.schedule(at + self.ni_delay(), Ev::Request(msg.id.0));
     }
 
     fn next_time(&self) -> Option<SimTime> {
@@ -289,28 +265,6 @@ impl NetworkModel for OxbarSim {
 
     fn label(&self) -> &'static str {
         "oxbar"
-    }
-
-    fn set_lifecycle_capture(&mut self, on: bool) {
-        self.ledger.set_capture(on);
-    }
-
-    fn lifecycle_capture(&self) -> bool {
-        self.ledger.capture()
-    }
-
-    fn take_lifecycles(&mut self, out: &mut Vec<MsgLifecycle>) {
-        self.ledger.take_lifecycles(out);
-    }
-
-    fn observe_nodes(&self, out: &mut Vec<NodeObs>) {
-        for (i, ch) in self.channels.iter().enumerate() {
-            out.push(NodeObs {
-                node: i as u32,
-                queue_depth: ch.waiting.len() as u64 + ch.pending.is_some() as u64,
-                link_busy_ps: self.ch_busy_ps[i],
-            });
-        }
     }
 }
 

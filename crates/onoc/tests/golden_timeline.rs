@@ -6,18 +6,19 @@
 //! running this file there with `GOLDEN_PRINT=1`; the file passes
 //! unmodified on that commit and on every later one. A kernel change that
 //! moves one setup hop, one token grant or one event's pop order moves a
-//! delivery time and so a hash. `tests/golden_loop.rs` never reaches
-//! omesh's lifecycle path; this file does.
+//! delivery time and so a hash.
 //!
 //! Each hash is FNV-1a over `(id, delivered_at)` in delivery order, then
-//! the final time, then `NetStats`, then — with lifecycle capture on —
-//! every `LatencyBreakdown` bin. Every case runs under two drivers —
-//! `drain`, and `advance_until` in one-nanosecond steps — which must agree
+//! the final time, then `NetStats`, with the bits of `0f64` where the
+//! deleted, never-written `energy_pj` field was. The rows are the ones
+//! generated with lifecycle capture off; the capture column went with
+//! the capture. Every case runs under two drivers — `drain`, and
+//! `advance_until` in one-nanosecond steps — which must agree
 //! with each other and with the constant. The final time is `drain`'s
 //! return under the first driver and the last delivery under the second,
 //! so the agreement also pins "a model goes quiet at its last delivery".
 
-use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, MsgLifecycle, NetworkModel, NodeId};
+use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
 use sctm_engine::stats::Histogram;
 use sctm_engine::time::SimTime;
@@ -47,7 +48,7 @@ impl Fnv {
     }
 }
 
-fn digest(sim: &mut dyn NetworkModel, out: &[Delivery], end: SimTime) -> u64 {
+fn digest(sim: &dyn NetworkModel, out: &[Delivery], end: SimTime) -> u64 {
     let mut h = Fnv::new();
     for d in out {
         h.u64(d.msg.id.0);
@@ -58,28 +59,9 @@ fn digest(sim: &mut dyn NetworkModel, out: &[Delivery], end: SimTime) -> u64 {
     h.u64(s.injected);
     h.u64(s.delivered);
     h.u64(s.bytes_delivered);
-    h.u64(s.energy_pj.to_bits());
+    h.u64(0f64.to_bits());
     h.hist(&s.ctrl_latency_ps);
     h.hist(&s.data_latency_ps);
-    if sim.lifecycle_capture() {
-        let mut lc: Vec<MsgLifecycle> = Vec::new();
-        sim.take_lifecycles(&mut lc);
-        assert_eq!(lc.len(), out.len(), "one lifecycle per delivery");
-        for l in &lc {
-            let b = l.breakdown;
-            assert_eq!(b.total_ps(), l.latency_ps(), "{:?}", l.msg.id);
-            h.u64(l.msg.id.0);
-            for bin in [
-                b.queue_ps,
-                b.arbitration_ps,
-                b.serialization_ps,
-                b.propagation_ps,
-                b.overhead_ps,
-            ] {
-                h.u64(bin);
-            }
-        }
-    }
     h.0
 }
 
@@ -140,30 +122,24 @@ fn model(label: &str, side: usize) -> Box<dyn NetworkModel> {
     }
 }
 
-fn loaded(
-    label: &str,
-    side: usize,
-    capture: bool,
-    load: &[(SimTime, Message)],
-) -> Box<dyn NetworkModel> {
+fn loaded(label: &str, side: usize, load: &[(SimTime, Message)]) -> Box<dyn NetworkModel> {
     let mut sim = model(label, side);
-    sim.set_lifecycle_capture(capture);
     for &(at, m) in load {
         sim.inject(at, m);
     }
     sim
 }
 
-fn run_drain(label: &str, side: usize, capture: bool, load: &[(SimTime, Message)]) -> u64 {
-    let mut sim = loaded(label, side, capture, load);
+fn run_drain(label: &str, side: usize, load: &[(SimTime, Message)]) -> u64 {
+    let mut sim = loaded(label, side, load);
     let mut out = Vec::new();
     let end = sim.drain(&mut out);
     assert_eq!(out.len(), load.len());
-    digest(sim.as_mut(), &out, end)
+    digest(sim.as_ref(), &out, end)
 }
 
-fn run_stepped(label: &str, side: usize, capture: bool, load: &[(SimTime, Message)]) -> u64 {
-    let mut sim = loaded(label, side, capture, load);
+fn run_stepped(label: &str, side: usize, load: &[(SimTime, Message)]) -> u64 {
+    let mut sim = loaded(label, side, load);
     let mut out = Vec::new();
     let mut ns = 0;
     while sim.next_time().is_some() {
@@ -176,37 +152,27 @@ fn run_stepped(label: &str, side: usize, capture: bool, load: &[(SimTime, Messag
         .map(|d| d.delivered_at)
         .max()
         .unwrap_or(SimTime::ZERO);
-    digest(sim.as_mut(), &out, end)
+    digest(sim.as_ref(), &out, end)
 }
 
-/// `(model, side, capture, random-load hash, all-pairs hash)`.
+/// `(model, side, random-load hash, all-pairs hash)`.
 /// Generated on the parent commit — see the file comment.
-const GOLDEN: &[(&str, usize, bool, u64, u64)] = &[
-    ("omesh", 4, false, 0xaac175afb0e9fa1c, 0xd922e365c021aaf0),
-    ("omesh", 4, true, 0xca8e38d016874844, 0xf7882839ab3e0fdb),
-    ("omesh", 8, false, 0xd7359f57ca5c36e3, 0x543542ca4fb22b7b),
-    ("omesh", 8, true, 0xd2344d77992b74e5, 0x31da964a7e51dbdc),
-    ("oxbar", 4, false, 0x46d482c57f47982c, 0x584529b76c4847f4),
-    ("oxbar", 4, true, 0xead67265fd7daf79, 0x88962b2f4a8a3ce6),
-    ("oxbar", 8, false, 0xb19608e42fff9c4c, 0xf2e0e5e53576e5fc),
-    ("oxbar", 8, true, 0x9c75604c7621f310, 0x093bb70ab56ea354),
-    ("obus", 4, false, 0x2a840ae76f0e2ef8, 0x151dc88d6d18a0dd),
-    ("obus", 4, true, 0xafd5d980461244cf, 0x7248ac9e0c9534fe),
-    ("obus", 8, false, 0xf5a3ba50a1f6f1b1, 0xe29f84110977532b),
-    ("obus", 8, true, 0x5960afd5bd894b5e, 0x00d4ebb400ace542),
-    ("hybrid", 4, false, 0x8bb3ffc35b3df347, 0x483335748c01ae25),
-    ("hybrid", 4, true, 0xb75c4fce8e7a8c90, 0x5c4c7468dee89bfc),
-    ("hybrid", 8, false, 0xe99ad0550a6bb9ee, 0x13bb87b59a02b5ce),
-    ("hybrid", 8, true, 0x40a5c00d115825d6, 0xb415376e2ac55b3b),
+const GOLDEN: &[(&str, usize, u64, u64)] = &[
+    ("omesh", 4, 0xaac175afb0e9fa1c, 0xd922e365c021aaf0),
+    ("omesh", 8, 0xd7359f57ca5c36e3, 0x543542ca4fb22b7b),
+    ("oxbar", 4, 0x46d482c57f47982c, 0x584529b76c4847f4),
+    ("oxbar", 8, 0xb19608e42fff9c4c, 0xf2e0e5e53576e5fc),
+    ("obus", 4, 0x2a840ae76f0e2ef8, 0x151dc88d6d18a0dd),
+    ("obus", 8, 0xf5a3ba50a1f6f1b1, 0xe29f84110977532b),
+    ("hybrid", 4, 0x8bb3ffc35b3df347, 0x483335748c01ae25),
+    ("hybrid", 8, 0xe99ad0550a6bb9ee, 0x13bb87b59a02b5ce),
 ];
 
-fn cases() -> Vec<(&'static str, usize, bool)> {
+fn cases() -> Vec<(&'static str, usize)> {
     let mut v = Vec::new();
     for label in ["omesh", "oxbar", "obus", "hybrid"] {
         for side in [4, 8] {
-            for capture in [false, true] {
-                v.push((label, side, capture));
-            }
+            v.push((label, side));
         }
     }
     v
@@ -218,31 +184,27 @@ fn timelines_match_the_constants_pinned_at_the_parent() {
     if !print {
         assert_eq!(GOLDEN.len(), cases().len(), "case matrix and table differ");
     }
-    for (i, (label, side, capture)) in cases().into_iter().enumerate() {
+    for (i, (label, side)) in cases().into_iter().enumerate() {
         let nodes = (side * side) as u32;
         let loads = [random_load(nodes), all_pairs_burst(nodes)];
         let got = loads.each_ref().map(|load| {
-            let drained = run_drain(label, side, capture, load);
-            let stepped = run_stepped(label, side, capture, load);
+            let drained = run_drain(label, side, load);
+            let stepped = run_stepped(label, side, load);
             assert_eq!(
                 drained, stepped,
-                "{label} side={side} capture={capture}: drain and 1-ns stepping disagree"
+                "{label} side={side}: drain and 1-ns stepping disagree"
             );
             drained
         });
         if print {
             println!(
-                "    (\"{label}\", {side}, {capture}, {:#018x}, {:#018x}),",
+                "    (\"{label}\", {side}, {:#018x}, {:#018x}),",
                 got[0], got[1]
             );
             continue;
         }
         let want = GOLDEN[i];
-        assert_eq!((want.0, want.1, want.2), (label, side, capture));
-        assert_eq!(
-            got,
-            [want.3, want.4],
-            "{label} side={side} capture={capture}: timeline moved"
-        );
+        assert_eq!((want.0, want.1), (label, side));
+        assert_eq!(got, [want.2, want.3], "{label} side={side}: timeline moved");
     }
 }

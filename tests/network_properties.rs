@@ -2,10 +2,8 @@
 //! owes its callers, checked on every `NetworkKind` by code that is none
 //! of the models' own.
 //!
-//! [`conform`] drives one load through fresh models of one kind five
-//! ways — capture off twice, capture on, capture switched on after half
-//! the load was injected, capture switched off halfway through the
-//! drain — and checks, on every run:
+//! [`conform`] drives one load through two fresh models of one kind
+//! and checks, on each run:
 //!
 //! 1. every message is delivered exactly once, at the time it was
 //!    injected, with positive latency (loads include self-sends);
@@ -16,12 +14,7 @@
 //!
 //! and across the runs:
 //!
-//! 4. the two capture-off runs are identical (determinism);
-//! 5. every run has the same timeline — lifecycle capture, however it
-//!    is switched, changes nothing;
-//! 6. a lifecycle is recorded for exactly the messages injected while
-//!    capture is on and delivered before it is switched off, each with
-//!    its delivery's endpoints and bins that sum exactly to its latency.
+//! 4. the two runs are identical (determinism).
 //!
 //! Scopes: random traffic at 4×4 on all six kinds and on every emesh
 //! routing (property tests), and an exhaustive 2×2 scope on all six
@@ -30,7 +23,7 @@
 
 use proptest::prelude::*;
 use sctm::{NetworkKind, SystemConfig};
-use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, MsgLifecycle, NetworkModel, NodeId};
+use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
 use sctm_engine::time::SimTime;
 use sctm_enoc::{NocConfig, NocSim, Routing, Topology};
@@ -74,43 +67,24 @@ fn kind(kind: NetworkKind, side: usize) -> impl Fn() -> Box<dyn NetworkModel> {
     move || SystemConfig::make_network_kind(side, kind)
 }
 
-/// Inject `load[..split]`, switch capture to `capture`, inject the rest,
-/// then drain — switching capture off once `off_at` has been reached.
-/// Checks properties 1–3 and returns the timeline and the lifecycles.
-fn run(
-    make: &dyn Fn() -> Box<dyn NetworkModel>,
-    load: &Load,
-    split: usize,
-    capture: bool,
-    off_at: Option<SimTime>,
-) -> (Timeline, Vec<MsgLifecycle>) {
+/// Inject `load`, then drain. Checks properties 1–3 and returns the
+/// timeline.
+fn run(make: &dyn Fn() -> Box<dyn NetworkModel>, load: &Load) -> Timeline {
     let mut net = make();
     let label = net.label();
-    for &(t, m) in &load[..split] {
-        net.inject(t, m);
-    }
-    net.set_lifecycle_capture(capture);
-    for &(t, m) in &load[split..] {
+    for &(t, m) in load {
         net.inject(t, m);
     }
     let mut out = Vec::new();
-    if let Some(t) = off_at {
-        net.advance_until(t, &mut out);
-        net.set_lifecycle_capture(false);
-    }
     net.drain(&mut out);
     assert!(net.next_time().is_none(), "{label}: work left once drained");
     check_deliveries(net.as_ref(), load, &out);
-    let mut lifecycles = Vec::new();
-    net.take_lifecycles(&mut lifecycles);
-    let timeline = out
-        .iter()
+    out.iter()
         .map(|d| {
             let (i, t) = (d.msg.id.0, d.injected_at.as_ps());
             (i, t, d.delivered_at.as_ps())
         })
-        .collect();
-    (timeline, lifecycles)
+        .collect()
 }
 
 /// Properties 1 and 2.
@@ -163,71 +137,10 @@ fn check_deliveries(net: &dyn NetworkModel, load: &Load, out: &[Delivery]) {
     }
 }
 
-/// Property 6: `lifecycles` are those of exactly the ids `recorded`
-/// picks, each matching its delivery in `timeline` and summing exactly.
-fn check_lifecycles(
-    label: &str,
-    lifecycles: &[MsgLifecycle],
-    timeline: &Timeline,
-    recorded: impl Fn(u64) -> bool,
-) {
-    let mut want: Vec<u64> = timeline
-        .iter()
-        .map(|&(i, ..)| i)
-        .filter(|&i| recorded(i))
-        .collect();
-    want.sort_unstable();
-    let mut got: Vec<u64> = lifecycles.iter().map(|l| l.msg.id.0).collect();
-    got.sort_unstable();
-    assert_eq!(got, want, "{label}: which messages have a lifecycle");
-    let mut ends = vec![(0, 0); timeline.len()];
-    for &(i, t, d) in timeline {
-        ends[i as usize] = (t, d);
-    }
-    for l in lifecycles {
-        let i = l.msg.id.0;
-        assert_eq!(
-            (l.injected_at.as_ps(), l.delivered_at.as_ps()),
-            ends[i as usize],
-            "{label}: lifecycle of message {i} disagrees with its delivery"
-        );
-        assert_eq!(
-            l.breakdown.total_ps(),
-            l.latency_ps(),
-            "{label}: bins of message {i} do not sum to its latency: {:?}",
-            l.breakdown
-        );
-    }
-}
-
-/// The whole checker, on one load: properties 1–6.
+/// The whole checker, on one load: properties 1–4.
 fn conform(make: &dyn Fn() -> Box<dyn NetworkModel>, load: &Load) {
     let label = make().label();
-    let n = load.len();
-    let (plain, none) = run(make, load, 0, false, None);
-    assert!(none.is_empty(), "{label}: lifecycles with capture off");
-    assert_eq!(run(make, load, 0, false, None).0, plain, "{label}: rerun");
-
-    let (timeline, all) = run(make, load, 0, true, None);
-    assert_eq!(timeline, plain, "{label}: capture changed the timeline");
-    check_lifecycles(label, &all, &plain, |_| true);
-
-    // Switched on with the first half in flight: only the second half.
-    let split = n / 2;
-    let (timeline, late) = run(make, load, split, true, None);
-    assert_eq!(timeline, plain, "{label}: capture switched on mid-flight");
-    check_lifecycles(label, &late, &plain, |i| i as usize >= split);
-
-    // Switched off halfway through the deliveries: only those before.
-    let cut = plain[(n - 1) / 2].2;
-    let (timeline, early) = run(make, load, 0, true, Some(SimTime::from_ps(cut)));
-    assert_eq!(timeline, plain, "{label}: capture switched off mid-flight");
-    let delivered_by_cut: Vec<u64> = plain
-        .iter()
-        .filter(|&&(.., d)| d <= cut)
-        .map(|&(i, ..)| i)
-        .collect();
-    check_lifecycles(label, &early, &plain, |i| delivered_by_cut.contains(&i));
+    assert_eq!(run(make, load), run(make, load), "{label}: rerun");
 }
 
 proptest! {
@@ -321,7 +234,7 @@ fn saturation_behaviour_is_sane_on_all_networks() {
         .map(|i| (SimTime::ZERO, message(i, (i % 15 + 1) as u32, 0, true)))
         .collect();
     for k in NetworkKind::DETAILED {
-        let (timeline, _) = run(&kind(k, 4), &load, 0, false, None);
+        let timeline = run(&kind(k, 4), &load);
         let makespan = timeline.iter().map(|&(.., d)| d).max().unwrap();
         // Serialisation bound at the single reader: even the fastest
         // architecture (the crossbar at 640 Gb/s) needs ≥ 900 ps per

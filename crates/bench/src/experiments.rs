@@ -752,14 +752,6 @@ pub fn p10_trace_format(scale: Scale) -> Table {
     t
 }
 
-/// Sanity helpers used by the shape tests.
-pub fn parse_pct(cell: &str) -> f64 {
-    cell.trim_end_matches('%')
-        .trim()
-        .parse()
-        .unwrap_or(f64::NAN)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,6 +812,11 @@ mod tests {
                 .unwrap_or_else(|| panic!("e6 csv has no uniform row for {net} at rate {rate}"))
         };
         assert!(lat("emesh", 0.04) >= lat("emesh", 0.01));
+        // Every row, every network: the FNV-1a of the whole CSV.
+        let fnv = csv.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(fnv, 0x0b50_8ef2_2ab5_2237, "e6 quick csv changed:\n{csv}");
     }
 
     #[test]

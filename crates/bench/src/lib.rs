@@ -86,12 +86,3 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<Table> {
         _ => return None,
     })
 }
-
-/// All experiments in order, as (id, table) pairs (eager; prefer
-/// [`run_experiment`] for streaming output).
-pub fn all_experiments(scale: Scale) -> Vec<(&'static str, Table)> {
-    EXPERIMENT_IDS
-        .iter()
-        .map(|id| (*id, run_experiment(id, scale).unwrap()))
-        .collect()
-}

@@ -5,7 +5,7 @@ use sctm_cmp::CmpConfig;
 use sctm_engine::net::{AnalyticNetwork, NetworkModel};
 use sctm_engine::table::Table;
 use sctm_engine::time::SimTime;
-use sctm_enoc::{NocConfig, NocSim, Routing, Topology};
+use sctm_enoc::{NocConfig, NocSim, Topology};
 use sctm_onoc::{
     HybridConfig, HybridSim, ObusConfig, ObusSim, OmeshConfig, OmeshSim, OxbarConfig, OxbarSim,
 };
@@ -149,7 +149,6 @@ impl SystemConfig {
         match kind {
             NetworkKind::Emesh => Box::new(NocSim::new(NocConfig {
                 topology: Topology::mesh(side, side),
-                routing: Routing::XY,
                 ..NocConfig::default()
             })),
             NetworkKind::Omesh => Box::new(OmeshSim::new(OmeshConfig::new(side))),

@@ -10,12 +10,10 @@
 //! index plus `size_of::<T>() × max concurrently in-flight` for the
 //! slab — ids only ever grow the cheap index, never the slab.
 
-use crate::net::MsgId;
-
 const NONE: u32 = u32::MAX;
 
 /// O(1) id-keyed store for in-flight message state, indexed by dense
-/// [`MsgId`]s. All operations take the raw `u64` id (`msg.id.0`).
+/// [`MsgId`](crate::net::MsgId)s. All operations take the raw `u64` id (`msg.id.0`).
 #[derive(Debug, Clone, Default)]
 pub struct MsgTable<T> {
     /// Slab of live entries; `None` entries are on the free-list.
@@ -119,11 +117,6 @@ impl<T> MsgTable<T> {
 
     pub fn contains(&self, id: u64) -> bool {
         self.slot_of(id).is_some()
-    }
-
-    /// Convenience overloads keyed by [`MsgId`].
-    pub fn get_msg(&self, id: MsgId) -> Option<&T> {
-        self.get(id.0)
     }
 
     /// Iterate over live `(id, &value)` pairs in id order. O(index len);

@@ -154,12 +154,6 @@ impl StreamRng {
         self.next()
     }
 
-    /// Next raw 32-bit output (high half of the 64-bit state).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
     /// Fill a byte slice with generator output (little-endian words).
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);

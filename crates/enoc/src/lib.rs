@@ -1,12 +1,11 @@
 //! # sctm-enoc — cycle-accurate electrical NoC simulator
 //!
 //! The **baseline NoC simulator** the paper compares against: a classic
-//! wormhole virtual-channel mesh/torus network with credit-based flow
+//! wormhole virtual-channel mesh network with credit-based flow
 //! control, the reference interconnect for the CMP full-system model and
 //! one of the two comparators in every SCTM experiment.
 //!
-//! * [`topology`] — mesh/torus geometry, XY/YX dimension-order and
-//!   odd-even adaptive routing, torus datelines.
+//! * [`topology`] — mesh geometry and XY dimension-order routing.
 //! * [`packet`] — message packetisation into flits.
 //! * [`network`] — the router microarchitecture and the
 //!   [`sctm_engine::net::NetworkModel`] implementation.
@@ -20,5 +19,5 @@ pub mod traffic;
 
 pub use network::{NocConfig, NocSim};
 pub use packet::{Flit, FlitKind, PacketizeConfig};
-pub use topology::{Port, Routing, Topology};
+pub use topology::{Port, Topology};
 pub use traffic::{LoadLatencyPoint, Pattern, TrafficConfig, TrafficRunner};

@@ -9,9 +9,9 @@
 //! reproduces zero-load per-hop latency `router_stages + link_cycles`
 //! while keeping contention exact.
 //!
-//! Two virtual networks (control / data) prevent protocol deadlock for
-//! request–reply traffic; on a torus each vnet is further split into two
-//! dateline classes to break the ring cycles.
+//! The network is a mesh routed XY, which is deadlock-free on its own;
+//! two virtual networks (control / data) prevent protocol deadlock for
+//! request–reply traffic.
 //!
 //! The simulator skips idle time: with no flit in flight it jumps
 //! straight to the next scheduled injection, so lightly loaded
@@ -38,7 +38,7 @@
 //! `NocSim::new` builds once from [`Topology`]'s functions.
 
 use crate::packet::{Flit, PacketizeConfig};
-use crate::topology::{Port, Routing, Topology, DIRS, NUM_PORTS};
+use crate::topology::{Port, Topology, DIRS, NUM_PORTS};
 use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
@@ -50,8 +50,7 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Clone, Copy, Debug)]
 pub struct NocConfig {
     pub topology: Topology,
-    pub routing: Routing,
-    /// Virtual channels per virtual network (≥2 required for torus).
+    /// Virtual channels per virtual network.
     pub vcs_per_vnet: usize,
     /// Buffer depth per VC, in flits.
     pub buf_depth: usize,
@@ -68,7 +67,6 @@ impl Default for NocConfig {
     fn default() -> Self {
         NocConfig {
             topology: Topology::mesh(8, 8),
-            routing: Routing::XY,
             vcs_per_vnet: 2,
             buf_depth: 4,
             router_stages: 2,
@@ -240,9 +238,8 @@ pub struct NocSim {
     /// `neigh[node * 4 + dir]`: the router across direction port `dir`
     /// ([`WALL`] where the mesh ends), as [`Topology::neighbor`] says.
     neigh: Vec<u32>,
-    /// `dor[here * nodes + dst]`: the dimension-order output port, as
-    /// [`Topology::route_dor`] says. Empty under odd-even routing,
-    /// which decides per packet.
+    /// `dor[here * nodes + dst]`: the XY output port, as
+    /// [`Topology::route_dor`] says.
     dor: Vec<Port>,
 }
 
@@ -264,14 +261,7 @@ impl NocSim {
             cfg.vcs_per_vnet,
             SlotMask::BITS
         );
-        assert!(
-            !cfg.topology.torus || cfg.vcs_per_vnet >= 2,
-            "torus needs ≥2 VCs per vnet for dateline deadlock avoidance"
-        );
         assert!(cfg.buf_depth >= 1);
-        if cfg.routing == Routing::OddEven {
-            assert!(!cfg.topology.torus, "odd-even routing is mesh-only");
-        }
         let n = cfg.topology.num_nodes();
         let v = cfg.total_vcs();
         // Topology is data, built once: the phases below read these two
@@ -282,16 +272,10 @@ impl NocSim {
         let neigh: Vec<u32> = (0..n)
             .flat_map(|i| DIRS.map(|p| topo.neighbor(node_id(i), p).map_or(WALL, |nb| nb.0)))
             .collect();
-        let dor = match cfg.routing {
-            Routing::XY | Routing::YX => {
-                let y_first = cfg.routing == Routing::YX;
-                (0..n)
-                    .flat_map(|h| (0..n).map(move |d| (h, d)))
-                    .map(|(h, d)| topo.route_dor(node_id(h), node_id(d), y_first))
-                    .collect()
-            }
-            Routing::OddEven => Vec::new(),
-        };
+        let dor = (0..n)
+            .flat_map(|h| (0..n).map(move |d| (h, d)))
+            .map(|(h, d)| topo.route_dor(node_id(h), node_id(d)))
+            .collect();
         let routers = (0..n)
             .map(|i| {
                 let mut credits = vec![0usize; NUM_PORTS * v];
@@ -368,21 +352,13 @@ impl NocSim {
         t.as_ps().div_ceil(p)
     }
 
-    /// Sub-range of VC indices a head flit may claim downstream.
-    fn allowed_vcs(&self, vnet: usize, dateline: bool) -> std::ops::Range<usize> {
+    /// The VC indices of virtual network `vnet`: the ones its head
+    /// flits may claim, at the local input port and downstream.
+    #[inline]
+    fn vnet_vcs(&self, vnet: u8) -> std::ops::Range<usize> {
         let k = self.cfg.vcs_per_vnet;
-        let base = vnet * k;
-        if self.cfg.topology.torus {
-            // Split each vnet into dateline classes 0 / 1.
-            let half = (k / 2).max(1);
-            if dateline {
-                base + half..base + k
-            } else {
-                base..base + half
-            }
-        } else {
-            base..base + k
-        }
+        let base = vnet as usize * k;
+        base..base + k
     }
 
     /// Move a due pending message into its source NI queue.
@@ -491,7 +467,6 @@ impl NocSim {
     /// input port.
     fn phase_inject(&mut self) {
         let v = self.cfg.total_vcs();
-        let k = self.cfg.vcs_per_vnet;
         let lp = Port::Local.idx();
         let mut next = 0;
         while let Some(node) = self.ni_nonempty.next_from(next) {
@@ -499,15 +474,8 @@ impl NocSim {
             let front = *self.nis[node].q.front().expect("empty NI in ni_nonempty");
             let router = &self.routers[node];
             let chosen = if front.kind.is_head() {
-                // Head claims a fully idle local VC in its vnet
-                // (dateline class 0 on torus — source is pre-dateline).
-                let base = front.vnet as usize * k;
-                let end = if self.cfg.topology.torus {
-                    base + (k / 2).max(1)
-                } else {
-                    base + k
-                };
-                (base..end).find(|&vc| {
+                // Head claims a fully idle local VC in its vnet.
+                self.vnet_vcs(front.vnet).find(|&vc| {
                     let ivc = &router.invc[lp * v + vc];
                     ivc.len == 0 && ivc.out_port.is_none()
                 })
@@ -536,11 +504,10 @@ impl NocSim {
     /// output VC.
     fn phase_rc_va(&mut self) {
         let v = self.cfg.total_vcs();
-        let topo = self.cfg.topology;
+        let n = self.routers.len();
         let mut next = 0;
         while let Some(node) = self.ready_set.next_from(next) {
             next = node + 1;
-            let here = sctm_engine::net::NodeId(node as u32);
             let r = &self.routers[node];
             for pv in slots(r.needs_va & r.ready) {
                 let r = &self.routers[node];
@@ -548,7 +515,7 @@ impl NocSim {
                 let out = match r.invc[pv].out_port {
                     Some(out) => out,
                     None => {
-                        let out = self.compute_route(here, &head, pv / v);
+                        let out = self.dor[node * n + head.dst.idx()];
                         let r = &mut self.routers[node];
                         r.invc[pv].out_port = Some(out);
                         r.want[out.idx()] |= 1 << pv;
@@ -561,9 +528,7 @@ impl NocSim {
                 }
                 // Allocate a free VC on this router's output side
                 // (mirrors the downstream input VC).
-                let crossing = topo.torus && topo.dateline_crossed(here, out);
-                let dl = head.dateline || crossing;
-                let mut range = self.allowed_vcs(head.vnet as usize, dl);
+                let mut range = self.vnet_vcs(head.vnet);
                 let router = &mut self.routers[node];
                 let grant = range.find(|&vc| !router.out_alloc[out.idx() * v + vc]);
                 if let Some(vc) = grant {
@@ -575,35 +540,6 @@ impl NocSim {
         }
     }
 
-    fn compute_route(&self, here: sctm_engine::net::NodeId, head: &Flit, in_port: usize) -> Port {
-        let topo = self.cfg.topology;
-        match self.cfg.routing {
-            Routing::XY | Routing::YX => self.dor[here.idx() * self.routers.len() + head.dst.idx()],
-            Routing::OddEven => {
-                // src approximated by the input direction: packets from
-                // Local use `here` as src, which is exact.
-                let src = if in_port == Port::Local.idx() {
-                    here
-                } else {
-                    head.src_hint
-                };
-                let cands = topo.route_odd_even(here, src, head.dst);
-                let v = self.cfg.total_vcs();
-                // Pick the candidate with most free credits downstream.
-                *cands
-                    .iter()
-                    .max_by_key(|p| {
-                        if **p == Port::Local {
-                            return usize::MAX;
-                        }
-                        let r = &self.routers[here.idx()];
-                        (0..v).map(|vc| r.credits[p.idx() * v + vc]).sum::<usize>()
-                    })
-                    .unwrap()
-            }
-        }
-    }
-
     /// Phase C: switch allocation + traversal. At most one grant per
     /// output port and one read per input port per cycle; each output
     /// port serves its requesters round-robin from `sa_rr`.
@@ -611,11 +547,9 @@ impl NocSim {
         let v = self.cfg.total_vcs();
         let total = NUM_PORTS * v;
         let port_slots: SlotMask = (1 << v) - 1;
-        let topo = self.cfg.topology;
         let mut next = 0;
         while let Some(node) = self.ready_set.next_from(next) {
             next = node + 1;
-            let here = sctm_engine::net::NodeId(node as u32);
             // Slots of input ports not yet read this cycle.
             let mut unread: SlotMask = !0;
             for out_port in [
@@ -678,9 +612,6 @@ impl NocSim {
                     self.routers[node].credits[op * v + ovc] -= 1;
                     if flit.kind.is_tail() {
                         self.routers[node].out_alloc[op * v + ovc] = false;
-                    }
-                    if topo.torus && topo.dateline_crossed(here, out_port) {
-                        flit.dateline = true;
                     }
                     flit.ready_cycle = self.cycle + self.cfg.link_cycles + self.cfg.router_stages;
                     let down = self.across(node, op, "route into a wall");
@@ -765,11 +696,10 @@ impl NocSim {
         self.check_masks();
         assert!(
             self.stall_cycles < DEADLOCK_CYCLES,
-            "NoC deadlock: {} flits frozen for {} cycles at cycle {} ({:?} routing)",
+            "NoC deadlock: {} flits frozen for {} cycles at cycle {}",
             self.active_flits,
             DEADLOCK_CYCLES,
-            self.cycle,
-            self.cfg.routing
+            self.cycle
         );
         self.cycle += 1;
     }
@@ -914,29 +844,10 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_deliver_torus_with_dateline() {
-        let cfg = NocConfig {
-            topology: Topology::torus(4, 4),
-            ..NocConfig::default()
-        };
-        let mut sim = NocSim::new(cfg);
-        let mut id = 0;
-        for s in 0..16 {
-            for d in 0..16 {
-                id += 1;
-                sim.inject(SimTime::ZERO, msg(id, s, d, MsgClass::Data, 64));
-            }
-        }
-        let out = drain_all(&mut sim);
-        assert_eq!(out.len(), 256);
-    }
-
-    #[test]
     fn all_pairs_deliver_at_the_widest_mask() {
         let cfg = NocConfig {
-            topology: Topology::torus(4, 4),
             vcs_per_vnet: MAX_VCS_PER_VNET,
-            ..NocConfig::default()
+            ..cfg4()
         };
         let mut sim = NocSim::new(cfg);
         let mut id = 0;

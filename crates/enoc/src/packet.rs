@@ -44,12 +44,8 @@ pub struct Flit {
     /// Packet (== message) this flit belongs to.
     pub pkt: MsgId,
     pub dst: NodeId,
-    /// Source node (used by source-aware routing like odd-even).
-    pub src_hint: NodeId,
     /// Virtual network (0 = control, 1 = data).
     pub vnet: u8,
-    /// Set once the flit has crossed a torus dateline in any dimension.
-    pub dateline: bool,
     /// Cycle at which this flit may next compete for the switch
     /// (models link traversal + router pipeline depth).
     pub ready_cycle: u64,
@@ -61,9 +57,7 @@ impl Flit {
         kind: FlitKind::HeadTail,
         pkt: MsgId(0),
         dst: NodeId(0),
-        src_hint: NodeId(0),
         vnet: 0,
-        dateline: false,
         ready_cycle: 0,
     };
 }
@@ -98,7 +92,7 @@ impl PacketizeConfig {
             sctm_engine::net::MsgClass::Control => 0,
             sctm_engine::net::MsgClass::Data => 1,
         };
-        let (pkt, dst, src_hint) = (msg.id, msg.dst, msg.src);
+        let (pkt, dst) = (msg.id, msg.dst);
         (0..n).map(move |i| {
             let kind = match (i, n) {
                 (0, 1) => FlitKind::HeadTail,
@@ -110,9 +104,7 @@ impl PacketizeConfig {
                 kind,
                 pkt,
                 dst,
-                src_hint,
                 vnet,
-                dateline: false,
                 ready_cycle: 0,
             }
         })

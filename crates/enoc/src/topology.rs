@@ -1,4 +1,4 @@
-//! Mesh / torus topology and routing functions.
+//! Mesh topology and XY dimension-order routing.
 //!
 //! Coordinates are `(x, y)` with node id `y * width + x`; port order is
 //! fixed (N, E, S, W, Local) and iterated in that order everywhere, which
@@ -50,24 +50,11 @@ impl Port {
     }
 }
 
-/// Routing algorithm selection.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Routing {
-    /// Dimension-order, X first. Deadlock-free on mesh; on torus it is
-    /// combined with dateline VC switching (see `dateline_crossed`).
-    XY,
-    /// Dimension-order, Y first.
-    YX,
-    /// Odd-even turn model, minimal adaptive (mesh only).
-    OddEven,
-}
-
-/// A rectangular mesh or torus.
+/// A rectangular mesh.
 #[derive(Clone, Copy, Debug)]
 pub struct Topology {
     pub width: usize,
     pub height: usize,
-    pub torus: bool,
 }
 
 impl Topology {
@@ -76,23 +63,7 @@ impl Topology {
             width >= 2 && height >= 1,
             "degenerate mesh {width}x{height}"
         );
-        Topology {
-            width,
-            height,
-            torus: false,
-        }
-    }
-
-    pub fn torus(width: usize, height: usize) -> Self {
-        assert!(
-            width >= 2 && height >= 2,
-            "degenerate torus {width}x{height}"
-        );
-        Topology {
-            width,
-            height,
-            torus: true,
-        }
+        Topology { width, height }
     }
 
     #[inline]
@@ -116,195 +87,42 @@ impl Topology {
     /// Neighbour of `n` through direction port `p`, if the link exists.
     pub fn neighbor(&self, n: NodeId, p: Port) -> Option<NodeId> {
         let (x, y) = self.coords(n);
-        let (w, h) = (self.width, self.height);
         let (nx, ny) = match p {
-            Port::North => {
-                if y == 0 {
-                    if self.torus {
-                        (x, h - 1)
-                    } else {
-                        return None;
-                    }
-                } else {
-                    (x, y - 1)
-                }
-            }
-            Port::South => {
-                if y + 1 == h {
-                    if self.torus {
-                        (x, 0)
-                    } else {
-                        return None;
-                    }
-                } else {
-                    (x, y + 1)
-                }
-            }
-            Port::West => {
-                if x == 0 {
-                    if self.torus {
-                        (w - 1, y)
-                    } else {
-                        return None;
-                    }
-                } else {
-                    (x - 1, y)
-                }
-            }
-            Port::East => {
-                if x + 1 == w {
-                    if self.torus {
-                        (0, y)
-                    } else {
-                        return None;
-                    }
-                } else {
-                    (x + 1, y)
-                }
-            }
-            Port::Local => return None,
+            Port::North if y > 0 => (x, y - 1),
+            Port::South if y + 1 < self.height => (x, y + 1),
+            Port::West if x > 0 => (x - 1, y),
+            Port::East if x + 1 < self.width => (x + 1, y),
+            _ => return None,
         };
         Some(self.node_at(nx, ny))
     }
 
-    /// Minimal hop distance.
+    /// Minimal (Manhattan) hop distance.
     pub fn hops(&self, a: NodeId, b: NodeId) -> usize {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
-        let dx = ax.abs_diff(bx);
-        let dy = ay.abs_diff(by);
-        if self.torus {
-            dx.min(self.width - dx) + dy.min(self.height - dy)
-        } else {
-            dx + dy
-        }
+        ax.abs_diff(bx) + ay.abs_diff(by)
     }
 
-    /// Which direction X-dimension-order routing takes next (shortest way
-    /// around on a torus; ties go East/South to stay deterministic).
-    fn x_dir(&self, from_x: usize, to_x: usize) -> Option<Port> {
-        if from_x == to_x {
-            return None;
-        }
-        if !self.torus {
-            return Some(if to_x > from_x {
+    /// Deterministic output port for XY dimension-order routing: X
+    /// first, then Y, then `Local` at the destination.
+    pub fn route_dor(&self, here: NodeId, dst: NodeId) -> Port {
+        let (hx, hy) = self.coords(here);
+        let (dx, dy) = self.coords(dst);
+        if hx != dx {
+            if dx > hx {
                 Port::East
             } else {
                 Port::West
-            });
-        }
-        let right = (to_x + self.width - from_x) % self.width;
-        let left = (from_x + self.width - to_x) % self.width;
-        Some(if right <= left {
-            Port::East
-        } else {
-            Port::West
-        })
-    }
-
-    fn y_dir(&self, from_y: usize, to_y: usize) -> Option<Port> {
-        if from_y == to_y {
-            return None;
-        }
-        if !self.torus {
-            return Some(if to_y > from_y {
+            }
+        } else if hy != dy {
+            if dy > hy {
                 Port::South
             } else {
                 Port::North
-            });
-        }
-        let down = (to_y + self.height - from_y) % self.height;
-        let up = (from_y + self.height - to_y) % self.height;
-        Some(if down <= up { Port::South } else { Port::North })
-    }
-
-    /// Deterministic output port for dimension-order routing.
-    pub fn route_dor(&self, here: NodeId, dst: NodeId, y_first: bool) -> Port {
-        let (hx, hy) = self.coords(here);
-        let (dx, dy) = self.coords(dst);
-        if here == dst {
-            return Port::Local;
-        }
-        if y_first {
-            self.y_dir(hy, dy)
-                .or_else(|| self.x_dir(hx, dx))
-                .unwrap_or(Port::Local)
-        } else {
-            self.x_dir(hx, dx)
-                .or_else(|| self.y_dir(hy, dy))
-                .unwrap_or(Port::Local)
-        }
-    }
-
-    /// Candidate output ports under the odd-even turn model (minimal,
-    /// mesh only). Always returns at least one port, and every returned
-    /// port makes progress toward `dst`.
-    ///
-    /// Odd-even restrictions (Chiu 2000): in even columns no East→North /
-    /// East→South turns *end* (equivalently: a packet may not turn from
-    /// East... the usual formulation): EN/ES turns are forbidden in even
-    /// columns, NW/SW turns are forbidden in odd columns. The practical
-    /// encoding below follows the canonical implementation: west-bound
-    /// traffic must finish its Y movement before moving west of the
-    /// destination column region, etc.
-    pub fn route_odd_even(&self, here: NodeId, src: NodeId, dst: NodeId) -> Vec<Port> {
-        assert!(!self.torus, "odd-even routing is defined for meshes");
-        if here == dst {
-            return vec![Port::Local];
-        }
-        let (cx, cy) = self.coords(here);
-        let (sx, _sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        let ex = dx as isize - cx as isize;
-        let ey = dy as isize - cy as isize;
-        let mut avail = Vec::with_capacity(2);
-        if ex == 0 {
-            // Only Y movement remains.
-            avail.push(if ey > 0 { Port::South } else { Port::North });
-        } else if ex > 0 {
-            // East-bound.
-            if ey == 0 {
-                avail.push(Port::East);
-            } else {
-                // EN/ES turns happen at the *next* column; they are
-                // allowed only when that column is odd, i.e. turning out
-                // of east in an even column is forbidden => may go east
-                // only if dx is odd column or more than one column away.
-                if cx % 2 == 1 || cx == sx {
-                    avail.push(if ey > 0 { Port::South } else { Port::North });
-                }
-                if dx as isize - cx as isize != 1 || dx % 2 == 1 {
-                    avail.push(Port::East);
-                }
-                if avail.is_empty() {
-                    avail.push(if ey > 0 { Port::South } else { Port::North });
-                }
             }
         } else {
-            // West-bound: NW/SW turns forbidden in odd columns — take Y
-            // movement only in even columns.
-            if ey != 0 && cx % 2 == 0 {
-                avail.push(if ey > 0 { Port::South } else { Port::North });
-            }
-            avail.push(Port::West);
-        }
-        avail
-    }
-
-    /// True when the hop `here → next` through `p` crosses a wrap-around
-    /// link (torus dateline) in its dimension. Packets switch to the
-    /// escape VC class after crossing, which breaks the ring cycle.
-    pub fn dateline_crossed(&self, here: NodeId, p: Port) -> bool {
-        if !self.torus {
-            return false;
-        }
-        let (x, y) = self.coords(here);
-        match p {
-            Port::East => x + 1 == self.width,
-            Port::West => x == 0,
-            Port::South => y + 1 == self.height,
-            Port::North => y == 0,
-            Port::Local => false,
+            Port::Local
         }
     }
 }
@@ -334,15 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_wraps() {
-        let t = Topology::torus(4, 4);
-        assert_eq!(t.neighbor(NodeId(0), Port::North), Some(NodeId(12)));
-        assert_eq!(t.neighbor(NodeId(0), Port::West), Some(NodeId(3)));
-        assert_eq!(t.neighbor(NodeId(15), Port::East), Some(NodeId(12)));
-        assert_eq!(t.neighbor(NodeId(15), Port::South), Some(NodeId(3)));
-    }
-
-    #[test]
     fn opposite_ports_pair_up() {
         let t = Topology::mesh(3, 3);
         for n in 0..9u32 {
@@ -355,99 +164,33 @@ mod tests {
     }
 
     #[test]
-    fn hops_mesh_vs_torus() {
+    fn hops_are_manhattan() {
         let mesh = Topology::mesh(8, 8);
-        let torus = Topology::torus(8, 8);
-        let a = NodeId(0);
-        let b = NodeId(7); // same row, opposite corner
-        assert_eq!(mesh.hops(a, b), 7);
-        assert_eq!(torus.hops(a, b), 1);
-        assert_eq!(mesh.hops(a, a), 0);
+        assert_eq!(mesh.hops(NodeId(0), NodeId(7)), 7);
+        assert_eq!(mesh.hops(NodeId(0), NodeId(63)), 14);
+        assert_eq!(mesh.hops(NodeId(0), NodeId(0)), 0);
     }
 
     #[test]
     fn dor_reaches_destination() {
-        for topo in [Topology::mesh(5, 4), Topology::torus(4, 4)] {
-            for s in 0..topo.num_nodes() as u32 {
-                for d in 0..topo.num_nodes() as u32 {
-                    let (src, dst) = (NodeId(s), NodeId(d));
-                    let mut here = src;
-                    let mut steps = 0;
-                    loop {
-                        let p = topo.route_dor(here, dst, false);
-                        if p == Port::Local {
-                            break;
-                        }
-                        here = topo.neighbor(here, p).expect("DOR picked a dead port");
-                        steps += 1;
-                        assert!(steps <= topo.num_nodes(), "DOR loop {src}->{dst}");
-                    }
-                    assert_eq!(here, dst);
-                    assert_eq!(steps, topo.hops(src, dst), "DOR not minimal {src}->{dst}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dor_yx_reaches_destination() {
-        let topo = Topology::mesh(4, 4);
-        for s in 0..16u32 {
-            for d in 0..16u32 {
-                let mut here = NodeId(s);
-                let mut steps = 0;
-                while here != NodeId(d) {
-                    let p = topo.route_dor(here, NodeId(d), true);
-                    here = topo.neighbor(here, p).unwrap();
-                    steps += 1;
-                    assert!(steps <= 32);
-                }
-                assert_eq!(steps, topo.hops(NodeId(s), NodeId(d)));
-            }
-        }
-    }
-
-    #[test]
-    fn odd_even_always_makes_progress() {
-        let topo = Topology::mesh(6, 6);
-        for s in 0..36u32 {
-            for d in 0..36u32 {
-                if s == d {
-                    continue;
-                }
+        let topo = Topology::mesh(5, 4);
+        for s in 0..topo.num_nodes() as u32 {
+            for d in 0..topo.num_nodes() as u32 {
                 let (src, dst) = (NodeId(s), NodeId(d));
-                // Follow every branch greedily (first candidate) and
-                // check progress + arrival.
                 let mut here = src;
                 let mut steps = 0;
-                while here != dst {
-                    let cands = topo.route_odd_even(here, src, dst);
-                    assert!(!cands.is_empty());
-                    for &c in &cands {
-                        let next = topo.neighbor(here, c).expect("odd-even picked dead port");
-                        assert_eq!(
-                            topo.hops(next, dst),
-                            topo.hops(here, dst) - 1,
-                            "non-minimal candidate {src}->{dst} at {here}"
-                        );
+                loop {
+                    let p = topo.route_dor(here, dst);
+                    if p == Port::Local {
+                        break;
                     }
-                    here = topo.neighbor(here, cands[0]).unwrap();
+                    here = topo.neighbor(here, p).expect("DOR picked a dead port");
                     steps += 1;
-                    assert!(steps <= 64, "odd-even loop {src}->{dst}");
+                    assert!(steps <= topo.num_nodes(), "DOR loop {src}->{dst}");
                 }
+                assert_eq!(here, dst);
+                assert_eq!(steps, topo.hops(src, dst), "DOR not minimal {src}->{dst}");
             }
         }
-    }
-
-    #[test]
-    fn dateline_only_on_wraps() {
-        let torus = Topology::torus(4, 4);
-        assert!(torus.dateline_crossed(NodeId(3), Port::East));
-        assert!(!torus.dateline_crossed(NodeId(2), Port::East));
-        assert!(torus.dateline_crossed(NodeId(0), Port::West));
-        assert!(torus.dateline_crossed(NodeId(0), Port::North));
-        assert!(torus.dateline_crossed(NodeId(12), Port::South));
-        let mesh = Topology::mesh(4, 4);
-        assert!(!mesh.dateline_crossed(NodeId(3), Port::East));
     }
 }

@@ -1,10 +1,10 @@
 //! Synthetic traffic patterns and the open-loop measurement harness.
 //!
-//! Network-validation experiments (E6) and the trace-model sensitivity
-//! study (E8) drive interconnects with the classic synthetic patterns
-//! from the NoC literature. The harness is generic over
-//! [`NetworkModel`], so the same workload runs unchanged on the
-//! electrical mesh and both optical architectures.
+//! The network-validation experiment (E6) drives interconnects with
+//! three synthetic patterns from the NoC literature — uniform, hotspot
+//! and transpose — under smooth Bernoulli injection. The harness is
+//! generic over [`NetworkModel`], so the same workload runs unchanged
+//! on the electrical mesh and every optical architecture.
 
 use sctm_engine::net::{Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
@@ -18,16 +18,8 @@ pub enum Pattern {
     Uniform,
     /// `(x, y) → (y, x)`; requires a square node count.
     Transpose,
-    /// Bitwise complement of the node index.
-    BitComplement,
-    /// Bit-reversed node index.
-    BitReverse,
     /// A fraction `frac` of traffic goes to `node`, rest uniform.
     Hotspot { node: u32, frac: f64 },
-    /// Right neighbour in the same row (short-distance traffic).
-    Neighbor,
-    /// Half-way around the ring in X (adversarial for torus DOR).
-    Tornado,
 }
 
 impl Pattern {
@@ -35,11 +27,7 @@ impl Pattern {
         match self {
             Pattern::Uniform => "uniform",
             Pattern::Transpose => "transpose",
-            Pattern::BitComplement => "bitcomp",
-            Pattern::BitReverse => "bitrev",
             Pattern::Hotspot { .. } => "hotspot",
-            Pattern::Neighbor => "neighbor",
-            Pattern::Tornado => "tornado",
         }
     }
 
@@ -60,17 +48,6 @@ impl Pattern {
                 let (x, y) = (s % w, s / w);
                 x * w + y
             }
-            Pattern::BitComplement => (!s) & (n - 1),
-            Pattern::BitReverse => {
-                let bits = n.trailing_zeros();
-                let mut r = 0u64;
-                for b in 0..bits {
-                    if s & (1 << b) != 0 {
-                        r |= 1 << (bits - 1 - b);
-                    }
-                }
-                r
-            }
             Pattern::Hotspot { node, frac } => {
                 if rng.chance(frac) && node as u64 != s {
                     node as u64
@@ -81,16 +58,6 @@ impl Pattern {
                     }
                     d
                 }
-            }
-            Pattern::Neighbor => {
-                let w = width as u64;
-                let (x, y) = (s % w, s / w);
-                y * w + (x + 1) % w
-            }
-            Pattern::Tornado => {
-                let w = width as u64;
-                let (x, y) = (s % w, s / w);
-                y * w + (x + w / 2) % w
             }
         };
         let d = if d == s { (d + 1) % n } else { d };
@@ -109,11 +76,6 @@ pub struct TrafficConfig {
     /// Payload bytes for control / data messages.
     pub ctrl_bytes: u32,
     pub data_bytes: u32,
-    /// Burstiness ≥ 1: 1 = smooth Bernoulli; k = on/off process that is
-    /// ON 1/k of the time injecting at k× the rate (mean preserved).
-    pub burstiness: f64,
-    /// Mean burst length in cycles while ON.
-    pub burst_len: f64,
     /// Warmup before statistics count.
     pub warmup: SimTime,
     /// Measurement window after warmup.
@@ -131,8 +93,6 @@ impl Default for TrafficConfig {
             data_fraction: 0.5,
             ctrl_bytes: 8,
             data_bytes: 64,
-            burstiness: 1.0,
-            burst_len: 8.0,
             warmup: SimTime::from_us(2),
             measure: SimTime::from_us(10),
             clock: Freq::from_ghz(2),
@@ -166,11 +126,11 @@ impl TrafficRunner {
     pub fn new(cfg: TrafficConfig) -> Self {
         assert!(cfg.msg_rate > 0.0 && cfg.msg_rate <= 1.0);
         assert!((0.0..=1.0).contains(&cfg.data_fraction));
-        assert!(cfg.burstiness >= 1.0);
         TrafficRunner { cfg }
     }
 
-    /// Generate the injection schedule for one node.
+    /// Generate the injection schedule for one node: a Bernoulli trial
+    /// per cycle.
     fn node_schedule(
         &self,
         node: NodeId,
@@ -181,23 +141,8 @@ impl TrafficRunner {
         sink: &mut Vec<(SimTime, NodeId, NodeId, MsgClass, u32)>,
     ) {
         let c = &self.cfg;
-        let on_rate = (c.msg_rate * c.burstiness).min(1.0);
-        let mut cycle = 0u64;
-        let mut on = c.burstiness <= 1.0 || rng.chance(1.0 / c.burstiness);
-        // Mean OFF period keeping duty cycle = 1/burstiness.
-        let off_len = c.burst_len * (c.burstiness - 1.0);
-        while cycle < horizon_cycles {
-            if c.burstiness > 1.0 {
-                // Advance the on/off state machine.
-                if on {
-                    if rng.chance(1.0 / c.burst_len) {
-                        on = false;
-                    }
-                } else if rng.chance(1.0 / off_len.max(1.0)) {
-                    on = true;
-                }
-            }
-            if on && rng.chance(on_rate) {
+        for cycle in 0..horizon_cycles {
+            if rng.chance(c.msg_rate) {
                 let dst = c.pattern.dest(node, nodes, width, rng);
                 let (class, bytes) = if rng.chance(c.data_fraction) {
                     (MsgClass::Data, c.data_bytes)
@@ -206,7 +151,6 @@ impl TrafficRunner {
                 };
                 sink.push((c.clock.cycles(cycle), node, dst, class, bytes));
             }
-            cycle += 1;
         }
     }
 
@@ -316,11 +260,7 @@ mod tests {
         let patterns = [
             Pattern::Uniform,
             Pattern::Transpose,
-            Pattern::BitComplement,
-            Pattern::BitReverse,
             Pattern::Hotspot { node: 5, frac: 0.3 },
-            Pattern::Neighbor,
-            Pattern::Tornado,
         ];
         for p in patterns {
             for s in 0..64u32 {
@@ -351,17 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn bitreverse_examples() {
+    fn fixed_destination_examples() {
         let mut rng = StreamRng::new(1);
-        // 16 nodes: 4 bits. 0b0001 -> 0b1000
+        // 4x4: node 1 = (1, 0) -> (0, 1) = node 4.
         assert_eq!(
-            Pattern::BitReverse.dest(NodeId(1), 16, 4, &mut rng),
-            NodeId(8)
+            Pattern::Transpose.dest(NodeId(1), 16, 4, &mut rng),
+            NodeId(4)
         );
-        assert_eq!(
-            Pattern::BitComplement.dest(NodeId(0), 16, 4, &mut rng),
-            NodeId(15)
-        );
+        let all_to_3 = Pattern::Hotspot { node: 3, frac: 1.0 };
+        assert_eq!(all_to_3.dest(NodeId(0), 16, 4, &mut rng), NodeId(3));
     }
 
     #[test]
@@ -463,64 +401,5 @@ mod tests {
             (p.avg_latency_ns, p.throughput, p.delivered_frac)
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn adaptive_routing_competitive_under_transpose() {
-        // Transpose concentrates traffic on the diagonal; minimal
-        // adaptive routing must at least match deterministic XY within
-        // a modest margin (and both must deliver everything).
-        let run_with = |routing| {
-            let cfg = NocConfig {
-                topology: Topology::mesh(4, 4),
-                routing,
-                ..NocConfig::default()
-            };
-            let mut net = NocSim::new(cfg);
-            let t = TrafficConfig {
-                pattern: Pattern::Transpose,
-                msg_rate: 0.06,
-                warmup: SimTime::from_us(1),
-                measure: SimTime::from_us(5),
-                ..TrafficConfig::default()
-            };
-            TrafficRunner::new(t).run(&mut net, 4)
-        };
-        let xy = run_with(crate::topology::Routing::XY);
-        let oe = run_with(crate::topology::Routing::OddEven);
-        assert!(xy.delivered_frac > 0.95 && oe.delivered_frac > 0.95);
-        assert!(
-            oe.avg_latency_ns < xy.avg_latency_ns * 1.5,
-            "odd-even collapsed under transpose: {} vs {}",
-            oe.avg_latency_ns,
-            xy.avg_latency_ns
-        );
-    }
-
-    #[test]
-    fn bursty_traffic_has_higher_latency_than_smooth() {
-        let run_with = |burstiness: f64| {
-            let cfg = NocConfig {
-                topology: Topology::mesh(4, 4),
-                ..NocConfig::default()
-            };
-            let mut net = NocSim::new(cfg);
-            let t = TrafficConfig {
-                msg_rate: 0.05,
-                burstiness,
-                warmup: SimTime::from_us(1),
-                measure: SimTime::from_us(5),
-                ..TrafficConfig::default()
-            };
-            TrafficRunner::new(t).run(&mut net, 4)
-        };
-        let smooth = run_with(1.0);
-        let bursty = run_with(8.0);
-        assert!(
-            bursty.p99_latency_ns > smooth.p99_latency_ns,
-            "bursty p99 {} <= smooth p99 {}",
-            bursty.p99_latency_ns,
-            smooth.p99_latency_ns
-        );
     }
 }

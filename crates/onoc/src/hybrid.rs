@@ -16,7 +16,7 @@
 use crate::omesh::{OmeshConfig, OmeshSim};
 use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::SimTime;
-use sctm_enoc::{NocConfig, NocSim, Routing, Topology};
+use sctm_enoc::{NocConfig, NocSim, Topology};
 
 /// Plane-selection policy.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +60,6 @@ impl HybridConfig {
             omesh,
             emesh: NocConfig {
                 topology: Topology::mesh(side, side),
-                routing: Routing::XY,
                 ..NocConfig::default()
             },
         }

@@ -46,8 +46,6 @@ pub struct OmeshConfig {
     pub ni_cycles: u64,
     /// Messages at or below this payload go electrically.
     pub ctrl_cutoff_bytes: u32,
-    /// Whether the source waits for a reservation ACK before launching.
-    pub ack_required: bool,
 }
 
 impl OmeshConfig {
@@ -61,7 +59,6 @@ impl OmeshConfig {
             service_cycles: 1,
             ni_cycles: 2,
             ctrl_cutoff_bytes: 8,
-            ack_required: true,
         }
     }
 
@@ -166,7 +163,7 @@ impl OmeshSim {
             .flat_map(|h| (0..n).map(move |d| (node(h), node(d))))
             .map(|(h, d)| {
                 let hops = topo.hops(h, d);
-                match topo.route_dor(h, d, false) {
+                match topo.route_dor(h, d) {
                     Port::Local => Step::new(h.idx(), hops, 0),
                     p => {
                         let nb = topo.neighbor(h, p).expect("XY step off the mesh");
@@ -177,11 +174,7 @@ impl OmeshSim {
             .collect();
         let ack_tof = (0..=2 * (side as u64 - 1))
             .map(|h| {
-                let ack = if cfg.ack_required {
-                    cfg.ctrl_freq.cycles(cfg.setup_hop_cycles * h)
-                } else {
-                    SimTime::ZERO
-                };
+                let ack = cfg.ctrl_freq.cycles(cfg.setup_hop_cycles * h);
                 let length_mm = h as f64 * cfg.floorplan.tile_pitch_mm;
                 ack + SimTime::from_ps(cfg.kit.waveguide.tof_ps(length_mm))
             })
@@ -456,25 +449,18 @@ mod tests {
     #[test]
     fn ack_tof_table_matches_the_per_pair_formula() {
         for side in [2usize, 4, 8] {
-            for ack_required in [true, false] {
-                let mut cfg = OmeshConfig::new(side);
-                cfg.ack_required = ack_required;
-                let s = OmeshSim::new(cfg);
-                for src in 0..s.nodes as u32 {
-                    for dst in 0..s.nodes as u32 {
-                        let (a, b) = (NodeId(src), NodeId(dst));
-                        let hops = s.step(src, dst).hops();
-                        let ack = if ack_required {
-                            cfg.ctrl_freq.cycles(cfg.setup_hop_cycles * hops as u64)
-                        } else {
-                            SimTime::ZERO
-                        };
-                        let tof = cfg
-                            .kit
-                            .waveguide
-                            .tof_ps(cfg.floorplan.mesh_distance_mm(a, b));
-                        assert_eq!(s.ack_tof[hops], ack + SimTime::from_ps(tof), "{a}->{b}");
-                    }
+            let cfg = OmeshConfig::new(side);
+            let s = OmeshSim::new(cfg);
+            for src in 0..s.nodes as u32 {
+                for dst in 0..s.nodes as u32 {
+                    let (a, b) = (NodeId(src), NodeId(dst));
+                    let hops = s.step(src, dst).hops();
+                    let ack = cfg.ctrl_freq.cycles(cfg.setup_hop_cycles * hops as u64);
+                    let tof = cfg
+                        .kit
+                        .waveguide
+                        .tof_ps(cfg.floorplan.mesh_distance_mm(a, b));
+                    assert_eq!(s.ack_tof[hops], ack + SimTime::from_ps(tof), "{a}->{b}");
                 }
             }
         }
@@ -554,18 +540,17 @@ mod tests {
 
     #[test]
     fn setup_dominates_short_optical_transfers() {
-        // With ACK on, optical setup ≈ 2×hops×3cyc: a near-minimal data
-        // burst should still pay it.
-        let mut with_ack = sim();
-        with_ack.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Data, 64));
-        let l_ack = drain(&mut with_ack)[0].latency();
-
-        let mut cfg = OmeshConfig::new(4);
-        cfg.ack_required = false;
-        let mut no_ack = OmeshSim::new(cfg);
-        no_ack.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Data, 64));
-        let l_no = drain(&mut no_ack)[0].latency();
-        assert!(l_ack > l_no, "ack overhead invisible: {l_ack} vs {l_no}");
+        // Setup out and ACK back cost 2×hops×setup_hop_cycles: a
+        // near-minimal data burst pays it, and it is most of the latency.
+        let mut s = sim();
+        s.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Data, 64));
+        let l = drain(&mut s)[0].latency();
+        let cfg = OmeshConfig::new(4);
+        let round_trip = cfg.ctrl_freq.cycles(2 * 6 * cfg.setup_hop_cycles);
+        assert!(
+            l > round_trip && round_trip.as_ps() * 2 > l.as_ps(),
+            "setup round trip {round_trip} does not dominate latency {l}"
+        );
     }
 
     #[test]

@@ -348,11 +348,6 @@ impl Server {
         lock(&self.shared.queue).jobs.len()
     }
 
-    /// The structured request log, when the server was started with one.
-    pub fn request_log(&self) -> Option<&RequestLog> {
-        self.shared.log.as_deref()
-    }
-
     /// Service telemetry as a run manifest in the `sctm-obs` schema:
     /// the full `srv.*` namespace of DESIGN.md §12 (lifecycle counters,
     /// per-phase latency histograms, cache economics, queue state): a

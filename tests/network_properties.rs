@@ -16,9 +16,8 @@
 //!
 //! 4. the two runs are identical (determinism).
 //!
-//! Scopes: random traffic at 4×4 on all six kinds and on every emesh
-//! routing (property tests), and an exhaustive 2×2 scope on all six
-//! kinds — every message on its own and every ordered pair, sent
+//! Scopes: random traffic at 4×4 on all six kinds (property tests), and
+//! an exhaustive 2×2 scope on all six kinds — every message on its own and every ordered pair, sent
 //! together or 1 ns apart.
 
 use proptest::prelude::*;
@@ -26,7 +25,6 @@ use sctm::{NetworkKind, SystemConfig};
 use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
 use sctm_engine::time::SimTime;
-use sctm_enoc::{NocConfig, NocSim, Routing, Topology};
 
 /// Messages with their injection times; message `i` has id `i`.
 type Load = [(SimTime, Message)];
@@ -156,41 +154,6 @@ proptest! {
         for k in NetworkKind::ALL {
             conform(&kind(k, 4), &load);
         }
-    }
-
-    /// The checker on the electrical mesh under every routing algorithm
-    /// (deadlock freedom among the rest).
-    #[test]
-    fn emesh_routing_algorithms_deliver(
-        seed in 1u64..10_000,
-        routing in prop_oneof![Just(Routing::XY), Just(Routing::YX), Just(Routing::OddEven)],
-    ) {
-        let load = random_traffic(16, 300, seed);
-        let cfg = NocConfig {
-            topology: Topology::mesh(4, 4),
-            routing,
-            ..NocConfig::default()
-        };
-        conform(&|| -> Box<dyn NetworkModel> { Box::new(NocSim::new(cfg)) }, &load);
-    }
-
-    /// Torus wraparound must never be slower than the mesh for
-    /// edge-to-edge traffic (it has strictly more paths).
-    #[test]
-    fn torus_not_slower_than_mesh_for_ring_traffic(seed in 1u64..1000) {
-        let mut rng = StreamRng::new(seed);
-        let row = rng.below(4) as u32 * 4;
-        let msg = message(0, row, row + 3, false);
-        let lat = |topology: Topology| {
-            let mut net = NocSim::new(NocConfig { topology, ..NocConfig::default() });
-            net.inject(SimTime::ZERO, msg);
-            let mut out = Vec::new();
-            net.drain(&mut out);
-            out[0].latency()
-        };
-        let mesh = lat(Topology::mesh(4, 4));
-        let torus = lat(Topology::torus(4, 4));
-        prop_assert!(torus <= mesh, "torus {torus} slower than mesh {mesh}");
     }
 }
 

@@ -6,7 +6,7 @@ use sctm_core::{accuracy, Experiment, NetworkKind, RunReport, RunSpec, SystemCon
 use sctm_engine::net::AnalyticNetwork;
 use sctm_engine::table::{fnum, Table};
 use sctm_engine::time::SimTime;
-use sctm_enoc::{Pattern, TrafficConfig, TrafficRunner};
+use sctm_enoc::{measure_load_latency, Pattern, TrafficConfig};
 use sctm_onoc::{ObusConfig, OmeshConfig, OxbarConfig};
 use sctm_workloads::Kernel;
 
@@ -295,11 +295,8 @@ pub fn e6_load_latency(scale: Scale) -> Table {
                     let cfg = TrafficConfig {
                         pattern,
                         msg_rate: rate,
-                        warmup: SimTime::from_us(2),
-                        measure: SimTime::from_us(8),
-                        ..TrafficConfig::default()
                     };
-                    let p = TrafficRunner::new(cfg).run(net.as_mut(), side);
+                    let p = measure_load_latency(cfg, net.as_mut(), side);
                     vec![
                         kind.label().to_string(),
                         pattern.label().to_string(),

@@ -127,13 +127,6 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedule `payload` at `now + delay`.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        let at = self.now + delay;
-        self.schedule(at, payload);
-    }
-
     /// Timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -275,15 +268,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_ps(42));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ps(10), 1);
-        q.pop();
-        q.schedule_in(SimTime::from_ps(5), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ps(15)));
     }
 
     #[test]

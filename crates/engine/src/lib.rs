@@ -14,8 +14,8 @@
 //!    picoseconds ([`time::SimTime`]). Floating point never touches the
 //!    timeline, so accumulation error cannot desynchronise components
 //!    running at different clock frequencies.
-//! 3. **Cheap statistics.** [`stats`] provides counters, streaming
-//!    mean/variance, and log-scaled histograms whose hot-path cost is a
+//! 3. **Cheap statistics.** [`stats`] provides streaming
+//!    mean/variance and log-scaled histograms whose hot-path cost is a
 //!    few integer ops, so instrumentation can stay on in benchmarks.
 //!
 //! The kernel is intentionally minimal: components schedule typed events
@@ -44,6 +44,6 @@ pub use net::{
 };
 pub use par::{num_threads, par_map, serial_map};
 pub use rng::StreamRng;
-pub use stats::{Counter, Histogram, Running};
+pub use stats::{Histogram, Running};
 pub use table::{csv_row, Table};
-pub use time::{Cycles, Freq, SimTime, PS_PER_NS, PS_PER_US};
+pub use time::{Freq, SimTime, PS_PER_NS, PS_PER_US};

@@ -209,6 +209,12 @@ pub trait NetworkModel: Send {
 /// correction variant adjusts epoch by epoch. Latency =
 /// `base + per_hop × hops(src,dst) + bytes × per_byte`, all configurable,
 /// plus an optional multiplicative correction factor table.
+///
+/// **Order.** Messages of one `(src, dst, class)` and one size are
+/// delivered in injection order, ties by id: their latency is one
+/// constant. With destination serialisation set, a node's deliveries
+/// follow the order `inject` was called, which is injection order for
+/// a caller that injects in time order.
 #[derive(Clone, Debug)]
 pub struct AnalyticNetwork {
     nodes: usize,

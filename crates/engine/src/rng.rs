@@ -153,19 +153,6 @@ impl StreamRng {
     pub fn next_u64(&mut self) -> u64 {
         self.next()
     }
-
-    /// Fill a byte slice with generator output (little-endian words).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -279,14 +266,6 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle left input in order"
         );
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut r = StreamRng::new(9);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

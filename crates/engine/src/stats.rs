@@ -1,33 +1,9 @@
 //! Streaming statistics.
 //!
 //! Instrumentation stays enabled in benchmark runs, so everything here is
-//! O(1) per sample with small constants: counters, Welford mean/variance,
-//! and a two-level histogram (log2 bucket + linear sub-bucket) that gives
+//! O(1) per sample with small constants: Welford mean/variance and a
+//! two-level histogram (log2 bucket + linear sub-bucket) that gives
 //! ~6% relative quantile error over the full `u64` range using 4 KiB.
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    pub fn new() -> Self {
-        Counter { n: 0 }
-    }
-    #[inline]
-    pub fn inc(&mut self) {
-        self.n += 1;
-    }
-    #[inline]
-    pub fn add(&mut self, k: u64) {
-        self.n += k;
-    }
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.n
-    }
-}
 
 /// Welford streaming mean / variance / min / max.
 #[derive(Debug, Clone)]
@@ -91,10 +67,6 @@ impl Running {
         }
     }
 
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -108,15 +80,6 @@ impl Running {
             0.0
         } else {
             self.max
-        }
-    }
-
-    /// Half-width of the 95% normal-approximation confidence interval.
-    pub fn ci95(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.stddev() / (self.n as f64).sqrt()
         }
     }
 
@@ -359,14 +322,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn running_mean_var() {
         let mut r = Running::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -387,7 +342,6 @@ mod tests {
         assert_eq!(r.variance(), 0.0);
         assert_eq!(r.min(), 0.0);
         assert_eq!(r.max(), 0.0);
-        assert_eq!(r.ci95(), 0.0);
     }
 
     #[test]

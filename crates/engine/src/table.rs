@@ -43,10 +43,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as an aligned ASCII table.
     pub fn render(&self) -> String {
         let ncol = self.headers.len();
@@ -141,7 +137,6 @@ mod tests {
     fn pads_short_rows() {
         let mut t = Table::new("T", &["a", "b", "c"]);
         t.row(&["1".into()]);
-        assert_eq!(t.n_rows(), 1);
         assert!(t.render().contains("| 1 |"));
     }
 

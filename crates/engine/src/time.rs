@@ -146,25 +146,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A cycle count in some clock domain.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct Cycles(pub u64);
-
-impl Cycles {
-    #[inline]
-    pub const fn new(n: u64) -> Self {
-        Cycles(n)
-    }
-}
-
-impl Add for Cycles {
-    type Output = Cycles;
-    #[inline]
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
 /// A clock domain, stored as the period of one cycle in picoseconds.
 ///
 /// Stored as a period (not a frequency in Hz) so that cycle→time
@@ -178,15 +159,6 @@ pub struct Freq {
 }
 
 impl Freq {
-    /// A clock with the given period in picoseconds.
-    ///
-    /// # Panics
-    /// Panics on a zero period, which would make time stand still.
-    pub const fn from_period_ps(period_ps: u64) -> Self {
-        assert!(period_ps > 0, "clock period must be positive");
-        Freq { period_ps }
-    }
-
     /// A clock of `ghz` gigahertz. Requires the period to be a whole
     /// number of picoseconds (true for every config in this workspace);
     /// panics otherwise so an inexact clock is caught at construction.
@@ -201,18 +173,6 @@ impl Freq {
         }
     }
 
-    /// A clock of `mhz` megahertz (period must divide evenly).
-    pub fn from_mhz(mhz: u64) -> Self {
-        assert!(mhz > 0, "frequency must be positive");
-        assert!(
-            1_000_000 % mhz == 0,
-            "period of {mhz} MHz is not a whole number of picoseconds"
-        );
-        Freq {
-            period_ps: 1_000_000 / mhz,
-        }
-    }
-
     /// Period of one cycle.
     #[inline]
     pub const fn period(self) -> SimTime {
@@ -223,30 +183,6 @@ impl Freq {
     #[inline]
     pub const fn cycles(self, n: u64) -> SimTime {
         SimTime(self.period_ps * n)
-    }
-
-    /// Duration of a [`Cycles`] count.
-    #[inline]
-    pub const fn cycles_t(self, n: Cycles) -> SimTime {
-        SimTime(self.period_ps * n.0)
-    }
-
-    /// How many *complete* cycles fit in `t`.
-    #[inline]
-    pub const fn cycles_in(self, t: SimTime) -> Cycles {
-        Cycles(t.0 / self.period_ps)
-    }
-
-    /// The first cycle boundary at or after `t` (clock-domain crossing:
-    /// a signal arriving mid-cycle is sampled at the next edge).
-    #[inline]
-    pub const fn next_edge(self, t: SimTime) -> SimTime {
-        let rem = t.0 % self.period_ps;
-        if rem == 0 {
-            t
-        } else {
-            SimTime(t.0 + self.period_ps - rem)
-        }
     }
 
     /// Frequency in GHz, for reporting.
@@ -298,30 +234,13 @@ mod tests {
         let f = Freq::from_ghz(5); // 200 ps
         assert_eq!(f.period().as_ps(), 200);
         assert_eq!(f.cycles(3).as_ps(), 600);
-        assert_eq!(f.cycles_in(SimTime::from_ps(999)).0, 4);
-        assert_eq!(f.cycles_in(SimTime::from_ps(1000)).0, 5);
         assert!((f.ghz() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn freq_next_edge() {
-        let f = Freq::from_ghz(2); // 500 ps
-        assert_eq!(f.next_edge(SimTime::from_ps(0)).as_ps(), 0);
-        assert_eq!(f.next_edge(SimTime::from_ps(1)).as_ps(), 500);
-        assert_eq!(f.next_edge(SimTime::from_ps(500)).as_ps(), 500);
-        assert_eq!(f.next_edge(SimTime::from_ps(501)).as_ps(), 1000);
     }
 
     #[test]
     #[should_panic(expected = "whole number of picoseconds")]
     fn freq_rejects_inexact_ghz() {
         let _ = Freq::from_ghz(3); // 333.33 ps — not representable
-    }
-
-    #[test]
-    fn freq_mhz() {
-        let f = Freq::from_mhz(500); // 2000 ps
-        assert_eq!(f.period().as_ps(), 2000);
     }
 
     #[test]

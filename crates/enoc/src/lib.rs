@@ -20,4 +20,4 @@ pub mod traffic;
 pub use network::{NocConfig, NocSim};
 pub use packet::{Flit, FlitKind, PacketizeConfig};
 pub use topology::{Port, Topology};
-pub use traffic::{LoadLatencyPoint, Pattern, TrafficConfig, TrafficRunner};
+pub use traffic::{measure_load_latency, LoadLatencyPoint, Pattern, TrafficConfig};

@@ -9,7 +9,7 @@
 use sctm_engine::net::{Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
 use sctm_engine::stats::Running;
-use sctm_engine::time::{Freq, SimTime};
+use sctm_engine::time::SimTime;
 
 /// Destination selection pattern.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -65,47 +65,34 @@ impl Pattern {
     }
 }
 
-/// Open-loop workload parameters.
+/// Open-loop workload: where messages go and how often. The rest of
+/// the workload is fixed by the constants below.
 #[derive(Clone, Copy, Debug)]
 pub struct TrafficConfig {
     pub pattern: Pattern,
     /// Probability a node starts a new message per network cycle.
     pub msg_rate: f64,
-    /// Fraction of messages that are cache-line-sized data.
-    pub data_fraction: f64,
-    /// Payload bytes for control / data messages.
-    pub ctrl_bytes: u32,
-    pub data_bytes: u32,
-    /// Warmup before statistics count.
-    pub warmup: SimTime,
-    /// Measurement window after warmup.
-    pub measure: SimTime,
-    /// Clock used to convert `msg_rate` per-cycle into times.
-    pub clock: Freq,
-    pub seed: u64,
 }
 
-impl Default for TrafficConfig {
-    fn default() -> Self {
-        TrafficConfig {
-            pattern: Pattern::Uniform,
-            msg_rate: 0.02,
-            data_fraction: 0.5,
-            ctrl_bytes: 8,
-            data_bytes: 64,
-            warmup: SimTime::from_us(2),
-            measure: SimTime::from_us(10),
-            clock: Freq::from_ghz(2),
-            seed: 1,
-        }
-    }
-}
+/// Fraction of messages that are cache-line-sized data.
+const DATA_FRACTION: f64 = 0.5;
+/// Payload bytes of a control message.
+const CTRL_BYTES: u32 = 8;
+/// Payload bytes of a data message.
+const DATA_BYTES: u32 = 64;
+/// Injection clock period (2 GHz): `msg_rate` is per cycle of it.
+const CYCLE_PS: u64 = 500;
+/// Seed of the per-node injection streams.
+const SEED: u64 = 1;
+/// Warmup before statistics count.
+const WARMUP: SimTime = SimTime::from_us(2);
+/// Measurement window after warmup; the drain after the horizon gets
+/// as long again.
+const MEASURE: SimTime = SimTime::from_us(8);
 
 /// One measured operating point.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadLatencyPoint {
-    /// Offered load in messages/node/cycle.
-    pub offered: f64,
     /// Fraction of injected (post-warmup) messages actually delivered
     /// within the drain budget; < 1 indicates saturation.
     pub delivered_frac: f64,
@@ -116,135 +103,104 @@ pub struct LoadLatencyPoint {
     pub throughput: f64,
 }
 
-/// Drives a [`NetworkModel`] with synthetic traffic and measures the
+/// Drive `net` with the synthetic workload `cfg` and measure its
 /// load-latency operating point.
-pub struct TrafficRunner {
+///
+/// `width` is the mesh width used by geometric patterns (pass the
+/// topology width; for non-mesh networks pass `sqrt(nodes)`).
+pub fn measure_load_latency(
     cfg: TrafficConfig,
-}
+    net: &mut dyn NetworkModel,
+    width: usize,
+) -> LoadLatencyPoint {
+    assert!(cfg.msg_rate > 0.0 && cfg.msg_rate <= 1.0);
+    let nodes = net.num_nodes();
+    let root = StreamRng::new(SEED);
+    let horizon = WARMUP + MEASURE;
+    let horizon_cycles = horizon.as_ps() / CYCLE_PS;
 
-impl TrafficRunner {
-    pub fn new(cfg: TrafficConfig) -> Self {
-        assert!(cfg.msg_rate > 0.0 && cfg.msg_rate <= 1.0);
-        assert!((0.0..=1.0).contains(&cfg.data_fraction));
-        TrafficRunner { cfg }
-    }
-
-    /// Generate the injection schedule for one node: a Bernoulli trial
-    /// per cycle.
-    fn node_schedule(
-        &self,
-        node: NodeId,
-        nodes: usize,
-        width: usize,
-        horizon_cycles: u64,
-        rng: &mut StreamRng,
-        sink: &mut Vec<(SimTime, NodeId, NodeId, MsgClass, u32)>,
-    ) {
-        let c = &self.cfg;
+    // Build the full injection schedule, deterministically per node:
+    // a Bernoulli trial per cycle.
+    let mut sched = Vec::new();
+    for i in 0..nodes {
+        let (node, mut rng) = (NodeId(i as u32), root.stream("traffic", i as u64));
         for cycle in 0..horizon_cycles {
-            if rng.chance(c.msg_rate) {
-                let dst = c.pattern.dest(node, nodes, width, rng);
-                let (class, bytes) = if rng.chance(c.data_fraction) {
-                    (MsgClass::Data, c.data_bytes)
+            if rng.chance(cfg.msg_rate) {
+                let dst = cfg.pattern.dest(node, nodes, width, &mut rng);
+                let (class, bytes) = if rng.chance(DATA_FRACTION) {
+                    (MsgClass::Data, DATA_BYTES)
                 } else {
-                    (MsgClass::Control, c.ctrl_bytes)
+                    (MsgClass::Control, CTRL_BYTES)
                 };
-                sink.push((c.clock.cycles(cycle), node, dst, class, bytes));
+                sched.push((SimTime::from_ps(CYCLE_PS * cycle), node, dst, class, bytes));
             }
         }
     }
+    sched.sort_by_key(|&(t, src, ..)| (t, src.0));
 
-    /// Run the workload on `net` and measure.
-    ///
-    /// `width` is the mesh width used by geometric patterns (pass the
-    /// topology width; for non-mesh networks pass `sqrt(nodes)`).
-    pub fn run(&self, net: &mut dyn NetworkModel, width: usize) -> LoadLatencyPoint {
-        let c = &self.cfg;
-        let nodes = net.num_nodes();
-        let root = StreamRng::new(c.seed);
-        let horizon = c.warmup + c.measure;
-        let horizon_cycles = horizon.as_ps() / c.clock.period().as_ps();
-
-        // Build the full injection schedule, deterministically per node.
-        let mut sched = Vec::new();
-        for i in 0..nodes {
-            let mut rng = root.stream("traffic", i as u64);
-            self.node_schedule(
-                NodeId(i as u32),
-                nodes,
-                width,
-                horizon_cycles,
-                &mut rng,
-                &mut sched,
-            );
+    let mut next_id = 0u64;
+    let mut measured_ids_start = u64::MAX;
+    for &(t, src, dst, class, bytes) in &sched {
+        let id = next_id;
+        next_id += 1;
+        if t >= WARMUP && measured_ids_start == u64::MAX {
+            measured_ids_start = id;
         }
-        sched.sort_by_key(|&(t, src, ..)| (t, src.0));
-
-        let mut next_id = 0u64;
-        let mut measured_ids_start = u64::MAX;
-        for &(t, src, dst, class, bytes) in &sched {
-            let id = next_id;
-            next_id += 1;
-            if t >= c.warmup && measured_ids_start == u64::MAX {
-                measured_ids_start = id;
-            }
-            net.inject(
-                t,
-                Message {
-                    id: MsgId(id),
-                    src,
-                    dst,
-                    class,
-                    bytes,
-                },
-            );
-        }
-        let measured_injected = if measured_ids_start == u64::MAX {
-            0
-        } else {
-            next_id - measured_ids_start
-        };
-
-        // Advance through the horizon, then allow a bounded drain.
-        let mut deliveries = Vec::new();
-        net.advance_until(horizon, &mut deliveries);
-        let drain_budget = horizon + c.measure; // same again
-        while let Some(t) = net.next_time() {
-            if t > drain_budget {
-                break;
-            }
-            net.advance_until(t, &mut deliveries);
-        }
-
-        let mut lat = Running::new();
-        let mut lat_ns: Vec<f64> = Vec::new();
-        let mut measured_delivered = 0u64;
-        for d in &deliveries {
-            if d.msg.id.0 >= measured_ids_start {
-                measured_delivered += 1;
-                let l = d.latency().as_ns_f64();
-                lat.push(l);
-                lat_ns.push(l);
-            }
-        }
-        lat_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p99 = if lat_ns.is_empty() {
-            0.0
-        } else {
-            lat_ns[((lat_ns.len() - 1) as f64 * 0.99) as usize]
-        };
-        let measure_cycles = c.measure.as_ps() / c.clock.period().as_ps();
-        LoadLatencyPoint {
-            offered: c.msg_rate,
-            delivered_frac: if measured_injected == 0 {
-                1.0
-            } else {
-                measured_delivered as f64 / measured_injected as f64
+        net.inject(
+            t,
+            Message {
+                id: MsgId(id),
+                src,
+                dst,
+                class,
+                bytes,
             },
-            avg_latency_ns: lat.mean(),
-            p99_latency_ns: p99,
-            throughput: measured_delivered as f64 / (measure_cycles as f64 * nodes as f64),
+        );
+    }
+    let measured_injected = if measured_ids_start == u64::MAX {
+        0
+    } else {
+        next_id - measured_ids_start
+    };
+
+    // Advance through the horizon, then allow a bounded drain.
+    let mut deliveries = Vec::new();
+    net.advance_until(horizon, &mut deliveries);
+    let drain_budget = horizon + MEASURE;
+    while let Some(t) = net.next_time() {
+        if t > drain_budget {
+            break;
         }
+        net.advance_until(t, &mut deliveries);
+    }
+
+    let mut lat = Running::new();
+    let mut lat_ns: Vec<f64> = Vec::new();
+    let mut measured_delivered = 0u64;
+    for d in &deliveries {
+        if d.msg.id.0 >= measured_ids_start {
+            measured_delivered += 1;
+            let l = d.latency().as_ns_f64();
+            lat.push(l);
+            lat_ns.push(l);
+        }
+    }
+    lat_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let p99 = if lat_ns.is_empty() {
+        0.0
+    } else {
+        lat_ns[((lat_ns.len() - 1) as f64 * 0.99) as usize]
+    };
+    let measure_cycles = MEASURE.as_ps() / CYCLE_PS;
+    LoadLatencyPoint {
+        delivered_frac: if measured_injected == 0 {
+            1.0
+        } else {
+            measured_delivered as f64 / measured_injected as f64
+        },
+        avg_latency_ns: lat.mean(),
+        p99_latency_ns: p99,
+        throughput: measured_delivered as f64 / (measure_cycles as f64 * nodes as f64),
     }
 }
 
@@ -253,6 +209,19 @@ mod tests {
     use super::*;
     use crate::network::{NocConfig, NocSim};
     use crate::topology::Topology;
+
+    /// Uniform traffic at `msg_rate` on a 4×4 electrical mesh.
+    fn uniform_on_mesh4(msg_rate: f64) -> LoadLatencyPoint {
+        let mut net = NocSim::new(NocConfig {
+            topology: Topology::mesh(4, 4),
+            ..NocConfig::default()
+        });
+        let cfg = TrafficConfig {
+            pattern: Pattern::Uniform,
+            msg_rate,
+        };
+        measure_load_latency(cfg, &mut net, 4)
+    }
 
     #[test]
     fn patterns_stay_in_range_and_avoid_self() {
@@ -314,18 +283,7 @@ mod tests {
 
     #[test]
     fn low_load_runs_near_zero_load_latency() {
-        let cfg = NocConfig {
-            topology: Topology::mesh(4, 4),
-            ..NocConfig::default()
-        };
-        let mut net = NocSim::new(cfg);
-        let t = TrafficConfig {
-            msg_rate: 0.005,
-            warmup: SimTime::from_us(1),
-            measure: SimTime::from_us(4),
-            ..TrafficConfig::default()
-        };
-        let pt = TrafficRunner::new(t).run(&mut net, 4);
+        let pt = uniform_on_mesh4(0.005);
         assert!(
             pt.delivered_frac > 0.99,
             "lost traffic at 0.5% load: {pt:?}"
@@ -338,22 +296,8 @@ mod tests {
 
     #[test]
     fn latency_rises_with_load() {
-        let run_at = |rate: f64| {
-            let cfg = NocConfig {
-                topology: Topology::mesh(4, 4),
-                ..NocConfig::default()
-            };
-            let mut net = NocSim::new(cfg);
-            let t = TrafficConfig {
-                msg_rate: rate,
-                warmup: SimTime::from_us(1),
-                measure: SimTime::from_us(4),
-                ..TrafficConfig::default()
-            };
-            TrafficRunner::new(t).run(&mut net, 4)
-        };
-        let low = run_at(0.005);
-        let high = run_at(0.08);
+        let low = uniform_on_mesh4(0.005);
+        let high = uniform_on_mesh4(0.08);
         assert!(
             high.avg_latency_ns > low.avg_latency_ns,
             "latency did not rise: low={} high={}",
@@ -364,19 +308,7 @@ mod tests {
 
     #[test]
     fn saturation_shows_as_lost_delivery_fraction_or_high_latency() {
-        let cfg = NocConfig {
-            topology: Topology::mesh(4, 4),
-            ..NocConfig::default()
-        };
-        let mut net = NocSim::new(cfg);
-        let t = TrafficConfig {
-            msg_rate: 0.5,
-            data_fraction: 1.0,
-            warmup: SimTime::from_us(1),
-            measure: SimTime::from_us(3),
-            ..TrafficConfig::default()
-        };
-        let pt = TrafficRunner::new(t).run(&mut net, 4);
+        let pt = uniform_on_mesh4(0.5);
         assert!(
             pt.delivered_frac < 0.999 || pt.avg_latency_ns > 100.0,
             "network absorbed saturation load implausibly: {pt:?}"
@@ -386,18 +318,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let mk = || {
-            let cfg = NocConfig {
-                topology: Topology::mesh(4, 4),
-                ..NocConfig::default()
-            };
-            let mut net = NocSim::new(cfg);
-            let t = TrafficConfig {
-                msg_rate: 0.03,
-                warmup: SimTime::from_us(1),
-                measure: SimTime::from_us(2),
-                ..TrafficConfig::default()
-            };
-            let p = TrafficRunner::new(t).run(&mut net, 4);
+            let p = uniform_on_mesh4(0.03);
             (p.avg_latency_ns, p.throughput, p.delivered_frac)
         };
         assert_eq!(mk(), mk());

@@ -12,6 +12,10 @@
 //! advance in lockstep through the usual [`NetworkModel`] interface.
 //! This mirrors the physical design (two parallel layers joined at the
 //! NIs) and keeps each plane's contention model intact.
+//!
+//! **Order: none promised.** The electrical plane is `sctm-enoc`'s
+//! mesh, which does not keep a flow in order, and the plane depends on
+//! payload size, so two messages of one flow can take different planes.
 
 use crate::omesh::{OmeshConfig, OmeshSim};
 use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
@@ -76,9 +80,6 @@ pub struct HybridSim {
     /// Both planes' traffic in one set of statistics; each plane's own
     /// ledger counts only what the policy sent it.
     stats: NetStats,
-    /// Messages routed to each plane (for reports).
-    to_optical: u64,
-    to_electrical: u64,
 }
 
 impl HybridSim {
@@ -88,35 +89,14 @@ impl HybridSim {
             electrical: NocSim::new(cfg.emesh),
             cfg,
             stats: NetStats::default(),
-            to_optical: 0,
-            to_electrical: 0,
         }
     }
 
-    pub fn config(&self) -> &HybridConfig {
-        &self.cfg
-    }
-
-    /// Fraction of messages the policy sent optically.
-    pub fn optical_fraction(&self) -> f64 {
-        let total = self.to_optical + self.to_electrical;
-        if total == 0 {
-            0.0
-        } else {
-            self.to_optical as f64 / total as f64
-        }
-    }
-
-    fn hops(&self, msg: &Message) -> usize {
-        let s = self.cfg.side;
-        let (ax, ay) = (msg.src.idx() % s, msg.src.idx() / s);
-        let (bx, by) = (msg.dst.idx() % s, msg.dst.idx() / s);
-        ax.abs_diff(bx) + ay.abs_diff(by)
-    }
-
-    /// The path-adaptive decision.
+    /// The path-adaptive decision. The hop count is the optical plane's
+    /// XY route length, read from its route table.
     pub fn goes_optical(&self, msg: &Message) -> bool {
-        self.hops(msg) >= self.cfg.policy.min_hops && msg.bytes >= self.cfg.policy.min_bytes
+        let policy = self.cfg.policy;
+        msg.bytes >= policy.min_bytes && self.optical.hops(msg.src, msg.dst) >= policy.min_hops
     }
 }
 
@@ -128,10 +108,8 @@ impl NetworkModel for HybridSim {
     fn inject(&mut self, at: SimTime, msg: Message) {
         self.stats.injected += 1;
         if self.goes_optical(&msg) {
-            self.to_optical += 1;
             self.optical.inject(at, msg);
         } else {
-            self.to_electrical += 1;
             self.electrical.inject(at, msg);
         }
     }
@@ -167,21 +145,7 @@ impl NetworkModel for HybridSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sctm_engine::net::{MsgClass, MsgId, NodeId};
-
-    fn msg(id: u64, src: u32, dst: u32, bytes: u32) -> Message {
-        Message {
-            id: MsgId(id),
-            src: NodeId(src),
-            dst: NodeId(dst),
-            class: if bytes > 16 {
-                MsgClass::Data
-            } else {
-                MsgClass::Control
-            },
-            bytes,
-        }
-    }
+    use crate::testkit::{drain, msg};
 
     fn sim() -> HybridSim {
         HybridSim::new(HybridConfig::new(4))
@@ -208,18 +172,14 @@ mod tests {
         let payload = 4096u32;
         let mut h = sim();
         h.inject(SimTime::ZERO, msg(1, 0, 15, payload));
-        let mut out = Vec::new();
-        h.drain(&mut out);
-        let hybrid_lat = out[0].latency();
+        let hybrid_lat = drain(&mut h)[0].latency();
 
         let mut e = NocSim::new(NocConfig {
             topology: Topology::mesh(4, 4),
             ..NocConfig::default()
         });
         e.inject(SimTime::ZERO, msg(1, 0, 15, payload));
-        let mut out = Vec::new();
-        e.drain(&mut out);
-        let emesh_lat = out[0].latency();
+        let emesh_lat = drain(&mut e)[0].latency();
         assert!(
             hybrid_lat < emesh_lat,
             "optical long-haul ({hybrid_lat}) not faster than electrical ({emesh_lat})"
@@ -230,8 +190,7 @@ mod tests {
     fn short_control_avoids_optical_setup_cost() {
         let mut h = sim();
         h.inject(SimTime::ZERO, msg(1, 0, 1, 8));
-        let mut out = Vec::new();
-        h.drain(&mut out);
+        let out = drain(&mut h);
         // One-hop electrical control: a handful of ns, far below the
         // optical setup round trip.
         assert!(
@@ -239,16 +198,5 @@ mod tests {
             "short ctrl paid a setup cost: {}",
             out[0].latency()
         );
-        assert_eq!(h.to_electrical, 1);
-    }
-
-    #[test]
-    fn optical_fraction_reported() {
-        let mut s = sim();
-        s.inject(SimTime::ZERO, msg(1, 0, 15, 64));
-        s.inject(SimTime::ZERO, msg(2, 0, 1, 8));
-        let mut out = Vec::new();
-        s.drain(&mut out);
-        assert!((s.optical_fraction() - 0.5).abs() < 1e-9);
     }
 }

@@ -77,7 +77,7 @@ impl Floorplan {
     /// k — so the worst path passes `N−2` off-resonance rings, not the
     /// whole `(N−2)·λ` bank (that classic overcount explodes the loss
     /// budget by ~40 dB at 64 nodes).
-    pub fn oxbar_worst_path(&self, _lambdas: u32) -> OpticalPath {
+    pub fn oxbar_worst_path(&self) -> OpticalPath {
         let n = self.num_nodes() as u32;
         OpticalPath {
             length_mm: self.serpentine_length_mm(),
@@ -108,7 +108,7 @@ impl Floorplan {
         let n = self.num_nodes() as u64;
         LinkBudget {
             kit,
-            worst_path: self.oxbar_worst_path(plan.lambdas),
+            worst_path: self.oxbar_worst_path(),
             lambdas: plan.lambdas,
             gbps_per_lambda: plan.gbps_per_lambda,
             // Each of the N home channels has a modulator bank at every
@@ -155,7 +155,7 @@ mod tests {
             mesh_loss > 2.0 && mesh_loss < 25.0,
             "omesh loss {mesh_loss}"
         );
-        let xbar_loss = f.oxbar_worst_path(64).insertion_loss_db(&kit);
+        let xbar_loss = f.oxbar_worst_path().insertion_loss_db(&kit);
         assert!(xbar_loss > 5.0, "oxbar loss {xbar_loss}");
         // The crossbar's full-serpentine propagation dominates: it must
         // lose more than the short Manhattan mesh path.

@@ -20,6 +20,12 @@
 //!   plane by distance and payload size.
 //! * [`obus`] — extension: SWMR broadcast bus (Firefly/ATAC lineage),
 //!   arbitration-free writers, serialised receivers.
+//!
+//! The models keep message timing only. Loss and laser power come from
+//! each config's `budget()`, a function of the floorplan and devices;
+//! no model counts the bits it carries. Each model's module doc says
+//! whether it delivers a `(src, dst, class)` flow in order: omesh and
+//! obus do, oxbar and the hybrid do not.
 
 pub mod hybrid;
 pub mod layout;
@@ -32,3 +38,32 @@ pub use layout::Floorplan;
 pub use obus::{ObusConfig, ObusSim};
 pub use omesh::{OmeshConfig, OmeshSim};
 pub use oxbar::{OxbarConfig, OxbarSim};
+
+/// Helpers the models' unit tests share.
+#[cfg(test)]
+mod testkit {
+    use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
+
+    /// Message `id` of `bytes` from `src` to `dst`: data above 16
+    /// bytes, control otherwise.
+    pub(crate) fn msg(id: u64, src: u32, dst: u32, bytes: u32) -> Message {
+        Message {
+            id: MsgId(id),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            class: if bytes > 16 {
+                MsgClass::Data
+            } else {
+                MsgClass::Control
+            },
+            bytes,
+        }
+    }
+
+    /// Run `net` until it is idle and return what it delivered.
+    pub(crate) fn drain(net: &mut impl NetworkModel) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        net.drain(&mut out);
+        out
+    }
+}

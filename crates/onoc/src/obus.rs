@@ -10,6 +10,12 @@
 //! Latency anatomy of one message: source NI → wait for own channel →
 //! burst serialisation → time of flight along the serpentine → wait for
 //! the receiver's ejection port → receiver NI.
+//!
+//! **Order.** Every `(src, dst)` pair, whatever the class or size, is
+//! delivered in injection order (equal injection times in the order
+//! `inject` was called): the source's one channel sends bursts in that
+//! order, each burst of the pair has the same flight time, and the
+//! receiver's one ejection port takes arrivals first come, first served.
 
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
@@ -17,7 +23,7 @@ use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_obs as obs;
-use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, OpticalPath, PowerBreakdown};
+use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, OpticalPath};
 
 /// Configuration of the broadcast bus.
 #[derive(Clone, Copy, Debug)]
@@ -96,7 +102,6 @@ pub struct ObusSim {
     src_free: Vec<SimTime>,
     /// Per-receiver ejection port: busy until.
     dst_free: Vec<SimTime>,
-    optical_bits: u64,
 }
 
 impl ObusSim {
@@ -108,19 +113,7 @@ impl ObusSim {
             ledger: Ledger::new(),
             src_free: vec![SimTime::ZERO; n],
             dst_free: vec![SimTime::ZERO; n],
-            optical_bits: 0,
         }
-    }
-
-    pub fn config(&self) -> &ObusConfig {
-        &self.cfg
-    }
-
-    pub fn power_report(&self, elapsed: SimTime) -> PowerBreakdown {
-        let budget = self.cfg.budget();
-        let ns = elapsed.as_ns_f64().max(1e-9);
-        let gbps = self.optical_bits as f64 / ns;
-        budget.power((gbps / budget.peak_gbps()).clamp(0.0, 1.0))
     }
 
     fn ni_delay(&self) -> SimTime {
@@ -141,7 +134,6 @@ impl ObusSim {
                 let start = at.max(self.src_free[msg.src.idx()]);
                 let end = start + burst;
                 self.src_free[msg.src.idx()] = end;
-                self.optical_bits += msg.bytes.max(1) as u64 * 8;
                 self.q.schedule(end, Ev::BurstEnd(id));
             }
             Ev::BurstEnd(id) => {
@@ -203,30 +195,10 @@ impl NetworkModel for ObusSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sctm_engine::net::{MsgClass, MsgId, NodeId};
-
-    fn msg(id: u64, src: u32, dst: u32, bytes: u32) -> Message {
-        Message {
-            id: MsgId(id),
-            src: NodeId(src),
-            dst: NodeId(dst),
-            class: if bytes > 16 {
-                MsgClass::Data
-            } else {
-                MsgClass::Control
-            },
-            bytes,
-        }
-    }
+    use crate::testkit::{drain, msg};
 
     fn sim() -> ObusSim {
         ObusSim::new(ObusConfig::new(4))
-    }
-
-    fn drain(s: &mut ObusSim) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        s.drain(&mut out);
-        out
     }
 
     #[test]

@@ -19,6 +19,16 @@
 //! Hold-and-wait on XY-ordered segments cannot deadlock: the segment
 //! acquisition order follows the XY channel dependency graph, which is
 //! acyclic (same argument as XY wormhole routing).
+//!
+//! **Order.** Messages of one `(src, dst, class)` that take the same
+//! plane are delivered in injection order (equal injection times in the
+//! order `inject` was called). Both planes are FIFO along one fixed XY
+//! path: each control-plane router serves events in arrival order, and
+//! a setup that finds a segment busy queues behind the earlier setup,
+//! whose path stays held until its message is delivered. The plane is a
+//! function of class, size and self-send, so a flow of one payload size
+//! keeps its order; a data message at or below `ctrl_cutoff_bytes`
+//! rides the electrical plane and may overtake an earlier optical one.
 
 use crate::layout::Floorplan;
 use sctm_engine::event::EventQueue;
@@ -27,7 +37,7 @@ use sctm_engine::net::{Delivery, Message, MsgClass, NetStats, NetworkModel, Node
 use sctm_engine::time::{Freq, SimTime};
 use sctm_enoc::{Port, Topology};
 use sctm_obs as obs;
-use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, PowerBreakdown};
+use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget};
 use std::collections::VecDeque;
 
 /// Configuration for the circuit-switched photonic mesh.
@@ -148,8 +158,6 @@ pub struct OmeshSim {
     seg_wait: Vec<VecDeque<(u32, u32, u32)>>,
     /// Control-plane router next-free times.
     router_free: Vec<SimTime>,
-    /// Optical payload bits transmitted (for the energy report).
-    optical_bits: u64,
 }
 
 impl OmeshSim {
@@ -192,26 +200,18 @@ impl OmeshSim {
             seg_busy: vec![None; n * 4],
             seg_wait: (0..n * 4).map(|_| VecDeque::new()).collect(),
             router_free: vec![SimTime::ZERO; n],
-            optical_bits: 0,
         }
-    }
-
-    pub fn config(&self) -> &OmeshConfig {
-        &self.cfg
-    }
-
-    /// Power breakdown at the utilisation implied by `elapsed` sim time.
-    pub fn power_report(&self, elapsed: SimTime) -> PowerBreakdown {
-        let budget = self.cfg.budget();
-        let ns = elapsed.as_ns_f64().max(1e-9);
-        let gbps = self.optical_bits as f64 / ns; // bits/ns == Gb/s
-        let util = (gbps / budget.peak_gbps()).clamp(0.0, 1.0);
-        budget.power(util)
     }
 
     #[inline]
     fn step(&self, here: u32, dst: u32) -> Step {
         self.step[here as usize * self.nodes + dst as usize]
+    }
+
+    /// XY hop count from `src` to `dst`, read off the route table.
+    #[inline]
+    pub(crate) fn hops(&self, src: NodeId, dst: NodeId) -> usize {
+        self.step(src.0, dst.0).hops()
     }
 
     /// Serve an event at router `r`: returns the service-complete time
@@ -247,7 +247,6 @@ impl OmeshSim {
             // time the ledger holds for it.
             let st = &self.ledger[id as u64];
             let (src, arrive) = (st.msg.src.0, svc_done + st.state);
-            self.optical_bits += st.msg.bytes as u64 * 8;
             self.q.schedule(arrive, Ev::OptDone(id, src, dst));
         } else {
             let step = self.step(here, dst);
@@ -321,8 +320,9 @@ impl NetworkModel for OmeshSim {
             || msg.src == msg.dst;
         let mut flight = SimTime::ZERO;
         if !electrical {
-            let hops = self.step(msg.src.0, msg.dst.0).hops();
-            flight = self.ack_tof[hops] + self.cfg.plan.burst_time(msg.bytes) + self.ni;
+            flight = self.ack_tof[self.hops(msg.src, msg.dst)]
+                + self.cfg.plan.burst_time(msg.bytes)
+                + self.ni;
         }
         self.ledger.inject(at, msg, flight);
         // The ledger's table asserted that the id fits in 32 bits.
@@ -358,6 +358,7 @@ impl NetworkModel for OmeshSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::drain;
     use sctm_engine::net::MsgId;
 
     fn sim() -> OmeshSim {
@@ -372,12 +373,6 @@ mod tests {
             class,
             bytes,
         }
-    }
-
-    fn drain(s: &mut OmeshSim) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        s.drain(&mut out);
-        out
     }
 
     /// The route the tables give from `src` to `dst`: every node
@@ -466,23 +461,43 @@ mod tests {
         }
     }
 
+    /// Zero-load latency of a corner-to-corner (6-hop, 7-router)
+    /// message on the electrical plane: both NIs, one service slot per
+    /// router and one wire hop per link.
+    fn electrical_corner_to_corner(cfg: &OmeshConfig) -> SimTime {
+        let c = |n| cfg.ctrl_freq.cycles(n);
+        c(2 * cfg.ni_cycles + 7 * cfg.service_cycles + 6 * cfg.setup_hop_cycles)
+    }
+
     #[test]
     fn data_message_delivers_optically() {
+        // The setup walks the electrical path, then the ACK returns and
+        // the burst crosses the waveguide.
+        let cfg = OmeshConfig::new(4);
         let mut s = sim();
         s.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Data, 64));
         let out = drain(&mut s);
         assert_eq!(out.len(), 1);
-        assert!(out[0].latency() > SimTime::ZERO);
-        assert!(s.optical_bits == 512);
+        let ack = cfg.ctrl_freq.cycles(6 * cfg.setup_hop_cycles);
+        let tof = cfg
+            .kit
+            .waveguide
+            .tof_ps(cfg.floorplan.mesh_distance_mm(NodeId(0), NodeId(15)));
+        let optical = electrical_corner_to_corner(&cfg)
+            + ack
+            + SimTime::from_ps(tof)
+            + cfg.plan.burst_time(64);
+        assert_eq!(out[0].latency(), optical);
     }
 
     #[test]
     fn control_message_goes_electrically() {
+        let cfg = OmeshConfig::new(4);
         let mut s = sim();
         s.inject(SimTime::ZERO, msg(1, 0, 15, MsgClass::Control, 8));
         let out = drain(&mut s);
         assert_eq!(out.len(), 1);
-        assert_eq!(s.optical_bits, 0, "control must not burn laser bits");
+        assert_eq!(out[0].latency(), electrical_corner_to_corner(&cfg));
     }
 
     #[test]
@@ -550,22 +565,6 @@ mod tests {
         assert!(
             l > round_trip && round_trip.as_ps() * 2 > l.as_ps(),
             "setup round trip {round_trip} does not dominate latency {l}"
-        );
-    }
-
-    #[test]
-    fn power_report_positive_under_traffic() {
-        let mut s = sim();
-        for i in 0..50 {
-            s.inject(SimTime::from_ns(i), msg(i, 0, 15, MsgClass::Data, 256));
-        }
-        let mut out = Vec::new();
-        let end = s.drain(&mut out);
-        let p = s.power_report(end);
-        assert!(p.laser_mw > 0.0);
-        assert!(
-            p.modulation_mw > 0.0,
-            "dynamic power should reflect traffic"
         );
     }
 }

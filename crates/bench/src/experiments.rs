@@ -522,8 +522,6 @@ pub fn e10_latency_distribution(scale: Scale) -> Table {
 /// Knobs of the self-correction loop exercised by the A1 ablation.
 #[derive(Clone, Copy, Debug)]
 pub struct LoopOptions {
-    /// Enforce per-source capture order on gated departures.
-    pub ordered: bool,
     /// Correct control and data flows separately.
     pub class_aware: bool,
     /// Damp correction updates (EWMA, α = 0.5) across iterations.
@@ -537,7 +535,6 @@ impl LoopOptions {
     /// whose shipped damping is α = 1.0: undamped). The harness runs a
     /// fixed 4 iterations with no early exit.
     pub const FULL: LoopOptions = LoopOptions {
-        ordered: false,
         class_aware: true,
         damped: false,
         learn_service: false,
@@ -549,9 +546,7 @@ impl LoopOptions {
 /// exists so the ablation can turn individual choices off).
 pub fn sctm_loop_with(e: &Experiment, opts: LoopOptions, iters: usize) -> SimTime {
     use sctm_engine::net::{MsgClass, NodeId};
-    use sctm_trace::replay::{
-        dst_service_estimates, pair_corrections, replay_sctm_pass, replay_sctm_pass_ordered,
-    };
+    use sctm_trace::replay::{dst_service_estimates, pair_corrections, replay_sctm_pass};
     let side = e.system.side;
     let kind = e.system.network;
     let mut model = SystemConfig::analytic(side * side);
@@ -559,11 +554,7 @@ pub fn sctm_loop_with(e: &Experiment, opts: LoopOptions, iters: usize) -> SimTim
     for _ in 0..iters {
         let log = e.capture_on(model.clone());
         let mut net = SystemConfig::make_network_kind(side, kind);
-        let result = if opts.ordered {
-            replay_sctm_pass_ordered(&log, net.as_mut())
-        } else {
-            replay_sctm_pass(&log, net.as_mut())
-        };
+        let result = replay_sctm_pass(&log, net.as_mut());
         est = result.est_exec_time;
         let corr = pair_corrections(&log, &result, |m| model.base_latency(m));
         if opts.class_aware {
@@ -602,15 +593,8 @@ pub fn sctm_loop_with(e: &Experiment, opts: LoopOptions, iters: usize) -> SimTim
 
 /// A1 — ablation of the self-correction loop's design choices.
 pub fn a1_ablation(scale: Scale) -> Table {
-    let variants: [(&str, LoopOptions); 5] = [
+    let variants: [(&str, LoopOptions); 4] = [
         ("full model", LoopOptions::FULL),
-        (
-            "+ enforce source order",
-            LoopOptions {
-                ordered: true,
-                ..LoopOptions::FULL
-            },
-        ),
         (
             "- class-aware corrections",
             LoopOptions {
@@ -814,6 +798,18 @@ mod tests {
             (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
         });
         assert_eq!(fnv, 0x0b50_8ef2_2ab5_2237, "e6 quick csv changed:\n{csv}");
+    }
+
+    /// Every A1 row at quick scale: the FNV-1a of the whole CSV, which
+    /// is the table before the source-order variant was deleted with
+    /// its two rows taken out.
+    #[test]
+    fn a1_quick_csv_is_pinned() {
+        let csv = a1_ablation(Scale::Quick).to_csv();
+        let fnv = csv.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(fnv, 0x5e8a_ebb8_8643_38d9, "a1 quick csv changed:\n{csv}");
     }
 
     #[test]

@@ -160,24 +160,6 @@ impl Experiment {
         self
     }
 
-    /// Set the correction-update damping weight (see [`Experiment::damping`]).
-    pub fn with_damping(mut self, alpha: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&alpha),
-            "damping weight must be in [0, 1]"
-        );
-        self.damping = alpha;
-        self
-    }
-
-    /// Set the factor-table convergence threshold (see
-    /// [`Experiment::factor_epsilon`]).
-    pub fn with_factor_epsilon(mut self, eps: f64) -> Self {
-        assert!(eps >= 0.0);
-        self.factor_epsilon = eps;
-        self
-    }
-
     fn workload(&self) -> Box<sctm_workloads::ScriptWorkload> {
         Box::new(build(
             self.kernel,
@@ -211,9 +193,10 @@ impl Experiment {
     /// [`replay_sctm_pass`], would have.
     ///
     /// The loop reads the pass in place and never the log's other
-    /// columns, so the capture's tail is dropped unassembled. A capture
-    /// that panics closes the feed, the pass gives up, and the panic
-    /// goes on unwinding from here with its own payload.
+    /// columns, so the capture builds none of them and no log is
+    /// assembled. A capture that panics closes the feed, the pass gives
+    /// up, and the panic goes on unwinding from here with its own
+    /// payload.
     fn capture_and_replay(
         &self,
         model: AnalyticNetwork,
@@ -230,7 +213,7 @@ impl Experiment {
                 let _span = obs::span("sctm", "capture");
                 let res = CmpSim::new(self.system.cmp.clone(), Box::new(model), self.workload())
                     .run(&mut cap);
-                cap.finish("analytic", res.exec_time);
+                cap.finish(res.exec_time);
             }
             match pass.join() {
                 Ok(streamed) => streamed.expect("a finished capture sends its last batch"),
@@ -661,14 +644,16 @@ mod tests {
 
     #[test]
     fn damping_weight_is_configurable_and_converges() {
-        // The spec-level override must behave exactly like the builder.
+        // A spec override must behave exactly like setting the field.
         let e = exp(NetworkKind::Omesh);
-        let via_builder = go(&e.clone().with_damping(0.7), &RunSpec::self_correction(6));
+        let mut damped = e.clone();
+        damped.damping = 0.7;
+        let via_field = go(&damped, &RunSpec::self_correction(6));
         let via_spec = go(&e, &RunSpec::self_correction(6).with_damping(0.7));
         assert!(via_spec.exec_time > SimTime::ZERO);
-        assert_eq!(via_builder.exec_time, via_spec.exec_time);
+        assert_eq!(via_field.exec_time, via_spec.exec_time);
         assert_eq!(
-            via_builder.iterations.as_ref().unwrap().len(),
+            via_field.iterations.as_ref().unwrap().len(),
             via_spec.iterations.as_ref().unwrap().len()
         );
     }

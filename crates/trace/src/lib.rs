@@ -5,14 +5,17 @@
 //! feedback loop execution-driven simulation has and classic
 //! trace-driven simulation loses.
 //!
-//! * [`log`] — dependency-carrying trace format and the capture hook
-//!   that plugs into the full-system simulator.
+//! * [`log`] — dependency-carrying trace format and the capture hooks
+//!   that plug into the full-system simulator: [`Capture`] builds a
+//!   [`TraceLog`]; [`StreamCapture`] hands its rows to a pass as the
+//!   simulator runs and builds only what that pass reads.
 //! * [`replay`] — the three replay engines: classic fixed-timestamp
 //!   ([`replay::replay_fixed`]), the self-correcting gated pass
-//!   ([`replay::replay_sctm_pass`], the paper's replay mechanism; the
-//!   outer capture-correction loop lives in `sctm-core`), and the
-//!   full-causality oracle ([`replay::replay_oracle`]) that bounds
-//!   achievable trace-driven accuracy.
+//!   ([`replay::replay_sctm_pass`], the paper's replay mechanism, and
+//!   [`replay::replay_sctm_stream`], the same pass over a capture still
+//!   running; the outer capture-correction loop lives in `sctm-core`),
+//!   and the full-causality oracle ([`replay::replay_oracle`]) that
+//!   bounds achievable trace-driven accuracy.
 //! * [`online`] — the online epoch-corrected variant: an analytic
 //!   network that continuously calibrates itself against a shadow
 //!   detailed model while the full-system run proceeds.
@@ -34,12 +37,11 @@ pub mod sctf;
 
 #[doc(hidden)]
 pub use incr::{IncrPassStats, IncrReplayer, PassKind};
-pub use log::{Capture, CaptureFeed, CaptureTail, StreamCapture, TraceLog, TraceRecord};
+pub use log::{Capture, CaptureFeed, StreamCapture, TraceLog, TraceRecord};
 pub use online::{OnlineCorrected, ShadowFactory};
 pub use persist::TraceError;
 pub use replay::{
     pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_pass_ordered, replay_sctm_stream, GatePlan, ReplayResult, ReplayScratch,
-    StreamedPass,
+    replay_sctm_stream, GatePlan, ReplayResult, ReplayScratch, StreamedPass,
 };
 pub use sctf::SctfReader;

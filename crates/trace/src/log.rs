@@ -384,7 +384,7 @@ impl TraceLog {
     /// node before it transmitted, but not *which* arrival caused what.
     pub fn arrival_gates(&self) -> Vec<Option<MsgId>> {
         let mut gates = vec![None; self.len()];
-        GateBuilder::new(false).feed_whole(self, |i, row| {
+        GateBuilder::default().feed_whole(self, |i, row| {
             gates[i] = row.gate().map(|g| MsgId(g as u64));
         });
         gates
@@ -502,9 +502,9 @@ const FEED_BATCHES: usize = 4;
 /// A capture needs no guess at its size. The rows and the arrival order
 /// grow as vectors, which the log takes over as they are — a grown
 /// vector is moved, not copied, once it is large — and `finish` trims
-/// them to size. The other columns grow a page at a time (`Pages`), which
-/// a [`StreamCapture`] drops unassembled, and `finish` copies them out
-/// once the simulator is gone.
+/// them to size. The other columns grow a page at a time (`Pages`), and
+/// `finish` copies them out once the simulator is gone. Inside a
+/// [`StreamCapture`] only `prev` grows: its pass reads no other column.
 #[derive(Debug)]
 pub struct Capture {
     /// Injections not yet final, in capture-time ids and the order the
@@ -517,6 +517,9 @@ pub struct Capture {
     /// The rows of every flush before it (a [`StreamCapture`] hands
     /// `fresh` over instead).
     rows: Vec<TraceRecord>,
+    /// Whether final rows keep their dependency and kind columns; a
+    /// [`StreamCapture`]'s do not, as its pass reads neither.
+    columns: bool,
     /// The other columns of every final row: dependencies in canonical
     /// ids, `prev` still in capture ids (a source can decide a message
     /// before one it sends sooner) until the capture ends.
@@ -561,6 +564,7 @@ impl Default for Capture {
             delivers: Vec::new(),
             fresh: Vec::new(),
             rows: Vec::new(),
+            columns: true,
             dep_off,
             dep_ids: Pages::default(),
             prev: Pages::default(),
@@ -590,6 +594,7 @@ impl Capture {
             pending,
             delivers,
             fresh,
+            columns,
             dep_off,
             dep_ids,
             prev,
@@ -631,12 +636,16 @@ impl Capture {
             fresh.push(r);
             let deps =
                 &pending.dep_ids[pending.dep_off[k] as usize..pending.dep_off[k + 1] as usize];
-            for &d in deps {
-                dep_ids.push(canonical(renum, d));
+            if *columns {
+                for &d in deps {
+                    dep_ids.push(canonical(renum, d));
+                }
+                dep_off.push(dep_ids.len() as u32);
+                kind.push(pending.kind[k]);
+            } else {
+                deps.iter().for_each(|&d| _ = canonical(renum, d));
             }
-            dep_off.push(dep_ids.len() as u32);
             prev.push(pending.prev[k]);
-            kind.push(pending.kind[k]);
         }
         *given += now.len();
         // What stays pending closes up in place, in hook order: every
@@ -795,40 +804,14 @@ impl CaptureFeed {
     }
 }
 
-/// What a [`StreamCapture`] keeps of its log once the rows have gone
-/// to the pass: every other column, still in its pages, and the run's
-/// label and execution time. [`crate::StreamedPass::finish`] joins the
-/// two into the log.
-#[derive(Debug)]
-pub struct CaptureTail {
-    dep_off: Pages<u32>,
-    dep_ids: Pages<u32>,
-    prev: Pages<u32>,
-    kind: Pages<u8>,
-    net_label: &'static str,
-    exec_time: SimTime,
-}
-
-impl CaptureTail {
-    /// The log, given the rows and arrival order the pass assembled.
-    pub(crate) fn into_log(self, rows: Vec<TraceRecord>, arrival: Vec<u32>) -> TraceLog {
-        let cols = Columns {
-            records: rows,
-            dep_off: self.dep_off.into_vec(),
-            dep_ids: self.dep_ids.into_vec(),
-            prev: self.prev.into_vec(),
-            kind: self.kind.into_vec(),
-        };
-        TraceLog::from_columns(cols, self.net_label, self.exec_time, Some(arrival))
-    }
-}
-
 /// A [`Capture`] that hands its rows over as it builds them: every
 /// flush sends its rows, its arrivals and the gate plan's rows for them
 /// to the [`CaptureFeed`] end, so a gated pass on another thread can
 /// replay the capture while the simulator is still producing it. The
-/// rows leave; what stays (dependencies, `prev`, kind) is the
-/// [`CaptureTail`] [`StreamCapture::finish`] returns.
+/// rows leave, and no log is assembled: the capture keeps only the
+/// `prev` column, to check at the end that every id it names was
+/// captured. It checks what a [`Capture`] checks — every dependency
+/// names a captured message, and every row is delivered once.
 pub struct StreamCapture {
     cap: Capture,
     tx: SyncSender<CaptureBatch>,
@@ -845,9 +828,12 @@ impl StreamCapture {
     pub fn new() -> (StreamCapture, CaptureFeed) {
         let (tx, rx) = std::sync::mpsc::sync_channel(FEED_BATCHES);
         let cap = StreamCapture {
-            cap: Capture::new(),
+            cap: Capture {
+                columns: false,
+                ..Capture::new()
+            },
             tx,
-            builder: GateBuilder::new(false),
+            builder: GateBuilder::default(),
             dst: Pages::default(),
             carry: VecDeque::new(),
         };
@@ -905,26 +891,11 @@ impl StreamCapture {
         });
     }
 
-    /// End the capture: hand over the rest, and keep the other columns
-    /// of the log. `net_label` and `exec_time` come from the run.
-    pub fn finish(mut self, net_label: &'static str, exec_time: SimTime) -> CaptureTail {
+    /// End the capture: check it, and hand over the rest with the
+    /// run's `exec_time`.
+    pub fn finish(mut self, exec_time: SimTime) {
         self.cap.end();
         self.send(SimTime::MAX, Some(exec_time));
-        let Capture {
-            dep_off,
-            dep_ids,
-            prev,
-            kind,
-            ..
-        } = self.cap;
-        CaptureTail {
-            dep_off,
-            dep_ids,
-            prev,
-            kind,
-            net_label,
-            exec_time,
-        }
     }
 }
 
@@ -1134,6 +1105,83 @@ mod tests {
         cap.on_deliver(MsgId(0), SimTime::from_ps(90));
         cap.on_deliver(MsgId(0), SimTime::from_ps(95));
         cap.finish("test", SimTime::from_ps(100));
+    }
+
+    /// What a capture's integrity checks catch, fed by hand.
+    #[derive(Clone, Copy)]
+    enum Fault {
+        /// A dependency names an id never injected.
+        UncapturedDep,
+        /// A `prev` names an id never injected.
+        UncapturedPrev,
+        /// A row never delivers.
+        Undelivered,
+    }
+
+    fn feed_fault(hook: &mut dyn TraceHook, fault: Fault) {
+        let c = MsgClass::Control;
+        let (deps, prev) = match fault {
+            Fault::UncapturedDep => (&[MsgId(7)][..], None),
+            Fault::UncapturedPrev => (&[][..], Some(7)),
+            Fault::Undelivered => (&[][..], None),
+        };
+        hook.on_inject(inj(msg(0, 0, 1, c), 10, &[], None));
+        hook.on_inject(inj(msg(2, 0, 1, c), 20, deps, prev));
+        hook.on_deliver(MsgId(0), SimTime::from_ps(50));
+        if !matches!(fault, Fault::Undelivered) {
+            hook.on_deliver(MsgId(2), SimTime::from_ps(60));
+        }
+    }
+
+    fn capture_with(fault: Fault) {
+        let mut cap = Capture::new();
+        feed_fault(&mut cap, fault);
+        cap.finish("test", SimTime::from_ps(100));
+    }
+
+    /// A streamed capture checks what a [`Capture`] does, with no pass
+    /// on the other end of its feed.
+    fn stream_capture_with(fault: Fault) {
+        let (mut cap, feed) = StreamCapture::new();
+        drop(feed);
+        feed_fault(&mut cap, fault);
+        cap.finish(SimTime::from_ps(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "trace references an uncaptured message")]
+    fn capture_rejects_an_uncaptured_dependency() {
+        capture_with(Fault::UncapturedDep);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace references an uncaptured message")]
+    fn capture_rejects_an_uncaptured_prev() {
+        capture_with(Fault::UncapturedPrev);
+    }
+
+    #[test]
+    #[should_panic(expected = "capture ended with undelivered")]
+    fn capture_rejects_an_undelivered_row() {
+        capture_with(Fault::Undelivered);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace references an uncaptured message")]
+    fn stream_capture_rejects_an_uncaptured_dependency() {
+        stream_capture_with(Fault::UncapturedDep);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace references an uncaptured message")]
+    fn stream_capture_rejects_an_uncaptured_prev() {
+        stream_capture_with(Fault::UncapturedPrev);
+    }
+
+    #[test]
+    #[should_panic(expected = "capture ended with undelivered")]
+    fn stream_capture_rejects_an_undelivered_row() {
+        stream_capture_with(Fault::Undelivered);
     }
 
     #[test]
@@ -1513,12 +1561,13 @@ mod tests {
         let streamed = std::thread::scope(|s| {
             let pass = s.spawn(|| replay_sctm_stream(feed, &mut target, &mut scratch));
             feed_all(&mut cap);
-            let tail = cap.finish("test", exec);
-            pass.join().unwrap().expect("finished").finish(tail).1
+            cap.finish(exec);
+            pass.join().unwrap().expect("finished")
         });
-        assert_eq!(streamed.inject, whole.inject);
-        assert_eq!(streamed.deliver, whole.deliver);
-        assert_eq!(streamed.est_exec_time, whole.est_exec_time);
+        let (inject, deliver): (Vec<_>, Vec<_>) = streamed.replayed().map(|r| (r.1, r.2)).unzip();
+        assert_eq!(inject, whole.inject);
+        assert_eq!(deliver, whole.deliver);
+        assert_eq!(streamed.est_exec_time(), whole.est_exec_time);
     }
 
     /// Until a node has sent or received anything, only the watermark

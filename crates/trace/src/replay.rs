@@ -12,7 +12,9 @@
 //!    arrival-gating pairing computable from a plain network trace
 //!    ([`TraceLog::arrival_gates`]). Injections are derived from the
 //!    replay's *own* delivery times (the timeline corrects itself
-//!    forward in time); the outer loop in `sctm-core` additionally
+//!    forward in time) under one readiness rule: a seed waits on
+//!    nothing, a gated departure on its gate, a gate-less one on its
+//!    source predecessor. The outer loop in `sctm-core` additionally
 //!    corrects the capture model and re-captures until the estimate
 //!    stabilises.
 //! 3. [`replay_oracle`] — full-causality single-pass replay using the
@@ -26,8 +28,8 @@
 //! deltas, the per-source successor chain, the gate→dependants
 //! adjacency, the initial readiness flags — is one immutable
 //! [`GatePlan`]; what a pass mutates (`PassState`: readiness flags,
-//! gate/predecessor times, the injection heap, the drain buffer) is all
-//! a pass resets. Who owns the plan follows how the rows arrive:
+//! replay times, the injection heap, the drain buffer) is all a pass
+//! resets. Who owns the plan follows how the rows arrive:
 //!
 //! - [`replay_sctm_pass`] reads the plan the log memoises
 //!   ([`TraceLog::gate_plan`]): K replays of one capture — K requests
@@ -36,11 +38,10 @@
 //!   [`ReplayScratch`] as a capture still running hands its rows over:
 //!   the loop replays each capture while the simulator produces it,
 //!   behind a horizon that keeps the result the whole-log pass's to the
-//!   bit.
+//!   bit, and reads the result in place ([`StreamedPass`]): no log is
+//!   assembled.
 
-use crate::log::{
-    CaptureBatch, CaptureFeed, CaptureTail, TraceLog, TraceRecord, NONE, UNDELIVERED,
-};
+use crate::log::{CaptureBatch, CaptureFeed, TraceLog, TraceRecord, NONE, UNDELIVERED};
 use crate::pages::Pages;
 use sctm_engine::net::{Delivery, Message, MsgClass, NetworkModel};
 use sctm_engine::stats::Running;
@@ -170,20 +171,17 @@ impl Csr {
     }
 }
 
-// Readiness flags of one message in a gated pass.
-/// Has an arrival gate (never changes during a pass).
-const GATED: u8 = 1;
+// Readiness flags of one message in a gated pass. A seed waits on
+// nothing, a gated departure waits on its gate alone, and a gate-less
+// one on its per-source predecessor.
 /// The gate has delivered, or there is none.
-const GATE_DONE: u8 = 2;
-/// The per-source predecessor has been injected, or does not bind.
-const PREV_DONE: u8 = 4;
+const GATE_DONE: u8 = 1;
 /// Its injection time is known and queued (or already injected).
-const SCHEDULED: u8 = 8;
+const SCHEDULED: u8 = 2;
 /// Its capture delivery is known to a streamed pass.
-const ARRIVED: u8 = 16;
-/// It has delivered in the replay: its [`PassState::time`] is its
-/// delivery time.
-const DELIVERED: u8 = 32;
+const ARRIVED: u8 = 4;
+/// It has delivered in the replay: its [`PassState::deliver`] is set.
+const DELIVERED: u8 = 8;
 
 /// The heads of [`GatePlan`]'s lists that are not a gate's: the seeds
 /// (no gate, no predecessor) and the gate-less departures that follow
@@ -336,7 +334,6 @@ impl PlanRow {
 /// a capture as it runs — gets the same rows.
 #[derive(Debug, Default)]
 pub(crate) struct GateBuilder {
-    enforce_source_order: bool,
     /// Latest arrival per node so far, and its delivery instant.
     last_arrival: Vec<(u32, SimTime)>,
     /// Latest departure per source so far, and its injection instant.
@@ -344,13 +341,6 @@ pub(crate) struct GateBuilder {
 }
 
 impl GateBuilder {
-    pub(crate) fn new(enforce_source_order: bool) -> Self {
-        GateBuilder {
-            enforce_source_order,
-            ..Default::default()
-        }
-    }
-
     fn node(v: &mut Vec<(u32, SimTime)>, x: usize) -> &mut (u32, SimTime) {
         if x >= v.len() {
             v.resize(x + 1, (NONE, SimTime::ZERO));
@@ -370,24 +360,19 @@ impl GateBuilder {
         let (gate, gate_at) = *Self::node(&mut self.last_arrival, src);
         let (prev, prev_at) =
             std::mem::replace(Self::node(&mut self.src_last, src), (i, r.t_inject));
-        let anchor = match (gate, prev) {
-            (NONE, NONE) => SimTime::ZERO,
-            (NONE, _) => prev_at,
-            _ => gate_at,
+        let (anchor, flags) = match (gate, prev) {
+            // A seed waits on nothing.
+            (NONE, NONE) => (SimTime::ZERO, GATE_DONE | SCHEDULED),
+            // A gate-less departure waits on its per-source predecessor.
+            (NONE, _) => (prev_at, GATE_DONE),
+            // A gated departure waits on its gate alone, not on its
+            // predecessor: a node's departures may legitimately reorder
+            // when the target network's latency profile differs from
+            // capture (e.g. a hybrid optical design where control and
+            // data planes diverge), and forcing capture order inflates
+            // the timeline measurably (A1).
+            _ => (gate_at, 0),
         };
-        let mut flags = if gate == NONE { GATE_DONE } else { GATED };
-        // Gated messages do not wait on their per-source predecessor:
-        // a node's departures may legitimately reorder when the target
-        // network's latency profile differs from capture (e.g. a hybrid
-        // optical design where control and data planes diverge), and
-        // forcing capture order inflates the timeline measurably.
-        if prev == NONE || (!self.enforce_source_order && gate != NONE) {
-            flags |= PREV_DONE;
-        }
-        // Seed: no gate and no predecessor to wait for.
-        if flags == GATE_DONE | PREV_DONE {
-            flags |= SCHEDULED;
-        }
         PlanRow {
             gate,
             src_prev: prev,
@@ -460,17 +445,12 @@ impl<S: Store> Plan<S> {
 
 impl GatePlan {
     /// The plan of `log` as [`replay_sctm_pass`] runs it, in vectors of
-    /// exactly the size they need.
+    /// exactly the size they need: the builder fed the whole log.
     pub(crate) fn of(log: &TraceLog) -> GatePlan {
-        GatePlan::build(log, false)
-    }
-
-    /// The builder fed the whole log.
-    fn build(log: &TraceLog, enforce_source_order: bool) -> GatePlan {
         let mut plan = Plan::default();
         plan.clear();
         plan.grow(log.len());
-        GateBuilder::new(enforce_source_order).feed_whole(log, |i, row| plan.link(i, &row));
+        GateBuilder::default().feed_whole(log, |i, row| plan.link(i, &row));
         GatePlan(plan)
     }
 
@@ -507,13 +487,9 @@ struct PassState<S: Store> {
     /// Replay injection time per message ([`SimTime::MAX`] until it is
     /// injected).
     inject: S::Col<SimTime>,
-    /// Per message, one time that changes meaning once: until the
-    /// message is scheduled, what is known of its injection time — its
-    /// gate's replay delivery plus its delta once the gate has
-    /// delivered, else its predecessor's replay injection once that has
-    /// happened, else zero; once it has delivered ([`DELIVERED`]), its
-    /// replay delivery time. Nothing reads it in between.
-    time: S::Col<SimTime>,
+    /// Replay delivery time per message, read only once it has
+    /// delivered ([`DELIVERED`]).
+    deliver: S::Col<SimTime>,
     delivered: usize,
     /// The pass injects nothing and processes no network event at or
     /// after this instant: every message it has not been given yet
@@ -551,15 +527,15 @@ impl<S: Store> PassState<S> {
     fn reset_times(&mut self, n: usize) {
         self.inject.clear();
         self.inject.grow(n, SimTime::MAX);
-        self.time.clear();
-        self.time.grow(n, SimTime::ZERO);
+        self.deliver.clear();
+        self.deliver.grow(n, SimTime::ZERO);
         self.delivered = 0;
         self.heap.clear();
     }
 
     /// The pass's times, taken out of its columns.
     fn times(&mut self) -> (Vec<SimTime>, Vec<SimTime>) {
-        (self.inject.take_vec(), self.time.take_vec())
+        (self.inject.take_vec(), self.deliver.take_vec())
     }
 }
 
@@ -586,7 +562,6 @@ impl PassState<Paged> {
         &mut self,
         batch: &CaptureBatch,
         rows: &mut Pages<TraceRecord>,
-        arrival: &mut Pages<u32>,
         plan: &mut Plan<Paged>,
     ) {
         let lo = rows.len();
@@ -595,7 +570,7 @@ impl PassState<Paged> {
         plan.grow(n);
         self.flags.grow(n, 0);
         self.inject.grow(n, SimTime::MAX);
-        self.time.grow(n, SimTime::ZERO);
+        self.deliver.grow(n, SimTime::ZERO);
         for ((i, r), row) in (lo..n).zip(&batch.rows).zip(&batch.plan) {
             plan.link(i, row);
             self.admit(i, row);
@@ -605,7 +580,6 @@ impl PassState<Paged> {
             let r = &mut rows[id as usize];
             assert_eq!(r.t_deliver, UNDELIVERED, "message delivered twice");
             r.t_deliver = at;
-            arrival.push(id);
             self.flags[id as usize] |= ARRIVED;
             self.last_arrival[r.msg.dst.idx()] = (id, at);
         }
@@ -614,33 +588,26 @@ impl PassState<Paged> {
     }
 
     /// Message `i` joins a pass that may already have run past what
-    /// would have scheduled it: settle its flags and time against what
-    /// the pass has done, and queue it at the time a whole-log pass
-    /// would have.
+    /// would have scheduled it: queue it at the time a whole-log pass
+    /// would have — a seed at its capture time, a gated row once its
+    /// gate has delivered, a gate-less one once its predecessor has
+    /// injected.
     fn admit(&mut self, i: usize, row: &PlanRow) {
         let mut f = row.flags;
-        if row.gate != NONE && self.flags[row.gate as usize] & DELIVERED != 0 {
-            f |= GATE_DONE;
-            self.time[i] = self.time[row.gate as usize] + row.delta;
-        }
-        // A binding predecessor exists whenever PREV_DONE is unset. A
-        // gated message's predecessor binds only under enforced source
-        // order, which a streamed pass never runs, so here it is always
-        // gate-less: the predecessor's injection plus the delta. (A
-        // whole-log pass also takes the later of a gated message's two
-        // times, but a predecessor that injected before the gate
-        // delivered did so no later than the delivery.)
-        if f & PREV_DONE == 0 && self.inject[row.src_prev as usize] != SimTime::MAX {
-            f |= PREV_DONE;
-            self.time[i] = self.inject[row.src_prev as usize] + row.delta;
-        }
         let at = if f & SCHEDULED != 0 {
             Some(row.delta)
-        } else if f & (GATE_DONE | PREV_DONE) == GATE_DONE | PREV_DONE {
-            f |= SCHEDULED;
-            Some(self.time[i])
+        } else if row.gate != NONE {
+            let g = row.gate as usize;
+            (self.flags[g] & DELIVERED != 0).then(|| {
+                f |= GATE_DONE | SCHEDULED;
+                self.deliver[g] + row.delta
+            })
         } else {
-            None
+            let p = self.inject[row.src_prev as usize];
+            (p != SimTime::MAX).then(|| {
+                f |= SCHEDULED;
+                p + row.delta
+            })
         };
         self.flags[i] = f;
         if let Some(at) = at {
@@ -658,7 +625,7 @@ impl PassState<Paged> {
     /// The replay delivery of message `i`, if it has delivered.
     fn delivery(&self, i: u32) -> SimTime {
         if self.flags[i as usize] & DELIVERED != 0 {
-            self.time[i as usize]
+            self.deliver[i as usize]
         } else {
             SimTime::MAX
         }
@@ -727,10 +694,9 @@ fn after_anchor(replay: SimTime, capture: SimTime, w: SimTime) -> SimTime {
 pub struct ReplayScratch {
     plan: Plan<Paged>,
     pass: PassState<Paged>,
-    /// The rows and arrival order the pass assembles (handed over in
-    /// its [`StreamedPass`]).
+    /// The rows the pass assembles (handed over in its
+    /// [`StreamedPass`]).
     rows: Pages<TraceRecord>,
-    arrival: Pages<u32>,
 }
 
 impl ReplayScratch {
@@ -898,11 +864,13 @@ fn prefetch(msg: &Message) {
 /// a target network.
 ///
 /// Event-driven: every departure is injected `delta` after its gating
-/// arrival delivers **in the replay timeline** (per-source capture order
-/// enforced), so the timeline corrects itself forward in time as the
-/// pass runs instead of replaying stale capture timestamps. `delta` and
-/// the gating pairing come from the capture timeline
-/// ([`TraceLog::arrival_gates`]).
+/// arrival delivers **in the replay timeline** — or, with no gate,
+/// `delta` after its source's previous departure injects — so the
+/// timeline corrects itself forward in time as the pass runs instead of
+/// replaying stale capture timestamps. A gated departure waits on its
+/// gate alone, so a node's departures reorder when the target network
+/// reorders their gates. `delta` and the gating pairing come from the
+/// capture timeline ([`TraceLog::arrival_gates`]).
 ///
 /// One pass is self-consistent (injections are derived from this pass's
 /// own deliveries); residual error against execution-driven simulation
@@ -911,17 +879,6 @@ fn prefetch(msg: &Message) {
 /// re-capturing.
 pub fn replay_sctm_pass(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
     whole_pass(log, net, log.gate_plan(), &mut PassState::default())
-}
-
-/// Ablation variant of [`replay_sctm_pass`] that *enforces per-source
-/// capture order* on gated departures. Physically plausible-sounding,
-/// but measurably worse: when the target's latency profile reorders a
-/// node's traffic (hybrid control/data planes, token arbitration), the
-/// ordering constraint inflates the timeline. Kept for the ablation
-/// bench (A1).
-pub fn replay_sctm_pass_ordered(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    let plan = GatePlan::build(log, true);
-    whole_pass(log, net, &plan, &mut PassState::default())
 }
 
 /// The gated pass fed a whole log: its plan complete, its horizon
@@ -942,9 +899,9 @@ fn whole_pass(
 }
 
 /// The gated pass over a capture that is still running on another
-/// thread: [`replay_sctm_pass`] of the log the capture behind
-/// `feed` finishes with ([`crate::StreamCapture::finish`]), run as the
-/// capture hands its rows over.
+/// thread: [`replay_sctm_pass`] of the log a [`crate::Capture`] of the
+/// same run would finish with, run as the capture behind `feed` hands
+/// its rows over.
 ///
 /// The pass takes every batch as it comes and runs up to the horizon
 /// the rows given so far allow (DESIGN.md §7, "The loop captures and
@@ -954,22 +911,15 @@ fn whole_pass(
 /// bit. `None` when the capture side hung up before its last batch — it
 /// panicked; the caller learns why from its own thread.
 ///
-/// The log's rows and the pass's times come back in pages, for the
-/// caller to [`StreamedPass::finish`] with the capture's tail on
-/// whichever thread should own the log.
+/// The log's rows and the pass's times come back in pages, read in
+/// place ([`StreamedPass`]).
 pub fn replay_sctm_stream(
     feed: CaptureFeed,
     net: &mut dyn NetworkModel,
     scratch: &mut ReplayScratch,
 ) -> Option<StreamedPass> {
-    let ReplayScratch {
-        plan,
-        pass,
-        rows,
-        arrival,
-    } = scratch;
+    let ReplayScratch { plan, pass, rows } = scratch;
     rows.clear();
-    arrival.clear();
     plan.clear();
     pass.start_open(net.num_nodes());
     loop {
@@ -978,16 +928,15 @@ pub fn replay_sctm_stream(
         // the pass runs as far as all of them allow.
         let mut next = Some(feed.recv()?);
         while let Some(batch) = next {
-            pass.take(&batch, rows, arrival, plan);
+            pass.take(&batch, rows, plan);
             if let Some(exec_time) = batch.end {
                 pass.close();
                 let done = run_gated(rows, net, plan, pass);
                 debug_assert!(done, "an unbounded pass stops only when done");
                 return Some(StreamedPass::new(
                     std::mem::take(rows),
-                    std::mem::take(arrival),
                     std::mem::take(&mut pass.inject),
-                    std::mem::take(&mut pass.time),
+                    std::mem::take(&mut pass.deliver),
                     exec_time,
                 ));
             }
@@ -996,20 +945,19 @@ pub fn replay_sctm_stream(
     }
 }
 
-/// A finished streamed pass: the log's rows and arrival order, and the
-/// replay's times, still in the pages the pass grew them in.
+/// A finished streamed pass: the log's rows and the replay's times,
+/// still in the pages the pass grew them in.
 ///
 /// What the self-correction loop reads of an iteration — the estimate,
 /// the pair corrections, the mean latencies — it reads here, in place,
 /// each computed by the same code and in the same order as from a
 /// [`TraceLog`] and its [`ReplayResult`]: copying a log's worth of pages
 /// into a log it would only read once cost a second copy's residency.
-/// [`StreamedPass::finish`] builds the log and result for a caller that
-/// keeps them.
+/// The capture keeps none of the log's other columns, so there is no
+/// log to build: a caller that keeps the trace runs a [`crate::Capture`].
 #[derive(Debug)]
 pub struct StreamedPass {
     rows: Pages<TraceRecord>,
-    arrival: Pages<u32>,
     inject: Pages<SimTime>,
     deliver: Pages<SimTime>,
     /// One past the largest node id any row names.
@@ -1021,23 +969,18 @@ pub struct StreamedPass {
 impl StreamedPass {
     fn new(
         rows: Pages<TraceRecord>,
-        arrival: Pages<u32>,
         inject: Pages<SimTime>,
         deliver: Pages<SimTime>,
         capture_exec_time: SimTime,
     ) -> Self {
-        let nodes = (rows.iter())
-            .map(|r| r.msg.src.idx().max(r.msg.dst.idx()) + 1)
-            .max()
-            .unwrap_or(0);
-        let last_delivery = match arrival.len() {
-            0 => SimTime::ZERO,
-            n => rows[arrival[n - 1] as usize].t_deliver,
-        };
+        let (mut nodes, mut last_delivery) = (0, SimTime::ZERO);
+        for r in rows.iter() {
+            nodes = nodes.max(r.msg.src.idx().max(r.msg.dst.idx()) + 1);
+            last_delivery = last_delivery.max(r.t_deliver);
+        }
         let est_exec_time = estimate(capture_exec_time, last_delivery, deliver.iter());
         StreamedPass {
             rows,
-            arrival,
             inject,
             deliver,
             nodes,
@@ -1078,26 +1021,15 @@ impl StreamedPass {
         corrections(self.nodes, self.replayed(), base_latency)
     }
 
-    fn replayed(&self) -> impl Iterator<Item = (&Message, SimTime, SimTime)> {
+    /// Every message in id order, with its replay injection and
+    /// delivery.
+    pub fn replayed(&self) -> impl Iterator<Item = (&Message, SimTime, SimTime)> {
         (self
             .rows
             .iter()
             .zip(self.inject.iter())
             .zip(self.deliver.iter()))
         .map(|((r, &i), &d)| (&r.msg, i, d))
-    }
-
-    /// The log the capture produced and the pass's result over it,
-    /// each column copied out of its pages into its final form on the
-    /// calling thread.
-    pub fn finish(self, tail: CaptureTail) -> (TraceLog, ReplayResult) {
-        let log = tail.into_log(self.rows.into_vec(), self.arrival.into_vec());
-        let result = ReplayResult {
-            inject: self.inject.into_vec(),
-            deliver: self.deliver.into_vec(),
-            est_exec_time: self.est_exec_time,
-        };
-        (log, result)
     }
 }
 
@@ -1140,7 +1072,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
         heap,
         buf,
         inject,
-        time,
+        deliver,
         delivered,
         horizon,
         open,
@@ -1171,24 +1103,14 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
                             *horizon = (*horizon).min(after_anchor(t, d_at, *watermark));
                         }
                     }
-                    // Unblock the per-source successor (only gate-less
-                    // successors wait on their predecessor).
+                    // Unblock the per-source successor if it waits on
+                    // this injection: it is gate-less and unscheduled.
                     let nx = plan.next_in_order[i];
-                    if nx != NONE && flags[nx as usize] & SCHEDULED == 0 {
+                    if nx != NONE && flags[nx as usize] & (GATE_DONE | SCHEDULED) == GATE_DONE {
                         let nx = nx as usize;
-                        flags[nx] |= PREV_DONE;
-                        if flags[nx] & GATE_DONE == 0 {
-                            time[nx] = t;
-                        } else {
-                            let at = if flags[nx] & GATED != 0 {
-                                time[nx]
-                            } else {
-                                t + plan.delta[nx]
-                            };
-                            flags[nx] |= SCHEDULED;
-                            prefetch(msgs.msg(nx));
-                            heap.push(Reverse(key(at.max(t), nx as u32)));
-                        }
+                        flags[nx] |= SCHEDULED;
+                        prefetch(msgs.msg(nx));
+                        heap.push(Reverse(key(t + plan.delta[nx], nx as u32)));
                     }
                 }
             }
@@ -1211,7 +1133,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
             let id = d.msg.id.0 as usize;
             let at = d.delivered_at;
             debug_assert!(at < stop, "a network event at or past the horizon");
-            time[id] = at;
+            deliver[id] = at;
             flags[id] |= DELIVERED;
             *delivered += 1;
             // A row still to come may be gated by this delivery, from
@@ -1228,20 +1150,13 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
                     }
                 }
             }
+            // Its dependants wait on nothing else.
             let mut g = plan.heads[LISTS + id];
             while g != NONE {
                 let gi = g as usize;
-                flags[gi] |= GATE_DONE;
-                let ready = at + plan.delta[gi];
-                if flags[gi] & PREV_DONE == 0 {
-                    time[gi] = ready;
-                } else {
-                    // The predecessor's injection, if it came first.
-                    let t = ready.max(time[gi]);
-                    flags[gi] |= SCHEDULED;
-                    prefetch(msgs.msg(gi));
-                    heap.push(Reverse(key(t, g)));
-                }
+                flags[gi] |= GATE_DONE | SCHEDULED;
+                prefetch(msgs.msg(gi));
+                heap.push(Reverse(key(at + plan.delta[gi], g)));
                 g = plan.next[gi];
             }
         }

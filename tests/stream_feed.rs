@@ -4,22 +4,25 @@
 //! still producing it (DESIGN.md §7, "The loop captures and replays at
 //! once"). The pass runs only up to a horizon no row it has not been
 //! given can replay before, so it must make the same network calls, in
-//! the same order, however the rows reach it. Each capture here is fed
-//! to the pass three ways — the complete log, a batch at every event
-//! time, and batches of random size from a producer thread — on every
-//! detailed network, and all three must agree to the bit. In a debug build the
-//! pass checks the horizon itself as it runs: no row it is given late
-//! replays before the horizon, and no network event reaches it.
+//! the same order, however the rows reach it. Captures here are fed to
+//! the pass a batch at every event time and in batches of random size
+//! from a producer thread, on every detailed network, and as the loop
+//! cuts them, over the four captures `tests/golden_capture.rs` pins.
+//! Each streamed pass must equal the whole-log pass over the same
+//! capture's log, id for id: the message, its replay injection and
+//! delivery, and the estimate. In a debug build the pass checks the
+//! horizon itself as it runs: no row it is given late replays before
+//! the horizon, and no network event reaches it.
 //!
-//! The log a streamed capture assembles is the log `Capture::finish`
-//! builds: byte for byte the containers `tests/golden_capture.rs` pins.
-//! And a capture that panics part-way never leaves its pass waiting.
+//! A streamed capture builds no log, so the log the pass is compared
+//! with is `Capture::finish`'s, whose bytes `tests/golden_capture.rs`
+//! pins. And a capture that panics part-way never leaves its pass
+//! waiting.
 
 use sctm::cmp::{CmpSim, InjectRecord, TraceHook};
 use sctm::engine::net::MsgId;
 use sctm::engine::time::SimTime;
 use sctm::prelude::*;
-use sctm::trace::sctf::to_sctf_bytes;
 use sctm::trace::{
     replay_sctm_pass, replay_sctm_stream, ReplayResult, ReplayScratch, StreamCapture, StreamedPass,
 };
@@ -86,7 +89,7 @@ fn stream(
     ops: usize,
     kind: NetworkKind,
     feed_by: Feed,
-) -> (TraceLog, ReplayResult) {
+) -> StreamedPass {
     let (mut cap, feed) = StreamCapture::new();
     let mut scratch = ReplayScratch::new();
     let mut net = SystemConfig::make_network_kind(side, kind);
@@ -96,7 +99,7 @@ fn stream(
                 cap.set_flush_rows(1);
             }
             let exec = run_capture(kernel, side, ops, &mut cap);
-            cap.finish("analytic", exec)
+            cap.finish(exec)
         }
         Feed::Random => {
             let mut hook = RandomFlushes {
@@ -104,75 +107,92 @@ fn stream(
                 x: 0x9e37_79b9_7f4a_7c15,
             };
             let exec = run_capture(kernel, side, ops, &mut hook);
-            hook.cap.finish("analytic", exec)
+            hook.cap.finish(exec)
         }
     };
     let pass = || replay_sctm_stream(feed, net.as_mut(), &mut scratch);
-    let (tail, streamed): (_, Option<StreamedPass>) = std::thread::scope(|s| {
+    let streamed: Option<StreamedPass> = std::thread::scope(|s| {
         if let Feed::Random = feed_by {
-            let tail = s.spawn(capture);
+            let producer = s.spawn(capture);
             let streamed = pass();
-            (tail.join().expect("capture"), streamed)
+            producer.join().expect("capture");
+            streamed
         } else {
             let streamed = s.spawn(pass);
-            let tail = capture();
-            (tail, streamed.join().expect("pass"))
+            capture();
+            streamed.join().expect("pass")
         }
     });
-    streamed.expect("the capture finished").finish(tail)
+    streamed.expect("the capture finished")
 }
 
-fn assert_same_replay(got: &ReplayResult, want: &ReplayResult, what: &str) {
-    assert_eq!(got.inject, want.inject, "{what}: inject");
-    assert_eq!(got.deliver, want.deliver, "{what}: deliver");
-    assert_eq!(got.est_exec_time, want.est_exec_time, "{what}: estimate");
+/// The log `Experiment::capture` makes of the capture [`stream`] runs.
+fn whole_log(kernel: Kernel, side: usize, ops: usize) -> TraceLog {
+    Experiment::new(SystemConfig::new(side, NetworkKind::Omesh), kernel)
+        .with_ops(ops)
+        .with_seed(SEED)
+        .capture()
+}
+
+/// A streamed pass against the whole-log pass `want` over `log`, id for
+/// id: the message, its replay injection and delivery; and the
+/// estimate.
+fn assert_same_replay(got: &StreamedPass, log: &TraceLog, want: &ReplayResult, what: &str) {
+    assert_eq!(got.len(), log.len(), "{what}: messages");
+    assert_eq!(
+        got.capture_exec_time(),
+        log.capture_exec_time,
+        "{what}: run"
+    );
+    for (i, (msg, inject, deliver)) in got.replayed().enumerate() {
+        assert_eq!(*msg, log.records[i].msg, "{what}: message {i}");
+        assert_eq!(inject, want.inject[i], "{what}: inject {i}");
+        assert_eq!(deliver, want.deliver[i], "{what}: deliver {i}");
+    }
+    assert_eq!(got.est_exec_time(), want.est_exec_time, "{what}: estimate");
 }
 
 #[test]
 fn every_feed_replays_a_capture_alike_on_every_network() {
     for kernel in [Kernel::Fft, Kernel::Lu, Kernel::Canneal] {
         for side in [2, 4] {
-            let exp = Experiment::new(SystemConfig::new(side, NetworkKind::Omesh), kernel)
-                .with_ops(OPS)
-                .with_seed(SEED);
-            let log = exp.capture();
-            let bytes = to_sctf_bytes(&log);
+            let log = whole_log(kernel, side, OPS);
             for kind in NetworkKind::DETAILED {
                 let what = format!("{} side {side} on {}", kernel.label(), kind.label());
                 let mut net = SystemConfig::make_network_kind(side, kind);
                 let whole = replay_sctm_pass(&log, net.as_mut());
-                let (each_log, each) = stream(kernel, side, OPS, kind, Feed::EveryTime);
-                assert_same_replay(&each, &whole, &format!("{what}, every event time"));
-                assert!(to_sctf_bytes(&each_log) == bytes, "{what}: streamed log");
-                let (_, random) = stream(kernel, side, OPS, kind, Feed::Random);
-                assert_same_replay(&random, &whole, &format!("{what}, random batches"));
+                for (feed, how) in [
+                    (Feed::EveryTime, "every event time"),
+                    (Feed::Random, "random batches"),
+                ] {
+                    let streamed = stream(kernel, side, OPS, kind, feed);
+                    assert_same_replay(&streamed, &log, &whole, &format!("{what}, {how}"));
+                }
             }
         }
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// `tests/golden_capture.rs`'s table: `(kernel, mesh side, ops per
-/// core, container bytes, FNV-1a)`.
-const GOLDEN: [(Kernel, usize, usize, usize, u64); 4] = [
-    (Kernel::Fft, 4, 300, 474_528, 0x4160_2e7c_cffd_ca4b),
-    (Kernel::Lu, 4, 300, 131_488, 0x7492_e039_a4bf_8fff),
-    (Kernel::Barnes, 4, 300, 183_408, 0x3e33_d04a_a873_9202),
-    (Kernel::Fft, 8, 300, 1_976_128, 0xca67_27c4_328e_f39d),
-];
-
+/// The loop's own feed over the four captures `tests/golden_capture.rs`
+/// pins, 64 cores included.
 #[test]
-fn a_streamed_capture_is_the_pinned_container() {
-    for (kernel, side, ops, want_len, want_hash) in GOLDEN {
-        let (log, _) = stream(kernel, side, ops, NetworkKind::Omesh, Feed::Default);
-        let bytes = to_sctf_bytes(&log);
-        let got = (bytes.len(), fnv1a(&bytes));
-        assert_eq!(got, (want_len, want_hash), "{} side {side}", kernel.label());
+fn the_loop_feed_replays_the_pinned_captures_alike() {
+    for (kernel, side, ops) in [
+        (Kernel::Fft, 4, 300),
+        (Kernel::Lu, 4, 300),
+        (Kernel::Barnes, 4, 300),
+        (Kernel::Fft, 8, 300),
+    ] {
+        let log = whole_log(kernel, side, ops);
+        let mut net = SystemConfig::make_network_kind(side, NetworkKind::Omesh);
+        let whole = replay_sctm_pass(&log, net.as_mut());
+        let streamed = stream(kernel, side, ops, NetworkKind::Omesh, Feed::Default);
+        assert_same_replay(
+            &streamed,
+            &log,
+            &whole,
+            &format!("{} side {side}", kernel.label()),
+        );
     }
 }
 

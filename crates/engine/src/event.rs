@@ -15,6 +15,17 @@
 //! any bucketed structure pays for its buckets instead. The unit tests
 //! in this module drive it against a plain `BinaryHeap` model of the
 //! `(at, seq)` contract.
+//!
+//! A handled event costs one sift, not two. The network models pop an
+//! event and, in its handler, schedule the next one (omesh's hop chain
+//! does nothing else), so [`EventQueue::pop`] copies the top out and
+//! leaves it in place, marked taken: the next [`EventQueue::schedule`]
+//! overwrites it and sifts down once, where a real pop and a push would
+//! each sift. Every other call removes the taken top first, and
+//! [`EventQueue::peek_time`] reads past it, to the smaller of its two
+//! children. This is one heap and a flag, not a second structure: it
+//! is neither the front slot beside the heap nor the key-only heap
+//! with a payload slab that EXPERIMENTS.md §P27 measured and rejected.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -74,20 +85,24 @@ fn key_time(key: u128) -> SimTime {
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Pending<E>>,
+    /// The heap's top has been popped and waits to be overwritten by
+    /// the next `schedule`, or removed by any other call.
+    taken: bool,
     next_seq: u64,
     now: SimTime,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            taken: false,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -102,7 +117,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.taken)
     }
 
     #[inline]
@@ -121,22 +136,47 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Pending {
+        let ev = Pending {
             key: pack(at, seq),
             payload,
-        });
+        };
+        if self.taken {
+            self.taken = false;
+            // Overwrite the taken top; the guard sifts it down on drop.
+            *self.heap.peek_mut().expect("a taken top is in the heap") = ev;
+        } else {
+            self.heap.push(ev);
+        }
     }
 
     /// Timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| key_time(e.key))
+        let key = if self.taken {
+            // The taken top's children hold the earliest of the rest.
+            let rest = self.heap.as_slice().iter().skip(1).take(2);
+            rest.map(|e| e.key).min()
+        } else {
+            self.heap.peek().map(|e| e.key)
+        };
+        key.map(key_time)
+    }
+
+    /// Remove the taken top, if there is one.
+    #[inline]
+    fn drop_taken(&mut self) {
+        if self.taken {
+            self.taken = false;
+            self.heap.pop();
+        }
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<QueuedEvent<E>> {
-        let Pending { key, payload } = self.heap.pop()?;
+        self.drop_taken();
+        let &Pending { key, payload } = self.heap.peek()?;
+        self.taken = true;
         let at = key_time(key);
         debug_assert!(at >= self.now, "event queue time went backwards");
         self.now = at;
@@ -170,6 +210,7 @@ impl<E> EventQueue<E> {
     /// *not* reset, so replaying after a drain still has unique seqs.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.taken = false;
         self.now = SimTime::ZERO;
     }
 }
@@ -203,6 +244,14 @@ mod tests {
             self.q.schedule(at, self.m.next_seq);
             self.m.heap.push(Reverse((at, self.m.next_seq)));
             self.m.next_seq += 1;
+            self.check();
+        }
+
+        fn clear(&mut self) {
+            self.q.clear();
+            self.m.heap.clear();
+            self.m.now = SimTime::ZERO;
+            self.check();
         }
 
         fn pop_before(&mut self, deadline: SimTime) -> bool {
@@ -364,6 +413,49 @@ mod tests {
         assert_eq!(p.q.now(), SimTime::MAX);
     }
 
+    /// Each way a popped top can leave the heap: replaced by one
+    /// schedule at the popped time (at or before every pending key),
+    /// replaced by the first of two, removed by a second pop, passed
+    /// over by reads and a bounded pop, and dropped by `clear`.
+    #[test]
+    fn a_popped_top_is_replaced_or_removed_as_the_model_says() {
+        let fill = |p: &mut Pair| {
+            for t in [70, 10, 50, 30, 90, 20, 80, 40, 60] {
+                p.schedule(SimTime::from_ps(p.m.now.as_ps() + t * 10));
+            }
+        };
+        for schedules in 0..3u64 {
+            let mut p = Pair::default();
+            fill(&mut p);
+            while p.pop() {
+                // The first lands at or before every pending key, the
+                // second among them; 40 events in all.
+                let now = p.m.now.as_ps();
+                for k in 0..schedules {
+                    if p.m.next_seq < 40 {
+                        p.schedule(SimTime::from_ps(now + k * 250));
+                    }
+                }
+            }
+        }
+        let mut p = Pair::default();
+        fill(&mut p);
+        assert!(p.pop());
+        // Nothing scheduled: reads see past the taken top.
+        assert!(!p.pop_before(SimTime::from_ps(150)));
+        assert!(p.pop_before(SimTime::from_ps(200)));
+        assert!(p.pop() && p.pop());
+        p.clear();
+        assert!(!p.pop());
+        fill(&mut p);
+        while p.pop() {}
+        // Down to one event, then none, with the taken top in place.
+        p.schedule(SimTime::from_ps(p.m.now.as_ps() + 5));
+        assert!(p.pop());
+        assert!(!p.pop_before(SimTime::MAX));
+        assert!(p.q.is_empty());
+    }
+
     /// Drive the queue and the heap model through an identical
     /// randomized schedule of interleaved pushes, pops, bounded pops and
     /// clock advances and require identical pop sequences — `(at, seq)`
@@ -378,7 +470,7 @@ mod tests {
             let mut p = Pair::default();
             for _ in 0..400 {
                 let now = p.m.now.as_ps();
-                match rng.next_u64() % 6 {
+                match rng.next_u64() % 9 {
                     // Burst of same-timestamp events.
                     0 => {
                         let at = SimTime::from_ps(now + rng.next_u64() % 5_000);
@@ -404,6 +496,30 @@ mod tests {
                         let deadline = SimTime::from_ps(now + rng.next_u64() % 3_000);
                         while p.pop_before(deadline) {}
                         p.advance_to(deadline);
+                    }
+                    // A handler's shape: pop, then schedule 0, 1 or 2
+                    // events, the first at the popped time — before
+                    // every pending key unless one ties it.
+                    5 => {
+                        if p.pop() {
+                            let now = p.m.now.as_ps();
+                            for k in 0..rng.next_u64() % 3 {
+                                p.schedule(SimTime::from_ps(now + k * (rng.next_u64() % 300)));
+                            }
+                        }
+                    }
+                    // Reads and a bounded pop straight after a pop that
+                    // scheduled nothing (`check` reads `len` and
+                    // `peek_time`).
+                    6 => {
+                        p.pop();
+                        p.pop_before(SimTime::from_ps(now + rng.next_u64() % 3_000));
+                    }
+                    // Clear with a popped top still in the heap, now
+                    // and then.
+                    7 if rng.next_u64().is_multiple_of(8) => {
+                        p.pop();
+                        p.clear();
                     }
                     // Advance to a time at or before `now`: a no-op.
                     _ => p.advance_to(SimTime::from_ps(now - now.min(rng.next_u64() % 500))),

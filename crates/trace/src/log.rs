@@ -479,9 +479,13 @@ fn sort_nearly_sorted<K: Ord + Copy>(keys: &mut [K]) {
 const FLUSH_ROWS: usize = 512;
 
 /// Batches a [`StreamCapture`] may have handed over that its pass has
-/// not taken yet; past that the simulator waits. A capture runs ahead
-/// of its pass, and without a bound its rows would wait in the channel
-/// in batch form beside the pass's own copy of the log.
+/// not taken yet; past that the simulator waits. The pass looks for
+/// waiting batches between its delivery rounds, not only at its
+/// horizon, and takes all of them, so a capture that runs ahead has its
+/// rows moved into the pass's own pages within tens of microseconds
+/// and rarely finds the channel full. The bound keeps rows from piling
+/// up in the channel in batch form, beside the pass's copy of the log,
+/// while the pass has not looked.
 const FEED_BATCHES: usize = 4;
 
 /// Capture hook: plugs into `CmpSim::run` and builds a [`TraceLog`].
@@ -518,7 +522,8 @@ pub struct Capture {
     /// `fresh` over instead).
     rows: Vec<TraceRecord>,
     /// Whether final rows keep their dependency and kind columns; a
-    /// [`StreamCapture`]'s do not, as its pass reads neither.
+    /// [`StreamCapture`]'s do not, as its pass reads neither, and its
+    /// pending rows are not tagged with a kind at all.
     columns: bool,
     /// The other columns of every final row: dependencies in canonical
     /// ids, `prev` still in capture ids (a source can decide a message
@@ -659,7 +664,9 @@ impl Capture {
             }
             pending.records[kept] = pending.records[k];
             pending.prev[kept] = pending.prev[k];
-            pending.kind[kept] = pending.kind[k];
+            if *columns {
+                pending.kind[kept] = pending.kind[k];
+            }
             pending.dep_ids.copy_within(lo..hi, dep_end);
             dep_end += hi - lo;
             kept += 1;
@@ -753,7 +760,9 @@ impl TraceHook for Capture {
         raw.dep_ids.extend(rec.deps.iter().map(|&d| col_id(d)));
         raw.dep_off.push(raw.dep_ids.len() as u32);
         raw.prev.push(rec.prev_same_src.map_or(NONE, col_id));
-        raw.kind.push(crate::sctf::kind_tag(rec.kind));
+        if self.columns {
+            raw.kind.push(crate::sctf::kind_tag(rec.kind));
+        }
     }
 
     fn on_deliver(&mut self, id: MsgId, at: SimTime) {

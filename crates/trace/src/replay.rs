@@ -47,6 +47,7 @@ use sctm_engine::net::{Delivery, Message, MsgClass, NetworkModel};
 use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
 use std::mem::size_of;
@@ -892,7 +893,7 @@ fn whole_pass(
     let plan = &plan.0;
     debug_assert_eq!(plan.len(), log.len(), "plan built for another log");
     pass.start(plan);
-    let done = run_gated(&log.records[..], net, plan, pass);
+    let done = run_gated(&log.records[..], net, plan, pass, || false);
     debug_assert!(done, "an unbounded pass stops only when done");
     let (inject, deliver) = pass.times();
     ReplayResult::from_times(log, inject, deliver)
@@ -903,13 +904,15 @@ fn whole_pass(
 /// same run would finish with, run as the capture behind `feed` hands
 /// its rows over.
 ///
-/// The pass takes every batch as it comes and runs up to the horizon
-/// the rows given so far allow (DESIGN.md §7, "The loop captures and
-/// replays at once"): no message it has not been given can replay
-/// before that instant, so the pass makes the same network calls in the
-/// same order as the whole-log pass, and its result is the same to the
-/// bit. `None` when the capture side hung up before its last batch — it
-/// panicked; the caller learns why from its own thread.
+/// The pass runs up to the horizon the rows given so far allow
+/// (DESIGN.md §7, "The loop captures and replays at once"): no message
+/// it has not been given can replay before that instant, so the pass
+/// makes the same network calls in the same order as the whole-log
+/// pass, and its result is the same to the bit. It takes every batch
+/// waiting in the feed between delivery rounds, and waits for one only
+/// once it has reached its horizon. `None` when the capture side hung
+/// up before its last batch — it panicked; the caller learns why from
+/// its own thread.
 ///
 /// The log's rows and the pass's times come back in pages, read in
 /// place ([`StreamedPass`]).
@@ -923,15 +926,23 @@ pub fn replay_sctm_stream(
     plan.clear();
     pass.start_open(net.num_nodes());
     loop {
-        run_gated(rows, net, plan, pass);
-        // Wait for a batch, then take every other one already waiting:
-        // the pass runs as far as all of them allow.
-        let mut next = Some(feed.recv()?);
+        let mut waiting = None;
+        run_gated(rows, net, plan, pass, || {
+            waiting = feed.try_recv();
+            waiting.is_some()
+        });
+        // Take the batch the pass found waiting or, at the horizon, wait
+        // for one; then every other one already waiting: the pass runs
+        // as far as all of them allow.
+        let mut next = Some(match waiting {
+            Some(batch) => batch,
+            None => feed.recv()?,
+        });
         while let Some(batch) = next {
             pass.take(&batch, rows, plan);
             if let Some(exec_time) = batch.end {
                 pass.close();
-                let done = run_gated(rows, net, plan, pass);
+                let done = run_gated(rows, net, plan, pass, || false);
                 debug_assert!(done, "an unbounded pass stops only when done");
                 return Some(StreamedPass::new(
                     std::mem::take(rows),
@@ -1052,19 +1063,34 @@ impl Msgs for Pages<TraceRecord> {
     }
 }
 
+/// How many delivery rounds an open pass runs between two looks at its
+/// feed. A look at an empty channel costs ≈14 ns, and the flagship pass
+/// runs ≈350 000 rounds per iteration; every 64th round costs a
+/// sixty-fourth of that, and still takes a batch within ≈50 µs of
+/// pass time — well inside the ≈0.6 ms of capture the channel holds
+/// (EXPERIMENTS.md §P40).
+const POLL_ROUNDS: u32 = 64;
+
 /// The gated event-driven pass over `plan` and its messages `msgs`,
-/// run until every message in the plan has delivered (`true`) or until
-/// the next step would reach the pass's horizon (`false`).
+/// run until every message in the plan has delivered (`true`), or
+/// (`false`) until the next step would reach the pass's horizon or, in
+/// an open pass, until `waiting` says its capture has handed more rows
+/// over.
 ///
 /// A step is an injection — the earliest queued one, taken when it is
 /// due at or before the network's next event — or the network's next
 /// event batch. Steps come in time order, and a step at or after the
-/// horizon is never taken: one a row still to come might precede.
+/// horizon is never taken: one a row still to come might precede. An
+/// open pass asks `waiting` every [`POLL_ROUNDS`] delivery rounds, so
+/// that its caller takes rows while the pass is still short of its
+/// horizon rather than once it is stuck there. A whole-log pass passes
+/// `|| false`, and the check compiles away.
 fn run_gated<S: Store, M: Msgs + ?Sized>(
     msgs: &M,
     net: &mut dyn NetworkModel,
     plan: &Plan<S>,
     pass: &mut PassState<S>,
+    mut waiting: impl FnMut() -> bool,
 ) -> bool {
     let n = plan.len();
     let PassState {
@@ -1081,38 +1107,37 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
         last_departure,
         early,
     } = pass;
+    let mut rounds = 0u32;
     while *delivered < n {
-        while let Some(&Reverse(k)) = heap.peek() {
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse(k) = *top;
             let t = key_time(k);
-            if t >= *horizon {
+            if t >= *horizon || net.next_time().is_some_and(|h| t > h) {
                 break;
             }
-            match net.next_time() {
-                Some(h) if t > h => break,
-                _ => {
-                    heap.pop();
-                    let i = key_id(k);
-                    inject[i] = t;
-                    let msg = *msgs.msg(i);
-                    net.inject(t, msg);
-                    // A row still to come may follow this one at its
-                    // source, from `t` on.
-                    if *open {
-                        let (d, d_at) = last_departure[msg.src.idx()];
-                        if d == i as u32 && last_arrival[msg.src.idx()].0 == NONE {
-                            *horizon = (*horizon).min(after_anchor(t, d_at, *watermark));
-                        }
-                    }
-                    // Unblock the per-source successor if it waits on
-                    // this injection: it is gate-less and unscheduled.
-                    let nx = plan.next_in_order[i];
-                    if nx != NONE && flags[nx as usize] & (GATE_DONE | SCHEDULED) == GATE_DONE {
-                        let nx = nx as usize;
-                        flags[nx] |= SCHEDULED;
-                        prefetch(msgs.msg(nx));
-                        heap.push(Reverse(key(t + plan.delta[nx], nx as u32)));
-                    }
+            let i = key_id(k);
+            inject[i] = t;
+            let msg = *msgs.msg(i);
+            net.inject(t, msg);
+            // A row still to come may follow this one at its source,
+            // from `t` on.
+            if *open {
+                let (d, d_at) = last_departure[msg.src.idx()];
+                if d == i as u32 && last_arrival[msg.src.idx()].0 == NONE {
+                    *horizon = (*horizon).min(after_anchor(t, d_at, *watermark));
                 }
+            }
+            // Unblock the per-source successor if it waits on this
+            // injection (it is gate-less and unscheduled): it takes the
+            // injected row's place at the top, and the heap sifts once.
+            let nx = plan.next_in_order[i];
+            if nx != NONE && flags[nx as usize] & (GATE_DONE | SCHEDULED) == GATE_DONE {
+                let nx = nx as usize;
+                flags[nx] |= SCHEDULED;
+                prefetch(msgs.msg(nx));
+                *top = Reverse(key(t + plan.delta[nx], nx as u32));
+            } else {
+                PeekMut::pop(top);
             }
         }
         // See `replay_oracle`: batch-advance to the next delivery or
@@ -1159,6 +1184,10 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
                 heap.push(Reverse(key(at + plan.delta[gi], g)));
                 g = plan.next[gi];
             }
+        }
+        rounds = rounds.wrapping_add(1);
+        if *open && rounds.is_multiple_of(POLL_ROUNDS) && waiting() {
+            return false;
         }
     }
     true

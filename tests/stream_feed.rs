@@ -4,10 +4,13 @@
 //! still producing it (DESIGN.md §7, "The loop captures and replays at
 //! once"). The pass runs only up to a horizon no row it has not been
 //! given can replay before, so it must make the same network calls, in
-//! the same order, however the rows reach it. Captures here are fed to
-//! the pass a batch at every event time and in batches of random size
-//! from a producer thread, on every detailed network, and as the loop
-//! cuts them, over the four captures `tests/golden_capture.rs` pins.
+//! the same order, however the rows reach it, and whenever the pass
+//! takes them: at its horizon, or between delivery rounds. Captures
+//! here are fed to the pass a batch at every event time, in batches of
+//! random size from a producer thread, and from a producer thread that
+//! keeps batches waiting nearly every time the pass looks, on every
+//! detailed network; and as the loop cuts them, over the four captures
+//! `tests/golden_capture.rs` pins.
 //! Each streamed pass must equal the whole-log pass over the same
 //! capture's log, id for id: the message, its replay injection and
 //! delivery, and the estimate. In a debug build the pass checks the
@@ -20,7 +23,7 @@
 //! waiting.
 
 use sctm::cmp::{CmpSim, InjectRecord, TraceHook};
-use sctm::engine::net::MsgId;
+use sctm::engine::net::{Delivery, Message, MsgId, NetStats, NetworkModel};
 use sctm::engine::time::SimTime;
 use sctm::prelude::*;
 use sctm::trace::{
@@ -28,6 +31,9 @@ use sctm::trace::{
 };
 use sctm::workloads::{build, WorkloadParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const OPS: usize = 160;
 const SEED: u64 = 1;
@@ -69,6 +75,133 @@ impl TraceHook for RandomFlushes {
     }
 }
 
+/// How far a capture on a producer thread has got: whether it is inside
+/// a hook call (where it hands batches over), how many such calls it
+/// has finished, and whether it has finished the capture.
+#[derive(Default)]
+struct Progress {
+    in_hook: AtomicBool,
+    calls: AtomicU64,
+    done: AtomicBool,
+    /// `calls` when the pass last found the producer blocked, plus one
+    /// (0 = never).
+    blocked: AtomicU64,
+}
+
+impl Progress {
+    /// Return once the producer has finished, or has sat in one hook
+    /// call for [`BLOCKED`]: it is blocked handing a batch over, so the
+    /// feed is full. On one CPU the yields are what let the producer
+    /// run.
+    fn wait_until_blocked(&self) {
+        let mut since = (u64::MAX, Instant::now());
+        while !self.done.load(SeqCst) {
+            let calls = self.calls.load(SeqCst);
+            let in_hook = self.in_hook.load(SeqCst);
+            if in_hook && self.blocked.load(SeqCst) == calls + 1 {
+                // Still blocked where the last wait found it.
+                return;
+            }
+            if !in_hook || calls != since.0 {
+                since = (calls, Instant::now());
+            } else if since.1.elapsed() >= BLOCKED {
+                self.blocked.store(calls + 1, SeqCst);
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Marks the producer finished when dropped: at its end, or as it
+/// unwinds from a panic.
+struct Done(Arc<Progress>);
+
+impl Drop for Done {
+    fn drop(&mut self) {
+        self.0.done.store(true, SeqCst);
+    }
+}
+
+/// How long a hook call must last before the producer counts as
+/// blocked on a full feed: far longer than an unblocked one takes.
+const BLOCKED: Duration = Duration::from_micros(100);
+
+/// Rows per batch of the [`Feed::Ahead`] capture. With a batch at every
+/// event time, a pass reaches its horizon long before its next look at
+/// the feed (every 64 delivery rounds); with 16 rows, the full feed
+/// lets it run that far, so most of its takes come between rounds.
+const AHEAD_ROWS: usize = 16;
+
+/// A [`StreamCapture`] on a producer thread that reports its
+/// [`Progress`].
+struct Ahead {
+    cap: StreamCapture,
+    progress: Arc<Progress>,
+}
+
+impl TraceHook for Ahead {
+    fn on_inject(&mut self, rec: InjectRecord<'_>) {
+        self.cap.on_inject(rec);
+    }
+
+    fn on_deliver(&mut self, id: MsgId, at: SimTime) {
+        self.cap.on_deliver(id, at);
+    }
+
+    fn on_time(&mut self, now: SimTime) {
+        self.progress.in_hook.store(true, SeqCst);
+        self.cap.on_time(now);
+        self.progress.calls.fetch_add(1, SeqCst);
+        self.progress.in_hook.store(false, SeqCst);
+    }
+}
+
+/// The pass's network, slowed so that its capture is always ahead:
+/// before each delivery round it waits until the capture has filled
+/// the feed (or finished), so when the pass looks at the feed between
+/// rounds, batches are waiting at most of its looks (EXPERIMENTS.md
+/// §P40 counts them).
+struct Behind {
+    net: Box<dyn NetworkModel>,
+    progress: Arc<Progress>,
+}
+
+impl NetworkModel for Behind {
+    fn num_nodes(&self) -> usize {
+        self.net.num_nodes()
+    }
+
+    fn inject(&mut self, at: SimTime, msg: Message) {
+        self.net.inject(at, msg);
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.net.next_time()
+    }
+
+    fn advance_until(&mut self, t: SimTime, out: &mut Vec<Delivery>) {
+        self.net.advance_until(t, out);
+    }
+
+    fn advance_batches(
+        &mut self,
+        stop: Option<SimTime>,
+        out: &mut Vec<Delivery>,
+    ) -> Option<SimTime> {
+        self.progress.wait_until_blocked();
+        self.net.advance_batches(stop, out)
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.net.stats()
+    }
+
+    fn label(&self) -> &'static str {
+        self.net.label()
+    }
+}
+
 /// How often a streamed capture hands a batch over.
 #[derive(Clone, Copy)]
 enum Feed {
@@ -78,6 +211,9 @@ enum Feed {
     EveryTime,
     /// After a random number of rows, on a producer thread.
     Random,
+    /// After [`AHEAD_ROWS`] rows, on a producer thread that has filled
+    /// the feed before each delivery round of the pass ([`Behind`]).
+    Ahead,
 }
 
 /// Stream one capture into the pass on `kind`: the capture runs here and
@@ -93,6 +229,13 @@ fn stream(
     let (mut cap, feed) = StreamCapture::new();
     let mut scratch = ReplayScratch::new();
     let mut net = SystemConfig::make_network_kind(side, kind);
+    let progress = Arc::new(Progress::default());
+    if let Feed::Ahead = feed_by {
+        net = Box::new(Behind {
+            net,
+            progress: progress.clone(),
+        });
+    }
     let capture = move || match feed_by {
         Feed::Default | Feed::EveryTime => {
             if let Feed::EveryTime = feed_by {
@@ -109,10 +252,21 @@ fn stream(
             let exec = run_capture(kernel, side, ops, &mut hook);
             hook.cap.finish(exec)
         }
+        Feed::Ahead => {
+            // However the producer ends, the pass stops waiting on it.
+            let _done = Done(progress.clone());
+            cap.set_flush_rows(AHEAD_ROWS);
+            let mut hook = Ahead { cap, progress };
+            let exec = run_capture(kernel, side, ops, &mut hook);
+            let Ahead { cap, progress } = hook;
+            // The last batch can block too.
+            progress.in_hook.store(true, SeqCst);
+            cap.finish(exec);
+        }
     };
     let pass = || replay_sctm_stream(feed, net.as_mut(), &mut scratch);
     let streamed: Option<StreamedPass> = std::thread::scope(|s| {
-        if let Feed::Random = feed_by {
+        if let Feed::Random | Feed::Ahead = feed_by {
             let producer = s.spawn(capture);
             let streamed = pass();
             producer.join().expect("capture");
@@ -164,6 +318,7 @@ fn every_feed_replays_a_capture_alike_on_every_network() {
                 for (feed, how) in [
                     (Feed::EveryTime, "every event time"),
                     (Feed::Random, "random batches"),
+                    (Feed::Ahead, "batches waiting at every check"),
                 ] {
                     let streamed = stream(kernel, side, OPS, kind, feed);
                     assert_same_replay(&streamed, &log, &whole, &format!("{what}, {how}"));

@@ -53,16 +53,6 @@ impl<T: Copy> Pages<T> {
         self.len += 1;
     }
 
-    pub(crate) fn extend_from_slice(&mut self, mut vs: &[T]) {
-        while !vs.is_empty() {
-            let page = self.tail();
-            let (now, rest) = vs.split_at((PAGE - page.len()).min(vs.len()));
-            page.extend_from_slice(now);
-            self.len += now.len();
-            vs = rest;
-        }
-    }
-
     /// Append `fill` until the column holds `len` items.
     pub(crate) fn resize(&mut self, len: usize, fill: T) {
         debug_assert!(len >= self.len, "a paged column only grows");
@@ -137,9 +127,6 @@ mod tests {
                 p.push(k);
                 want.push(k);
             }
-            let more: Vec<u32> = (0..PAGE as u32 + 3).collect();
-            p.extend_from_slice(&more);
-            want.extend_from_slice(&more);
             p.resize(want.len() + 7, 9);
             want.resize(want.len() + 7, 9);
             p[PAGE + 1] = 77;

@@ -41,9 +41,9 @@
 //!   bit, and reads the result in place ([`StreamedPass`]): no log is
 //!   assembled.
 
-use crate::log::{CaptureBatch, CaptureFeed, TraceLog, TraceRecord, NONE, UNDELIVERED};
+use crate::log::{CaptureBatch, CaptureFeed, TraceLog, TraceRecord, NONE};
 use crate::pages::Pages;
-use sctm_engine::net::{Delivery, Message, MsgClass, NetworkModel};
+use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
 use std::cmp::Reverse;
@@ -84,9 +84,8 @@ impl ReplayResult {
     fn replayed<'a>(
         &'a self,
         log: &'a TraceLog,
-    ) -> impl Iterator<Item = (&'a Message, SimTime, SimTime)> {
-        (log.records.iter().zip(&self.inject).zip(&self.deliver))
-            .map(|((r, &i), &d)| (&r.msg, i, d))
+    ) -> impl Iterator<Item = (Message, SimTime, SimTime)> + 'a {
+        (log.records.iter().zip(&self.inject).zip(&self.deliver)).map(|((r, &i), &d)| (r.msg, i, d))
     }
 }
 
@@ -105,8 +104,8 @@ fn estimate<'a>(
 
 /// Mean latency in nanoseconds of the `replayed` messages of one class
 /// (or all), in id order.
-fn mean_latency_ns<'a>(
-    replayed: impl Iterator<Item = (&'a Message, SimTime, SimTime)>,
+fn mean_latency_ns(
+    replayed: impl Iterator<Item = (Message, SimTime, SimTime)>,
     class: Option<MsgClass>,
 ) -> f64 {
     let mut acc = Running::new();
@@ -304,7 +303,9 @@ struct Plan<S: Store> {
     heads: S::Col<u32>,
     /// The next message in the same list ([`NONE`]-terminated).
     next: S::Col<u32>,
-    /// Each message's readiness flags as a pass starts.
+    /// Each message's readiness flags as a pass starts: a whole plan's
+    /// only. A streamed pass admits each row with its flags as it takes
+    /// it, and reads them nowhere else.
     init: S::Col<u8>,
 }
 
@@ -413,21 +414,19 @@ impl<S: Store> Plan<S> {
         self.heads.grow(LISTS, NONE);
     }
 
-    /// Make room for messages up to `n`, not yet linked.
+    /// Make room for messages up to `n`, not yet linked; `init` is
+    /// left as it is.
     fn grow(&mut self, n: usize) {
         self.delta.grow(n, SimTime::ZERO);
         self.next_in_order.grow(n, NONE);
         self.next.grow(n, NONE);
-        self.init.grow(n, 0);
         self.heads.grow(LISTS + n, NONE);
     }
 
-    /// Enter message `i`'s row: its delta and flags, its place in its
-    /// gate's (or a gate-less) list, and its predecessor's successor
-    /// link.
+    /// Enter message `i`'s row: its delta, its place in its gate's (or
+    /// a gate-less) list, and its predecessor's successor link.
     fn link(&mut self, i: usize, row: &PlanRow) {
         self.delta[i] = row.delta;
-        self.init[i] = row.flags;
         let list = match row.gate {
             NONE if row.flags & SCHEDULED != 0 => SEEDS,
             NONE => CHAINED,
@@ -440,7 +439,7 @@ impl<S: Store> Plan<S> {
     }
 
     fn len(&self) -> usize {
-        self.init.len()
+        self.delta.len()
     }
 }
 
@@ -448,10 +447,14 @@ impl GatePlan {
     /// The plan of `log` as [`replay_sctm_pass`] runs it, in vectors of
     /// exactly the size they need: the builder fed the whole log.
     pub(crate) fn of(log: &TraceLog) -> GatePlan {
-        let mut plan = Plan::default();
+        let mut plan = Plan::<Flat>::default();
         plan.clear();
         plan.grow(log.len());
-        GateBuilder::default().feed_whole(log, |i, row| plan.link(i, &row));
+        plan.init = vec![0; log.len()];
+        GateBuilder::default().feed_whole(log, |i, row| {
+            plan.link(i, &row);
+            plan.init[i] = row.flags;
+        });
         GatePlan(plan)
     }
 
@@ -508,11 +511,16 @@ struct PassState<S: Store> {
     /// Messages delivered in the replay before their capture delivery
     /// was known, keyed by [`key`] on their replay delivery.
     early: BinaryHeap<Reverse<u128>>,
+    /// What an open pass's result needs of the capture's rows, kept as
+    /// it takes them: one past the largest node id any row names, and
+    /// the latest capture delivery.
+    nodes: usize,
+    last_delivery: SimTime,
 }
 
-impl<S: Store> PassState<S> {
+impl PassState<Flat> {
     /// Start a pass over a whole plan: nothing is still to come.
-    fn start(&mut self, plan: &Plan<S>) {
+    fn start(&mut self, plan: &Plan<Flat>) {
         let n = plan.len();
         self.flags.clone_from(&plan.init);
         self.reset_times(n);
@@ -524,7 +532,9 @@ impl<S: Store> PassState<S> {
             i = plan.next[i as usize];
         }
     }
+}
 
+impl<S: Store> PassState<S> {
     fn reset_times(&mut self, n: usize) {
         self.inject.clear();
         self.inject.grow(n, SimTime::MAX);
@@ -553,36 +563,38 @@ impl PassState<Paged> {
             v.resize(nodes, (NONE, SimTime::ZERO));
         }
         self.early.clear();
+        self.nodes = 0;
+        self.last_delivery = SimTime::ZERO;
     }
 
-    /// Take one batch of a running capture: its rows join `rows` and
-    /// `plan`, each admitted where a whole-log pass would have it by
-    /// now, its arrivals are joined to their rows, and the horizon moves
-    /// to what the batch makes safe.
-    fn take(
-        &mut self,
-        batch: &CaptureBatch,
-        rows: &mut Pages<TraceRecord>,
-        plan: &mut Plan<Paged>,
-    ) {
+    /// Take one batch of a running capture: its rows join `plan`, and
+    /// `rows` as what the pass reads of them ([`MsgRow`]), each admitted
+    /// where a whole-log pass would have it by now; its arrivals mark
+    /// their rows [`ARRIVED`]; and the horizon moves to what the batch
+    /// makes safe.
+    fn take(&mut self, batch: &CaptureBatch, rows: &mut Pages<MsgRow>, plan: &mut Plan<Paged>) {
         let lo = rows.len();
-        rows.extend_from_slice(&batch.rows);
-        let n = rows.len();
+        let n = lo + batch.rows.len();
         plan.grow(n);
         self.flags.grow(n, 0);
         self.inject.grow(n, SimTime::MAX);
         self.deliver.grow(n, SimTime::ZERO);
         for ((i, r), row) in (lo..n).zip(&batch.rows).zip(&batch.plan) {
+            // A row's id is its index, so the row need not keep it.
+            assert_eq!(r.msg.id.0, i as u64, "a row out of canonical order");
+            let (src, dst) = (r.msg.src.idx(), r.msg.dst.idx());
+            rows.push(MsgRow::of(&r.msg));
+            self.nodes = self.nodes.max(src.max(dst) + 1);
             plan.link(i, row);
             self.admit(i, row);
-            self.last_departure[r.msg.src.idx()] = (i as u32, r.t_inject);
+            self.last_departure[src] = (i as u32, r.t_inject);
         }
         for &(at, id) in &batch.arrivals {
-            let r = &mut rows[id as usize];
-            assert_eq!(r.t_deliver, UNDELIVERED, "message delivered twice");
-            r.t_deliver = at;
-            self.flags[id as usize] |= ARRIVED;
-            self.last_arrival[r.msg.dst.idx()] = (id, at);
+            let f = &mut self.flags[id as usize];
+            assert!(*f & ARRIVED == 0, "message delivered twice");
+            *f |= ARRIVED;
+            self.last_delivery = self.last_delivery.max(at);
+            self.last_arrival[usize::from(rows[id as usize].dst)] = (id, at);
         }
         self.watermark = batch.watermark;
         self.horizon = self.bound();
@@ -682,8 +694,13 @@ fn after_anchor(replay: SimTime, capture: SimTime, w: SimTime) -> SimTime {
     )
 }
 
-/// The pages a streamed pass ([`replay_sctm_stream`]) grows its plan
-/// and state in.
+/// The pages a streamed pass ([`replay_sctm_stream`]) grows its plan,
+/// its state and its rows in.
+///
+/// A row is what the pass reads of a message once it has taken it:
+/// source, destination, class and payload bytes, in 8 bytes. Its id is
+/// its index, and the capture's timestamps stay with the plan (deltas)
+/// and the pass state (horizon anchors), so a row keeps neither.
 ///
 /// The self-correction loop in `sctm-core` streams a fresh same-sized
 /// capture once per iteration, so it borrows one of these for the whole
@@ -697,7 +714,7 @@ pub struct ReplayScratch {
     pass: PassState<Paged>,
     /// The rows the pass assembles (handed over in its
     /// [`StreamedPass`]).
-    rows: Pages<TraceRecord>,
+    rows: Pages<MsgRow>,
 }
 
 impl ReplayScratch {
@@ -833,7 +850,7 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
                 ready_at[c] = ready_at[c].max(d.delivered_at);
                 remaining[c] -= 1;
                 if remaining[c] == 0 {
-                    prefetch(&log.records[c].msg);
+                    log.records[..].prefetch(c);
                     heap.push(Reverse(key(ready_at[c] + delta[c], c as u32)));
                 }
             }
@@ -842,23 +859,20 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
     ReplayResult::from_times(log, inject, deliver)
 }
 
-/// Start pulling a row's `msg` into L1 ahead of its injection. A pass
-/// pops rows in replay order, thousands of rows from the one it touched
-/// last, so the `msg` load at injection missed every cache level
-/// (10.5 % of the flagship loop); a row is scheduled one heap residence
-/// before it is injected, which is time enough for the line to arrive.
+/// Start pulling the cache line that holds `at` into L1
+/// ([`Msgs::prefetch`]).
 #[inline]
-fn prefetch(msg: &Message) {
+fn prefetch<T>(at: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch is a hint: it never faults, even on an invalid
-    // address, and has no architectural effect — and `msg` is a live
+    // address, and has no architectural effect — and `at` is a live
     // reference besides.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((msg as *const Message).cast::<i8>());
+        _mm_prefetch::<_MM_HINT_T0>((at as *const T).cast::<i8>());
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = msg;
+    let _ = at;
 }
 
 /// The self-correcting replay pass — how the SCTM injects a trace into
@@ -944,20 +958,16 @@ pub fn replay_sctm_stream(
                 pass.close();
                 let done = run_gated(rows, net, plan, pass, || false);
                 debug_assert!(done, "an unbounded pass stops only when done");
-                return Some(StreamedPass::new(
-                    std::mem::take(rows),
-                    std::mem::take(&mut pass.inject),
-                    std::mem::take(&mut pass.deliver),
-                    exec_time,
-                ));
+                return Some(StreamedPass::new(std::mem::take(rows), pass, exec_time));
             }
             next = feed.try_recv();
         }
     }
 }
 
-/// A finished streamed pass: the log's rows and the replay's times,
-/// still in the pages the pass grew them in.
+/// A finished streamed pass: the log's rows — what the pass read of
+/// each message, 8 bytes a row ([`ReplayScratch`]) — and the replay's
+/// times, still in the pages the pass grew them in.
 ///
 /// What the self-correction loop reads of an iteration — the estimate,
 /// the pair corrections, the mean latencies — it reads here, in place,
@@ -968,7 +978,7 @@ pub fn replay_sctm_stream(
 /// log to build: a caller that keeps the trace runs a [`crate::Capture`].
 #[derive(Debug)]
 pub struct StreamedPass {
-    rows: Pages<TraceRecord>,
+    rows: Pages<MsgRow>,
     inject: Pages<SimTime>,
     deliver: Pages<SimTime>,
     /// One past the largest node id any row names.
@@ -978,23 +988,17 @@ pub struct StreamedPass {
 }
 
 impl StreamedPass {
-    fn new(
-        rows: Pages<TraceRecord>,
-        inject: Pages<SimTime>,
-        deliver: Pages<SimTime>,
-        capture_exec_time: SimTime,
-    ) -> Self {
-        let (mut nodes, mut last_delivery) = (0, SimTime::ZERO);
-        for r in rows.iter() {
-            nodes = nodes.max(r.msg.src.idx().max(r.msg.dst.idx()) + 1);
-            last_delivery = last_delivery.max(r.t_deliver);
-        }
-        let est_exec_time = estimate(capture_exec_time, last_delivery, deliver.iter());
+    /// The pass over `rows` that `pass` has finished, its times taken
+    /// out of it.
+    fn new(rows: Pages<MsgRow>, pass: &mut PassState<Paged>, capture_exec_time: SimTime) -> Self {
+        let inject = std::mem::take(&mut pass.inject);
+        let deliver = std::mem::take(&mut pass.deliver);
+        let est_exec_time = estimate(capture_exec_time, pass.last_delivery, deliver.iter());
         StreamedPass {
             rows,
             inject,
             deliver,
-            nodes,
+            nodes: pass.nodes,
             capture_exec_time,
             est_exec_time,
         }
@@ -1034,32 +1038,106 @@ impl StreamedPass {
 
     /// Every message in id order, with its replay injection and
     /// delivery.
-    pub fn replayed(&self) -> impl Iterator<Item = (&Message, SimTime, SimTime)> {
+    pub fn replayed(&self) -> impl Iterator<Item = (Message, SimTime, SimTime)> + '_ {
         (self
             .rows
             .iter()
             .zip(self.inject.iter())
             .zip(self.deliver.iter()))
-        .map(|((r, &i), &d)| (&r.msg, i, d))
+        .enumerate()
+        .map(|(i, ((r, &inj), &d))| (r.message(i), inj, d))
+    }
+}
+
+/// What a streamed pass keeps of a row: its message less the id, which
+/// is the row's index. The class rides in the top bit of `bytes`
+/// ([`DATA_BIT`]).
+#[derive(Clone, Copy, Debug)]
+struct MsgRow {
+    src: u16,
+    dst: u16,
+    bytes: u32,
+}
+
+const _: () = assert!(size_of::<MsgRow>() == 8);
+
+/// Set in [`MsgRow::bytes`] for a [`MsgClass::Data`] message.
+const DATA_BIT: u32 = 1 << 31;
+
+impl MsgRow {
+    /// `msg` as a row. A node id or a byte count the row cannot hold
+    /// panics: it would otherwise come back as another message.
+    fn of(msg: &Message) -> MsgRow {
+        let node = |n: NodeId| u16::try_from(n.0).expect("node id exceeds u16");
+        assert!(
+            msg.bytes < DATA_BIT,
+            "{} bytes exceed a row's {}",
+            msg.bytes,
+            DATA_BIT - 1
+        );
+        let class = match msg.class {
+            MsgClass::Control => 0,
+            MsgClass::Data => DATA_BIT,
+        };
+        MsgRow {
+            src: node(msg.src),
+            dst: node(msg.dst),
+            bytes: msg.bytes | class,
+        }
+    }
+
+    /// The message of row `i`.
+    #[inline]
+    fn message(self, i: usize) -> Message {
+        Message {
+            id: MsgId(i as u64),
+            src: NodeId(u32::from(self.src)),
+            dst: NodeId(u32::from(self.dst)),
+            class: if self.bytes & DATA_BIT != 0 {
+                MsgClass::Data
+            } else {
+                MsgClass::Control
+            },
+            bytes: self.bytes & !DATA_BIT,
+        }
     }
 }
 
 /// What a gated pass reads of a row: the message it injects.
 trait Msgs {
-    fn msg(&self, i: usize) -> &Message;
+    /// The message of row `i`.
+    fn msg(&self, i: usize) -> Message;
+
+    /// Start pulling row `i` into L1 ahead of its injection. A pass pops
+    /// rows in replay order, thousands of rows from the one it touched
+    /// last, so the row's load at injection missed every cache level
+    /// (10.5 % of the flagship loop); a row is scheduled one heap
+    /// residence before it is injected, which is time enough for the
+    /// line to arrive.
+    fn prefetch(&self, i: usize);
 }
 
 impl Msgs for [TraceRecord] {
     #[inline]
-    fn msg(&self, i: usize) -> &Message {
-        &self[i].msg
+    fn msg(&self, i: usize) -> Message {
+        self[i].msg
+    }
+
+    #[inline]
+    fn prefetch(&self, i: usize) {
+        prefetch(&self[i].msg);
     }
 }
 
-impl Msgs for Pages<TraceRecord> {
+impl Msgs for Pages<MsgRow> {
     #[inline]
-    fn msg(&self, i: usize) -> &Message {
-        &self[i].msg
+    fn msg(&self, i: usize) -> Message {
+        self[i].message(i)
+    }
+
+    #[inline]
+    fn prefetch(&self, i: usize) {
+        prefetch(&self[i]);
     }
 }
 
@@ -1106,6 +1184,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
         last_arrival,
         last_departure,
         early,
+        ..
     } = pass;
     let mut rounds = 0u32;
     while *delivered < n {
@@ -1117,7 +1196,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
             }
             let i = key_id(k);
             inject[i] = t;
-            let msg = *msgs.msg(i);
+            let msg = msgs.msg(i);
             net.inject(t, msg);
             // A row still to come may follow this one at its source,
             // from `t` on.
@@ -1134,7 +1213,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
             if nx != NONE && flags[nx as usize] & (GATE_DONE | SCHEDULED) == GATE_DONE {
                 let nx = nx as usize;
                 flags[nx] |= SCHEDULED;
-                prefetch(msgs.msg(nx));
+                msgs.prefetch(nx);
                 *top = Reverse(key(t + plan.delta[nx], nx as u32));
             } else {
                 PeekMut::pop(top);
@@ -1180,7 +1259,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
             while g != NONE {
                 let gi = g as usize;
                 flags[gi] |= GATE_DONE | SCHEDULED;
-                prefetch(msgs.msg(gi));
+                msgs.prefetch(gi);
                 heap.push(Reverse(key(at + plan.delta[gi], g)));
                 g = plan.next[gi];
             }
@@ -1221,9 +1300,9 @@ pub fn pair_corrections(
 
 /// [`pair_corrections`] of the `replayed` messages, in id order, over
 /// `nodes` nodes.
-fn corrections<'a>(
+fn corrections(
     nodes: usize,
-    replayed: impl Iterator<Item = (&'a Message, SimTime, SimTime)>,
+    replayed: impl Iterator<Item = (Message, SimTime, SimTime)>,
     mut base_latency: impl FnMut(&Message) -> SimTime,
 ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
     // (replay latency sum, base-model latency sum, message count) per
@@ -1233,7 +1312,7 @@ fn corrections<'a>(
         let c = matches!(msg.class, MsgClass::Data) as usize;
         let cell = &mut acc[(msg.src.idx() * nodes + msg.dst.idx()) * 2 + c];
         cell.0 += deliver.saturating_since(inject).as_ps() as f64;
-        cell.1 += base_latency(msg).as_ps() as f64;
+        cell.1 += base_latency(&msg).as_ps() as f64;
         cell.2 += 1;
     }
     // Emit in (src, dst, Control-before-Data) order.
@@ -1479,6 +1558,47 @@ mod tests {
             .map(|&((s, d, c), _, _)| (s, d, c == MsgClass::Data))
             .collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "corrections unsorted");
+    }
+
+    fn message(id: u64, src: u32, dst: u32, class: MsgClass, bytes: u32) -> Message {
+        Message {
+            id: MsgId(id),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            class,
+            bytes,
+        }
+    }
+
+    /// A streamed pass's row gives back the message it was made of at
+    /// the extremes it must hold: the first and last node of the largest
+    /// system, both classes, the largest payload the packing leaves.
+    #[test]
+    fn a_row_round_trips_a_message_at_its_extremes() {
+        assert_eq!(size_of::<MsgRow>(), 8);
+        let last = sctm_cmp::protocol::MAX_CORES as u32 - 1;
+        let mut id = 0;
+        for (src, dst) in [(0, 0), (0, last), (last, 0), (last, last)] {
+            for class in [MsgClass::Control, MsgClass::Data] {
+                for bytes in [0, 8, 72, DATA_BIT - 1] {
+                    let msg = message(id, src, dst, class, bytes);
+                    assert_eq!(MsgRow::of(&msg).message(id as usize), msg);
+                    id += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node id exceeds u16")]
+    fn a_row_rejects_a_node_it_cannot_hold() {
+        MsgRow::of(&message(0, 0, 1 << 16, MsgClass::Control, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed a row")]
+    fn a_row_rejects_a_payload_it_cannot_hold() {
+        MsgRow::of(&message(0, 0, 1, MsgClass::Control, DATA_BIT));
     }
 
     #[test]

@@ -99,12 +99,15 @@ fn one_trace_resident_written_once() {
         capture_peak as f64 / log_bytes as f64,
         loop_peak as f64 / MIB,
     );
-    // The log is 1.43 MiB, so 1.2 x it is 1.72. With iteration k's
-    // (log, result) alive under capture k+1 the loop peaked at 8.72 MiB
-    // against 5.88 + 1.72; freeing them first, at 5.39 against
-    // 4.25 + 1.72 — the replay arena is what the allowance is for.
+    // The log is 1.43 MiB, so 0.15 x it is 0.21. With iteration k's
+    // (log, result) alive under capture k+1 the loop peaked at 8.72 MiB;
+    // freeing them first, at 5.39; streaming each capture into its pass
+    // with 40-byte rows, at 4.90-5.07; with the pass's 8-byte rows, at
+    // 4.00-4.06 against 4.25 + 0.21. The allowance is the replay arena
+    // less what a streamed capture does not build, plus a 0.4 MiB margin
+    // for how capture and pass interleave.
     assert!(
-        loop_peak as f64 <= capture_peak as f64 + 1.2 * log_bytes as f64,
+        loop_peak as f64 <= capture_peak as f64 + 0.15 * log_bytes as f64,
         "the loop holds more than one trace: peak {loop_peak} B, one capture {capture_peak} B, \
          log {log_bytes} B"
     );

@@ -299,7 +299,7 @@ fn assert_same_replay(got: &StreamedPass, log: &TraceLog, want: &ReplayResult, w
         "{what}: run"
     );
     for (i, (msg, inject, deliver)) in got.replayed().enumerate() {
-        assert_eq!(*msg, log.records[i].msg, "{what}: message {i}");
+        assert_eq!(msg, log.records[i].msg, "{what}: message {i}");
         assert_eq!(inject, want.inject[i], "{what}: inject {i}");
         assert_eq!(deliver, want.deliver[i], "{what}: deliver {i}");
     }

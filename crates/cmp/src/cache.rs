@@ -45,83 +45,116 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way<M> {
-    tag: u64,
-    lru: u64,
-    meta: M,
-    valid: bool,
-}
+/// Tag word of an empty way. No line reaches it: a line is a byte
+/// address over 64, so it stays below 2⁵⁸.
+const EMPTY: u64 = u64::MAX;
+
+/// The one metadata bit of a tag word: modified in an L1, dirty in an
+/// L2 slice.
+const META: u64 = 1 << 63;
 
 /// Result of a fill that displaced a victim.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Victim<M> {
+pub struct Victim {
     pub line: LineAddr,
-    pub meta: M,
+    pub meta: bool,
 }
 
-/// Set-associative tag array with per-line metadata `M`.
+/// A line [`Cache::access`] found resident: its metadata bit, read and
+/// written in place.
 #[derive(Debug)]
-pub struct Cache<M: Copy + Default> {
+pub struct Resident<'a>(&'a mut u64);
+
+impl Resident<'_> {
+    pub fn meta(&self) -> bool {
+        *self.0 & META != 0
+    }
+
+    pub fn set_meta(&mut self, meta: bool) {
+        *self.0 = (*self.0 & !META) | ((meta as u64) << 63);
+    }
+}
+
+/// Set-associative tag array with one metadata bit a line, in 9 bytes a
+/// way: a tag word and a recency rank.
+#[derive(Debug)]
+pub struct Cache {
     geo: CacheGeometry,
-    ways: Vec<Way<M>>,
-    tick: u64,
+    /// One word a way, set after set: the line in the low bits and the
+    /// metadata bit on top, or [`EMPTY`]. An 8-way set is one 64-byte
+    /// cache line of tags.
+    tags: Vec<u64>,
+    /// Each way's recency rank within its set, 0 = touched last. A set's
+    /// ranks are always a permutation of `0..ways`, empty ways included,
+    /// so when a set is full its least recent line ranks `ways - 1`.
+    ranks: Vec<u8>,
     hits: u64,
     misses: u64,
 }
 
-impl<M: Copy + Default> Cache<M> {
+impl Cache {
     pub fn new(geo: CacheGeometry) -> Self {
+        assert!(
+            (1..=256).contains(&geo.ways),
+            "{} ways do not rank in a byte",
+            geo.ways
+        );
+        let mut ranks = vec![0; geo.sets * geo.ways];
+        for set in ranks.chunks_exact_mut(geo.ways) {
+            for (r, x) in set.iter_mut().enumerate() {
+                *x = r as u8;
+            }
+        }
         Cache {
             geo,
-            ways: vec![
-                Way {
-                    tag: 0,
-                    lru: 0,
-                    meta: M::default(),
-                    valid: false
-                };
-                geo.sets * geo.ways
-            ],
-            tick: 0,
+            tags: vec![EMPTY; geo.sets * geo.ways],
+            ranks,
             hits: 0,
             misses: 0,
         }
     }
 
+    /// First way of `line`'s set.
     #[inline]
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 as usize) & (self.geo.sets - 1)
+    fn set_start(&self, line: LineAddr) -> usize {
+        ((line.0 as usize) & (self.geo.sets - 1)) * self.geo.ways
     }
 
+    /// The way holding `line`, if it is resident.
     #[inline]
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let s = self.set_of(line) * self.geo.ways;
-        s..s + self.geo.ways
-    }
-
-    /// Probe without touching LRU or hit/miss counters.
-    pub fn peek(&self, line: LineAddr) -> Option<&M> {
-        self.ways[self.set_range(line)]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        debug_assert!(line.0 < 1 << 58, "{line:?} would match an empty way");
+        let s = self.set_start(line);
+        self.tags[s..s + self.geo.ways]
             .iter()
-            .find(|w| w.valid && w.tag == line.0)
-            .map(|w| &w.meta)
+            .position(|&t| t & !META == line.0)
+            .map(|i| s + i)
     }
 
-    /// Look up `line`, updating LRU and counters. Returns the metadata
-    /// on a hit.
-    pub fn access(&mut self, line: LineAddr) -> Option<&mut M> {
-        self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_range(line);
-        let hit = self.ways[range]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == line.0);
-        match hit {
+    /// Make way `w` of the set starting at `s` the most recent: every
+    /// way ranked before it moves back one.
+    #[inline]
+    fn touch(&mut self, s: usize, w: usize) {
+        let r = self.ranks[w];
+        for x in &mut self.ranks[s..s + self.geo.ways] {
+            *x += (*x < r) as u8;
+        }
+        self.ranks[w] = 0;
+    }
+
+    /// Probe without touching recency or hit/miss counters. Returns the
+    /// metadata bit on a hit.
+    pub fn peek(&self, line: LineAddr) -> Option<bool> {
+        self.find(line).map(|w| self.tags[w] & META != 0)
+    }
+
+    /// Look up `line`, updating recency and counters.
+    pub fn access(&mut self, line: LineAddr) -> Option<Resident<'_>> {
+        match self.find(line) {
             Some(w) => {
-                w.lru = tick;
+                self.touch(self.set_start(line), w);
                 self.hits += 1;
-                Some(&mut w.meta)
+                Some(Resident(&mut self.tags[w]))
             }
             None => {
                 self.misses += 1;
@@ -130,51 +163,42 @@ impl<M: Copy + Default> Cache<M> {
         }
     }
 
-    /// Insert `line` with `meta`, evicting the LRU way if the set is
-    /// full. Returns the victim, if any. `line` must not be present.
-    pub fn fill(&mut self, line: LineAddr, meta: M) -> Option<Victim<M>> {
+    /// Insert `line` with `meta` into the set's first empty way, or
+    /// else in place of its least recent line, which it returns. `line`
+    /// must not be present.
+    pub fn fill(&mut self, line: LineAddr, meta: bool) -> Option<Victim> {
+        assert!(line.0 < 1 << 58, "{line:?} is no line of a byte address");
         debug_assert!(self.peek(line).is_none(), "fill of resident line");
-        self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_range(line);
-        let set = &mut self.ways[range];
-        // Prefer an invalid way.
-        if let Some(w) = set.iter_mut().find(|w| !w.valid) {
-            *w = Way {
-                tag: line.0,
-                lru: tick,
-                meta,
-                valid: true,
-            };
-            return None;
-        }
-        let w = set
-            .iter_mut()
-            .min_by_key(|w| w.lru)
-            .expect("cache sets have at least one way by construction");
-        let victim = Victim {
-            line: LineAddr(w.tag),
-            meta: w.meta,
+        let s = self.set_start(line);
+        let set = s..s + self.geo.ways;
+        let (w, victim) = match self.tags[set.clone()].iter().position(|&t| t == EMPTY) {
+            Some(i) => (s + i, None),
+            None => {
+                let last = (self.geo.ways - 1) as u8;
+                let w = s + self.ranks[set]
+                    .iter()
+                    .position(|&r| r == last)
+                    .expect("a set's ranks are a permutation of its ways");
+                let old = self.tags[w];
+                let victim = Victim {
+                    line: LineAddr(old & !META),
+                    meta: old & META != 0,
+                };
+                (w, Some(victim))
+            }
         };
-        *w = Way {
-            tag: line.0,
-            lru: tick,
-            meta,
-            valid: true,
-        };
-        Some(victim)
+        self.tags[w] = line.0 | ((meta as u64) << 63);
+        self.touch(s, w);
+        victim
     }
 
-    /// Remove `line` if present, returning its metadata.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<M> {
-        let range = self.set_range(line);
-        self.ways[range]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == line.0)
-            .map(|w| {
-                w.valid = false;
-                w.meta
-            })
+    /// Remove `line` if present, returning its metadata bit. The way
+    /// keeps its rank: only a fill moves it.
+    pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
+        self.find(line).map(|w| {
+            let old = std::mem::replace(&mut self.tags[w], EMPTY);
+            old & META != 0
+        })
     }
 
     pub fn hits(&self) -> u64 {
@@ -185,25 +209,17 @@ impl<M: Copy + Default> Cache<M> {
         self.misses
     }
 
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of valid lines (for occupancy checks in tests).
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
-    /// Visit every resident line (used by coherence-invariant checks).
-    pub fn for_each_line(&self, mut f: impl FnMut(LineAddr, &M)) {
-        for w in &self.ways {
-            if w.valid {
-                f(LineAddr(w.tag), &w.meta);
+    /// Visit every resident line and its metadata bit (used by
+    /// coherence-invariant checks).
+    pub fn for_each_line(&self, mut f: impl FnMut(LineAddr, bool)) {
+        for &t in &self.tags {
+            if t != EMPTY {
+                f(LineAddr(t & !META), t & META != 0);
             }
         }
     }
@@ -213,7 +229,7 @@ impl<M: Copy + Default> Cache<M> {
 mod tests {
     use super::*;
 
-    fn small() -> Cache<u8> {
+    fn small() -> Cache {
         // 4 sets × 2 ways
         Cache::new(CacheGeometry { sets: 4, ways: 2 })
     }
@@ -233,12 +249,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "do not rank in a byte")]
+    fn ways_past_a_byte_are_refused() {
+        Cache::new(CacheGeometry { sets: 1, ways: 257 });
+    }
+
+    #[test]
+    #[should_panic(expected = "no line of a byte address")]
+    fn a_line_past_2_pow_58_is_refused() {
+        small().fill(LineAddr(1 << 58), false);
+    }
+
+    #[test]
     fn miss_then_hit() {
         let mut c = small();
         let l = LineAddr(0x40);
         assert!(c.access(l).is_none());
-        assert!(c.fill(l, 7).is_none());
-        assert_eq!(c.access(l).copied(), Some(7));
+        assert!(c.fill(l, true).is_none());
+        assert_eq!(c.access(l).map(|w| w.meta()), Some(true));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
@@ -248,12 +276,12 @@ mod tests {
         let mut c = small();
         // Lines 0, 4, 8 map to set 0 (4 sets).
         let (a, b, x) = (LineAddr(0), LineAddr(4), LineAddr(8));
-        c.fill(a, 1);
-        c.fill(b, 2);
+        c.fill(a, false);
+        c.fill(b, true);
         c.access(a); // a is now MRU
-        let v = c.fill(x, 3).expect("set full, someone must go");
+        let v = c.fill(x, false).expect("set full, someone must go");
         assert_eq!(v.line, b, "LRU line was b");
-        assert_eq!(v.meta, 2);
+        assert!(v.meta);
         assert!(c.peek(a).is_some());
         assert!(c.peek(b).is_none());
     }
@@ -261,22 +289,21 @@ mod tests {
     #[test]
     fn invalidate_frees_way() {
         let mut c = small();
-        c.fill(LineAddr(0), 1);
-        c.fill(LineAddr(4), 2);
-        assert_eq!(c.invalidate(LineAddr(0)), Some(1));
+        c.fill(LineAddr(0), true);
+        c.fill(LineAddr(4), false);
+        assert_eq!(c.invalidate(LineAddr(0)), Some(true));
         assert_eq!(c.invalidate(LineAddr(0)), None);
         // Now a fill must use the freed way, not evict.
-        assert!(c.fill(LineAddr(8), 3).is_none());
+        assert!(c.fill(LineAddr(8), false).is_none());
     }
 
     #[test]
     fn sets_are_independent() {
         let mut c = small();
         // 3 lines in different sets never evict each other.
-        c.fill(LineAddr(0), 0);
-        c.fill(LineAddr(1), 1);
-        c.fill(LineAddr(2), 2);
-        c.fill(LineAddr(3), 3);
+        for i in 0..4u64 {
+            c.fill(LineAddr(i), false);
+        }
         assert_eq!(c.occupancy(), 4);
         for i in 0..4u64 {
             assert!(c.peek(LineAddr(i)).is_some());
@@ -287,20 +314,22 @@ mod tests {
     fn peek_does_not_disturb_lru() {
         let mut c = small();
         let (a, b, x) = (LineAddr(0), LineAddr(4), LineAddr(8));
-        c.fill(a, 1);
-        c.fill(b, 2);
+        c.fill(a, false);
+        c.fill(b, false);
         c.peek(a); // must NOT refresh a
                    // LRU order is still a then b.
-        let v = c.fill(x, 3).unwrap();
+        let v = c.fill(x, false).unwrap();
         assert_eq!(v.line, a);
     }
 
     #[test]
     fn metadata_is_mutable_through_access() {
         let mut c = small();
-        c.fill(LineAddr(0), 1);
-        *c.access(LineAddr(0)).unwrap() = 42;
-        assert_eq!(c.peek(LineAddr(0)).copied(), Some(42));
+        c.fill(LineAddr(0), false);
+        c.access(LineAddr(0)).unwrap().set_meta(true);
+        assert_eq!(c.peek(LineAddr(0)), Some(true));
+        c.access(LineAddr(0)).unwrap().set_meta(false);
+        assert_eq!(c.peek(LineAddr(0)), Some(false));
     }
 
     #[test]
@@ -309,6 +338,7 @@ mod tests {
         assert_eq!(LineAddr::of_byte(63), LineAddr(0));
         assert_eq!(LineAddr::of_byte(64), LineAddr(1));
         assert_eq!(LineAddr::of_byte(6400), LineAddr(100));
+        assert!(LineAddr::of_byte(u64::MAX).0 < 1 << 58);
     }
 
     #[test]
@@ -317,7 +347,7 @@ mod tests {
         for i in 0..1000u64 {
             let line = LineAddr(i * 7 % 97);
             if c.access(line).is_none() {
-                c.fill(line, 0u8);
+                c.fill(line, false);
             }
             assert!(
                 c.occupancy() <= 16,
@@ -334,7 +364,7 @@ mod tests {
         let mut c = Cache::new(CacheGeometry { sets: 4, ways: 2 });
         let ws = [LineAddr(0), LineAddr(4)]; // same set, 2 ways
         for l in ws {
-            c.fill(l, 0u8);
+            c.fill(l, false);
         }
         let misses_before = c.misses();
         for _ in 0..100 {
@@ -345,14 +375,173 @@ mod tests {
         assert_eq!(c.misses(), misses_before);
     }
 
+    /// The tag array this one replaced, kept as the oracle: 24 bytes a
+    /// way, recency by a global access clock, the victim the first
+    /// invalid way by position, else the way with the oldest tick.
+    struct ClockCache {
+        geo: CacheGeometry,
+        ways: Vec<ClockWay>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    #[derive(Clone, Copy)]
+    struct ClockWay {
+        tag: u64,
+        lru: u64,
+        meta: bool,
+        valid: bool,
+    }
+
+    impl ClockCache {
+        fn new(geo: CacheGeometry) -> Self {
+            let empty = ClockWay {
+                tag: 0,
+                lru: 0,
+                meta: false,
+                valid: false,
+            };
+            ClockCache {
+                geo,
+                ways: vec![empty; geo.sets * geo.ways],
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
+            let s = (line.0 as usize & (self.geo.sets - 1)) * self.geo.ways;
+            s..s + self.geo.ways
+        }
+
+        fn find(&self, line: LineAddr) -> Option<usize> {
+            let range = self.set_range(line);
+            let set = &self.ways[range.clone()];
+            let i = set.iter().position(|w| w.valid && w.tag == line.0)?;
+            Some(range.start + i)
+        }
+
+        fn peek(&self, line: LineAddr) -> Option<bool> {
+            self.find(line).map(|i| self.ways[i].meta)
+        }
+
+        fn access(&mut self, line: LineAddr) -> Option<&mut ClockWay> {
+            self.tick += 1;
+            let Some(i) = self.find(line) else {
+                self.misses += 1;
+                return None;
+            };
+            self.hits += 1;
+            self.ways[i].lru = self.tick;
+            Some(&mut self.ways[i])
+        }
+
+        fn fill(&mut self, line: LineAddr, meta: bool) -> Option<Victim> {
+            self.tick += 1;
+            let new = ClockWay {
+                tag: line.0,
+                lru: self.tick,
+                meta,
+                valid: true,
+            };
+            let range = self.set_range(line);
+            let set = &mut self.ways[range];
+            if let Some(w) = set.iter_mut().find(|w| !w.valid) {
+                *w = new;
+                return None;
+            }
+            let w = set.iter_mut().min_by_key(|w| w.lru).unwrap();
+            let victim = Victim {
+                line: LineAddr(w.tag),
+                meta: w.meta,
+            };
+            *w = new;
+            Some(victim)
+        }
+
+        fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
+            let i = self.find(line)?;
+            let w = &mut self.ways[i];
+            w.valid = false;
+            Some(w.meta)
+        }
+
+        fn resident(&self) -> Vec<(u64, bool)> {
+            let mut v: Vec<_> = (self.ways.iter())
+                .filter(|w| w.valid)
+                .map(|w| (w.tag, w.meta))
+                .collect();
+            v.sort_unstable();
+            v
+        }
+    }
+
+    fn resident(c: &Cache) -> Vec<(u64, bool)> {
+        let mut v = Vec::new();
+        c.for_each_line(|l, m| v.push((l.0, m)));
+        v.sort_unstable();
+        v
+    }
+
+    /// Random access / fill / invalidate / metadata writes on both
+    /// arrays, compared step by step: every hit and its metadata, every
+    /// victim, every invalidation, and the whole resident set.
     #[test]
-    fn hit_rate_math() {
-        let mut c = small();
-        assert_eq!(c.hit_rate(), 0.0);
-        c.access(LineAddr(0));
-        c.fill(LineAddr(0), 0);
-        c.access(LineAddr(0));
-        c.access(LineAddr(0));
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    fn rank_lru_matches_the_tick_clock_step_for_step() {
+        for ways in [1usize, 2, 4, 8, 16] {
+            let geo = CacheGeometry { sets: 4, ways };
+            let (mut c, mut o) = (Cache::new(geo), ClockCache::new(geo));
+            // Three lines a way compete for each set; the high bit keeps
+            // the meta bit's neighbour in play.
+            let pool = (3 * 4 * ways) as u64;
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ ways as u64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let (mut hits, mut victims) = (0u32, 0u32);
+            for step in 0..20_000 {
+                let r = next();
+                let line = LineAddr(((r >> 8) % pool) | (((r >> 40) & 1) << 57));
+                let meta = (r >> 50) & 1 != 0;
+                match r % 8 {
+                    0 => assert_eq!(c.invalidate(line), o.invalidate(line), "step {step}"),
+                    1 => {
+                        let got = c.access(line).map(|mut w| {
+                            w.set_meta(meta);
+                            w.meta()
+                        });
+                        let want = o.access(line).map(|w| {
+                            w.meta = meta;
+                            w.meta
+                        });
+                        assert_eq!(got, want, "step {step}");
+                    }
+                    _ => {
+                        let got = c.access(line).map(|w| w.meta());
+                        let want = o.access(line).map(|w| w.meta);
+                        assert_eq!(got, want, "step {step}");
+                        if got.is_some() {
+                            hits += 1;
+                        } else {
+                            let v = c.fill(line, meta);
+                            assert_eq!(v, o.fill(line, meta), "step {step}");
+                            victims += v.is_some() as u32;
+                        }
+                    }
+                }
+                assert_eq!(c.peek(line), o.peek(line), "step {step}");
+                assert_eq!(resident(&c), o.resident(), "{ways} ways, step {step}");
+            }
+            assert_eq!((c.hits(), c.misses()), (o.hits, o.misses));
+            assert!(
+                hits > 1000 && victims > 1000,
+                "{ways} ways: {hits} hits, {victims} victims"
+            );
+        }
     }
 }

@@ -101,19 +101,6 @@ impl CmpConfig {
     }
 }
 
-/// Per-line L1 metadata.
-#[derive(Clone, Copy, Debug, Default)]
-struct L1Meta {
-    /// Modified (M) vs shared (S).
-    m: bool,
-}
-
-/// Per-line L2 slice metadata.
-#[derive(Clone, Copy, Debug, Default)]
-struct L2Meta {
-    dirty: bool,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum CoreStatus {
     Ready,
@@ -204,8 +191,10 @@ pub struct CmpSim {
     net: Box<dyn NetworkModel>,
     q: EventQueue<Ev>,
     cores: Vec<CoreState>,
-    l1: Vec<Cache<L1Meta>>,
-    l2: Vec<Cache<L2Meta>>,
+    /// Private L1s; a line's metadata bit is modified (M) vs shared (S).
+    l1: Vec<Cache>,
+    /// Shared L2 slices; a line's metadata bit is dirty.
+    l2: Vec<Cache>,
     dir: FxHashMap<u64, DirState>,
     busy: FxHashMap<u64, Txn>,
     queued: FxHashMap<u64, VecDeque<QueuedReq>>,
@@ -472,20 +461,20 @@ impl CmpSim {
     /// unique registered owner; every S line is a registered sharer.
     fn validate_coherence(&self) {
         for (core, l1) in self.l1.iter().enumerate() {
-            l1.for_each_line(|line, meta| match self.dir.get(&line.0) {
+            l1.for_each_line(|line, modified| match self.dir.get(&line.0) {
                 Some(DirState::Modified(o)) => {
                     assert_eq!(
                         *o as usize, core,
                         "L1 {core} holds {line:?} but dir owner is {o}"
                     );
-                    assert!(meta.m, "owner's copy of {line:?} lost M state");
+                    assert!(modified, "owner's copy of {line:?} lost M state");
                 }
                 Some(DirState::Shared(s)) => {
                     assert!(
                         s.contains(core),
                         "L1 {core} holds {line:?} but is not a registered sharer"
                     );
-                    assert!(!meta.m, "shared copy of {line:?} is dirty in L1 {core}");
+                    assert!(!modified, "shared copy of {line:?} is dirty in L1 {core}");
                 }
                 other => panic!("L1 {core} holds {line:?} but dir says {other:?}"),
             });
@@ -537,11 +526,11 @@ impl CmpSim {
                     }
                     let line = LineAddr::of_byte(addr);
                     t += self.cyc(self.cfg.l1_hit_cycles);
-                    let hit_state = self.l1[c].access(line).map(|m| {
+                    let hit_state = self.l1[c].access(line).map(|w| {
                         if store {
                             // store hit in M stays M; in S it must
-                            // upgrade (handled below via `m` flag)
-                            m.m
+                            // upgrade (handled below via the M bit)
+                            w.meta()
                         } else {
                             true // load hit in any state is fine
                         }
@@ -763,11 +752,11 @@ impl CmpSim {
         self.miss_lat_count += 1;
         self.cores[c].wait_fill += waited;
         let t = at + self.cyc(self.cfg.l1_fill_cycles);
-        if let Some(meta) = self.l1[c].access(line) {
+        if let Some(mut w) = self.l1[c].access(line) {
             // Upgrade of a line still resident.
-            meta.m = grant_m;
-        } else if let Some(victim) = self.l1[c].fill(line, L1Meta { m: grant_m }) {
-            if victim.meta.m {
+            w.set_meta(grant_m);
+        } else if let Some(victim) = self.l1[c].fill(line, grant_m) {
+            if victim.meta {
                 let home = self.home(victim.line);
                 self.send(
                     hook,
@@ -1014,12 +1003,14 @@ impl CmpSim {
         dep: MsgId,
     ) {
         let home = self.home(line);
-        if let Some(meta) = self.l2[home].access(line) {
-            meta.dirty |= dirty;
+        if let Some(mut w) = self.l2[home].access(line) {
+            if dirty {
+                w.set_meta(true);
+            }
             return;
         }
-        if let Some(victim) = self.l2[home].fill(line, L2Meta { dirty }) {
-            if victim.meta.dirty {
+        if let Some(victim) = self.l2[home].fill(line, dirty) {
+            if victim.meta {
                 let (_, mc_node) = self.mem_ctrl_of(victim.line);
                 self.send(
                     hook,

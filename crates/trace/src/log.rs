@@ -16,7 +16,7 @@
 
 use crate::pages::Pages;
 use crate::replay::{GateBuilder, GatePlan, PlanRow};
-use sctm_cmp::protocol::{InjectRecord, TraceHook};
+use sctm_cmp::protocol::{kind_label, InjectRecord, TraceHook, KIND_OTHER};
 use sctm_engine::net::{Message, MsgId};
 use sctm_engine::time::SimTime;
 use std::collections::VecDeque;
@@ -69,7 +69,7 @@ pub(crate) struct Columns {
     pub dep_ids: Vec<u32>,
     /// Previous message decided by the same source ([`NONE`] = first).
     pub prev: Vec<u32>,
-    /// Protocol kind tag (see [`crate::sctf::kind_label`]).
+    /// Protocol kind tag (see [`kind_label`]).
     pub kind: Vec<u8>,
 }
 
@@ -148,7 +148,7 @@ impl TraceLog {
             cols.dep_ids.extend(deps.iter().map(|&d| col_id(d)));
             cols.dep_off.push(cols.dep_ids.len() as u32);
             cols.prev.push(prev.map_or(NONE, col_id));
-            cols.kind.push(crate::sctf::KIND_OTHER);
+            cols.kind.push(KIND_OTHER);
         }
         TraceLog::from_columns(cols, capture_net, capture_exec_time, None)
     }
@@ -255,7 +255,7 @@ impl TraceLog {
     /// Protocol kind label of record `i` (diagnostics only).
     #[inline]
     pub fn kind(&self, i: usize) -> &'static str {
-        crate::sctf::kind_label(self.kind[i])
+        kind_label(self.kind[i])
     }
 
     /// The kind-tag column behind [`TraceLog::kind`].
@@ -761,7 +761,7 @@ impl TraceHook for Capture {
         raw.dep_off.push(raw.dep_ids.len() as u32);
         raw.prev.push(rec.prev_same_src.map_or(NONE, col_id));
         if self.columns {
-            raw.kind.push(crate::sctf::kind_tag(rec.kind));
+            raw.kind.push(rec.kind.min(KIND_OTHER));
         }
     }
 
@@ -1088,7 +1088,7 @@ mod tests {
             at: SimTime::from_ps(at),
             deps,
             prev_same_src: prev.map(MsgId),
-            kind: "GetS",
+            kind: 0, // GetS
         }
     }
 
@@ -1296,7 +1296,7 @@ mod tests {
 
     /// One `on_inject` call: message, instant, dependencies, `prev`,
     /// kind.
-    type Injected = (Message, SimTime, Vec<MsgId>, Option<MsgId>, &'static str);
+    type Injected = (Message, SimTime, Vec<MsgId>, Option<MsgId>, u8);
 
     /// Every call one capture hook saw, in order, so the same capture
     /// can be fed to more than one hook.
@@ -1349,7 +1349,7 @@ mod tests {
                         at: *at,
                         deps,
                         prev_same_src: *prev,
-                        kind,
+                        kind: *kind,
                     });
                 }
                 for &(id, at) in &self.delivers[d..to_d.min(self.delivers.len())] {
@@ -1388,7 +1388,7 @@ mod tests {
             cols.dep_ids.extend(deps.iter().map(|d| renum[&d.0]));
             cols.dep_off.push(cols.dep_ids.len() as u32);
             cols.prev.push(prev.map_or(NONE, |p| renum[&p.0]));
-            cols.kind.push(crate::sctf::kind_tag(kind));
+            cols.kind.push(kind);
         }
         let mut delivers: Vec<(SimTime, u32)> = (calls.delivers.iter())
             .map(|&(id, at)| (at, renum[&id.0]))
@@ -1407,7 +1407,7 @@ mod tests {
     /// lands in the wrong slot, or beside another row's column entry,
     /// shows.
     fn calls_of(keys: &[(SimTime, u32)]) -> Calls {
-        const KINDS: [&str; 3] = ["GetS", "Data", "Inv"];
+        const KINDS: [u8; 3] = [0, 2, 6]; // GetS, Data, Inv
         let mut calls = Calls::default();
         for (k, &(at, id)) in keys.iter().enumerate() {
             let deps: Vec<MsgId> = (1..=k % 3)

@@ -48,6 +48,7 @@
 
 use crate::log::{Columns, TraceLog, TraceRecord, NONE};
 use crate::persist::TraceError;
+use sctm_cmp::protocol::KIND_OTHER;
 use sctm_engine::net::{Message, MsgClass, MsgId, NodeId};
 use sctm_engine::time::SimTime;
 use std::path::Path;
@@ -106,26 +107,6 @@ const _: () = assert!(PREV_NONE == NONE);
 /// Network labels by tag byte; must stay append-only across versions.
 const NET_LABELS: [&str; 6] = ["analytic", "emesh", "omesh", "oxbar", "hybrid", "unknown"];
 
-/// Protocol-kind labels by tag byte; append-only, `other` last. The
-/// tag is also what a [`TraceLog`] holds per record in memory.
-const KIND_LABELS: [&str; 15] = [
-    "GetS",
-    "GetX",
-    "Data",
-    "UpgAck",
-    "Fetch",
-    "FetchMiss",
-    "Inv",
-    "InvAck",
-    "WbData",
-    "MemReq",
-    "MemResp",
-    "WbMem",
-    "BarArrive",
-    "BarRelease",
-    "other",
-];
-
 fn net_tag(label: &str) -> u8 {
     NET_LABELS
         .iter()
@@ -135,20 +116,6 @@ fn net_tag(label: &str) -> u8 {
 
 fn net_label(tag: u8) -> &'static str {
     NET_LABELS.get(tag as usize).copied().unwrap_or("unknown")
-}
-
-/// Tag of the catch-all `other` kind.
-pub(crate) const KIND_OTHER: u8 = (KIND_LABELS.len() - 1) as u8;
-
-pub(crate) fn kind_tag(label: &str) -> u8 {
-    KIND_LABELS
-        .iter()
-        .position(|&l| l == label)
-        .map_or(KIND_OTHER, |t| t as u8)
-}
-
-pub(crate) fn kind_label(tag: u8) -> &'static str {
-    KIND_LABELS[tag.min(KIND_OTHER) as usize]
 }
 
 // ---------------------------------------------------------------------
@@ -905,7 +872,7 @@ mod tests {
             at: SimTime::from_ps(100),
             deps: &[],
             prev_same_src: None,
-            kind: "GetS",
+            kind: 0, // GetS
         });
         cap.on_deliver(MsgId(0), SimTime::from_ps(900));
         cap.on_inject(InjectRecord {
@@ -913,7 +880,7 @@ mod tests {
             at: SimTime::from_ps(1100),
             deps: &[MsgId(0)],
             prev_same_src: None,
-            kind: "Data",
+            kind: 2, // Data
         });
         cap.on_deliver(MsgId(1), SimTime::from_ps(2400));
         cap.finish("analytic", SimTime::from_ps(3000))

@@ -5,7 +5,9 @@
 //! This file is its own test binary with one `#[test]`: the counter is
 //! process-wide, and a second test thread would allocate into it.
 //!
-//! Two lifetimes are pinned (DESIGN.md §7, "What the loop holds when"):
+//! Two lifetimes are pinned (DESIGN.md §7, "What the loop holds when"),
+//! and the width of a cache way, the largest thing a capture's
+//! simulator allocates:
 //!
 //! * the loop keeps **one** trace resident — iteration k's log and
 //!   replay result are freed before capture k+1 allocates its own — so
@@ -13,8 +15,11 @@
 //!   plus a second trace;
 //! * a capture drops its simulator before `Capture::finish`, which
 //!   canonicalises the fixed-size columns in place, so one capture's
-//!   transient is bounded by a small multiple of the log it returns.
+//!   transient is bounded by a small multiple of the log it returns;
+//! * a way of an L1 or L2 tag array costs 9 bytes: a tag word and a
+//!   recency rank.
 
+use sctm::cmp::{Cache, CacheGeometry};
 use sctm::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -79,6 +84,17 @@ const MIB: f64 = (1 << 20) as f64;
 
 #[test]
 fn one_trace_resident_written_once() {
+    // The default L1 and L2-slice geometries: 32 KiB 4-way, 256 KiB
+    // 8-way. At 64 cores 9 bytes a way is 2.65 MB of tags; 24 was 7.08.
+    for (bytes, ways) in [(32 << 10, 4), (256 << 10, 8)] {
+        let geo = CacheGeometry::from_capacity(bytes, ways);
+        let (cache_bytes, _cache) = peak_of(|| Cache::new(geo));
+        assert!(
+            cache_bytes <= 9 * geo.sets * geo.ways,
+            "a {ways}-way cache way grew to {:.2} bytes",
+            cache_bytes as f64 / (geo.sets * geo.ways) as f64
+        );
+    }
     let exp = Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), Kernel::Fft)
         .with_ops(600)
         .with_seed(1);
@@ -103,7 +119,8 @@ fn one_trace_resident_written_once() {
     // (log, result) alive under capture k+1 the loop peaked at 8.72 MiB;
     // freeing them first, at 5.39; streaming each capture into its pass
     // with 40-byte rows, at 4.90-5.07; with the pass's 8-byte rows, at
-    // 4.00-4.06 against 4.25 + 0.21. The allowance is the replay arena
+    // 4.00-4.06 against 4.25 + 0.21; with 9-byte cache ways, at
+    // 3.01-3.11 against 3.20 + 0.21. The allowance is the replay arena
     // less what a streamed capture does not build, plus a 0.4 MiB margin
     // for how capture and pass interleave.
     assert!(
@@ -113,9 +130,11 @@ fn one_trace_resident_written_once() {
     );
     // Gathering into a second set of columns with the simulator still
     // alive, a capture peaked at 4.12 x the log it returned; dropping
-    // the simulator first and permuting in place, 2.98 x.
+    // the simulator first and permuting in place, 2.98 x; with 9-byte
+    // cache ways in place of 24-byte ones, 2.24 x (3.20 MiB). The bound
+    // leaves 0.16 x the log (0.23 MiB) of margin.
     assert!(
-        capture_peak as f64 <= 3.4 * log_bytes as f64,
+        capture_peak as f64 <= 2.4 * log_bytes as f64,
         "a capture's transient grew: peak {capture_peak} B for a {log_bytes} B log"
     );
 }

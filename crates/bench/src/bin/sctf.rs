@@ -17,6 +17,7 @@
 //! a captured trace still replays bit-identically.
 
 use sctm_core::{Experiment, NetworkKind, SystemConfig};
+use sctm_engine::hash::Fnv1a;
 use sctm_engine::net::MsgClass;
 use sctm_trace::sctf::{from_sctf_bytes, to_sctf_bytes};
 use sctm_trace::{
@@ -98,18 +99,11 @@ fn infer_side(log: &TraceLog) -> usize {
 /// instant in dense id order, then the estimate. One flipped
 /// picosecond anywhere changes the digest.
 fn timeline_digest(r: &ReplayResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::default();
     for t in r.inject.iter().chain(r.deliver.iter()) {
-        eat(t.as_ps());
+        h.u64(t.as_ps());
     }
-    eat(r.est_exec_time.as_ps());
-    h
+    h.u64(r.est_exec_time.as_ps()).finish()
 }
 
 fn cmd_capture(args: &[String]) {

@@ -736,6 +736,7 @@ pub fn p10_trace_format(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sctm_engine::hash::fnv1a;
 
     // Shape tests run everything at quick scale. They are the
     // regeneration check for every table/figure: not absolute numbers,
@@ -794,9 +795,7 @@ mod tests {
         };
         assert!(lat("emesh", 0.04) >= lat("emesh", 0.01));
         // Every row, every network: the FNV-1a of the whole CSV.
-        let fnv = csv.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        });
+        let fnv = fnv1a(csv.as_bytes());
         assert_eq!(fnv, 0x0b50_8ef2_2ab5_2237, "e6 quick csv changed:\n{csv}");
     }
 
@@ -806,9 +805,7 @@ mod tests {
     #[test]
     fn a1_quick_csv_is_pinned() {
         let csv = a1_ablation(Scale::Quick).to_csv();
-        let fnv = csv.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        });
+        let fnv = fnv1a(csv.as_bytes());
         assert_eq!(fnv, 0x5e8a_ebb8_8643_38d9, "a1 quick csv changed:\n{csv}");
     }
 

@@ -55,17 +55,6 @@ pub struct IterStats {
     pub messages: u64,
 }
 
-impl RunReport {
-    /// Simulation speed: simulated nanoseconds per host millisecond.
-    pub fn sim_speed(&self) -> f64 {
-        let wall_ms = self.wall.as_secs_f64() * 1e3;
-        if wall_ms <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.exec_time.as_ns_f64() / wall_ms
-    }
-}
-
 /// Error of an estimate against an execution-driven reference.
 #[derive(Clone, Copy, Debug)]
 pub struct Accuracy {
@@ -126,11 +115,5 @@ mod tests {
         assert_eq!(a.exec_time_err_pct, 0.0);
         assert_eq!(a.ctrl_lat_err_pct, 0.0);
         assert_eq!(a.data_lat_err_pct, 0.0);
-    }
-
-    #[test]
-    fn sim_speed() {
-        let r = report(2_000_000, 0.0, 0.0, 200); // 2 ms simulated in 200 ms
-        assert!((r.sim_speed() - 10_000.0).abs() < 1e-6);
     }
 }

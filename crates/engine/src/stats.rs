@@ -308,15 +308,6 @@ pub fn rel_err_pct(measured: f64, reference: f64) -> f64 {
     }
 }
 
-/// Geometric mean of positive values; 0 if empty.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs.iter().map(|&x| x.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,12 +492,5 @@ mod tests {
         assert_eq!(rel_err_pct(0.0, 0.0), 0.0);
         assert!(rel_err_pct(1.0, 0.0).is_infinite());
         assert!((rel_err_pct(90.0, 100.0) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_cases() {
-        assert_eq!(geomean(&[]), 0.0);
-        assert!((geomean(&[4.0, 9.0]) - 6.0).abs() < 1e-12);
-        assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
     }
 }

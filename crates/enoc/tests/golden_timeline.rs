@@ -20,36 +20,29 @@
 //! two drivers — `drain`, and `advance_until` in one-cycle steps — which
 //! must agree with each other and with the constant.
 
+use sctm_engine::hash::Fnv1a;
 use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
 use sctm_engine::stats::Histogram;
 use sctm_engine::time::SimTime;
 use sctm_enoc::{NocConfig, NocSim, Topology};
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn hist(&mut self, h: &Histogram) {
-        self.u64(h.count());
-        self.u64(h.sum() as u64);
-        self.u64((h.sum() >> 64) as u64);
-        self.u64(h.min());
-        self.u64(h.max());
-        self.u64(h.p50());
-        self.u64(h.p99());
+fn hist(h: &mut Fnv1a, hist: &Histogram) {
+    for v in [
+        hist.count(),
+        hist.sum() as u64,
+        (hist.sum() >> 64) as u64,
+        hist.min(),
+        hist.max(),
+        hist.p50(),
+        hist.p99(),
+    ] {
+        h.u64(v);
     }
 }
 
 fn digest(sim: &NocSim, out: &[Delivery]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     for d in out {
         h.u64(d.msg.id.0);
         h.u64(d.injected_at.as_ps());
@@ -62,9 +55,9 @@ fn digest(sim: &NocSim, out: &[Delivery]) -> u64 {
     h.u64(s.bytes_delivered);
     // Where the deleted `NetStats::energy_pj` (never written) was hashed.
     h.u64(0f64.to_bits());
-    h.hist(&s.ctrl_latency_ps);
-    h.hist(&s.data_latency_ps);
-    h.0
+    hist(&mut h, &s.ctrl_latency_ps);
+    hist(&mut h, &s.data_latency_ps);
+    h.finish()
 }
 
 const SIDE: usize = 4;

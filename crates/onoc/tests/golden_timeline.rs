@@ -18,6 +18,7 @@
 //! return under the first driver and the last delivery under the second,
 //! so the agreement also pins "a model goes quiet at its last delivery".
 
+use sctm_engine::hash::Fnv1a;
 use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::rng::StreamRng;
 use sctm_engine::stats::Histogram;
@@ -26,30 +27,22 @@ use sctm_onoc::{
     HybridConfig, HybridSim, ObusConfig, ObusSim, OmeshConfig, OmeshSim, OxbarConfig, OxbarSim,
 };
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn hist(&mut self, h: &Histogram) {
-        self.u64(h.count());
-        self.u64(h.sum() as u64);
-        self.u64((h.sum() >> 64) as u64);
-        self.u64(h.min());
-        self.u64(h.max());
-        self.u64(h.p50());
-        self.u64(h.p99());
+fn hist(h: &mut Fnv1a, hist: &Histogram) {
+    for v in [
+        hist.count(),
+        hist.sum() as u64,
+        (hist.sum() >> 64) as u64,
+        hist.min(),
+        hist.max(),
+        hist.p50(),
+        hist.p99(),
+    ] {
+        h.u64(v);
     }
 }
 
 fn digest(sim: &dyn NetworkModel, out: &[Delivery], end: SimTime) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     for d in out {
         h.u64(d.msg.id.0);
         h.u64(d.delivered_at.as_ps());
@@ -60,9 +53,9 @@ fn digest(sim: &dyn NetworkModel, out: &[Delivery], end: SimTime) -> u64 {
     h.u64(s.delivered);
     h.u64(s.bytes_delivered);
     h.u64(0f64.to_bits());
-    h.hist(&s.ctrl_latency_ps);
-    h.hist(&s.data_latency_ps);
-    h.0
+    hist(&mut h, &s.ctrl_latency_ps);
+    hist(&mut h, &s.data_latency_ps);
+    h.finish()
 }
 
 fn msg(id: u64, src: u32, dst: u32, class: MsgClass, bytes: u32) -> Message {

@@ -32,6 +32,7 @@
 //!   same key, then goes first.
 
 use sctm_core::trace::{GatePlan, TraceLog};
+use sctm_engine::hash::fnv1a;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -44,13 +45,7 @@ impl CaptureKey {
     /// FNV-1a over the canonical `kernel|side|ops|seed` string. The
     /// label keeps the hash stable across enum reorderings.
     pub fn new(kernel: &str, side: usize, ops: usize, seed: u64) -> Self {
-        let text = format!("{kernel}|{side}|{ops}|{seed}");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        CaptureKey(h)
+        CaptureKey(fnv1a(format!("{kernel}|{side}|{ops}|{seed}").as_bytes()))
     }
 }
 

@@ -13,6 +13,13 @@
 //! uses the full dependency DAG. Capturing everything once and
 //! down-sampling knowledge per engine is what makes the accuracy
 //! comparison (experiment E3) apples-to-apples.
+//!
+//! A log has one row order: row `i` is the `i`-th departure by
+//! `(t_inject, id)`, so a message's id is its place among departures.
+//! A capture numbers its rows that way as it runs ([`Capture`],
+//! [`StreamCapture`]), sctf keeps the numbering, and every replay engine
+//! walks ids as departures. A log out of that order is invalid input:
+//! [`TraceLog::validate`] and the sctf decoder reject it.
 
 use crate::pages::Pages;
 use crate::replay::{GateBuilder, GatePlan, PlanRow};
@@ -92,14 +99,15 @@ impl Columns {
 /// A complete captured trace.
 ///
 /// Rows in dense id order (`MsgId(i)` ↔ `records[i]`) plus flat
-/// columns for what replay does not read. Two orders over the rows are
-/// part of the log, derived once when it is built and true for its
-/// whole life: the **arrival order** (ids by `(t_deliver, id)`), which
-/// every gated pass walks to pair departures with arrivals, and the
-/// **departure order** (ids by `(t_inject, id)`), which for a captured
-/// log is the id order itself. What the gated replay pass derives from
-/// the rows ([`GatePlan`]) is memoised beside them on first use, for the
-/// same reason the orders can be: rows never change once the log is
+/// columns for what replay does not read. Id order is departure order:
+/// row `i` is the `i`-th departure by `(t_inject, id)`, which is how a
+/// capture numbers its rows, and a log out of that order is invalid
+/// ([`TraceLog::validate`]). The one other order over the rows is the
+/// **arrival order** (ids by `(t_deliver, id)`), which every gated pass
+/// walks to pair departures with arrivals; it is derived once when the
+/// log is built. What the gated replay pass derives from the rows
+/// ([`GatePlan`]) is memoised beside them on first use, for the same
+/// reason the arrival order can be: rows never change once the log is
 /// built, so none of it can go stale.
 #[derive(Clone, Debug)]
 pub struct TraceLog {
@@ -115,9 +123,6 @@ pub struct TraceLog {
     kind: Vec<u8>,
     /// Ids sorted by `(t_deliver, id)`.
     arrival: Vec<u32>,
-    /// Ids sorted by `(t_inject, id)`; empty when that is `0..n`, as
-    /// it is for every log out of [`Capture::finish`].
-    departure: Vec<u32>,
     /// One past the largest node id any record names.
     nodes: usize,
     /// See [`TraceLog::gate_plan`]. Clones of the log share it.
@@ -126,18 +131,19 @@ pub struct TraceLog {
 
 impl Default for TraceLog {
     fn default() -> Self {
-        TraceLog::from_rows("", SimTime::ZERO, [])
+        TraceLog::from_columns(Columns::with_capacity(0, 0), "", SimTime::ZERO, None)
     }
 }
 
 impl TraceLog {
     /// Build a log from hand-written rows: each record with its
     /// dependencies (original order) and the previous message its
-    /// source decided, if any. Row `i` must carry `MsgId(i)`; that and
-    /// the causality rules are [`TraceLog::validate`]'s to check, so
-    /// tests can build a broken log and watch it be rejected. Protocol
-    /// kind is `other` throughout.
-    pub fn from_rows(
+    /// source decided, if any. Row `i` must carry `MsgId(i)`; that, the
+    /// row order and the causality rules are [`TraceLog::validate`]'s
+    /// to check, so tests can build a broken log and watch it be
+    /// rejected. Protocol kind is `other` throughout.
+    #[cfg(test)]
+    pub(crate) fn from_rows(
         capture_net: &'static str,
         capture_exec_time: SimTime,
         rows: impl IntoIterator<Item = (TraceRecord, Vec<MsgId>, Option<MsgId>)>,
@@ -179,20 +185,11 @@ impl TraceLog {
             dep_off[0] == 0 && dep_off[n] as usize == dep_ids.len(),
             "dependency offsets do not cover the arena"
         );
-        let mut nodes = 0usize;
-        let mut canonical = true;
-        let mut last = SimTime::ZERO;
-        for r in &records {
-            nodes = nodes.max(r.msg.src.idx() + 1).max(r.msg.dst.idx() + 1);
-            canonical &= last <= r.t_inject;
-            last = r.t_inject;
-        }
-        let arrival = arrival.unwrap_or_else(|| ids_by_time(&records, |r| r.t_deliver));
-        let departure = if canonical {
-            Vec::new()
-        } else {
-            ids_by_time(&records, |r| r.t_inject)
-        };
+        let nodes = (records.iter())
+            .map(|r| r.msg.src.idx().max(r.msg.dst.idx()) + 1)
+            .max()
+            .unwrap_or(0);
+        let arrival = arrival.unwrap_or_else(|| arrival_order(&records));
         TraceLog {
             records: Rows(records),
             capture_net,
@@ -202,7 +199,6 @@ impl TraceLog {
             prev,
             kind,
             arrival,
-            departure,
             nodes,
             plan: OnceLock::new(),
         }
@@ -280,8 +276,8 @@ impl TraceLog {
         self.plan.get_or_init(|| Arc::new(GatePlan::of(self)))
     }
 
-    /// Heap-resident size of this log: rows, columns and the two
-    /// orders. This is what holding the parsed form in memory costs —
+    /// Heap-resident size of this log: rows, columns and the arrival
+    /// order. This is what holding the parsed form in memory costs —
     /// the baseline the sctf container's residency is measured against.
     /// The memoised plan is not in it; a holder that replays the log
     /// adds [`GatePlan::bytes_for`] of its length.
@@ -292,8 +288,7 @@ impl TraceLog {
                 * (self.dep_off.capacity()
                     + self.dep_ids.capacity()
                     + self.prev.capacity()
-                    + self.arrival.capacity()
-                    + self.departure.capacity())
+                    + self.arrival.capacity())
             + self.kind.capacity()
     }
 
@@ -318,31 +313,22 @@ impl TraceLog {
         if self.dep_off.windows(2).any(|w| w[0] > w[1]) {
             return Err("dependency offsets not monotone".into());
         }
-        let sorted_permutation = |order: &[u32], time: fn(&TraceRecord) -> SimTime| {
-            // n distinct in-range ids in strictly ascending key order
-            // are exactly the sorted permutation.
-            order.len() == n
-                && order.iter().all(|&i| (i as usize) < n)
-                && order.windows(2).all(|w| {
-                    (time(&self.records[w[0] as usize]), w[0])
-                        < (time(&self.records[w[1] as usize]), w[1])
-                })
-        };
-        if !sorted_permutation(&self.arrival, |r| r.t_deliver) {
-            return Err("arrival order is not the ids sorted by (t_deliver, id)".into());
-        }
-        let in_id_order = self
-            .records
-            .windows(2)
-            .all(|w| w[0].t_inject <= w[1].t_inject);
-        if in_id_order != self.departure.is_empty()
-            || !(in_id_order || sorted_permutation(&self.departure, |r| r.t_inject))
+        // n distinct in-range ids in strictly ascending key order are
+        // exactly the sorted permutation.
+        let arrival = &self.arrival;
+        let at = |i: u32| (self.records[i as usize].t_deliver, i);
+        if arrival.len() != n
+            || arrival.iter().any(|&i| i as usize >= n)
+            || arrival.windows(2).any(|w| at(w[0]) >= at(w[1]))
         {
-            return Err("departure order is not the ids sorted by (t_inject, id)".into());
+            return Err("arrival order is not the ids sorted by (t_deliver, id)".into());
         }
         for (i, r) in self.records.iter().enumerate() {
             if r.msg.id.0 as usize != i {
                 return Err(format!("record {i} has id {:?}", r.msg.id));
+            }
+            if i > 0 && r.t_inject < self.records[i - 1].t_inject {
+                return Err(format!("msg {i} injected before msg {}", i - 1));
             }
             if r.msg.src.idx() >= self.nodes || r.msg.dst.idx() >= self.nodes {
                 return Err(format!("msg {i} names a node past the node bound"));
@@ -389,15 +375,6 @@ impl TraceLog {
         });
         gates
     }
-
-    /// Visit every record index in `(t_inject, id)` order.
-    pub(crate) fn for_each_departure(&self, f: &mut impl FnMut(usize)) {
-        if self.departure.is_empty() {
-            (0..self.records.len()).for_each(f);
-        } else {
-            self.departure.iter().for_each(|&i| f(i as usize));
-        }
-    }
 }
 
 /// Two logs are the same trace when their rows, dependency lists,
@@ -417,14 +394,14 @@ impl PartialEq for TraceLog {
 
 impl Eq for TraceLog {}
 
-/// Row indices sorted by `(time, index)`. Sorts the keys themselves
-/// rather than indices through the rows: an index sort pays a cache
-/// miss per comparison at fft-64 scale.
-fn ids_by_time(records: &[TraceRecord], time: impl Fn(&TraceRecord) -> SimTime) -> Vec<u32> {
+/// Row indices sorted by `(t_deliver, index)`. Sorts the keys
+/// themselves rather than indices through the rows: an index sort pays
+/// a cache miss per comparison at fft-64 scale.
+fn arrival_order(records: &[TraceRecord]) -> Vec<u32> {
     let mut keyed: Vec<(SimTime, u32)> = records
         .iter()
         .enumerate()
-        .map(|(i, r)| (time(r), i as u32))
+        .map(|(i, r)| (r.t_deliver, i as u32))
         .collect();
     // (time, index) is unique per record → unstable sort is exact.
     keyed.sort_unstable();
@@ -1009,26 +986,35 @@ mod tests {
         assert!(broken(|l| l.arrival[1] = 0).is_err(), "not a permutation");
         assert!(broken(|l| l.arrival[1] = 9).is_err(), "out of range");
         assert!(broken(|l| l.arrival.truncate(2)).is_err(), "short");
-        assert!(
-            broken(|l| l.departure = vec![0, 1, 2]).is_err(),
-            "redundant"
-        );
         assert!(broken(|l| l.dep_off[1] = 2).is_err(), "not monotone");
         assert!(broken(|l| l.dep_off[3] = 1).is_err(), "not covering");
         assert!(broken(|l| l.prev.truncate(2)).is_err(), "short column");
         assert!(broken(|l| l.nodes = 1).is_err(), "node bound");
-        // A log out of id order must carry its departure order.
-        let mut log = log_of(
+    }
+
+    /// Row `i` is the `i`-th departure: a log whose ids do not follow
+    /// injection time is not a trace any replay engine reads, however
+    /// causal its rows are one by one.
+    #[test]
+    fn validate_rejects_rows_out_of_departure_order() {
+        let log = log_of(
             600,
             vec![
                 mk_rec(0, 0, 1, 500, 600, vec![]),
                 mk_rec(1, 0, 1, 100, 200, vec![]),
+                mk_rec(2, 1, 0, 50, 80, vec![]),
             ],
         );
-        assert_eq!(log.validate(), Ok(()));
-        assert_eq!(log.departure, vec![1, 0]);
-        log.departure.clear();
-        assert!(log.validate().is_err());
+        assert_eq!(log.validate(), Err("msg 1 injected before msg 0".into()));
+        // Equal instants are in order: ties go by id.
+        let tied = log_of(
+            600,
+            vec![
+                mk_rec(0, 0, 1, 100, 600, vec![]),
+                mk_rec(1, 1, 0, 100, 200, vec![]),
+            ],
+        );
+        assert_eq!(tied.validate(), Ok(()));
     }
 
     #[test]
@@ -1051,25 +1037,6 @@ mod tests {
             ],
         );
         assert_eq!(log.arrival_gates()[1], Some(MsgId(0)));
-    }
-
-    #[test]
-    fn out_of_id_order_injections_gate_in_departure_order() {
-        let log = log_of(
-            600,
-            vec![
-                mk_rec(0, 0, 1, 500, 600, vec![]),
-                mk_rec(1, 0, 1, 100, 200, vec![]),
-                mk_rec(2, 1, 0, 50, 80, vec![]),
-            ],
-        );
-        // Out of id order, so the gating walks the stored departure
-        // order: msg 1 leaves n0 at 100 having seen msg 2 arrive at 80.
-        assert_eq!(log.arrival_order(), &[2, 1, 0]);
-        assert_eq!(
-            log.arrival_gates(),
-            vec![Some(MsgId(2)), Some(MsgId(2)), None]
-        );
     }
 
     fn msg(id: u64, src: u32, dst: u32, class: MsgClass) -> Message {
@@ -1432,7 +1399,6 @@ mod tests {
 
     fn assert_same_log(got: &TraceLog, want: &TraceLog, what: &str) {
         assert!(got == want, "{what}: not the same trace");
-        assert_eq!(got.departure, want.departure, "{what}: departure order");
         assert_eq!(got.nodes, want.nodes, "{what}: node bound");
     }
 
@@ -1508,7 +1474,6 @@ mod tests {
         let n = log.len();
         let exact =
             n * std::mem::size_of::<TraceRecord>() + 4 * ((n + 1) + log.dep_ids.len() + n + n) + n;
-        assert!(log.departure.is_empty());
         assert_eq!(log.resident_bytes(), exact);
     }
 

@@ -72,14 +72,6 @@ impl OnlineCorrected {
         self.corrections_applied
     }
 
-    /// Mean correction factor currently installed (diagnostics).
-    pub fn mean_factor(&self) -> f64 {
-        if self.factors.is_empty() {
-            return 1.0;
-        }
-        self.factors.values().sum::<f64>() / self.factors.len() as f64
-    }
-
     /// Replay the traffic of the epoch ending at `boundary` through the
     /// shadow network and update the analytic correction table.
     /// Messages already registered for later epochs (future-scheduled
@@ -249,7 +241,6 @@ mod tests {
         net.advance_until(SimTime::from_us(10), &mut out);
         assert_eq!(net.epochs_flushed(), 10);
         assert_eq!(net.corrections_applied(), 0);
-        assert_eq!(net.mean_factor(), 1.0);
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //!    trace-driven method and quantifies how much the gating heuristic
 //!    costs.
 //!
+//! All three read a log's rows in the one order it has: id `i` is the
+//! `i`-th departure by `(t_inject, id)` ([`crate::log`]). Classic
+//! replay injects in id order, and the gate plan pairs departures with
+//! arrivals walking ids, over a whole log and over a streamed capture
+//! alike.
+//!
 //! The gated pass is split along what it reads. Everything derived from
 //! the rows alone — the arrival-gate pairing, the capture-anchored
 //! deltas, the per-source successor chain, the gate→dependants
@@ -276,7 +282,7 @@ impl Store for Paged {
 /// else: read-only while passes run, so any number of them — on any
 /// number of threads — can share one.
 ///
-/// A plan grows a row at a time, in departure order (`GateBuilder`):
+/// A plan grows a row at a time, in id order (`GateBuilder`):
 /// a whole log feeds it every row at once, a streamed capture feeds it
 /// rows as the simulator finalises them. Its size is a function of the
 /// row count alone ([`GatePlan::bytes_for`]), which is what lets the
@@ -384,7 +390,7 @@ impl GateBuilder {
     }
 
     /// Feed the builder all of `log`, calling `row` with each departure
-    /// and its settled row, in departure order.
+    /// and its settled row, in id order (which is departure order).
     pub(crate) fn feed_whole(&mut self, log: &TraceLog, mut row: impl FnMut(usize, PlanRow)) {
         let recs = &log.records[..];
         for v in [&mut self.last_arrival, &mut self.src_last] {
@@ -392,15 +398,14 @@ impl GateBuilder {
             v.resize(log.nodes(), (NONE, SimTime::ZERO));
         }
         let mut arrivals = log.arrival_order().iter().peekable();
-        log.for_each_departure(&mut |i| {
-            let r = &recs[i];
+        for (i, r) in recs.iter().enumerate() {
             // An arrival at the departure's instant is seen by it.
             while let Some(&a) = arrivals.next_if(|&&a| recs[a as usize].t_deliver <= r.t_inject) {
                 let ar = &recs[a as usize];
                 self.arrive(a, ar.msg.dst.idx(), ar.t_deliver);
             }
             row(i, self.depart(i as u32, r));
-        });
+        }
     }
 }
 
@@ -749,8 +754,10 @@ pub fn replay_fixed_budgeted(
 ) -> Result<ReplayResult, u64> {
     let n = log.len();
     let inject: Vec<SimTime> = log.records.iter().map(|r| r.t_inject).collect();
-    // In `(t_inject, id)` order, so `inject`'s clamping never fires.
-    log.for_each_departure(&mut |i| net.inject(inject[i], log.records[i].msg));
+    // Ids are departure order, so `inject`'s clamping never fires.
+    for r in log.records.iter() {
+        net.inject(r.t_inject, r.msg);
+    }
     let mut deliver = vec![SimTime::ZERO; n];
     let mut got = 0usize;
     let mut spent = 0u64;

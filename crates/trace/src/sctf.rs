@@ -796,6 +796,9 @@ impl SctfReader {
             if tdel[i] < tinj[i] {
                 return Err(bad(i, "delivered before injection".into()));
             }
+            if i > 0 && tinj[i] < tinj[i - 1] {
+                return Err(bad(i, format!("injected before record {}", i - 1)));
+            }
             match prev[i] {
                 PREV_NONE => {}
                 p if (p as usize) < n => {
@@ -978,9 +981,10 @@ mod tests {
     }
 
     #[test]
-    fn timestamps_survive_non_monotone_logs() {
-        // Hand-built, non-canonical order: deltas go backwards; zigzag
-        // wrapping must still round-trip exactly.
+    fn a_container_out_of_departure_order_is_invalid() {
+        // Hand-built rows whose ids do not follow injection time: the
+        // encoder writes what it is given (zigzag deltas go backwards
+        // and wrap), and the decoder refuses it as a trace.
         let mk = |id: u64, inj: u64, del: u64| {
             let rec = TraceRecord {
                 msg: Message {
@@ -1000,8 +1004,16 @@ mod tests {
             SimTime::from_ps(9000),
             [mk(0, 5000, 6000), mk(1, 10, 20), mk(2, 7000, 7001)],
         );
-        let back = from_sctf_bytes(&to_sctf_bytes(&log)).unwrap();
-        assert_eq!(back, log);
+        let bytes = to_sctf_bytes(&log);
+        let r = SctfReader::from_bytes(&bytes).unwrap();
+        let (tinj, _) = r.decode_times().unwrap();
+        assert_eq!(tinj[1], SimTime::from_ps(10), "timestamps round-trip");
+        assert_eq!(
+            r.to_log(),
+            Err(TraceError::Invalid(
+                "sctf: record 1 injected before record 0".into()
+            ))
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sctm_engine::event::EventQueue;
 use sctm_engine::rng::StreamRng;
-use sctm_engine::stats::{geomean, Histogram, Running};
+use sctm_engine::stats::{Histogram, Running};
 use sctm_engine::time::{Freq, SimTime};
 
 proptest! {
@@ -105,14 +105,5 @@ proptest! {
         let t = f.cycles(n);
         prop_assert_eq!(t, f.period().scaled(n));
         prop_assert_eq!(t.as_ps() / f.period().as_ps(), n);
-    }
-
-    /// Geomean lies within [min, max] of its inputs.
-    #[test]
-    fn geomean_bounded(xs in prop::collection::vec(0.001f64..1e6, 1..50)) {
-        let g = geomean(&xs);
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(0.0f64, f64::max);
-        prop_assert!(g >= lo * 0.999 && g <= hi * 1.001, "geomean {g} outside [{lo}, {hi}]");
     }
 }

@@ -11,14 +11,9 @@
 //! `GOLDEN_PRINT=1 cargo test --test golden_capture -- --nocapture`, and
 //! never to make a change to the capture path pass.
 
+use sctm::engine::hash::fnv1a;
 use sctm::prelude::*;
 use sctm_trace::sctf::to_sctf_bytes;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// `(kernel, mesh side, ops per core, container bytes, FNV-1a)`.
 const GOLDEN: [(Kernel, usize, usize, usize, u64); 4] = [

@@ -18,14 +18,9 @@
 //! `GOLDEN_PRINT=1 cargo test --test golden_loop -- --nocapture`, and
 //! never to make a change to a simulation path pass.
 
+use sctm::engine::hash::fnv1a;
 use sctm::engine::time::SimTime;
 use sctm::prelude::*;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 const SIDE: usize = 4;
 const OPS: usize = 160;

@@ -4,7 +4,7 @@
 //! ```text
 //! sctf capture out.sctf [--side N] [--kernel K] [--ops N] [--seed N]
 //! sctf export trace.sctf trace.csv        # sctm-trace-v1 text view
-//! sctf inspect trace.sctf                 # header + column stats
+//! sctf inspect trace.sctf                 # header + edge count
 //! sctf verify trace.sctf                  # full decode + checksum walk
 //! sctf replay trace.sctf [--net KIND] [--side N] [--engine E]
 //! ```
@@ -15,6 +15,8 @@
 //! count, engine, network, estimated execution time, and an FNV-1a
 //! digest of the full inject/deliver timeline — which CI pins to prove
 //! a captured trace still replays bit-identically.
+
+#![forbid(unsafe_code)]
 
 use sctm_core::{Experiment, NetworkKind, SystemConfig};
 use sctm_engine::hash::Fnv1a;
@@ -182,8 +184,10 @@ fn cmd_inspect(args: &[String]) {
     let pos = positionals(args);
     let [path] = pos[..] else { usage() };
     let r = SctfReader::open(path).unwrap_or_else(|e| fail(&format!("open {path}: {e}")));
+    let log = r
+        .to_log()
+        .unwrap_or_else(|e| fail(&format!("decode {path}: {e}")));
     let n = r.len().max(1);
-    let (doff, stream) = r.deps_csr();
     println!("format          sctf v{}", sctm_trace::sctf::SCTF_VERSION);
     println!("records         {}", r.len());
     println!("capture net     {}", r.capture_net());
@@ -193,21 +197,7 @@ fn cmd_inspect(args: &[String]) {
         r.byte_len(),
         r.byte_len() as f64 / n as f64
     );
-    let edges = r.children_csr().map_or(0, |(_, adj)| adj.len());
-    println!(
-        "deps            {} edges, {} stream bytes (offsets {})",
-        edges,
-        stream.len(),
-        doff.len()
-    );
-    println!(
-        "children csr    {}",
-        if r.children_csr().is_some() {
-            "stored"
-        } else {
-            "absent"
-        }
-    );
+    println!("deps            {} edges", log.dep_csr().1.len());
 }
 
 fn cmd_verify(args: &[String]) {

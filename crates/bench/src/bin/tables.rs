@@ -18,6 +18,8 @@
 //! snapshots from every network touched, and per-iteration convergence
 //! telemetry. `out/trace.json` loads directly in <https://ui.perfetto.dev>.
 
+#![forbid(unsafe_code)]
+
 use sctm_bench::{num_threads, run_experiment, Scale, EXPERIMENT_IDS};
 use sctm_core::{Experiment, NetworkKind, SystemConfig};
 use sctm_obs as obs;

@@ -645,9 +645,9 @@ pub fn a1_ablation(scale: Scale) -> Table {
 }
 
 /// §P10 — trace-container economics as the mesh scales. One row per
-/// system size: the sctf container's bytes per message, its cold-load
-/// time, and its size against the parsed log's resident bytes. Each
-/// row then replays the *decoded* container through the
+/// system size: the sctf container's bytes per message, its encode and
+/// cold-load times, and its size against the parsed log's resident
+/// bytes. Each row then replays the *decoded* container through the
 /// full-causality oracle on the detailed mesh, so the larger
 /// configurations (256 and 1024 cores at full scale) exercise the
 /// whole capture → encode → decode → replay path end-to-end.
@@ -675,8 +675,8 @@ pub fn p10_trace_format(scale: Scale) -> Table {
         .collect();
     let captures = par_map(jobs);
 
-    // Cold loads are one-shot by nature; best-of-3 keeps a stray
-    // scheduler hiccup out of the row.
+    // Encodes and cold loads are one-shot by nature; best-of-3 keeps a
+    // stray scheduler hiccup out of the row.
     fn best_of_3<T>(mut f: impl FnMut() -> T) -> (std::time::Duration, T) {
         let mut best = None::<std::time::Duration>;
         let mut out = None;
@@ -695,7 +695,7 @@ pub fn p10_trace_format(scale: Scale) -> Table {
     let rows: Vec<Vec<String>> = captures
         .into_iter()
         .map(|(side, log)| {
-            let sctf = to_sctf_bytes(&log);
+            let (sctf_encode, sctf) = best_of_3(|| to_sctf_bytes(&log));
             let n = log.len().max(1) as f64;
 
             let (sctf_load, decoded) = best_of_3(|| from_sctf_bytes(&sctf).expect("sctf decode"));
@@ -710,6 +710,7 @@ pub fn p10_trace_format(scale: Scale) -> Table {
                 format!("{}", side * side),
                 format!("{}", log.len()),
                 fnum(sctf.len() as f64 / n),
+                ms(sctf_encode),
                 ms(sctf_load),
                 format!("{:.2}", sctf.len() as f64 / log.resident_bytes() as f64),
                 format!("{} / {}", ms(replay), r.est_exec_time),
@@ -722,6 +723,7 @@ pub fn p10_trace_format(scale: Scale) -> Table {
             "cores",
             "records",
             "sctf B/msg",
+            "sctf encode (ms)",
             "sctf load (ms)",
             "resident ratio",
             "oracle replay (ms / est)",

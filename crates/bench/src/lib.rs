@@ -9,6 +9,8 @@
 //! and [`Scale::Full`] (paper-sized, minutes). Shapes — who wins, by
 //! what factor, where crossovers fall — must hold at both.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 pub use experiments::*;

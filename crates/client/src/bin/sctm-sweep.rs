@@ -15,6 +15,8 @@
 //! one daemon, then assert from the `--stats` line that it captured the
 //! workload exactly once.
 
+#![forbid(unsafe_code)]
+
 use sctm_client::{Client, ClientError, Response};
 use std::io::BufRead;
 

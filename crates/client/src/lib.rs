@@ -24,6 +24,8 @@
 //! `tests/protocol_fuzz.rs` drives arbitrary bytes through
 //! [`parse_response`] to keep it that way.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;

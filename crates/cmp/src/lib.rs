@@ -14,6 +14,8 @@
 //!   [`protocol::TraceHook`] capture interface.
 //! * [`sim`] — the event-driven simulator itself.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod protocol;
 pub mod sim;

@@ -28,6 +28,8 @@
 //! (`sctm_cmp`), the workload skeletons (`sctm_workloads`) and the
 //! trace engines (`sctm_trace`).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod error;
 pub mod metrics;

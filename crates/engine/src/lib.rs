@@ -25,6 +25,8 @@
 //! `dyn` dispatch on the hot path and makes simulators trivially `Send`
 //! for parallel parameter sweeps.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod hash;
 pub mod ledger;

@@ -12,6 +12,8 @@
 //! * [`traffic`] — synthetic traffic patterns and the open-loop
 //!   load-latency measurement harness used for network validation.
 
+#![forbid(unsafe_code)]
+
 pub mod network;
 pub mod packet;
 pub mod topology;

@@ -19,6 +19,8 @@
 //!
 //! [`AtomicBool`]: std::sync::atomic::AtomicBool
 
+#![forbid(unsafe_code)]
+
 pub mod conv;
 mod export;
 mod registry;

@@ -21,9 +21,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default ring capacity per thread, in events. Overridable through
-/// `SCTM_OBS_BUF`; ~48 B/event puts the default around 12 MiB/thread.
-const DEFAULT_CAP: usize = 1 << 18;
+/// Ring capacity per thread, in events; ~48 B/event puts it around
+/// 12 MiB/thread.
+const RING_CAP: usize = 1 << 18;
 
 /// One recorded event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,20 +92,9 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn ring_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("SCTM_OBS_BUF")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c: &usize| c >= 16)
-            .unwrap_or(DEFAULT_CAP)
-    })
-}
-
 thread_local! {
     static BUF: (Arc<Mutex<Ring>>, u32) = {
-        let ring = Arc::new(Mutex::new(Ring::new(ring_cap())));
+        let ring = Arc::new(Mutex::new(Ring::new(RING_CAP)));
         lock_unpoisoned(&RINGS).push(ring.clone());
         (ring, NEXT_THREAD.fetch_add(1, Ordering::Relaxed))
     };

@@ -27,6 +27,8 @@
 //! whether it delivers a `(src, dst, class)` flow in order: omesh and
 //! obus do, oxbar and the hybrid do not.
 
+#![forbid(unsafe_code)]
+
 pub mod hybrid;
 pub mod layout;
 pub mod obus;

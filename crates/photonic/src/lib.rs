@@ -13,6 +13,8 @@
 //! * [`wdm`] — DWDM channel plans and burst serialisation timing used by
 //!   the network simulators.
 
+#![forbid(unsafe_code)]
+
 pub mod devices;
 pub mod link;
 pub mod wdm;

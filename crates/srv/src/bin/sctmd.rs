@@ -25,6 +25,8 @@
 //! conventions) per-request lifecycle records are appended to
 //! `DIR/sctmd.log.jsonl` with size-based rotation.
 
+#![forbid(unsafe_code)]
+
 use sctm_obs::json_escape;
 use sctm_obs::reqlog::{json_line, RequestLog};
 use sctm_srv::{serve_lines, serve_tcp, Server, ServerConfig};

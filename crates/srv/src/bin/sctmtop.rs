@@ -14,6 +14,8 @@
 //! queue/backpressure state, and per-phase latency quantiles. Made for
 //! watching a §P5-style saturation sweep approach its cliff.
 
+#![forbid(unsafe_code)]
+
 use sctm_obs::ConvergenceVerdict;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -30,6 +30,8 @@
 //!
 //! [`RunSpec`]: sctm_core::RunSpec
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod proto;
 pub mod server;

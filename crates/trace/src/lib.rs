@@ -23,8 +23,10 @@
 //!   [`TraceLog::load`] and the typed [`TraceError`].
 //! * [`sctf`] — the binary columnar container, a trace's one encoding
 //!   outside memory: fixed LE header, per-field column sections,
-//!   delta+varint timestamps, a children dependency CSR, and a
-//!   zero-copy reader.
+//!   delta+varint timestamps and dependencies, and a reader that
+//!   decodes it in one checked pass.
+
+#![deny(unsafe_code)]
 
 #[doc(hidden)]
 pub mod incr;

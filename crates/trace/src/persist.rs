@@ -31,8 +31,7 @@ pub enum TraceError {
     /// The container's format version is not one this build
     /// understands (only [`sctf::SCTF_VERSION`] is).
     VersionSkew { found: u32 },
-    /// A section offset violates the format's 8-byte alignment rule, so
-    /// the zero-copy column casts would be unsound.
+    /// A section offset violates the format's 8-byte alignment rule.
     Misaligned { section: &'static str, offset: u64 },
     /// Underlying file I/O failed.
     Io(String),
@@ -81,8 +80,7 @@ impl TraceLog {
     /// one error type ([`TraceError::Io`] for the former), so callers
     /// match on a single result.
     pub fn load(path: impl AsRef<Path>) -> Result<TraceLog, TraceError> {
-        let bytes = std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?;
-        sctf::from_sctf_bytes(&bytes)
+        sctf::SctfReader::open(path)?.to_log()
     }
 }
 

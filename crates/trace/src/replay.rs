@@ -867,8 +867,9 @@ pub fn replay_oracle(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult
 }
 
 /// Start pulling the cache line that holds `at` into L1
-/// ([`Msgs::prefetch`]).
+/// ([`Msgs::prefetch`]). The one `unsafe` the workspace accepts.
 #[inline]
+#[allow(unsafe_code)]
 fn prefetch<T>(at: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch is a hint: it never faults, even on an invalid

@@ -19,6 +19,8 @@
 //! simulation mode (execution-driven on any network, trace capture,
 //! replay) sees the identical instruction stream.
 
+#![forbid(unsafe_code)]
+
 use sctm_cmp::protocol::{Op, Workload};
 use sctm_cmp::LINE_BYTES;
 use sctm_engine::rng::StreamRng;

@@ -15,6 +15,8 @@
 //! # Ok::<(), SctmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sctm_core::*;
 
 /// The blessed API surface, importable in one line.

@@ -1,15 +1,19 @@
 //! Golden captures, pinned byte for byte.
 //!
-//! Every constant in `GOLDEN` was generated on commit 95964fe (PR 13, the
-//! parent of the 40-byte trace rows) by running this file there with
-//! `GOLDEN_PRINT=1`; the file passes unmodified on that commit and on
-//! every later one. Each hash is FNV-1a over `to_sctf_bytes` of the
-//! canonical capture — rows, dependency lists, per-endpoint order, kind
-//! tags, both timestamps, the children CSR and the container checksum —
-//! so a change anywhere between `CmpSim::send` and the sctf writer that
-//! moves one byte of one trace moves a hash. Regenerate only with
-//! `GOLDEN_PRINT=1 cargo test --test golden_capture -- --nocapture`, and
-//! never to make a change to the capture path pass.
+//! The hashes were first generated on commit 95964fe (the parent of the
+//! 40-byte trace rows) and held unmodified until the container stopped
+//! storing the children CSR; they were regenerated once then, on top of
+//! commit 35b1836. The new constants were proven against the old ones:
+//! putting the CSR (built from `dep_csr()`) back into each new
+//! container, setting flag bit 0 and recomputing the checksum
+//! reproduces the old length and hash exactly. Each hash is FNV-1a over
+//! `to_sctf_bytes` of the canonical capture — rows, dependency lists,
+//! per-endpoint order, kind tags, both timestamps and the container
+//! checksum — so a change anywhere between `CmpSim::send` and the sctf
+//! writer that moves one byte of one trace moves a hash. Regenerate
+//! only with
+//! `GOLDEN_PRINT=1 cargo test --test golden_capture -- --nocapture`,
+//! and never to make a change to the capture path pass.
 
 use sctm::engine::hash::fnv1a;
 use sctm::prelude::*;
@@ -17,10 +21,10 @@ use sctm_trace::sctf::to_sctf_bytes;
 
 /// `(kernel, mesh side, ops per core, container bytes, FNV-1a)`.
 const GOLDEN: [(Kernel, usize, usize, usize, u64); 4] = [
-    (Kernel::Fft, 4, 300, 474_528, 0x4160_2e7c_cffd_ca4b),
-    (Kernel::Lu, 4, 300, 131_488, 0x7492_e039_a4bf_8fff),
-    (Kernel::Barnes, 4, 300, 183_408, 0x3e33_d04a_a873_9202),
-    (Kernel::Fft, 8, 300, 1_976_128, 0xca67_27c4_328e_f39d),
+    (Kernel::Fft, 4, 300, 354_296, 0x701d_5f12_2ba7_49c8),
+    (Kernel::Lu, 4, 300, 90_928, 0x7bba_ab58_c46a_adf0),
+    (Kernel::Barnes, 4, 300, 136_696, 0xc233_871b_cc4b_3291),
+    (Kernel::Fft, 8, 300, 1_429_424, 0x2d49_c4a0_0797_dd24),
 ];
 
 #[test]

@@ -291,9 +291,9 @@ mod sctf_fuzz {
     #[test]
     fn wrong_endian_counts_and_versions_are_rejected() {
         let mut buf = valid_container();
-        // Record count lives at [12..20); byte-swap it.
-        let n = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        buf[12..20].copy_from_slice(&n.swap_bytes().to_le_bytes());
+        // Record count lives at [16..24) (DESIGN.md §14.1); byte-swap it.
+        let n = u64::from_le_bytes(buf[16..24].try_into().unwrap());
+        buf[16..24].copy_from_slice(&n.swap_bytes().to_le_bytes());
         assert!(
             matches!(from_sctf_bytes(&buf), Err(TraceError::BadChecksum { .. })),
             "swapped count must fail the checksum"

@@ -21,11 +21,12 @@
 //! walks ids as departures. A log out of that order is invalid input:
 //! [`TraceLog::validate`] and the sctf decoder reject it.
 
-use crate::pages::Pages;
+use crate::pages::{Frontier, Pages};
 use crate::replay::{GateBuilder, GatePlan, PlanRow};
 use sctm_cmp::protocol::{kind_label, InjectRecord, TraceHook, KIND_OTHER};
 use sctm_engine::net::{Message, MsgId};
 use sctm_engine::time::SimTime;
+use sctm_engine::MsgTable;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
@@ -485,7 +486,8 @@ const FEED_BATCHES: usize = 4;
 /// vector is moved, not copied, once it is large — and `finish` trims
 /// them to size. The other columns grow a page at a time (`Pages`), and
 /// `finish` copies them out once the simulator is gone. Inside a
-/// [`StreamCapture`] only `prev` grows: its pass reads no other column.
+/// [`StreamCapture`] none of them grows: its pass reads none, and the
+/// capture keeps only what is in flight.
 #[derive(Debug)]
 pub struct Capture {
     /// Injections not yet final, in capture-time ids and the order the
@@ -498,13 +500,10 @@ pub struct Capture {
     /// The rows of every flush before it (a [`StreamCapture`] hands
     /// `fresh` over instead).
     rows: Vec<TraceRecord>,
-    /// Whether final rows keep their dependency and kind columns; a
-    /// [`StreamCapture`]'s do not, as its pass reads neither, and its
-    /// pending rows are not tagged with a kind at all.
-    columns: bool,
-    /// The other columns of every final row: dependencies in canonical
-    /// ids, `prev` still in capture ids (a source can decide a message
-    /// before one it sends sooner) until the capture ends.
+    /// The other columns of every final row, kept only under
+    /// [`Ids::All`]: dependencies in canonical ids, `prev` still in
+    /// capture ids (a source can decide a message before one it sends
+    /// sooner) until the capture ends.
     dep_off: Pages<u32>,
     dep_ids: Pages<u32>,
     prev: Pages<u32>,
@@ -518,10 +517,9 @@ pub struct Capture {
     arrived: Vec<(SimTime, u32)>,
     arrivals: usize,
     arrival: Vec<u32>,
-    /// Capture id → canonical id ([`NONE`] = not final yet). Capture
-    /// ids are sparse but bounded (`seq × sources + src`), so a direct
-    /// table turns every lookup into one probe.
-    renum: Pages<u32>,
+    /// How capture ids become canonical ids, and whether the columns
+    /// above are kept.
+    ids: Ids,
     /// A flush's sort keys `(t_inject, capture id, pending row)`.
     keys: Vec<(SimTime, u32, u32)>,
     /// Pending rows that trigger the next flush, and the rows past
@@ -537,6 +535,114 @@ pub struct Capture {
 /// yet.
 pub(crate) const UNDELIVERED: SimTime = SimTime::from_ps(u64::MAX);
 
+/// What a capture panics with when a row names an id it never captured.
+const UNCAPTURED: &str = "trace references an uncaptured message";
+
+/// How a capture turns capture ids into canonical ids, and checks the
+/// ids its rows name.
+#[derive(Debug)]
+enum Ids {
+    /// A capture that keeps the log: every capture id's canonical id
+    /// ([`NONE`] = not final yet), as its dependency and `prev` columns
+    /// may name any earlier message. Capture ids are sparse but bounded
+    /// (`seq × sources + src`), so a direct table turns every lookup
+    /// into one probe.
+    All(Pages<u32>),
+    /// A [`StreamCapture`]'s, which keeps no column that names a
+    /// message: only a delivery needs its row's canonical id, so only
+    /// the rows final and not yet delivered map to one.
+    InFlight {
+        /// Capture id → canonical id of each final row not yet
+        /// delivered.
+        live: MsgTable<u32>,
+        /// One bit per capture id, set once its row is final: what the
+        /// checks on dependencies and `prev` read.
+        seen: Vec<u64>,
+        /// `prev` ids not final yet when the row naming them was,
+        /// looked at again each flush until they are.
+        waiting: Vec<u32>,
+    },
+}
+
+/// Bit `i` of `bits`.
+fn bit(bits: &[u64], i: u32) -> bool {
+    bits.get(i as usize / 64)
+        .is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+impl Ids {
+    /// Whether final rows keep their dependency, kind and `prev`
+    /// columns (a streamed pass reads none of them).
+    fn columns(&self) -> bool {
+        matches!(self, Ids::All(_))
+    }
+
+    /// The row of capture id `old` is final, as canonical id `new`.
+    fn finalise(&mut self, old: u32, new: u32) {
+        match self {
+            Ids::All(renum) => {
+                if old as usize >= renum.len() {
+                    renum.resize(old as usize + 1, NONE);
+                }
+                renum[old as usize] = new;
+            }
+            Ids::InFlight { live, seen, .. } => {
+                live.insert(u64::from(old), new);
+                let w = old as usize / 64;
+                if w >= seen.len() {
+                    seen.resize(w + 1, 0);
+                }
+                seen[w] |= 1 << (old % 64);
+            }
+        }
+    }
+
+    /// A final row of a [`StreamCapture`] names `prev` ([`NONE`] =
+    /// none): if that row is not final yet, wait for it.
+    fn check_prev(&mut self, prev: u32) {
+        if let Ids::InFlight { seen, waiting, .. } = self {
+            if prev != NONE && !bit(seen, prev) {
+                waiting.push(prev);
+            }
+        }
+    }
+
+    /// Stop waiting for the `prev` rows that are final now.
+    fn recheck_prevs(&mut self) {
+        if let Ids::InFlight { seen, waiting, .. } = self {
+            waiting.retain(|&p| !bit(seen, p));
+        }
+    }
+
+    /// The canonical id of capture id `old` as a final row's dependency
+    /// names it ([`NONE`] where no column keeps it).
+    fn dep(&self, old: u32) -> u32 {
+        match self {
+            Ids::All(renum) => {
+                let new = renum.get(old as usize).unwrap_or(NONE);
+                assert_ne!(new, NONE, "{UNCAPTURED}");
+                new
+            }
+            Ids::InFlight { seen, .. } => {
+                assert!(bit(seen, old), "{UNCAPTURED}");
+                NONE
+            }
+        }
+    }
+
+    /// The canonical id of capture id `old`, delivered: it is no longer
+    /// in flight.
+    fn deliver(&mut self, old: u32) -> u32 {
+        match self {
+            Ids::All(_) => self.dep(old),
+            Ids::InFlight { live, seen, .. } => live.remove(u64::from(old)).unwrap_or_else(|| {
+                assert!(!bit(seen, old), "message delivered twice");
+                panic!("{UNCAPTURED}")
+            }),
+        }
+    }
+}
+
 impl Default for Capture {
     fn default() -> Self {
         let mut dep_off = Pages::default();
@@ -546,7 +652,6 @@ impl Default for Capture {
             delivers: Vec::new(),
             fresh: Vec::new(),
             rows: Vec::new(),
-            columns: true,
             dep_off,
             dep_ids: Pages::default(),
             prev: Pages::default(),
@@ -555,7 +660,7 @@ impl Default for Capture {
             arrived: Vec::new(),
             arrivals: 0,
             arrival: Vec::new(),
-            renum: Pages::default(),
+            ids: Ids::All(Pages::default()),
             keys: Vec::new(),
             flush_at: FLUSH_ROWS,
             flush_rows: FLUSH_ROWS,
@@ -576,7 +681,6 @@ impl Capture {
             pending,
             delivers,
             fresh,
-            columns,
             dep_off,
             dep_ids,
             prev,
@@ -584,7 +688,7 @@ impl Capture {
             given,
             arrived,
             arrivals,
-            renum,
+            ids,
             keys,
             ..
         } = self;
@@ -598,19 +702,12 @@ impl Capture {
         );
         sort_nearly_sorted(keys);
         let now = &keys[..];
-        if let Some(max) = now.iter().map(|k| k.1).max() {
-            renum.resize(renum.len().max(max as usize + 1), NONE);
-        }
         // Ids first: a dependency may name a row of the same flush that
         // sorts after its dependant (only a hand-fed hook does that).
         for (j, k) in now.iter().enumerate() {
-            renum[k.1 as usize] = (*given + j) as u32;
+            ids.finalise(k.1, (*given + j) as u32);
         }
-        let canonical = |renum: &Pages<u32>, old: u32| -> u32 {
-            let new = renum.get(old as usize).unwrap_or(NONE);
-            assert_ne!(new, NONE, "trace references an uncaptured message");
-            new
-        };
+        ids.recheck_prevs();
         for (j, k) in now.iter().enumerate() {
             let k = k.2 as usize;
             let mut r = pending.records[k];
@@ -618,16 +715,18 @@ impl Capture {
             fresh.push(r);
             let deps =
                 &pending.dep_ids[pending.dep_off[k] as usize..pending.dep_off[k + 1] as usize];
-            if *columns {
+            let p = pending.prev[k];
+            if ids.columns() {
                 for &d in deps {
-                    dep_ids.push(canonical(renum, d));
+                    dep_ids.push(ids.dep(d));
                 }
                 dep_off.push(dep_ids.len() as u32);
                 kind.push(pending.kind[k]);
+                prev.push(p);
             } else {
-                deps.iter().for_each(|&d| _ = canonical(renum, d));
+                deps.iter().for_each(|&d| _ = ids.dep(d));
+                ids.check_prev(p);
             }
-            prev.push(pending.prev[k]);
         }
         *given += now.len();
         // What stays pending closes up in place, in hook order: every
@@ -641,7 +740,7 @@ impl Capture {
             }
             pending.records[kept] = pending.records[k];
             pending.prev[kept] = pending.prev[k];
-            if *columns {
+            if ids.columns() {
                 pending.kind[kept] = pending.kind[k];
             }
             pending.dep_ids.copy_within(lo..hi, dep_end);
@@ -659,7 +758,7 @@ impl Capture {
         arrived.extend(
             (delivers.iter())
                 .filter(|d| d.0 < w)
-                .map(|&(at, id)| (at, canonical(renum, id))),
+                .map(|&(at, id)| (at, ids.deliver(id))),
         );
         delivers.retain(|d| d.0 >= w);
         sort_nearly_sorted(arrived);
@@ -678,17 +777,23 @@ impl Capture {
     }
 
     /// The stream's tail: finalise everything, check every row was
-    /// delivered once, and put `prev` into canonical ids.
+    /// delivered once and every `prev` names a captured row, and put
+    /// `prev` into canonical ids.
     fn end(&mut self) {
         self.flush(SimTime::MAX);
         assert_eq!(
             self.given, self.arrivals,
             "capture ended with undelivered (or doubly-delivered) messages"
         );
-        let renum = std::mem::take(&mut self.renum);
-        for p in self.prev.iter_mut().filter(|p| **p != NONE) {
-            *p = renum.get(*p as usize).unwrap_or(NONE);
-            assert_ne!(*p, NONE, "trace references an uncaptured message");
+        match &mut self.ids {
+            Ids::All(renum) => {
+                let renum = std::mem::take(renum);
+                for p in self.prev.iter_mut().filter(|p| **p != NONE) {
+                    *p = renum.get(*p as usize).unwrap_or(NONE);
+                    assert_ne!(*p, NONE, "{UNCAPTURED}");
+                }
+            }
+            Ids::InFlight { waiting, .. } => assert!(waiting.is_empty(), "{UNCAPTURED}"),
         }
     }
 
@@ -737,7 +842,7 @@ impl TraceHook for Capture {
         raw.dep_ids.extend(rec.deps.iter().map(|&d| col_id(d)));
         raw.dep_off.push(raw.dep_ids.len() as u32);
         raw.prev.push(rec.prev_same_src.map_or(NONE, col_id));
-        if self.columns {
+        if self.ids.columns() {
             raw.kind.push(rec.kind.min(KIND_OTHER));
         }
     }
@@ -794,17 +899,20 @@ impl CaptureFeed {
 /// flush sends its rows, its arrivals and the gate plan's rows for them
 /// to the [`CaptureFeed`] end, so a gated pass on another thread can
 /// replay the capture while the simulator is still producing it. The
-/// rows leave, and no log is assembled: the capture keeps only the
-/// `prev` column, to check at the end that every id it names was
-/// captured. It checks what a [`Capture`] checks — every dependency
-/// names a captured message, and every row is delivered once.
+/// rows leave, and no log is assembled: what the capture keeps is sized
+/// by what is in flight (an id map of the rows not yet delivered and a
+/// window of destinations), plus one bit per capture id. It checks what
+/// a [`Capture`] checks — every dependency and every `prev` names a
+/// captured message, and every row is delivered once.
 pub struct StreamCapture {
     cap: Capture,
     tx: SyncSender<CaptureBatch>,
     builder: GateBuilder,
-    /// Destination of every row handed over, by canonical id: all the
-    /// plan needs of an arrival whose row has left.
+    /// Destination of every row handed over and not yet arrived, by
+    /// canonical id: all the plan needs of an arrival whose row has
+    /// left. A page retires once every row on it has arrived.
     dst: Pages<u16>,
+    arrived: Frontier,
     /// Final arrivals no departure handed over has passed yet.
     carry: VecDeque<(SimTime, u32)>,
 }
@@ -815,12 +923,17 @@ impl StreamCapture {
         let (tx, rx) = std::sync::mpsc::sync_channel(FEED_BATCHES);
         let cap = StreamCapture {
             cap: Capture {
-                columns: false,
+                ids: Ids::InFlight {
+                    live: MsgTable::new(),
+                    seen: Vec::new(),
+                    waiting: Vec::new(),
+                },
                 ..Capture::new()
             },
             tx,
             builder: GateBuilder::default(),
             dst: Pages::default(),
+            arrived: Frontier::default(),
             carry: VecDeque::new(),
         };
         (cap, CaptureFeed { rx })
@@ -842,6 +955,7 @@ impl StreamCapture {
     fn send(&mut self, w: SimTime, exec_time: Option<SimTime>) {
         let rows = std::mem::take(&mut self.cap.fresh);
         let arrivals = std::mem::take(&mut self.cap.arrived);
+        self.dst.retire_to(self.arrived.front());
         for r in &rows {
             self.dst
                 .push(u16::try_from(r.msg.dst.0).expect("node id exceeds u16"));
@@ -850,6 +964,7 @@ impl StreamCapture {
         let StreamCapture {
             builder,
             dst,
+            arrived,
             carry,
             ..
         } = self;
@@ -861,6 +976,7 @@ impl StreamCapture {
                         break;
                     }
                     builder.arrive(a, dst[a as usize] as usize, at);
+                    arrived.done(a as usize);
                     carry.pop_front();
                 }
                 builder.depart(r.msg.id.0 as u32, r)
@@ -1487,9 +1603,14 @@ mod tests {
     /// Nodes 0 and 1 ping-pong from the start, 40 messages; `more` adds
     /// its own.
     fn ping_pong(more: &[(u64, Ev)]) -> Vec<(u64, Ev)> {
+        ping_pong_of(40, more)
+    }
+
+    /// [`ping_pong`] of `n` messages.
+    fn ping_pong_of(n: u64, more: &[(u64, Ev)]) -> Vec<(u64, Ev)> {
         let c = MsgClass::Control;
         let mut events = Vec::new();
-        for k in 0..40u64 {
+        for k in 0..n {
             let prev = k.checked_sub(2);
             events.push((
                 100 * k,
@@ -1505,8 +1626,9 @@ mod tests {
     /// Capture `events` whole and streamed a flush per event time, and
     /// replay both on an analytic network 100 times slower than the
     /// capture's: the streamed pass runs far ahead of the capture, so
-    /// only the horizon keeps it from passing a row still to come.
-    fn assert_streamed_pass_matches_whole(events: &[(u64, Ev)]) {
+    /// only the horizon keeps it from passing a row still to come. The
+    /// streamed pass's scratch comes back, its plan as the pass left it.
+    fn assert_streamed_pass_matches_whole(events: &[(u64, Ev)]) -> crate::replay::ReplayScratch {
         use crate::replay::{replay_sctm_pass, replay_sctm_stream, ReplayScratch};
         use sctm_engine::net::AnalyticNetwork;
         let feed_all = |hook: &mut dyn TraceHook| {
@@ -1522,7 +1644,7 @@ mod tests {
                 }
             }
         };
-        let exec = SimTime::from_ps(5000);
+        let exec = SimTime::from_ps(events.last().map_or(0, |e| e.0).max(4000) + 1000);
         let net = || AnalyticNetwork::new(4, SimTime::from_ns(8), SimTime::from_ns(2), 10);
         let mut cap = Capture::new();
         feed_all(&mut cap);
@@ -1542,6 +1664,41 @@ mod tests {
         assert_eq!(inject, whole.inject);
         assert_eq!(deliver, whole.deliver);
         assert_eq!(streamed.est_exec_time(), whole.est_exec_time);
+        scratch
+    }
+
+    /// A streamed pass retires the pages of its plan behind it, and a
+    /// row given after its gate's page, or its source predecessor's,
+    /// has retired replays as the whole-log pass has it. Node 2 hears
+    /// from node 3 at the start, node 3 sends nothing else, and both
+    /// send again after three pages of ping-pong: node 2 gated by that
+    /// first arrival, node 3 after its first departure. Until then node
+    /// 2's first arrival is its horizon anchor. The capture runs at a
+    /// thousandth of [`ping_pong`]'s pace, slower than the replay, so
+    /// the pass keeps up with it and its pages retire as it goes.
+    #[test]
+    fn a_row_whose_gate_has_retired_replays_as_the_whole_pass_has_it() {
+        use crate::pages::PAGE;
+        let c = MsgClass::Control;
+        let n = 3 * PAGE as u64;
+        let end = 100 * n;
+        let events = ping_pong_of(
+            n,
+            &[
+                (0, Ev::Inject(msg(n, 3, 2, c), None)),
+                (60, Ev::Deliver(n)),
+                (end, Ev::Inject(msg(n + 1, 2, 0, c), None)),
+                (end, Ev::Inject(msg(n + 2, 3, 1, c), Some(n))),
+                (end + 60, Ev::Deliver(n + 1)),
+                (end + 60, Ev::Deliver(n + 2)),
+            ],
+        );
+        let slow: Vec<(u64, Ev)> = events.into_iter().map(|(t, e)| (1000 * t, e)).collect();
+        let scratch = assert_streamed_pass_matches_whole(&slow);
+        assert!(
+            scratch.retired(2 * PAGE - 1),
+            "the pass kept its first two pages"
+        );
     }
 
     /// Until a node has sent or received anything, only the watermark

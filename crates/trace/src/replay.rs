@@ -48,7 +48,7 @@
 //!   assembled.
 
 use crate::log::{CaptureBatch, CaptureFeed, TraceLog, TraceRecord, NONE};
-use crate::pages::Pages;
+use crate::pages::{Frontier, Pages};
 use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
@@ -223,6 +223,8 @@ pub(crate) trait Col<T>:
     fn grow(&mut self, n: usize, fill: T);
     /// The column as one exact-size vector, leaving it empty.
     fn take_vec(&mut self) -> Vec<T>;
+    /// Whether item `i` has retired with its page ([`Pages::retire_to`]).
+    fn retired(&self, i: usize) -> bool;
 }
 
 impl<T: Copy + Debug> Col<T> for Vec<T> {
@@ -238,6 +240,10 @@ impl<T: Copy + Debug> Col<T> for Vec<T> {
     fn take_vec(&mut self) -> Vec<T> {
         std::mem::take(self)
     }
+    #[inline]
+    fn retired(&self, _: usize) -> bool {
+        false
+    }
 }
 
 impl<T: Copy + Debug> Col<T> for Pages<T> {
@@ -252,6 +258,10 @@ impl<T: Copy + Debug> Col<T> for Pages<T> {
     }
     fn take_vec(&mut self) -> Vec<T> {
         Pages::take_vec(self)
+    }
+    #[inline]
+    fn retired(&self, i: usize) -> bool {
+        Pages::retired(self, i)
     }
 }
 
@@ -430,6 +440,13 @@ impl<S: Store> Plan<S> {
 
     /// Enter message `i`'s row: its delta, its place in its gate's (or
     /// a gate-less) list, and its predecessor's successor link.
+    ///
+    /// A streamed plan retires its pages behind the pass (DESIGN.md §7,
+    /// "What the loop holds when"): a list head or predecessor that has
+    /// retired is a gate that has delivered or a predecessor that has
+    /// injected, which no pass walks from again, so the link is not
+    /// made. (Page 0 of `heads` also holds the seed and gate-less list
+    /// heads, which only a whole-log pass reads.)
     fn link(&mut self, i: usize, row: &PlanRow) {
         self.delta[i] = row.delta;
         let list = match row.gate {
@@ -437,14 +454,29 @@ impl<S: Store> Plan<S> {
             NONE => CHAINED,
             g => LISTS + g as usize,
         };
-        self.next[i] = std::mem::replace(&mut self.heads[list], i as u32);
-        if row.src_prev != NONE {
-            self.next_in_order[row.src_prev as usize] = i as u32;
+        if !self.heads.retired(list) {
+            self.next[i] = std::mem::replace(&mut self.heads[list], i as u32);
+        }
+        let p = row.src_prev as usize;
+        if row.src_prev != NONE && !self.next_in_order.retired(p) {
+            self.next_in_order[p] = i as u32;
         }
     }
 
     fn len(&self) -> usize {
         self.delta.len()
+    }
+}
+
+impl Plan<Paged> {
+    /// Retire the first `pages` pages of ids: `heads` is offset by
+    /// [`LISTS`], so its page `q` holds the heads of gates on id pages
+    /// `q − 1` and `q`, both retired with id page `q`.
+    fn retire_to(&mut self, pages: usize) {
+        self.delta.retire_to(pages);
+        self.next_in_order.retire_to(pages);
+        self.next.retire_to(pages);
+        self.heads.retire_to(pages);
     }
 }
 
@@ -521,6 +553,10 @@ struct PassState<S: Store> {
     /// the latest capture delivery.
     nodes: usize,
     last_delivery: SimTime,
+    /// An open pass's messages that have arrived in the capture and
+    /// delivered in the replay, by page: the plan's and `flags`' pages
+    /// retire behind its front.
+    done: Frontier,
 }
 
 impl PassState<Flat> {
@@ -570,6 +606,7 @@ impl PassState<Paged> {
         self.early.clear();
         self.nodes = 0;
         self.last_delivery = SimTime::ZERO;
+        self.done.clear();
     }
 
     /// Take one batch of a running capture: its rows join `plan`, and
@@ -578,6 +615,10 @@ impl PassState<Paged> {
     /// their rows [`ARRIVED`]; and the horizon moves to what the batch
     /// makes safe.
     fn take(&mut self, batch: &CaptureBatch, rows: &mut Pages<MsgRow>, plan: &mut Plan<Paged>) {
+        // Pages of messages done with go back before new ones are taken.
+        let front = self.done.front();
+        plan.retire_to(front);
+        self.flags.retire_to(front);
         let lo = rows.len();
         let n = lo + batch.rows.len();
         plan.grow(n);
@@ -598,6 +639,9 @@ impl PassState<Paged> {
             let f = &mut self.flags[id as usize];
             assert!(*f & ARRIVED == 0, "message delivered twice");
             *f |= ARRIVED;
+            if *f & DELIVERED != 0 {
+                self.done.done(id as usize);
+            }
             self.last_delivery = self.last_delivery.max(at);
             self.last_arrival[usize::from(rows[id as usize].dst)] = (id, at);
         }
@@ -616,7 +660,7 @@ impl PassState<Paged> {
             Some(row.delta)
         } else if row.gate != NONE {
             let g = row.gate as usize;
-            (self.flags[g] & DELIVERED != 0).then(|| {
+            (self.flags_of(g) & DELIVERED != 0).then(|| {
                 f |= GATE_DONE | SCHEDULED;
                 self.deliver[g] + row.delta
             })
@@ -640,9 +684,22 @@ impl PassState<Paged> {
         }
     }
 
+    /// Message `i`'s flags, read where `i` may have retired: as a late
+    /// row's gate, as a node's latest arrival, or in the `early` heap. A
+    /// retired message has arrived and delivered; every other read of
+    /// a retired page panics.
+    #[inline]
+    fn flags_of(&self, i: usize) -> u8 {
+        if self.flags.retired(i) {
+            GATE_DONE | SCHEDULED | ARRIVED | DELIVERED
+        } else {
+            self.flags[i]
+        }
+    }
+
     /// The replay delivery of message `i`, if it has delivered.
     fn delivery(&self, i: u32) -> SimTime {
-        if self.flags[i as usize] & DELIVERED != 0 {
+        if self.flags_of(i as usize) & DELIVERED != 0 {
             self.deliver[i as usize]
         } else {
             SimTime::MAX
@@ -666,7 +723,7 @@ impl PassState<Paged> {
             });
         }
         while let Some(&Reverse(k)) = self.early.peek() {
-            if self.flags[key_id(k)] & ARRIVED == 0 {
+            if self.flags_of(key_id(k)) & ARRIVED == 0 {
                 h = h.min(key_time(k));
                 break;
             }
@@ -725,6 +782,12 @@ pub struct ReplayScratch {
 impl ReplayScratch {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Whether message `i`'s page of the plan has retired.
+    #[cfg(test)]
+    pub(crate) fn retired(&self, i: usize) -> bool {
+        self.plan.delta.retired(i)
     }
 }
 
@@ -1192,6 +1255,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
         last_arrival,
         last_departure,
         early,
+        done,
         ..
     } = pass;
     let mut rounds = 0u32;
@@ -1260,6 +1324,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
                     if a == id as u32 {
                         *horizon = (*horizon).min(after_anchor(at, a_at, *watermark));
                     }
+                    done.done(id);
                 }
             }
             // Its dependants wait on nothing else.

@@ -388,14 +388,15 @@ pub fn encoded_size(log: &TraceLog) -> usize {
 // Reader
 // ---------------------------------------------------------------------
 
-/// One `sctf` container, validated.
+/// One `sctf` container, validated, in a buffer of its own (`B`, a
+/// `Vec<u8>`); [`from_sctf_bytes`] reads one in the caller's bytes.
 ///
 /// Opening checks structure (magic, version, checksum, section bounds
 /// and alignment, fixed-width lengths, monotone dependency offsets);
 /// [`SctfReader::to_log`] then decodes every column in one pass that
 /// also checks the trace's invariants.
-pub struct SctfReader {
-    buf: Vec<u8>,
+pub struct SctfReader<B = Vec<u8>> {
+    buf: B,
     n: usize,
     net: &'static str,
     exec: SimTime,
@@ -411,8 +412,8 @@ fn read_u32(b: &[u8], at: usize) -> u32 {
 }
 
 impl SctfReader {
-    /// Validate and index a container held in memory (the buffer is
-    /// copied once).
+    /// Validate and index a container held in memory, copied into the
+    /// reader (to decode bytes in place, [`from_sctf_bytes`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<SctfReader, TraceError> {
         Self::from_buf(bytes.to_vec())
     }
@@ -421,9 +422,11 @@ impl SctfReader {
     pub fn open(path: impl AsRef<Path>) -> Result<SctfReader, TraceError> {
         Self::from_buf(std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?)
     }
+}
 
-    fn from_buf(buf: Vec<u8>) -> Result<SctfReader, TraceError> {
-        let b = &buf[..];
+impl<B: AsRef<[u8]>> SctfReader<B> {
+    fn from_buf(buf: B) -> Result<SctfReader<B>, TraceError> {
+        let b = buf.as_ref();
         let short = |section: &'static str, need: u64| TraceError::TruncatedSection {
             section,
             need,
@@ -550,7 +553,7 @@ impl SctfReader {
 
     fn section(&self, sec: usize) -> &[u8] {
         let (off, len) = self.sections[sec];
-        &self.buf[off..off + len]
+        &self.buf.as_ref()[off..off + len]
     }
 
     pub fn len(&self) -> usize {
@@ -571,7 +574,7 @@ impl SctfReader {
 
     /// Container size in bytes.
     pub fn byte_len(&self) -> usize {
-        self.buf.len()
+        self.buf.as_ref().len()
     }
 
     /// Decode both timestamp streams. Exactly `n` values each, or the
@@ -697,9 +700,10 @@ impl SctfReader {
     }
 }
 
-/// Parse a container held in memory straight to a [`TraceLog`].
+/// Parse a container held in memory straight to a [`TraceLog`], reading
+/// the caller's bytes in place.
 pub fn from_sctf_bytes(bytes: &[u8]) -> Result<TraceLog, TraceError> {
-    SctfReader::from_bytes(bytes)?.to_log()
+    SctfReader::from_buf(bytes)?.to_log()
 }
 
 #[cfg(test)]

@@ -5,22 +5,29 @@
 //! This file is its own test binary with one `#[test]`: the counter is
 //! process-wide, and a second test thread would allocate into it.
 //!
-//! Two lifetimes are pinned (DESIGN.md §7, "What the loop holds when"),
-//! and the width of a cache way, the largest thing a capture's
+//! Three lifetimes are pinned (DESIGN.md §7, "What the loop holds
+//! when"), and the width of a cache way, the largest thing a capture's
 //! simulator allocates:
 //!
 //! * the loop keeps **one** trace resident — iteration k's log and
-//!   replay result are freed before capture k+1 allocates its own — so
-//!   the loop's peak is one capture's peak plus the replay arena, not
-//!   plus a second trace;
+//!   replay result are freed before capture k+1 allocates its own — and
+//!   of it only what the loop reads (rows and replay times), with the
+//!   bookkeeping of messages in flight beside it, so the loop's peak is
+//!   below one whole-log capture's;
 //! * a capture drops its simulator before `Capture::finish`, which
 //!   canonicalises the fixed-size columns in place, so one capture's
 //!   transient is bounded by a small multiple of the log it returns;
+//! * a streamed capture keeps what is in flight, not what has been: its
+//!   peak does not grow with the run;
 //! * a way of an L1 or L2 tag array costs 9 bytes: a tag word and a
 //!   recency rank.
 
-use sctm::cmp::{Cache, CacheGeometry};
+use sctm::cmp::{Cache, CacheGeometry, CmpSim, InjectRecord, TraceHook};
+use sctm::engine::net::{Message, MsgId};
+use sctm::engine::time::SimTime;
 use sctm::prelude::*;
+use sctm::trace::StreamCapture;
+use sctm::workloads::{build, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -82,6 +89,74 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
 
 const MIB: f64 = (1 << 20) as f64;
 
+/// One hook call of a capture, kept to be fed again.
+enum Call {
+    Inject(Message, SimTime, Vec<MsgId>, Option<MsgId>, u8),
+    Deliver(MsgId, SimTime),
+    Time(SimTime),
+}
+
+#[derive(Default)]
+struct Recorder(Vec<Call>);
+
+impl TraceHook for Recorder {
+    fn on_inject(&mut self, r: InjectRecord<'_>) {
+        let call = Call::Inject(r.msg, r.at, r.deps.to_vec(), r.prev_same_src, r.kind);
+        self.0.push(call);
+    }
+
+    fn on_deliver(&mut self, id: MsgId, at: SimTime) {
+        self.0.push(Call::Deliver(id, at));
+    }
+
+    fn on_time(&mut self, now: SimTime) {
+        self.0.push(Call::Time(now));
+    }
+}
+
+/// Peak bytes of a `StreamCapture` of fft-16 at `ops` ops per core and
+/// the messages it captured: the run is recorded first, then fed to the
+/// capture on its own, with no pass on the other end of its feed (each
+/// batch is dropped as it is sent), so what is counted is the capture's
+/// own columns.
+fn streamed_capture_peak(ops: usize) -> (usize, usize) {
+    let sys = SystemConfig::new(4, NetworkKind::Omesh);
+    let cores = sys.cores();
+    let workload = build(Kernel::Fft, WorkloadParams::new(cores, ops, 1));
+    let mut calls = Recorder::default();
+    let exec = CmpSim::new(
+        sys.cmp.clone(),
+        Box::new(SystemConfig::analytic(cores)),
+        Box::new(workload),
+    )
+    .run(&mut calls)
+    .exec_time;
+    let rows = calls
+        .0
+        .iter()
+        .filter(|c| matches!(c, Call::Inject(..)))
+        .count();
+    let (peak, ()) = peak_of(|| {
+        let (mut cap, feed) = StreamCapture::new();
+        drop(feed);
+        for call in &calls.0 {
+            match call {
+                Call::Inject(msg, at, deps, prev_same_src, kind) => cap.on_inject(InjectRecord {
+                    msg: *msg,
+                    at: *at,
+                    deps,
+                    prev_same_src: *prev_same_src,
+                    kind: *kind,
+                }),
+                Call::Deliver(id, at) => cap.on_deliver(*id, *at),
+                Call::Time(now) => cap.on_time(*now),
+            }
+        }
+        cap.finish(exec);
+    });
+    (peak, rows)
+}
+
 #[test]
 fn one_trace_resident_written_once() {
     // The default L1 and L2-slice geometries: 32 KiB 4-way, 256 KiB
@@ -115,26 +190,49 @@ fn one_trace_resident_written_once() {
         capture_peak as f64 / log_bytes as f64,
         loop_peak as f64 / MIB,
     );
-    // The log is 1.43 MiB, so 0.15 x it is 0.21. With iteration k's
-    // (log, result) alive under capture k+1 the loop peaked at 8.72 MiB;
-    // freeing them first, at 5.39; streaming each capture into its pass
-    // with 40-byte rows, at 4.90-5.07; with the pass's 8-byte rows, at
-    // 4.00-4.06 against 4.25 + 0.21; with 9-byte cache ways, at
-    // 3.01-3.11 against 3.20 + 0.21. The allowance is the replay arena
-    // less what a streamed capture does not build, plus a 0.4 MiB margin
-    // for how capture and pass interleave.
+    // The log is 1.43 MiB. With iteration k's (log, result) alive under
+    // capture k+1 the loop peaked at 8.72 MiB; freeing them first, at
+    // 5.39; streaming each capture into its pass with 40-byte rows, at
+    // 4.90-5.07; with the pass's 8-byte rows, at 4.00-4.06; with 9-byte
+    // cache ways, at 2.94-3.11 (2.06-2.17 x the log); with message
+    // tables, the capture's id map and the plan's pages sized by what is
+    // in flight, at 2.20-2.37 (1.54-1.66 x). The bound, 1.75 x (2.50
+    // MiB), leaves 0.13 MiB for how capture and pass interleave.
     assert!(
-        loop_peak as f64 <= capture_peak as f64 + 0.15 * log_bytes as f64,
-        "the loop holds more than one trace: peak {loop_peak} B, one capture {capture_peak} B, \
-         log {log_bytes} B"
+        loop_peak as f64 <= 1.75 * log_bytes as f64,
+        "the loop holds more than the rows and times of one trace and a window: \
+         peak {loop_peak} B, log {log_bytes} B"
     );
     // Gathering into a second set of columns with the simulator still
     // alive, a capture peaked at 4.12 x the log it returned; dropping
     // the simulator first and permuting in place, 2.98 x; with 9-byte
-    // cache ways in place of 24-byte ones, 2.24 x (3.20 MiB). The bound
-    // leaves 0.16 x the log (0.23 MiB) of margin.
+    // cache ways in place of 24-byte ones, 2.24 x (3.20 MiB); with the
+    // simulator's message table sized by what is in flight, 2.15 x
+    // (3.07 MiB). The bound leaves 0.25 x the log (0.36 MiB) of margin.
     assert!(
         capture_peak as f64 <= 2.4 * log_bytes as f64,
         "a capture's transient grew: peak {capture_peak} B for a {log_bytes} B log"
+    );
+    let (stream_peak, rows) = streamed_capture_peak(600);
+    let (stream_peak_2x, rows_2x) = streamed_capture_peak(1200);
+    eprintln!(
+        "a streamed capture of {rows} messages peaks at {:.1} KiB, of {rows_2x} at {:.1} KiB",
+        stream_peak as f64 / 1024.0,
+        stream_peak_2x as f64 / 1024.0,
+    );
+    assert!(
+        rows_2x > 3 * rows / 2,
+        "the second run is not the longer one"
+    );
+    // A streamed capture keeps what is in flight: the rows it has not
+    // finalised, the ids final and not yet delivered, the destinations
+    // not yet arrived, and one bit per capture id. Twice the run adds
+    // 4.2 KiB of those bits; with a capture-id map, a `prev` column and
+    // a destination column grown to the run, it added 10.4 bytes a
+    // message (462 → 722 KiB).
+    assert!(
+        stream_peak_2x <= stream_peak + (16 << 10),
+        "a streamed capture's columns grow with the run: {stream_peak} B for {rows} messages, \
+         {stream_peak_2x} B for {rows_2x}"
     );
 }

@@ -15,10 +15,10 @@ use sctm_engine::net::{AnalyticNetwork, Message, MsgClass, NetworkModel, NodeId}
 use sctm_engine::time::SimTime;
 use sctm_obs as obs;
 use sctm_trace::replay::{
-    pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_stream, ReplayScratch,
+    replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass, replay_sctm_stream,
+    ReplayScratch,
 };
-use sctm_trace::{Capture, OnlineCorrected, ReplayResult, StreamCapture, StreamedPass, TraceLog};
+use sctm_trace::{Capture, OnlineCorrected, ReplayFold, StreamCapture, StreamedPass, TraceLog};
 use sctm_workloads::{build, Kernel, WorkloadParams};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -78,55 +78,6 @@ pub struct Experiment {
     /// count keeps rare flapping pairs from masking convergence. `0`
     /// disables.
     pub factor_epsilon: f64,
-}
-
-/// One iteration of the self-correction loop: a capture and the gated
-/// pass over it, as the loop reads them.
-enum Replayed<'a> {
-    /// A cached capture, replayed whole.
-    Whole(&'a TraceLog, ReplayResult),
-    /// A capture replayed as it ran, read in the pass's own pages.
-    Streamed(StreamedPass),
-}
-
-impl Replayed<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Replayed::Whole(log, _) => log.len(),
-            Replayed::Streamed(pass) => pass.len(),
-        }
-    }
-
-    fn capture_exec_time(&self) -> SimTime {
-        match self {
-            Replayed::Whole(log, _) => log.capture_exec_time,
-            Replayed::Streamed(pass) => pass.capture_exec_time(),
-        }
-    }
-
-    fn est_exec_time(&self) -> SimTime {
-        match self {
-            Replayed::Whole(_, result) => result.est_exec_time,
-            Replayed::Streamed(pass) => pass.est_exec_time(),
-        }
-    }
-
-    fn mean_latency_ns(&self, class: MsgClass) -> f64 {
-        match self {
-            Replayed::Whole(log, result) => result.mean_latency_ns(log, Some(class)),
-            Replayed::Streamed(pass) => pass.mean_latency_ns(Some(class)),
-        }
-    }
-
-    fn pair_corrections(
-        &self,
-        base_latency: impl FnMut(&Message) -> SimTime,
-    ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
-        match self {
-            Replayed::Whole(log, result) => pair_corrections(log, result, base_latency),
-            Replayed::Streamed(pass) => pass.pair_corrections(base_latency),
-        }
-    }
 }
 
 impl Experiment {
@@ -189,25 +140,27 @@ impl Experiment {
     /// `net` at once: the pass runs on a second thread and replays the
     /// rows as this thread's capture finalises them
     /// ([`replay_sctm_stream`]; DESIGN.md §7, "The loop captures and
-    /// replays at once"). What it returns reads as capturing, then
-    /// [`replay_sctm_pass`], would have.
+    /// replays at once"). It calls `fold` with each message and its
+    /// replay times in id order, on the pass's thread; what it folds and
+    /// returns read as capturing, then [`replay_sctm_pass`], would have.
     ///
-    /// The loop reads the pass in place and never the log's other
-    /// columns, so the capture builds none of them and no log is
-    /// assembled. A capture that panics closes the feed, the pass gives
-    /// up, and the panic goes on unwinding from here with its own
-    /// payload.
+    /// The loop folds what it reads of the pass as the pass delivers
+    /// and never reads the log's other columns, so the capture builds
+    /// none of them and no log is assembled. A capture that panics
+    /// closes the feed, the pass gives up, and the panic goes on
+    /// unwinding from here with its own payload.
     fn capture_and_replay(
         &self,
         model: AnalyticNetwork,
         net: &mut dyn NetworkModel,
         scratch: &mut ReplayScratch,
+        fold: impl FnMut(Message, SimTime, SimTime) + Send,
     ) -> StreamedPass {
         std::thread::scope(|s| {
             let (mut cap, feed) = StreamCapture::new();
             let pass = s.spawn(move || {
                 let _span = obs::span("sctm", "replay");
-                replay_sctm_stream(feed, net, scratch)
+                replay_sctm_stream(feed, net, scratch, fold)
             });
             {
                 let _span = obs::span("sctm", "capture");
@@ -307,10 +260,14 @@ impl Experiment {
         let mut model = SystemConfig::analytic(self.system.cores());
         let mut iters = Vec::new();
         let mut prev_est = SimTime::ZERO;
-        let mut last: Option<Replayed<'_>> = None;
-        // One set of pass pages for the whole loop: every iteration
-        // streams a same-shaped trace, so the buffers are paid for once.
+        // The last iteration's message count; its estimate ends up in
+        // `prev_est`, and its mean latencies in `fold`.
+        let mut messages = 0u64;
+        // One set of pass pages and one fold for the whole loop: every
+        // iteration streams a same-shaped trace, so the buffers and the
+        // correction table are paid for once.
         let mut scratch = ReplayScratch::new();
+        let mut fold = ReplayFold::new();
         // The verdict inputs (drift/signed-movement history) are a
         // handful of scalar pushes, always tracked, so the verdict never
         // depends on the recording state.
@@ -322,33 +279,43 @@ impl Experiment {
         for it in 1..=max_iters {
             let _iter_span = obs::span("sctm", "iteration");
             let iter_wall = Instant::now();
-            // A loop that goes on never reads the previous iteration's
-            // trace and replay result again: free them before the next
-            // capture allocates its own, so one trace is resident at a
-            // time.
-            drop(last.take());
             let mut net = SystemConfig::make_network_kind(side, kind);
+            // What the loop reads of the pass — the pair corrections and
+            // the class mean latencies — is folded a message at a time in
+            // id order, by one path whoever runs the pass: a message's
+            // replay times are not kept once it is folded.
+            fold.clear();
             // Iteration 1 runs on the uncorrected model, so a cached
             // capture of this experiment substitutes exactly — read in
             // place, never copied, through the gate plan the log
             // memoises (a second request over the same cached capture
-            // reuses it). Every other iteration captures and replays at
-            // once.
-            let replayed = match seed {
+            // reuses it), and walked into the fold once it has replayed.
+            // Every other iteration captures and replays at once, and
+            // folds as the pass delivers.
+            let (len, capture_exec_time, est) = match seed {
                 Some(s) if it == 1 => {
                     let _span = obs::span("sctm", "replay");
-                    Replayed::Whole(s, replay_sctm_pass(s, net.as_mut()))
+                    let result = replay_sctm_pass(s, net.as_mut());
+                    fold.walk(s, &result, |m| model.base_latency(m));
+                    (s.len(), s.capture_exec_time, result.est_exec_time)
                 }
-                _ => Replayed::Streamed(self.capture_and_replay(
-                    model.clone(),
-                    net.as_mut(),
-                    &mut scratch,
-                )),
+                _ => {
+                    let streamed = self.capture_and_replay(
+                        model.clone(),
+                        net.as_mut(),
+                        &mut scratch,
+                        |m, inject, deliver| fold.push(&m, inject, deliver, model.base_latency(&m)),
+                    );
+                    (
+                        streamed.len(),
+                        streamed.capture_exec_time(),
+                        streamed.est_exec_time(),
+                    )
+                }
             };
             if it == 1 {
-                prev_est = replayed.capture_exec_time();
+                prev_est = capture_exec_time;
             }
-            let est = replayed.est_exec_time();
             if obs::enabled() {
                 obs::with_global(|reg| obs::publish_network(reg, net.as_ref()));
             }
@@ -365,7 +332,7 @@ impl Experiment {
             // whole multiples from iteration to iteration without moving
             // the estimate, so an unweighted max never settles.
             let corr_span = obs::span("sctm", "correct");
-            let corr = replayed.pair_corrections(|m| model.base_latency(m));
+            let corr = fold.corrections();
             let alpha = self.damping;
             let (mut moved_weighted, mut signed_weighted, mut weight) = (0.0f64, 0.0f64, 0.0f64);
             for &((s, d, class), f, count) in &corr {
@@ -402,7 +369,7 @@ impl Experiment {
                 drift,
                 corrections: corr.len(),
                 factor_move,
-                messages: replayed.len() as u64,
+                messages: len as u64,
             });
             obs::record_iteration(obs::IterTelemetry {
                 network: kind.label(),
@@ -411,14 +378,14 @@ impl Experiment {
                 est_ps: est.as_ps(),
                 drift_ps: drift.as_ps(),
                 corrections: corr.len() as u64,
-                messages: replayed.len() as u64,
+                messages: len as u64,
                 wall_ns: iter_wall.elapsed().as_nanos() as u64,
             });
             drift_hist.push(drift.as_ps());
             signed_hist.push(signed_move);
             last_factor_move = factor_move;
             prev_est = est;
-            last = Some(replayed);
+            messages = len as u64;
             if drift.as_ps() * 200 < est.as_ps() {
                 exit_verdict = Some(obs::ConvergenceVerdict::ConvergedDrift);
                 break; // < 0.5% movement of the estimate
@@ -444,15 +411,14 @@ impl Experiment {
             };
             obs::classify_unconverged(&drift_hist, &signed_hist, last_factor_move, stall_eps)
         });
-        let last = last.expect("the loop runs at least once");
         RunReport {
             mode: Mode::SelfCorrection { max_iters }.label(),
             network: kind.label(),
             workload: self.kernel.label(),
-            exec_time: last.est_exec_time(),
-            mean_lat_ctrl_ns: last.mean_latency_ns(MsgClass::Control),
-            mean_lat_data_ns: last.mean_latency_ns(MsgClass::Data),
-            messages: last.len() as u64,
+            exec_time: prev_est,
+            mean_lat_ctrl_ns: fold.mean_latency_ns(MsgClass::Control),
+            mean_lat_data_ns: fold.mean_latency_ns(MsgClass::Data),
+            messages,
             wall: wall0.elapsed(),
             iterations: Some(iters),
             verdict: Some(verdict),

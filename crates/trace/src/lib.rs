@@ -16,6 +16,10 @@
 //!   running; the outer capture-correction loop lives in `sctm-core`),
 //!   and the full-causality oracle ([`replay::replay_oracle`]) that
 //!   bounds achievable trace-driven accuracy.
+//! * [`fold`] — what the self-correction loop reads of a replay, folded
+//!   a message at a time in id order ([`ReplayFold`]): pair correction
+//!   sums in a table of the flows that carried messages, and the class
+//!   mean latencies.
 //! * [`online`] — the online epoch-corrected variant: an analytic
 //!   network that continuously calibrates itself against a shadow
 //!   detailed model while the full-system run proceeds.
@@ -28,6 +32,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod fold;
 #[doc(hidden)]
 pub mod incr;
 pub mod log;
@@ -37,6 +42,7 @@ pub mod persist;
 pub mod replay;
 pub mod sctf;
 
+pub use fold::ReplayFold;
 #[doc(hidden)]
 pub use incr::{IncrPassStats, IncrReplayer, PassKind};
 pub use log::{Capture, CaptureFeed, StreamCapture, TraceLog, TraceRecord};

@@ -1654,15 +1654,28 @@ mod tests {
         cap.set_flush_rows(1);
         let mut scratch = ReplayScratch::new();
         let mut target = net();
+        let mut folded = Vec::new();
         let streamed = std::thread::scope(|s| {
-            let pass = s.spawn(|| replay_sctm_stream(feed, &mut target, &mut scratch));
+            let pass = s.spawn(|| {
+                replay_sctm_stream(feed, &mut target, &mut scratch, |m, i, d| {
+                    folded.push((m, i, d))
+                })
+            });
             feed_all(&mut cap);
             cap.finish(exec);
             pass.join().unwrap().expect("finished")
         });
-        let (inject, deliver): (Vec<_>, Vec<_>) = streamed.replayed().map(|r| (r.1, r.2)).unzip();
+        // Every message once, in id order, with the whole pass's times.
+        let ids: Vec<u64> = folded.iter().map(|r| r.0.id.0).collect();
+        assert_eq!(ids, (0..log.len() as u64).collect::<Vec<_>>());
+        assert!(folded
+            .iter()
+            .zip(log.records.iter())
+            .all(|(r, w)| r.0 == w.msg));
+        let (inject, deliver): (Vec<_>, Vec<_>) = folded.iter().map(|r| (r.1, r.2)).unzip();
         assert_eq!(inject, whole.inject);
         assert_eq!(deliver, whole.deliver);
+        assert_eq!(streamed.len(), log.len());
         assert_eq!(streamed.est_exec_time(), whole.est_exec_time);
         scratch
     }
@@ -1699,6 +1712,43 @@ mod tests {
             scratch.retired(2 * PAGE - 1),
             "the pass kept its first two pages"
         );
+    }
+
+    /// A streamed pass retires its replay times behind its fold front,
+    /// which runs ahead of the plan's front when a message delivers in
+    /// the replay before the capture delivers it, and a row given after
+    /// its gate's and its predecessor's time pages have retired replays
+    /// as the whole-log pass has it. Node 3 sends X to node 2 as page 0
+    /// closes; the capture holds X in flight until nodes 0 and 1 have
+    /// ping-ponged three pages, while the replay, twice as fast, delivers
+    /// page 0 and X long before. Then node 2 sends, gated by X's arrival
+    /// in the same batch, and node 3 sends again after X: the one time
+    /// the pass can read of X is the one it kept, in `early` for the
+    /// gate and in node 3's anchor for the predecessor.
+    #[test]
+    fn a_row_whose_gate_and_predecessor_times_have_retired_replays_as_the_whole_pass_has_it() {
+        use crate::pages::PAGE;
+        let c = MsgClass::Control;
+        let n = 3 * PAGE as u64;
+        let end = 100 * n;
+        let events = ping_pong_of(
+            n,
+            &[
+                (
+                    100 * (PAGE as u64 - 2) + 50,
+                    Ev::Inject(msg(n, 3, 2, c), None),
+                ),
+                (end, Ev::Deliver(n)),
+                (end, Ev::Inject(msg(n + 1, 2, 0, c), None)),
+                (end, Ev::Inject(msg(n + 2, 3, 1, c), Some(n))),
+                (end + 60, Ev::Deliver(n + 1)),
+                (end + 60, Ev::Deliver(n + 2)),
+            ],
+        );
+        let slow: Vec<(u64, Ev)> = events.into_iter().map(|(t, e)| (1000 * t, e)).collect();
+        let scratch = assert_streamed_pass_matches_whole(&slow);
+        // X is the last id of page 0.
+        assert!(scratch.times_retired(PAGE - 1), "the pass kept X's times");
     }
 
     /// Until a node has sent or received anything, only the watermark

@@ -24,7 +24,7 @@ pub(crate) const PAGE: usize = 1 << 12;
 
 /// An append-only column in pages of [`PAGE`] items, indexed like a
 /// slice. [`Pages::clear`] keeps the pages for the next fill;
-/// [`Pages::take_vec`] hands the column over in one exact-size `Vec`,
+/// [`Pages::into_vec`] hands the column over in one exact-size `Vec`,
 /// freeing each page as it is copied.
 ///
 /// A retired page is an empty `Vec`, so indexing into it panics, and
@@ -106,6 +106,12 @@ impl<T: Copy> Pages<T> {
         }
     }
 
+    /// Pages the column owns, in use or on its free list: the most it
+    /// has held at once since it was made.
+    pub(crate) fn owned(&self) -> usize {
+        self.pages.iter().filter(|p| p.capacity() > 0).count() + self.free.len()
+    }
+
     /// Whether item `i` sat on a page that has retired.
     #[inline]
     pub(crate) fn retired(&self, i: usize) -> bool {
@@ -115,11 +121,6 @@ impl<T: Copy> Pages<T> {
 
     pub(crate) fn get(&self, i: usize) -> Option<T> {
         self.pages.get(i / PAGE)?.get(i % PAGE).copied()
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        assert_eq!(self.retired, 0, "a column with retired pages read whole");
-        self.pages.iter().flatten()
     }
 
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
@@ -134,11 +135,6 @@ impl<T: Copy> Pages<T> {
             v.extend_from_slice(&page);
         }
         v
-    }
-
-    /// [`Pages::into_vec`], leaving the column empty and pageless.
-    pub(crate) fn take_vec(&mut self) -> Vec<T> {
-        std::mem::take(self).into_vec()
     }
 }
 
@@ -220,8 +216,7 @@ mod tests {
             assert!((0..want.len()).all(|i| p[i] == want[i] && p.get(i) == Some(want[i])));
             assert_eq!(p.get(want.len()), None);
         }
-        assert_eq!(p.take_vec(), want);
-        assert_eq!(p.len(), 0);
+        assert_eq!(p.into_vec(), want);
     }
 
     /// A column that retires its front holds a window of pages: the

@@ -44,11 +44,14 @@
 //!   [`ReplayScratch`] as a capture still running hands its rows over:
 //!   the loop replays each capture while the simulator produces it,
 //!   behind a horizon that keeps the result the whole-log pass's to the
-//!   bit, and reads the result in place ([`StreamedPass`]): no log is
-//!   assembled.
+//!   bit, and folds what it reads of the result as the pass delivers
+//!   ([`crate::fold`]): no log is assembled, and a message's replay
+//!   times live only while it is in flight.
 
+use crate::fold::Corrections;
 use crate::log::{CaptureBatch, CaptureFeed, TraceLog, TraceRecord, NONE};
-use crate::pages::{Frontier, Pages};
+use crate::pages::{Frontier, Pages, PAGE};
+use sctm_engine::msgtable::MsgTable;
 use sctm_engine::net::{Delivery, Message, MsgClass, MsgId, NetworkModel, NodeId};
 use sctm_engine::stats::Running;
 use sctm_engine::time::SimTime;
@@ -73,7 +76,8 @@ pub struct ReplayResult {
 
 impl ReplayResult {
     fn from_times(log: &TraceLog, inject: Vec<SimTime>, deliver: Vec<SimTime>) -> Self {
-        let est_exec_time = estimate(log.capture_exec_time, log.last_delivery(), &deliver);
+        let last = deliver.iter().copied().max().unwrap_or(SimTime::ZERO);
+        let est_exec_time = estimate(log.capture_exec_time, log.last_delivery(), last);
         ReplayResult {
             inject,
             deliver,
@@ -86,8 +90,9 @@ impl ReplayResult {
         mean_latency_ns(self.replayed(log), class)
     }
 
-    /// Every message of `log` with its replay injection and delivery.
-    fn replayed<'a>(
+    /// Every message of `log` with its replay injection and delivery,
+    /// in id order.
+    pub(crate) fn replayed<'a>(
         &'a self,
         log: &'a TraceLog,
     ) -> impl Iterator<Item = (Message, SimTime, SimTime)> + 'a {
@@ -95,16 +100,11 @@ impl ReplayResult {
     }
 }
 
-/// The execution-time estimate of a replay whose deliveries are
-/// `deliver`, over a capture that ran `exec_time` and delivered last at
+/// The execution-time estimate of a replay that delivered last at
+/// `last`, over a capture that ran `exec_time` and delivered last at
 /// `last_delivery`: the replay's last delivery plus the capture's local
 /// tail.
-fn estimate<'a>(
-    exec_time: SimTime,
-    last_delivery: SimTime,
-    deliver: impl IntoIterator<Item = &'a SimTime>,
-) -> SimTime {
-    let last = deliver.into_iter().copied().max().unwrap_or(SimTime::ZERO);
+fn estimate(exec_time: SimTime, last_delivery: SimTime, last: SimTime) -> SimTime {
     last + exec_time.saturating_since(last_delivery)
 }
 
@@ -221,10 +221,10 @@ pub(crate) trait Col<T>:
     fn clear(&mut self);
     /// Grow to `n` items; the new ones are `fill`.
     fn grow(&mut self, n: usize, fill: T);
-    /// The column as one exact-size vector, leaving it empty.
-    fn take_vec(&mut self) -> Vec<T>;
     /// Whether item `i` has retired with its page ([`Pages::retire_to`]).
     fn retired(&self, i: usize) -> bool;
+    /// Retire the first `pages` pages ([`Pages::retire_to`]).
+    fn retire_to(&mut self, pages: usize);
 }
 
 impl<T: Copy + Debug> Col<T> for Vec<T> {
@@ -237,13 +237,12 @@ impl<T: Copy + Debug> Col<T> for Vec<T> {
     fn grow(&mut self, n: usize, fill: T) {
         self.resize(n, fill);
     }
-    fn take_vec(&mut self) -> Vec<T> {
-        std::mem::take(self)
-    }
     #[inline]
     fn retired(&self, _: usize) -> bool {
         false
     }
+    /// A flat column holds a whole log, and retires nothing.
+    fn retire_to(&mut self, _: usize) {}
 }
 
 impl<T: Copy + Debug> Col<T> for Pages<T> {
@@ -256,12 +255,12 @@ impl<T: Copy + Debug> Col<T> for Pages<T> {
     fn grow(&mut self, n: usize, fill: T) {
         self.resize(n, fill);
     }
-    fn take_vec(&mut self) -> Vec<T> {
-        Pages::take_vec(self)
-    }
     #[inline]
     fn retired(&self, i: usize) -> bool {
         Pages::retired(self, i)
+    }
+    fn retire_to(&mut self, pages: usize) {
+        Pages::retire_to(self, pages);
     }
 }
 
@@ -526,10 +525,11 @@ struct PassState<S: Store> {
     /// Delivery drain buffer.
     buf: Vec<Delivery>,
     /// Replay injection time per message ([`SimTime::MAX`] until it is
-    /// injected).
+    /// injected). An open pass grows it as it injects, not as it takes
+    /// rows, and retires its pages behind its fold front.
     inject: S::Col<SimTime>,
     /// Replay delivery time per message, read only once it has
-    /// delivered ([`DELIVERED`]).
+    /// delivered ([`DELIVERED`]); grown and retired with `inject`.
     deliver: S::Col<SimTime>,
     delivered: usize,
     /// The pass injects nothing and processes no network event at or
@@ -541,22 +541,53 @@ struct PassState<S: Store> {
     /// The capture's watermark at the last batch.
     watermark: SimTime,
     /// Per node, the latest arrival and the latest departure the pass
-    /// has been given ([`NONE`] = none yet), each with its instant on
-    /// the capture timeline.
-    last_arrival: Vec<(u32, SimTime)>,
-    last_departure: Vec<(u32, SimTime)>,
+    /// has been given: its horizon anchors.
+    last_arrival: Vec<Anchor>,
+    last_departure: Vec<Anchor>,
     /// Messages delivered in the replay before their capture delivery
-    /// was known, keyed by [`key`] on their replay delivery.
-    early: BinaryHeap<Reverse<u128>>,
-    /// What an open pass's result needs of the capture's rows, kept as
-    /// it takes them: one past the largest node id any row names, and
-    /// the latest capture delivery.
-    nodes: usize,
+    /// was known, with their replay delivery: they may gate a row still
+    /// to come, and an arrival taken later anchors its node at it.
+    early: MsgTable<SimTime>,
+    /// The same messages keyed by [`key`] on their replay delivery,
+    /// earliest first; an entry whose id has left `early` is stale.
+    early_order: BinaryHeap<Reverse<u128>>,
+    /// The latest capture delivery, which the estimate needs and the
+    /// rows no longer carry.
     last_delivery: SimTime,
     /// An open pass's messages that have arrived in the capture and
-    /// delivered in the replay, by page: the plan's and `flags`' pages
-    /// retire behind its front.
+    /// delivered in the replay, by page: the rows', the plan's and
+    /// `flags`' pages retire behind its front.
     done: Frontier,
+    /// An open pass's fold front: every message below it has delivered
+    /// in the replay and been folded, in id order. The time pages retire
+    /// behind it.
+    folded: usize,
+    /// The latest replay delivery folded.
+    latest: SimTime,
+}
+
+/// A node's horizon anchor: its latest given arrival or departure
+/// ([`NONE`] = none yet), that message's instant on the capture timeline,
+/// and its replay delivery or injection ([`SimTime::MAX`] = not yet).
+///
+/// The anchor keeps its replay time so that nothing the pass reads of a
+/// message it has been given can be on a retired time page: a row given
+/// late is scheduled from its gate's delivery, or its predecessor's
+/// injection, and either is its source's anchor or a row or arrival of
+/// its own batch (DESIGN.md §7, "What the loop holds when").
+#[derive(Clone, Copy, Debug)]
+struct Anchor {
+    id: u32,
+    capture: SimTime,
+    replay: SimTime,
+}
+
+impl Anchor {
+    const NONE: Anchor = Anchor {
+        id: NONE,
+        capture: SimTime::ZERO,
+        replay: SimTime::MAX,
+    };
 }
 
 impl PassState<Flat> {
@@ -573,6 +604,14 @@ impl PassState<Flat> {
             i = plan.next[i as usize];
         }
     }
+
+    /// The pass's times, taken out of its columns.
+    fn times(&mut self) -> (Vec<SimTime>, Vec<SimTime>) {
+        (
+            std::mem::take(&mut self.inject),
+            std::mem::take(&mut self.deliver),
+        )
+    }
 }
 
 impl<S: Store> PassState<S> {
@@ -583,11 +622,6 @@ impl<S: Store> PassState<S> {
         self.deliver.grow(n, SimTime::ZERO);
         self.delivered = 0;
         self.heap.clear();
-    }
-
-    /// The pass's times, taken out of its columns.
-    fn times(&mut self) -> (Vec<SimTime>, Vec<SimTime>) {
-        (self.inject.take_vec(), self.deliver.take_vec())
     }
 }
 
@@ -601,12 +635,14 @@ impl PassState<Paged> {
         self.watermark = SimTime::ZERO;
         for v in [&mut self.last_arrival, &mut self.last_departure] {
             v.clear();
-            v.resize(nodes, (NONE, SimTime::ZERO));
+            v.resize(nodes, Anchor::NONE);
         }
-        self.early.clear();
-        self.nodes = 0;
+        self.early = MsgTable::new();
+        self.early_order.clear();
         self.last_delivery = SimTime::ZERO;
         self.done.clear();
+        self.folded = 0;
+        self.latest = SimTime::ZERO;
     }
 
     /// Take one batch of a running capture: its rows join `plan`, and
@@ -616,24 +652,28 @@ impl PassState<Paged> {
     /// makes safe.
     fn take(&mut self, batch: &CaptureBatch, rows: &mut Pages<MsgRow>, plan: &mut Plan<Paged>) {
         // Pages of messages done with go back before new ones are taken.
+        // A message done has delivered, so the fold has passed it.
         let front = self.done.front();
+        debug_assert!(self.folded >= front * PAGE, "a row retires unfolded");
         plan.retire_to(front);
         self.flags.retire_to(front);
+        rows.retire_to(front);
         let lo = rows.len();
         let n = lo + batch.rows.len();
         plan.grow(n);
         self.flags.grow(n, 0);
-        self.inject.grow(n, SimTime::MAX);
-        self.deliver.grow(n, SimTime::ZERO);
         for ((i, r), row) in (lo..n).zip(&batch.rows).zip(&batch.plan) {
             // A row's id is its index, so the row need not keep it.
             assert_eq!(r.msg.id.0, i as u64, "a row out of canonical order");
-            let (src, dst) = (r.msg.src.idx(), r.msg.dst.idx());
+            let src = r.msg.src.idx();
             rows.push(MsgRow::of(&r.msg));
-            self.nodes = self.nodes.max(src.max(dst) + 1);
             plan.link(i, row);
-            self.admit(i, row);
-            self.last_departure[src] = (i as u32, r.t_inject);
+            self.admit(i, src, row);
+            self.last_departure[src] = Anchor {
+                id: i as u32,
+                capture: r.t_inject,
+                replay: SimTime::MAX,
+            };
         }
         for &(at, id) in &batch.arrivals {
             let f = &mut self.flags[id as usize];
@@ -643,32 +683,46 @@ impl PassState<Paged> {
                 self.done.done(id as usize);
             }
             self.last_delivery = self.last_delivery.max(at);
-            self.last_arrival[usize::from(rows[id as usize].dst)] = (id, at);
+            // One delivered already did so early, and `early` alone
+            // still has its time.
+            let replay = self.early.remove(u64::from(id)).unwrap_or(SimTime::MAX);
+            self.last_arrival[usize::from(rows[id as usize].dst)] = Anchor {
+                id,
+                capture: at,
+                replay,
+            };
         }
         self.watermark = batch.watermark;
         self.horizon = self.bound();
     }
 
-    /// Message `i` joins a pass that may already have run past what
-    /// would have scheduled it: queue it at the time a whole-log pass
-    /// would have — a seed at its capture time, a gated row once its
-    /// gate has delivered, a gate-less one once its predecessor has
-    /// injected.
-    fn admit(&mut self, i: usize, row: &PlanRow) {
+    /// Message `i`, from `src`, joins a pass that may already have run
+    /// past what would have scheduled it: queue it at the time a
+    /// whole-log pass would have — a seed at its capture time, a gated
+    /// row once its gate has delivered, a gate-less one once its
+    /// predecessor has injected.
+    ///
+    /// The predecessor is `src`'s latest given departure, so its anchor
+    /// holds its injection.
+    fn admit(&mut self, i: usize, src: usize, row: &PlanRow) {
         let mut f = row.flags;
         let at = if f & SCHEDULED != 0 {
             Some(row.delta)
         } else if row.gate != NONE {
-            let g = row.gate as usize;
-            (self.flags_of(g) & DELIVERED != 0).then(|| {
+            let g = self.gate_delivery(row.gate, src);
+            (g != SimTime::MAX).then(|| {
                 f |= GATE_DONE | SCHEDULED;
-                self.deliver[g] + row.delta
+                g + row.delta
             })
         } else {
-            let p = self.inject[row.src_prev as usize];
-            (p != SimTime::MAX).then(|| {
+            let prev = self.last_departure[src];
+            debug_assert_eq!(
+                prev.id, row.src_prev,
+                "a predecessor that is not the anchor"
+            );
+            (prev.replay != SimTime::MAX).then(|| {
                 f |= SCHEDULED;
-                p + row.delta
+                prev.replay + row.delta
             })
         };
         self.flags[i] = f;
@@ -684,23 +738,27 @@ impl PassState<Paged> {
         }
     }
 
-    /// Message `i`'s flags, read where `i` may have retired: as a late
-    /// row's gate, as a node's latest arrival, or in the `early` heap. A
-    /// retired message has arrived and delivered; every other read of
-    /// a retired page panics.
-    #[inline]
-    fn flags_of(&self, i: usize) -> u8 {
-        if self.flags.retired(i) {
-            GATE_DONE | SCHEDULED | ARRIVED | DELIVERED
-        } else {
-            self.flags[i]
+    /// The replay delivery of gate `g` of a row from `src` being taken
+    /// ([`SimTime::MAX`] = not yet). The gate is `src`'s latest arrival
+    /// as of the last batch, its anchor, or an arrival of this batch, not
+    /// yet taken: one that has delivered did so early. So its time is in
+    /// the anchor or in `early`, never on a time page that may have
+    /// retired; every other read is of its pages, and panics if they have.
+    fn gate_delivery(&self, g: u32, src: usize) -> SimTime {
+        let anchor = self.last_arrival[src];
+        if anchor.id == g {
+            return anchor.replay;
         }
-    }
-
-    /// The replay delivery of message `i`, if it has delivered.
-    fn delivery(&self, i: u32) -> SimTime {
-        if self.flags_of(i as usize) & DELIVERED != 0 {
-            self.deliver[i as usize]
+        if let Some(&at) = self.early.get(u64::from(g)) {
+            return at;
+        }
+        let g = g as usize;
+        debug_assert!(
+            self.flags[g] & ARRIVED == 0,
+            "a gate that is neither its source's anchor nor in its row's batch"
+        );
+        if self.flags[g] & DELIVERED != 0 {
+            self.deliver[g]
         } else {
             SimTime::MAX
         }
@@ -715,19 +773,19 @@ impl PassState<Paged> {
     fn bound(&mut self) -> SimTime {
         let w = self.watermark;
         let mut h = SimTime::MAX;
-        for (&(a, a_at), &(d, d_at)) in self.last_arrival.iter().zip(&self.last_departure) {
-            h = h.min(match (a, d) {
+        for (a, d) in self.last_arrival.iter().zip(&self.last_departure) {
+            h = h.min(match (a.id, d.id) {
                 (NONE, NONE) => w,
-                (NONE, d) => after_anchor(self.inject[d as usize], d_at, w),
-                (a, _) => after_anchor(self.delivery(a), a_at, w),
+                (NONE, _) => after_anchor(d.replay, d.capture, w),
+                _ => after_anchor(a.replay, a.capture, w),
             });
         }
-        while let Some(&Reverse(k)) = self.early.peek() {
-            if self.flags_of(key_id(k)) & ARRIVED == 0 {
+        while let Some(&Reverse(k)) = self.early_order.peek() {
+            if self.early.contains(key_id(k) as u64) {
                 h = h.min(key_time(k));
                 break;
             }
-            self.early.pop();
+            self.early_order.pop();
         }
         h
     }
@@ -737,7 +795,7 @@ impl PassState<Paged> {
     fn close(&mut self) {
         self.open = false;
         self.horizon = SimTime::MAX;
-        self.early.clear();
+        self.early_order.clear();
     }
 }
 
@@ -764,18 +822,20 @@ fn after_anchor(replay: SimTime, capture: SimTime, w: SimTime) -> SimTime {
 /// its index, and the capture's timestamps stay with the plan (deltas)
 /// and the pass state (horizon anchors), so a row keeps neither.
 ///
+/// Every column holds a window of pages, not the run: the rows, the
+/// plan and the flags retire once their messages have arrived in the
+/// capture and delivered in the replay, the replay times once they have
+/// been folded (DESIGN.md §7, "What the loop holds when").
+///
 /// The self-correction loop in `sctm-core` streams a fresh same-sized
 /// capture once per iteration, so it borrows one of these for the whole
-/// run: the plan and pass state are reset in place, so after the first
-/// pass nothing of a trace's size is allocated but what the pass hands
-/// over. One instance can serve captures of different sizes (capacity
-/// only ever grows).
+/// run: everything is reset in place, so after the first pass nothing
+/// of a trace's size is allocated. One instance can serve captures of
+/// different sizes (capacity only ever grows).
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
     plan: Plan<Paged>,
     pass: PassState<Paged>,
-    /// The rows the pass assembles (handed over in its
-    /// [`StreamedPass`]).
     rows: Pages<MsgRow>,
 }
 
@@ -784,10 +844,25 @@ impl ReplayScratch {
         Self::default()
     }
 
+    /// Pages of replay times the passes run in this scratch have held
+    /// at once, against pages of plan: the window of messages a pass
+    /// holds between taking a row and being done with it. Only tests
+    /// read these.
+    #[doc(hidden)]
+    pub fn pages_held(&self) -> (usize, usize) {
+        (self.pass.inject.owned(), self.plan.delta.owned())
+    }
+
     /// Whether message `i`'s page of the plan has retired.
     #[cfg(test)]
     pub(crate) fn retired(&self, i: usize) -> bool {
         self.plan.delta.retired(i)
+    }
+
+    /// Whether message `i`'s page of replay times has retired.
+    #[cfg(test)]
+    pub(crate) fn times_retired(&self, i: usize) -> bool {
+        self.pass.inject.retired(i) && self.pass.deliver.retired(i)
     }
 }
 
@@ -978,7 +1053,7 @@ fn whole_pass(
     let plan = &plan.0;
     debug_assert_eq!(plan.len(), log.len(), "plan built for another log");
     pass.start(plan);
-    let done = run_gated(&log.records[..], net, plan, pass, || false);
+    let done = run_gated(&log.records[..], net, plan, pass, || false, None);
     debug_assert!(done, "an unbounded pass stops only when done");
     let (inject, deliver) = pass.times();
     ReplayResult::from_times(log, inject, deliver)
@@ -999,23 +1074,31 @@ fn whole_pass(
 /// up before its last batch — it panicked; the caller learns why from
 /// its own thread.
 ///
-/// The log's rows and the pass's times come back in pages, read in
-/// place ([`StreamedPass`]).
+/// The result is handed over as the pass makes it: `fold` is called
+/// once per message — with the message, its replay injection and its
+/// replay delivery — in ascending id order, as the front of
+/// contiguously delivered ids moves forward. A message's times are kept
+/// only until it is folded, so what the caller reads of the pass it
+/// accumulates ([`crate::fold::ReplayFold`]); what comes back is the
+/// pass's size and estimate.
 pub fn replay_sctm_stream(
     feed: CaptureFeed,
     net: &mut dyn NetworkModel,
     scratch: &mut ReplayScratch,
+    mut fold: impl FnMut(Message, SimTime, SimTime),
 ) -> Option<StreamedPass> {
+    let fold: &mut dyn FnMut(Message, SimTime, SimTime) = &mut fold;
     let ReplayScratch { plan, pass, rows } = scratch;
     rows.clear();
     plan.clear();
     pass.start_open(net.num_nodes());
     loop {
         let mut waiting = None;
-        run_gated(rows, net, plan, pass, || {
+        let poll = || {
             waiting = feed.try_recv();
             waiting.is_some()
-        });
+        };
+        run_gated(rows, net, plan, pass, poll, Some(&mut *fold));
         // Take the batch the pass found waiting or, at the horizon, wait
         // for one; then every other one already waiting: the pass runs
         // as far as all of them allow.
@@ -1027,61 +1110,38 @@ pub fn replay_sctm_stream(
             pass.take(&batch, rows, plan);
             if let Some(exec_time) = batch.end {
                 pass.close();
-                let done = run_gated(rows, net, plan, pass, || false);
+                let done = run_gated(rows, net, plan, pass, || false, Some(&mut *fold));
                 debug_assert!(done, "an unbounded pass stops only when done");
-                return Some(StreamedPass::new(std::mem::take(rows), pass, exec_time));
+                debug_assert_eq!(pass.folded, rows.len(), "a message left unfolded");
+                return Some(StreamedPass {
+                    messages: rows.len(),
+                    capture_exec_time: exec_time,
+                    est_exec_time: estimate(exec_time, pass.last_delivery, pass.latest),
+                });
             }
             next = feed.try_recv();
         }
     }
 }
 
-/// A finished streamed pass: the log's rows — what the pass read of
-/// each message, 8 bytes a row ([`ReplayScratch`]) — and the replay's
-/// times, still in the pages the pass grew them in.
-///
-/// What the self-correction loop reads of an iteration — the estimate,
-/// the pair corrections, the mean latencies — it reads here, in place,
-/// each computed by the same code and in the same order as from a
-/// [`TraceLog`] and its [`ReplayResult`]: copying a log's worth of pages
-/// into a log it would only read once cost a second copy's residency.
-/// The capture keeps none of the log's other columns, so there is no
-/// log to build: a caller that keeps the trace runs a [`crate::Capture`].
-#[derive(Debug)]
+/// What a finished streamed pass hands back once it has folded every
+/// message ([`replay_sctm_stream`]): how many it replayed, the capture
+/// run's execution time and the replay's estimate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamedPass {
-    rows: Pages<MsgRow>,
-    inject: Pages<SimTime>,
-    deliver: Pages<SimTime>,
-    /// One past the largest node id any row names.
-    nodes: usize,
+    messages: usize,
     capture_exec_time: SimTime,
     est_exec_time: SimTime,
 }
 
 impl StreamedPass {
-    /// The pass over `rows` that `pass` has finished, its times taken
-    /// out of it.
-    fn new(rows: Pages<MsgRow>, pass: &mut PassState<Paged>, capture_exec_time: SimTime) -> Self {
-        let inject = std::mem::take(&mut pass.inject);
-        let deliver = std::mem::take(&mut pass.deliver);
-        let est_exec_time = estimate(capture_exec_time, pass.last_delivery, deliver.iter());
-        StreamedPass {
-            rows,
-            inject,
-            deliver,
-            nodes: pass.nodes,
-            capture_exec_time,
-            est_exec_time,
-        }
-    }
-
     /// Messages replayed.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.messages
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.len() == 0
+        self.messages == 0
     }
 
     /// The capture run's execution time ([`TraceLog::capture_exec_time`]).
@@ -1092,31 +1152,6 @@ impl StreamedPass {
     /// [`ReplayResult::est_exec_time`].
     pub fn est_exec_time(&self) -> SimTime {
         self.est_exec_time
-    }
-
-    /// [`ReplayResult::mean_latency_ns`].
-    pub fn mean_latency_ns(&self, class: Option<MsgClass>) -> f64 {
-        mean_latency_ns(self.replayed(), class)
-    }
-
-    /// [`pair_corrections`].
-    pub fn pair_corrections(
-        &self,
-        base_latency: impl FnMut(&Message) -> SimTime,
-    ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
-        corrections(self.nodes, self.replayed(), base_latency)
-    }
-
-    /// Every message in id order, with its replay injection and
-    /// delivery.
-    pub fn replayed(&self) -> impl Iterator<Item = (Message, SimTime, SimTime)> + '_ {
-        (self
-            .rows
-            .iter()
-            .zip(self.inject.iter())
-            .zip(self.deliver.iter()))
-        .enumerate()
-        .map(|(i, ((r, &inj), &d))| (r.message(i), inj, d))
     }
 }
 
@@ -1234,12 +1269,17 @@ const POLL_ROUNDS: u32 = 64;
 /// that its caller takes rows while the pass is still short of its
 /// horizon rather than once it is stuck there. A whole-log pass passes
 /// `|| false`, and the check compiles away.
+///
+/// With a `fold`, each delivery round ends by folding every message
+/// from the fold front on that has delivered, in id order, and retiring
+/// the time pages the front has passed ([`replay_sctm_stream`]).
 fn run_gated<S: Store, M: Msgs + ?Sized>(
     msgs: &M,
     net: &mut dyn NetworkModel,
     plan: &Plan<S>,
     pass: &mut PassState<S>,
     mut waiting: impl FnMut() -> bool,
+    mut fold: Option<&mut dyn FnMut(Message, SimTime, SimTime)>,
 ) -> bool {
     let n = plan.len();
     let PassState {
@@ -1255,7 +1295,10 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
         last_arrival,
         last_departure,
         early,
+        early_order,
         done,
+        folded,
+        latest,
         ..
     } = pass;
     let mut rounds = 0u32;
@@ -1267,15 +1310,24 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
                 break;
             }
             let i = key_id(k);
+            if i >= inject.len() {
+                // An open pass grows its times as it injects.
+                inject.grow(i + 1, SimTime::MAX);
+                deliver.grow(i + 1, SimTime::ZERO);
+            }
             inject[i] = t;
             let msg = msgs.msg(i);
             net.inject(t, msg);
             // A row still to come may follow this one at its source,
             // from `t` on.
             if *open {
-                let (d, d_at) = last_departure[msg.src.idx()];
-                if d == i as u32 && last_arrival[msg.src.idx()].0 == NONE {
-                    *horizon = (*horizon).min(after_anchor(t, d_at, *watermark));
+                let src = msg.src.idx();
+                let d = &mut last_departure[src];
+                if d.id == i as u32 {
+                    d.replay = t;
+                    if last_arrival[src].id == NONE {
+                        *horizon = (*horizon).min(after_anchor(t, d.capture, *watermark));
+                    }
                 }
             }
             // Unblock the per-source successor if it waits on this
@@ -1317,12 +1369,14 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
             // given, or one whose capture delivery is not known yet.
             if *open {
                 if flags[id] & ARRIVED == 0 {
-                    early.push(Reverse(key(at, id as u32)));
+                    early.insert(id as u64, at);
+                    early_order.push(Reverse(key(at, id as u32)));
                     *horizon = (*horizon).min(at);
                 } else {
-                    let (a, a_at) = last_arrival[d.msg.dst.idx()];
-                    if a == id as u32 {
-                        *horizon = (*horizon).min(after_anchor(at, a_at, *watermark));
+                    let a = &mut last_arrival[d.msg.dst.idx()];
+                    if a.id == id as u32 {
+                        a.replay = at;
+                        *horizon = (*horizon).min(after_anchor(at, a.capture, *watermark));
                     }
                     done.done(id);
                 }
@@ -1335,6 +1389,19 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
                 msgs.prefetch(gi);
                 heap.push(Reverse(key(at + plan.delta[gi], g)));
                 g = plan.next[gi];
+            }
+        }
+        if let Some(fold) = fold.as_deref_mut() {
+            let from = *folded / PAGE;
+            while *folded < n && flags[*folded] & DELIVERED != 0 {
+                let i = *folded;
+                *latest = (*latest).max(deliver[i]);
+                fold(msgs.msg(i), inject[i], deliver[i]);
+                *folded += 1;
+            }
+            if *folded / PAGE > from {
+                inject.retire_to(*folded / PAGE);
+                deliver.retire_to(*folded / PAGE);
             }
         }
         rounds = rounds.wrapping_add(1);
@@ -1356,56 +1423,19 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
 /// These are what the outer self-correction loop feeds back into the
 /// capture model before re-capturing.
 ///
-/// Aggregation is a direct-index accumulator table rather than a sort
-/// or hash map: the key space is only `nodes² × 2` cells (192KB at 64
-/// cores — it lives in L2), so one pass over the records in id order
-/// does all the grouping. Each cell accumulates in record order,
-/// exactly the order the earlier sort-then-group formulation visited
-/// (its sort key ended in the record index), so the floating-point sums
-/// — and therefore the factors — are bit-identical to it.
+/// The messages are summed in id order, a flow at a time, in the one
+/// accumulator the loop folds its passes into ([`Corrections`]), and
+/// come out in (src, dst, Control-before-Data) order.
 pub fn pair_corrections(
     log: &TraceLog,
     result: &ReplayResult,
-    base_latency: impl FnMut(&Message) -> SimTime,
-) -> Vec<((u32, u32, MsgClass), f64, u64)> {
-    corrections(log.nodes(), result.replayed(log), base_latency)
-}
-
-/// [`pair_corrections`] of the `replayed` messages, in id order, over
-/// `nodes` nodes.
-fn corrections(
-    nodes: usize,
-    replayed: impl Iterator<Item = (Message, SimTime, SimTime)>,
     mut base_latency: impl FnMut(&Message) -> SimTime,
 ) -> Vec<((u32, u32, MsgClass), f64, u64)> {
-    // (replay latency sum, base-model latency sum, message count) per
-    // (src, dst, class) cell.
-    let mut acc: Vec<(f64, f64, u64)> = vec![(0.0, 0.0, 0); nodes * nodes * 2];
-    for (msg, inject, deliver) in replayed {
-        let c = matches!(msg.class, MsgClass::Data) as usize;
-        let cell = &mut acc[(msg.src.idx() * nodes + msg.dst.idx()) * 2 + c];
-        cell.0 += deliver.saturating_since(inject).as_ps() as f64;
-        cell.1 += base_latency(&msg).as_ps() as f64;
-        cell.2 += 1;
+    let mut acc = Corrections::default();
+    for (msg, inject, deliver) in result.replayed(log) {
+        acc.push(&msg, deliver.saturating_since(inject), base_latency(&msg));
     }
-    // Emit in (src, dst, Control-before-Data) order.
-    let mut out: Vec<((u32, u32, MsgClass), f64, u64)> = Vec::new();
-    for (k, &(lat, base, count)) in acc.iter().enumerate() {
-        if base > 0.0 {
-            let class = if k % 2 == 0 {
-                MsgClass::Control
-            } else {
-                MsgClass::Data
-            };
-            let pair = k / 2;
-            out.push((
-                ((pair / nodes) as u32, (pair % nodes) as u32, class),
-                lat / base,
-                count,
-            ));
-        }
-    }
-    out
+    acc.factors()
 }
 
 /// Estimate per-destination ejection serialisation from one replay, in

@@ -388,8 +388,9 @@ pub fn encoded_size(log: &TraceLog) -> usize {
 // Reader
 // ---------------------------------------------------------------------
 
-/// One `sctf` container, validated, in a buffer of its own (`B`, a
-/// `Vec<u8>`); [`from_sctf_bytes`] reads one in the caller's bytes.
+/// One `sctf` container, validated: in a buffer of its own (`B`, a
+/// `Vec<u8>`, from [`SctfReader::open`]) or in the caller's bytes
+/// (`&[u8]`, from [`SctfReader::from_bytes`]), read in place.
 ///
 /// Opening checks structure (magic, version, checksum, section bounds
 /// and alignment, fixed-width lengths, monotone dependency offsets);
@@ -411,13 +412,15 @@ fn read_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
 }
 
-impl SctfReader {
-    /// Validate and index a container held in memory, copied into the
-    /// reader (to decode bytes in place, [`from_sctf_bytes`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<SctfReader, TraceError> {
-        Self::from_buf(bytes.to_vec())
+impl<'a> SctfReader<&'a [u8]> {
+    /// Validate and index a container held in memory, read in place:
+    /// the reader borrows `bytes` and copies none of them.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<SctfReader<&'a [u8]>, TraceError> {
+        Self::from_buf(bytes)
     }
+}
 
+impl SctfReader {
     /// Open a container file, read once into memory.
     pub fn open(path: impl AsRef<Path>) -> Result<SctfReader, TraceError> {
         Self::from_buf(std::fs::read(path).map_err(|e| TraceError::Io(e.to_string()))?)
@@ -703,7 +706,7 @@ impl<B: AsRef<[u8]>> SctfReader<B> {
 /// Parse a container held in memory straight to a [`TraceLog`], reading
 /// the caller's bytes in place.
 pub fn from_sctf_bytes(bytes: &[u8]) -> Result<TraceLog, TraceError> {
-    SctfReader::from_buf(bytes)?.to_log()
+    SctfReader::from_bytes(bytes)?.to_log()
 }
 
 #[cfg(test)]

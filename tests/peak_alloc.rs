@@ -11,14 +11,17 @@
 //!
 //! * the loop keeps **one** trace resident — iteration k's log and
 //!   replay result are freed before capture k+1 allocates its own — and
-//!   of it only what the loop reads (rows and replay times), with the
-//!   bookkeeping of messages in flight beside it, so the loop's peak is
-//!   below one whole-log capture's;
+//!   of it only what is in flight: rows, plan and replay times each in a
+//!   window of pages, with what the loop reads folded as the pass
+//!   delivers, so the loop's peak is below one whole-log capture's;
 //! * a capture drops its simulator before `Capture::finish`, which
 //!   canonicalises the fixed-size columns in place, so one capture's
 //!   transient is bounded by a small multiple of the log it returns;
 //! * a streamed capture keeps what is in flight, not what has been: its
 //!   peak does not grow with the run;
+//! * a streamed pass keeps a message's replay times only until it has
+//!   folded them: its time pages are a window inside the window of its
+//!   plan, never the run;
 //! * a way of an L1 or L2 tag array costs 9 bytes: a tag word and a
 //!   recency rank.
 
@@ -26,7 +29,7 @@ use sctm::cmp::{Cache, CacheGeometry, CmpSim, InjectRecord, TraceHook};
 use sctm::engine::net::{Message, MsgId};
 use sctm::engine::time::SimTime;
 use sctm::prelude::*;
-use sctm::trace::StreamCapture;
+use sctm::trace::{replay_sctm_stream, ReplayScratch, StreamCapture};
 use sctm::workloads::{build, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -157,6 +160,30 @@ fn streamed_capture_peak(ops: usize) -> (usize, usize) {
     (peak, rows)
 }
 
+/// Pages of replay times and of plan a streamed pass of fft-16 at `ops`
+/// ops per core held at once, and the messages it replayed.
+fn pass_pages(ops: usize) -> (usize, usize, usize) {
+    let sys = SystemConfig::new(4, NetworkKind::Omesh);
+    let cores = sys.cores();
+    let workload = build(Kernel::Fft, WorkloadParams::new(cores, ops, 1));
+    let mut net = SystemConfig::make_network_kind(4, NetworkKind::Omesh);
+    let mut scratch = ReplayScratch::new();
+    let (mut cap, feed) = StreamCapture::new();
+    let pass = std::thread::scope(|s| {
+        let pass = s.spawn(|| replay_sctm_stream(feed, net.as_mut(), &mut scratch, |_, _, _| {}));
+        let analytic = Box::new(SystemConfig::analytic(cores));
+        let exec = CmpSim::new(sys.cmp.clone(), analytic, Box::new(workload))
+            .run(&mut cap)
+            .exec_time;
+        cap.finish(exec);
+        pass.join()
+            .expect("the pass")
+            .expect("the capture finished")
+    });
+    let (times, plan) = scratch.pages_held();
+    (times, plan, pass.len())
+}
+
 #[test]
 fn one_trace_resident_written_once() {
     // The default L1 and L2-slice geometries: 32 KiB 4-way, 256 KiB
@@ -176,32 +203,41 @@ fn one_trace_resident_written_once() {
     let (capture_peak, log) = peak_of(|| exp.capture());
     let log_bytes = log.resident_bytes();
     drop(log);
-    let (loop_peak, outcome) = peak_of(|| exp.execute(&RunSpec::self_correction(4)));
+    // The loop at twice the ops, where what it holds of the run stands
+    // out from how its two threads interleave.
+    let long = exp.clone().with_ops(1200);
+    let long_bytes = long.capture().resident_bytes();
+    let (loop_peak, outcome) = peak_of(|| long.execute(&RunSpec::self_correction(4)));
     let report = outcome.expect("the loop runs").report;
     assert!(
         report.iterations.as_ref().map_or(0, Vec::len) >= 2,
         "the bound is about a loop that re-captures"
     );
     eprintln!(
-        "fft side 4 ops 600 omesh: log {:.2} MiB, one capture peaks at {:.2} MiB ({:.2} x log), \
-         the loop at {:.2} MiB",
+        "fft side 4 omesh: at 600 ops the log is {:.2} MiB and one capture peaks at {:.2} MiB \
+         ({:.2} x log); at 1200 the log is {:.2} MiB and the loop peaks at {:.2} MiB ({:.2} x)",
         log_bytes as f64 / MIB,
         capture_peak as f64 / MIB,
         capture_peak as f64 / log_bytes as f64,
+        long_bytes as f64 / MIB,
         loop_peak as f64 / MIB,
+        loop_peak as f64 / long_bytes as f64,
     );
-    // The log is 1.43 MiB. With iteration k's (log, result) alive under
-    // capture k+1 the loop peaked at 8.72 MiB; freeing them first, at
-    // 5.39; streaming each capture into its pass with 40-byte rows, at
-    // 4.90-5.07; with the pass's 8-byte rows, at 4.00-4.06; with 9-byte
-    // cache ways, at 2.94-3.11 (2.06-2.17 x the log); with message
-    // tables, the capture's id map and the plan's pages sized by what is
-    // in flight, at 2.20-2.37 (1.54-1.66 x). The bound, 1.75 x (2.50
-    // MiB), leaves 0.13 MiB for how capture and pass interleave.
+    // At 600 ops the log is 1.43 MiB. With iteration k's (log, result)
+    // alive under capture k+1 the loop peaked at 8.72 MiB; freeing them
+    // first, at 5.39; streaming each capture into its pass with 40-byte
+    // rows, at 4.90-5.07; with the pass's 8-byte rows, at 4.00-4.06;
+    // with 9-byte cache ways, at 2.94-3.11 (2.06-2.17 x the log); with
+    // message tables, the capture's id map and the plan's pages sized by
+    // what is in flight, at 2.14-2.39 (1.50-1.67 x). Folding the pass as
+    // it delivers and retiring its times and rows, 1.93-2.15: too close
+    // to tell apart from one run. At 1 200 ops (a 2.84 MiB log) the
+    // loop read 3.36-3.68 MiB (1.18-1.30 x) before the fold, and reads
+    // 2.34-2.91 (0.82-1.02 x) with it. The bound, 1.1 x (3.12 MiB),
+    // leaves 0.21 MiB for how capture and pass interleave.
     assert!(
-        loop_peak as f64 <= 1.75 * log_bytes as f64,
-        "the loop holds more than the rows and times of one trace and a window: \
-         peak {loop_peak} B, log {log_bytes} B"
+        loop_peak as f64 <= 1.1 * long_bytes as f64,
+        "the loop holds more than one trace's windows: peak {loop_peak} B, log {long_bytes} B"
     );
     // Gathering into a second set of columns with the simulator still
     // alive, a capture peaked at 4.12 x the log it returned; dropping
@@ -235,4 +271,17 @@ fn one_trace_resident_written_once() {
         "a streamed capture's columns grow with the run: {stream_peak} B for {rows} messages, \
          {stream_peak_2x} B for {rows_2x}"
     );
+    // A streamed pass keeps a message's replay times from its injection
+    // to its fold, and its plan from its row's take to the message being
+    // done; the first window lies inside the second, and both are a
+    // fraction of the run.
+    for ops in [600, 1200] {
+        let (times, plan, msgs) = pass_pages(ops);
+        let run = msgs.div_ceil(4096);
+        eprintln!("a streamed pass of {msgs} messages ({run} pages) held {times} pages of times and {plan} of plan");
+        assert!(
+            times <= plan && 2 * times <= run,
+            "a streamed pass held {times} pages of replay times for a plan of {plan} pages and a run of {run}"
+        );
+    }
 }

@@ -12,10 +12,13 @@
 //! detailed network; and as the loop cuts them, over the four captures
 //! `tests/golden_capture.rs` pins.
 //! Each streamed pass must equal the whole-log pass over the same
-//! capture's log, id for id: the message, its replay injection and
-//! delivery, and the estimate. In a debug build the pass checks the
-//! horizon itself as it runs: no row it is given late replays before
-//! the horizon, and no network event reaches it.
+//! capture's log, id for id: its fold must see every message once, in
+//! id order, with the whole-log pass's replay injection and delivery;
+//! and the estimate must be the same. What the loop folds of a streamed
+//! pass — pair corrections and class mean latencies — must be what it
+//! reads of the whole-log pass, to the bit. In a debug build the pass
+//! checks the horizon itself as it runs: no row it is given late
+//! replays before the horizon, and no network event reaches it.
 //!
 //! A streamed capture builds no log, so the log the pass is compared
 //! with is `Capture::finish`'s, whose bytes `tests/golden_capture.rs`
@@ -23,11 +26,12 @@
 //! waiting.
 
 use sctm::cmp::{CmpSim, InjectRecord, TraceHook};
-use sctm::engine::net::{Delivery, Message, MsgId, NetStats, NetworkModel};
+use sctm::engine::net::{Delivery, Message, MsgClass, MsgId, NetStats, NetworkModel};
 use sctm::engine::time::SimTime;
 use sctm::prelude::*;
 use sctm::trace::{
-    replay_sctm_pass, replay_sctm_stream, ReplayResult, ReplayScratch, StreamCapture, StreamedPass,
+    pair_corrections, replay_sctm_pass, replay_sctm_stream, ReplayFold, ReplayResult,
+    ReplayScratch, StreamCapture, StreamedPass,
 };
 use sctm::workloads::{build, WorkloadParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -216,15 +220,16 @@ enum Feed {
     Ahead,
 }
 
-/// Stream one capture into the pass on `kind`: the capture runs here and
-/// the pass on a second thread, as in the loop — or, for a random feed,
-/// the other way round.
+/// Stream one capture into the pass on `kind`, folding with `fold`: the
+/// capture runs here and the pass on a second thread, as in the loop —
+/// or, for a random feed, the other way round.
 fn stream(
     kernel: Kernel,
     side: usize,
     ops: usize,
     kind: NetworkKind,
     feed_by: Feed,
+    fold: impl FnMut(Message, SimTime, SimTime) + Send,
 ) -> StreamedPass {
     let (mut cap, feed) = StreamCapture::new();
     let mut scratch = ReplayScratch::new();
@@ -264,7 +269,7 @@ fn stream(
             cap.finish(exec);
         }
     };
-    let pass = || replay_sctm_stream(feed, net.as_mut(), &mut scratch);
+    let pass = || replay_sctm_stream(feed, net.as_mut(), &mut scratch, fold);
     let streamed: Option<StreamedPass> = std::thread::scope(|s| {
         if let Feed::Random | Feed::Ahead = feed_by {
             let producer = s.spawn(capture);
@@ -288,17 +293,39 @@ fn whole_log(kernel: Kernel, side: usize, ops: usize) -> TraceLog {
         .capture()
 }
 
-/// A streamed pass against the whole-log pass `want` over `log`, id for
-/// id: the message, its replay injection and delivery; and the
-/// estimate.
-fn assert_same_replay(got: &StreamedPass, log: &TraceLog, want: &ReplayResult, what: &str) {
+/// [`stream`], with a fold that keeps every message it is handed and
+/// its replay times, in the order it is handed them.
+fn stream_collected(
+    kernel: Kernel,
+    side: usize,
+    ops: usize,
+    kind: NetworkKind,
+    feed_by: Feed,
+) -> (StreamedPass, Vec<(Message, SimTime, SimTime)>) {
+    let mut folded = Vec::new();
+    let got = stream(kernel, side, ops, kind, feed_by, |m, i, d| {
+        folded.push((m, i, d))
+    });
+    (got, folded)
+}
+
+/// A streamed pass and what it folded against the whole-log pass `want`
+/// over `log`, id for id: every message folded once, in id order, with
+/// its replay injection and delivery; and the estimate.
+fn assert_same_replay(
+    (got, folded): &(StreamedPass, Vec<(Message, SimTime, SimTime)>),
+    log: &TraceLog,
+    want: &ReplayResult,
+    what: &str,
+) {
     assert_eq!(got.len(), log.len(), "{what}: messages");
+    assert_eq!(folded.len(), log.len(), "{what}: messages folded");
     assert_eq!(
         got.capture_exec_time(),
         log.capture_exec_time,
         "{what}: run"
     );
-    for (i, (msg, inject, deliver)) in got.replayed().enumerate() {
+    for (i, &(msg, inject, deliver)) in folded.iter().enumerate() {
         assert_eq!(msg, log.records[i].msg, "{what}: message {i}");
         assert_eq!(inject, want.inject[i], "{what}: inject {i}");
         assert_eq!(deliver, want.deliver[i], "{what}: deliver {i}");
@@ -320,8 +347,52 @@ fn every_feed_replays_a_capture_alike_on_every_network() {
                     (Feed::Random, "random batches"),
                     (Feed::Ahead, "batches waiting at every check"),
                 ] {
-                    let streamed = stream(kernel, side, OPS, kind, feed);
+                    let streamed = stream_collected(kernel, side, OPS, kind, feed);
                     assert_same_replay(&streamed, &log, &whole, &format!("{what}, {how}"));
+                }
+            }
+        }
+    }
+}
+
+/// What the self-correction loop folds of a streamed pass on its own
+/// feed — the pair corrections against the capture model's base
+/// latency, each class's mean latency — and the pass's estimate are
+/// what the whole-log pass gives, to the bit.
+#[test]
+fn the_loop_fold_reads_a_streamed_pass_as_the_whole_pass() {
+    for kernel in [Kernel::Fft, Kernel::Lu, Kernel::Canneal] {
+        for side in [2, 4] {
+            let log = whole_log(kernel, side, OPS);
+            let model = SystemConfig::analytic(side * side);
+            for kind in NetworkKind::DETAILED {
+                let what = format!("{} side {side} on {}", kernel.label(), kind.label());
+                let mut net = SystemConfig::make_network_kind(side, kind);
+                let whole = replay_sctm_pass(&log, net.as_mut());
+                let mut fold = ReplayFold::new();
+                let got = stream(kernel, side, OPS, kind, Feed::Default, |m, i, d| {
+                    fold.push(&m, i, d, model.base_latency(&m))
+                });
+                assert_eq!(got.est_exec_time(), whole.est_exec_time, "{what}: estimate");
+                for class in [MsgClass::Control, MsgClass::Data] {
+                    assert_eq!(
+                        fold.mean_latency_ns(class).to_bits(),
+                        whole.mean_latency_ns(&log, Some(class)).to_bits(),
+                        "{what}: {} mean latency",
+                        class.label()
+                    );
+                }
+                let want = pair_corrections(&log, &whole, |m| model.base_latency(m));
+                let got = fold.corrections();
+                assert!(!want.is_empty(), "{what}: no corrections");
+                assert_eq!(got.len(), want.len(), "{what}: corrected flows");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(
+                        (g.0, g.1.to_bits(), g.2),
+                        (w.0, w.1.to_bits(), w.2),
+                        "{what}: flow {:?}",
+                        w.0
+                    );
                 }
             }
         }
@@ -341,7 +412,7 @@ fn the_loop_feed_replays_the_pinned_captures_alike() {
         let log = whole_log(kernel, side, ops);
         let mut net = SystemConfig::make_network_kind(side, NetworkKind::Omesh);
         let whole = replay_sctm_pass(&log, net.as_mut());
-        let streamed = stream(kernel, side, ops, NetworkKind::Omesh, Feed::Default);
+        let streamed = stream_collected(kernel, side, ops, NetworkKind::Omesh, Feed::Default);
         assert_same_replay(
             &streamed,
             &log,
@@ -389,7 +460,7 @@ fn a_capture_that_panics_midway_closes_its_feed() {
     let mut net = SystemConfig::make_network_kind(4, NetworkKind::Omesh);
     let mut scratch = ReplayScratch::new();
     let (fault, streamed) = std::thread::scope(|s| {
-        let pass = s.spawn(|| replay_sctm_stream(feed, net.as_mut(), &mut scratch));
+        let pass = s.spawn(|| replay_sctm_stream(feed, net.as_mut(), &mut scratch, |_, _, _| {}));
         let hook = FailingSimulator { cap, left: 3000 };
         let fault = catch_unwind(AssertUnwindSafe(move || {
             let mut hook = hook;

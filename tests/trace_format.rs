@@ -95,7 +95,8 @@ fn sctf_is_at_most_half_the_parsed_log_at_64_cores() {
     );
     // The reader holds exactly the container, never a per-record
     // materialization.
-    let reader = SctfReader::from_bytes(&to_sctf_bytes(&log)).expect("reader");
+    let container = to_sctf_bytes(&log);
+    let reader = SctfReader::from_bytes(&container).expect("reader");
     assert_eq!(reader.byte_len(), sctf);
 }
 

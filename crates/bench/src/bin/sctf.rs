@@ -3,14 +3,14 @@
 //!
 //! ```text
 //! sctf capture out.sctf [--side N] [--kernel K] [--ops N] [--seed N]
-//! sctf export trace.sctf trace.csv        # sctm-trace-v1 text view
+//! sctf export trace.sctf trace.csv        # sctm-trace-v2 text view
 //! sctf inspect trace.sctf                 # header + edge count
 //! sctf verify trace.sctf                  # full decode + checksum walk
 //! sctf replay trace.sctf [--net KIND] [--side N] [--engine E]
 //! ```
 //!
 //! A trace has one encoding on disk, the sctf container; `export`
-//! writes a one-way `sctm-trace-v1` text view of it to grep and diff.
+//! writes a one-way `sctm-trace-v2` text view of it to grep and diff.
 //! `replay` prints a deterministic one-line JSON manifest — record
 //! count, engine, network, estimated execution time, and an FNV-1a
 //! digest of the full inject/deliver timeline — which CI pins to prove
@@ -136,12 +136,12 @@ fn cmd_capture(args: &[String]) {
     );
 }
 
-/// The `sctm-trace-v1` text view: a metadata line, a column header,
+/// The `sctm-trace-v2` text view: a metadata line, a column header,
 /// then one line per record with its dependency ids `;`-separated.
 fn export_text(log: &TraceLog) -> String {
     use std::fmt::Write as _;
     let mut out = format!(
-        "sctm-trace-v1,{},{}\nid,src,dst,class,bytes,t_inject_ps,t_deliver_ps,prev,deps,kind\n",
+        "sctm-trace-v2,{},{}\nid,src,dst,class,bytes,t_inject_ps,t_deliver_ps,deps\n",
         log.capture_net,
         log.capture_exec_time.as_ps()
     );
@@ -151,14 +151,10 @@ fn export_text(log: &TraceLog) -> String {
             MsgClass::Control => "C",
             MsgClass::Data => "D",
         };
-        let prev = log
-            .prev_same_src(i)
-            .map(|p| p.0.to_string())
-            .unwrap_or_default();
         let deps: Vec<String> = log.deps(i).iter().map(u32::to_string).collect();
         let _ = writeln!(
             out,
-            "{},{},{},{class},{},{},{},{prev},{},{}",
+            "{},{},{},{class},{},{},{},{}",
             m.id.0,
             m.src.0,
             m.dst.0,
@@ -166,7 +162,6 @@ fn export_text(log: &TraceLog) -> String {
             r.t_inject.as_ps(),
             r.t_deliver.as_ps(),
             deps.join(";"),
-            log.kind(i),
         );
     }
     out

@@ -157,55 +157,6 @@ impl ProtocolMsg {
             ProtocolMsg::BarArrive { .. } | ProtocolMsg::BarRelease { .. } => None,
         }
     }
-
-    /// This message's kind: its index in [`KIND_LABELS`].
-    pub fn kind(&self) -> u8 {
-        match self {
-            ProtocolMsg::GetS { .. } => 0,
-            ProtocolMsg::GetX { .. } => 1,
-            ProtocolMsg::Data { .. } => 2,
-            ProtocolMsg::UpgAck { .. } => 3,
-            ProtocolMsg::Fetch { .. } => 4,
-            ProtocolMsg::FetchMiss { .. } => 5,
-            ProtocolMsg::Inv { .. } => 6,
-            ProtocolMsg::InvAck { .. } => 7,
-            ProtocolMsg::WbData { .. } => 8,
-            ProtocolMsg::MemReq { .. } => 9,
-            ProtocolMsg::MemResp { .. } => 10,
-            ProtocolMsg::WbMem { .. } => 11,
-            ProtocolMsg::BarArrive { .. } => 12,
-            ProtocolMsg::BarRelease { .. } => 13,
-        }
-    }
-}
-
-/// Protocol-kind labels by tag byte ([`ProtocolMsg::kind`]):
-/// append-only, `other` last. The tag is what a trace keeps per message,
-/// in memory and in its file format.
-pub const KIND_LABELS: [&str; 15] = [
-    "GetS",
-    "GetX",
-    "Data",
-    "UpgAck",
-    "Fetch",
-    "FetchMiss",
-    "Inv",
-    "InvAck",
-    "WbData",
-    "MemReq",
-    "MemResp",
-    "WbMem",
-    "BarArrive",
-    "BarRelease",
-    "other",
-];
-
-/// Tag of the catch-all `other` kind, which no [`ProtocolMsg`] has.
-pub const KIND_OTHER: u8 = (KIND_LABELS.len() - 1) as u8;
-
-/// The label of kind tag `tag`; `other` for a tag past the table.
-pub fn kind_label(tag: u8) -> &'static str {
-    KIND_LABELS[tag.min(KIND_OTHER) as usize]
 }
 
 /// One instruction-stream element delivered by a workload.
@@ -249,12 +200,6 @@ pub struct InjectRecord<'a> {
     /// from the simulator for the duration of the call: a hook that
     /// keeps them copies them into storage of its own.
     pub deps: &'a [MsgId],
-    /// Previous message injected by the same node, if any (per-endpoint
-    /// program order — the *partial* knowledge the paper's trace model
-    /// relies on).
-    pub prev_same_src: Option<MsgId>,
-    /// Protocol kind tag ([`ProtocolMsg::kind`]).
-    pub kind: u8,
 }
 
 /// Capture interface implemented by `sctm-trace`.
@@ -335,45 +280,6 @@ mod tests {
         .is_data());
         assert!(!ProtocolMsg::InvAck { line: l }.is_data());
         assert!(!ProtocolMsg::BarArrive { id: 0, core: 0 }.is_data());
-    }
-
-    #[test]
-    fn each_kind_tag_names_its_variant() {
-        let l = LineAddr(1);
-        let all = [
-            ProtocolMsg::GetS {
-                line: l,
-                requester: 0,
-            },
-            ProtocolMsg::GetX {
-                line: l,
-                requester: 0,
-            },
-            ProtocolMsg::Data {
-                line: l,
-                to: 0,
-                grant_m: false,
-            },
-            ProtocolMsg::UpgAck { line: l, to: 0 },
-            ProtocolMsg::Fetch { line: l, owner: 0 },
-            ProtocolMsg::FetchMiss { line: l },
-            ProtocolMsg::Inv { line: l, target: 0 },
-            ProtocolMsg::InvAck { line: l },
-            ProtocolMsg::WbData { line: l },
-            ProtocolMsg::MemReq { line: l },
-            ProtocolMsg::MemResp { line: l },
-            ProtocolMsg::WbMem { line: l },
-            ProtocolMsg::BarArrive { id: 0, core: 0 },
-            ProtocolMsg::BarRelease { id: 0 },
-        ];
-        for (tag, msg) in all.iter().enumerate() {
-            assert_eq!(msg.kind() as usize, tag);
-            let name = format!("{msg:?}");
-            assert_eq!(name.split([' ', '{']).next(), Some(kind_label(msg.kind())));
-        }
-        assert_eq!(all.len(), KIND_OTHER as usize);
-        assert_eq!(kind_label(KIND_OTHER), "other");
-        assert_eq!(kind_label(u8::MAX), "other");
     }
 
     #[test]

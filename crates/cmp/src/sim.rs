@@ -208,8 +208,6 @@ pub struct CmpSim {
     /// external-request deferral: a queued request or a stale-sharer
     /// state must NOT defer (that deadlocks), only a committed grant.
     granted: Vec<Option<LineAddr>>,
-    /// Per-node last injected message (endpoint program order).
-    last_out: Vec<Option<MsgId>>,
     /// Per-source message sequence counters. Ids are interleaved as
     /// `seq × num_cores + src`: each node numbers its own messages. The
     /// golden captures pin the id order among same-instant injections,
@@ -267,7 +265,6 @@ impl CmpSim {
             queued: FxHashMap::default(),
             in_flight: MsgTable::new(),
             granted: vec![None; n],
-            last_out: vec![None; n],
             next_seq: vec![0; n],
             barrier_counts: FxHashMap::default(),
             miss_lat_sum_ps: 0,
@@ -323,14 +320,7 @@ impl CmpSim {
             class,
             bytes,
         };
-        let prev = self.last_out[src].replace(id);
-        hook.on_inject(InjectRecord {
-            msg,
-            at,
-            deps,
-            prev_same_src: prev,
-            kind: proto.kind(),
-        });
+        hook.on_inject(InjectRecord { msg, at, deps });
         // Track committed fills for the deferral predicate.
         match proto {
             ProtocolMsg::Data { line, to, .. } | ProtocolMsg::UpgAck { line, to } => {

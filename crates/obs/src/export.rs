@@ -29,6 +29,30 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// A JSON string literal of `s`, quotes included.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
+/// Render one structured log event as a single JSON line. Fields are
+/// `(key, value)` pairs with values already JSON-rendered ([`json_str`]
+/// for strings); ordering is preserved as given so logs diff cleanly.
+pub fn json_line(fields: &[(&str, String)]) -> String {
+    let mut out = String::with_capacity(64);
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(k);
+        out.push_str("\":");
+        out.push_str(v);
+    }
+    out.push('}');
+    out
+}
+
 /// Format an `f64` as a JSON number. JSON has no NaN/Inf, so those
 /// degrade to `null`; integral values print without a fraction.
 pub fn json_f64(v: f64) -> String {
@@ -414,5 +438,15 @@ mod tests {
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(2.0), "2");
         assert_eq!(json_f64(2.5), "2.5");
+        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
+    }
+
+    #[test]
+    fn json_line_preserves_field_order() {
+        assert_eq!(
+            json_line(&[("b", "2".into()), ("a", json_str("x"))]),
+            r#"{"b":2,"a":"x"}"#
+        );
+        assert_eq!(json_line(&[]), "{}");
     }
 }

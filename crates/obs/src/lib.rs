@@ -31,7 +31,9 @@ mod tracer;
 #[doc(hidden)]
 pub use conv::reset_conv;
 pub use conv::{classify_unconverged, ConvergenceVerdict};
-pub use export::{chrome_trace_json, json_escape, json_f64, Manifest, PhaseWall};
+pub use export::{
+    chrome_trace_json, json_escape, json_f64, json_line, json_str, Manifest, PhaseWall,
+};
 pub use registry::{
     global_snapshot, iterations_snapshot, publish_network, record_iteration, reset_global,
     reset_iterations, with_global, IterTelemetry, MetricValue, MetricsRegistry,

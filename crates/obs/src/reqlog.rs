@@ -13,10 +13,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Default rotation threshold: 16 MiB per file.
-pub const DEFAULT_MAX_BYTES: u64 = 16 * 1024 * 1024;
-/// Default number of rotated files kept alongside the active one.
-pub const DEFAULT_KEEP: usize = 4;
+/// Rotation threshold: 16 MiB per file.
+const DEFAULT_MAX_BYTES: u64 = 16 * 1024 * 1024;
+/// Rotated files kept alongside the active one.
+const DEFAULT_KEEP: usize = 4;
 
 struct LogInner {
     file: Option<File>,
@@ -43,7 +43,11 @@ impl RequestLog {
     }
 
     /// As [`RequestLog::create`] with explicit rotation limits.
-    pub fn with_limits(dir: &Path, max_bytes: u64, keep: usize) -> std::io::Result<RequestLog> {
+    pub(crate) fn with_limits(
+        dir: &Path,
+        max_bytes: u64,
+        keep: usize,
+    ) -> std::io::Result<RequestLog> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("sctmd.log.jsonl");
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -135,29 +139,10 @@ impl RequestLog {
     }
 }
 
-/// Render one structured log event as a single JSON line. Fields are
-/// `(key, value)` pairs with values already JSON-rendered (callers use
-/// [`crate::json_escape`] for strings); ordering is preserved as given
-/// so logs diff cleanly.
-pub fn json_line(fields: &[(&str, String)]) -> String {
-    let mut out = String::with_capacity(64);
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(k);
-        out.push_str("\":");
-        out.push_str(v);
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json_line;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -256,14 +241,5 @@ mod tests {
         let text = std::fs::read_to_string(log.path()).unwrap();
         assert_eq!(text.lines().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_line_preserves_field_order() {
-        assert_eq!(
-            json_line(&[("b", "2".into()), ("a", "\"x\"".into())]),
-            r#"{"b":2,"a":"x"}"#
-        );
-        assert_eq!(json_line(&[]), "{}");
     }
 }

@@ -27,8 +27,8 @@
 
 #![forbid(unsafe_code)]
 
-use sctm_obs::json_escape;
-use sctm_obs::reqlog::{json_line, RequestLog};
+use sctm_obs::reqlog::RequestLog;
+use sctm_obs::{json_line, json_str};
 use sctm_srv::{serve_lines, serve_tcp, Server, ServerConfig};
 use std::sync::Arc;
 
@@ -38,16 +38,10 @@ fn log_stderr(event: &str, extra: &[(&str, String)]) {
         .duration_since(std::time::SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis())
         .unwrap_or(0);
-    let mut fields: Vec<(&str, String)> = vec![
-        ("ts_ms", ts.to_string()),
-        ("event", format!("\"{}\"", json_escape(event))),
-    ];
+    let mut fields: Vec<(&str, String)> =
+        vec![("ts_ms", ts.to_string()), ("event", json_str(event))];
     fields.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
     eprintln!("{}", json_line(&fields));
-}
-
-fn quoted(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
 }
 
 fn usage() -> ! {
@@ -55,7 +49,7 @@ fn usage() -> ! {
         "usage",
         &[(
             "message",
-            quoted(
+            json_str(
                 "sctmd (--stdin | --listen ADDR) [--cache-mb N] [--queue N] \
                  [--timeout-ms N] [--log-dir DIR] [--workers N]",
             ),
@@ -107,7 +101,7 @@ fn main() {
         Ok(log) => {
             log_stderr(
                 "request-log",
-                &[("path", quoted(&log.path().display().to_string()))],
+                &[("path", json_str(&log.path().display().to_string()))],
             );
             Arc::new(log)
         }
@@ -115,8 +109,11 @@ fn main() {
             log_stderr(
                 "error",
                 &[
-                    ("message", quoted(&format!("cannot open request log: {e}"))),
-                    ("dir", quoted(&dir)),
+                    (
+                        "message",
+                        json_str(&format!("cannot open request log: {e}")),
+                    ),
+                    ("dir", json_str(&dir)),
                 ],
             );
             std::process::exit(1);
@@ -130,7 +127,7 @@ fn main() {
         let res = serve_lines(std::io::stdin().lock(), &mut std::io::stdout(), &server);
         server.drain();
         if let Err(e) = res {
-            log_stderr("error", &[("message", quoted(&e.to_string()))]);
+            log_stderr("error", &[("message", json_str(&e.to_string()))]);
             std::process::exit(1);
         }
     } else if let Some(addr) = listen {
@@ -140,16 +137,16 @@ fn main() {
                 log_stderr(
                     "error",
                     &[
-                        ("message", quoted(&format!("cannot bind: {e}"))),
-                        ("addr", quoted(&addr)),
+                        ("message", json_str(&format!("cannot bind: {e}"))),
+                        ("addr", json_str(&addr)),
                     ],
                 );
                 std::process::exit(1);
             }
         };
-        log_stderr("listening", &[("addr", quoted(&addr))]);
+        log_stderr("listening", &[("addr", json_str(&addr))]);
         if let Err(e) = serve_tcp(listener, server) {
-            log_stderr("error", &[("message", quoted(&e.to_string()))]);
+            log_stderr("error", &[("message", json_str(&e.to_string()))]);
             std::process::exit(1);
         }
     }

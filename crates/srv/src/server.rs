@@ -45,9 +45,11 @@ use crate::proto::{
 };
 use sctm_core::Mode;
 use sctm_engine::stats::Histogram;
-use sctm_obs::reqlog::{json_line, RequestLog};
+use sctm_obs::reqlog::RequestLog;
 use sctm_obs::svc::SVC_STATS_VERSION;
-use sctm_obs::{json_escape, span, ConvergenceVerdict, Manifest, MetricValue, MetricsRegistry};
+use sctm_obs::{
+    json_line, json_str, span, ConvergenceVerdict, Manifest, MetricValue, MetricsRegistry,
+};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,10 +224,6 @@ impl Shared {
     }
 }
 
-fn quoted(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
-
 /// A running batch-simulation service. Dropping it drains gracefully.
 pub struct Server {
     shared: Arc<Shared>,
@@ -286,9 +284,9 @@ impl Server {
             self.shared.log_event(
                 seq,
                 &[
-                    ("id", quoted(&req.id)),
-                    ("verb", quoted("run")),
-                    ("outcome", quoted("draining")),
+                    ("id", json_str(&req.id)),
+                    ("verb", json_str("run")),
+                    ("outcome", json_str("draining")),
                 ],
             );
             return Err(error_response(&req.id, &err));
@@ -299,9 +297,9 @@ impl Server {
             self.shared.log_event(
                 seq,
                 &[
-                    ("id", quoted(&req.id)),
-                    ("verb", quoted("run")),
-                    ("outcome", quoted("busy")),
+                    ("id", json_str(&req.id)),
+                    ("verb", json_str("run")),
+                    ("outcome", json_str("busy")),
                 ],
             );
             return Err(proto::busy_response(&req.id, cfg.retry_after_ms));
@@ -413,9 +411,9 @@ fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
     shared.log_event(
         job.seq,
         &[
-            ("id", quoted(&job.req.id)),
-            ("verb", quoted("run")),
-            ("outcome", quoted("timeout")),
+            ("id", json_str(&job.req.id)),
+            ("verb", json_str("run")),
+            ("outcome", json_str("timeout")),
             ("queue_us", us(waited).to_string()),
             ("total_us", us(waited).to_string()),
         ],
@@ -460,26 +458,26 @@ fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
     // of requests sent one after another stay in that order.
     if shared.log.is_some() {
         let mut fields: Vec<(&str, String)> = vec![
-            ("id", quoted(&job.req.id)),
-            ("verb", quoted("run")),
+            ("id", json_str(&job.req.id)),
+            ("verb", json_str("run")),
             (
                 "outcome",
-                quoted(if done.error_kind.is_some() {
+                json_str(if done.error_kind.is_some() {
                     "error"
                 } else {
                     "ok"
                 }),
             ),
-            ("cache", quoted(done.cache.label())),
+            ("cache", json_str(done.cache.label())),
         ];
         if let Some(key) = &done.key_prefix {
-            fields.push(("key", quoted(key)));
+            fields.push(("key", json_str(key)));
         }
         if let Some(kind) = done.error_kind {
-            fields.push(("error_kind", quoted(kind)));
+            fields.push(("error_kind", json_str(kind)));
         }
         if let Some(v) = done.verdict {
-            fields.push(("verdict", quoted(v)));
+            fields.push(("verdict", json_str(v)));
         }
         fields.push(("queue_us", queue_us.to_string()));
         fields.push(("probe_us", done.probe_us.to_string()));
@@ -562,10 +560,10 @@ fn worker_loop(shared: &Shared) {
             shared.log_event(
                 seq,
                 &[
-                    ("id", quoted(&id)),
-                    ("verb", quoted("run")),
-                    ("outcome", quoted("error")),
-                    ("error_kind", quoted("internal")),
+                    ("id", json_str(&id)),
+                    ("verb", json_str("run")),
+                    ("outcome", json_str("error")),
+                    ("error_kind", json_str("internal")),
                 ],
             );
         }

@@ -4,15 +4,15 @@
 //! execution-driven run: per message — endpoints, size/class, capture
 //! injection & delivery times, *full* causal dependencies (which the
 //! capture instrumentation can see because it lives inside the
-//! full-system simulator), and per-endpoint program order.
+//! full-system simulator).
 //!
 //! The replay engines deliberately use different *subsets* of this
 //! knowledge (see `replay.rs`): the classic trace model uses only
-//! timestamps; the paper's self-correction model uses timestamps +
-//! per-endpoint order + the arrival-gating heuristic; the oracle replay
-//! uses the full dependency DAG. Capturing everything once and
-//! down-sampling knowledge per engine is what makes the accuracy
-//! comparison (experiment E3) apples-to-apples.
+//! timestamps; the paper's self-correction model uses timestamps + the
+//! per-source order they imply + the arrival-gating heuristic; the
+//! oracle replay uses the full dependency DAG. Capturing everything
+//! once and down-sampling knowledge per engine is what makes the
+//! accuracy comparison (experiment E3) apples-to-apples.
 //!
 //! A log has one row order: row `i` is the `i`-th departure by
 //! `(t_inject, id)`, so a message's id is its place among departures.
@@ -23,7 +23,7 @@
 
 use crate::pages::{Frontier, Pages};
 use crate::replay::{GateBuilder, GatePlan, PlanRow};
-use sctm_cmp::protocol::{kind_label, InjectRecord, TraceHook, KIND_OTHER};
+use sctm_cmp::protocol::{InjectRecord, TraceHook};
 use sctm_engine::net::{Message, MsgId};
 use sctm_engine::time::SimTime;
 use sctm_engine::MsgTable;
@@ -32,15 +32,15 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 
 /// "No message" in every `u32` id column of this crate: a record's
-/// previous same-source message, its arrival gate, a chain end.
+/// arrival gate, a chain end.
 pub const NONE: u32 = u32::MAX;
 
 /// One message in the trace: what a replay pass reads of it, and no
 /// more. Everything else the capture knows about a message lives in
-/// the columns of its [`TraceLog`] (dependency lists, per-endpoint
-/// decision order, protocol kind), so that a pass visiting records in
-/// *replay* order — scattered tens of thousands of records from capture
-/// order at fft-64 scale — misses the cache on 40 bytes, not 96.
+/// the columns of its [`TraceLog`] (its dependency list), so that a
+/// pass visiting records in *replay* order — scattered tens of
+/// thousands of records from capture order at fft-64 scale — misses the
+/// cache on 40 bytes, not 96.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     pub msg: Message,
@@ -66,7 +66,7 @@ impl std::ops::Deref for Rows {
     }
 }
 
-/// The rows and the per-record facts beside them, as a constructor
+/// The rows and the dependency lists beside them, as a constructor
 /// takes them.
 #[derive(Debug)]
 pub(crate) struct Columns {
@@ -75,10 +75,6 @@ pub(crate) struct Columns {
     /// dependencies; `n + 1` entries.
     pub dep_off: Vec<u32>,
     pub dep_ids: Vec<u32>,
-    /// Previous message decided by the same source ([`NONE`] = first).
-    pub prev: Vec<u32>,
-    /// Protocol kind tag (see [`kind_label`]).
-    pub kind: Vec<u8>,
 }
 
 impl Columns {
@@ -91,20 +87,18 @@ impl Columns {
             records: Vec::with_capacity(rows),
             dep_off,
             dep_ids: Vec::with_capacity(edges),
-            prev: Vec::with_capacity(rows),
-            kind: Vec::with_capacity(rows),
         }
     }
 }
 
 /// A complete captured trace.
 ///
-/// Rows in dense id order (`MsgId(i)` ↔ `records[i]`) plus flat
-/// columns for what replay does not read. Id order is departure order:
-/// row `i` is the `i`-th departure by `(t_inject, id)`, which is how a
-/// capture numbers its rows, and a log out of that order is invalid
-/// ([`TraceLog::validate`]). The one other order over the rows is the
-/// **arrival order** (ids by `(t_deliver, id)`), which every gated pass
+/// Rows in dense id order (`MsgId(i)` ↔ `records[i]`) plus the
+/// dependency lists, which only the oracle replay reads. Id order is
+/// departure order: row `i` is the `i`-th departure by `(t_inject, id)`,
+/// which is how a capture numbers its rows, and a log out of that order
+/// is invalid ([`TraceLog::validate`]). The one other order over the
+/// rows is the **arrival order** (ids by `(t_deliver, id)`), which every gated pass
 /// walks to pair departures with arrivals; it is derived once when the
 /// log is built. What the gated replay pass derives from the rows
 /// ([`GatePlan`]) is memoised beside them on first use, for the same
@@ -120,8 +114,6 @@ pub struct TraceLog {
     pub capture_exec_time: SimTime,
     dep_off: Vec<u32>,
     dep_ids: Vec<u32>,
-    prev: Vec<u32>,
-    kind: Vec<u8>,
     /// Ids sorted by `(t_deliver, id)`.
     arrival: Vec<u32>,
     /// One past the largest node id any record names.
@@ -138,24 +130,21 @@ impl Default for TraceLog {
 
 impl TraceLog {
     /// Build a log from hand-written rows: each record with its
-    /// dependencies (original order) and the previous message its
-    /// source decided, if any. Row `i` must carry `MsgId(i)`; that, the
-    /// row order and the causality rules are [`TraceLog::validate`]'s
-    /// to check, so tests can build a broken log and watch it be
-    /// rejected. Protocol kind is `other` throughout.
+    /// dependencies (original order). Row `i` must carry `MsgId(i)`;
+    /// that, the row order and the causality rules are
+    /// [`TraceLog::validate`]'s to check, so tests can build a broken log
+    /// and watch it be rejected.
     #[cfg(test)]
     pub(crate) fn from_rows(
         capture_net: &'static str,
         capture_exec_time: SimTime,
-        rows: impl IntoIterator<Item = (TraceRecord, Vec<MsgId>, Option<MsgId>)>,
+        rows: impl IntoIterator<Item = (TraceRecord, Vec<MsgId>)>,
     ) -> TraceLog {
         let mut cols = Columns::with_capacity(0, 0);
-        for (rec, deps, prev) in rows {
+        for (rec, deps) in rows {
             cols.records.push(rec);
             cols.dep_ids.extend(deps.iter().map(|&d| col_id(d)));
             cols.dep_off.push(cols.dep_ids.len() as u32);
-            cols.prev.push(prev.map_or(NONE, col_id));
-            cols.kind.push(KIND_OTHER);
         }
         TraceLog::from_columns(cols, capture_net, capture_exec_time, None)
     }
@@ -173,13 +162,11 @@ impl TraceLog {
             records,
             dep_off,
             dep_ids,
-            prev,
-            kind,
         } = cols;
         let n = records.len();
         assert!(n < NONE as usize, "trace too large for u32 ids");
         assert!(
-            dep_off.len() == n + 1 && prev.len() == n && kind.len() == n,
+            dep_off.len() == n + 1,
             "trace columns do not cover the rows"
         );
         assert!(
@@ -197,8 +184,6 @@ impl TraceLog {
             capture_exec_time,
             dep_off,
             dep_ids,
-            prev,
-            kind,
             arrival,
             nodes,
             plan: OnceLock::new(),
@@ -231,35 +216,6 @@ impl TraceLog {
         (&self.dep_off, &self.dep_ids)
     }
 
-    /// Previous message *decided* by record `i`'s source node. This is
-    /// decision order, not timestamp order — a node can commit to a
-    /// far-future send (a memory response) before deciding a nearer
-    /// one — so replay engines use the time-sorted per-source chains
-    /// instead.
-    #[inline]
-    pub fn prev_same_src(&self, i: usize) -> Option<MsgId> {
-        match self.prev[i] {
-            NONE => None,
-            p => Some(MsgId(p as u64)),
-        }
-    }
-
-    /// The [`TraceLog::prev_same_src`] column ([`NONE`] = none).
-    pub fn prev_column(&self) -> &[u32] {
-        &self.prev
-    }
-
-    /// Protocol kind label of record `i` (diagnostics only).
-    #[inline]
-    pub fn kind(&self, i: usize) -> &'static str {
-        kind_label(self.kind[i])
-    }
-
-    /// The kind-tag column behind [`TraceLog::kind`].
-    pub fn kind_tags(&self) -> &[u8] {
-        &self.kind
-    }
-
     /// Ids sorted by `(t_deliver, id)`.
     pub fn arrival_order(&self) -> &[u32] {
         &self.arrival
@@ -277,20 +233,17 @@ impl TraceLog {
         self.plan.get_or_init(|| Arc::new(GatePlan::of(self)))
     }
 
-    /// Heap-resident size of this log: rows, columns and the arrival
-    /// order. This is what holding the parsed form in memory costs —
-    /// the baseline the sctf container's residency is measured against.
+    /// Heap-resident size of this log: rows, dependency lists and the
+    /// arrival order. This is what holding the parsed form in memory
+    /// costs — the baseline the sctf container's residency is measured
+    /// against.
     /// The memoised plan is not in it; a holder that replays the log
     /// adds [`GatePlan::bytes_for`] of its length.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.records.0.capacity() * size_of::<TraceRecord>()
             + size_of::<u32>()
-                * (self.dep_off.capacity()
-                    + self.dep_ids.capacity()
-                    + self.prev.capacity()
-                    + self.arrival.capacity())
-            + self.kind.capacity()
+                * (self.dep_off.capacity() + self.dep_ids.capacity() + self.arrival.capacity())
     }
 
     /// Latest capture delivery instant (used to translate replay
@@ -305,7 +258,7 @@ impl TraceLog {
     /// error instead of panicking so property tests can assert on it.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.records.len();
-        if self.dep_off.len() != n + 1 || self.prev.len() != n || self.kind.len() != n {
+        if self.dep_off.len() != n + 1 {
             return Err("columns do not cover the rows".into());
         }
         if self.dep_off[0] != 0 || self.dep_off[n] as usize != self.dep_ids.len() {
@@ -349,14 +302,6 @@ impl TraceLog {
                     ));
                 }
             }
-            if let Some(p) = self.prev_same_src(i) {
-                if p.0 as usize >= n {
-                    return Err(format!("msg {i} prev_same_src is unknown {p:?}"));
-                }
-                if self.rec(p).msg.src != r.msg.src {
-                    return Err(format!("msg {i} prev_same_src from a different node"));
-                }
-            }
         }
         Ok(())
     }
@@ -379,16 +324,14 @@ impl TraceLog {
 }
 
 /// Two logs are the same trace when their rows, dependency lists,
-/// decision order, kinds, capture labels and arrival order agree. The
-/// memoised [`GatePlan`] is derived from those and is not compared.
+/// capture labels and arrival order agree. The memoised [`GatePlan`] is
+/// derived from those and is not compared.
 impl PartialEq for TraceLog {
     fn eq(&self, other: &Self) -> bool {
         *self.records == *other.records
             && self.capture_net == other.capture_net
             && self.capture_exec_time == other.capture_exec_time
             && self.dep_csr() == other.dep_csr()
-            && self.prev == other.prev
-            && self.kind == other.kind
             && self.arrival == other.arrival
     }
 }
@@ -500,14 +443,10 @@ pub struct Capture {
     /// The rows of every flush before it (a [`StreamCapture`] hands
     /// `fresh` over instead).
     rows: Vec<TraceRecord>,
-    /// The other columns of every final row, kept only under
-    /// [`Ids::All`]: dependencies in canonical ids, `prev` still in
-    /// capture ids (a source can decide a message before one it sends
-    /// sooner) until the capture ends.
+    /// The dependency lists of every final row in canonical ids, kept
+    /// only under [`Ids::All`].
     dep_off: Pages<u32>,
     dep_ids: Pages<u32>,
-    prev: Pages<u32>,
-    kind: Pages<u8>,
     /// Canonical ids given out so far.
     given: usize,
     /// The last flush's final arrivals, `(t_deliver, canonical id)` in
@@ -543,10 +482,10 @@ const UNCAPTURED: &str = "trace references an uncaptured message";
 #[derive(Debug)]
 enum Ids {
     /// A capture that keeps the log: every capture id's canonical id
-    /// ([`NONE`] = not final yet), as its dependency and `prev` columns
-    /// may name any earlier message. Capture ids are sparse but bounded
-    /// (`seq × sources + src`), so a direct table turns every lookup
-    /// into one probe.
+    /// ([`NONE`] = not final yet), as its dependency lists may name any
+    /// earlier message. Capture ids are sparse but bounded (`seq ×
+    /// sources + src`), so a direct table turns every lookup into one
+    /// probe.
     All(Pages<u32>),
     /// A [`StreamCapture`]'s, which keeps no column that names a
     /// message: only a delivery needs its row's canonical id, so only
@@ -556,11 +495,8 @@ enum Ids {
         /// delivered.
         live: MsgTable<u32>,
         /// One bit per capture id, set once its row is final: what the
-        /// checks on dependencies and `prev` read.
+        /// checks on dependencies read.
         seen: Vec<u64>,
-        /// `prev` ids not final yet when the row naming them was,
-        /// looked at again each flush until they are.
-        waiting: Vec<u32>,
     },
 }
 
@@ -571,8 +507,8 @@ fn bit(bits: &[u64], i: u32) -> bool {
 }
 
 impl Ids {
-    /// Whether final rows keep their dependency, kind and `prev`
-    /// columns (a streamed pass reads none of them).
+    /// Whether final rows keep their dependency lists (a streamed pass
+    /// reads none).
     fn columns(&self) -> bool {
         matches!(self, Ids::All(_))
     }
@@ -586,7 +522,7 @@ impl Ids {
                 }
                 renum[old as usize] = new;
             }
-            Ids::InFlight { live, seen, .. } => {
+            Ids::InFlight { live, seen } => {
                 live.insert(u64::from(old), new);
                 let w = old as usize / 64;
                 if w >= seen.len() {
@@ -594,23 +530,6 @@ impl Ids {
                 }
                 seen[w] |= 1 << (old % 64);
             }
-        }
-    }
-
-    /// A final row of a [`StreamCapture`] names `prev` ([`NONE`] =
-    /// none): if that row is not final yet, wait for it.
-    fn check_prev(&mut self, prev: u32) {
-        if let Ids::InFlight { seen, waiting, .. } = self {
-            if prev != NONE && !bit(seen, prev) {
-                waiting.push(prev);
-            }
-        }
-    }
-
-    /// Stop waiting for the `prev` rows that are final now.
-    fn recheck_prevs(&mut self) {
-        if let Ids::InFlight { seen, waiting, .. } = self {
-            waiting.retain(|&p| !bit(seen, p));
         }
     }
 
@@ -635,7 +554,7 @@ impl Ids {
     fn deliver(&mut self, old: u32) -> u32 {
         match self {
             Ids::All(_) => self.dep(old),
-            Ids::InFlight { live, seen, .. } => live.remove(u64::from(old)).unwrap_or_else(|| {
+            Ids::InFlight { live, seen } => live.remove(u64::from(old)).unwrap_or_else(|| {
                 assert!(!bit(seen, old), "message delivered twice");
                 panic!("{UNCAPTURED}")
             }),
@@ -654,8 +573,6 @@ impl Default for Capture {
             rows: Vec::new(),
             dep_off,
             dep_ids: Pages::default(),
-            prev: Pages::default(),
-            kind: Pages::default(),
             given: 0,
             arrived: Vec::new(),
             arrivals: 0,
@@ -683,8 +600,6 @@ impl Capture {
             fresh,
             dep_off,
             dep_ids,
-            prev,
-            kind,
             given,
             arrived,
             arrivals,
@@ -707,7 +622,6 @@ impl Capture {
         for (j, k) in now.iter().enumerate() {
             ids.finalise(k.1, (*given + j) as u32);
         }
-        ids.recheck_prevs();
         for (j, k) in now.iter().enumerate() {
             let k = k.2 as usize;
             let mut r = pending.records[k];
@@ -715,17 +629,13 @@ impl Capture {
             fresh.push(r);
             let deps =
                 &pending.dep_ids[pending.dep_off[k] as usize..pending.dep_off[k + 1] as usize];
-            let p = pending.prev[k];
             if ids.columns() {
                 for &d in deps {
                     dep_ids.push(ids.dep(d));
                 }
                 dep_off.push(dep_ids.len() as u32);
-                kind.push(pending.kind[k]);
-                prev.push(p);
             } else {
                 deps.iter().for_each(|&d| _ = ids.dep(d));
-                ids.check_prev(p);
             }
         }
         *given += now.len();
@@ -739,18 +649,12 @@ impl Capture {
                 continue;
             }
             pending.records[kept] = pending.records[k];
-            pending.prev[kept] = pending.prev[k];
-            if ids.columns() {
-                pending.kind[kept] = pending.kind[k];
-            }
             pending.dep_ids.copy_within(lo..hi, dep_end);
             dep_end += hi - lo;
             kept += 1;
             pending.dep_off[kept] = dep_end as u32;
         }
         pending.records.truncate(kept);
-        pending.prev.truncate(kept);
-        pending.kind.truncate(kept);
         pending.dep_ids.truncate(dep_end);
         pending.dep_off.truncate(kept + 1);
         // Deliveries come in time order up to runs of equal instants,
@@ -776,25 +680,14 @@ impl Capture {
         }
     }
 
-    /// The stream's tail: finalise everything, check every row was
-    /// delivered once and every `prev` names a captured row, and put
-    /// `prev` into canonical ids.
+    /// The stream's tail: finalise everything and check every row was
+    /// delivered once.
     fn end(&mut self) {
         self.flush(SimTime::MAX);
         assert_eq!(
             self.given, self.arrivals,
             "capture ended with undelivered (or doubly-delivered) messages"
         );
-        match &mut self.ids {
-            Ids::All(renum) => {
-                let renum = std::mem::take(renum);
-                for p in self.prev.iter_mut().filter(|p| **p != NONE) {
-                    *p = renum.get(*p as usize).unwrap_or(NONE);
-                    assert_ne!(*p, NONE, "{UNCAPTURED}");
-                }
-            }
-            Ids::InFlight { waiting, .. } => assert!(waiting.is_empty(), "{UNCAPTURED}"),
-        }
     }
 
     /// Finish capture: finalise what is still pending, join deliveries
@@ -810,8 +703,6 @@ impl Capture {
             records: self.rows,
             dep_off: self.dep_off.into_vec(),
             dep_ids: self.dep_ids.into_vec(),
-            prev: self.prev.into_vec(),
-            kind: self.kind.into_vec(),
         };
         TraceLog::from_columns(cols, net_label, exec_time, Some(self.arrival))
     }
@@ -841,10 +732,6 @@ impl TraceHook for Capture {
         });
         raw.dep_ids.extend(rec.deps.iter().map(|&d| col_id(d)));
         raw.dep_off.push(raw.dep_ids.len() as u32);
-        raw.prev.push(rec.prev_same_src.map_or(NONE, col_id));
-        if self.ids.columns() {
-            raw.kind.push(rec.kind.min(KIND_OTHER));
-        }
     }
 
     fn on_deliver(&mut self, id: MsgId, at: SimTime) {
@@ -902,8 +789,8 @@ impl CaptureFeed {
 /// rows leave, and no log is assembled: what the capture keeps is sized
 /// by what is in flight (an id map of the rows not yet delivered and a
 /// window of destinations), plus one bit per capture id. It checks what
-/// a [`Capture`] checks — every dependency and every `prev` names a
-/// captured message, and every row is delivered once.
+/// a [`Capture`] checks — every dependency names a captured message,
+/// and every row is delivered once.
 pub struct StreamCapture {
     cap: Capture,
     tx: SyncSender<CaptureBatch>,
@@ -926,7 +813,6 @@ impl StreamCapture {
                 ids: Ids::InFlight {
                     live: MsgTable::new(),
                     seen: Vec::new(),
-                    waiting: Vec::new(),
                 },
                 ..Capture::new()
             },
@@ -1022,7 +908,7 @@ mod tests {
     use super::*;
     use sctm_engine::net::{MsgClass, NodeId};
 
-    type Row = (TraceRecord, Vec<MsgId>, Option<MsgId>);
+    type Row = (TraceRecord, Vec<MsgId>);
 
     fn mk_rec(id: u64, src: u32, dst: u32, inj: u64, del: u64, deps: Vec<u64>) -> Row {
         let rec = TraceRecord {
@@ -1036,7 +922,7 @@ mod tests {
             t_inject: SimTime::from_ps(inj),
             t_deliver: SimTime::from_ps(del),
         };
-        (rec, deps.into_iter().map(MsgId).collect(), None)
+        (rec, deps.into_iter().map(MsgId).collect())
     }
 
     fn log_of(exec: u64, rows: Vec<Row>) -> TraceLog {
@@ -1083,9 +969,6 @@ mod tests {
         let mut rows = tiny_rows();
         rows[1].1 = vec![MsgId(7)];
         assert!(log_of(500, rows).validate().is_err());
-        let mut rows = tiny_rows();
-        rows[1].2 = Some(MsgId(7));
-        assert!(log_of(500, rows).validate().is_err());
     }
 
     /// No constructor can produce these, so break a built log in place:
@@ -1104,7 +987,7 @@ mod tests {
         assert!(broken(|l| l.arrival.truncate(2)).is_err(), "short");
         assert!(broken(|l| l.dep_off[1] = 2).is_err(), "not monotone");
         assert!(broken(|l| l.dep_off[3] = 1).is_err(), "not covering");
-        assert!(broken(|l| l.prev.truncate(2)).is_err(), "short column");
+        assert!(broken(|l| l.dep_off.truncate(3)).is_err(), "short column");
         assert!(broken(|l| l.nodes = 1).is_err(), "node bound");
     }
 
@@ -1165,26 +1048,23 @@ mod tests {
         }
     }
 
-    fn inj(m: Message, at: u64, deps: &[MsgId], prev: Option<u64>) -> InjectRecord<'_> {
+    fn inj(m: Message, at: u64, deps: &[MsgId]) -> InjectRecord<'_> {
         InjectRecord {
             msg: m,
             at: SimTime::from_ps(at),
             deps,
-            prev_same_src: prev.map(MsgId),
-            kind: 0, // GetS
         }
     }
 
     #[test]
     fn capture_hook_roundtrip() {
         let mut cap = Capture::new();
-        cap.on_inject(inj(msg(0, 0, 1, MsgClass::Data), 10, &[], None));
+        cap.on_inject(inj(msg(0, 0, 1, MsgClass::Data), 10, &[]));
         cap.on_deliver(MsgId(0), SimTime::from_ps(90));
         let log = cap.finish("emesh", SimTime::from_ps(100));
         assert_eq!(log.len(), 1);
         assert_eq!(log.rec(MsgId(0)).t_deliver, SimTime::from_ps(90));
         assert_eq!(log.capture_net, "emesh");
-        assert_eq!(log.kind(0), "GetS");
         assert_eq!(log.validate(), Ok(()));
     }
 
@@ -1192,8 +1072,8 @@ mod tests {
     #[should_panic(expected = "delivered twice")]
     fn capture_rejects_a_double_delivery() {
         let mut cap = Capture::new();
-        cap.on_inject(inj(msg(0, 0, 1, MsgClass::Control), 10, &[], None));
-        cap.on_inject(inj(msg(1, 1, 0, MsgClass::Control), 20, &[], None));
+        cap.on_inject(inj(msg(0, 0, 1, MsgClass::Control), 10, &[]));
+        cap.on_inject(inj(msg(1, 1, 0, MsgClass::Control), 20, &[]));
         cap.on_deliver(MsgId(0), SimTime::from_ps(90));
         cap.on_deliver(MsgId(0), SimTime::from_ps(95));
         cap.finish("test", SimTime::from_ps(100));
@@ -1204,21 +1084,18 @@ mod tests {
     enum Fault {
         /// A dependency names an id never injected.
         UncapturedDep,
-        /// A `prev` names an id never injected.
-        UncapturedPrev,
         /// A row never delivers.
         Undelivered,
     }
 
     fn feed_fault(hook: &mut dyn TraceHook, fault: Fault) {
         let c = MsgClass::Control;
-        let (deps, prev) = match fault {
-            Fault::UncapturedDep => (&[MsgId(7)][..], None),
-            Fault::UncapturedPrev => (&[][..], Some(7)),
-            Fault::Undelivered => (&[][..], None),
+        let deps = match fault {
+            Fault::UncapturedDep => &[MsgId(7)][..],
+            Fault::Undelivered => &[],
         };
-        hook.on_inject(inj(msg(0, 0, 1, c), 10, &[], None));
-        hook.on_inject(inj(msg(2, 0, 1, c), 20, deps, prev));
+        hook.on_inject(inj(msg(0, 0, 1, c), 10, &[]));
+        hook.on_inject(inj(msg(2, 0, 1, c), 20, deps));
         hook.on_deliver(MsgId(0), SimTime::from_ps(50));
         if !matches!(fault, Fault::Undelivered) {
             hook.on_deliver(MsgId(2), SimTime::from_ps(60));
@@ -1247,12 +1124,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trace references an uncaptured message")]
-    fn capture_rejects_an_uncaptured_prev() {
-        capture_with(Fault::UncapturedPrev);
-    }
-
-    #[test]
     #[should_panic(expected = "capture ended with undelivered")]
     fn capture_rejects_an_undelivered_row() {
         capture_with(Fault::Undelivered);
@@ -1262,12 +1133,6 @@ mod tests {
     #[should_panic(expected = "trace references an uncaptured message")]
     fn stream_capture_rejects_an_uncaptured_dependency() {
         stream_capture_with(Fault::UncapturedDep);
-    }
-
-    #[test]
-    #[should_panic(expected = "trace references an uncaptured message")]
-    fn stream_capture_rejects_an_uncaptured_prev() {
-        stream_capture_with(Fault::UncapturedPrev);
     }
 
     #[test]
@@ -1283,10 +1148,10 @@ mod tests {
         // deliveries grouped by destination rather than by instant.
         let c = MsgClass::Control;
         let mut cap = Capture::new();
-        cap.on_inject(inj(msg(0, 0, 1, c), 10, &[], None));
-        cap.on_inject(inj(msg(2, 0, 1, c), 300, &[MsgId(1)], Some(0)));
+        cap.on_inject(inj(msg(0, 0, 1, c), 10, &[]));
+        cap.on_inject(inj(msg(2, 0, 1, c), 300, &[MsgId(1)]));
         cap.on_deliver(MsgId(1), SimTime::from_ps(250));
-        cap.on_inject(inj(msg(1, 1, 0, c), 150, &[MsgId(0)], None));
+        cap.on_inject(inj(msg(1, 1, 0, c), 150, &[MsgId(0)]));
         cap.on_deliver(MsgId(0), SimTime::from_ps(100));
         cap.on_deliver(MsgId(2), SimTime::from_ps(400));
         let log = cap.finish("test", SimTime::from_ps(500));
@@ -1297,7 +1162,6 @@ mod tests {
         assert_eq!(log.rec(MsgId(1)).t_deliver, SimTime::from_ps(250));
         assert_eq!(log.deps(1), &[0]);
         assert_eq!(log.deps(2), &[1]);
-        assert_eq!(log.prev_same_src(2), Some(MsgId(0)));
         assert_eq!(log.arrival_order(), &[0, 1, 2]);
     }
 
@@ -1311,9 +1175,9 @@ mod tests {
         let build = |deliveries: [(u64, u64); 3]| {
             let mut cap = Capture::new();
             // Capture ids 5, 3, 4 inject at 10, 10, 20 → canonical 1, 0, 2.
-            cap.on_inject(inj(msg(5, 1, 0, c), 10, &[], None));
-            cap.on_inject(inj(msg(3, 0, 1, c), 10, &[], None));
-            cap.on_inject(inj(msg(4, 0, 1, c), 20, &[], None));
+            cap.on_inject(inj(msg(5, 1, 0, c), 10, &[]));
+            cap.on_inject(inj(msg(3, 0, 1, c), 10, &[]));
+            cap.on_inject(inj(msg(4, 0, 1, c), 20, &[]));
             for (id, at) in deliveries {
                 cap.on_deliver(MsgId(id), SimTime::from_ps(at));
             }
@@ -1377,9 +1241,8 @@ mod tests {
         sort_nearly_sorted::<(SimTime, u32)>(&mut []);
     }
 
-    /// One `on_inject` call: message, instant, dependencies, `prev`,
-    /// kind.
-    type Injected = (Message, SimTime, Vec<MsgId>, Option<MsgId>, u8);
+    /// One `on_inject` call: message, instant, dependencies.
+    type Injected = (Message, SimTime, Vec<MsgId>);
 
     /// Every call one capture hook saw, in order, so the same capture
     /// can be fed to more than one hook.
@@ -1394,14 +1257,7 @@ mod tests {
 
     impl TraceHook for Calls {
         fn on_inject(&mut self, rec: InjectRecord<'_>) {
-            let r = (
-                rec.msg,
-                rec.at,
-                rec.deps.to_vec(),
-                rec.prev_same_src,
-                rec.kind,
-            );
-            self.injects.push(r);
+            self.injects.push((rec.msg, rec.at, rec.deps.to_vec()));
         }
         fn on_deliver(&mut self, id: MsgId, at: SimTime) {
             self.delivers.push((id, at));
@@ -1426,13 +1282,11 @@ mod tests {
                 // Within one event time injections and deliveries
                 // interleave; the watermark is all a flush reads, so
                 // their relative order there does not matter.
-                for (m, at, deps, prev, kind) in &self.injects[i..to_i.min(self.injects.len())] {
+                for (m, at, deps) in &self.injects[i..to_i.min(self.injects.len())] {
                     hook.on_inject(InjectRecord {
                         msg: *m,
                         at: *at,
                         deps,
-                        prev_same_src: *prev,
-                        kind: *kind,
                     });
                 }
                 for &(id, at) in &self.delivers[d..to_d.min(self.delivers.len())] {
@@ -1461,7 +1315,7 @@ mod tests {
             .collect();
         let mut cols = Columns::with_capacity(0, 0);
         for (new, &(_, _, i)) in keys.iter().enumerate() {
-            let (mut m, at, deps, prev, kind) = calls.injects[i].clone();
+            let (mut m, at, deps) = calls.injects[i].clone();
             m.id = MsgId(new as u64);
             cols.records.push(TraceRecord {
                 msg: m,
@@ -1470,8 +1324,6 @@ mod tests {
             });
             cols.dep_ids.extend(deps.iter().map(|d| renum[&d.0]));
             cols.dep_off.push(cols.dep_ids.len() as u32);
-            cols.prev.push(prev.map_or(NONE, |p| renum[&p.0]));
-            cols.kind.push(kind);
         }
         let mut delivers: Vec<(SimTime, u32)> = (calls.delivers.iter())
             .map(|&(id, at)| (at, renum[&id.0]))
@@ -1486,11 +1338,10 @@ mod tests {
 
     /// The calls of a hand-fed capture that saw `keys` — `(t_inject,
     /// capture id)` — in slice order. Row k carries k % 3 dependencies
-    /// and every column value differs from row to row, so a row that
-    /// lands in the wrong slot, or beside another row's column entry,
-    /// shows.
+    /// and every row's endpoints and dependencies differ from its
+    /// neighbours', so a row that lands in the wrong slot, or beside
+    /// another row's dependency list, shows.
     fn calls_of(keys: &[(SimTime, u32)]) -> Calls {
-        const KINDS: [u8; 3] = [0, 2, 6]; // GetS, Data, Inv
         let mut calls = Calls::default();
         for (k, &(at, id)) in keys.iter().enumerate() {
             let deps: Vec<MsgId> = (1..=k % 3)
@@ -1501,8 +1352,6 @@ mod tests {
                 msg: msg(id as u64, id % 16, k as u32 % 16, MsgClass::Control),
                 at,
                 deps: &deps,
-                prev_same_src: k.checked_sub(1).map(|j| MsgId(keys[j].1 as u64)),
-                kind: KINDS[k % 3],
             });
         }
         // Deliveries in hook order too, a varying while after injection.
@@ -1588,15 +1437,14 @@ mod tests {
         calls_of(&keys).feed(&mut cap, false);
         let log = cap.finish("test", SimTime::from_ps(1 << 40));
         let n = log.len();
-        let exact =
-            n * std::mem::size_of::<TraceRecord>() + 4 * ((n + 1) + log.dep_ids.len() + n + n) + n;
+        let exact = n * std::mem::size_of::<TraceRecord>() + 4 * ((n + 1) + log.dep_ids.len() + n);
         assert_eq!(log.resident_bytes(), exact);
     }
 
     /// Simulator events, `(instant, event)` in simulator order.
     #[derive(Clone, Copy)]
     enum Ev {
-        Inject(Message, Option<u64>),
+        Inject(Message),
         Deliver(u64),
     }
 
@@ -1611,10 +1459,9 @@ mod tests {
         let c = MsgClass::Control;
         let mut events = Vec::new();
         for k in 0..n {
-            let prev = k.checked_sub(2);
             events.push((
                 100 * k,
-                Ev::Inject(msg(k, (k % 2) as u32, 1 - (k % 2) as u32, c), prev),
+                Ev::Inject(msg(k, (k % 2) as u32, 1 - (k % 2) as u32, c)),
             ));
             events.push((100 * k + 60, Ev::Deliver(k)));
         }
@@ -1639,7 +1486,7 @@ mod tests {
                     hook.on_time(SimTime::from_ps(at));
                 }
                 match ev {
-                    Ev::Inject(m, prev) => hook.on_inject(inj(m, at, &[], prev)),
+                    Ev::Inject(m) => hook.on_inject(inj(m, at, &[])),
                     Ev::Deliver(id) => hook.on_deliver(MsgId(id), SimTime::from_ps(at)),
                 }
             }
@@ -1698,10 +1545,10 @@ mod tests {
         let events = ping_pong_of(
             n,
             &[
-                (0, Ev::Inject(msg(n, 3, 2, c), None)),
+                (0, Ev::Inject(msg(n, 3, 2, c))),
                 (60, Ev::Deliver(n)),
-                (end, Ev::Inject(msg(n + 1, 2, 0, c), None)),
-                (end, Ev::Inject(msg(n + 2, 3, 1, c), Some(n))),
+                (end, Ev::Inject(msg(n + 1, 2, 0, c))),
+                (end, Ev::Inject(msg(n + 2, 3, 1, c))),
                 (end + 60, Ev::Deliver(n + 1)),
                 (end + 60, Ev::Deliver(n + 2)),
             ],
@@ -1734,13 +1581,10 @@ mod tests {
         let events = ping_pong_of(
             n,
             &[
-                (
-                    100 * (PAGE as u64 - 2) + 50,
-                    Ev::Inject(msg(n, 3, 2, c), None),
-                ),
+                (100 * (PAGE as u64 - 2) + 50, Ev::Inject(msg(n, 3, 2, c))),
                 (end, Ev::Deliver(n)),
-                (end, Ev::Inject(msg(n + 1, 2, 0, c), None)),
-                (end, Ev::Inject(msg(n + 2, 3, 1, c), Some(n))),
+                (end, Ev::Inject(msg(n + 1, 2, 0, c))),
+                (end, Ev::Inject(msg(n + 2, 3, 1, c))),
                 (end + 60, Ev::Deliver(n + 1)),
                 (end + 60, Ev::Deliver(n + 2)),
             ],
@@ -1760,7 +1604,7 @@ mod tests {
     fn a_silent_node_holds_a_streamed_pass_at_the_watermark() {
         let c = MsgClass::Control;
         assert_streamed_pass_matches_whole(&ping_pong(&[
-            (2500, Ev::Inject(msg(40, 2, 0, c), None)),
+            (2500, Ev::Inject(msg(40, 2, 0, c))),
             (2560, Ev::Deliver(40)),
         ]));
     }
@@ -1774,12 +1618,12 @@ mod tests {
     fn a_node_that_has_only_sent_holds_a_streamed_pass_at_its_departure() {
         let c = MsgClass::Control;
         assert_streamed_pass_matches_whole(&ping_pong(&[
-            (0, Ev::Inject(msg(40, 2, 0, c), None)),
-            (0, Ev::Inject(msg(41, 3, 1, c), None)),
+            (0, Ev::Inject(msg(40, 2, 0, c))),
+            (0, Ev::Inject(msg(41, 3, 1, c))),
             (60, Ev::Deliver(40)),
             (60, Ev::Deliver(41)),
-            (2500, Ev::Inject(msg(42, 2, 0, c), Some(40))),
-            (2500, Ev::Inject(msg(43, 3, 1, c), Some(41))),
+            (2500, Ev::Inject(msg(42, 2, 0, c))),
+            (2500, Ev::Inject(msg(43, 3, 1, c))),
             (2560, Ev::Deliver(42)),
             (2560, Ev::Deliver(43)),
         ]));

@@ -123,11 +123,6 @@ impl<T: Copy> Pages<T> {
         self.pages.get(i / PAGE)?.get(i % PAGE).copied()
     }
 
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        assert_eq!(self.retired, 0, "a column with retired pages read whole");
-        self.pages.iter_mut().flatten()
-    }
-
     pub(crate) fn into_vec(self) -> Vec<T> {
         assert_eq!(self.retired, 0, "a column with retired pages read whole");
         let mut v = Vec::with_capacity(self.len);

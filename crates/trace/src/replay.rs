@@ -8,8 +8,8 @@
 //!    network is slower or faster than the capture network, dependent
 //!    messages are injected at the wrong times and error compounds.
 //! 2. [`replay_sctm_pass`] — the **paper's self-correction trace
-//!    model**: knowledge is per-endpoint program order plus the
-//!    arrival-gating pairing computable from a plain network trace
+//!    model**: knowledge is each source's departures in time order plus
+//!    the arrival-gating pairing computable from a plain network trace
 //!    ([`TraceLog::arrival_gates`]). Injections are derived from the
 //!    replay's *own* delivery times (the timeline corrects itself
 //!    forward in time) under one readiness rule: a seed waits on
@@ -1424,7 +1424,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
 /// capture model before re-capturing.
 ///
 /// The messages are summed in id order, a flow at a time, in the one
-/// accumulator the loop folds its passes into ([`Corrections`]), and
+/// accumulator the loop folds its passes into (`fold::Corrections`), and
 /// come out in (src, dst, Control-before-Data) order.
 pub fn pair_corrections(
     log: &TraceLog,
@@ -1551,12 +1551,9 @@ mod tests {
         let r = replay_oracle(&log, net.as_mut());
         for (i, rec) in log.records.iter().enumerate() {
             assert_eq!(
-                r.deliver[i],
-                rec.t_deliver,
-                "msg {i} ({}) diverged: {:?} vs {:?}",
-                log.kind(i),
-                r.deliver[i],
-                rec.t_deliver
+                r.deliver[i], rec.t_deliver,
+                "msg {i} ({:?}) diverged: {:?} vs {:?}",
+                rec.msg, r.deliver[i], rec.t_deliver
             );
         }
     }
@@ -1571,10 +1568,9 @@ mod tests {
         let got = replay_sctm_pass(&log, net.as_mut());
         for (i, rec) in log.records.iter().enumerate() {
             assert_eq!(
-                got.deliver[i],
-                rec.t_deliver,
-                "msg {i} ({}) diverged",
-                log.kind(i)
+                got.deliver[i], rec.t_deliver,
+                "msg {i} ({:?}) diverged",
+                rec.msg
             );
         }
     }

@@ -17,7 +17,6 @@
 //! sections (each 8-aligned, zero-padded between)
 //!   src        u32 × n          dst        u32 × n
 //!   bytes      u32 × n          class      bitmap (bit i = Data)
-//!   kind       u8  × n          prev       u32 × n (MAX = none)
 //!   t_inject   zigzag-varint deltas (record order)
 //!   t_deliver  zigzag-varint deltas from the same record's t_inject
 //!   deps_off   u32 × (n+1)      deps       zigzag varints of i − dep
@@ -28,10 +27,15 @@
 //! dependency list verbatim (exact round-trip, original order) as
 //! relative varints — dependencies point backward to recent ids, so
 //! barrier-heavy traces where edges outnumber records pay ~2 bytes per
-//! edge instead of 4. The last two section-table entries are (0, 0).
-//! Containers written before they were dropped set header flag bit 0
-//! and store a children CSR there; the reader bounds-checks those two
-//! sections like any other and never reads them.
+//! edge instead of 4.
+//!
+//! Four section-table entries are unused and written as (0, 0): `kind`
+//! and `prev` (4 and 5) and the last two (10 and 11). Older containers
+//! may fill them. One that stores a protocol kind per record (`u8 × n`)
+//! stores a decision-order `prev` (`u32 × n`) beside it, and one that
+//! sets header flag bit 0 stores a children CSR in the last two. The
+//! reader bounds-checks those sections like any other and never reads
+//! them.
 //!
 //! The checksum is a word-strided FNV variant over the whole container
 //! with the checksum field itself read as zero: little-endian u64
@@ -44,9 +48,8 @@
 //! cold-load critical path (~8 bytes/cycle vs the byte-serial
 //! classic), which keeps `SctfReader::open` cheap.
 
-use crate::log::{Columns, TraceLog, TraceRecord, NONE};
+use crate::log::{Columns, TraceLog, TraceRecord};
 use crate::persist::TraceError;
-use sctm_cmp::protocol::KIND_OTHER;
 use sctm_engine::net::{Message, MsgClass, MsgId, NodeId};
 use sctm_engine::time::SimTime;
 use std::path::Path;
@@ -93,11 +96,6 @@ const SECTION_NAMES: [&str; SECTION_COUNT] = [
 /// containers written before the CSR was dropped set it; no section
 /// this bit names is read.
 const FLAG_CSR: u8 = 1;
-
-/// `prev` column sentinel for "no previous same-source message". The
-/// in-memory column uses the same value, so the section is the column.
-const PREV_NONE: u32 = u32::MAX;
-const _: () = assert!(PREV_NONE == NONE);
 
 /// Network labels by tag byte; must stay append-only across versions.
 const NET_LABELS: [&str; 6] = ["analytic", "emesh", "omesh", "oxbar", "hybrid", "unknown"];
@@ -268,7 +266,6 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
     sections[SEC_SRC] = push_u32_column(&mut out, rows.clone().map(|r| r.msg.src.0));
     sections[SEC_DST] = push_u32_column(&mut out, rows.clone().map(|r| r.msg.dst.0));
     sections[SEC_BYTES] = push_u32_column(&mut out, rows.map(|r| r.msg.bytes));
-    sections[SEC_PREV] = push_u32_column(&mut out, log.prev_column().iter().copied());
 
     // Class bitmap (bit i set = Data).
     {
@@ -287,13 +284,6 @@ pub fn to_sctf_bytes(log: &TraceLog) -> Vec<u8> {
             out.push(byte);
         }
         sections[SEC_CLASS] = (off, out.len() as u64 - off);
-    }
-
-    // Kind tags.
-    {
-        let off = begin(&mut out);
-        out.extend_from_slice(log.kind_tags());
-        sections[SEC_KIND] = (off, out.len() as u64 - off);
     }
 
     // Timestamps: t_inject as deltas in record order, t_deliver as a
@@ -375,9 +365,8 @@ pub fn encoded_size(log: &TraceLog) -> usize {
         tdel += varint_len(zz_delta(r.t_inject.as_ps(), r.t_deliver.as_ps()));
     }
     HEADER_LEN
-        + 4 * pad(4 * n)            // src, dst, bytes, prev
+        + 3 * pad(4 * n)            // src, dst, bytes
         + pad(n.div_ceil(8))        // class bitmap
-        + pad(n)                    // kind tags
         + pad(tinj)
         + pad(tdel)
         + pad(4 * (n + 1))          // deps_off
@@ -500,13 +489,11 @@ impl<B: AsRef<[u8]>> SctfReader<B> {
             ));
         }
         // Fixed-width sections must match the record count exactly.
-        let expect: [(usize, u64); 7] = [
+        let expect: [(usize, u64); 5] = [
             (SEC_SRC, 4 * n64),
             (SEC_DST, 4 * n64),
             (SEC_BYTES, 4 * n64),
-            (SEC_PREV, 4 * n64),
             (SEC_CLASS, n64.div_ceil(8)),
-            (SEC_KIND, n64),
             (SEC_DEPS_OFF, 4 * (n64 + 1)),
         ];
         for (sec, want) in expect {
@@ -517,6 +504,17 @@ impl<B: AsRef<[u8]>> SctfReader<B> {
                     have: sections[sec].1 as u64,
                 });
             }
+        }
+        // The unused `kind` and `prev` entries: empty, or both at the
+        // lengths an older writer gave them.
+        let unused = (sections[SEC_KIND].1 as u64, sections[SEC_PREV].1 as u64);
+        if unused != (0, 0) && unused != (n64, 4 * n64) {
+            return Err(TraceError::Invalid(format!(
+                "sctf: sections kind and prev hold {} and {} bytes, not 0 and 0 or {n64} and {}",
+                unused.0,
+                unused.1,
+                4 * n64
+            )));
         }
         let r = SctfReader {
             n,
@@ -629,13 +627,6 @@ impl<B: AsRef<[u8]>> SctfReader<B> {
         let bad = |i: usize, what: String| TraceError::Invalid(format!("sctf: record {i} {what}"));
         // Every edge takes at least one stream byte.
         let mut cols = Columns::with_capacity(n, deps.len());
-        cols.prev.extend(
-            self.section(SEC_PREV)
-                .chunks_exact(4)
-                .map(|w| u32::from_le_bytes(w.try_into().unwrap())),
-        );
-        cols.kind
-            .extend(self.section(SEC_KIND).iter().map(|&t| t.min(KIND_OTHER)));
         for i in 0..n {
             // Semantic invariants check inline against the columns —
             // the same predicates [`TraceLog::validate`] walks, done
@@ -645,16 +636,6 @@ impl<B: AsRef<[u8]>> SctfReader<B> {
             }
             if i > 0 && tinj[i] < tinj[i - 1] {
                 return Err(bad(i, format!("injected before record {}", i - 1)));
-            }
-            let s = u32_at(src, i);
-            match cols.prev[i] {
-                PREV_NONE => {}
-                p if (p as usize) < n => {
-                    if u32_at(src, p as usize) != s {
-                        return Err(bad(i, "prev_same_src from a different node".into()));
-                    }
-                }
-                _ => return Err(bad_id("prev", i)),
             }
             let row_start = u32_at(doff, i) as usize;
             let row = &deps[row_start..u32_at(doff, i + 1) as usize];
@@ -678,7 +659,7 @@ impl<B: AsRef<[u8]>> SctfReader<B> {
             cols.records.push(TraceRecord {
                 msg: Message {
                     id: MsgId(i as u64),
-                    src: NodeId(s),
+                    src: NodeId(u32_at(src, i)),
                     dst: NodeId(u32_at(dst, i)),
                     class: if class[i / 8] >> (i % 8) & 1 == 1 {
                         MsgClass::Data
@@ -728,16 +709,12 @@ mod tests {
             msg: mk(0, 0, 3, MsgClass::Control),
             at: SimTime::from_ps(100),
             deps: &[],
-            prev_same_src: None,
-            kind: 0, // GetS
         });
         cap.on_deliver(MsgId(0), SimTime::from_ps(900));
         cap.on_inject(InjectRecord {
             msg: mk(1, 3, 0, MsgClass::Data),
             at: SimTime::from_ps(1100),
             deps: &[MsgId(0)],
-            prev_same_src: None,
-            kind: 2, // Data
         });
         cap.on_deliver(MsgId(1), SimTime::from_ps(2400));
         cap.finish("analytic", SimTime::from_ps(3000))
@@ -772,7 +749,7 @@ mod tests {
     fn the_writer_stores_no_children_csr() {
         let bytes = to_sctf_bytes(&tiny());
         assert_eq!(bytes[13] & FLAG_CSR, 0, "flag bit 0 is clear");
-        for sec in [10, 11] {
+        for sec in [SEC_KIND, SEC_PREV, 10, 11] {
             let at = 48 + sec * 16;
             assert_eq!(read_u64(&bytes, at), 0, "{} offset", SECTION_NAMES[sec]);
             assert_eq!(read_u64(&bytes, at + 8), 0, "{} length", SECTION_NAMES[sec]);
@@ -785,6 +762,48 @@ mod tests {
         );
         assert_eq!((len, bytes[off as usize]), (1, 2));
         assert_eq!(bytes.len(), (off as usize + 1).div_ceil(8) * 8);
+    }
+
+    /// `bytes` with zeroed sections of the given lengths appended and
+    /// named in the table, and the checksum made good again.
+    fn with_sections(bytes: &[u8], lens: &[(usize, usize)]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for &(sec, len) in lens {
+            let off = out.len();
+            out.resize(off + len.div_ceil(8) * 8, 0);
+            let at = 48 + sec * 16;
+            out[at..at + 8].copy_from_slice(&(off as u64).to_le_bytes());
+            out[at + 8..at + 16].copy_from_slice(&(len as u64).to_le_bytes());
+        }
+        let sum = container_checksum(&out);
+        out[32..40].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// A container from before the `kind` and `prev` sections went
+    /// stores them at `n` and `4n` bytes; it loads as the same trace,
+    /// and any other shape of the two is a typed error.
+    #[test]
+    fn the_kind_and_prev_entries_are_empty_or_both_old() {
+        let log = tiny();
+        let bytes = to_sctf_bytes(&log);
+        let n = log.len();
+        let old = with_sections(&bytes, &[(SEC_KIND, n), (SEC_PREV, 4 * n)]);
+        assert!(from_sctf_bytes(&old).expect("the old shape loads") == log);
+        for lens in [
+            &[(SEC_PREV, 4 * n)][..],
+            &[(SEC_KIND, n)],
+            &[(SEC_KIND, n + 1), (SEC_PREV, 4 * n)],
+            &[(SEC_KIND, n), (SEC_PREV, 4 * n - 4)],
+        ] {
+            assert!(
+                matches!(
+                    SctfReader::from_bytes(&with_sections(&bytes, lens)),
+                    Err(TraceError::Invalid(_))
+                ),
+                "{lens:?} loaded"
+            );
+        }
     }
 
     #[test]
@@ -847,7 +866,7 @@ mod tests {
                 t_inject: SimTime::from_ps(inj),
                 t_deliver: SimTime::from_ps(del),
             };
-            (rec, vec![], None)
+            (rec, vec![])
         };
         let log = TraceLog::from_rows(
             "unknown",

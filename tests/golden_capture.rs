@@ -3,14 +3,20 @@
 //! The hashes were first generated on commit 95964fe (the parent of the
 //! 40-byte trace rows) and held unmodified until the container stopped
 //! storing the children CSR; they were regenerated once then, on top of
-//! commit 35b1836. The new constants were proven against the old ones:
-//! putting the CSR (built from `dep_csr()`) back into each new
+//! commit 35b1836. The constants of that time were proven against the
+//! ones before: putting the CSR (built from `dep_csr()`) back into each
 //! container, setting flag bit 0 and recomputing the checksum
-//! reproduces the old length and hash exactly. Each hash is FNV-1a over
-//! `to_sctf_bytes` of the canonical capture — rows, dependency lists,
-//! per-endpoint order, kind tags, both timestamps and the container
-//! checksum — so a change anywhere between `CmpSim::send` and the sctf
-//! writer that moves one byte of one trace moves a hash. Regenerate
+//! reproduced the old length and hash exactly. They were regenerated
+//! once more when the trace stopped keeping a protocol kind and a
+//! decision-order `prev` per message, on top of commit 1f88444. Those
+//! constants were proven the other way round: the four captures written
+//! to containers by commit 1f88444 (whose length and hash are the
+//! constants before) decode with the code that dropped the two columns,
+//! and re-encode to exactly the length and hash below. Each hash is
+//! FNV-1a over `to_sctf_bytes` of the canonical capture — rows,
+//! dependency lists, both timestamps and the container checksum — so a
+//! change anywhere between `CmpSim::send` and the sctf writer that moves
+//! one byte of one trace moves a hash. Regenerate
 //! only with
 //! `GOLDEN_PRINT=1 cargo test --test golden_capture -- --nocapture`,
 //! and never to make a change to the capture path pass.
@@ -21,10 +27,10 @@ use sctm_trace::sctf::to_sctf_bytes;
 
 /// `(kernel, mesh side, ops per core, container bytes, FNV-1a)`.
 const GOLDEN: [(Kernel, usize, usize, usize, u64); 4] = [
-    (Kernel::Fft, 4, 300, 354_296, 0x701d_5f12_2ba7_49c8),
-    (Kernel::Lu, 4, 300, 90_928, 0x7bba_ab58_c46a_adf0),
-    (Kernel::Barnes, 4, 300, 136_696, 0xc233_871b_cc4b_3291),
-    (Kernel::Fft, 8, 300, 1_429_424, 0x2d49_c4a0_0797_dd24),
+    (Kernel::Fft, 4, 300, 289_656, 0x4651_ebd8_8b00_9e52),
+    (Kernel::Lu, 4, 300, 74_952, 0x9950_03f4_0dcc_1316),
+    (Kernel::Barnes, 4, 300, 111_992, 0x8d06_8f35_f639_23d8),
+    (Kernel::Fft, 8, 300, 1_179_824, 0x79e2_9e60_4048_3165),
 ];
 
 #[test]

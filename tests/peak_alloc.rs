@@ -94,7 +94,7 @@ const MIB: f64 = (1 << 20) as f64;
 
 /// One hook call of a capture, kept to be fed again.
 enum Call {
-    Inject(Message, SimTime, Vec<MsgId>, Option<MsgId>, u8),
+    Inject(Message, SimTime, Vec<MsgId>),
     Deliver(MsgId, SimTime),
     Time(SimTime),
 }
@@ -104,8 +104,7 @@ struct Recorder(Vec<Call>);
 
 impl TraceHook for Recorder {
     fn on_inject(&mut self, r: InjectRecord<'_>) {
-        let call = Call::Inject(r.msg, r.at, r.deps.to_vec(), r.prev_same_src, r.kind);
-        self.0.push(call);
+        self.0.push(Call::Inject(r.msg, r.at, r.deps.to_vec()));
     }
 
     fn on_deliver(&mut self, id: MsgId, at: SimTime) {
@@ -144,12 +143,10 @@ fn streamed_capture_peak(ops: usize) -> (usize, usize) {
         drop(feed);
         for call in &calls.0 {
             match call {
-                Call::Inject(msg, at, deps, prev_same_src, kind) => cap.on_inject(InjectRecord {
+                Call::Inject(msg, at, deps) => cap.on_inject(InjectRecord {
                     msg: *msg,
                     at: *at,
                     deps,
-                    prev_same_src: *prev_same_src,
-                    kind: *kind,
                 }),
                 Call::Deliver(id, at) => cap.on_deliver(*id, *at),
                 Call::Time(now) => cap.on_time(*now),
@@ -206,7 +203,10 @@ fn one_trace_resident_written_once() {
     // The loop at twice the ops, where what it holds of the run stands
     // out from how its two threads interleave.
     let long = exp.clone().with_ops(1200);
-    let long_bytes = long.capture().resident_bytes();
+    let (long_bytes, long_msgs) = {
+        let log = long.capture();
+        (log.resident_bytes(), log.len())
+    };
     let (loop_peak, outcome) = peak_of(|| long.execute(&RunSpec::self_correction(4)));
     let report = outcome.expect("the loop runs").report;
     assert!(
@@ -223,28 +223,35 @@ fn one_trace_resident_written_once() {
         loop_peak as f64 / MIB,
         loop_peak as f64 / long_bytes as f64,
     );
-    // At 600 ops the log is 1.43 MiB. With iteration k's (log, result)
-    // alive under capture k+1 the loop peaked at 8.72 MiB; freeing them
+    // At 600 ops the log was 1.43 MiB (58 B a message; 1.30 MiB at 53
+    // since it keeps no protocol kind and no decision-order `prev`).
+    // With iteration k's (log, result) alive under capture k+1 the loop
+    // peaked at 8.72 MiB; freeing them
     // first, at 5.39; streaming each capture into its pass with 40-byte
     // rows, at 4.90-5.07; with the pass's 8-byte rows, at 4.00-4.06;
     // with 9-byte cache ways, at 2.94-3.11 (2.06-2.17 x the log); with
     // message tables, the capture's id map and the plan's pages sized by
     // what is in flight, at 2.14-2.39 (1.50-1.67 x). Folding the pass as
     // it delivers and retiring its times and rows, 1.93-2.15: too close
-    // to tell apart from one run. At 1 200 ops (a 2.84 MiB log) the
-    // loop read 3.36-3.68 MiB (1.18-1.30 x) before the fold, and reads
-    // 2.34-2.91 (0.82-1.02 x) with it. The bound, 1.1 x (3.12 MiB),
-    // leaves 0.21 MiB for how capture and pass interleave.
+    // to tell apart from one run. At 1 200 ops (a 2.84 MiB log at 58 B
+    // a message) the loop read 3.36-3.68 MiB (1.18-1.30 x) before the
+    // fold, and reads 2.23-3.02 with it. The bound, 1.1 x that log
+    // (3.12 MiB), leaves 0.10 MiB for how capture and pass interleave.
+    // It is kept in bytes, not in today's 53 B a message: the loop never
+    // held those two columns, so the smaller log is no reason to hold
+    // the loop to less.
     assert!(
-        loop_peak as f64 <= 1.1 * long_bytes as f64,
-        "the loop holds more than one trace's windows: peak {loop_peak} B, log {long_bytes} B"
+        loop_peak as f64 <= 1.1 * 58.0 * long_msgs as f64,
+        "the loop holds more than one trace's windows: peak {loop_peak} B for {long_msgs} messages"
     );
     // Gathering into a second set of columns with the simulator still
     // alive, a capture peaked at 4.12 x the log it returned; dropping
     // the simulator first and permuting in place, 2.98 x; with 9-byte
     // cache ways in place of 24-byte ones, 2.24 x (3.20 MiB); with the
     // simulator's message table sized by what is in flight, 2.15 x
-    // (3.07 MiB). The bound leaves 0.25 x the log (0.36 MiB) of margin.
+    // (3.07 MiB); without the `kind` and `prev` columns, 2.25 x the
+    // smaller log (2.93 MiB). The bound, 3.12 MiB now, leaves 0.15 x the
+    // log (0.19 MiB) of margin.
     assert!(
         capture_peak as f64 <= 2.4 * log_bytes as f64,
         "a capture's transient grew: peak {capture_peak} B for a {log_bytes} B log"

@@ -2,7 +2,8 @@
 //! a capture through the container is lossless, replaying a decoded
 //! trace is bit-identical to replaying the original on every detailed
 //! network model, and a container written while the format still stored
-//! a children CSR loads as the same trace it re-encodes to.
+//! a children CSR, a kind and a `prev` per record loads as the same trace
+//! it re-encodes to.
 
 use proptest::prelude::*;
 use sctm::prelude::*;
@@ -81,8 +82,8 @@ proptest! {
 
 /// Footprint guarantee on a 64-core fft capture: the container is at
 /// most half of what the parsed log costs in memory. The parsed form is
-/// columnar (58 B/record) and the container stores each field once
-/// (~28 B/record), so the ratio is ~0.49 here.
+/// columnar (55 B/record) and the container stores each field
+/// once (~24 B/record), so the ratio is ~0.43 here.
 #[test]
 fn sctf_is_at_most_half_the_parsed_log_at_64_cores() {
     let log = capture(8, Kernel::Fft, 300, 1);
@@ -102,9 +103,10 @@ fn sctf_is_at_most_half_the_parsed_log_at_64_cores() {
 
 /// A container written while the format still stored the children CSR
 /// (flag bit 0 set; `sctf capture OUT --side 2 --kernel fft --ops 64
-/// --seed 1` at commit 35b1836) still decodes.
-/// Re-encoding it is exactly the two CSR sections shorter, and the
-/// re-encoding decodes to the same trace. No fresh capture is compared,
+/// --seed 1` at commit 35b1836) still decodes. It also stores the
+/// protocol kind and decision-order `prev` columns the format dropped
+/// later. Re-encoding it is exactly those four sections shorter, and
+/// the re-encoding decodes to the same trace. No fresh capture is compared,
 /// so a change to what captures produce leaves this test standing.
 #[test]
 fn a_container_with_the_children_csr_still_loads() {
@@ -124,14 +126,17 @@ fn a_container_with_the_children_csr_still_loads() {
     let pad8 = |x: usize| x.div_ceil(8) * 8;
     let (csr_off, csr_adj) = (table_len(10), table_len(11));
     assert_eq!((csr_off, csr_adj), (4 * (log.len() + 1), 4 * edges));
+    let (kind, prev) = (table_len(4), table_len(5));
+    assert_eq!((kind, prev), (log.len(), 4 * log.len()));
     let fresh = to_sctf_bytes(&log);
-    assert_eq!(fresh.len(), legacy.len() - pad8(csr_off) - pad8(csr_adj));
+    let dropped: usize = [csr_off, csr_adj, kind, prev].map(pad8).iter().sum();
+    assert_eq!(fresh.len(), legacy.len() - dropped);
     assert!(from_sctf_bytes(&fresh).expect("re-encoding decodes") == log);
 }
 
 /// A trace has one encoding on disk: `save` writes an sctf container
 /// whatever the file is called, `load` reads it back as the same trace,
-/// and a text file — the `sctm-trace-v1` export included — does not
+/// and a text file — the `sctm-trace-v2` export included — does not
 /// load.
 #[test]
 fn save_writes_sctf_under_any_name_and_load_reads_only_sctf() {
@@ -146,7 +151,7 @@ fn save_writes_sctf_under_any_name_and_load_reads_only_sctf() {
         assert!(TraceLog::load(&path).expect("load") == log, "{name}");
     }
     let text = dir.join("b.trace.csv");
-    std::fs::write(&text, "sctm-trace-v1,omesh,0\nid,src,dst\n").expect("write");
+    std::fs::write(&text, "sctm-trace-v2,omesh,0\nid,src,dst\n").expect("write");
     assert_eq!(TraceLog::load(&text).err(), Some(TraceError::BadMagic));
     let _ = std::fs::remove_dir_all(&dir);
 }

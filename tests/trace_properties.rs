@@ -92,7 +92,7 @@ proptest! {
             for (i, rec) in log.records.iter().enumerate() {
                 prop_assert_eq!(
                     r.deliver[i], rec.t_deliver,
-                    "msg {} ({}) diverged on identity replay", i, log.kind(i)
+                    "msg {} ({:?}) diverged on identity replay", i, rec.msg
                 );
             }
         }

@@ -21,7 +21,5 @@ pub mod protocol;
 pub mod sim;
 
 pub use cache::{Cache, CacheGeometry, LineAddr, LINE_BYTES};
-pub use protocol::{
-    DirState, InjectRecord, NullHook, Op, ProtocolMsg, Sharers, TraceHook, Workload,
-};
+pub use protocol::{InjectRecord, NullHook, Op, ProtocolMsg, TraceHook, Workload};
 pub use sim::{CmpConfig, CmpResult, CmpSim};

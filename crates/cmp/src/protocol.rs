@@ -16,55 +16,78 @@ use crate::cache::LineAddr;
 use sctm_engine::net::{Message, MsgId};
 use sctm_engine::time::SimTime;
 
-/// Maximum cores supported by the fixed-width sharer bitset. 1024
-/// admits the side-32 photonic meshes the §P10 trace-format experiment
-/// scales to; the word-array walk in `count`/`iter` stays cheap because
-/// real sharer sets are sparse.
+/// Maximum cores a CMP is built with. 1024 admits the side-32 photonic
+/// meshes the §P10 trace-format experiment scales to.
 pub const MAX_CORES: usize = 1024;
 
-/// Fixed-size sharer set (supports up to [`MAX_CORES`] cores).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Sharers {
-    words: [u64; MAX_CORES / 64],
+/// The sharer sets of one directory: one bitset per line in
+/// [`DirState::Shared`], each `cores.div_ceil(64)` words wide, in one
+/// vector. A set is named by its index; a released set goes on a free
+/// list and is the next one handed out. A line's state is then a word
+/// whatever the core count, and a 64-core directory stores 8 bytes a
+/// shared line, not the 128 a fixed 1 024-bit set took.
+#[derive(Debug)]
+pub(crate) struct Sharers {
+    /// Words a set.
+    width: usize,
+    words: Vec<u64>,
+    free: Vec<u32>,
 }
 
 impl Sharers {
-    pub fn empty() -> Self {
-        Self::default()
+    pub(crate) fn new(cores: usize) -> Self {
+        Sharers {
+            width: cores.div_ceil(64),
+            words: Vec::new(),
+            free: Vec::new(),
+        }
     }
 
-    pub fn single(core: usize) -> Self {
-        let mut s = Self::default();
-        s.insert(core);
+    fn set(&self, s: u32) -> &[u64] {
+        let at = s as usize * self.width;
+        &self.words[at..at + self.width]
+    }
+
+    fn set_mut(&mut self, s: u32) -> &mut [u64] {
+        let at = s as usize * self.width;
+        &mut self.words[at..at + self.width]
+    }
+
+    /// A new set holding `core` alone.
+    pub(crate) fn single(&mut self, core: usize) -> u32 {
+        let s = self.free.pop().unwrap_or_else(|| {
+            let s = self.words.len() / self.width;
+            self.words.resize(self.words.len() + self.width, 0);
+            u32::try_from(s).expect("more sharer sets than a u32 names")
+        });
+        self.insert(s, core);
         s
     }
 
-    #[inline]
-    pub fn insert(&mut self, core: usize) {
-        debug_assert!(core < MAX_CORES);
-        self.words[core / 64] |= 1 << (core % 64);
+    /// Set `s` is no longer any line's: empty it for reuse.
+    pub(crate) fn release(&mut self, s: u32) {
+        self.set_mut(s).fill(0);
+        self.free.push(s);
+    }
+
+    /// Sets handed out and not released.
+    pub(crate) fn live(&self) -> usize {
+        self.words.len() / self.width - self.free.len()
     }
 
     #[inline]
-    pub fn remove(&mut self, core: usize) {
-        self.words[core / 64] &= !(1 << (core % 64));
+    pub(crate) fn insert(&mut self, s: u32, core: usize) {
+        self.set_mut(s)[core / 64] |= 1 << (core % 64);
     }
 
     #[inline]
-    pub fn contains(&self, core: usize) -> bool {
-        self.words[core / 64] & (1 << (core % 64)) != 0
+    pub(crate) fn contains(&self, s: u32, core: usize) -> bool {
+        self.set(s)[core / 64] & (1 << (core % 64)) != 0
     }
 
-    pub fn count(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+    /// The cores of set `s`, ascending.
+    pub(crate) fn iter(&self, s: u32) -> impl Iterator<Item = usize> + '_ {
+        self.set(s).iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -81,14 +104,19 @@ impl Sharers {
 
 /// Directory state of one line at its home slice.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DirState {
+pub(crate) enum DirState {
     /// No L1 holds the line.
     Uncached,
-    /// Read-only copies at the given cores.
-    Shared(Sharers),
+    /// Read-only copies at the cores of this set of the directory's
+    /// [`Sharers`].
+    Shared(u32),
     /// A single L1 holds the line writable.
     Modified(u16),
 }
+
+// A directory entry is its line and this word: 16 bytes, where a state
+// that embedded a 1 024-bit set made it 144.
+const _: () = assert!(size_of::<DirState>() <= 8);
 
 /// The wire-visible coherence messages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -229,38 +257,48 @@ impl TraceHook for NullHook {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sharers_insert_remove_contains() {
-        let mut s = Sharers::empty();
-        assert!(s.is_empty());
-        s.insert(0);
-        s.insert(63);
-        s.insert(64);
-        s.insert(255);
-        assert_eq!(s.count(), 4);
-        assert!(s.contains(63));
-        assert!(s.contains(64));
-        assert!(!s.contains(1));
-        s.remove(63);
-        assert!(!s.contains(63));
-        assert_eq!(s.count(), 3);
+    fn cores(s: &Sharers, set: u32) -> Vec<usize> {
+        s.iter(set).collect()
     }
 
     #[test]
-    fn sharers_iter_in_order() {
-        let mut s = Sharers::empty();
-        for c in [5usize, 70, 3, 200] {
-            s.insert(c);
+    fn a_sharer_set_iterates_ascending_at_one_and_sixteen_words() {
+        for (n, width, members) in [
+            (4, 1, vec![3, 2, 0]),
+            (64, 1, vec![63, 40, 1, 0]),
+            (1024, 16, vec![1023, 700, 64, 63, 0]),
+        ] {
+            let mut s = Sharers::new(n);
+            assert_eq!(s.width, width, "{n} cores");
+            let set = s.single(members[0]);
+            for &c in &members[1..] {
+                s.insert(set, c);
+            }
+            let mut want = members.clone();
+            want.sort_unstable();
+            assert_eq!(cores(&s, set), want, "{n} cores");
+            assert!((0..n).all(|c| s.contains(set, c) == members.contains(&c)));
         }
-        let got: Vec<usize> = s.iter().collect();
-        assert_eq!(got, vec![3, 5, 70, 200]);
     }
 
     #[test]
-    fn sharers_single() {
-        let s = Sharers::single(77);
-        assert_eq!(s.count(), 1);
-        assert!(s.contains(77));
+    fn sets_are_apart_and_a_released_set_is_reused_empty() {
+        for n in [64, 1024] {
+            let mut s = Sharers::new(n);
+            let a = s.single(3);
+            let b = s.single(n - 1);
+            s.insert(a, n - 2);
+            assert_eq!(cores(&s, a), vec![3, n - 2]);
+            assert_eq!(cores(&s, b), vec![n - 1]);
+            assert_eq!(s.live(), 2);
+            s.release(a);
+            assert_eq!(s.live(), 1);
+            let c = s.single(7);
+            assert_eq!(c, a, "a released set is the next one handed out");
+            assert_eq!(cores(&s, c), vec![7], "a reused set starts empty");
+            assert_eq!(cores(&s, b), vec![n - 1]);
+            assert_eq!(s.words.len(), 2 * s.width, "reuse grows nothing");
+        }
     }
 
     #[test]

@@ -196,6 +196,10 @@ pub struct CmpSim {
     /// Shared L2 slices; a line's metadata bit is dirty.
     l2: Vec<Cache>,
     dir: FxHashMap<u64, DirState>,
+    /// The sets [`DirState::Shared`] names, one per shared line.
+    sharers: Sharers,
+    /// Invalidation targets of the request being handled.
+    inv_targets: Vec<usize>,
     busy: FxHashMap<u64, Txn>,
     queued: FxHashMap<u64, VecDeque<QueuedReq>>,
     /// Node ids hosting memory controllers ([`CmpConfig::mem_ctrl_nodes`]).
@@ -261,6 +265,8 @@ impl CmpSim {
             mem_free: vec![SimTime::ZERO; mem_ctrl.len()],
             mem_ctrl,
             dir: FxHashMap::default(),
+            sharers: Sharers::new(n),
+            inv_targets: Vec::new(),
             busy: FxHashMap::default(),
             queued: FxHashMap::default(),
             in_flight: MsgTable::new(),
@@ -397,6 +403,12 @@ impl CmpSim {
         }
         assert!(self.in_flight.is_empty(), "messages lost in flight");
         assert!(self.busy.is_empty(), "directory transaction leaked");
+        let shared = self
+            .dir
+            .values()
+            .filter(|s| matches!(s, DirState::Shared(_)))
+            .count();
+        assert_eq!(self.sharers.live(), shared, "a sharer set leaked");
     }
 
     fn result(&self) -> CmpResult {
@@ -459,9 +471,9 @@ impl CmpSim {
                     );
                     assert!(modified, "owner's copy of {line:?} lost M state");
                 }
-                Some(DirState::Shared(s)) => {
+                Some(&DirState::Shared(s)) => {
                     assert!(
-                        s.contains(core),
+                        self.sharers.contains(s, core),
                         "L1 {core} holds {line:?} but is not a registered sharer"
                     );
                     assert!(!modified, "shared copy of {line:?} is dirty in L1 {core}");
@@ -861,12 +873,13 @@ impl CmpSim {
                     &[req_id],
                 );
             }
-            DirState::Shared(sharers) if is_x => {
-                let mut others = sharers;
-                others.remove(r);
+            DirState::Shared(set) if is_x => {
+                let mut others = std::mem::take(&mut self.inv_targets);
+                others.clear();
+                others.extend(self.sharers.iter(set).filter(|&s| s != r));
                 if others.is_empty() {
                     // Upgrade (or takeover of a stale-sharer set).
-                    let proto = if sharers.contains(r) {
+                    let proto = if self.sharers.contains(set, r) {
                         ProtocolMsg::UpgAck {
                             line,
                             to: requester,
@@ -882,12 +895,13 @@ impl CmpSim {
                     if matches!(proto, ProtocolMsg::Data { .. }) {
                         self.reply_with_data(hook, t, req_id, line, requester, true, deps);
                     } else {
+                        self.sharers.release(set);
                         self.dir.insert(line.0, DirState::Modified(requester));
                         self.send(hook, t, home, r, proto, deps);
                     }
                 } else {
-                    let pending = others.count();
-                    for s in others.iter() {
+                    let pending = others.len() as u32;
+                    for &s in &others {
                         self.send(
                             hook,
                             t,
@@ -910,6 +924,7 @@ impl CmpSim {
                         },
                     );
                 }
+                self.inv_targets = others;
             }
             DirState::Shared(_) | DirState::Uncached => {
                 // Read from a shared/idle line, or write to an idle line.
@@ -973,13 +988,15 @@ impl CmpSim {
     /// Update the directory for a completed grant.
     fn finish_grant(&mut self, line: LineAddr, requester: u16, is_x: bool) {
         let state = self.dir.entry(line.0).or_insert(DirState::Uncached);
-        if is_x {
-            *state = DirState::Modified(requester);
-        } else {
-            match state {
-                DirState::Shared(s) => s.insert(requester as usize),
-                _ => *state = DirState::Shared(Sharers::single(requester as usize)),
+        let r = requester as usize;
+        match (*state, is_x) {
+            (DirState::Shared(s), false) => self.sharers.insert(s, r),
+            (DirState::Shared(s), true) => {
+                self.sharers.release(s);
+                *state = DirState::Modified(requester);
             }
+            (_, true) => *state = DirState::Modified(requester),
+            (_, false) => *state = DirState::Shared(self.sharers.single(r)),
         }
     }
 

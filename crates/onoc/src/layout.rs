@@ -5,7 +5,8 @@
 //! photonic loss/power solver (experiment E7).
 
 use sctm_engine::net::NodeId;
-use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, OpticalPath};
+use sctm_engine::time::SimTime;
+use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, OpticalPath, Waveguide};
 
 /// Die floorplan for a tiled CMP.
 #[derive(Clone, Copy, Debug)]
@@ -37,13 +38,28 @@ impl Floorplan {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as f64 * self.tile_pitch_mm
     }
 
-    /// Distance along the serpentine crossbar waveguide from node
-    /// position `from` to `to` (the waveguide snake visits every tile
-    /// once; light travels one way around).
-    pub fn serpentine_distance_mm(&self, from: NodeId, to: NodeId) -> f64 {
+    /// Tiles from node position `from` to `to` along the serpentine
+    /// crossbar waveguide (the waveguide snake visits every tile once;
+    /// light travels one way around).
+    pub(crate) fn serpentine_tiles(&self, from: NodeId, to: NodeId) -> usize {
         let n = self.num_nodes();
-        let d = (to.idx() + n - from.idx()) % n;
-        d as f64 * self.tile_pitch_mm
+        (to.idx() + n - from.idx()) % n
+    }
+
+    /// Distance along the serpentine from `from` to `to`, mm.
+    pub fn serpentine_distance_mm(&self, from: NodeId, to: NodeId) -> f64 {
+        self.serpentine_tiles(from, to) as f64 * self.tile_pitch_mm
+    }
+
+    /// Time of flight along the serpentine over `wg`, by
+    /// [`Self::serpentine_tiles`]: entry `d` is the flight over the
+    /// distance [`Self::serpentine_distance_mm`] gives a pair `d` tiles
+    /// apart. A model builds it once, so a message's flight is a lookup
+    /// rather than a float product and `ceil`.
+    pub(crate) fn serpentine_tof(&self, wg: &Waveguide) -> Vec<SimTime> {
+        (0..self.num_nodes())
+            .map(|d| SimTime::from_ps(wg.tof_ps(d as f64 * self.tile_pitch_mm)))
+            .collect()
     }
 
     /// Full serpentine length, mm.

@@ -102,6 +102,8 @@ pub struct ObusSim {
     src_free: Vec<SimTime>,
     /// Per-receiver ejection port: busy until.
     dst_free: Vec<SimTime>,
+    /// Flight from source to receiver, by [`Floorplan::serpentine_tiles`].
+    tof: Vec<SimTime>,
 }
 
 impl ObusSim {
@@ -113,6 +115,7 @@ impl ObusSim {
             ledger: Ledger::new(),
             src_free: vec![SimTime::ZERO; n],
             dst_free: vec![SimTime::ZERO; n],
+            tof: cfg.floorplan.serpentine_tof(&cfg.kit.waveguide),
         }
     }
 
@@ -138,8 +141,7 @@ impl ObusSim {
             }
             Ev::BurstEnd(id) => {
                 let msg = self.ledger[id].msg;
-                let dist = self.cfg.floorplan.serpentine_distance_mm(msg.src, msg.dst);
-                let tof = SimTime::from_ps(self.cfg.kit.waveguide.tof_ps(dist));
+                let tof = self.tof[self.cfg.floorplan.serpentine_tiles(msg.src, msg.dst)];
                 self.q.schedule(at + tof, Ev::Arrive(id));
             }
             Ev::Arrive(id) => {

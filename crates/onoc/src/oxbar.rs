@@ -97,6 +97,8 @@ pub struct OxbarSim {
     ledger: Ledger,
     channels: Vec<Channel>,
     nodes: u64,
+    /// Flight from writer to reader, by [`Floorplan::serpentine_tiles`].
+    tof: Vec<SimTime>,
 }
 
 impl OxbarSim {
@@ -116,6 +118,7 @@ impl OxbarSim {
                 })
                 .collect(),
             nodes: n as u64,
+            tof: cfg.floorplan.serpentine_tof(&cfg.kit.waveguide),
         }
     }
 
@@ -215,8 +218,7 @@ impl OxbarSim {
             Ev::BurstEnd(id) => {
                 let Message { src, dst, .. } = self.ledger[id].msg;
                 // Propagation from source to reader along the serpentine.
-                let dist_mm = self.cfg.floorplan.serpentine_distance_mm(src, dst);
-                let tof = SimTime::from_ps(self.cfg.kit.waveguide.tof_ps(dist_mm));
+                let tof = self.tof[self.cfg.floorplan.serpentine_tiles(src, dst)];
                 self.q.schedule(at + tof + self.ni_delay(), Ev::Deliver(id));
                 self.arbitrate(dst.idx(), at);
             }

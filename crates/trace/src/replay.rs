@@ -558,6 +558,10 @@ struct PassState<S: Store> {
     /// delivered in the replay, by page: the rows', the plan's and
     /// `flags`' pages retire behind its front.
     done: Frontier,
+    /// An open pass takes a batch short of its horizon only while it
+    /// holds fewer rows than this past the done front
+    /// ([`LEAD_ROWS_PER_NODE`] a node).
+    lead: usize,
     /// An open pass's fold front: every message below it has delivered
     /// in the replay and been folded, in id order. The time pages retire
     /// behind it.
@@ -641,8 +645,16 @@ impl PassState<Paged> {
         self.early_order.clear();
         self.last_delivery = SimTime::ZERO;
         self.done.clear();
+        self.lead = LEAD_ROWS_PER_NODE * nodes;
         self.folded = 0;
         self.latest = SimTime::ZERO;
+    }
+
+    /// Whether the pass, given `rows` rows, may take a batch before it
+    /// has reached its horizon: it holds fewer than its lead past the
+    /// done front.
+    fn may_take(&self, rows: usize) -> bool {
+        rows - self.done.front() * PAGE < self.lead
     }
 
     /// Take one batch of a running capture: its rows join `plan`, and
@@ -1068,11 +1080,12 @@ fn whole_pass(
 /// (DESIGN.md §7, "The loop captures and replays at once"): no message
 /// it has not been given can replay before that instant, so the pass
 /// makes the same network calls in the same order as the whole-log
-/// pass, and its result is the same to the bit. It takes every batch
-/// waiting in the feed between delivery rounds, and waits for one only
-/// once it has reached its horizon. `None` when the capture side hung
-/// up before its last batch — it panicked; the caller learns why from
-/// its own thread.
+/// pass, and its result is the same to the bit. While it holds fewer
+/// than a fixed number of rows a node past its done front, it takes
+/// every batch waiting in the feed between delivery rounds; at its
+/// horizon it waits for one, and takes it however many it holds. `None`
+/// when the capture side hung up before its last batch — it panicked;
+/// the caller learns why from its own thread.
 ///
 /// The result is handed over as the pass makes it: `fold` is called
 /// once per message — with the message, its replay injection and its
@@ -1100,8 +1113,8 @@ pub fn replay_sctm_stream(
         };
         run_gated(rows, net, plan, pass, poll, Some(&mut *fold));
         // Take the batch the pass found waiting or, at the horizon, wait
-        // for one; then every other one already waiting: the pass runs
-        // as far as all of them allow.
+        // for one; then, within the lead, every other one already
+        // waiting: the pass runs as far as all of them allow.
         let mut next = Some(match waiting {
             Some(batch) => batch,
             None => feed.recv()?,
@@ -1119,7 +1132,11 @@ pub fn replay_sctm_stream(
                     est_exec_time: estimate(exec_time, pass.last_delivery, pass.latest),
                 });
             }
-            next = feed.try_recv();
+            next = if pass.may_take(rows.len()) {
+                feed.try_recv()
+            } else {
+                None
+            };
         }
     }
 }
@@ -1255,20 +1272,31 @@ impl Msgs for Pages<MsgRow> {
 /// (EXPERIMENTS.md §P40).
 const POLL_ROUNDS: u32 = 64;
 
+/// Rows a node an open pass may hold past its done front and still take
+/// a batch short of its horizon. Past that it runs to its horizon first,
+/// and the capture waits on its feed: a batch taken later than it could
+/// have been is one taken at the horizon, so no result moves (DESIGN.md
+/// §7, "What the loop holds when"). At 64 nodes that is 16 pages of
+/// rows, where the flagship pass took up to 35 of its 68 pages ahead. It
+/// scales with the nodes because the horizon is a minimum over them: at
+/// 512 a node the 256-node loop ran slower (EXPERIMENTS.md §P49).
+const LEAD_ROWS_PER_NODE: usize = 1024;
+
 /// The gated event-driven pass over `plan` and its messages `msgs`,
 /// run until every message in the plan has delivered (`true`), or
 /// (`false`) until the next step would reach the pass's horizon or, in
-/// an open pass, until `waiting` says its capture has handed more rows
-/// over.
+/// an open pass within its lead ([`PassState::may_take`]), until
+/// `waiting` says its capture has handed more rows over.
 ///
 /// A step is an injection — the earliest queued one, taken when it is
 /// due at or before the network's next event — or the network's next
 /// event batch. Steps come in time order, and a step at or after the
 /// horizon is never taken: one a row still to come might precede. An
-/// open pass asks `waiting` every [`POLL_ROUNDS`] delivery rounds, so
-/// that its caller takes rows while the pass is still short of its
-/// horizon rather than once it is stuck there. A whole-log pass passes
-/// `|| false`, and the check compiles away.
+/// open pass within its lead asks `waiting` every [`POLL_ROUNDS`]
+/// delivery rounds, so that its caller takes rows while the pass is
+/// still short of its horizon rather than once it is stuck there; past
+/// its lead it runs to its horizon. A whole-log pass passes `|| false`,
+/// and the check compiles away.
 ///
 /// With a `fold`, each delivery round ends by folding every message
 /// from the fold front on that has delivered, in id order, and retiring
@@ -1297,6 +1325,7 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
         early,
         early_order,
         done,
+        lead,
         folded,
         latest,
         ..
@@ -1405,7 +1434,11 @@ fn run_gated<S: Store, M: Msgs + ?Sized>(
             }
         }
         rounds = rounds.wrapping_add(1);
-        if *open && rounds.is_multiple_of(POLL_ROUNDS) && waiting() {
+        if *open
+            && rounds.is_multiple_of(POLL_ROUNDS)
+            && n - done.front() * PAGE < *lead // `PassState::may_take`
+            && waiting()
+        {
             return false;
         }
     }

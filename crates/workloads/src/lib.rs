@@ -156,9 +156,18 @@ pub fn build(kernel: Kernel, p: WorkloadParams) -> ScriptWorkload {
         Kernel::Canneal => gen_canneal(p),
         Kernel::Blackscholes => gen_blackscholes(p),
     };
+    // A script is generated by pushing, and stored for the whole run:
+    // keep it at its length, not at what doubling left it.
+    let streams = streams
+        .into_iter()
+        .map(|mut ops| {
+            ops.shrink_to_fit();
+            VecDeque::from(ops)
+        })
+        .collect();
     ScriptWorkload {
         name: kernel.label(),
-        streams: streams.into_iter().map(VecDeque::from).collect(),
+        streams,
     }
 }
 

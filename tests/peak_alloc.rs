@@ -5,8 +5,8 @@
 //! This file is its own test binary with one `#[test]`: the counter is
 //! process-wide, and a second test thread would allocate into it.
 //!
-//! Three lifetimes are pinned (DESIGN.md §7, "What the loop holds
-//! when"), and the width of a cache way, the largest thing a capture's
+//! Pinned here (DESIGN.md §7, "What the loop holds when") are three
+//! lifetimes, the lead of a streamed pass, and what a capture's
 //! simulator allocates:
 //!
 //! * the loop keeps **one** trace resident — iteration k's log and
@@ -22,16 +22,22 @@
 //! * a streamed pass keeps a message's replay times only until it has
 //!   folded them: its time pages are a window inside the window of its
 //!   plan, never the run;
+//! * a streamed pass takes rows ahead of its horizon only within a
+//!   lead of rows a node, so its plan is a window that does not grow
+//!   with how far its capture runs ahead;
 //! * a way of an L1 or L2 tag array costs 9 bytes: a tag word and a
-//!   recency rank.
+//!   recency rank;
+//! * an untraced CMP run holds its op scripts at their length, and its
+//!   directory entries a word of state each, whatever the core count.
 
-use sctm::cmp::{Cache, CacheGeometry, CmpSim, InjectRecord, TraceHook};
+use sctm::cmp::{Cache, CacheGeometry, CmpSim, InjectRecord, NullHook, Op, TraceHook};
 use sctm::engine::net::{Message, MsgId};
 use sctm::engine::time::SimTime;
 use sctm::prelude::*;
 use sctm::trace::{replay_sctm_stream, ReplayScratch, StreamCapture};
 use sctm::workloads::{build, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 struct Counting;
@@ -88,6 +94,13 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
     PEAK.store(base, Relaxed);
     let out = f();
     (PEAK.load(Relaxed) - base, out)
+}
+
+/// Live bytes `f` left allocated, and what it returned.
+fn held_by<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let base = LIVE.load(Relaxed);
+    let out = f();
+    (LIVE.load(Relaxed) - base, out)
 }
 
 const MIB: f64 = (1 << 20) as f64;
@@ -194,6 +207,35 @@ fn one_trace_resident_written_once() {
             cache_bytes as f64 / (geo.sets * geo.ways) as f64
         );
     }
+    // The flagship's CMP, untraced: its scripts, then what its run
+    // allocates beside them.
+    let sys = SystemConfig::new(8, NetworkKind::Omesh);
+    let cores = sys.cores();
+    let (script_bytes, workload) =
+        held_by(|| build(Kernel::Fft, WorkloadParams::new(cores, 1500, 1)));
+    let ops = workload.total_ops();
+    let (cmp_peak, _) = peak_of(|| {
+        let analytic = Box::new(SystemConfig::analytic(cores));
+        CmpSim::new(sys.cmp.clone(), analytic, Box::new(workload)).run(&mut NullHook)
+    });
+    eprintln!(
+        "fft side 8: {ops} ops in {:.2} MiB of scripts; the CMP's run peaks at {:.2} MiB",
+        script_bytes as f64 / MIB,
+        cmp_peak as f64 / MIB
+    );
+    // Stored as generated, the scripts kept what doubling left them:
+    // 2.00 MiB, 21.9 B an op.
+    assert!(
+        script_bytes <= ops * size_of::<Op>() + cores * size_of::<VecDeque<Op>>(),
+        "op scripts hold {script_bytes} B for {ops} ops"
+    );
+    // Caches, directory and message tables. With a 1 024-bit sharer set
+    // in every directory entry (144 B an entry) the run peaked at 4.31
+    // MiB; with sets sized by the core count in one pool, at 2.81.
+    assert!(
+        cmp_peak <= 3 << 20,
+        "the CMP's run peaks at {cmp_peak} B beside its scripts"
+    );
     let exp = Experiment::new(SystemConfig::new(4, NetworkKind::Omesh), Kernel::Fft)
         .with_ops(600)
         .with_seed(1);
@@ -233,15 +275,16 @@ fn one_trace_resident_written_once() {
     // message tables, the capture's id map and the plan's pages sized by
     // what is in flight, at 2.14-2.39 (1.50-1.67 x). Folding the pass as
     // it delivers and retiring its times and rows, 1.93-2.15: too close
-    // to tell apart from one run. At 1 200 ops (a 2.84 MiB log at 58 B
-    // a message) the loop read 3.36-3.68 MiB (1.18-1.30 x) before the
-    // fold, and reads 2.23-3.02 with it. The bound, 1.1 x that log
-    // (3.12 MiB), leaves 0.10 MiB for how capture and pass interleave.
-    // It is kept in bytes, not in today's 53 B a message: the loop never
-    // held those two columns, so the smaller log is no reason to hold
-    // the loop to less.
+    // to tell apart from one run. At 1 200 ops (51 328 messages) the
+    // loop read 3.36-3.68 MiB before the fold, and 2.34-3.13 MiB with
+    // it over 22 runs, where a pass took every batch its capture had
+    // finished. With the pass's lead bounded, the sharer sets sized by
+    // the core count and the scripts at their length, 22 runs read
+    // 1.76-2.19 MiB (44.6 B a message at most). The bound is that
+    // maximum plus 10 %, in bytes a message of this run: the parent's
+    // windows fail it in 21 of 22 runs.
     assert!(
-        loop_peak as f64 <= 1.1 * 58.0 * long_msgs as f64,
+        loop_peak as f64 <= 49.2 * long_msgs as f64,
         "the loop holds more than one trace's windows: peak {loop_peak} B for {long_msgs} messages"
     );
     // Gathering into a second set of columns with the simulator still
@@ -250,8 +293,9 @@ fn one_trace_resident_written_once() {
     // cache ways in place of 24-byte ones, 2.24 x (3.20 MiB); with the
     // simulator's message table sized by what is in flight, 2.15 x
     // (3.07 MiB); without the `kind` and `prev` columns, 2.25 x the
-    // smaller log (2.93 MiB). The bound, 3.12 MiB now, leaves 0.15 x the
-    // log (0.19 MiB) of margin.
+    // smaller log (2.93 MiB); with the directory's sharer sets sized by
+    // the core count and the scripts at their length, 2.07 x (2.70
+    // MiB). The bound, 3.12 MiB now, leaves 0.33 x the log of margin.
     assert!(
         capture_peak as f64 <= 2.4 * log_bytes as f64,
         "a capture's transient grew: peak {capture_peak} B for a {log_bytes} B log"
@@ -281,7 +325,11 @@ fn one_trace_resident_written_once() {
     // A streamed pass keeps a message's replay times from its injection
     // to its fold, and its plan from its row's take to the message being
     // done; the first window lies inside the second, and both are a
-    // fraction of the run.
+    // fraction of the run. It takes a batch short of its horizon only
+    // while it holds fewer than 1 024 rows a node past its done front —
+    // 4 pages at 16 nodes — and at its horizon one batch more: the plan
+    // is at most one page past that. Taking every batch its capture had
+    // finished, the pass held 5-10 pages of plan of 13 at 1 200 ops.
     for ops in [600, 1200] {
         let (times, plan, msgs) = pass_pages(ops);
         let run = msgs.div_ceil(4096);
@@ -289,6 +337,10 @@ fn one_trace_resident_written_once() {
         assert!(
             times <= plan && 2 * times <= run,
             "a streamed pass held {times} pages of replay times for a plan of {plan} pages and a run of {run}"
+        );
+        assert!(
+            plan <= 16 * 1024 / 4096 + 1,
+            "a streamed pass ran {plan} pages of plan ahead, past its lead"
         );
     }
 }

@@ -67,11 +67,11 @@ impl<T> Ledger<T> {
     }
 
     /// Retire message `id` at `at`: append its [`Delivery`] to `out` and
-    /// count it. Returns the message.
+    /// count it.
     ///
     /// Panics if `id` is not in flight: the model delivered a message
     /// twice or one it never accepted.
-    pub fn deliver(&mut self, at: SimTime, id: u64, out: &mut Vec<Delivery>) -> Message {
+    pub fn deliver(&mut self, at: SimTime, id: u64, out: &mut Vec<Delivery>) {
         let e = self
             .live
             .remove(id)
@@ -82,7 +82,6 @@ impl<T> Ledger<T> {
             delivered_at: at,
         };
         self.book_delivery(d, out);
-        e.msg
     }
 
     /// [`Self::inject`] for a model that holds its messages in flight
@@ -137,13 +136,13 @@ mod tests {
     }
 
     #[test]
-    fn deliver_returns_the_message_and_forgets_it() {
+    fn deliver_books_the_message_and_forgets_it() {
         let mut l: Ledger<u8> = Ledger::new();
         l.inject(ps(100), msg(7), 3);
         assert_eq!(l[7].state, 3);
         let mut out = Vec::new();
-        let m = l.deliver(ps(350), 7, &mut out);
-        assert_eq!(m.id, MsgId(7));
+        l.deliver(ps(350), 7, &mut out);
+        assert_eq!(out[0].msg.id, MsgId(7));
         assert!(l.get(7).is_none());
         assert_eq!(out[0].latency().as_ps(), 250);
         assert_eq!((l.stats().injected, l.stats().delivered), (1, 1));

@@ -49,7 +49,6 @@ use crate::topology::{Port, Topology, DIRS, NUM_PORTS};
 use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
-use sctm_obs as obs;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -578,7 +577,6 @@ impl NocSim {
                 unread &= !(port_slots << (in_port * v));
                 self.routers[node].sa_rr[op] = (pv + 1) % total;
                 self.stall_cycles = 0;
-                obs::sim_event("emesh", "arbitrate", node as u32, self.time_of(self.cycle));
 
                 // Traversal: pop the flit and move it.
                 let (mut flit, ovc) = self.pop_flit(node, pv);
@@ -599,7 +597,6 @@ impl NocSim {
                     self.active_flits -= 1;
                     if flit.kind.is_tail() {
                         let delivered_at = self.time_of(self.cycle + 1);
-                        obs::sim_event("emesh", "deliver", node as u32, delivered_at);
                         self.deliver(delivered_at, flit.pkt.0, out);
                     }
                 } else {
@@ -720,7 +717,6 @@ impl NetworkModel for NocSim {
     fn inject(&mut self, at: SimTime, msg: Message) {
         debug_assert!(msg.dst.idx() < self.num_nodes() && msg.src.idx() < self.num_nodes());
         let at = at.max(self.time_of(self.cycle));
-        obs::sim_event("emesh", "inject", msg.src.0, at);
         self.pending.push(Reverse((at, msg.id.0)));
         self.ledger.inject(at, msg, ());
     }

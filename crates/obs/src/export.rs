@@ -66,40 +66,19 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Render drained trace events as Chrome trace-event format JSON.
+/// Render drained spans as Chrome trace-event format JSON.
 ///
-/// Layout: host-time spans become complete (`"ph":"X"`) events under
-/// pid 1, one track per host thread; sim-time instants become
-/// thread-scoped instant (`"ph":"i"`) events under pid 2, one track per
-/// network node. Timestamps are microseconds as the format requires —
-/// fractional µs keep full ns (host) and ps (sim) precision.
+/// Layout: each span becomes a complete (`"ph":"X"`) event under pid 1,
+/// one track per host thread. Timestamps are microseconds as the format
+/// requires; three decimals keep full ns precision.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut threads: Vec<u32> = Vec::new();
-    let mut nodes: Vec<u32> = Vec::new();
-    for ev in events {
-        match *ev {
-            TraceEvent::HostSpan { thread, .. } => {
-                if !threads.contains(&thread) {
-                    threads.push(thread);
-                }
-            }
-            TraceEvent::SimInstant { node, .. } => {
-                if !nodes.contains(&node) {
-                    nodes.push(node);
-                }
-            }
-        }
-    }
+    let mut threads: Vec<u32> = events.iter().map(|e| e.thread).collect();
     threads.sort_unstable();
-    nodes.sort_unstable();
+    threads.dedup();
 
-    let mut rows: Vec<String> = Vec::with_capacity(events.len() + threads.len() + nodes.len() + 2);
+    let mut rows: Vec<String> = Vec::with_capacity(events.len() + threads.len() + 1);
     rows.push(
         r#"{"name":"process_name","ph":"M","pid":1,"args":{"name":"host (wall clock)"}}"#
-            .to_owned(),
-    );
-    rows.push(
-        r#"{"name":"process_name","ph":"M","pid":2,"args":{"name":"simulation (sim time)"}}"#
             .to_owned(),
     );
     for t in &threads {
@@ -107,49 +86,17 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             r#"{{"name":"thread_name","ph":"M","pid":1,"tid":{t},"args":{{"name":"thread {t}"}}}}"#
         ));
     }
-    for n in &nodes {
-        rows.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":2,"tid":{n},"args":{{"name":"node {n}"}}}}"#
-        ));
-    }
     for ev in events {
-        match *ev {
-            TraceEvent::HostSpan {
-                cat,
-                name,
-                thread,
-                start_ns,
-                dur_ns,
-            } => {
-                // ns → µs with 3 decimals keeps exact ns precision.
-                rows.push(format!(
-                    r#"{{"name":"{}","cat":"{}","ph":"X","pid":1,"tid":{},"ts":{}.{:03},"dur":{}.{:03}}}"#,
-                    json_escape(name),
-                    json_escape(cat),
-                    thread,
-                    start_ns / 1_000,
-                    start_ns % 1_000,
-                    dur_ns / 1_000,
-                    dur_ns % 1_000,
-                ));
-            }
-            TraceEvent::SimInstant {
-                cat,
-                name,
-                node,
-                at_ps,
-            } => {
-                // ps → µs with 6 decimals keeps exact ps precision.
-                rows.push(format!(
-                    r#"{{"name":"{}","cat":"{}","ph":"i","s":"t","pid":2,"tid":{},"ts":{}.{:06}}}"#,
-                    json_escape(name),
-                    json_escape(cat),
-                    node,
-                    at_ps / 1_000_000,
-                    at_ps % 1_000_000,
-                ));
-            }
-        }
+        rows.push(format!(
+            r#"{{"name":"{}","cat":"{}","ph":"X","pid":1,"tid":{},"ts":{}.{:03},"dur":{}.{:03}}}"#,
+            json_escape(ev.name),
+            json_escape(ev.cat),
+            ev.thread,
+            ev.start_ns / 1_000,
+            ev.start_ns % 1_000,
+            ev.dur_ns / 1_000,
+            ev.dur_ns % 1_000,
+        ));
     }
 
     let mut out = String::new();
@@ -353,31 +300,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chrome_trace_renders_both_shapes() {
-        let evs = vec![
-            TraceEvent::HostSpan {
-                cat: "bench",
-                name: "e1",
-                thread: 0,
-                start_ns: 1_234,
-                dur_ns: 5_678_901,
-            },
-            TraceEvent::SimInstant {
-                cat: "net",
-                name: "inject",
-                node: 5,
-                at_ps: 2_500_000,
-            },
-        ];
-        let json = chrome_trace_json(&evs);
+    fn chrome_trace_renders_spans_on_host_tracks() {
+        let span = |thread, start_ns| TraceEvent {
+            cat: "bench",
+            name: "e1",
+            thread,
+            start_ns,
+            dur_ns: 5_678_901,
+        };
+        let json = chrome_trace_json(&[span(0, 1_234), span(3, 9), span(0, 10)]);
         check_json(&json);
         assert!(json.contains(r#""ph":"X""#));
         assert!(json.contains(r#""ts":1.234"#));
         assert!(json.contains(r#""dur":5678.901"#));
-        assert!(json.contains(r#""ph":"i""#));
-        assert!(json.contains(r#""ts":2.500000"#));
-        assert!(json.contains(r#""name":"node 5""#));
-        assert!(json.contains(r#""name":"thread 0""#));
+        assert_eq!(json.matches(r#""name":"thread 0""#).count(), 1);
+        assert!(json.contains(r#""name":"thread 3""#));
+        assert!(!json.contains(r#""pid":2"#), "a second process group");
+        assert!(!json.contains(r#""ph":"i""#), "an instant event");
     }
 
     #[test]

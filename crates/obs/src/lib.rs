@@ -1,17 +1,20 @@
 //! # sctm-obs — observability for the SCTM workspace
 //!
 //! One instrumentation layer for everything above the engine: a
-//! span/event tracer, a named metrics registry, and exporters (Chrome
-//! trace-event JSON for Perfetto, a machine-readable run manifest).
+//! host-time span tracer, a named metrics registry, and exporters
+//! (Chrome trace-event JSON for Perfetto, a machine-readable run
+//! manifest). The network models record nothing here: a traced run
+//! hands each network it finished with to [`publish_network`], which
+//! reads its `NetStats`.
 //!
 //! The design constraint is the paper's own headline: the simulator must
 //! stay fast. Tracing is therefore **off by default** and every
 //! instrumentation site compiles to a single relaxed [`AtomicBool`] load
 //! plus a branch when disabled (EXPERIMENTS.md §P2 measured that path
-//! within 0.8% of a build without the sites). When enabled,
-//! events go to per-thread ring buffers that are only merged at
-//! [`drain`] time, so recording never synchronises threads against each
-//! other beyond one uncontended lock.
+//! within 0.8% of a build without the sites). When enabled, spans mark
+//! phases (a capture, a replay pass, a sweep job), never messages, so
+//! one bounded process-wide list under one uncontended lock holds them
+//! until [`drain`].
 //!
 //! Nothing in this crate feeds back into simulation state: enabling or
 //! disabling tracing cannot change any simulated timestamp, and the
@@ -38,7 +41,7 @@ pub use registry::{
     global_snapshot, iterations_snapshot, publish_network, record_iteration, reset_global,
     reset_iterations, with_global, IterTelemetry, MetricValue, MetricsRegistry,
 };
-pub use tracer::{drain, sim_event, span, SpanGuard, TraceEvent};
+pub use tracer::{drain, span, SpanGuard, TraceEvent};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -46,7 +49,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Lock a mutex, recovering the data if a previous holder panicked.
 ///
 /// Every structure behind this crate's locks stays structurally valid
-/// across any panic point (ring deques, metric maps, telemetry vectors
+/// across any panic point (the span list, metric maps, telemetry vectors
 /// — all updates are single-call appends or overwrites), so poisoning
 /// only means the panicking thread's last event may be missing.
 /// Observability must never escalate a worker panic into a second

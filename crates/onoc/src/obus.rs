@@ -22,7 +22,6 @@ use sctm_engine::event::EventQueue;
 use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
-use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget, OpticalPath};
 
 /// Configuration of the broadcast bus.
@@ -146,7 +145,6 @@ impl ObusSim {
             }
             Ev::Arrive(id) => {
                 let msg = self.ledger[id].msg;
-                obs::sim_event("obus", "arbitrate", msg.dst.0, at);
                 // One ejection port per node: serialise receptions.
                 let eject = self.cfg.plan.burst_time(msg.bytes.max(1));
                 let start = at.max(self.dst_free[msg.dst.idx()]);
@@ -155,8 +153,7 @@ impl ObusSim {
                     .schedule(start + eject + self.ni_delay(), Ev::Deliver(id));
             }
             Ev::Deliver(id) => {
-                let msg = self.ledger.deliver(at, id, out);
-                obs::sim_event("obus", "deliver", msg.dst.0, at);
+                self.ledger.deliver(at, id, out);
             }
         }
     }
@@ -169,7 +166,6 @@ impl NetworkModel for ObusSim {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
-        obs::sim_event("obus", "inject", msg.src.0, at);
         self.ledger.inject(at, msg, ());
         self.q.schedule(at + self.ni_delay(), Ev::Ready(msg.id.0));
     }

@@ -36,7 +36,6 @@ use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{Delivery, Message, MsgClass, NetStats, NetworkModel, NodeId};
 use sctm_engine::time::{Freq, SimTime};
 use sctm_enoc::{Port, Topology};
-use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget};
 use std::collections::VecDeque;
 
@@ -234,8 +233,7 @@ impl OmeshSim {
     }
 
     fn deliver(&mut self, at: SimTime, id: u32, out: &mut Vec<Delivery>) {
-        let msg = self.ledger.deliver(at, id as u64, out);
-        obs::sim_event("omesh", "deliver", msg.dst.0, at);
+        self.ledger.deliver(at, id as u64, out);
     }
 
     fn handle_setup(&mut self, at: SimTime, id: u32, here: u32, dst: u32) {
@@ -253,7 +251,6 @@ impl OmeshSim {
             let seg = step.seg(here);
             if self.seg_busy[seg].is_none() {
                 self.seg_busy[seg] = Some(id);
-                obs::sim_event("omesh", "arbitrate", here, svc_done);
                 self.advance_setup(id, step.nb(), dst, svc_done);
             } else {
                 self.seg_wait[seg].push_back((id, step.nb(), dst));
@@ -298,7 +295,6 @@ impl OmeshSim {
             self.seg_busy[seg] = None;
             if let Some((next_id, next, next_dst)) = self.seg_wait[seg].pop_front() {
                 self.seg_busy[seg] = Some(next_id);
-                obs::sim_event("omesh", "arbitrate", here, at);
                 self.advance_setup(next_id, next, next_dst, at);
             }
             here = step.nb();
@@ -314,7 +310,6 @@ impl NetworkModel for OmeshSim {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
-        obs::sim_event("omesh", "inject", msg.src.0, at);
         let electrical = msg.bytes <= self.cfg.ctrl_cutoff_bytes
             || msg.class == MsgClass::Control
             || msg.src == msg.dst;

@@ -26,7 +26,6 @@ use sctm_engine::event::EventQueue;
 use sctm_engine::ledger::Ledger;
 use sctm_engine::net::{Delivery, Message, NetStats, NetworkModel};
 use sctm_engine::time::{Freq, SimTime};
-use sctm_obs as obs;
 use sctm_photonic::{ChannelPlan, DeviceKit, LinkBudget};
 
 /// Configuration of the MWSR crossbar.
@@ -207,7 +206,6 @@ impl OxbarSim {
                 }
                 let burst = self.cfg.plan.burst_time(msg.bytes.max(1));
                 let src_pos = msg.src.0 as u64;
-                obs::sim_event("oxbar", "arbitrate", ch_idx as u32, at);
                 let end = at + burst;
                 let ch = &mut self.channels[ch_idx];
                 ch.pending = None;
@@ -223,8 +221,7 @@ impl OxbarSim {
                 self.arbitrate(dst.idx(), at);
             }
             Ev::Deliver(id) => {
-                let msg = self.ledger.deliver(at, id, out);
-                obs::sim_event("oxbar", "deliver", msg.dst.0, at);
+                self.ledger.deliver(at, id, out);
             }
         }
     }
@@ -237,7 +234,6 @@ impl NetworkModel for OxbarSim {
 
     fn inject(&mut self, at: SimTime, msg: Message) {
         let at = at.max(self.q.now());
-        obs::sim_event("oxbar", "inject", msg.src.0, at);
         self.ledger.inject(at, msg, ());
         self.q.schedule(at + self.ni_delay(), Ev::Request(msg.id.0));
     }

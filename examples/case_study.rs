@@ -8,11 +8,11 @@
 //! SCTM_OBS=1 cargo run --release --example case_study  # + Perfetto trace
 //! ```
 //!
-//! With `SCTM_OBS=1` the run is fully instrumented: every simulation
-//! phase becomes a host-time span, every message hop a sim-time
-//! instant, and the example writes `case_study_trace.json` (open it at
-//! <https://ui.perfetto.dev>) plus `case_study_manifest.json` with
-//! metric snapshots and per-iteration convergence telemetry.
+//! With `SCTM_OBS=1` the run is instrumented: every simulation phase
+//! becomes a host-time span, and the example writes
+//! `case_study_trace.json` (open it at <https://ui.perfetto.dev>) plus
+//! `case_study_manifest.json` with metric snapshots and per-iteration
+//! convergence telemetry.
 
 use sctm::engine::table::{fnum, Table};
 use sctm::obs;

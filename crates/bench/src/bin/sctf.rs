@@ -14,11 +14,13 @@
 //! `replay` prints a deterministic one-line JSON manifest — record
 //! count, engine, network, estimated execution time, and an FNV-1a
 //! digest of the full inject/deliver timeline — which CI pins to prove
-//! a captured trace still replays bit-identically.
+//! a captured trace still replays bit-identically. A `fixed` replay
+//! that outgrows its bound (200 network batches a message) prints the
+//! `BudgetExhausted` error instead and exits 1.
 
 #![forbid(unsafe_code)]
 
-use sctm_core::{Experiment, NetworkKind, SystemConfig};
+use sctm_core::{Experiment, NetworkKind, SctmError, SystemConfig};
 use sctm_engine::hash::Fnv1a;
 use sctm_engine::net::MsgClass;
 use sctm_trace::sctf::{from_sctf_bytes, to_sctf_bytes};
@@ -218,14 +220,14 @@ fn cmd_replay(args: &[String]) {
         .unwrap_or_else(|e| fail(&format!("{e}")));
     let side: usize = flag(args, "--side").unwrap_or_else(|| infer_side(&log));
     let engine = flag_str(args, "--engine").unwrap_or("oracle");
-    let run = match engine {
-        "fixed" => replay_fixed,
-        "sctm" => replay_sctm_pass,
-        "oracle" => replay_oracle,
+    let mut net = SystemConfig::make_network_kind(side, kind);
+    let r = match engine {
+        "fixed" => replay_fixed(&log, net.as_mut())
+            .unwrap_or_else(|batches| fail(&SctmError::BudgetExhausted { batches }.to_string())),
+        "sctm" => replay_sctm_pass(&log, net.as_mut()),
+        "oracle" => replay_oracle(&log, net.as_mut()),
         other => fail(&format!("unknown engine {other:?}")),
     };
-    let mut net = SystemConfig::make_network_kind(side, kind);
-    let r = run(&log, net.as_mut());
     // Deterministic manifest: same trace + same flags must print the
     // same line, whatever path the container took to get here.
     println!(

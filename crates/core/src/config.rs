@@ -85,10 +85,9 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Largest supported mesh side (64² = 4096 cores). Beyond this the
-    /// dense per-pair correction tables and renumbering buffers stop
-    /// being a sensible memory trade.
-    pub const MAX_SIDE: usize = 64;
+    /// Largest supported mesh side: the widest square the CMP model
+    /// builds (32² = [`sctm_cmp::protocol::MAX_CORES`]).
+    pub const MAX_SIDE: usize = sctm_cmp::protocol::MAX_CORES.isqrt();
 
     /// The default 2012-class configuration at `side × side` cores.
     ///
@@ -266,7 +265,9 @@ mod tests {
 
     #[test]
     fn try_new_rejects_sizes_outside_the_envelope() {
-        for bad in [0, 3, 5, 6, SystemConfig::MAX_SIDE + 1, usize::MAX / 2] {
+        // 64: a power of two, but a mesh wider than the CMP model builds.
+        let past = 2 * SystemConfig::MAX_SIDE;
+        for bad in [0, 3, 5, 6, SystemConfig::MAX_SIDE + 1, past, usize::MAX / 2] {
             let err = SystemConfig::try_new(bad, NetworkKind::Omesh).unwrap_err();
             assert!(
                 matches!(err, SctmError::InvalidConfig(_)),

@@ -28,11 +28,11 @@ pub enum SctmError {
     /// Trace ingestion failed (absorbs [`TraceError`] from an sctf
     /// load, file I/O included).
     Trace(TraceError),
-    /// A budgeted replay exhausted its batch budget before every
-    /// message was delivered — the congestion-collapse guard for
-    /// open-loop (classic) replay of a saturated network
-    /// ([`crate::RunSpec::with_replay_budget`]). Carries the budget
-    /// that was spent.
+    /// A classic replay took more network batches than its bound
+    /// (200 a message) before every message was delivered — the
+    /// congestion-collapse guard for open-loop replay of a saturated
+    /// network ([`crate::trace::replay_fixed`]). Carries the batches
+    /// taken.
     BudgetExhausted { batches: u64 },
     /// A host I/O failure around the simulation proper (request log,
     /// socket plumbing in `sctmd`). Carries the OS error text —

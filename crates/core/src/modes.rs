@@ -15,8 +15,7 @@ use sctm_engine::net::{AnalyticNetwork, Message, MsgClass, NetworkModel, NodeId}
 use sctm_engine::time::SimTime;
 use sctm_obs as obs;
 use sctm_trace::replay::{
-    replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass, replay_sctm_stream,
-    ReplayScratch,
+    replay_fixed, replay_oracle, replay_sctm_pass, replay_sctm_stream, ReplayScratch,
 };
 use sctm_trace::{Capture, OnlineCorrected, ReplayFold, StreamCapture, StreamedPass, TraceLog};
 use sctm_workloads::{build, Kernel, WorkloadParams};
@@ -234,7 +233,7 @@ impl Experiment {
                     Some(l) => Cow::Borrowed(l),
                     None => Cow::Owned(exp.capture()),
                 };
-                exp.replay_report(&log, mode, spec.replay_batch_budget)?
+                exp.replay_report(&log, mode)?
             }
         };
         report.wall = wall0.elapsed();
@@ -457,28 +456,22 @@ impl Experiment {
     /// pass on the given trace — the full loop with re-capture is
     /// the non-`replay_only` path of [`Experiment::execute`]).
     ///
-    /// `budget` (classic trace only) caps the replay at that many
-    /// network advancement steps; exceeding it returns
+    /// A classic replay that outgrows its bound
+    /// ([`sctm_trace::replay_fixed`]) returns
     /// [`SctmError::BudgetExhausted`] — the congestion-collapse guard
     /// for open-loop replay of a saturated target.
-    fn replay_report(
-        &self,
-        log: &TraceLog,
-        mode: Mode,
-        budget: Option<u64>,
-    ) -> Result<RunReport, SctmError> {
+    fn replay_report(&self, log: &TraceLog, mode: Mode) -> Result<RunReport, SctmError> {
         let wall0 = Instant::now();
         let side = self.system.side;
         let kind = self.system.network;
         let mut net = SystemConfig::make_network_kind(side, kind);
         let result = {
             let _span = obs::span("sctm", "replay");
-            match (mode, budget) {
-                (Mode::ClassicTrace, Some(b)) => replay_fixed_budgeted(log, net.as_mut(), b)
+            match mode {
+                Mode::ClassicTrace => replay_fixed(log, net.as_mut())
                     .map_err(|batches| SctmError::BudgetExhausted { batches })?,
-                (Mode::ClassicTrace, None) => replay_fixed(log, net.as_mut()),
-                (Mode::OracleTrace, _) => replay_oracle(log, net.as_mut()),
-                (Mode::SelfCorrection { .. }, _) => replay_sctm_pass(log, net.as_mut()),
+                Mode::OracleTrace => replay_oracle(log, net.as_mut()),
+                Mode::SelfCorrection { .. } => replay_sctm_pass(log, net.as_mut()),
                 _ => panic!("replay_report called with non-trace mode {mode:?}"),
             }
         };
@@ -704,29 +697,5 @@ mod tests {
             e.execute(&RunSpec::self_correction(2).with_damping(1.5)),
             Err(SctmError::InvalidSpec(_))
         ));
-    }
-
-    #[test]
-    fn tiny_replay_budget_trips_typed_error() {
-        let e = exp(NetworkKind::Omesh);
-        let log = e.capture();
-        let err = e
-            .execute_seeded(&RunSpec::classic().with_replay_budget(2), Some(&log))
-            .unwrap_err();
-        assert!(
-            matches!(err, SctmError::BudgetExhausted { batches: 2 }),
-            "{err}"
-        );
-        // A generous budget completes and matches the unbudgeted run.
-        let generous = 200 * log.len() as u64;
-        let ok = e
-            .execute_seeded(&RunSpec::classic().with_replay_budget(generous), Some(&log))
-            .unwrap()
-            .report;
-        let free = e
-            .execute_seeded(&RunSpec::classic(), Some(&log))
-            .unwrap()
-            .report;
-        assert_eq!(ok.exec_time, free.exec_time);
     }
 }

@@ -30,13 +30,6 @@ pub struct RunSpec {
     /// gated pass; for the other trace modes a single replay is all
     /// there ever is, so the flag is implied.
     pub replay_only: bool,
-    /// Classic-trace replay only: abort with
-    /// [`SctmError::BudgetExhausted`] once the replay has advanced this
-    /// many network batches without delivering every message. Open-loop
-    /// replay on a detailed model past its saturation point can expand
-    /// the timeline essentially without bound; the budget turns that
-    /// pathological case into a typed error instead of a stall.
-    pub replay_batch_budget: Option<u64>,
 }
 
 impl RunSpec {
@@ -46,7 +39,6 @@ impl RunSpec {
             damping: None,
             factor_epsilon: None,
             replay_only: false,
-            replay_batch_budget: None,
         }
     }
 
@@ -93,13 +85,6 @@ impl RunSpec {
         self
     }
 
-    /// Cap classic-trace replay at `batches` network batches; past the
-    /// cap the run returns [`SctmError::BudgetExhausted`].
-    pub fn with_replay_budget(mut self, batches: u64) -> Self {
-        self.replay_batch_budget = Some(batches);
-        self
-    }
-
     /// Reject field combinations `execute` cannot honour. Called by
     /// [`crate::Experiment::execute`]; public so services can reject a
     /// request before queueing it.
@@ -130,18 +115,6 @@ impl RunSpec {
                 "replay_only needs a trace mode, not {}",
                 self.mode.label()
             ));
-        }
-        match self.replay_batch_budget {
-            Some(0) => {
-                return invalid("replay batch budget must be >= 1".into());
-            }
-            Some(_) if !matches!(self.mode, Mode::ClassicTrace) => {
-                return invalid(format!(
-                    "replay budget applies to classic trace replay, not {}",
-                    self.mode.label()
-                ));
-            }
-            _ => {}
         }
         Ok(())
     }
@@ -206,18 +179,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, SctmError::InvalidSpec(_)), "epsilon {bad}");
         }
-    }
-
-    #[test]
-    fn rejects_misapplied_budget() {
-        let err = RunSpec::classic().with_replay_budget(0).validate();
-        assert!(matches!(err, Err(SctmError::InvalidSpec(_))), "{err:?}");
-        assert_eq!(
-            RunSpec::classic().with_replay_budget(500).validate(),
-            Ok(())
-        );
-        let err = RunSpec::oracle().with_replay_budget(500).validate();
-        assert!(matches!(err, Err(SctmError::InvalidSpec(_))), "{err:?}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! chosen directory). When the active file passes `max_bytes` it is
 //! rotated: `.jsonl` → `.jsonl.1` → `.jsonl.2` … up to `keep` old
 //! files, oldest dropped. Logging failures never propagate into
-//! request handling — I/O errors are swallowed and counted, because a
-//! full disk must degrade *observability*, not the service.
+//! request handling — I/O errors are swallowed, because a full disk
+//! must degrade *observability*, not the service.
 
 use crate::lock_unpoisoned;
 use std::fs::{File, OpenOptions};
@@ -21,9 +21,6 @@ const DEFAULT_KEEP: usize = 4;
 struct LogInner {
     file: Option<File>,
     written: u64,
-    lines: u64,
-    rotations: u64,
-    io_errors: u64,
 }
 
 /// A rotating JSONL log. `Sync` — one mutex guards the writer; callers
@@ -59,9 +56,6 @@ impl RequestLog {
             inner: Mutex::new(LogInner {
                 file: Some(file),
                 written,
-                lines: 0,
-                rotations: 0,
-                io_errors: 0,
             }),
         })
     }
@@ -73,25 +67,21 @@ impl RequestLog {
 
     /// Append one line. `line` must be a single-line JSON object with
     /// no trailing newline (one is added). Never panics, never
-    /// returns an error: failures increment an internal counter.
+    /// returns an error: a failed write or rotation is dropped.
     pub fn log(&self, line: &str) {
         let mut inner = lock_unpoisoned(&self.inner);
         if inner.written >= self.max_bytes {
             self.rotate(&mut inner);
         }
         let Some(file) = inner.file.as_mut() else {
-            inner.io_errors += 1;
             return;
         };
-        match file.write_all(line.as_bytes()).and_then(|()| {
+        let wrote = file.write_all(line.as_bytes()).and_then(|()| {
             file.write_all(b"\n")?;
             file.flush()
-        }) {
-            Ok(()) => {
-                inner.written += line.len() as u64 + 1;
-                inner.lines += 1;
-            }
-            Err(_) => inner.io_errors += 1,
+        });
+        if wrote.is_ok() {
+            inner.written += line.len() as u64 + 1;
         }
     }
 
@@ -111,31 +101,12 @@ impl RequestLog {
             }
             let _ = std::fs::rename(&self.path, numbered(1));
         }
-        inner.rotations += 1;
         inner.written = 0;
-        match OpenOptions::new()
+        inner.file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)
-        {
-            Ok(f) => inner.file = Some(f),
-            Err(_) => inner.io_errors += 1,
-        }
-    }
-
-    /// Lines successfully written since this handle was opened.
-    pub fn lines_written(&self) -> u64 {
-        lock_unpoisoned(&self.inner).lines
-    }
-
-    /// Rotations performed since this handle was opened.
-    pub fn rotations(&self) -> u64 {
-        lock_unpoisoned(&self.inner).rotations
-    }
-
-    /// Swallowed write/rotate failures since this handle was opened.
-    pub fn io_errors(&self) -> u64 {
-        lock_unpoisoned(&self.inner).io_errors
+            .ok();
     }
 }
 
@@ -163,8 +134,6 @@ mod tests {
             ("outcome", "\"ok\"".into()),
         ]));
         log.log(&json_line(&[("seq", "2".into())]));
-        assert_eq!(log.lines_written(), 2);
-        assert_eq!(log.io_errors(), 0);
         let text = std::fs::read_to_string(log.path()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines, vec![r#"{"seq":1,"outcome":"ok"}"#, r#"{"seq":2}"#]);
@@ -182,8 +151,6 @@ mod tests {
                 ("pad", "\"xxxxxxxxxxxx\"".into()),
             ]));
         }
-        assert!(log.rotations() >= 2, "rotations = {}", log.rotations());
-        assert_eq!(log.io_errors(), 0);
         let one = dir.join("sctmd.log.jsonl.1");
         let two = dir.join("sctmd.log.jsonl.2");
         let three = dir.join("sctmd.log.jsonl.3");
@@ -214,14 +181,16 @@ mod tests {
         for _ in 0..3 {
             log.log(line); // 30 bytes written: exactly max_bytes
         }
-        assert_eq!(log.rotations(), 0, "rotated before the limit was exceeded");
+        assert!(
+            !dir.join("sctmd.log.jsonl.1").exists(),
+            "rotated before the limit was exceeded"
+        );
         let active = std::fs::read_to_string(log.path()).unwrap();
         assert_eq!(active.len(), 30);
         assert_eq!(active.lines().count(), 3);
 
         log.log(line); // first byte past the limit: rotate, then write
-        assert_eq!(log.rotations(), 1);
-        assert_eq!(log.io_errors(), 0);
+        assert!(!dir.join("sctmd.log.jsonl.2").exists(), "rotated twice");
         let active = std::fs::read_to_string(log.path()).unwrap();
         assert_eq!(active.lines().collect::<Vec<_>>(), vec![line]);
         let rotated = std::fs::read_to_string(dir.join("sctmd.log.jsonl.1")).unwrap();

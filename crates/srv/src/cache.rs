@@ -49,18 +49,16 @@ impl CaptureKey {
     }
 }
 
-/// Counter snapshot for the `stats` verb and the run manifests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    /// Callers that blocked on another request's in-flight capture
-    /// (counted once per blocked caller, however many wakeups its
-    /// `Condvar` wait takes).
-    pub single_flight_waits: u64,
-    pub entries: u64,
-    pub bytes: u64,
+/// What one [`CaptureCache::lookup`] did, for its caller's telemetry:
+/// the cache keeps no counters of its own.
+pub(crate) struct Lookup {
+    pub(crate) log: Arc<TraceLog>,
+    pub(crate) hit: bool,
+    /// The caller blocked on another request's in-flight capture (once
+    /// per caller, however many wakeups its `Condvar` wait takes).
+    pub(crate) waited: bool,
+    /// Entries this lookup's insert evicted (misses only).
+    pub(crate) evicted: u64,
 }
 
 enum Slot {
@@ -80,7 +78,6 @@ struct Inner {
     /// Logical clock for LRU recency (bumped on insert and hit).
     clock: u64,
     bytes: usize,
-    stats: CacheStats,
 }
 
 /// See the module docs.
@@ -127,25 +124,19 @@ impl CaptureCache {
         }
     }
 
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
-    pub fn stats(&self) -> CacheStats {
+    /// Resident entries and the bytes they are charged, now.
+    pub(crate) fn resident(&self) -> (usize, usize) {
         let inner = lock(&self.inner);
-        CacheStats {
-            entries: inner
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count() as u64,
-            bytes: inner.bytes as u64,
-            ..inner.stats
-        }
+        let entries = inner
+            .slots
+            .values()
+            .filter(|s| matches!(s, Slot::Ready { .. }))
+            .count();
+        (entries, inner.bytes)
     }
 
-    /// The resident log of a `Ready` `key`, counted as a hit and made
-    /// the most recently used entry.
+    /// The resident log of a `Ready` `key`, made the most recently used
+    /// entry.
     fn hit(inner: &mut Inner, key: CaptureKey) -> Option<Arc<TraceLog>> {
         inner.clock += 1;
         let now = inner.clock;
@@ -153,16 +144,14 @@ impl CaptureCache {
             return None;
         };
         *last_used = now;
-        let log = Arc::clone(log);
-        inner.stats.hits += 1;
-        Some(log)
+        Some(Arc::clone(log))
     }
 
     /// Non-blocking probe: the cached trace if `key` is `Ready`, else
     /// `None` (absent *or* in flight — the caller cannot tell, and must
     /// go through [`Self::get_or_capture`] to join the
-    /// single-flight). A `Some` counts a hit and refreshes LRU recency,
-    /// exactly like a hit inside `get_or_capture`.
+    /// single-flight). A `Some` refreshes LRU recency, exactly like a
+    /// hit inside `get_or_capture`.
     pub fn try_get(&self, key: CaptureKey) -> Option<Arc<TraceLog>> {
         Self::hit(&mut lock(&self.inner), key)
     }
@@ -177,23 +166,33 @@ impl CaptureCache {
     where
         F: FnOnce() -> TraceLog,
     {
+        let found = self.lookup(key, produce);
+        (found.log, found.hit)
+    }
+
+    /// [`Self::get_or_capture`], reporting what the lookup did.
+    pub(crate) fn lookup<F>(&self, key: CaptureKey, produce: F) -> Lookup
+    where
+        F: FnOnce() -> TraceLog,
+    {
         let mut inner = lock(&self.inner);
         let mut waited = false;
         loop {
             if let Some(log) = Self::hit(&mut inner, key) {
-                return (log, true);
+                return Lookup {
+                    log,
+                    hit: true,
+                    waited,
+                    evicted: 0,
+                };
             }
             if !inner.slots.contains_key(&key) {
                 break;
             }
             // In flight on another thread.
-            if !waited {
-                waited = true;
-                inner.stats.single_flight_waits += 1;
-            }
+            waited = true;
             inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
-        inner.stats.misses += 1;
         inner.slots.insert(key, Slot::Pending);
         drop(inner);
 
@@ -218,16 +217,22 @@ impl CaptureCache {
             },
         );
         inner.bytes += bytes;
-        self.evict_to_budget(&mut inner, key);
+        let evicted = self.evict_to_budget(&mut inner, key);
         drop(inner);
         self.ready.notify_all();
-        (log, false)
+        Lookup {
+            log,
+            hit: false,
+            waited,
+            evicted,
+        }
     }
 
     /// Evict least-recently-used `Ready` entries until the byte budget
     /// holds, sparing `just_inserted` so an oversized trace still
-    /// serves the request that produced it.
-    fn evict_to_budget(&self, inner: &mut Inner, just_inserted: CaptureKey) {
+    /// serves the request that produced it. Returns how many went.
+    fn evict_to_budget(&self, inner: &mut Inner, just_inserted: CaptureKey) -> u64 {
+        let mut evicted = 0;
         while inner.bytes > self.byte_budget {
             let victim = inner
                 .slots
@@ -241,9 +246,10 @@ impl CaptureCache {
             let Some(victim) = victim else { break };
             if let Some(Slot::Ready { bytes, .. }) = inner.slots.remove(&victim) {
                 inner.bytes -= bytes;
-                inner.stats.evictions += 1;
+                evicted += 1;
             }
         }
+        evicted
     }
 }
 
@@ -283,9 +289,9 @@ mod tests {
         assert!(!hit_cold);
         assert!(hit_warm);
         assert_eq!(cold, warm);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!(s.bytes > 0);
+        let (entries, bytes) = cache.resident();
+        assert_eq!(entries, 1);
+        assert!(bytes > 0);
     }
 
     /// One resident form: the producer and every later requester hold
@@ -297,18 +303,18 @@ mod tests {
         let cache = CaptureCache::new(usize::MAX);
         let key = CaptureKey::new("fft", 2, 120, 1);
         let (produced, _) = cache.get_or_capture(key, || capture(120));
-        let at_insert = cache.stats().bytes;
+        let at_insert = cache.resident().1;
         let first = cache.try_get(key).expect("resident");
         let second = cache.try_get(key).expect("resident");
         assert!(Arc::ptr_eq(&produced, &first) && Arc::ptr_eq(&first, &second));
-        assert_eq!(cache.stats().bytes, at_insert);
+        assert_eq!(cache.resident().1, at_insert);
 
         let mut net = SystemConfig::make_network_kind(2, NetworkKind::Omesh);
         sctm_core::trace::replay_sctm_pass(&first, net.as_mut());
-        assert_eq!(cache.stats().bytes, at_insert);
+        assert_eq!(cache.resident().1, at_insert);
         // The charge is the true footprint, plan included.
         let held = first.resident_bytes() + first.gate_plan().resident_bytes();
-        assert_eq!(at_insert, held as u64);
+        assert_eq!(at_insert, held);
     }
 
     #[test]
@@ -316,13 +322,14 @@ mod tests {
         let sz = entry_bytes(&capture(120));
         // Room for two resident traces of this size, not three.
         let cache = CaptureCache::new(2 * sz + sz / 2);
+        let mut evicted = 0;
         for seed in 0..3u64 {
-            let key = CaptureKey::new("fft", 2, 120, seed);
-            cache.get_or_capture(key, || capture(120));
+            let found = cache.lookup(CaptureKey::new("fft", 2, 120, seed), || capture(120));
+            assert!(!found.hit);
+            evicted += found.evicted;
         }
-        let s = cache.stats();
-        assert_eq!(s.misses, 3);
-        assert_eq!((s.evictions, s.entries, s.bytes), (1, 2, 2 * sz as u64));
+        assert_eq!(evicted, 1);
+        assert_eq!(cache.resident(), (2, 2 * sz));
         // The oldest key was the victim; re-fetching it misses...
         let (_, hit) = cache.get_or_capture(CaptureKey::new("fft", 2, 120, 0), || capture(120));
         assert!(!hit);
@@ -341,32 +348,34 @@ mod tests {
     fn oversized_entry_still_serves_its_requester() {
         for budget in [0, 1] {
             let cache = CaptureCache::new(budget);
-            let one = entry_bytes(&capture(120)) as u64;
-            let captures = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        let key = CaptureKey::new("fft", 2, 120, 1);
-                        let (log, _) = cache.get_or_capture(key, || {
-                            captures.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                            capture(120)
-                        });
-                        assert!(!log.is_empty());
-                    });
-                }
+            let one = entry_bytes(&capture(120));
+            let hits = std::thread::scope(|s| {
+                let lookups: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let key = CaptureKey::new("fft", 2, 120, 1);
+                            let found = cache.lookup(key, || capture(120));
+                            assert!(!found.log.is_empty());
+                            found.hit
+                        })
+                    })
+                    .collect();
+                lookups
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .filter(|&hit| hit)
+                    .count()
             });
-            assert_eq!(captures.load(std::sync::atomic::Ordering::SeqCst), 1);
-            let s = cache.stats();
-            assert_eq!((s.misses, s.hits, s.entries, s.bytes), (1, 3, 1, one));
+            // One capture: the other three hit.
+            assert_eq!(hits, 3);
+            assert_eq!(cache.resident(), (1, one));
             // It is evicted as soon as another insertion needs the room.
             for seed in 2..5 {
-                let (_, hit) =
-                    cache.get_or_capture(CaptureKey::new("fft", 2, 120, seed), || capture(120));
-                assert!(!hit);
-                let s = cache.stats();
-                assert_eq!((s.entries, s.bytes), (1, one), "budget {budget}");
+                let found = cache.lookup(CaptureKey::new("fft", 2, 120, seed), || capture(120));
+                assert!(!found.hit);
+                assert_eq!(found.evicted, 1);
+                assert_eq!(cache.resident(), (1, one), "budget {budget}");
             }
-            assert_eq!(cache.stats().evictions, 3);
         }
     }
 
@@ -375,39 +384,42 @@ mod tests {
         let cache = std::sync::Arc::new(CaptureCache::new(usize::MAX));
         let key = CaptureKey::new("fft", 2, 150, 1);
         let captures = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let cache = std::sync::Arc::clone(&cache);
-                let captures = std::sync::Arc::clone(&captures);
-                s.spawn(move || {
-                    cache.get_or_capture(key, || {
-                        captures.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        capture(150)
-                    });
-                });
-            }
+        let found: Vec<(bool, bool)> = std::thread::scope(|s| {
+            let lookups: Vec<_> = (0..8)
+                .map(|_| {
+                    let cache = std::sync::Arc::clone(&cache);
+                    let captures = std::sync::Arc::clone(&captures);
+                    s.spawn(move || {
+                        let found = cache.lookup(key, || {
+                            captures.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            capture(150)
+                        });
+                        (found.hit, found.waited)
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(captures.load(std::sync::atomic::Ordering::SeqCst), 1);
-        let s = cache.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 7);
-        // Each of the 7 blocked callers counts one single-flight wait,
-        // at most — late arrivals that found the slot Ready count none.
-        assert!(s.single_flight_waits <= 7, "{s:?}");
+        assert_eq!(found.iter().filter(|(hit, _)| *hit).count(), 7);
+        // Only a caller that hit can have waited, for the one capture —
+        // late arrivals that found the slot Ready waited for nothing.
+        assert!(
+            found.iter().all(|&(hit, waited)| hit || !waited),
+            "{found:?}"
+        );
     }
 
     #[test]
     fn try_get_probes_without_blocking_or_capturing() {
         let cache = CaptureCache::new(usize::MAX);
         let key = CaptureKey::new("fft", 2, 120, 3);
-        // Absent: no hit, no miss, no production.
+        // Absent: no production, nothing resident.
         assert!(cache.try_get(key).is_none());
-        assert_eq!(cache.stats(), CacheStats::default());
-        // Ready: counts a hit and bumps recency, like get_or_capture.
-        cache.get_or_capture(key, || capture(120));
-        assert!(cache.try_get(key).is_some());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(cache.resident(), (0, 0));
+        // Ready: the resident log, as get_or_capture returns it.
+        let (produced, _) = cache.get_or_capture(key, || capture(120));
+        assert!(Arc::ptr_eq(&cache.try_get(key).unwrap(), &produced));
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod cache;
 pub mod proto;
 pub mod server;
 
-pub use cache::{CacheStats, CaptureCache, CaptureKey};
+pub use cache::{CaptureCache, CaptureKey};
 pub use proto::{parse_request, result_json, CacheOutcome, Request, RunRequest};
 pub use server::{serve_lines, serve_tcp, Reply, Server, ServerConfig};

@@ -356,10 +356,13 @@ mod tests {
         let err = parse_request("run kernel=fft net=warp").unwrap_err();
         assert!(matches!(err, SctmError::UnknownNetwork(_)), "{err}");
         assert_eq!(error_kind(&err), "unknown-network");
-        // invalid-config: the side envelope is enforced at parse time.
-        let err = parse_request("run kernel=fft side=0").unwrap_err();
-        assert!(matches!(err, SctmError::InvalidConfig(_)), "{err}");
-        assert_eq!(error_kind(&err), "invalid-config");
+        // invalid-config: the side envelope is enforced at parse time,
+        // up to the widest mesh the CMP model builds (side 32).
+        for line in ["run kernel=fft side=0", "run kernel=fft side=64"] {
+            let err = parse_request(line).unwrap_err();
+            assert!(matches!(err, SctmError::InvalidConfig(_)), "{line}: {err}");
+            assert_eq!(error_kind(&err), "invalid-config");
+        }
     }
 
     #[test]

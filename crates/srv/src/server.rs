@@ -38,7 +38,7 @@
 //! produced before any telemetry is recorded for the request, and the
 //! byte-identity suite hammers `stats` concurrently to prove it.
 
-use crate::cache::{CacheStats, CaptureCache, CaptureKey};
+use crate::cache::{CaptureCache, CaptureKey};
 use crate::proto::{
     self, error_kind, error_response, ok_response, parse_request, result_json, timeout_response,
     CacheOutcome, Request, RunRequest,
@@ -68,8 +68,6 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Queue deadline for requests that do not carry `timeout_ms`.
     pub default_timeout_ms: u64,
-    /// Retry hint attached to `busy` responses.
-    pub retry_after_ms: u64,
     /// Worker count; `0` resolves to `SCTM_THREADS` if that holds a
     /// positive integer, else every available core — a *daemon* exists
     /// to saturate the host, so pinning to 1 is the explicit act.
@@ -82,11 +80,13 @@ impl Default for ServerConfig {
             queue_cap: 64,
             cache_bytes: 256 << 20,
             default_timeout_ms: 300_000,
-            retry_after_ms: 50,
             workers: 0,
         }
     }
 }
+
+/// Retry hint attached to `busy` responses.
+const RETRY_AFTER_MS: u64 = 50;
 
 /// One finished request as its submitter receives it.
 #[derive(Debug)]
@@ -148,8 +148,8 @@ struct Shared {
 
 /// Every name the server records into, at zero, so the `stats` schema
 /// never depends on which events have happened. The names `stats`
-/// derives at call time (cache, queue depth, workers) are added
-/// by [`Server::stats_manifest`].
+/// derives at call time (cache entries and bytes, queue depth, workers)
+/// are added by [`Server::stats_manifest`].
 fn seeded_registry() -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
     for name in [
@@ -159,6 +159,10 @@ fn seeded_registry() -> MetricsRegistry {
         "srv.timeouts",
         "srv.errors",
         "srv.budget_exhausted",
+        "srv.cache.hits",
+        "srv.cache.misses",
+        "srv.cache.evictions",
+        "srv.cache.single_flight_waits",
         "srv.cache.bypass",
         "srv.stats_served",
         "srv.metrics_served",
@@ -263,10 +267,6 @@ impl Server {
         }
     }
 
-    pub fn config(&self) -> ServerConfig {
-        self.shared.cfg
-    }
-
     /// Enqueue a run. Returns the response channel, or the ready-made
     /// `busy`/`error` line when the queue is full or draining. Never
     /// blocks.
@@ -302,7 +302,7 @@ impl Server {
                     ("outcome", json_str("busy")),
                 ],
             );
-            return Err(proto::busy_response(&req.id, cfg.retry_after_ms));
+            return Err(proto::busy_response(&req.id, RETRY_AFTER_MS));
         }
         let (tx, rx) = mpsc::channel();
         q.jobs.push_back(Job {
@@ -338,10 +338,6 @@ impl Server {
         }
     }
 
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
-    }
-
     pub fn queue_depth(&self) -> usize {
         lock(&self.shared.queue).jobs.len()
     }
@@ -358,14 +354,9 @@ impl Server {
         // Copied before `queue_depth` takes the queue lock: the
         // registry lock is never held while the queue lock is taken.
         m.metrics = lock(&self.shared.metrics).clone();
-        let cs = self.shared.cache.stats();
-        m.metrics.counter_add("srv.cache.hits", cs.hits);
-        m.metrics.counter_add("srv.cache.misses", cs.misses);
-        m.metrics.counter_add("srv.cache.evictions", cs.evictions);
-        m.metrics
-            .counter_add("srv.cache.single_flight_waits", cs.single_flight_waits);
-        m.metrics.gauge_set("srv.cache.entries", cs.entries as f64);
-        m.metrics.gauge_set("srv.cache.bytes", cs.bytes as f64);
+        let (entries, bytes) = self.shared.cache.resident();
+        m.metrics.gauge_set("srv.cache.entries", entries as f64);
+        m.metrics.gauge_set("srv.cache.bytes", bytes as f64);
         m.metrics
             .gauge_set("srv.queue.depth", self.queue_depth() as f64);
         // Zero once drained.
@@ -616,9 +607,9 @@ fn run_job(shared: &Shared, job: Job) {
         key_prefix = Some(format!("{:08x}", key.0 >> 32));
         let c0 = Instant::now();
         let mut produce_time = Duration::ZERO;
-        let (log, hit) = {
+        let found = {
             let _g = span("svc", "cache_probe");
-            shared.cache.get_or_capture(key, || {
+            shared.cache.lookup(key, || {
                 let _g = span("svc", "capture");
                 let p0 = Instant::now();
                 let t = e.capture();
@@ -630,12 +621,26 @@ fn run_job(shared: &Shared, job: Job) {
         // time; the production itself is execution work.
         probe_us = us(c0.elapsed().saturating_sub(produce_time));
         execute_us = us(produce_time);
-        cache = if hit {
+        // Counted as the lookup happened: a request that goes on to
+        // panic still made its capture and its evictions.
+        shared.record(|m| {
+            let outcome = if found.hit {
+                "srv.cache.hits"
+            } else {
+                "srv.cache.misses"
+            };
+            m.counter_add(outcome, 1);
+            m.counter_add("srv.cache.evictions", found.evicted);
+            if found.waited {
+                m.counter_add("srv.cache.single_flight_waits", 1);
+            }
+        });
+        cache = if found.hit {
             CacheOutcome::Hit
         } else {
             CacheOutcome::Miss
         };
-        seed_log = Some(log);
+        seed_log = Some(found.log);
     }
 
     let x0 = Instant::now();

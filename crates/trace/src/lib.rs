@@ -49,7 +49,7 @@ pub use log::{Capture, CaptureFeed, StreamCapture, TraceLog, TraceRecord};
 pub use online::{OnlineCorrected, ShadowFactory};
 pub use persist::TraceError;
 pub use replay::{
-    pair_corrections, replay_fixed, replay_fixed_budgeted, replay_oracle, replay_sctm_pass,
-    replay_sctm_stream, GatePlan, ReplayResult, ReplayScratch, StreamedPass,
+    pair_corrections, replay_fixed, replay_oracle, replay_sctm_pass, replay_sctm_stream, GatePlan,
+    ReplayResult, ReplayScratch, StreamedPass,
 };
 pub use sctf::SctfReader;

@@ -878,31 +878,27 @@ impl ReplayScratch {
     }
 }
 
-/// Classic trace-driven replay: capture timestamps, verbatim.
-pub fn replay_fixed(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
-    replay_fixed_budgeted(log, net, u64::MAX).expect("an unbounded budget never runs out")
-}
+/// How many network batches (distinct event timestamps drained) a
+/// classic replay may take per message before [`replay_fixed`] gives up.
+/// Healthy replays take a handful; only a collapsing one gets near this.
+const BATCHES_PER_MESSAGE: u64 = 200;
 
-/// [`replay_fixed`] with a hard budget on network advancement steps
-/// (distinct event timestamps processed during the drain).
+/// Classic trace-driven replay: capture timestamps, verbatim.
 ///
 /// Classic replay is open-loop: injection times are the capture's, so a
 /// detailed target past its saturation point receives traffic faster
 /// than it can drain it and the replay timeline expands — in the worst
 /// case by orders of magnitude, each simulated instant costing real
-/// work. The budget turns that pathology into a typed result: healthy
-/// replays process a small constant number of timestamps per message,
-/// so a budget of, say, `200 × log.len()` never fires on a network
-/// operating below saturation while still bounding a collapsed one.
+/// work. The replay is therefore bounded at `200 × log.len()` network
+/// batches: healthy replays take a small constant number per message,
+/// so the bound never fires below saturation while still ending a
+/// collapsed one.
 ///
-/// `Err(spent)` reports the budget consumed before giving up; the run
+/// `Err(batches)` reports the batches taken before giving up; the run
 /// is deterministic, so the same inputs always trip at the same step.
-pub fn replay_fixed_budgeted(
-    log: &TraceLog,
-    net: &mut dyn NetworkModel,
-    budget: u64,
-) -> Result<ReplayResult, u64> {
+pub fn replay_fixed(log: &TraceLog, net: &mut dyn NetworkModel) -> Result<ReplayResult, u64> {
     let n = log.len();
+    let budget = BATCHES_PER_MESSAGE.saturating_mul(n as u64);
     let inject: Vec<SimTime> = log.records.iter().map(|r| r.t_inject).collect();
     // Ids are departure order, so `inject`'s clamping never fires.
     for r in log.records.iter() {
@@ -1568,7 +1564,7 @@ mod tests {
     fn fixed_replay_on_capture_network_reproduces_capture() {
         let log = capture_fft(16);
         let mut net = analytic(16, 2);
-        let r = replay_fixed(&log, net.as_mut());
+        let r = replay_fixed(&log, net.as_mut()).unwrap();
         // Same network, same injection times → identical deliveries
         // (the analytic network is contention-free).
         for (i, rec) in log.records.iter().enumerate() {
@@ -1642,7 +1638,10 @@ mod tests {
         let reference = sim.run(&mut sctm_cmp::NullHook).exec_time.as_ps() as f64;
 
         let mut net = analytic(16, 6);
-        let classic = replay_fixed(&log, net.as_mut()).est_exec_time.as_ps() as f64;
+        let classic = replay_fixed(&log, net.as_mut())
+            .unwrap()
+            .est_exec_time
+            .as_ps() as f64;
         let mut net = analytic(16, 6);
         let sctm = replay_sctm_pass(&log, net.as_mut()).est_exec_time.as_ps() as f64;
 

@@ -409,7 +409,6 @@ fn fresh_stats_are_pinned_and_the_schema_never_grows() {
         queue_cap: 64,
         cache_bytes: 256 << 20,
         default_timeout_ms: 300_000,
-        retry_after_ms: 50,
         workers: 1,
     };
     let fresh = Server::start(cfg);

@@ -24,6 +24,11 @@ fn detailed_net(side: usize, kind: NetworkKind) -> Box<dyn NetworkModel> {
 
 /// The full replay timeline as one comparable string: exact inject and
 /// deliver instants for every message.
+/// Classic replay of a healthy capture, which stays inside its bound.
+fn fixed(log: &TraceLog, net: &mut dyn NetworkModel) -> sctm_trace::ReplayResult {
+    replay_fixed(log, net).expect("a healthy classic replay stays in bounds")
+}
+
 fn timeline(r: &sctm_trace::ReplayResult) -> String {
     format!(
         "exec={:?} inject={:?} deliver={:?}",
@@ -62,7 +67,7 @@ proptest! {
         let back = from_sctf_bytes(&to_sctf_bytes(&log)).expect("decode");
         for kind in NetworkKind::DETAILED {
             for (name, engine) in [
-                ("fixed", replay_fixed as fn(&TraceLog, &mut dyn NetworkModel) -> _),
+                ("fixed", fixed as fn(&TraceLog, &mut dyn NetworkModel) -> _),
                 ("sctm_pass", replay_sctm_pass),
                 ("oracle", replay_oracle),
             ] {

@@ -29,6 +29,11 @@ fn capture(kernel: Kernel, ops: usize, seed: u64, per_hop_ps: u64) -> TraceLog {
     cap.finish("analytic", res.exec_time)
 }
 
+/// Classic replay of a healthy capture, which stays inside its bound.
+fn fixed(log: &TraceLog, net: &mut dyn NetworkModel) -> ReplayResult {
+    replay_fixed(log, net).expect("a healthy classic replay stays in bounds")
+}
+
 fn target(per_hop_ps: u64) -> Box<dyn NetworkModel> {
     Box::new(AnalyticNetwork::new(
         16,
@@ -64,7 +69,7 @@ proptest! {
         tgt_hop in 500u64..4000,
     ) {
         let log = capture(kernel, 200, seed, cap_hop);
-        for engine in [replay_fixed, replay_sctm_pass, replay_oracle] {
+        for engine in [fixed, replay_sctm_pass, replay_oracle] {
             let mut net = target(tgt_hop);
             let r = engine(&log, net.as_mut());
             prop_assert_eq!(r.inject.len(), log.len());
@@ -115,7 +120,7 @@ proptest! {
         let reference = sim.run(&mut sctm_cmp::NullHook).exec_time.as_ps() as f64;
 
         let mut net = target(tgt_hop);
-        let classic = replay_fixed(&log, net.as_mut()).est_exec_time.as_ps() as f64;
+        let classic = fixed(&log, net.as_mut()).est_exec_time.as_ps() as f64;
         let mut net = target(tgt_hop);
         let sctm = replay_sctm_pass(&log, net.as_mut()).est_exec_time.as_ps() as f64;
 
